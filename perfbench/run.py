@@ -53,12 +53,16 @@ SETUP_PROBE = (
     "load_scenario(sys.argv[1])"
 )
 # probes per scenario, and at least this many in all
-SETUP_PROBES = 3
-SETUP_PROBES_TOTAL = 7
+SETUP_PROBES = 4
+SETUP_PROBES_TOTAL = 12
+# iterations of the loop that times a CPU's current speed (about 2 ms),
+# and how often it runs beside a child on the child's CPU
+CPU_PROBE_LOOP = 20_000
+CPU_SAMPLE_PERIOD_S = 0.25
 # a run must end within 180 s; stop spawning and kill children after this
 RUN_DEADLINE_S = 170.0
 
-END_TO_END = {"wall_s": "s", "setup_s": "s", "peak_rss_mb": "MB"}
+END_TO_END = {"wall_per_probe": "ratio", "setup_s": "s", "peak_rss_mb": "MB"}
 
 
 def layer_metric_units() -> dict[str, str]:
@@ -87,28 +91,86 @@ class Outcome:
     stdout: bytes
     seconds: float
     rss_mb: float
+    # probe seconds on the child's CPU just before and while the child ran
+    cpu_samples: list[float] = field(default_factory=list)
+
+
+def cpu_probe_seconds() -> float:
+    """Seconds this process takes for a fixed few milliseconds of work."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(CPU_PROBE_LOOP):
+        total += i * i % 7
+    return time.perf_counter() - start
+
+
+class CpuSampler(threading.Thread):
+    """Times the probe loop on one CPU every CPU_SAMPLE_PERIOD_S until stopped."""
+
+    def __init__(self, cpu: int) -> None:
+        super().__init__(daemon=True)
+        self.cpu = cpu
+        self.samples: list[float] = []
+        self.done = threading.Event()
+
+    def run(self) -> None:
+        os.sched_setaffinity(0, {self.cpu})  # this thread only
+        while not self.done.wait(CPU_SAMPLE_PERIOD_S):
+            self.samples.append(cpu_probe_seconds())
+
+    def stop(self) -> list[float]:
+        self.done.set()
+        self.join()
+        return self.samples
 
 
 class Runner:
-    """Starts one child at a time and reaps it before returning."""
+    """Starts one child at a time and reaps it before returning.
+
+    On a shared host each CPU slows down by up to half, for seconds to
+    minutes at a time and independently of the others.  So each child is
+    pinned to the CPU that ran a short probe loop fastest just before it
+    starts, and the probe loop keeps running on that CPU every
+    CPU_SAMPLE_PERIOD_S while the child runs, to record the speed the
+    child saw.
+    """
 
     def __init__(self, deadline: float, stderr=subprocess.DEVNULL) -> None:
         self.deadline = deadline
         self.stderr = stderr
         self.env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        self.cpus = os.sched_getaffinity(0)
 
     def left(self) -> float:
         return self.deadline - time.monotonic()
+
+    def fastest_cpu(self) -> tuple[int, float]:
+        """The CPU that runs the probe loop fastest now, and its probe seconds."""
+        probes = {}
+        try:
+            for cpu in sorted(self.cpus):
+                os.sched_setaffinity(0, {cpu})
+                probes[cpu] = cpu_probe_seconds()
+        finally:
+            os.sched_setaffinity(0, self.cpus)
+        cpu = min(probes, key=probes.get)
+        return cpu, probes[cpu]
 
     def spawn(self, cmd) -> Outcome:
         timeout = self.left()
         if timeout <= 0:
             return Outcome(None, b"", 0.0, 0.0)
         killed: list[bool] = []
-        start = time.perf_counter()
-        proc = subprocess.Popen(
-            cmd, cwd=ROOT, env=self.env, stdout=subprocess.PIPE, stderr=self.stderr
-        )
+        cpu, probe = self.fastest_cpu()
+        # the child inherits the pin
+        os.sched_setaffinity(0, {cpu})
+        try:
+            start = time.perf_counter()
+            proc = subprocess.Popen(
+                cmd, cwd=ROOT, env=self.env, stdout=subprocess.PIPE, stderr=self.stderr
+            )
+        finally:
+            os.sched_setaffinity(0, self.cpus)
 
         def kill() -> None:
             # the child is not reaped before the timer is joined, so its
@@ -116,6 +178,8 @@ class Runner:
             killed.append(True)
             os.kill(proc.pid, signal.SIGKILL)
 
+        sampler = CpuSampler(cpu)
+        sampler.start()
         timer = threading.Timer(timeout, kill)
         timer.start()
         try:
@@ -127,12 +191,13 @@ class Runner:
         finally:
             timer.cancel()
             timer.join()
+            samples = [probe] + sampler.stop()
             proc.stdout.close()
             _, status, usage = os.wait4(proc.pid, 0)
             proc.returncode = os.waitstatus_to_exitcode(status)
         seconds = time.perf_counter() - start
         code = None if killed else proc.returncode
-        return Outcome(code, stdout, seconds, usage.ru_maxrss / 1024)
+        return Outcome(code, stdout, seconds, usage.ru_maxrss / 1024, samples)
 
 
 def check(manifest: dict, call, outcome: Outcome) -> str | None:
@@ -175,6 +240,7 @@ def run_pass(runner: Runner, manifest: dict, calls, command=lambda call, i: CLI 
                 "exit": outcome.exit,
                 "seconds": outcome.seconds,
                 "rss_mb": outcome.rss_mb,
+                "cpu_samples": outcome.cpu_samples,
             }
         )
     result.seconds = time.perf_counter() - start
@@ -214,13 +280,24 @@ class SetupProbes:
 # -- the two kinds of run -------------------------------------------------
 
 
+def per_probe(call: dict) -> float:
+    """An invocation's seconds over its median CPU probe; 0 if it never started."""
+    samples = call["cpu_samples"]
+    return call["seconds"] / statistics.median(samples) if samples else 0.0
+
+
 def timed_run(runner: Runner, manifest: dict, calls, seconds: float) -> dict:
     """Passes while the next is expected to end within `seconds`; at least one.
 
     wall_s sums, over the invocations, the median of each invocation's
     times across the passes; with one invocation it is the median pass.
+    wall_per_probe sums the same medians, but of each invocation's time
+    over the median probe time on its CPU just before and while it ran,
+    which takes out much of the host's slow stretches (see Runner).
     """
     setup = SetupProbes(calls)
+    # warm-up: the first start in a checkout also compiles the package
+    runner.spawn((sys.executable, "-c", SETUP_PROBE, calls[0][0]))
     setup.probe(runner, setup.rounds // 2)
     passes: list[Pass] = []
     begin = time.monotonic()
@@ -234,9 +311,14 @@ def timed_run(runner: Runner, manifest: dict, calls, seconds: float) -> dict:
         statistics.median(p.invocations[i]["seconds"] for p in passes)
         for i in range(len(calls))
     )
+    wall_per_probe = sum(
+        statistics.median(per_probe(p.invocations[i]) for p in passes)
+        for i in range(len(calls))
+    )
     return {
         "metrics": {
             "wall_s": wall_s,
+            "wall_per_probe": wall_per_probe,
             "setup_s": setup.seconds(),
             "peak_rss_mb": statistics.median(p.peak_rss_mb for p in passes),
         },
@@ -429,6 +511,7 @@ def execute(workload: str, calls, seed: int, seconds: float, trace: int, manifes
             name: {"value": run["metrics"][name], "unit": unit} for name, unit in units.items()
         },
         "fail_ratio": len(failures) / attempted,
+        "wall_s": run["metrics"].get("wall_s"),
         "failures": failures,
         "problems": run["problems"],
         "workload": workload,
@@ -472,6 +555,8 @@ def main(argv=None) -> int:
         print(f"check failed: {reason}", file=sys.stderr)
     for name, metric in record["metrics"].items():
         print(f"{name} {metric['value']:.6g} {metric['unit']}")
+    if record["wall_s"] is not None:
+        print(f"wall_s {record['wall_s']:.6g} s (not divided by the CPU probe)")
     print(
         f"fail_ratio {record['fail_ratio']:.6g} "
         f"({record['failed']} of {record['attempted']} invocations)"
