@@ -17,7 +17,6 @@ from .counterexample import (
     filter_counts,
     minimal_block_pairs,
     scan_alternating_powers,
-    singleton_capacity,
 )
 from .errors import (
     DepthLimitError,
@@ -38,10 +37,8 @@ from .freeness import (
     Verdict,
     alternating_power_words,
     centered_product_value,
-    free_mixed_moment,
     mixed_moment_by_cumulants,
     test_freeness,
-    test_freeness_haar_powers,
 )
 from .groups import (
     CommutatorWitnessReport,
@@ -75,11 +72,8 @@ from .ncpartitions import (
     catalan,
     cumulant_from_moments,
     enumerate_nc,
-    exponent_singleton_partitions,
     iter_pure_parity_blocks,
     moment_from_cumulants,
-    odd_singleton_partitions,
-    pure_parity_partitions,
 )
 from .scalars import ExactComplex, ONE, ZERO, as_scalar
 from .scenario import (

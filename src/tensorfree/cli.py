@@ -561,16 +561,11 @@ def main(argv=None) -> int:
         bounds = _bounds(sf, args)
         handler = _HANDLERS[args.command]
         payload, code = handler(sf, args, bounds)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except LimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_LIMITS
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
     except TensorFreeError as exc:
+        # scenario, precondition and evaluability errors alike
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

@@ -193,15 +193,6 @@ def filter_counts(t: int) -> FilterCounts:
     )
 
 
-def singleton_capacity(two_t: int) -> int:
-    """Largest number of pairwise disjoint singleton sets among the
-    partitions of {1..two_t} with pure-parity blocks and odd singletons."""
-    sets = set()
-    for blocks in iter_pure_parity_blocks(two_t, forbid_even_singletons=True):
-        sets.add(frozenset(b[0] for b in blocks if len(b) == 1))
-    return _max_disjoint(sets)
-
-
 def minimal_block_pairs(K: int, cap: int = 7) -> int | None:
     """Smallest t whose filtered partitions can serve K factors at once.
 
@@ -215,7 +206,7 @@ def minimal_block_pairs(K: int, cap: int = 7) -> int | None:
     if K < 1:
         raise ValueError("K must be positive")
     for t in range(1, cap + 1):
-        if singleton_capacity(2 * t) >= K:
+        if filter_counts(t).disjoint_singleton_capacity >= K:
             return t
     return None
 

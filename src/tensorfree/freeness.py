@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import DepthLimitError, PreconditionError
 from .ncpartitions import cumulant_from_moments, enumerate_nc
@@ -27,7 +27,6 @@ from .starwords import (
     StarWord,
     class_blocks,
     iter_words,
-    power_word_to_star_word,
 )
 
 MIXED_MOMENT_LENGTH_CAP = 16
@@ -112,24 +111,37 @@ class FreeFamilySpec:
             value = self.class_moment(blocks[0][0], letters)
             self._memo[letters] = value
             return value
-        # phi(w) = sum over nonempty dropped subsets S of
-        #          (-1)^{|S|+1} prod_k beta_k phi(w with S removed),
-        # because the fully centered alternating product vanishes
         betas = [self.class_moment(cid, ls) for cid, ls in blocks]
-        nonzero = [s for s, beta in enumerate(betas) if not beta.is_zero()]
-        total = ZERO
-        for size in range(1, len(nonzero) + 1):
-            for dropped in combinations(nonzero, size):
-                coeff = ONE if size % 2 == 1 else -ONE
-                for s in dropped:
-                    coeff = coeff * betas[s]
-                kept: list[Letter] = []
-                for s, (_, ls) in enumerate(blocks):
-                    if s not in dropped:
-                        kept.extend(ls)
-                total = total + coeff * self._eval(tuple(kept))
-        self._memo[letters] = total
-        return total
+        value = _dropped_block_sum(self._eval, blocks, betas)
+        self._memo[letters] = value
+        return value
+
+
+def _dropped_block_sum(
+    evaluate: JointOracle,
+    blocks: Sequence[tuple[int, LetterTuple]],
+    betas: Sequence[ExactComplex],
+) -> ExactComplex:
+    """Sum over nonempty sets S of blocks with nonzero means beta of
+    (-1)^(|S|+1) prod_{s in S} beta_s evaluate(word with S removed).
+
+    Writing each block as its centered part plus its mean and expanding
+    the product shows phi(w) = phi(centered alternating product) + this
+    sum; freeness makes the centered product vanish.
+    """
+    nonzero = [s for s, beta in enumerate(betas) if not beta.is_zero()]
+    total = ZERO
+    for size in range(1, len(nonzero) + 1):
+        for dropped in combinations(nonzero, size):
+            coeff = ONE if size % 2 == 1 else -ONE
+            for s in dropped:
+                coeff = coeff * betas[s]
+            kept: list[Letter] = []
+            for s, (_, ls) in enumerate(blocks):
+                if s not in dropped:
+                    kept.extend(ls)
+            total = total + coeff * evaluate(tuple(kept))
+    return total
 
 
 def _single_variable_oracle(marginal: MarginalOracle) -> ClassOracle:
@@ -137,12 +149,6 @@ def _single_variable_oracle(marginal: MarginalOracle) -> ClassOracle:
         return marginal(tuple(l.star for l in letters))
 
     return oracle
-
-
-def free_mixed_moment(
-    spec: FreeFamilySpec, word: StarWord, max_len: int = MIXED_MOMENT_LENGTH_CAP
-) -> ExactComplex:
-    return spec.mixed_moment_letters(word.letters, max_len)
 
 
 def mixed_moment_by_cumulants(spec: FreeFamilySpec, word: StarWord) -> ExactComplex:
@@ -262,19 +268,10 @@ def centered_product_value(
     if len(blocks) < 2:
         return None
     betas = [oracle(ls) for _, ls in blocks]
-    nonzero = [s for s, beta in enumerate(betas) if not beta.is_zero()]
-    total = oracle(letters)
-    for size in range(1, len(nonzero) + 1):
-        for dropped in combinations(nonzero, size):
-            coeff = ONE if size % 2 == 0 else -ONE
-            for s in dropped:
-                coeff = coeff * betas[s]
-            kept: list[Letter] = []
-            for s, (_, ls) in enumerate(blocks):
-                if s not in dropped:
-                    kept.extend(ls)
-            total = total + coeff * oracle(tuple(kept))
-    return total
+    value = oracle(letters)
+    dropped = _dropped_block_sum(oracle, blocks, betas)
+    # the sum is zero for most scanned words; skip the exact subtraction then
+    return value if dropped.is_zero() else value - dropped
 
 
 def _memoized(oracle: JointOracle) -> JointOracle:
@@ -315,7 +312,7 @@ def test_freeness(joint: JointOracle, grouping, max_len: int = 8) -> Verdict:
     return Verdict(True, None, None, None, max_len, checked)
 
 
-# -- fast path for families of Haar-type unitaries -----------------------
+# -- alternating power words, the input of the Haar-power scan ------------
 
 
 def alternating_power_words(
@@ -338,48 +335,3 @@ def alternating_power_words(
 
     gen((), total)
     return out
-
-
-def test_freeness_haar_powers(
-    joint: JointOracle, variables: Sequence[int], max_len: int = 8
-) -> Verdict:
-    """Star-freeness test specialized to families whose members all have
-    vanishing nonzero-power moments (Haar-type unitaries).
-
-    For such marginals every centered alternating product either dies
-    with a unit block or equals a plain reduced alternating power word,
-    so it suffices to scan those words for a nonzero moment.
-    """
-    oracle = _memoized(joint)
-    for v in variables:
-        for e in range(1, max_len):
-            for sign in (e, -e):
-                letters = power_word_to_star_word(((v, sign),)).letters
-                if not oracle(letters).is_zero():
-                    raise PreconditionError(
-                        f"marginal of x{v} is not Haar-type: power {sign} has "
-                        "nonzero moment"
-                    )
-    checked = 0
-    for total in range(2, max_len + 1):
-        words = [
-            (power_word_to_star_word(pw), pw)
-            for pw in alternating_power_words(variables, total)
-        ]
-        words.sort(key=lambda pair: pair[0].text())
-        for star_word, _ in words:
-            checked += 1
-            value = oracle(star_word.letters)
-            if not value.is_zero():
-                return Verdict(False, star_word, value, ZERO, max_len, checked)
-    return Verdict(True, None, None, None, max_len, checked)
-
-
-def block_pair_count(word: StarWord) -> int:
-    """Half the number of maximal single-variable runs, rounded up.
-
-    An alternating word x^n1 y^n2 ... x^n(2t-1) y^n(2t) (or the odd-length
-    variant ending at n(2t-1)) has block pair count t.
-    """
-    blocks = class_blocks(word, {i: i for i in word.indices()})
-    return (len(blocks) + 1) // 2

@@ -14,11 +14,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import PreconditionError, ScenarioError
+from .starwords import merge_powers
 
 Syllable = tuple[int, int]  # (1-based generator index, nonzero exponent)
 FactorWord = tuple[Syllable, ...]
@@ -38,6 +40,11 @@ class FreeProductPresentation:
     @property
     def num_generators(self) -> int:
         return len(self.orders)
+
+    @cached_property
+    def generator_orders(self) -> dict[int, int]:
+        """Finite orders keyed by 1-based generator index."""
+        return {j: d for j, d in enumerate(self.orders, start=1) if d is not None}
 
 
 @dataclass(frozen=True)
@@ -70,34 +77,19 @@ def identity(presentation: GroupPresentation) -> GroupElement:
     return GroupElement(tuple(() for _ in presentation.factors))
 
 
-def _normalize_exp(order: int | None, exp: int) -> int:
-    if order is not None:
-        exp %= order
-    return exp
-
-
 def reduce_factor_word(
-    component: FreeProductPresentation, syllables: Iterable[Syllable]
+    component: FreeProductPresentation, syllables: Sequence[Syllable]
 ) -> FactorWord:
-    stack: list[list[int]] = []
-    for j, e in syllables:
-        if not 1 <= j <= component.num_generators:
+    n = component.num_generators
+    for j, _ in syllables:
+        if not 1 <= j <= n:
             raise ScenarioError(f"generator g.{j} out of range")
-        e = _normalize_exp(component.orders[j - 1], e)
-        if e == 0:
-            continue
-        if stack and stack[-1][0] == j:
-            stack[-1][1] = _normalize_exp(component.orders[j - 1], stack[-1][1] + e)
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([j, e])
-    return tuple((j, e) for j, e in stack)
+    return merge_powers(syllables, component.generator_orders)
 
 
 def reduce(
     presentation: GroupPresentation,
-    syllables_per_component: Sequence[Iterable[Syllable]],
+    syllables_per_component: Sequence[Sequence[Syllable]],
 ) -> GroupElement:
     """Normal form of an unreduced componentwise word."""
     if len(syllables_per_component) != presentation.num_factors:
@@ -287,66 +279,6 @@ def _alternating_index_sequences(n: int, t: int) -> Iterator[tuple[int, ...]]:
     yield from gen(())
 
 
-def is_free_collection(
-    presentation: GroupPresentation,
-    elements: ElementCollection,
-    max_blocks: int = 4,
-    max_exp: int = 3,
-) -> GroupFreenessVerdict:
-    """Bounded group-freeness test by alternating products of powers.
-
-    Enumerates products g_{i(1)}^{n(1)} ... g_{i(t)}^{n(t)} with
-    consecutive indices distinct, 2 <= t <= max_blocks, 0 < |n| <= max_exp,
-    skipping blocks whose power is already the identity.  The collection is
-    free within bounds iff no such product reduces to the identity.
-    The first violation in breadth-first order is the witness.
-    """
-    elements = _element_list(elements)
-    powers = _nontrivial_powers(presentation, elements, max_exp)
-    exp_order = _exponent_order(max_exp)
-    checked = 0
-    for t in range(2, max_blocks + 1):
-        for index_seq in _alternating_index_sequences(len(elements), t):
-            for exps in iter_product(exp_order, repeat=t):
-                blocks = tuple(zip(index_seq, exps))
-                factors = []
-                ok = True
-                for key in blocks:
-                    p = powers.get(key)
-                    if p is None:
-                        ok = False
-                        break
-                    factors.append(p)
-                if not ok:
-                    continue
-                checked += 1
-                acc = factors[0]
-                for f in factors[1:]:
-                    acc = multiply(presentation, acc, f)
-                if acc.is_identity():
-                    return GroupFreenessVerdict(
-                        False, GroupWitness(blocks), max_blocks, max_exp, checked
-                    )
-    return GroupFreenessVerdict(True, None, max_blocks, max_exp, checked)
-
-
-# -- projection kernels -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    component: int
-    trivial_within_bounds: bool
-    witness: GroupWitness | None
-    element: GroupElement | None
-    max_blocks: int
-    max_exp: int
-
-
-def _component_is_identity(g: GroupElement, k: int) -> bool:
-    return not g.components[k - 1]
-
-
 def _subgroup_words(
     presentation: GroupPresentation,
     elements: Sequence[GroupElement],
@@ -374,6 +306,51 @@ def _subgroup_words(
                 for f in factors[1:]:
                     acc = multiply(presentation, acc, f)
                 yield blocks, acc
+
+
+def is_free_collection(
+    presentation: GroupPresentation,
+    elements: ElementCollection,
+    max_blocks: int = 4,
+    max_exp: int = 3,
+) -> GroupFreenessVerdict:
+    """Bounded group-freeness test by alternating products of powers.
+
+    Enumerates products g_{i(1)}^{n(1)} ... g_{i(t)}^{n(t)} with
+    consecutive indices distinct, 2 <= t <= max_blocks, 0 < |n| <= max_exp,
+    skipping blocks whose power is already the identity.  The collection is
+    free within bounds iff no such product reduces to the identity.
+    The first violation in breadth-first order is the witness.
+    """
+    checked = 0
+    for blocks, element in _subgroup_words(
+        presentation, _element_list(elements), max_blocks, max_exp
+    ):
+        if len(blocks) < 2:
+            continue
+        checked += 1
+        if element.is_identity():
+            return GroupFreenessVerdict(
+                False, GroupWitness(blocks), max_blocks, max_exp, checked
+            )
+    return GroupFreenessVerdict(True, None, max_blocks, max_exp, checked)
+
+
+# -- projection kernels -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class KernelReport:
+    component: int
+    trivial_within_bounds: bool
+    witness: GroupWitness | None
+    element: GroupElement | None
+    max_blocks: int
+    max_exp: int
+
+
+def _component_is_identity(g: GroupElement, k: int) -> bool:
+    return not g.components[k - 1]
 
 
 def projection_kernel_trivial(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import EnumerationLimitError, InsufficientMomentDataError
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
@@ -90,9 +90,14 @@ def is_noncrossing(blocks: Sequence[Sequence[int]]) -> bool:
 NC_CACHE_LIMIT = 10
 
 
+def _nc_partitions(n: int) -> Iterator[NCPartition]:
+    for blocks in _gap_blocks(tuple(range(1, n + 1)), False, True):
+        yield NCPartition(n, blocks)
+
+
 @lru_cache(maxsize=None)
 def _nc_cached(n: int) -> tuple[NCPartition, ...]:
-    return tuple(NCPartition(n, blocks) for blocks in _nc_blocks(tuple(range(1, n + 1))))
+    return tuple(_nc_partitions(n))
 
 
 def enumerate_nc(n: int, cap: int = NC_ENUMERATION_CAP) -> list[NCPartition]:
@@ -107,17 +112,27 @@ def enumerate_nc(n: int, cap: int = NC_ENUMERATION_CAP) -> list[NCPartition]:
         raise EnumerationLimitError("noncrossing partition enumeration", n, cap)
     if n <= NC_CACHE_LIMIT:
         return list(_nc_cached(n))
-    return [NCPartition(n, blocks) for blocks in _nc_blocks(tuple(range(1, n + 1)))]
+    return list(_nc_partitions(n))
 
 
-def _nc_blocks(points: tuple[int, ...]) -> Iterator[Blocks]:
+def _gap_blocks(
+    points: tuple[int, ...], same_parity: bool, even_singletons: bool
+) -> Iterator[Blocks]:
+    """Noncrossing partitions of points, by placing the block of the first
+    point and recursing into the gaps its other members leave.
+
+    With same_parity only points of the first point's parity may join its
+    block; without even_singletons no even point may stay alone.
+    """
     if not points:
         yield ()
         return
     first, rest = points[0], points[1:]
-    for size in range(len(rest) + 1):
-        for chosen in combinations(rest, size):
-            block = (first,) + chosen
+    mates = tuple(p for p in rest if p % 2 == first % 2) if same_parity else rest
+    for size in range(len(mates) + 1):
+        if size == 0 and not even_singletons and first % 2 == 0:
+            continue
+        for chosen in combinations(mates, size):
             # the chosen elements split the remainder into independent gaps
             gaps: list[tuple[int, ...]] = []
             gap: list[int] = []
@@ -128,17 +143,19 @@ def _nc_blocks(points: tuple[int, ...]) -> Iterator[Blocks]:
                 else:
                     gap.append(p)
             gaps.append(tuple(gap))
-            yield from _combine_gaps(block, gaps, 0, ())
+            yield from _fill_gaps(
+                ((first,) + chosen,), gaps, same_parity, even_singletons
+            )
 
 
-def _combine_gaps(
-    block: Block, gaps: list[tuple[int, ...]], i: int, acc: Blocks
+def _fill_gaps(
+    acc: Blocks, gaps: list[tuple[int, ...]], same_parity: bool, even_singletons: bool
 ) -> Iterator[Blocks]:
-    if i == len(gaps):
-        yield (block,) + acc
+    if not gaps:
+        yield acc
         return
-    for sub in _nc_blocks(gaps[i]):
-        yield from _combine_gaps(block, gaps, i + 1, acc + sub)
+    for sub in _gap_blocks(gaps[0], same_parity, even_singletons):
+        yield from _fill_gaps(acc + sub, gaps[1:], same_parity, even_singletons)
 
 
 def catalan(n: int) -> int:
@@ -328,57 +345,6 @@ def cumulant_term(
 # -- parity and singleton filters -------------------------------------
 
 
-def filter_parity_singletons(
-    partitions: Iterable[NCPartition],
-    singleton_predicate: Callable[[int], bool] | None = None,
-) -> list[NCPartition]:
-    """Keep partitions whose blocks have pure parity, with a singleton rule.
-
-    Every surviving block consists of all-even or all-odd positions.  If a
-    predicate is given, every singleton block {p} must satisfy it.
-    """
-    kept: list[NCPartition] = []
-    for part in partitions:
-        ok = True
-        for block in part.blocks:
-            parities = {p % 2 for p in block}
-            if len(parities) > 1:
-                ok = False
-                break
-            if len(block) == 1 and singleton_predicate is not None:
-                if not singleton_predicate(block[0]):
-                    ok = False
-                    break
-        if ok:
-            kept.append(part)
-    return kept
-
-
-def pure_parity_partitions(two_t: int) -> list[NCPartition]:
-    return filter_parity_singletons(enumerate_nc(two_t))
-
-
-def odd_singleton_partitions(two_t: int) -> list[NCPartition]:
-    """Pure-parity partitions whose singletons are all odd positions."""
-    return filter_parity_singletons(enumerate_nc(two_t), lambda p: p % 2 == 1)
-
-
-def exponent_singleton_partitions(
-    two_t: int, exponents: Sequence[int], target: int
-) -> list[NCPartition]:
-    """Odd-singleton partitions whose singleton exponents are +-target.
-
-    exponents[p-1] is the signed exponent at position p of a word with
-    2t alternating factors.
-    """
-    if len(exponents) != two_t:
-        raise ValueError("exponent list does not match partition size")
-    return filter_parity_singletons(
-        enumerate_nc(two_t),
-        lambda p: p % 2 == 1 and abs(exponents[p - 1]) == target,
-    )
-
-
 PURE_PARITY_CAP = 16
 
 
@@ -399,49 +365,6 @@ def iter_pure_parity_blocks(
         raise ValueError("two_t must be nonnegative")
     if two_t > cap:
         raise EnumerationLimitError("pure-parity partition enumeration", two_t, cap)
-    yield from _pure_parity_blocks(
-        tuple(range(1, two_t + 1)), forbid_even_singletons
+    yield from _gap_blocks(
+        tuple(range(1, two_t + 1)), True, not forbid_even_singletons
     )
-
-
-def _pure_parity_blocks(
-    points: tuple[int, ...], no_even_singletons: bool
-) -> Iterator[Blocks]:
-    if not points:
-        yield ()
-        return
-    first, rest = points[0], points[1:]
-    mates = tuple(p for p in rest if p % 2 == first % 2)
-    for size in range(len(mates) + 1):
-        if size == 0 and no_even_singletons and first % 2 == 0:
-            continue
-        for chosen in combinations(mates, size):
-            block = (first,) + chosen
-            gaps: list[tuple[int, ...]] = []
-            gap: list[int] = []
-            for p in rest:
-                if p in chosen:
-                    gaps.append(tuple(gap))
-                    gap = []
-                else:
-                    gap.append(p)
-            gaps.append(tuple(gap))
-            yield from _combine_pure_parity(
-                block, gaps, 0, (), no_even_singletons
-            )
-
-
-def _combine_pure_parity(
-    block: Block,
-    gaps: list[tuple[int, ...]],
-    i: int,
-    acc: Blocks,
-    no_even_singletons: bool,
-) -> Iterator[Blocks]:
-    if i == len(gaps):
-        yield (block,) + acc
-        return
-    for sub in _pure_parity_blocks(gaps[i], no_even_singletons):
-        yield from _combine_pure_parity(
-            block, gaps, i + 1, acc + sub, no_even_singletons
-        )

@@ -144,12 +144,14 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 
 
 def scalar_from_json(data) -> ExactComplex:
-    if isinstance(data, int):
+    # type() rather than isinstance(): JSON true and false are bools, and
+    # bool subclasses int, but they are not scalars
+    if type(data) is int:
         return ExactComplex(data)
     if isinstance(data, list):
-        if len(data) == 2 and all(isinstance(x, int) for x in data):
+        if len(data) == 2 and all(type(x) is int for x in data):
             return ExactComplex(Fraction(data[0], data[1]))
-        if len(data) == 4 and all(isinstance(x, int) for x in data):
+        if len(data) == 4 and all(type(x) is int for x in data):
             return ExactComplex(Fraction(data[0], data[1]), Fraction(data[2], data[3]))
     raise ValueError(f"bad scalar encoding: {data!r}")
 

@@ -91,11 +91,28 @@ def _scalar(raw, where: str) -> ExactComplex:
         raise ScenarioError(f"{where}: bad scalar {raw!r}: {exc}") from exc
 
 
-def _int_key(text: str, where: str) -> int:
+def _int_key(text: str, where: str, taken: Mapping[int, object]) -> int:
+    """Integer value of an object key that must differ from the keys in
+    taken, so that "01" cannot silently overwrite "1"."""
     try:
-        return int(text)
+        key = int(text)
     except ValueError:
         raise ScenarioError(f"{where}: bad integer key {text!r}") from None
+    if key in taken:
+        raise ScenarioError(f"{where}: key {text!r} repeats the integer key {key}")
+    return key
+
+
+def _flag(data: Mapping, key: str, where: str) -> bool:
+    value = data.get(key, False)
+    if not isinstance(value, bool):
+        raise ScenarioError(f"{where}: {key} must be true or false, got {value!r}")
+    return value
+
+
+def _is_int(value) -> bool:
+    """JSON integers only: true and false are not the integers 1 and 0."""
+    return type(value) is int
 
 
 def presentation_from_json(data, where: str = "presentation") -> GroupPresentation:
@@ -111,7 +128,7 @@ def presentation_from_json(data, where: str = "presentation") -> GroupPresentati
         for o in orders_raw:
             if o == "inf" or o is None:
                 orders.append(None)
-            elif isinstance(o, int):
+            elif _is_int(o):
                 orders.append(o)
             else:
                 raise ScenarioError(
@@ -144,13 +161,13 @@ def _pattern_to_text(pattern) -> str:
 def _sequence_from_json(data, where: str) -> MomentSequence:
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{where}: must be an object")
-    unitary = bool(data.get("unitary", False))
+    unitary = _flag(data, "unitary", where)
     period = data.get("period")
-    if period is not None and (not isinstance(period, int) or period < 1):
+    if period is not None and (not _is_int(period) or period < 1):
         raise ScenarioError(f"{where}: period must be a positive integer")
     complete_through = data.get("complete_through")
     if complete_through is not None and (
-        not isinstance(complete_through, int) or complete_through < 0
+        not _is_int(complete_through) or complete_through < 0
     ):
         raise ScenarioError(f"{where}: complete_through must be a nonnegative integer")
     moments_raw = data.get("moments", {})
@@ -160,7 +177,7 @@ def _sequence_from_json(data, where: str) -> MomentSequence:
     for key_text, raw in moments_raw.items():
         value = _scalar(raw, f"{where}.moments[{key_text!r}]")
         if unitary:
-            moments[_int_key(key_text, f"{where}.moments")] = value
+            moments[_int_key(key_text, f"{where}.moments", moments)] = value
         else:
             moments[_pattern_from_text(key_text)] = value
     try:
@@ -180,15 +197,13 @@ def factor_from_json(data, where: str) -> MomentFunctional:
     kind = _require(data, "space", where)
     if kind == "spectral":
         variables_raw = _require(data, "variables", where)
-        variables = {
-            _int_key(v, f"{where}.variables"): _sequence_from_json(
-                seq, f"{where}.variables[{v}]"
-            )
-            for v, seq in variables_raw.items()
-        }
+        variables = {}
+        for v, seq in variables_raw.items():
+            key = _int_key(v, f"{where}.variables", variables)
+            variables[key] = _sequence_from_json(seq, f"{where}.variables[{v}]")
         if not variables:
             raise ScenarioError(f"{where}: no variables")
-        return SpectralModel(variables, assume_free=bool(data.get("assume_free", False)))
+        return SpectralModel(variables, assume_free=_flag(data, "assume_free", where))
     if kind in ("group", "table"):
         presentation = presentation_from_json(
             _require(data, "presentation", where), f"{where}.presentation"
@@ -198,20 +213,21 @@ def factor_from_json(data, where: str) -> MomentFunctional:
         for v, text in variables_raw.items():
             if not isinstance(text, str):
                 raise ScenarioError(f"{where}.variables[{v}]: must be a group word")
-            generators[_int_key(v, f"{where}.variables")] = parse_group_word(
-                presentation, text
-            )
+            key = _int_key(v, f"{where}.variables", generators)
+            generators[key] = parse_group_word(presentation, text)
         if not generators:
             raise ScenarioError(f"{where}: no variables")
         if kind == "group":
             return GroupAlgebraModel(presentation, generators)
         table_raw = _require(data, "table", where)
-        table = {
-            parse_group_word(presentation, text): _scalar(
-                raw, f"{where}.table[{text!r}]"
-            )
-            for text, raw in table_raw.items()
-        }
+        table = {}
+        for text, raw in table_raw.items():
+            element = parse_group_word(presentation, text)
+            if element in table:
+                raise ScenarioError(
+                    f"{where}.table: key {text!r} repeats the element {element.text()}"
+                )
+            table[element] = _scalar(raw, f"{where}.table[{text!r}]")
         return TableFunctional(presentation, generators, table)
     raise ScenarioError(f"{where}: unknown space kind {kind!r}")
 
@@ -220,7 +236,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
     if not isinstance(data, Mapping):
         raise ScenarioError("scenario: top level must be an object")
     version = data.get("version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ScenarioError(f"scenario: unsupported version {version!r}")
     name = data.get("name", default_name)
     if not isinstance(name, str):
@@ -232,7 +248,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
     for key, value in bounds_raw.items():
         if key not in ("max_len", "max_blocks", "max_exp", "gram_len"):
             raise ScenarioError(f"scenario: unknown bound {key!r}")
-        if not isinstance(value, int) or value < 1:
+        if not _is_int(value) or value < 1:
             raise ScenarioError(f"scenario: bound {key!r} must be a positive integer")
         bounds[key] = value
     alpha = None
@@ -251,11 +267,12 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
         variables_raw = _require(tensor_raw, "variables", "scenario.tensor")
         assignments = {}
         for i, components in variables_raw.items():
-            if not isinstance(components, list):
+            if not isinstance(components, list) or not all(map(_is_int, components)):
                 raise ScenarioError(
                     f"scenario.tensor.variables[{i}]: must be a list of variable ids"
                 )
-            assignments[_int_key(i, "scenario.tensor.variables")] = tuple(components)
+            key = _int_key(i, "scenario.tensor.variables", assignments)
+            assignments[key] = tuple(components)
         free = tensor_raw.get("free", [False] * len(factors))
         if not isinstance(free, list) or not all(isinstance(b, bool) for b in free):
             raise ScenarioError("scenario.tensor.free: must be a list of booleans")
@@ -264,7 +281,6 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
             assignments=assignments,
             free_flags=tuple(free),
             name=name,
-            bounds=bounds,
         )
         return ScenarioFile(name, "tensor", tensor=tensor, bounds=bounds, alpha=alpha)
     if kind == "group":
@@ -276,7 +292,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
         for i, text in elements_raw.items():
             if not isinstance(text, str):
                 raise ScenarioError(f"scenario.elements[{i}]: must be a group word")
-            elements[_int_key(i, "scenario.elements")] = parse_group_word(
+            elements[_int_key(i, "scenario.elements", elements)] = parse_group_word(
                 presentation, text
             )
         collection = GroupCollection(presentation, elements, name=name)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import freeness
 from .errors import (
@@ -33,11 +33,10 @@ from .groups import (
     identity,
     inverse,
     multiply,
-    reduce,
 )
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
-from .starwords import Letter, LetterTuple, StarWord, iter_letters
+from .starwords import Letter, LetterTuple, StarWord, iter_letters, merge_powers
 
 GRAM_BASIS_CAP = 320
 
@@ -155,6 +154,9 @@ class SpectralModel(MomentFunctional):
         self.sequences = dict(variables)
         self.variables = tuple(sorted(self.sequences))
         self.assume_free = assume_free
+        self._periods = {
+            v: seq.period for v, seq in self.sequences.items() if seq.unitary
+        }
         self._family = freeness.FreeFamilySpec(
             {v: _sequence_marginal(seq) for v, seq in self.sequences.items()}
         )
@@ -183,24 +185,16 @@ class SpectralModel(MomentFunctional):
         return self._family.mixed_moment_letters(letters)
 
     def reduced_key(self, letters: LetterTuple):
-        # unitary runs cancel, and a period p identifies u^p with the unit;
-        # star-table variables admit no relations
-        stack: list[list] = []
-        for l in letters:
-            seq = self.sequences[l.index]
-            if seq.unitary:
-                exp = -1 if l.star else 1
-                if stack and stack[-1][0] == "u" and stack[-1][1] == l.index:
-                    stack[-1][2] += exp
-                else:
-                    stack.append(["u", l.index, exp])
-                if seq.period is not None:
-                    stack[-1][2] %= seq.period
-                if stack[-1][2] == 0:
-                    stack.pop()
-            else:
-                stack.append(["s", l.index, l.star])
-        return tuple(tuple(item) for item in stack)
+        # unitary letters are the syllables x^+-1, folded by their period;
+        # star-table variables admit no relations, so each of their letters
+        # is a key of its own whose exponent only grows and never cancels
+        syllables = [
+            (l.index, -1 if l.star else 1)
+            if self.sequences[l.index].unitary
+            else (l, 1)
+            for l in letters
+        ]
+        return merge_powers(syllables, self._periods)
 
 
 def _sequence_marginal(seq: MomentSequence):

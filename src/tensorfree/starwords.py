@@ -3,13 +3,14 @@
 The canonical text form is space-separated tokens like ``x1 x2* x1``.
 A letter is a pair (index, star); a word is a nonempty tuple of letters.
 Power words are the unitary reductions: adjacent letters with equal index
-merge into signed exponents and zero exponents cancel.
+merge into signed exponents and zero exponents cancel.  merge_powers is
+the one stack-merge reducer behind every normal form in the package.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
 
 
 class WordSyntaxError(ValueError):
@@ -110,37 +111,29 @@ def single_variable_word(stars: Iterable[bool], index: int = 1) -> StarWord:
     return StarWord(tuple(Letter(index, s) for s in pattern))
 
 
-def reduce_unitary(w: StarWord | LetterTuple) -> PowerWord:
-    """Reduce a word of unitaries: x* becomes x^-1 and adjacent powers merge.
+def merge_powers(
+    syllables: Iterable[tuple[Hashable, int]],
+    orders: Mapping[Hashable, int] | None = None,
+) -> tuple[tuple[Hashable, int], ...]:
+    """Stack-merge (key, exponent) syllables into their reduced form.
 
-    The result may be empty (the unit).
+    Adjacent syllables with equal keys add their exponents, an exponent
+    is folded modulo orders[key] when that key has a finite order (keys
+    missing from orders have infinite order), and zero exponents vanish,
+    which lets their neighbours merge in turn.  The result may be empty
+    (the unit).
     """
-    letters = w.letters if isinstance(w, StarWord) else w
-    stack: list[list[int]] = []
-    for letter in letters:
-        exp = -1 if letter.star else 1
-        if stack and stack[-1][0] == letter.index:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([letter.index, exp])
-    return tuple((i, e) for i, e in stack)
-
-
-def reduce_power_word(factors: Iterable[PowerFactor]) -> PowerWord:
-    """Merge adjacent equal-index powers and drop zero exponents."""
-    stack: list[list[int]] = []
-    for index, exp in factors:
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == index:
-            stack[-1][1] += exp
-            if stack[-1][1] == 0:
-                stack.pop()
-        else:
-            stack.append([index, exp])
-    return tuple((i, e) for i, e in stack)
+    order_of = (orders or {}).get
+    stack: list[tuple[Hashable, int]] = []
+    for key, exp in syllables:
+        if stack and stack[-1][0] == key:
+            exp += stack.pop()[1]
+        order = order_of(key)
+        if order is not None:
+            exp %= order
+        if exp:
+            stack.append((key, exp))
+    return tuple(stack)
 
 
 def power_word_text(pw: PowerWord) -> str:
@@ -154,19 +147,6 @@ def power_word_to_star_word(pw: PowerWord) -> StarWord:
     for index, exp in pw:
         letters.extend([Letter(index, exp < 0)] * abs(exp))
     return StarWord(tuple(letters))
-
-
-def alternating_blocks(w: StarWord) -> list[tuple[int, StarWord]]:
-    """Split into maximal runs of a single variable index, in order."""
-    blocks: list[tuple[int, StarWord]] = []
-    run: list[Letter] = []
-    for letter in w.letters:
-        if run and run[-1].index != letter.index:
-            blocks.append((run[0].index, StarWord(tuple(run))))
-            run = []
-        run.append(letter)
-    blocks.append((run[0].index, StarWord(tuple(run))))
-    return blocks
 
 
 def class_blocks(w: StarWord, class_of: dict[int, int]) -> list[tuple[int, LetterTuple]]:

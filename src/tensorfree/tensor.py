@@ -9,9 +9,9 @@ and that product is all this module computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import (
     FactorNotEvaluable,
@@ -20,7 +20,7 @@ from .errors import (
     ScenarioError,
 )
 from .scalars import ONE, ExactComplex, rational_sqrt
-from .spaces import MomentFunctional, is_deterministic, variance
+from .spaces import MomentFunctional, variance
 from .starwords import Letter, LetterTuple, StarWord, single_variable_word
 
 
@@ -37,7 +37,6 @@ class TensorScenario:
     assignments: dict[int, tuple[int, ...]]
     free_flags: tuple[bool, ...]
     name: str = ""
-    bounds: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -111,92 +110,6 @@ def joint_oracle(scenario: TensorScenario) -> Callable[[LetterTuple], ExactCompl
         return tensor_moment(scenario, StarWord(tuple(letters)))
 
     return oracle
-
-
-# -- single-variable word plumbing ---------------------------------------
-
-
-def pattern_of(m) -> tuple[bool, ...]:
-    """Coerce a single-variable word or a star pattern to a pattern tuple."""
-    if isinstance(m, StarWord):
-        if len(m.indices()) != 1:
-            raise ValueError(f"{m.text()!r} is not a single-variable word")
-        return tuple(l.star for l in m.letters)
-    return tuple(bool(b) for b in m)
-
-
-def pattern_word(pattern: Sequence[bool], index: int) -> StarWord:
-    return single_variable_word(pattern, index)
-
-
-def pattern_text(pattern: Sequence[bool]) -> str:
-    return "".join("1*" if s else "1" for s in pattern)
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Case analysis of one single-variable word at one joint index.
-
-    When the joint moment vanishes the candidate factor's own moment
-    must vanish; when it does not, every other component must be
-    deterministic.  holds is the verdict of the applicable case.
-    """
-
-    index: int
-    pattern: tuple[bool, ...]
-    k: int
-    case: str
-    holds: bool
-    tensor_value: ExactComplex
-    factor_value: ExactComplex | None = None
-    nondeterministic: tuple[int, ...] = ()
-
-    def word_text(self) -> str:
-        return pattern_word(self.pattern, self.index).text()
-
-
-def centered_tensor_decomposition(
-    scenario: TensorScenario, i: int, m, k: int
-) -> DecompositionReport:
-    """Check the centering decomposition of M(D_i) against factor k.
-
-    m is a single-variable star word (any index) or a bare star pattern.
-    """
-    if i not in scenario.assignments:
-        raise ScenarioError(f"unknown joint variable {i}")
-    if not 1 <= k <= scenario.K:
-        raise ScenarioError(f"factor index {k} out of range 1..{scenario.K}")
-    pattern = pattern_of(m)
-    word = pattern_word(pattern, i)
-    value = tensor_moment(scenario, word)
-    if value.is_zero():
-        fk = factor_moment(scenario, word, k)
-        return DecompositionReport(
-            index=i,
-            pattern=pattern,
-            k=k,
-            case="vanishing",
-            holds=fk.is_zero(),
-            tensor_value=value,
-            factor_value=fk,
-        )
-    bad: list[int] = []
-    for l in range(1, scenario.K + 1):
-        if l == k:
-            continue
-        functional = scenario.factors[l - 1]
-        component_word = factor_word(scenario, word, l)
-        if not is_deterministic(functional, component_word):
-            bad.append(l)
-    return DecompositionReport(
-        index=i,
-        pattern=pattern,
-        k=k,
-        case="nonvanishing",
-        holds=not bad,
-        tensor_value=value,
-        nondeterministic=tuple(bad),
-    )
 
 
 # -- normalization pre-flight --------------------------------------------
@@ -277,7 +190,6 @@ def normalized_scenario(scenario: TensorScenario) -> TensorScenario:
         assignments=dict(scenario.assignments),
         free_flags=scenario.free_flags,
         name=scenario.name,
-        bounds=dict(scenario.bounds),
     )
 
 

@@ -39,7 +39,6 @@ from .tensor import (
     factor_word,
     joint_oracle,
     normalized_scenario,
-    pattern_word,
     scalar_component_check,
     tensor_moment,
 )
@@ -56,7 +55,7 @@ class TfcViolation:
     variance: Fraction | None = None
 
     def word_text(self) -> str:
-        return pattern_word(self.pattern, self.index).text()
+        return single_variable_word(self.pattern, self.index).text()
 
 
 @dataclass(frozen=True)
@@ -141,7 +140,7 @@ def check_tfc(
         for pattern in iter_star_patterns(length):
             for i in scenario.indices:
                 checked += 1
-                word = pattern_word(pattern, i)
+                word = single_variable_word(pattern, i)
                 value = tensor_moment(scenario, word)
                 if value.is_zero():
                     if first_1 is None:
@@ -255,7 +254,7 @@ class NecessaryConditionsReport:
 
 
 def _power_moment(scenario: TensorScenario, i: int, m: int) -> ExactComplex:
-    return tensor_moment(scenario, pattern_word((False,) * m, i))
+    return tensor_moment(scenario, single_variable_word((False,) * m, i))
 
 
 def _component_power_deterministic(

@@ -5,6 +5,8 @@ import json
 
 import pytest
 
+from tensorfree import cli, errors
+
 
 def canonical(data) -> str:
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
@@ -447,3 +449,135 @@ def test_missing_file_and_bad_bounds(run_cli, scenario_path, tmp_path):
     res = run_cli(scenario_path("haar_dominated"), "moments", "x1", "--max-len", "0")
     assert res.code == 2
     assert "bound max_len must be positive" in res.err
+
+
+def set_in(path, value):
+    """Mutation setting payload[path[0]][path[1]]... to value."""
+
+    def mutate(payload):
+        node = payload
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
+def duplicate_key(path, key, twin):
+    """Mutation adding twin next to key in the object at path, with key's value."""
+
+    def mutate(payload):
+        node = payload
+        for part in path:
+            node = node[part]
+        node[twin] = node[key]
+
+    return mutate
+
+
+UNITARY_1 = ("factors", 0, "variables", "1")
+
+STRICT_INPUTS = [
+    ("flag-string", set_in(UNITARY_1 + ("unitary",), "false"), "unitary must be true or false"),
+    ("flag-number", set_in(("factors", 0, "assume_free"), 1), "assume_free must be true or false"),
+    ("bound-bool", set_in(("bounds", "max_len"), True), "bound 'max_len'"),
+    ("period-bool", set_in(UNITARY_1 + ("period",), True), "period must be"),
+    (
+        "complete-through-bool",
+        set_in(("factors", 0, "variables", "2"), {"moments": {"a": 0}, "complete_through": True}),
+        "complete_through must be",
+    ),
+    (
+        "cyclic-order-bool",
+        set_in(("factors", 1, "presentation", "components", 0, "cyclic_orders"), [True]),
+        'cyclic order must be an integer or "inf"',
+    ),
+    ("version-bool", set_in(("version",), True), "unsupported version"),
+    ("component-bool", set_in(("tensor", "variables", "1"), [True, 1]), "tensor.variables[1]"),
+    ("scalar-bool", set_in(("alpha",), True), "scenario.alpha: bad scalar"),
+    (
+        "scalar-entry-bool",
+        set_in(UNITARY_1 + ("moments", "1"), [True, 4]),
+        "moments['1']: bad scalar",
+    ),
+    (
+        "joint-key-collision",
+        duplicate_key(("tensor", "variables"), "1", "01"),
+        "tensor.variables: key '01'",
+    ),
+    (
+        "spectral-key-collision",
+        duplicate_key(("factors", 0, "variables"), "1", "+1"),
+        "factors[1].variables: key '+1'",
+    ),
+    (
+        "group-key-collision",
+        duplicate_key(("factors", 1, "variables"), "2", "02"),
+        "factors[2].variables: key '02'",
+    ),
+    (
+        "power-key-collision",
+        duplicate_key(UNITARY_1 + ("moments",), "1", "01"),
+        "moments: key '01'",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "mutate, field", [case[1:] for case in STRICT_INPUTS], ids=[case[0] for case in STRICT_INPUTS]
+)
+def test_scenario_input_is_strict(run_cli, scenario_path, tmp_path, mutate, field):
+    with open(scenario_path("biased_unitary"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    mutate(payload)
+    res = run_cli(write_scenario(tmp_path, "strict", payload), "moments", "x1")
+    assert res.code == 2
+    assert res.out == ""
+    assert field in res.err
+
+
+@pytest.mark.parametrize(
+    "scenario, mutate, field",
+    [
+        (
+            "mixed_order_collection",
+            duplicate_key(("elements",), "1", "001"),
+            "scenario.elements: key '001'",
+        ),
+        (
+            "free_without_dominating",
+            duplicate_key(("factors", 0, "table"), "g1.1^1 g1.2^1", "g1.1^1 g1.2^1 g1.2^0"),
+            "factors[1].table: key 'g1.1^1 g1.2^1 g1.2^0' repeats the element g1.1^1 g1.2^1",
+        ),
+    ],
+    ids=["group-elements", "table-elements"],
+)
+def test_element_keys_must_not_collide(run_cli, scenario_path, tmp_path, scenario, mutate, field):
+    with open(scenario_path(scenario), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    mutate(payload)
+    res = run_cli(write_scenario(tmp_path, "strict", payload), "moments", "x1")
+    assert res.code == 2
+    assert field in res.err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (errors.ScenarioError("bad file"), 2),
+        (errors.PreconditionError("bad input"), 2),
+        (errors.InsufficientMomentDataError("no entry"), 2),
+        (errors.DimensionLimitError("Gram basis", 400, 320), 3),
+        (errors.EnumerationLimitError("noncrossing partitions", 15, 14), 3),
+    ],
+    ids=lambda value: type(value).__name__ if isinstance(value, Exception) else str(value),
+)
+def test_error_classes_map_to_exit_codes(run_cli, scenario_path, monkeypatch, error, code):
+    def fail(sf, args, bounds):
+        raise error
+
+    monkeypatch.setitem(cli._HANDLERS, "moments", fail)
+    res = run_cli(scenario_path("haar_dominated"), "moments", "x1")
+    assert res.code == code
+    assert res.out == ""
+    assert res.err == f"error: {error}\n"

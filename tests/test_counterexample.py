@@ -11,7 +11,6 @@ from tensorfree.counterexample import (
     filter_counts,
     minimal_block_pairs,
     scan_alternating_powers,
-    singleton_capacity,
 )
 from tensorfree.errors import PreconditionError, ScenarioError
 from tensorfree.groups import (
@@ -127,7 +126,8 @@ def test_filter_supports_structure(t):
 
 
 def test_singleton_capacity_sequence():
-    assert [singleton_capacity(2 * t) for t in range(1, 8)] == [
+    capacities = [filter_counts(t).disjoint_singleton_capacity for t in range(1, 8)]
+    assert capacities == [
         0,
         1,
         1,

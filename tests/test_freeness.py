@@ -7,20 +7,18 @@ from itertools import product
 
 import pytest
 
+from tensorfree.counterexample import scan_alternating_powers
 from tensorfree.errors import DepthLimitError, PreconditionError
 from tensorfree.freeness import (
     FreeFamilySpec,
     Verdict,
     alternating_pair_moment,
     alternating_power_words,
-    block_pair_count,
     centered_product_value,
     conjugated_pair_moment,
-    free_mixed_moment,
     mixed_moment_by_cumulants,
 )
 from tensorfree.freeness import test_freeness as freeness_verdict
-from tensorfree.freeness import test_freeness_haar_powers as haar_powers_verdict
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -56,8 +54,8 @@ def test_engine_reproduces_the_worked_pair():
             2: mean_square_table(Fraction(1, 3)).moment,
         }
     )
-    assert free_mixed_moment(spec, word("x1 x2")) == Fraction(1, 6)
-    assert free_mixed_moment(spec, word("x1 x2 x1* x2*")) == Fraction(1, 3)
+    assert spec.mixed_moment_letters(word("x1 x2").letters) == Fraction(1, 6)
+    assert spec.mixed_moment_letters(word("x1 x2 x1* x2*").letters) == Fraction(1, 3)
 
 
 def test_closed_form_alternating_pair():
@@ -90,7 +88,7 @@ def test_closed_form_matches_engine_on_random_data():
             ),
         }
         spec = FreeFamilySpec({v: t.moment for v, t in tables.items()})
-        engine = free_mixed_moment(spec, word("x1 x2 x1* x2*"))
+        engine = spec.mixed_moment_letters(word("x1 x2 x1* x2*").letters)
         closed = alternating_pair_moment(
             m1, ExactComplex(sq1), m2, ExactComplex(sq2)
         )
@@ -117,7 +115,7 @@ def test_conjugated_pair_closed_form():
             3: star_adapter(haar),
         }
     )
-    engine = free_mixed_moment(spec, word("x3 x1 x3* x2 x3 x1* x3* x2*"))
+    engine = spec.mixed_moment_letters(word("x3 x1 x3* x2 x3 x1* x3* x2*").letters)
     assert engine == Fraction(1, 4)
 
 
@@ -150,7 +148,8 @@ def test_expansion_and_cumulant_routes_agree(seed):
     )
     for length in (1, 2, 3, 4):
         for w in iter_words([1, 2], length):
-            assert free_mixed_moment(spec, w) == mixed_moment_by_cumulants(spec, w)
+            engine = spec.mixed_moment_letters(w.letters)
+            assert engine == mixed_moment_by_cumulants(spec, w)
 
 
 def test_engine_guards():
@@ -239,17 +238,60 @@ def test_centered_product_value_basics():
     assert centered_product_value(oracle, word("x1 x2").letters, class_of) == ZERO
 
 
+def test_centered_products_vanish_under_a_free_family():
+    rng = random.Random(11)
+    spec = FreeFamilySpec(
+        {
+            1: random_star_table(rng).moment,
+            2: star_adapter(MomentSequence({1: Fraction(1, 3)}, unitary=True, period=4)),
+        }
+    )
+    class_of = {1: 1, 2: 2}
+    alternating = 0
+    for length in range(2, 5):
+        for w in iter_words([1, 2], length):
+            value = centered_product_value(spec.mixed_moment_letters, w.letters, class_of)
+            if value is not None:
+                alternating += 1
+                assert value == ZERO, w.text()
+    assert alternating > 200
+
+
+def test_centered_product_is_the_moment_minus_the_free_prediction():
+    # x1 = g and x2 = g^2 in the integers are not free, but every word
+    # shorter than the first witness (length 3) has its free value, so
+    # through length 3 the centered product is the moment minus the
+    # moment a free pair with the same marginals would have
+    oracle = integer_oracle()
+    spec = FreeFamilySpec(
+        {
+            v: (lambda stars, v=v: oracle(tuple(Letter(v, s) for s in stars)))
+            for v in (1, 2)
+        }
+    )
+    class_of = {1: 1, 2: 2}
+    nonzero = 0
+    for length in range(2, 4):
+        for w in iter_words([1, 2], length):
+            value = centered_product_value(oracle, w.letters, class_of)
+            if value is None:
+                continue
+            assert value == oracle(w.letters) - spec.mixed_moment_letters(w.letters)
+            nonzero += not value.is_zero()
+    assert nonzero > 0
+
+
 def test_haar_power_scan_agrees_with_the_general_path():
     model = GroupAlgebraModel(
         F2, {1: parse_group_word(F2, "g1.1^1"), 2: parse_group_word(F2, "g1.2^1")}
     )
-    fast = haar_powers_verdict(model.moment_letters, [1, 2], max_len=6)
+    fast, _ = scan_alternating_powers(model.moment_letters, [1, 2], max_len=6)
     assert fast.free
     general = freeness_verdict(model.moment_letters, {1: (1,), 2: (2,)}, max_len=4)
     assert general.free
 
     slow_fail = freeness_verdict(integer_oracle(), {1: (1,), 2: (2,)}, max_len=4)
-    fast_fail = haar_powers_verdict(integer_oracle(), [1, 2], max_len=4)
+    fast_fail, _ = scan_alternating_powers(integer_oracle(), [1, 2], max_len=4)
     assert not fast_fail.free
     assert fast_fail.witness == slow_fail.witness == word("x1 x1 x2*")
     assert fast_fail.lhs == ONE
@@ -259,7 +301,7 @@ def test_haar_power_scan_precondition():
     biased = MomentSequence({1: Fraction(1, 4)}, unitary=True, period=3)
     oracle = lambda ls: star_adapter(biased)(tuple(l.star for l in ls))
     with pytest.raises(PreconditionError, match="Haar-type"):
-        haar_powers_verdict(oracle, [1], max_len=4)
+        scan_alternating_powers(oracle, [1], max_len=4)
 
 
 def test_alternating_power_words():
@@ -284,12 +326,18 @@ def test_alternating_power_words():
 
 
 def test_block_pair_count():
-    assert block_pair_count(word("x1")) == 1
-    assert block_pair_count(word("x1 x2")) == 1
-    assert block_pair_count(word("x1 x1 x2")) == 1
-    assert block_pair_count(word("x1 x2 x1")) == 2
-    assert block_pair_count(word("x1 x2 x1* x2*")) == 2
-    assert block_pair_count(word("x1 x2 x1 x2 x1")) == 3
+    # the Haar-power scan tallies words by block pair count: 2t - 1 and
+    # 2t alternating blocks both count t
+    model = GroupAlgebraModel(
+        F2, {1: parse_group_word(F2, "g1.1^1"), 2: parse_group_word(F2, "g1.2^1")}
+    )
+    _, scan = scan_alternating_powers(model.moment_letters, [1, 2], max_len=5)
+    assert [(line.block_pairs, line.words) for line in scan] == [
+        (1, 80),
+        (2, 320),
+        (3, 64),
+    ]
+    assert all(line.violations == 0 for line in scan)
 
 
 def test_verdict_shape():

@@ -7,13 +7,14 @@ together in a different block).
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tensorfree.counterexample import filter_counts
 from tensorfree.errors import EnumerationLimitError, InsufficientMomentDataError
 from tensorfree.ncpartitions import (
     MomentSequence,
@@ -23,12 +24,9 @@ from tensorfree.ncpartitions import (
     cumulant_from_moments,
     cumulant_term,
     enumerate_nc,
-    exponent_singleton_partitions,
     is_noncrossing,
     iter_pure_parity_blocks,
     moment_from_cumulants,
-    odd_singleton_partitions,
-    pure_parity_partitions,
     validate_partition,
 )
 from tensorfree.scalars import ONE, ZERO, ExactComplex
@@ -79,6 +77,17 @@ def test_enumeration_matches_brute_force(n):
     got = list(enumerate_nc(n))
     assert len(got) == len(set(got))
     assert as_partition_set(got) == brute
+
+
+def test_enumeration_order():
+    # the block of 1 grows by size, then by lexicographic choice of mates
+    assert [p.blocks for p in enumerate_nc(3)] == [
+        ((1,), (2,), (3,)),
+        ((1,), (2, 3)),
+        ((1, 2), (3,)),
+        ((1, 3), (2,)),
+        ((1, 2, 3),),
+    ]
 
 
 def test_enumeration_counts_are_catalan():
@@ -282,58 +291,77 @@ PURE_PARITY_COUNTS = {2: 1, 4: 3, 6: 12, 8: 55}
 ODD_SINGLETON_COUNTS = {2: 0, 4: 1, 6: 1, 8: 5}
 
 
+def filtered_nc(two_t, singleton_ok=lambda p: True):
+    """Reference filter over the full enumeration: pure-parity blocks,
+    and every singleton {p} must pass singleton_ok(p)."""
+    return {
+        frozenset(frozenset(b) for b in part.blocks)
+        for part in enumerate_nc(two_t)
+        if all(
+            len({x % 2 for x in b}) == 1 and (len(b) > 1 or singleton_ok(b[0]))
+            for b in part.blocks
+        )
+    }
+
+
+def streamed(two_t, forbid_even_singletons=False):
+    blocks_list = list(iter_pure_parity_blocks(two_t, forbid_even_singletons))
+    found = {frozenset(frozenset(b) for b in blocks) for blocks in blocks_list}
+    assert len(found) == len(blocks_list)  # no partition is produced twice
+    return found
+
+
+def odd_position(p):
+    return p % 2 == 1
+
+
 def test_pure_parity_counts():
     for two_t, count in PURE_PARITY_COUNTS.items():
-        assert len(pure_parity_partitions(two_t)) == count
+        assert len(streamed(two_t)) == count
 
 
 def test_pure_parity_matches_direct_definition():
     for two_t in (2, 4, 6, 8):
-        direct = {
-            frozenset(frozenset(b) for b in p.blocks)
-            for p in enumerate_nc(two_t)
-            if all(len({x % 2 for x in b}) == 1 for b in p.blocks)
-        }
-        assert as_partition_set(pure_parity_partitions(two_t)) == direct
+        assert streamed(two_t) == filtered_nc(two_t)
 
 
 def test_odd_singleton_counts_and_example():
     for two_t, count in ODD_SINGLETON_COUNTS.items():
-        assert len(odd_singleton_partitions(two_t)) == count
-    (only,) = odd_singleton_partitions(4)
-    assert only.blocks == ((1,), (2, 4), (3,))
+        assert len(streamed(two_t, forbid_even_singletons=True)) == count
+    (only,) = iter_pure_parity_blocks(4, forbid_even_singletons=True)
+    assert sorted(only) == [(1,), (2, 4), (3,)]
 
 
 def test_exponent_singleton_filter():
-    with pytest.raises(ValueError):
-        exponent_singleton_partitions(4, (1, 2, 1), 1)
-    assert len(exponent_singleton_partitions(4, (2, 1, 2, 1), 2)) == 1
-    assert exponent_singleton_partitions(4, (2, 1, 1, 1), 2) == []
-    assert exponent_singleton_partitions(4, (1, 1, 2, 1), 2) == []
+    # a factor keeps a partition whose singletons all carry exponent
+    # +-target exactly when some singleton support is labeled so throughout
+    for two_t in (4, 6):
+        supports = filter_counts(two_t // 2).singleton_supports
+        for exponents in product((1, 2), repeat=two_t):
+            served = any(all(exponents[p - 1] == 2 for p in s) for s in supports)
+            tight = filtered_nc(
+                two_t, lambda p: odd_position(p) and exponents[p - 1] == 2
+            )
+            assert served == bool(tight), exponents
+    assert filter_counts(2).singleton_supports == ((1, 3),)
 
 
 @pytest.mark.parametrize("two_t", [2, 4, 6, 8])
 def test_filter_chain_is_nested(two_t):
     exponents = [2 if p == 1 else 1 for p in range(1, two_t + 1)]
-    tight = as_partition_set(exponent_singleton_partitions(two_t, exponents, 2))
-    odd = as_partition_set(odd_singleton_partitions(two_t))
-    pure = as_partition_set(pure_parity_partitions(two_t))
+    tight = filtered_nc(two_t, lambda p: odd_position(p) and exponents[p - 1] == 2)
+    odd = streamed(two_t, forbid_even_singletons=True)
+    pure = streamed(two_t)
     everything = as_partition_set(enumerate_nc(two_t))
     assert tight <= odd <= pure <= everything
 
 
 @pytest.mark.parametrize("two_t", [0, 2, 4, 6, 8])
 def test_streaming_parity_enumeration_agrees(two_t):
-    streamed = {
-        frozenset(frozenset(b) for b in blocks)
-        for blocks in iter_pure_parity_blocks(two_t)
-    }
-    assert streamed == as_partition_set(pure_parity_partitions(two_t))
-    no_even = {
-        frozenset(frozenset(b) for b in blocks)
-        for blocks in iter_pure_parity_blocks(two_t, forbid_even_singletons=True)
-    }
-    assert no_even == as_partition_set(odd_singleton_partitions(two_t))
+    assert streamed(two_t) == filtered_nc(two_t)
+    assert streamed(two_t, forbid_even_singletons=True) == filtered_nc(
+        two_t, odd_position
+    )
 
 
 def test_streaming_parity_counts_follow_the_closed_form():

@@ -270,7 +270,6 @@ def test_parsed_tensor_scenario_evaluates():
     from tensorfree.tensor import tensor_moment
 
     assert tensor_moment(scen.tensor, word("x1 x1*")) == ONE
-    assert scen.tensor.bounds == {}
     assert scen.bounds == {}
 
 
@@ -279,5 +278,4 @@ def test_bounds_and_free_flags_are_threaded_through():
     payload["tensor"]["free"] = [True]
     scen = scenario_from_json(payload)
     assert scen.bounds == {"gram_len": 2, "max_len": 4}
-    assert scen.tensor.bounds == {"gram_len": 2, "max_len": 4}
     assert scen.tensor.free_flags == (True,)

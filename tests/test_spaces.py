@@ -124,6 +124,11 @@ def test_spectral_reduced_keys():
     assert k(word("x1 x1*").letters) == k(())
     assert k(word("x1 x1").letters) == k(word("x1*").letters)  # exp 2 = -1 mod 3
     assert k(word("x2 x2*").letters) != k(())  # star variables have no relations
+    assert k(word("x2 x2*").letters) != k(word("x2* x2").letters)
+    assert k(word("x2 x2").letters) != k(word("x2").letters)
+    # a unitary run that cancels joins the star letters on either side
+    assert k(word("x2 x1 x1* x2").letters) == k(word("x2 x2").letters)
+    assert k(word("x2 x1 x1 x1 x2*").letters) == k(word("x2 x2*").letters)
     assert model.is_unitary_variable(1)
 
 

@@ -9,16 +9,14 @@ from tensorfree.starwords import (
     Letter,
     StarWord,
     WordSyntaxError,
-    alternating_blocks,
     class_blocks,
     iter_letters,
     iter_star_patterns,
     iter_words,
+    merge_powers,
     parse_word,
     power_word_text,
     power_word_to_star_word,
-    reduce_power_word,
-    reduce_unitary,
     single_variable_word,
     word,
 )
@@ -92,23 +90,91 @@ def test_single_variable_word():
     assert single_variable_word([True], index=4) == word("x4*")
 
 
+def unitary_syllables(w):
+    """A word of unitaries as syllables: x* is x^-1."""
+    return [(l.index, -1 if l.star else 1) for l in w.letters]
+
+
 def test_reduce_unitary_examples():
-    assert reduce_unitary(word("x1 x1* x2")) == ((2, 1),)
-    assert reduce_unitary(word("x1 x1 x2* x2* x2*")) == ((1, 2), (2, -3))
-    assert reduce_unitary(word("x1 x2 x2* x1*")) == ()
-    # accepts a bare letter tuple as well
-    assert reduce_unitary((Letter(1, False), Letter(1, False))) == ((1, 2),)
+    assert merge_powers(unitary_syllables(word("x1 x1* x2"))) == ((2, 1),)
+    assert merge_powers(unitary_syllables(word("x1 x1 x2* x2* x2*"))) == (
+        (1, 2),
+        (2, -3),
+    )
+    assert merge_powers(unitary_syllables(word("x1 x2 x2* x1*"))) == ()
+    # a period folds exponents to their nonnegative residue
+    assert merge_powers(unitary_syllables(word("x1* x1* x2")), {1: 3}) == (
+        (1, 1),
+        (2, 1),
+    )
+    assert merge_powers(unitary_syllables(word("x1 x1 x1 x2")), {1: 3}) == ((2, 1),)
 
 
 @given(words)
 def test_reduce_unitary_cancels_adjoint(w):
-    assert reduce_unitary(w * w.adjoint()) == ()
+    assert merge_powers(unitary_syllables(w * w.adjoint())) == ()
 
 
 def test_reduce_power_word_examples():
-    assert reduce_power_word([(1, 2), (1, -2), (2, 1)]) == ((2, 1),)
-    assert reduce_power_word([(1, 0), (2, 3)]) == ((2, 3),)
-    assert reduce_power_word([(1, 1), (1, 1)]) == ((1, 2),)
+    assert merge_powers([(1, 2), (1, -2), (2, 1)]) == ((2, 1),)
+    assert merge_powers([(1, 0), (2, 3)]) == ((2, 3),)
+    assert merge_powers([(1, 1), (1, 1)]) == ((1, 2),)
+    # a vanishing middle syllable lets its neighbours merge
+    assert merge_powers([(1, 1), (2, 2), (2, -2), (1, 1)]) == ((1, 2),)
+    assert merge_powers([(1, 1), (2, 2), (1, 1)], {2: 2}) == ((1, 2),)
+
+
+def brute_force_reduction(syllables, orders):
+    """Expand into letters x_key^(+-1), cancel letter by letter, then fold.
+
+    Cancels an adjacent letter and its inverse, or a run of order[key]
+    equal letters, until neither applies; finite-order exponents are then
+    reported as nonnegative residues.
+    """
+    letters = []
+    for key, exp in syllables:
+        letters.extend([(key, 1 if exp > 0 else -1)] * abs(exp))
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(letters) - 1):
+            (k1, s1), (k2, s2) = letters[i], letters[i + 1]
+            if k1 == k2 and s1 == -s2:
+                del letters[i : i + 2]
+                changed = True
+                break
+        if changed:
+            continue
+        for i, (key, sign) in enumerate(letters):
+            order = orders.get(key)
+            if order is not None and letters[i : i + order] == [(key, sign)] * order:
+                del letters[i : i + order]
+                changed = True
+                break
+    runs = []
+    for key, sign in letters:
+        if runs and runs[-1][0] == key:
+            runs[-1][1] += sign
+        else:
+            runs.append([key, sign])
+    return tuple(
+        (key, exp if orders.get(key) is None else exp % orders[key])
+        for key, exp in runs
+    )
+
+
+keyed_orders = st.dictionaries(
+    st.integers(min_value=1, max_value=3), st.integers(min_value=2, max_value=4)
+)
+keyed_syllables = st.lists(
+    st.tuples(st.integers(min_value=1, max_value=3), st.integers(min_value=-5, max_value=5)),
+    max_size=8,
+)
+
+
+@given(keyed_syllables, keyed_orders)
+def test_merge_powers_matches_letter_cancellation(syllables, orders):
+    assert merge_powers(syllables, orders) == brute_force_reduction(syllables, orders)
 
 
 def test_power_word_text():
@@ -122,29 +188,33 @@ def test_power_word_to_star_word():
 
 @given(power_factors)
 def test_power_and_star_forms_agree(factors):
-    reduced = reduce_power_word(factors)
+    reduced = merge_powers(factors)
     if reduced:
-        assert reduce_unitary(power_word_to_star_word(reduced)) == reduced
+        star_word = power_word_to_star_word(reduced)
+        assert merge_powers(unitary_syllables(star_word)) == reduced
+
+
+def variable_classes(w):
+    return {i: i for i in w.indices()}
 
 
 def test_alternating_blocks_example():
-    blocks = alternating_blocks(word("x1 x1* x2 x1"))
-    assert blocks == [
-        (1, word("x1 x1*")),
-        (2, word("x2")),
-        (1, word("x1")),
+    w = word("x1 x1* x2 x1")
+    assert class_blocks(w, variable_classes(w)) == [
+        (1, word("x1 x1*").letters),
+        (2, word("x2").letters),
+        (1, word("x1").letters),
     ]
 
 
 @given(words)
 def test_alternating_blocks_partition_the_word(w):
-    blocks = alternating_blocks(w)
-    rebuilt = blocks[0][1]
-    for _, piece in blocks[1:]:
-        rebuilt = rebuilt * piece
-    assert rebuilt == w
-    for (i, _), (j, _) in zip(blocks, blocks[1:]):
+    blocks = class_blocks(w, variable_classes(w))
+    assert tuple(l for _, piece in blocks for l in piece) == w.letters
+    for (i, piece), (j, _) in zip(blocks, blocks[1:]):
         assert i != j
+    for i, piece in blocks:
+        assert {l.index for l in piece} == {i}
 
 
 def test_class_blocks_group_by_class():

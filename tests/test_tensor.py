@@ -1,12 +1,13 @@
-"""Tensor scenarios: factorized joint moments, the centering case analysis,
-normalization, and hypothesis screening."""
+"""Tensor scenarios: factorized joint moments, the centering case analysis
+behind the tensor freeness conditions, normalization, and hypothesis
+screening."""
 
 import warnings
 from fractions import Fraction
 
 import pytest
 
-from tensorfree.errors import FactorNotEvaluable, FaithfulnessWarning, ScenarioError
+from tensorfree.errors import FactorNotEvaluable, PreconditionError, ScenarioError
 from tensorfree.goldens import circular_sequence
 from tensorfree.groups import (
     FreeProductPresentation,
@@ -19,18 +20,15 @@ from tensorfree.spaces import GroupAlgebraModel, SpectralModel, check_axioms
 from tensorfree.tensor import (
     ScaledView,
     TensorScenario,
-    centered_tensor_decomposition,
     factor_moment,
     factor_word,
     joint_oracle,
     normalized_scenario,
-    pattern_of,
-    pattern_text,
-    pattern_word,
     scalar_component_check,
     tensor_moment,
 )
 from tensorfree.starwords import word
+from tensorfree.tfc import TfcViolation, check_tfc
 
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
@@ -130,22 +128,18 @@ def test_factor_not_evaluable_is_tagged_and_order_independent():
 
 
 def test_pattern_plumbing():
-    assert pattern_of(word("x1 x1*")) == (False, True)
-    assert pattern_of((0, 1)) == (False, True)
-    with pytest.raises(ValueError, match="single-variable"):
-        pattern_of(word("x1 x2"))
-    assert pattern_word((False, True), 3) == word("x3 x3*")
-    assert pattern_text((False, True, False)) == "11*1"
+    violation = TfcViolation(
+        condition=1, index=3, pattern=(False, True), factor=1, tensor_value=ZERO
+    )
+    assert violation.word_text() == "x3 x3*"
 
 
 def test_decomposition_vanishing_case_holds():
-    scen = haar_times_integers()
-    report = centered_tensor_decomposition(scen, 1, (False,), 1)
-    assert report.case == "vanishing"
-    assert report.holds
-    assert report.tensor_value == ZERO
-    assert report.factor_value == ZERO
-    assert report.word_text() == "x1"
+    # every single-letter word vanishes jointly and in factor 1
+    report = check_tfc(haar_times_integers(), 1, max_len=1)
+    assert report.satisfied
+    assert report.violations == ()
+    assert report.patterns_checked == 4
 
 
 def test_decomposition_vanishing_case_violated():
@@ -156,11 +150,14 @@ def test_decomposition_vanishing_case_violated():
         assignments={1: (1, 1)},
         free_flags=(False, False),
     )
-    report = centered_tensor_decomposition(scen, 1, (False, False), 2)
-    assert report.case == "vanishing"
-    assert not report.holds
-    assert report.factor_value == ONE
-    assert report.word_text() == "x1 x1"
+    report = check_tfc(scen, 2, max_len=2)
+    assert not report.satisfied
+    (violation,) = report.violations
+    assert violation.condition == 1
+    assert violation.factor == 2
+    assert violation.tensor_value == ZERO
+    assert violation.factor_value == ONE
+    assert violation.word_text() == "x1 x1"
 
 
 def test_decomposition_nonvanishing_case_holds():
@@ -175,11 +172,10 @@ def test_decomposition_nonvanishing_case_holds():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = centered_tensor_decomposition(scen, 1, (False, False), 1)
-    assert report.case == "nonvanishing"
-    assert report.holds
-    assert report.tensor_value == ONE
-    assert report.nondeterministic == ()
+        report = check_tfc(scen, 1, max_len=2)
+    # x1 x1 has joint moment one and its factor-2 component is the unit
+    assert report.satisfied
+    assert report.dominating == 1
 
 
 def test_decomposition_nonvanishing_case_violated():
@@ -189,20 +185,20 @@ def test_decomposition_nonvanishing_case_violated():
         assignments={1: (1, 1)},
         free_flags=(False, False),
     )
-    with pytest.warns(FaithfulnessWarning):
-        report = centered_tensor_decomposition(scen, 1, (False, True), 1)
-    assert report.case == "nonvanishing"
-    assert not report.holds
-    assert report.tensor_value == ONE
-    assert report.nondeterministic == (2,)
+    report = check_tfc(scen, 1, max_len=2)
+    violation = report.violations[-1]
+    assert violation.condition == 2
+    assert violation.word_text() == "x1 x1*"
+    assert violation.tensor_value == ONE
+    assert violation.factor == 2  # c c* is not deterministic
+    assert violation.variance == 1
 
 
 def test_decomposition_guards():
     scen = haar_times_integers()
-    with pytest.raises(ScenarioError, match="unknown joint variable"):
-        centered_tensor_decomposition(scen, 9, (False,), 1)
-    with pytest.raises(ScenarioError, match="out of range"):
-        centered_tensor_decomposition(scen, 1, (False,), 3)
+    for k in (0, 3):
+        with pytest.raises(PreconditionError, match="out of range"):
+            check_tfc(scen, k)
 
 
 def test_scaled_view():
