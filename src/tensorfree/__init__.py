@@ -35,7 +35,6 @@ from .errors import (
 from .freeness import (
     FreeFamilySpec,
     Verdict,
-    alternating_power_words,
     centered_product_value,
     mixed_moment_by_cumulants,
     test_freeness,

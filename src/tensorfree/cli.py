@@ -32,6 +32,7 @@ from .scenario import (
     load_scenario,
     scalar_json,
 )
+from .scalars import fraction_from_json
 from .spaces import check_axioms
 from .starwords import StarWord, parse_word, power_word_to_star_word
 from .tensor import factor_moment, joint_oracle, tensor_moment
@@ -373,26 +374,21 @@ def _run_counterexample_k(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     return report, EXIT_OK if analysis.verdict.free else EXIT_FAILED
 
 
-def _parse_rational(raw) -> Fraction:
-    if isinstance(raw, bool):
-        raise ScenarioError("booleans are not rationals")
-    if isinstance(raw, int):
-        return Fraction(raw)
-    if isinstance(raw, str):
-        return Fraction(raw)
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return Fraction(int(raw[0]), int(raw[1]))
-    raise ScenarioError(f"cannot read rational from {raw!r}")
-
-
-def _parse_vector_flag(text: str, flag: str) -> tuple[Fraction, ...]:
+def _parse_flag(text: str, flag: str) -> Fraction | tuple[Fraction, ...]:
+    """--alpha as one rational, any other flag as a nonempty array of
+    them, each in the scenario files' scalar encoding."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{flag}: not valid JSON: {exc}") from exc
-    if not isinstance(data, list) or not data:
-        raise ScenarioError(f"{flag}: expected a nonempty JSON array")
-    return tuple(_parse_rational(e) for e in data)
+    try:
+        if flag == "--alpha":
+            return fraction_from_json(data)
+        if isinstance(data, list) and data:
+            return tuple(fraction_from_json(e) for e in data)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ScenarioError(f"{flag}: not a rational: {exc}") from exc
+    raise ScenarioError(f"{flag}: expected a nonempty JSON array")
 
 
 def _run_identities(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
@@ -408,10 +404,8 @@ def _run_identities(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         flag = getattr(args, param, None)
         if flag is None:
             inputs[param] = defaults[param]
-        elif param == "alpha":
-            inputs[param] = _parse_rational(json.loads(flag))
         else:
-            inputs[param] = _parse_vector_flag(flag, "--" + param)
+            inputs[param] = _parse_flag(flag, "--" + param)
     try:
         result = func(**inputs)
     except (PreconditionError, ValueError) as exc:

@@ -21,11 +21,17 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ScenarioError
-from .freeness import JointOracle, Verdict, alternating_power_words
+from .freeness import JointOracle, Verdict
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
 from .scalars import ZERO, ExactComplex, as_scalar
 from .spaces import SpectralModel
-from .starwords import power_word_to_star_word
+from .starwords import (
+    Letter,
+    StarWord,
+    iter_letters,
+    iter_sequences,
+    power_word_to_star_word,
+)
 from .tensor import TensorScenario, joint_oracle
 
 
@@ -54,7 +60,6 @@ def biased_power_scenario(K: int, alpha) -> TensorScenario:
     return TensorScenario(
         factors=tuple(factors),
         assignments={1: (1,) * K, 2: (2,) * K},
-        free_flags=(True,) * K,
         name=f"biased_power_k{K}",
     )
 
@@ -96,22 +101,23 @@ def scan_alternating_powers(
     first_witness = None
     first_value = None
     checked = 0
+    # reduced words (no letter next to its adjoint) are exactly the star
+    # forms of reduced power words; text-ordered letters walk them in
+    # text order, as iter_words does
+    letters = sorted(iter_letters(variables), key=Letter.text)
     for total in range(2, max_len + 1):
-        words = [
-            (power_word_to_star_word(pw), pw)
-            for pw in alternating_power_words(variables, total)
-        ]
-        words.sort(key=lambda pair: pair[0].text())
-        for star_word, pw in words:
+        for word in iter_sequences(letters, total, lambda a, b: a != b.adjoint()):
+            runs = 1 + sum(a.index != b.index for a, b in zip(word, word[1:]))
+            if runs == 1:
+                continue
             checked += 1
-            pairs = (len(pw) + 1) // 2
-            line = tallies.setdefault(pairs, [0, 0])
+            line = tallies.setdefault((runs + 1) // 2, [0, 0])
             line[0] += 1
-            value = joint(star_word.letters)
+            value = joint(word)
             if not value.is_zero():
                 line[1] += 1
                 if first_witness is None:
-                    first_witness = star_word
+                    first_witness = StarWord(word)
                     first_value = value
     scan = tuple(
         PowerScanLine(pairs, words, bad)
@@ -237,21 +243,15 @@ def analyze_biased_power(
     """
     scenario = biased_power_scenario(K, alpha)
     verdict, scan = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len)
-    filters: list[FilterCounts] = []
-    minimal = None
-    for t in range(1, pair_cap + 1):
-        counts = filter_counts(t)
-        filters.append(counts)
-        if counts.disjoint_singleton_capacity >= K:
-            minimal = t
-            break
+    minimal = minimal_block_pairs(K, pair_cap)
+    filters = tuple(filter_counts(t) for t in range(1, (minimal or pair_cap) + 1))
     return BiasedPowerReport(
         factors=K,
         alpha=as_scalar(alpha),
         bound=max_len,
         verdict=verdict,
         scan=scan,
-        filters=tuple(filters),
+        filters=filters,
         minimal_block_pairs=minimal,
         block_pair_cap=pair_cap,
     )

@@ -23,7 +23,6 @@ from .scalars import ONE, ZERO, ExactComplex
 from .starwords import (
     Letter,
     LetterTuple,
-    PowerWord,
     StarWord,
     class_blocks,
     iter_words,
@@ -310,28 +309,3 @@ def test_freeness(joint: JointOracle, grouping, max_len: int = 8) -> Verdict:
             if not value.is_zero():
                 return Verdict(False, word, value, ZERO, max_len, checked)
     return Verdict(True, None, None, None, max_len, checked)
-
-
-# -- alternating power words, the input of the Haar-power scan ------------
-
-
-def alternating_power_words(
-    variables: Sequence[int], total: int
-) -> list[PowerWord]:
-    """Reduced alternating power words with |exponent| sum equal to total."""
-    out: list[PowerWord] = []
-
-    def gen(prefix: PowerWord, remaining: int) -> None:
-        if remaining == 0:
-            if len(prefix) >= 2:
-                out.append(prefix)
-            return
-        for v in variables:
-            if prefix and prefix[-1][0] == v:
-                continue
-            for mag in range(1, remaining + 1):
-                for e in (mag, -mag):
-                    gen(prefix + ((v, e),), remaining - mag)
-
-    gen((), total)
-    return out

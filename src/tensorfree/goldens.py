@@ -78,7 +78,6 @@ def free_without_dominating(beta=Fraction(1, 10)) -> ScenarioFile:
     tensor = TensorScenario(
         factors=(factor1, factor2),
         assignments={1: (1, 1), 2: (2, 2)},
-        free_flags=(False, False),
         name="free_without_dominating",
     )
     return ScenarioFile(
@@ -107,7 +106,6 @@ def haar_dominated() -> ScenarioFile:
     tensor = TensorScenario(
         factors=(factor1, factor2),
         assignments={1: (1, 1), 2: (2, 2)},
-        free_flags=(True, False),
         name="haar_dominated",
     )
     return ScenarioFile(
@@ -138,7 +136,6 @@ def doubly_free() -> ScenarioFile:
     tensor = TensorScenario(
         factors=(free_pair(), free_pair()),
         assignments={1: (1, 1), 2: (2, 2)},
-        free_flags=(True, True),
         name="doubly_free",
     )
     return ScenarioFile(
@@ -161,7 +158,6 @@ def circular_dominated() -> ScenarioFile:
     tensor = TensorScenario(
         factors=(factor1, factor2),
         assignments={1: (1, 1)},
-        free_flags=(True, True),
         name="circular_dominated",
     )
     return ScenarioFile(
@@ -190,7 +186,6 @@ def biased_unitary() -> ScenarioFile:
     tensor = TensorScenario(
         factors=(factor1, factor2),
         assignments={1: (1, 1), 2: (2, 2)},
-        free_flags=(True, True),
         name="biased_unitary",
     )
     return ScenarioFile(

@@ -17,10 +17,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
+from operator import ne
 from typing import Iterator, Sequence, Union
 
 from .errors import PreconditionError, ScenarioError
-from .starwords import merge_powers
+from .starwords import iter_sequences, merge_powers
 
 Syllable = tuple[int, int]  # (1-based generator index, nonzero exponent)
 FactorWord = tuple[Syllable, ...]
@@ -264,21 +265,6 @@ def _nontrivial_powers(
     return powers
 
 
-def _alternating_index_sequences(n: int, t: int) -> Iterator[tuple[int, ...]]:
-    """Sequences over 1..n of length t with consecutive entries distinct."""
-
-    def gen(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == t:
-            yield prefix
-            return
-        for i in range(1, n + 1):
-            if prefix and prefix[-1] == i:
-                continue
-            yield from gen(prefix + (i,))
-
-    yield from gen(())
-
-
 def _subgroup_words(
     presentation: GroupPresentation,
     elements: Sequence[GroupElement],
@@ -289,7 +275,7 @@ def _subgroup_words(
     powers = _nontrivial_powers(presentation, elements, max_exp)
     exp_order = _exponent_order(max_exp)
     for t in range(1, max_blocks + 1):
-        for index_seq in _alternating_index_sequences(len(elements), t):
+        for index_seq in iter_sequences(range(1, len(elements) + 1), t, ne):
             for exps in iter_product(exp_order, repeat=t):
                 blocks = tuple(zip(index_seq, exps))
                 factors = []

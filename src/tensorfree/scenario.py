@@ -273,15 +273,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
                 )
             key = _int_key(i, "scenario.tensor.variables", assignments)
             assignments[key] = tuple(components)
-        free = tensor_raw.get("free", [False] * len(factors))
-        if not isinstance(free, list) or not all(isinstance(b, bool) for b in free):
-            raise ScenarioError("scenario.tensor.free: must be a list of booleans")
-        tensor = TensorScenario(
-            factors=factors,
-            assignments=assignments,
-            free_flags=tuple(free),
-            name=name,
-        )
+        tensor = TensorScenario(factors=factors, assignments=assignments, name=name)
         return ScenarioFile(name, "tensor", tensor=tensor, bounds=bounds, alpha=alpha)
     if kind == "group":
         presentation = presentation_from_json(
@@ -411,7 +403,6 @@ def scenario_to_json(scenario: ScenarioFile) -> dict:
                 str(i): list(components)
                 for i, components in sorted(tensor.assignments.items())
             },
-            "free": list(tensor.free_flags),
         }
         return out
     out["presentation"] = presentation_to_json(scenario.collection.presentation)

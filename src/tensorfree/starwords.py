@@ -10,7 +10,7 @@ the one stack-merge reducer behind every normal form in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 
 class WordSyntaxError(ValueError):
@@ -40,6 +40,7 @@ class Letter(NamedTuple):
 LetterTuple = tuple[Letter, ...]
 PowerFactor = tuple[int, int]  # (index, signed exponent), exponent != 0
 PowerWord = tuple[PowerFactor, ...]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -172,25 +173,44 @@ def iter_letters(indices: Iterable[int]) -> list[Letter]:
     return out
 
 
+def iter_sequences(
+    alphabet: Iterable[T],
+    length: int,
+    follows: Callable[[T, T], bool] | None = None,
+) -> Iterator[tuple[T, ...]]:
+    """Every length-tuple over alphabet, lazily, in lexicographic order of
+    alphabet positions; lengths <= 0 yield nothing.
+
+    With follows given, an item may come right after prev only when
+    follows(prev, item) holds, and no tuple with that prefix is built.
+    """
+    items = tuple(alphabet)
+
+    def extend(prefix: tuple[T, ...], remaining: int) -> Iterator[tuple[T, ...]]:
+        for item in items:
+            if follows is not None and prefix and not follows(prefix[-1], item):
+                continue
+            if remaining == 1:
+                yield prefix + (item,)
+            else:
+                yield from extend(prefix + (item,), remaining - 1)
+
+    if length > 0:
+        yield from extend((), length)
+
+
 def iter_words(indices: Iterable[int], length: int) -> Iterator[StarWord]:
-    """All words of exactly the given length, sorted by canonical text."""
-    alphabet = iter_letters(indices)
-    if length <= 0:
-        return iter(())
+    """All words of exactly the given length, sorted by canonical text.
 
-    def gen(prefix: LetterTuple, remaining: int) -> Iterator[LetterTuple]:
-        if remaining == 0:
-            yield prefix
-            return
-        for letter in alphabet:
-            yield from gen(prefix + (letter,), remaining - 1)
-
-    words = [StarWord(ls) for ls in gen((), length)]
-    words.sort(key=lambda w: w.text())
-    return iter(words)
+    Walking the letters in text order gives exactly the text order of
+    the words, indices >= 10 included: when one letter's text is a
+    prefix of another's (x1 of x1* or x10), the shorter letter is
+    followed by a space, which sorts before '*' and before digits.
+    """
+    letters = sorted(iter_letters(indices), key=Letter.text)
+    return map(StarWord, iter_sequences(letters, length))
 
 
 def iter_star_patterns(length: int) -> Iterator[tuple[bool, ...]]:
     """All star patterns of one variable with the given length, text order."""
-    for w in iter_words([1], length):
-        yield tuple(l.star for l in w.letters)
+    return iter_sequences((False, True), length)

@@ -29,13 +29,11 @@ class TensorScenario:
     """K factor models and the per-factor components of each joint variable.
 
     assignments maps a joint index i to the K-tuple of factor variable
-    identifiers making up the elementary tensor; free_flags records
-    which factor families are modeled or assumed star-free.
+    identifiers making up the elementary tensor.
     """
 
     factors: tuple[MomentFunctional, ...]
     assignments: dict[int, tuple[int, ...]]
-    free_flags: tuple[bool, ...]
     name: str = ""
 
     def __post_init__(self) -> None:
@@ -44,12 +42,9 @@ class TensorScenario:
             "assignments",
             {int(i): tuple(c) for i, c in self.assignments.items()},
         )
-        object.__setattr__(self, "free_flags", tuple(self.free_flags))
         k = len(self.factors)
         if k == 0:
             raise ScenarioError("a tensor scenario needs at least one factor")
-        if len(self.free_flags) != k:
-            raise ScenarioError("one freeness flag per factor required")
         if not self.assignments:
             raise ScenarioError("empty joint index set")
         for i, components in self.assignments.items():
@@ -188,7 +183,6 @@ def normalized_scenario(scenario: TensorScenario) -> TensorScenario:
     return TensorScenario(
         factors=tuple(new_factors),
         assignments=dict(scenario.assignments),
-        free_flags=scenario.free_flags,
         name=scenario.name,
     )
 

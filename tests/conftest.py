@@ -9,6 +9,8 @@ from typing import NamedTuple
 import pytest
 
 from tensorfree import cli
+from tensorfree.counterexample import scan_alternating_powers
+from tensorfree.scalars import ZERO
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -40,3 +42,27 @@ def run_cli(capsys):
         return CliResult(code, captured.out, captured.err)
 
     return run
+
+
+@pytest.fixture(scope="session")
+def scanned_words():
+    """The letter tuples scan_alternating_powers evaluates, in its order.
+
+    The oracle answers zero everywhere, so the Haar-type precondition
+    passes; its probes, the powers +-1..+-(max_len - 1) of each
+    variable, come first and are dropped from the record.
+    """
+
+    def scan(variables, max_len):
+        seen = []
+
+        def oracle(letters):
+            seen.append(letters)
+            return ZERO
+
+        scan_alternating_powers(oracle, variables, max_len)
+        probes = 2 * (max_len - 1) * len(variables)
+        assert all(len({l.index for l in w}) == 1 for w in seen[:probes])
+        return seen[probes:]
+
+    return scan

@@ -37,7 +37,7 @@ def square_drop_payload():
                 "variables": {"1": "g1.1^1"},
             },
         ],
-        "tensor": {"variables": {"1": [1, 1]}, "free": [False, False]},
+        "tensor": {"variables": {"1": [1, 1]}},
     }
 
 
@@ -53,7 +53,7 @@ def integer_pair_tensor_payload():
                 "variables": {"1": "g1.1^1", "2": "g1.1^2"},
             }
         ],
-        "tensor": {"variables": {"1": [1], "2": [2]}, "free": [False]},
+        "tensor": {"variables": {"1": [1], "2": [2]}},
     }
 
 
@@ -398,6 +398,23 @@ def test_identities_input_errors(run_cli, scenario_path):
     )
     assert res.code == 2
     assert "identity inputs rejected" in res.err
+
+
+@pytest.mark.parametrize(
+    "name, flag, value",
+    [
+        ("shifted-product", "--alpha", "[1, 0]"),
+        ("shifted-product", "--alpha", "oops"),
+        ("shifted-product", "--alpha", '"abc"'),
+        ("shifted-product", "--alpha", "[true, 2]"),
+        ("product-sum", "--x", "[[1,0]]"),
+    ],
+)
+def test_identity_flags_reject_bad_scalars(run_cli, scenario_path, name, flag, value):
+    res = run_cli(scenario_path("circular_dominated"), "identities", name, flag, value)
+    assert res.code == 2
+    assert flag in res.err
+    assert "Traceback" not in res.err
 
 
 # -- check-axioms -------------------------------------------------------------------------

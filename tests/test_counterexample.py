@@ -13,6 +13,7 @@ from tensorfree.counterexample import (
     scan_alternating_powers,
 )
 from tensorfree.errors import PreconditionError, ScenarioError
+from tensorfree.freeness import FreeFamilySpec, mixed_moment_by_cumulants
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -21,6 +22,7 @@ from tensorfree.groups import (
 from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel
+from tensorfree.starwords import word
 from tensorfree.tensor import joint_oracle
 
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
@@ -94,6 +96,21 @@ def test_scan_is_clean_on_the_biased_power_pair():
         (1, 48, 0),
         (2, 96, 0),
     ]
+
+
+def test_k2_length_10_witness(scanned_words):
+    # the first K = 2 violation: four block pairs, the filter lower bound
+    witness = word("x1 x1 x2 x1 x2* x1* x1* x2 x1 x2*")
+    assert witness.letters in scanned_words((1, 2), 10)
+    scen = biased_power_scenario(2, Fraction(1, 10))
+    assert joint_oracle(scen)(witness.letters) == Fraction(1, 100000)
+    per_factor = []
+    for factor in scen.factors:
+        spec = FreeFamilySpec(
+            {v: (lambda stars, v=v: factor.marginal_moment(v, stars)) for v in (1, 2)}
+        )
+        per_factor.append(mixed_moment_by_cumulants(spec, witness))
+    assert per_factor == [Fraction(1, 100), Fraction(1, 1000)]
 
 
 def test_filter_table_counts():

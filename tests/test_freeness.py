@@ -13,7 +13,6 @@ from tensorfree.freeness import (
     FreeFamilySpec,
     Verdict,
     alternating_pair_moment,
-    alternating_power_words,
     centered_product_value,
     conjugated_pair_moment,
     mixed_moment_by_cumulants,
@@ -27,7 +26,13 @@ from tensorfree.groups import (
 from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE, ZERO, ExactComplex
 from tensorfree.spaces import GroupAlgebraModel
-from tensorfree.starwords import Letter, iter_words, word
+from tensorfree.starwords import (
+    Letter,
+    iter_words,
+    merge_powers,
+    power_word_to_star_word,
+    word,
+)
 
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
@@ -304,25 +309,44 @@ def test_haar_power_scan_precondition():
         scan_alternating_powers(oracle, [1], max_len=4)
 
 
-def test_alternating_power_words():
-    two = alternating_power_words([1, 2], 2)
+def is_reduced(letters):
+    return all(b != a.adjoint() for a, b in zip(letters, letters[1:]))
+
+
+def test_alternating_power_words(scanned_words):
+    # the Haar-power scan walks the star forms of reduced alternating
+    # power words, in text order within each total exponent size
+    two = [" ".join(l.text() for l in w) for w in scanned_words([1, 2], 2)]
     assert two == [
-        ((1, 1), (2, 1)),
-        ((1, 1), (2, -1)),
-        ((1, -1), (2, 1)),
-        ((1, -1), (2, -1)),
-        ((2, 1), (1, 1)),
-        ((2, 1), (1, -1)),
-        ((2, -1), (1, 1)),
-        ((2, -1), (1, -1)),
+        "x1 x2",
+        "x1 x2*",
+        "x1* x2",
+        "x1* x2*",
+        "x2 x1",
+        "x2 x1*",
+        "x2* x1",
+        "x2* x1*",
     ]
-    three = alternating_power_words([1, 2], 3)
+    three = [w for w in scanned_words([1, 2], 3) if len(w) == 3]
     assert len(three) == 32
-    for pw in three:
+    for letters in three:
+        pw = merge_powers((l.index, -1 if l.star else 1) for l in letters)
         assert len(pw) >= 2
         assert sum(abs(e) for _, e in pw) == 3
         assert all(e != 0 for _, e in pw)
         assert all(a != b for (a, _), (b, _) in zip(pw, pw[1:]))
+        assert power_word_to_star_word(pw).letters == letters
+
+
+@pytest.mark.parametrize("variables", [(1, 2), (1, 2, 3)])
+def test_reduced_walk_is_a_filter_of_iter_words(scanned_words, variables):
+    brute = [
+        w.letters
+        for length in range(2, 7)
+        for w in iter_words(variables, length)
+        if is_reduced(w.letters) and len(w.indices()) > 1
+    ]
+    assert scanned_words(variables, 6) == brute
 
 
 def test_block_pair_count():

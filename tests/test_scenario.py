@@ -58,7 +58,7 @@ def tensor_payload(factor=None, **overrides):
         "name": "one",
         "kind": "tensor",
         "factors": [factor if factor is not None else spectral_factor()],
-        "tensor": {"variables": {"1": [1]}, "free": [False]},
+        "tensor": {"variables": {"1": [1]}},
     }
     data.update(overrides)
     return data
@@ -192,17 +192,9 @@ def test_tensor_structure_errors():
         del payload["tensor"]
         scenario_from_json(payload)
     with pytest.raises(ScenarioError, match="must be a list of variable ids"):
-        scenario_from_json(
-            tensor_payload(tensor={"variables": {"1": 1}, "free": [False]})
-        )
-    with pytest.raises(ScenarioError, match="must be a list of booleans"):
-        scenario_from_json(
-            tensor_payload(tensor={"variables": {"1": [1]}, "free": [1]})
-        )
+        scenario_from_json(tensor_payload(tensor={"variables": {"1": 1}}))
     with pytest.raises(ScenarioError, match="bad integer key 'x'"):
-        scenario_from_json(
-            tensor_payload(tensor={"variables": {"x": [1]}, "free": [False]})
-        )
+        scenario_from_json(tensor_payload(tensor={"variables": {"x": [1]}}))
 
 
 def test_factor_reader_errors():
@@ -273,9 +265,6 @@ def test_parsed_tensor_scenario_evaluates():
     assert scen.bounds == {}
 
 
-def test_bounds_and_free_flags_are_threaded_through():
-    payload = tensor_payload(bounds={"max_len": 4, "gram_len": 2})
-    payload["tensor"]["free"] = [True]
-    scen = scenario_from_json(payload)
+def test_bounds_are_threaded_through():
+    scen = scenario_from_json(tensor_payload(bounds={"max_len": 4, "gram_len": 2}))
     assert scen.bounds == {"gram_len": 2, "max_len": 4}
-    assert scen.tensor.free_flags == (True,)

@@ -1,4 +1,9 @@
-"""Word algebra: parsing, adjoints, unitary reduction, block splitting."""
+"""Word algebra: parsing, adjoints, unitary reduction, block splitting,
+and the lazy word walker."""
+
+import tracemalloc
+from itertools import product
+from operator import ne
 
 import pytest
 from hypothesis import given
@@ -11,6 +16,7 @@ from tensorfree.starwords import (
     WordSyntaxError,
     class_blocks,
     iter_letters,
+    iter_sequences,
     iter_star_patterns,
     iter_words,
     merge_powers,
@@ -254,3 +260,42 @@ def test_iter_star_patterns():
         (True, True),
     ]
     assert len(list(iter_star_patterns(4))) == 16
+
+
+@pytest.mark.parametrize("indices", [[2, 10], [1, 10, 2]])
+def test_iter_words_is_text_order_past_index_nine(indices):
+    for length in range(1, 5):
+        ws = [w.text() for w in iter_words(indices, length)]
+        assert ws == sorted(ws)
+        assert len(ws) == (2 * len(indices)) ** length
+
+
+def test_iter_sequences_order_and_pruning():
+    assert list(iter_sequences("ab", 2)) == [
+        ("a", "a"),
+        ("a", "b"),
+        ("b", "a"),
+        ("b", "b"),
+    ]
+    assert list(iter_sequences("ab", 0)) == []
+    assert list(iter_sequences("ab", -1)) == []
+    for n in range(1, 4):
+        for t in range(1, 6):
+            brute = [
+                seq
+                for seq in product(range(1, n + 1), repeat=t)
+                if all(a != b for a, b in zip(seq, seq[1:]))
+            ]
+            assert list(iter_sequences(range(1, n + 1), t, ne)) == brute
+
+
+def test_iter_words_is_lazy():
+    # the whole length-9 list over two variables holds 262,144 words
+    tracemalloc.start()
+    try:
+        first = next(iter_words([1, 2], 9))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert first.text() == " ".join(["x1"] * 9)
+    assert peak < 1 << 20

@@ -56,7 +56,6 @@ def haar_times_integers():
     return TensorScenario(
         factors=(f2_model(), integer_model()),
         assignments={1: (1, 1), 2: (2, 2)},
-        free_flags=(True, False),
         name="haar_times_integers",
     )
 
@@ -77,7 +76,6 @@ def test_scenario_accessors():
     scen = TensorScenario(
         factors=(f2_model(), integer_model()),
         assignments={1: (1, 2), 2: (2, 1)},
-        free_flags=(True, False),
     )
     assert scen.K == 2
     assert scen.indices == (1, 2)
@@ -88,23 +86,16 @@ def test_scenario_accessors():
 
 def test_scenario_validation():
     with pytest.raises(ScenarioError, match="at least one factor"):
-        TensorScenario(factors=(), assignments={1: ()}, free_flags=())
-    with pytest.raises(ScenarioError, match="one freeness flag per factor"):
-        TensorScenario(
-            factors=(f2_model(),), assignments={1: (1,)}, free_flags=(True, False)
-        )
+        TensorScenario(factors=(), assignments={1: ()})
     with pytest.raises(ScenarioError, match="empty joint index set"):
-        TensorScenario(factors=(f2_model(),), assignments={}, free_flags=(True,))
+        TensorScenario(factors=(f2_model(),), assignments={})
     with pytest.raises(ScenarioError, match="one component per factor"):
         TensorScenario(
             factors=(f2_model(), integer_model()),
             assignments={1: (1,)},
-            free_flags=(True, False),
         )
     with pytest.raises(ScenarioError, match="no variable x9"):
-        TensorScenario(
-            factors=(f2_model(),), assignments={1: (9,)}, free_flags=(True,)
-        )
+        TensorScenario(factors=(f2_model(),), assignments={1: (9,)})
 
 
 def test_factor_not_evaluable_is_tagged_and_order_independent():
@@ -117,7 +108,6 @@ def test_factor_not_evaluable_is_tagged_and_order_independent():
     scen = TensorScenario(
         factors=(f2_model(), closed),
         assignments={1: (1, 1), 2: (2, 2)},
-        free_flags=(True, False),
     )
     w = word("x1 x2")  # factor 1 gives zero, factor 2 cannot evaluate at all
     assert factor_moment(scen, w, 1) == ZERO
@@ -148,7 +138,6 @@ def test_decomposition_vanishing_case_violated():
     scen = TensorScenario(
         factors=(integer_model((1,)), order2_model()),
         assignments={1: (1, 1)},
-        free_flags=(False, False),
     )
     report = check_tfc(scen, 2, max_len=2)
     assert not report.satisfied
@@ -168,7 +157,6 @@ def test_decomposition_nonvanishing_case_holds():
     scen = TensorScenario(
         factors=(left, right),
         assignments={1: (1, 1)},
-        free_flags=(False, False),
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -183,7 +171,6 @@ def test_decomposition_nonvanishing_case_violated():
     scen = TensorScenario(
         factors=(order2_model(), circ),
         assignments={1: (1, 1)},
-        free_flags=(False, False),
     )
     report = check_tfc(scen, 1, max_len=2)
     violation = report.violations[-1]
@@ -230,7 +217,6 @@ def test_normalized_scenario_rescales_to_unit_second_moment():
     scen = TensorScenario(
         factors=(wide_spectral(Fraction(4)), f2_model()),
         assignments={1: (1, 1)},
-        free_flags=(False, True),
     )
     normalized = normalized_scenario(scen)
     assert isinstance(normalized.factors[0], ScaledView)
@@ -244,14 +230,12 @@ def test_normalized_scenario_rejects_degenerate_components():
     bad = TensorScenario(
         factors=(wide_spectral(Fraction(2)),),
         assignments={1: (1,)},
-        free_flags=(False,),
     )
     with pytest.raises(ScenarioError, match="rational square root"):
         normalized_scenario(bad)
     zero = TensorScenario(
         factors=(wide_spectral(Fraction(0)),),
         assignments={1: (1,)},
-        free_flags=(False,),
     )
     with pytest.raises(ScenarioError, match="not a positive real"):
         normalized_scenario(zero)
@@ -261,7 +245,6 @@ def test_scalar_component_check():
     zero = TensorScenario(
         factors=(wide_spectral(Fraction(0)),),
         assignments={1: (1,)},
-        free_flags=(False,),
     )
     assert scalar_component_check(zero) == ["joint variable 1 has a zero component"]
 
@@ -270,7 +253,6 @@ def test_scalar_component_check():
     constant = TensorScenario(
         factors=(unit_model,),
         assignments={1: (1,)},
-        free_flags=(False,),
     )
     assert scalar_component_check(constant) == [
         "joint variable 1 is a constant multiple of the unit"

@@ -62,7 +62,7 @@ def test_repeated_component_is_tested_against_itself():
     # family has two equal members and cannot be free
     haar = GroupAlgebraModel(F2, {1: parse_group_word(F2, "g1.1^1")})
     scen = TensorScenario(
-        factors=(haar,), assignments={1: (1,), 2: (1,)}, free_flags=(False,)
+        factors=(haar,), assignments={1: (1,), 2: (1,)}
     )
     verdict = factor_freeness_verdict(scen, 1, 4)
     assert not verdict.free
@@ -103,7 +103,6 @@ def test_condition_one_violation_is_reported_with_values():
     scen = TensorScenario(
         factors=(integer_model(), order2_model()),
         assignments={1: (1, 1)},
-        free_flags=(False, False),
     )
     report = check_tfc(scen, 2, 4)
     assert not report.satisfied
@@ -123,7 +122,6 @@ def test_condition_two_violation_carries_the_variance():
     scen = TensorScenario(
         factors=(order2_model(), SpectralModel({1: circular_sequence()})),
         assignments={1: (1, 1)},
-        free_flags=(False, False),
     )
     report = check_tfc(scen, 1, 4)
     assert not report.satisfied
@@ -145,7 +143,6 @@ def test_report_consistency_invariant():
             TensorScenario(
                 factors=(integer_model(), order2_model()),
                 assignments={1: (1, 1)},
-                free_flags=(False, False),
             ),
             2,
             4,
@@ -260,7 +257,7 @@ def test_classifier_rejects_non_free_factor_families():
 def test_classifier_screens_scalar_components():
     unit_model = GroupAlgebraModel(INTEGERS, {1: parse_group_word(INTEGERS, "e")})
     scen = TensorScenario(
-        factors=(unit_model,), assignments={1: (1,)}, free_flags=(False,)
+        factors=(unit_model,), assignments={1: (1,)}
     )
     report = check_necessary_conditions(scen, max_len=4)
     assert report.classification == "hypotheses_not_met"
