@@ -4,7 +4,8 @@ The canonical text form is space-separated tokens like ``x1 x2* x1``.
 A letter is a pair (index, star); a word is a nonempty tuple of letters.
 Power words are the unitary reductions: adjacent letters with equal index
 merge into signed exponents and zero exponents cancel.  merge_powers is
-the one stack-merge reducer behind every normal form in the package.
+the one stack-merge reducer behind every normal form in the package,
+and iter_sequences the one lazy walker behind every bounded word scan.
 """
 
 from __future__ import annotations

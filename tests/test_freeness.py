@@ -309,10 +309,6 @@ def test_haar_power_scan_precondition():
         scan_alternating_powers(oracle, [1], max_len=4)
 
 
-def is_reduced(letters):
-    return all(b != a.adjoint() for a, b in zip(letters, letters[1:]))
-
-
 def test_alternating_power_words(scanned_words):
     # the Haar-power scan walks the star forms of reduced alternating
     # power words, in text order within each total exponent size
@@ -344,7 +340,8 @@ def test_reduced_walk_is_a_filter_of_iter_words(scanned_words, variables):
         w.letters
         for length in range(2, 7)
         for w in iter_words(variables, length)
-        if is_reduced(w.letters) and len(w.indices()) > 1
+        if all(b != a.adjoint() for a, b in zip(w.letters, w.letters[1:]))
+        and len(w.indices()) > 1
     ]
     assert scanned_words(variables, 6) == brute
 
