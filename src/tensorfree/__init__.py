@@ -67,7 +67,6 @@ from .identities import (
 )
 from .ncpartitions import (
     MomentSequence,
-    NCPartition,
     catalan,
     cumulant_from_moments,
     enumerate_nc,

@@ -26,13 +26,8 @@ from .errors import (
 from .freeness import Verdict, centered_product_value, test_freeness
 from .groups import group_dominating_report, is_free_collection
 from .identities import IDENTITY_CHECKS, ConclusionReport, IdentityCheck, InequalityCheck
-from .scenario import (
-    ScenarioFile,
-    canonical_trace_view,
-    load_scenario,
-    scalar_json,
-)
-from .scalars import fraction_from_json
+from .scenario import ScenarioFile, canonical_trace_view, load_scenario
+from .scalars import fraction_from_json, scalar_json
 from .spaces import check_axioms
 from .starwords import StarWord, parse_word, power_word_to_star_word
 from .tensor import factor_moment, joint_oracle, tensor_moment

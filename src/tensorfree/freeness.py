@@ -18,7 +18,7 @@ from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
 from .errors import DepthLimitError, PreconditionError
-from .ncpartitions import cumulant_from_moments, enumerate_nc
+from .ncpartitions import cumulant_from_moments, moment_from_cumulants
 from .scalars import ONE, ZERO, ExactComplex
 from .starwords import (
     Letter,
@@ -156,22 +156,14 @@ def mixed_moment_by_cumulants(spec: FreeFamilySpec, word: StarWord) -> ExactComp
     Cumulants mixing distinct classes vanish for free families, so each
     partition contributes the product of per-class block cumulants.
     """
-    letters = word.letters
-    n = len(letters)
-    total = ZERO
-    for part in enumerate_nc(n):
-        term = ONE
-        for block in part.blocks:
-            cids = {spec.class_of[letters[p - 1].index] for p in block}
-            if len(cids) > 1:
-                term = ZERO
-                break
-            cid = cids.pop()
-            term = term * spec.class_cumulant(cid, tuple(letters[p - 1] for p in block))
-            if term.is_zero():
-                break
-        total = total + term
-    return total
+
+    def block_cumulant(letters: LetterTuple) -> ExactComplex:
+        cids = {spec.class_of[l.index] for l in letters}
+        if len(cids) > 1:
+            return ZERO
+        return spec.class_cumulant(cids.pop(), letters)
+
+    return moment_from_cumulants(block_cumulant, word.letters)
 
 
 # -- closed forms for short alternating words ---------------------------

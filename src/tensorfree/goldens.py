@@ -43,7 +43,7 @@ def circular_sequence(max_len: int = 8) -> MomentSequence:
     values: dict[tuple[bool, ...], ExactComplex] = {}
     for n in range(2, max_len + 1, 2):
         pairings = [
-            p.blocks for p in enumerate_nc(n) if all(len(b) == 2 for b in p.blocks)
+            blocks for blocks in enumerate_nc(n) if all(len(b) == 2 for b in blocks)
         ]
         for pattern in iter_star_patterns(n):
             if 2 * sum(pattern) != n:

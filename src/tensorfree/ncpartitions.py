@@ -1,110 +1,42 @@
 """Noncrossing partitions and the moment-cumulant machinery built on them.
 
-Partitions of {1..n} are generated by recursive placement of the block
-containing the smallest element, which yields a deterministic canonical
-order.  Cumulants follow the standard noncrossing recursion: the moment
-of a tuple is the sum over noncrossing partitions of products of block
+A partition of {1..n} is a plain tuple of blocks, generated by
+recursive placement of the block containing the smallest element, which
+never produces a crossing and yields a deterministic canonical order.
+Cumulants follow the standard noncrossing recursion: the moment of a
+tuple is the sum over noncrossing partitions of products of block
 cumulants, so the top cumulant is the moment minus all proper terms.
+One partition-product sum serves both directions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
-from .errors import EnumerationLimitError, InsufficientMomentDataError
+from .errors import DepthLimitError, EnumerationLimitError, InsufficientMomentDataError
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
 
 Block = tuple[int, ...]
 Blocks = tuple[Block, ...]
 
 NC_ENUMERATION_CAP = 14
-
-
-@dataclass(frozen=True)
-class NCPartition:
-    """A noncrossing partition of {1..n} in canonical block order."""
-
-    n: int
-    blocks: Blocks
-
-    def __post_init__(self) -> None:
-        canonical = tuple(sorted((tuple(sorted(b)) for b in self.blocks), key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canonical)
-        validate_partition(self.n, self.blocks)
-        if crossing_pair(self.blocks) is not None:
-            raise ValueError(f"partition {self.blocks} has a crossing")
-
-    def singletons(self) -> tuple[int, ...]:
-        return tuple(b[0] for b in self.blocks if len(b) == 1)
-
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(len(b) for b in self.blocks)
-
-
-def validate_partition(n: int, blocks: Blocks) -> None:
-    seen: set[int] = set()
-    for block in blocks:
-        if not block:
-            raise ValueError("empty block")
-        for x in block:
-            if not 1 <= x <= n:
-                raise ValueError(f"element {x} outside 1..{n}")
-            if x in seen:
-                raise ValueError(f"element {x} repeated across blocks")
-            seen.add(x)
-    if len(seen) != n:
-        missing = sorted(set(range(1, n + 1)) - seen)
-        raise ValueError(f"elements missing from partition: {missing}")
-
-
-def crossing_pair(blocks: Blocks) -> tuple[Block, Block] | None:
-    """Return two crossing blocks, or None.  Blocks must be sorted tuples."""
-    for a, b in combinations(blocks, 2):
-        merged = sorted(((x, 0) for x in a), key=lambda p: p[0])
-        merged = sorted(merged + [(y, 1) for y in b])
-        # crossing iff the labels along the line interleave as 0101 or 1010
-        pattern: list[int] = []
-        for _, label in merged:
-            if not pattern or pattern[-1] != label:
-                pattern.append(label)
-        if len(pattern) >= 4:
-            return (a, b)
-    return None
-
-
-def is_noncrossing(blocks: Sequence[Sequence[int]]) -> bool:
-    """Decide noncrossing-ness of a set partition given as blocks.
-
-    The blocks must form a partition of {1..n} for n the total element
-    count; malformed input raises ValueError.
-    """
-    canon = tuple(tuple(sorted(b)) for b in blocks)
-    n = sum(len(b) for b in canon)
-    validate_partition(n, canon)
-    return crossing_pair(canon) is None
-
-
 NC_CACHE_LIMIT = 10
 
 
-def _nc_partitions(n: int) -> Iterator[NCPartition]:
-    for blocks in _gap_blocks(tuple(range(1, n + 1)), False, True):
-        yield NCPartition(n, blocks)
-
-
 @lru_cache(maxsize=None)
-def _nc_cached(n: int) -> tuple[NCPartition, ...]:
-    return tuple(_nc_partitions(n))
+def _nc_cached(n: int) -> tuple[Blocks, ...]:
+    return tuple(_gap_blocks(tuple(range(1, n + 1)), False, True))
 
 
-def enumerate_nc(n: int, cap: int = NC_ENUMERATION_CAP) -> list[NCPartition]:
+def enumerate_nc(n: int, cap: int = NC_ENUMERATION_CAP) -> list[Blocks]:
     """All noncrossing partitions of {1..n} in canonical order.
 
-    Sizes up to NC_CACHE_LIMIT are memoized; the cumulant recursion hits
-    the same small ground sets constantly and construction dominates it.
+    Each partition is a tuple of blocks sorted by least element, each
+    block sorted; the one-block partition comes last.  Sizes up to
+    NC_CACHE_LIMIT are memoized, because the cumulant recursion hits the
+    same small ground sets constantly and construction dominates it.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -112,7 +44,7 @@ def enumerate_nc(n: int, cap: int = NC_ENUMERATION_CAP) -> list[NCPartition]:
         raise EnumerationLimitError("noncrossing partition enumeration", n, cap)
     if n <= NC_CACHE_LIMIT:
         return list(_nc_cached(n))
-    return list(_nc_partitions(n))
+    return list(_gap_blocks(tuple(range(1, n + 1)), False, True))
 
 
 def _gap_blocks(
@@ -167,8 +99,6 @@ def catalan(n: int) -> int:
 
 # -- moment sequences -------------------------------------------------
 
-StarKey = tuple[bool, ...]
-
 
 class MomentSequence:
     """Moments of a single variable, keyed by star patterns or by powers.
@@ -176,7 +106,8 @@ class MomentSequence:
     Star flavor: keys are tuples over {False, True} (False = the variable,
     True = its adjoint); a missing key is an error because nothing pins
     its value down, unless the table is declared complete through some
-    length, in which case shorter missing patterns are zero.  Power
+    length, in which case shorter missing patterns are zero and longer
+    ones exceed that depth limit.  Power
     flavor (unitary variables): keys are nonzero
     integers, missing powers default to zero, the zeroth power is one,
     and an optional period folds exponents first.  Both flavors must be
@@ -194,7 +125,6 @@ class MomentSequence:
         self.period = period
         self.complete_through = complete_through
         self.values: dict = {}
-        self._cumulant_memo: dict = {}
         if unitary:
             if complete_through is not None:
                 raise ValueError("complete_through only applies to star tables")
@@ -249,11 +179,17 @@ class MomentSequence:
             return self.power_moment(sum(letters))
         key = tuple(bool(b) for b in letters)
         if key not in self.values:
-            if self.complete_through is not None and len(key) <= self.complete_through:
-                return ZERO
-            raise InsufficientMomentDataError(
-                f"moment table has no entry for pattern {key}"
-            )
+            if self.complete_through is None:
+                raise InsufficientMomentDataError(
+                    f"moment table has no entry for pattern {key}"
+                )
+            if len(key) > self.complete_through:
+                raise DepthLimitError(
+                    "missing star pattern (complete_through)",
+                    len(key),
+                    self.complete_through,
+                )
+            return ZERO
         return self.values[key]
 
     def power_moment(self, power: int) -> ExactComplex:
@@ -264,8 +200,24 @@ class MomentSequence:
             return ONE
         return self.values.get(power, ZERO)
 
-    def cumulant(self, letters: tuple) -> ExactComplex:
-        return cumulant_from_moments(self.moment, letters, self._cumulant_memo)
+
+def _partition_sum(
+    block_value: Callable[[tuple], ExactComplex],
+    letters: tuple,
+    partitions: Iterable[Blocks],
+) -> ExactComplex:
+    """Sum over partitions of the product over blocks of block_value at
+    the letters in the block; each product stops at its first zero."""
+    total = ZERO
+    for blocks in partitions:
+        term = ONE
+        for block in blocks:
+            term = term * block_value(tuple(letters[p - 1] for p in block))
+            if term.is_zero():
+                break
+        else:
+            total = total + term
+    return total
 
 
 def cumulant_from_moments(
@@ -279,23 +231,15 @@ def cumulant_from_moments(
     letters = tuple(letters)
     if letters in memo:
         return memo[letters]
-    n = len(letters)
-    if n == 0:
+    if not letters:
         return ONE
-    total = moment_fn(letters)
-    for part in enumerate_nc(n):
-        if len(part.blocks) == 1:
-            continue
-        term = ONE
-        for block in part.blocks:
-            term = term * cumulant_from_moments(
-                moment_fn, tuple(letters[p - 1] for p in block), memo
-            )
-            if term.is_zero():
-                break
-        total = total - term
-    memo[letters] = total
-    return total
+    # every partition but the one-block partition, which comes last
+    proper = enumerate_nc(len(letters))[:-1]
+    value = moment_fn(letters) - _partition_sum(
+        lambda ls: cumulant_from_moments(moment_fn, ls, memo), letters, proper
+    )
+    memo[letters] = value
+    return value
 
 
 def moment_from_cumulants(
@@ -303,43 +247,7 @@ def moment_from_cumulants(
 ) -> ExactComplex:
     """Reconstruct a moment as the sum of cumulant products over NC(n)."""
     letters = tuple(letters)
-    if not letters:
-        return ONE
-    total = ZERO
-    for part in enumerate_nc(len(letters)):
-        term = ONE
-        for block in part.blocks:
-            term = term * cumulant_fn(tuple(letters[p - 1] for p in block))
-            if term.is_zero():
-                break
-        total = total + term
-    return total
-
-
-def cumulant_term(
-    partition: NCPartition,
-    labels: Sequence[int],
-    letters: Sequence,
-    marginals: dict[int, MomentSequence],
-) -> ExactComplex:
-    """Product of block cumulants for a labeled tuple; zero on mixed blocks.
-
-    labels[p] names the variable at position p+1 and letters[p] is its
-    payload (star flag or signed exponent).  Mixed-variable blocks have
-    vanishing cumulants for free families, so they kill the whole term.
-    """
-    if partition.n != len(labels) or len(labels) != len(letters):
-        raise ValueError("partition size does not match the labeled word")
-    term = ONE
-    for block in partition.blocks:
-        block_labels = {labels[p - 1] for p in block}
-        if len(block_labels) > 1:
-            return ZERO
-        var = block_labels.pop()
-        term = term * marginals[var].cumulant(tuple(letters[p - 1] for p in block))
-        if term.is_zero():
-            return ZERO
-    return term
+    return _partition_sum(cumulant_fn, letters, enumerate_nc(len(letters)))
 
 
 # -- parity and singleton filters -------------------------------------

@@ -139,8 +139,9 @@ def rational_sqrt(value: Fraction) -> Fraction | None:
 
 # -- JSON codecs ------------------------------------------------------
 #
-# Scenario files carry scalars as [re_num, re_den, im_num, im_den];
-# the shorter forms int and [num, den] are accepted for real values.
+# Scenario files and reports carry scalars as [re_num, re_den, im_num,
+# im_den], or as the shorter forms int and [num, den] for real values;
+# scalar_json writes the shortest form that fits.
 
 
 def scalar_from_json(data) -> ExactComplex:
@@ -156,8 +157,20 @@ def scalar_from_json(data) -> ExactComplex:
     raise ValueError(f"bad scalar encoding: {data!r}")
 
 
-def scalar_to_json(z: ExactComplex) -> list[int]:
-    return [z.re.numerator, z.re.denominator, z.im.numerator, z.im.denominator]
+def scalar_json(value) -> object:
+    """Most compact exact form: int, [num, den], or the 4-entry complex."""
+    value = as_scalar(value)
+    if value.is_real():
+        re = value.re
+        if re.denominator == 1:
+            return int(re)
+        return [re.numerator, re.denominator]
+    return [
+        value.re.numerator,
+        value.re.denominator,
+        value.im.numerator,
+        value.im.denominator,
+    ]
 
 
 def fraction_from_json(data) -> Fraction:

@@ -10,7 +10,8 @@ Values are exact: scalars are integers, [num, den] rationals, or
 [re_num, re_den, im_num, im_den] complex rationals.  Star patterns use
 the grammar "aa*a" (a letter per "a", starred by a following "*");
 unitary power moments are keyed by signed integers; group elements use
-the shared token grammar ("g1.2^-3", identity "e").
+the shared token grammar ("g1.2^-3", identity "e").  Every object
+rejects a key it does not read.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .groups import (
     parse_group_word,
 )
 from .ncpartitions import MomentSequence
-from .scalars import ExactComplex, as_scalar, scalar_from_json
+from .scalars import ExactComplex, scalar_from_json, scalar_json
 from .spaces import (
     GroupAlgebraModel,
     MomentFunctional,
@@ -38,6 +39,16 @@ from .spaces import (
 from .tensor import TensorScenario
 
 SCHEMA_VERSION = 1
+
+# the keys each object level may carry; the top level adds its kind's keys
+SCENARIO_KEYS = ("version", "name", "kind", "bounds", "alpha")
+KIND_KEYS = {"tensor": ("factors", "tensor"), "group": ("presentation", "elements")}
+FACTOR_KEYS = {
+    "spectral": ("space", "assume_free", "variables"),
+    "group": ("space", "presentation", "variables"),
+    "table": ("space", "presentation", "variables", "table"),
+}
+SEQUENCE_KEYS = ("unitary", "period", "complete_through", "moments")
 
 
 @dataclass(frozen=True)
@@ -78,6 +89,16 @@ class ScenarioFile:
 # -- reading ---------------------------------------------------------------
 
 
+def _object(data, keys, where: str) -> None:
+    """Require a JSON object whose keys all lie in keys, so that a
+    misspelt optional key is an error rather than silently dropped."""
+    if not isinstance(data, Mapping):
+        raise ScenarioError(f"{where}: must be an object")
+    for key in data:
+        if key not in keys:
+            raise ScenarioError(f"{where}: unknown key {key!r}")
+
+
 def _require(data: Mapping, key: str, where: str):
     if key not in data:
         raise ScenarioError(f"{where}: missing {key!r}")
@@ -116,14 +137,15 @@ def _is_int(value) -> bool:
 
 
 def presentation_from_json(data, where: str = "presentation") -> GroupPresentation:
-    if not isinstance(data, Mapping):
-        raise ScenarioError(f"{where}: must be an object")
+    _object(data, ("components",), where)
     components = _require(data, "components", where)
     if not isinstance(components, list) or not components:
         raise ScenarioError(f"{where}: components must be a nonempty list")
     parts = []
     for n, comp in enumerate(components, start=1):
-        orders_raw = _require(comp, "cyclic_orders", f"{where}.components[{n}]")
+        comp_where = f"{where}.components[{n}]"
+        _object(comp, ("cyclic_orders",), comp_where)
+        orders_raw = _require(comp, "cyclic_orders", comp_where)
         orders = []
         for o in orders_raw:
             if o == "inf" or o is None:
@@ -159,8 +181,7 @@ def _pattern_to_text(pattern) -> str:
 
 
 def _sequence_from_json(data, where: str) -> MomentSequence:
-    if not isinstance(data, Mapping):
-        raise ScenarioError(f"{where}: must be an object")
+    _object(data, SEQUENCE_KEYS, where)
     unitary = _flag(data, "unitary", where)
     period = data.get("period")
     if period is not None and (not _is_int(period) or period < 1):
@@ -195,6 +216,9 @@ def factor_from_json(data, where: str) -> MomentFunctional:
     if not isinstance(data, Mapping):
         raise ScenarioError(f"{where}: must be an object")
     kind = _require(data, "space", where)
+    if kind not in FACTOR_KEYS:
+        raise ScenarioError(f"{where}: unknown space kind {kind!r}")
+    _object(data, FACTOR_KEYS[kind], where)
     if kind == "spectral":
         variables_raw = _require(data, "variables", where)
         variables = {}
@@ -204,32 +228,30 @@ def factor_from_json(data, where: str) -> MomentFunctional:
         if not variables:
             raise ScenarioError(f"{where}: no variables")
         return SpectralModel(variables, assume_free=_flag(data, "assume_free", where))
-    if kind in ("group", "table"):
-        presentation = presentation_from_json(
-            _require(data, "presentation", where), f"{where}.presentation"
-        )
-        variables_raw = _require(data, "variables", where)
-        generators = {}
-        for v, text in variables_raw.items():
-            if not isinstance(text, str):
-                raise ScenarioError(f"{where}.variables[{v}]: must be a group word")
-            key = _int_key(v, f"{where}.variables", generators)
-            generators[key] = parse_group_word(presentation, text)
-        if not generators:
-            raise ScenarioError(f"{where}: no variables")
-        if kind == "group":
-            return GroupAlgebraModel(presentation, generators)
-        table_raw = _require(data, "table", where)
-        table = {}
-        for text, raw in table_raw.items():
-            element = parse_group_word(presentation, text)
-            if element in table:
-                raise ScenarioError(
-                    f"{where}.table: key {text!r} repeats the element {element.text()}"
-                )
-            table[element] = _scalar(raw, f"{where}.table[{text!r}]")
-        return TableFunctional(presentation, generators, table)
-    raise ScenarioError(f"{where}: unknown space kind {kind!r}")
+    presentation = presentation_from_json(
+        _require(data, "presentation", where), f"{where}.presentation"
+    )
+    variables_raw = _require(data, "variables", where)
+    generators = {}
+    for v, text in variables_raw.items():
+        if not isinstance(text, str):
+            raise ScenarioError(f"{where}.variables[{v}]: must be a group word")
+        key = _int_key(v, f"{where}.variables", generators)
+        generators[key] = parse_group_word(presentation, text)
+    if not generators:
+        raise ScenarioError(f"{where}: no variables")
+    if kind == "group":
+        return GroupAlgebraModel(presentation, generators)
+    table_raw = _require(data, "table", where)
+    table = {}
+    for text, raw in table_raw.items():
+        element = parse_group_word(presentation, text)
+        if element in table:
+            raise ScenarioError(
+                f"{where}.table: key {text!r} repeats the element {element.text()}"
+            )
+        table[element] = _scalar(raw, f"{where}.table[{text!r}]")
+    return TableFunctional(presentation, generators, table)
 
 
 def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
@@ -255,6 +277,9 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
     if "alpha" in data:
         alpha = _scalar(data["alpha"], "scenario.alpha")
     kind = _require(data, "kind", "scenario")
+    if kind not in KIND_KEYS:
+        raise ScenarioError(f"scenario: unknown kind {kind!r}")
+    _object(data, SCENARIO_KEYS + KIND_KEYS[kind], "scenario")
     if kind == "tensor":
         factors_raw = _require(data, "factors", "scenario")
         if not isinstance(factors_raw, list) or not factors_raw:
@@ -264,6 +289,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
             for n, f in enumerate(factors_raw, start=1)
         )
         tensor_raw = _require(data, "tensor", "scenario")
+        _object(tensor_raw, ("variables",), "scenario.tensor")
         variables_raw = _require(tensor_raw, "variables", "scenario.tensor")
         assignments = {}
         for i, components in variables_raw.items():
@@ -275,23 +301,21 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
             assignments[key] = tuple(components)
         tensor = TensorScenario(factors=factors, assignments=assignments, name=name)
         return ScenarioFile(name, "tensor", tensor=tensor, bounds=bounds, alpha=alpha)
-    if kind == "group":
-        presentation = presentation_from_json(
-            _require(data, "presentation", "scenario"), "scenario.presentation"
+    presentation = presentation_from_json(
+        _require(data, "presentation", "scenario"), "scenario.presentation"
+    )
+    elements_raw = _require(data, "elements", "scenario")
+    elements = {}
+    for i, text in elements_raw.items():
+        if not isinstance(text, str):
+            raise ScenarioError(f"scenario.elements[{i}]: must be a group word")
+        elements[_int_key(i, "scenario.elements", elements)] = parse_group_word(
+            presentation, text
         )
-        elements_raw = _require(data, "elements", "scenario")
-        elements = {}
-        for i, text in elements_raw.items():
-            if not isinstance(text, str):
-                raise ScenarioError(f"scenario.elements[{i}]: must be a group word")
-            elements[_int_key(i, "scenario.elements", elements)] = parse_group_word(
-                presentation, text
-            )
-        collection = GroupCollection(presentation, elements, name=name)
-        return ScenarioFile(
-            name, "group", collection=collection, bounds=bounds, alpha=alpha
-        )
-    raise ScenarioError(f"scenario: unknown kind {kind!r}")
+    collection = GroupCollection(presentation, elements, name=name)
+    return ScenarioFile(
+        name, "group", collection=collection, bounds=bounds, alpha=alpha
+    )
 
 
 def load_scenario(path) -> ScenarioFile:
@@ -307,22 +331,6 @@ def load_scenario(path) -> ScenarioFile:
 
 
 # -- writing ---------------------------------------------------------------
-
-
-def scalar_json(value) -> object:
-    """Most compact exact form: int, [num, den], or the 4-entry complex."""
-    value = as_scalar(value)
-    if value.is_real():
-        re = value.re
-        if re.denominator == 1:
-            return int(re)
-        return [re.numerator, re.denominator]
-    return [
-        value.re.numerator,
-        value.re.denominator,
-        value.im.numerator,
-        value.im.denominator,
-    ]
 
 
 def presentation_to_json(presentation: GroupPresentation) -> dict:

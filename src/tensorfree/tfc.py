@@ -15,10 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    DimensionLimitError,
-    EnumerationLimitError,
     FactorNotFreeError,
     InsufficientMomentDataError,
+    LimitError,
     NotDirectlyEvaluable,
     PreconditionError,
 )
@@ -95,12 +94,7 @@ def ensure_faithfulness(functional: MomentFunctional, gram_len: int = 2) -> bool
         return True
     try:
         report = check_axioms(functional, gram_len=gram_len)
-    except (
-        NotDirectlyEvaluable,
-        InsufficientMomentDataError,
-        DimensionLimitError,
-        EnumerationLimitError,
-    ):
+    except (NotDirectlyEvaluable, InsufficientMomentDataError, LimitError):
         return False
     return report.positive_definite
 

@@ -455,6 +455,23 @@ def test_check_axioms_dimension_limit(run_cli, scenario_path):
     assert "cap is 320" in res.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("check-axioms", "--gram-len", "5"),
+        ("check-tfc", "--max-len", "9"),
+        ("theorem-1-8", "--gram-len", "5"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_complete_through_overrun_is_a_limit(run_cli, scenario_path, args):
+    # the circular table is complete through length 8
+    res = run_cli(scenario_path("circular_dominated"), *args)
+    assert res.code == 3
+    assert res.out == ""
+    assert "exceeds bound 8" in res.err
+
+
 # -- argument and file errors ----------------------------------------------------------------
 
 
@@ -536,6 +553,27 @@ STRICT_INPUTS = [
         "power-key-collision",
         duplicate_key(UNITARY_1 + ("moments",), "1", "01"),
         "moments: key '01'",
+    ),
+    ("unknown-top-key", set_in(("bogus",), 1), "scenario: unknown key 'bogus'"),
+    (
+        "unknown-tensor-key",
+        set_in(("tensor", "varaibles"), {}),
+        "scenario.tensor: unknown key 'varaibles'",
+    ),
+    (
+        "tensor-free-key",
+        set_in(("tensor", "free"), "yes"),
+        "scenario.tensor: unknown key 'free'",
+    ),
+    (
+        "unknown-factor-key",
+        set_in(("factors", 0, "typo_key"), 3),
+        "factors[1]: unknown key 'typo_key'",
+    ),
+    (
+        "unknown-sequence-key",
+        set_in(UNITARY_1 + ("perod",), 3),
+        "factors[1].variables[1]: unknown key 'perod'",
     ),
 ]
 

@@ -15,21 +15,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tensorfree.counterexample import filter_counts
-from tensorfree.errors import EnumerationLimitError, InsufficientMomentDataError
+from tensorfree.errors import (
+    DepthLimitError,
+    EnumerationLimitError,
+    InsufficientMomentDataError,
+)
+from tensorfree.freeness import FreeFamilySpec, mixed_moment_by_cumulants
 from tensorfree.ncpartitions import (
     MomentSequence,
-    NCPartition,
     catalan,
-    crossing_pair,
     cumulant_from_moments,
-    cumulant_term,
     enumerate_nc,
-    is_noncrossing,
     iter_pure_parity_blocks,
     moment_from_cumulants,
-    validate_partition,
 )
 from tensorfree.scalars import ONE, ZERO, ExactComplex
+from tensorfree.starwords import parse_word
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=8)
 
@@ -64,7 +65,7 @@ def brute_has_crossing(blocks):
 
 
 def as_partition_set(partitions):
-    return {frozenset(frozenset(b) for b in p.blocks) for p in partitions}
+    return {frozenset(frozenset(b) for b in blocks) for blocks in partitions}
 
 
 @pytest.mark.parametrize("n", range(0, 8))
@@ -77,11 +78,15 @@ def test_enumeration_matches_brute_force(n):
     got = list(enumerate_nc(n))
     assert len(got) == len(set(got))
     assert as_partition_set(got) == brute
+    for blocks in got:
+        # canonical: blocks sorted by least element, each block sorted
+        assert list(blocks) == sorted(blocks, key=lambda b: b[0])
+        assert all(list(b) == sorted(b) for b in blocks)
 
 
 def test_enumeration_order():
     # the block of 1 grows by size, then by lexicographic choice of mates
-    assert [p.blocks for p in enumerate_nc(3)] == [
+    assert enumerate_nc(3) == [
         ((1,), (2,), (3,)),
         ((1,), (2, 3)),
         ((1, 2), (3,)),
@@ -94,6 +99,8 @@ def test_enumeration_counts_are_catalan():
     for n in range(0, 9):
         assert len(enumerate_nc(n)) == CATALAN[n]
         assert catalan(n) == CATALAN[n]
+    # past NC_CACHE_LIMIT the enumeration is not memoized
+    assert len(set(enumerate_nc(11))) == catalan(11)
 
 
 def test_enumeration_cap():
@@ -105,45 +112,18 @@ def test_enumeration_cap():
         enumerate_nc(-1)
 
 
-def test_partition_canonicalization_and_accessors():
-    p = NCPartition(5, ((5, 2), (1,), (4, 3)))
-    assert p.blocks == ((1,), (2, 5), (3, 4))
-    assert p.singletons() == (1,)
-    assert p.block_sizes() == (1, 2, 2)
-
-
-def test_partition_rejects_crossings_and_malformed_input():
-    with pytest.raises(ValueError, match="crossing"):
-        NCPartition(4, ((1, 3), (2, 4)))
-    with pytest.raises(ValueError, match="missing"):
-        NCPartition(3, ((1, 2),))
-    with pytest.raises(ValueError, match="repeated"):
-        validate_partition(3, ((1, 2), (2, 3)))
-    with pytest.raises(ValueError, match="outside"):
-        validate_partition(2, ((1, 2, 3),))
-    with pytest.raises(ValueError, match="empty"):
-        validate_partition(1, ((), (1,)))
-
-
-def test_crossing_pair_detection():
-    assert crossing_pair(((1, 3), (2, 4))) == ((1, 3), (2, 4))
-    assert crossing_pair(((1, 4), (2, 3))) is None
-    assert crossing_pair(((1, 2), (3, 4))) is None
+def test_brute_crossing_oracle():
+    assert brute_has_crossing(((1, 3), (2, 4)))
+    assert not brute_has_crossing(((1, 4), (2, 3)))
+    assert not brute_has_crossing(((1, 2), (3, 4)))
     # nested plus straddling: {1,6} vs {2,4} do not cross, {2,4} vs {3,5} do
-    assert crossing_pair(((1, 6), (2, 4), (3, 5))) == ((2, 4), (3, 5))
-
-
-def test_is_noncrossing():
-    assert is_noncrossing([[1, 4], [2, 3]])
-    assert not is_noncrossing([[1, 3], [2, 4]])
-    with pytest.raises(ValueError):
-        is_noncrossing([[1, 2], [2, 3]])
+    assert brute_has_crossing(((1, 6), (2, 4), (3, 5)))
 
 
 @given(st.integers(min_value=0, max_value=6))
 def test_enumerated_partitions_pass_the_brute_crossing_test(n):
-    for part in enumerate_nc(n):
-        assert not brute_has_crossing(part.blocks)
+    for blocks in enumerate_nc(n):
+        assert not brute_has_crossing(blocks)
 
 
 # -- moment sequences --------------------------------------------------
@@ -162,7 +142,7 @@ def test_star_table_complete_through():
     seq = MomentSequence({(False,): Fraction(1, 2)}, complete_through=2)
     assert seq.moment((False, True)) == ZERO
     assert seq.moment((False,)) == Fraction(1, 2)
-    with pytest.raises(InsufficientMomentDataError):
+    with pytest.raises(DepthLimitError, match="length 3 exceeds bound 2"):
         seq.moment((False, True, False))
 
 
@@ -231,11 +211,12 @@ def test_unit_sequence_cumulants():
 
 def test_low_order_cumulants():
     seq = MomentSequence({(False,): Fraction(2, 7), (False, False): Fraction(3, 5)})
-    assert seq.cumulant((False,)) == Fraction(2, 7)
+    assert cumulant_from_moments(seq.moment, (False,)) == Fraction(2, 7)
     # second cumulant is the variance m2 - m1^2
-    assert seq.cumulant((False, False)) == Fraction(3, 5) - Fraction(4, 49)
+    variance = Fraction(3, 5) - Fraction(4, 49)
+    assert cumulant_from_moments(seq.moment, (False, False)) == variance
     centered = MomentSequence({(False,): 0, (False, False): 1})
-    assert centered.cumulant((False, False)) == ONE
+    assert cumulant_from_moments(centered.moment, (False, False)) == ONE
 
 
 @given(st.lists(rationals, min_size=1, max_size=5))
@@ -257,32 +238,41 @@ def test_empty_tuple_conventions():
     assert moment_from_cumulants(lambda ls: ONE, ()) == ONE
 
 
-def test_cumulant_term_vanishes_on_mixed_blocks():
+def free_pair(marginals):
+    return FreeFamilySpec({v: seq.moment for v, seq in marginals.items()})
+
+
+def test_cumulant_route_vanishes_on_mixed_blocks():
     marginals = {
         1: MomentSequence({(False,): 1, (False, False): 2}),
         2: MomentSequence({(False,): 3, (False, False): 4}),
     }
-    pair = NCPartition(2, ((1, 2),))
-    assert cumulant_term(pair, [1, 2], (False, False), marginals) == ZERO
-    assert cumulant_term(pair, [1, 1], (False, False), marginals) == ONE  # 2 - 1*1
-    split = NCPartition(2, ((1,), (2,)))
-    assert cumulant_term(split, [1, 2], (False, False), marginals) == ExactComplex(3)
-    with pytest.raises(ValueError):
-        cumulant_term(pair, [1], (False, False), marginals)
+    spec = free_pair(marginals)
+    # x1 x2: the pair block mixes classes, the split term is 1 * 3
+    assert mixed_moment_by_cumulants(spec, parse_word("x1 x2")) == ExactComplex(3)
+    # x1 x1: kappa_2 + kappa_1^2 = (2 - 1*1) + 1*1
+    assert mixed_moment_by_cumulants(spec, parse_word("x1 x1")) == ExactComplex(2)
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
-def test_cumulant_term_mixed_blocks_vanish_everywhere(n):
+def test_cumulant_route_drops_mixed_partitions(n):
     marginals = {
         1: MomentSequence({(False,) * k: 1 for k in range(1, n + 1)}),
         2: MomentSequence({(False,) * k: 2 for k in range(1, n + 1)}),
     }
     labels = [1 if p % 2 else 2 for p in range(1, n + 1)]
-    letters = (False,) * n
-    for part in enumerate_nc(n):
-        mixed = any(len({labels[p - 1] for p in b}) > 1 for b in part.blocks)
-        if mixed:
-            assert cumulant_term(part, labels, letters, marginals) == ZERO
+    # only partitions whose blocks each carry one label contribute
+    expected = ZERO
+    for blocks in enumerate_nc(n):
+        if any(len({labels[p - 1] for p in b}) > 1 for b in blocks):
+            continue
+        term = ONE
+        for b in blocks:
+            seq = marginals[labels[b[0] - 1]]
+            term = term * cumulant_from_moments(seq.moment, (False,) * len(b))
+        expected = expected + term
+    word = parse_word(" ".join(f"x{v}" for v in labels))
+    assert mixed_moment_by_cumulants(free_pair(marginals), word) == expected
 
 
 # -- parity and singleton filters --------------------------------------
@@ -295,11 +285,11 @@ def filtered_nc(two_t, singleton_ok=lambda p: True):
     """Reference filter over the full enumeration: pure-parity blocks,
     and every singleton {p} must pass singleton_ok(p)."""
     return {
-        frozenset(frozenset(b) for b in part.blocks)
-        for part in enumerate_nc(two_t)
+        frozenset(frozenset(b) for b in blocks)
+        for blocks in enumerate_nc(two_t)
         if all(
             len({x % 2 for x in b}) == 1 and (len(b) > 1 or singleton_ok(b[0]))
-            for b in part.blocks
+            for b in blocks
         )
     }
 
