@@ -105,6 +105,14 @@ def _require(data: Mapping, key: str, where: str):
     return data[key]
 
 
+def _require_object(data: Mapping, key: str, where: str) -> Mapping:
+    """The value at key, which must be a JSON object (not a list)."""
+    value = _require(data, key, where)
+    if not isinstance(value, Mapping):
+        raise ScenarioError(f"{where}.{key}: must be an object")
+    return value
+
+
 def _scalar(raw, where: str) -> ExactComplex:
     try:
         return scalar_from_json(raw)
@@ -220,7 +228,7 @@ def factor_from_json(data, where: str) -> MomentFunctional:
         raise ScenarioError(f"{where}: unknown space kind {kind!r}")
     _object(data, FACTOR_KEYS[kind], where)
     if kind == "spectral":
-        variables_raw = _require(data, "variables", where)
+        variables_raw = _require_object(data, "variables", where)
         variables = {}
         for v, seq in variables_raw.items():
             key = _int_key(v, f"{where}.variables", variables)
@@ -231,7 +239,7 @@ def factor_from_json(data, where: str) -> MomentFunctional:
     presentation = presentation_from_json(
         _require(data, "presentation", where), f"{where}.presentation"
     )
-    variables_raw = _require(data, "variables", where)
+    variables_raw = _require_object(data, "variables", where)
     generators = {}
     for v, text in variables_raw.items():
         if not isinstance(text, str):
@@ -242,7 +250,7 @@ def factor_from_json(data, where: str) -> MomentFunctional:
         raise ScenarioError(f"{where}: no variables")
     if kind == "group":
         return GroupAlgebraModel(presentation, generators)
-    table_raw = _require(data, "table", where)
+    table_raw = _require_object(data, "table", where)
     table = {}
     for text, raw in table_raw.items():
         element = parse_group_word(presentation, text)
@@ -290,7 +298,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
         )
         tensor_raw = _require(data, "tensor", "scenario")
         _object(tensor_raw, ("variables",), "scenario.tensor")
-        variables_raw = _require(tensor_raw, "variables", "scenario.tensor")
+        variables_raw = _require_object(tensor_raw, "variables", "scenario.tensor")
         assignments = {}
         for i, components in variables_raw.items():
             if not isinstance(components, list) or not all(map(_is_int, components)):
@@ -304,7 +312,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
     presentation = presentation_from_json(
         _require(data, "presentation", "scenario"), "scenario.presentation"
     )
-    elements_raw = _require(data, "elements", "scenario")
+    elements_raw = _require_object(data, "elements", "scenario")
     elements = {}
     for i, text in elements_raw.items():
         if not isinstance(text, str):

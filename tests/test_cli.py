@@ -575,14 +575,46 @@ STRICT_INPUTS = [
         set_in(UNITARY_1 + ("perod",), 3),
         "factors[1].variables[1]: unknown key 'perod'",
     ),
+    (
+        "spectral-variables-list",
+        set_in(("factors", 0, "variables"), []),
+        "factors[1].variables: must be an object",
+    ),
+    (
+        "table-list",
+        set_in(
+            ("factors", 1),
+            {
+                "space": "table",
+                "presentation": {"components": [{"cyclic_orders": ["inf"]}]},
+                "variables": {"1": "e", "2": "g1.1^1"},
+                "table": [],
+            },
+        ),
+        "factors[2].table: must be an object",
+    ),
+    (
+        "tensor-variables-list",
+        set_in(("tensor", "variables"), [1]),
+        "scenario.tensor.variables: must be an object",
+    ),
+    # rows on a group scenario name it as a fourth entry
+    (
+        "elements-list",
+        set_in(("elements",), ["g1.1^1"]),
+        "scenario.elements: must be an object",
+        "free_pair_collection",
+    ),
 ]
 
 
 @pytest.mark.parametrize(
-    "mutate, field", [case[1:] for case in STRICT_INPUTS], ids=[case[0] for case in STRICT_INPUTS]
+    "mutate, field, scenario",
+    [(case[1], case[2], case[3] if len(case) > 3 else "biased_unitary") for case in STRICT_INPUTS],
+    ids=[case[0] for case in STRICT_INPUTS],
 )
-def test_scenario_input_is_strict(run_cli, scenario_path, tmp_path, mutate, field):
-    with open(scenario_path("biased_unitary"), encoding="utf-8") as handle:
+def test_scenario_input_is_strict(run_cli, scenario_path, tmp_path, mutate, field, scenario):
+    with open(scenario_path(scenario), encoding="utf-8") as handle:
         payload = json.load(handle)
     mutate(payload)
     res = run_cli(write_scenario(tmp_path, "strict", payload), "moments", "x1")

@@ -1,11 +1,15 @@
-"""Biased-power family: scenario guards, the alternating power scan, and
-the cumulant support filter table with its block pair bound."""
+"""Biased-power family: scenario guards, the alternating power scan and
+its tracial class quotient, and the cumulant support filter table with
+its block pair bound."""
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorfree.counterexample import (
+    _tracial_classes,
     analyze_biased_power,
     biased_power_scenario,
     filter_counts,
@@ -20,9 +24,9 @@ from tensorfree.groups import (
     parse_group_word,
 )
 from tensorfree.ncpartitions import MomentSequence
-from tensorfree.scalars import ONE
-from tensorfree.spaces import GroupAlgebraModel, SpectralModel
-from tensorfree.starwords import word
+from tensorfree.scalars import ONE, ExactComplex
+from tensorfree.spaces import GroupAlgebraModel, SpectralModel, check_axioms
+from tensorfree.starwords import iter_letters, iter_sequences, word
 from tensorfree.tensor import joint_oracle
 
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
@@ -66,16 +70,28 @@ def test_scan_requires_haar_type_marginals():
         scan_alternating_powers(biased.moment_letters, (1, 2), 4)
 
 
-def test_scan_finds_the_integer_pair_violation():
-    # x1 = 1 and x2 = 2 in the integers: Haar-type marginals, yet
-    # x1^2 x2^-1 reduces to the identity
-    model = GroupAlgebraModel(
+def integer_pair() -> GroupAlgebraModel:
+    """x1 = 1 and x2 = 2 in the integers under the canonical trace."""
+    return GroupAlgebraModel(
         INTEGERS,
         {
             1: parse_group_word(INTEGERS, "g1.1^1"),
             2: parse_group_word(INTEGERS, "g1.1^2"),
         },
     )
+
+
+def free_unitaries(moments) -> SpectralModel:
+    """A free family of unitaries with the given power moments per variable."""
+    return SpectralModel(
+        {v: MomentSequence(m, unitary=True) for v, m in moments.items()},
+        assume_free=True,
+    )
+
+
+def test_scan_finds_the_integer_pair_violation():
+    # Haar-type marginals, yet x1^2 x2^-1 reduces to the identity
+    model = integer_pair()
     verdict, scan = scan_alternating_powers(model.moment_letters, (1, 2), 3)
     assert not verdict.free
     assert verdict.witness.text() == "x1 x1 x2*"
@@ -111,6 +127,96 @@ def test_k2_length_10_witness(scanned_words):
         )
         per_factor.append(mixed_moment_by_cumulants(spec, witness))
     assert per_factor == [Fraction(1, 100), Fraction(1, 1000)]
+
+
+# -- the tracial class quotient ---------------------------------------------
+
+# nonreal, non-Haar power moments: values are nonzero and nonreal, so
+# the conjugating branch of the class lookup is exercised
+NONREAL_MOMENTS = {
+    1: {1: Fraction(1, 2), 2: Fraction(1, 3)},
+    2: {1: ExactComplex(Fraction(1, 5), Fraction(1, 7)), 3: Fraction(1, 4)},
+}
+LETTERS = iter_letters((1, 2))
+
+
+def assert_classes_match(make, max_len):
+    """The quotient oracle gives the plain oracle's value on every word,
+    reduced or not; each side gets a fresh model, so no memo is shared.
+    Returns how many of the values were nonreal."""
+    plain = make().moment_letters
+    classes = _tracial_classes(make().moment_letters)
+    nonreal = 0
+    for n in range(1, max_len + 1):
+        for letters in iter_sequences(LETTERS, n):
+            value = plain(letters)
+            assert classes(letters) == value, letters
+            nonreal += not value.is_real()
+    return nonreal
+
+
+def test_tracial_classes_match_the_free_unitary_oracle():
+    assert assert_classes_match(lambda: free_unitaries(NONREAL_MOMENTS), 6) > 0
+
+
+def test_tracial_classes_match_the_integer_pair_oracle():
+    assert_classes_match(integer_pair, 6)
+
+
+RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=6)
+POWER_MOMENTS = st.dictionaries(
+    st.integers(1, 3), st.builds(ExactComplex, RATIONALS, RATIONALS), max_size=2
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(POWER_MOMENTS, POWER_MOMENTS)
+def test_tracial_classes_match_on_random_power_moments(m1, m2):
+    assert_classes_match(lambda: free_unitaries({1: m1, 2: m2}), 4)
+
+
+def test_tracial_classes_evaluate_once_per_class():
+    calls = []
+
+    def joint(letters):
+        calls.append(letters)
+        return ONE
+
+    oracle = _tracial_classes(joint)
+    core = word("x1 x1 x2 x1 x2*").letters
+    rotations = [core[i:] + core[:i] for i in range(len(core))]
+    adjoint = word("x2 x1* x2* x1* x1*").letters
+    conjugated = word("x2 x1 x1 x2 x1 x2* x2*").letters
+    for letters in rotations + [adjoint, conjugated]:
+        assert oracle(letters) == ONE
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "make_oracle, max_len, free",
+    [
+        (lambda: joint_oracle(biased_power_scenario(2, Fraction(1, 10))), 8, True),
+        (lambda: integer_pair().moment_letters, 6, False),
+    ],
+    ids=["biased-power", "integer-pair"],
+)
+def test_class_scan_matches_the_plain_scan(make_oracle, max_len, free):
+    verdict, lines = scan_alternating_powers(
+        _tracial_classes(make_oracle()), (1, 2), max_len
+    )
+    assert (verdict, lines) == scan_alternating_powers(make_oracle(), (1, 2), max_len)
+    assert verdict.free is free
+    assert verdict.words_checked == sum(line.words for line in lines)
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_biased_power_factors_are_hermitian_traces(K):
+    # the premise of the class quotient, checked at a bound only; the
+    # scan holds it by construction and never reads this check
+    for factor in biased_power_scenario(K, Fraction(1, 10)).factors:
+        report = check_axioms(factor, gram_len=3)
+        assert report.tracial
+        assert report.hermitian
 
 
 def test_filter_table_counts():
