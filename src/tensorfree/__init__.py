@@ -40,20 +40,15 @@ from .freeness import (
     test_freeness,
 )
 from .groups import (
-    CommutatorWitnessReport,
     FreeProductPresentation,
     GroupDominatingReport,
     GroupElement,
     GroupFreenessVerdict,
     GroupPresentation,
-    KernelReport,
-    commutator_witness,
     element_order,
     group_dominating_report,
     is_free_collection,
-    kernel_elements,
     parse_group_word,
-    projection_kernel_trivial,
 )
 from .identities import (
     IDENTITY_CHECKS,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
-from .errors import DepthLimitError, PreconditionError
+from .errors import DepthLimitError
 from .ncpartitions import cumulant_from_moments, moment_from_cumulants
 from .scalars import ONE, ZERO, ExactComplex
 from .starwords import (
@@ -38,10 +38,9 @@ JointOracle = Callable[[LetterTuple], ExactComplex]
 class FreeFamilySpec:
     """A family of mutually free grouping classes with marginal data.
 
-    The default constructor takes one marginal oracle per variable (a
-    callable on star patterns) and puts every variable in its own class.
-    Classes with several variables carry a joint oracle on words over
-    the class; distinct classes are the free coordinates.
+    The constructor takes one marginal oracle per variable (a callable on
+    star patterns) and puts every variable in its own class; the classes
+    are the free coordinates.
     """
 
     def __init__(self, marginals: Mapping[int, MarginalOracle]) -> None:
@@ -51,27 +50,6 @@ class FreeFamilySpec:
         }
         self._memo: dict[LetterTuple, ExactComplex] = {}
         self._cumulant_memos: dict[int, dict] = {c: {} for c in self._oracles}
-
-    @classmethod
-    def from_classes(
-        cls,
-        classes: Mapping[int, Sequence[int]],
-        oracles: Mapping[int, ClassOracle],
-    ) -> "FreeFamilySpec":
-        spec = cls.__new__(cls)
-        spec.class_of = {}
-        for cid, variables in classes.items():
-            for v in variables:
-                if v in spec.class_of:
-                    raise ValueError(f"variable x{v} assigned to two classes")
-                spec.class_of[v] = cid
-        spec._oracles = dict(oracles)
-        for cid in classes:
-            if cid not in spec._oracles:
-                raise ValueError(f"class {cid} has no oracle")
-        spec._memo = {}
-        spec._cumulant_memos = {c: {} for c in spec._oracles}
-        return spec
 
     @property
     def variables(self) -> tuple[int, ...]:
@@ -164,50 +142,6 @@ def mixed_moment_by_cumulants(spec: FreeFamilySpec, word: StarWord) -> ExactComp
         return spec.class_cumulant(cids.pop(), letters)
 
     return moment_from_cumulants(block_cumulant, word.letters)
-
-
-# -- closed forms for short alternating words ---------------------------
-
-
-def alternating_pair_moment(
-    mean1: ExactComplex,
-    square1: ExactComplex,
-    mean2: ExactComplex,
-    square2: ExactComplex,
-) -> ExactComplex:
-    """Moment of b1 b2 b1* b2* for a star-free pair, from four marginals.
-
-    square_i is the moment of b_i b_i*.
-    """
-    m1, m2 = mean1.abs2(), mean2.abs2()
-    return m1 * square2 + m2 * square1 - ExactComplex(m1 * m2)
-
-
-def conjugated_pair_moment(
-    c1_mean: ExactComplex,
-    c1_square: ExactComplex,
-    c2_mean: ExactComplex,
-    c2_square: ExactComplex,
-    b_marginal: MarginalOracle | None = None,
-) -> ExactComplex:
-    """Moment of b c1 b* c2 b c1* b* c2* when b is a centered unitary
-    free from the pair (c1, c2).
-
-    The value coincides with the plain alternating form in the c data.
-    When the marginal of b is supplied, the centering and unitarity
-    preconditions are verified first.
-    """
-    if b_marginal is not None:
-        if b_marginal((False,)) != ZERO:
-            raise PreconditionError("b must be centered: psi(b) != 0")
-        unitary = (
-            b_marginal((False, True)) == ONE
-            and b_marginal((True, False)) == ONE
-            and b_marginal((False, True, False, True)) == ONE
-        )
-        if not unitary:
-            raise PreconditionError("b must be unitary")
-    return alternating_pair_moment(c1_mean, c1_square, c2_mean, c2_square)
 
 
 # -- bounded star-freeness testing ---------------------------------------

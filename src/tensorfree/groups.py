@@ -5,9 +5,9 @@ a word is an alternating sequence of syllables (generator, exponent)
 with nonzero exponents reduced modulo the generator order.  Reduction is
 a stack merge, so equality of elements is equality of normal forms.
 
-On top of the arithmetic sit the bounded decision procedures: freeness
-of a collection via alternating products, projection kernels, and the
-commutator-style witness for mixed-order direct products.
+On top of the arithmetic sit exact element orders and the decision
+procedures of Prop 1.6: bounded freeness of a collection via alternating
+products, and the dominating-component search built on it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
 from operator import ne
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import PreconditionError, ScenarioError
 from .starwords import iter_sequences, merge_powers
@@ -175,40 +175,38 @@ def _syllable_order(order: int | None, exp: int) -> int | None:
 
 
 def _factor_word_order(
-    component: FreeProductPresentation, word: FactorWord, bound: int
+    component: FreeProductPresentation, word: FactorWord
 ) -> int | None:
-    """Order of one component word, or None when not found within bound."""
+    """Order of one reduced component word, or None when it is infinite.
+
+    An element of a free product of cyclic groups has finite order only if
+    it is conjugate into a factor (Lyndon and Schupp, Combinatorial Group
+    Theory, Ch. IV.1).  Conjugating the last syllable to the front merges
+    it into the first while the two share a generator; the cyclically
+    reduced word left has finite order only if it is one syllable.
+    """
+    while len(word) >= 2 and word[0][0] == word[-1][0]:
+        word = merge_powers((word[-1],) + word[:-1], component.generator_orders)
     if not word:
         return 1
     if len(word) == 1:
         j, e = word[0]
         return _syllable_order(component.orders[j - 1], e)
-    sub = GroupPresentation((component,))
-    g = GroupElement((word,))
-    acc = g
-    for n in range(1, bound + 1):
-        if acc.is_identity():
-            return n
-        acc = multiply(sub, acc, g)
     return None
 
 
-def element_order(
-    presentation: GroupPresentation, g: GroupElement, bound: int = 24
-) -> int | None:
-    """Least n with g^n = e, as the lcm of componentwise orders.
+def element_order(presentation: GroupPresentation, g: GroupElement) -> int | None:
+    """Least n >= 1 with g^n = e, or None when g has infinite order.
 
-    Returns None when some component has no order within the bound
-    (in particular for known-infinite components).  The lcm may exceed
-    the bound; it is still exact because each component order is.
+    The order is the lcm of the componentwise orders.
     """
     orders: list[int] = []
     for comp, word in zip(presentation.factors, g.components):
-        d = _factor_word_order(comp, word, bound)
+        d = _factor_word_order(comp, word)
         if d is None:
             return None
         orders.append(d)
-    return lcm(*orders) if orders else 1
+    return lcm(*orders)
 
 
 # -- bounded freeness search -------------------------------------------
@@ -265,35 +263,6 @@ def _nontrivial_powers(
     return powers
 
 
-def _subgroup_words(
-    presentation: GroupPresentation,
-    elements: Sequence[GroupElement],
-    max_blocks: int,
-    max_exp: int,
-) -> Iterator[tuple[ExponentBlocks, GroupElement]]:
-    """Products of powers of the collection, breadth-first by block count."""
-    powers = _nontrivial_powers(presentation, elements, max_exp)
-    exp_order = _exponent_order(max_exp)
-    for t in range(1, max_blocks + 1):
-        for index_seq in iter_sequences(range(1, len(elements) + 1), t, ne):
-            for exps in iter_product(exp_order, repeat=t):
-                blocks = tuple(zip(index_seq, exps))
-                factors = []
-                ok = True
-                for key in blocks:
-                    p = powers.get(key)
-                    if p is None:
-                        ok = False
-                        break
-                    factors.append(p)
-                if not ok:
-                    continue
-                acc = factors[0]
-                for f in factors[1:]:
-                    acc = multiply(presentation, acc, f)
-                yield blocks, acc
-
-
 def is_free_collection(
     presentation: GroupPresentation,
     elements: ElementCollection,
@@ -306,144 +275,28 @@ def is_free_collection(
     consecutive indices distinct, 2 <= t <= max_blocks, 0 < |n| <= max_exp,
     skipping blocks whose power is already the identity.  The collection is
     free within bounds iff no such product reduces to the identity.
-    The first violation in breadth-first order is the witness.
+    The first violation in breadth-first order (block count, then index
+    sequence, then exponents) is the witness.
     """
+    elements = _element_list(elements)
+    powers = _nontrivial_powers(presentation, elements, max_exp)
+    exp_order = _exponent_order(max_exp)
     checked = 0
-    for blocks, element in _subgroup_words(
-        presentation, _element_list(elements), max_blocks, max_exp
-    ):
-        if len(blocks) < 2:
-            continue
-        checked += 1
-        if element.is_identity():
-            return GroupFreenessVerdict(
-                False, GroupWitness(blocks), max_blocks, max_exp, checked
-            )
+    for t in range(2, max_blocks + 1):
+        for index_seq in iter_sequences(range(1, len(elements) + 1), t, ne):
+            for exps in iter_product(exp_order, repeat=t):
+                blocks = tuple(zip(index_seq, exps))
+                if not all(key in powers for key in blocks):
+                    continue
+                acc = powers[blocks[0]]
+                for key in blocks[1:]:
+                    acc = multiply(presentation, acc, powers[key])
+                checked += 1
+                if acc.is_identity():
+                    return GroupFreenessVerdict(
+                        False, GroupWitness(blocks), max_blocks, max_exp, checked
+                    )
     return GroupFreenessVerdict(True, None, max_blocks, max_exp, checked)
-
-
-# -- projection kernels -------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KernelReport:
-    component: int
-    trivial_within_bounds: bool
-    witness: GroupWitness | None
-    element: GroupElement | None
-    max_blocks: int
-    max_exp: int
-
-
-def _component_is_identity(g: GroupElement, k: int) -> bool:
-    return not g.components[k - 1]
-
-
-def projection_kernel_trivial(
-    presentation: GroupPresentation,
-    elements: ElementCollection,
-    component: int,
-    max_blocks: int = 4,
-    max_exp: int = 3,
-) -> KernelReport:
-    """Search the generated subgroup for a nonidentity element killed by
-    the projection onto one direct-product component.
-
-    Shortest kernel witnesses come first because the walk is breadth-first
-    over block count and then exponent magnitude.
-    """
-    if not 1 <= component <= presentation.num_factors:
-        raise ScenarioError(f"component {component} out of range")
-    elements = _element_list(elements)
-    for blocks, element in _subgroup_words(presentation, elements, max_blocks, max_exp):
-        if not element.is_identity() and _component_is_identity(element, component):
-            return KernelReport(
-                component, False, GroupWitness(blocks), element, max_blocks, max_exp
-            )
-    return KernelReport(component, True, None, None, max_blocks, max_exp)
-
-
-def kernel_elements(
-    presentation: GroupPresentation,
-    elements: ElementCollection,
-    component: int,
-    max_blocks: int = 3,
-    max_exp: int = 2,
-) -> list[GroupElement]:
-    """All bounded-search kernel elements for one projection, deduplicated."""
-    elements = _element_list(elements)
-    found: list[GroupElement] = []
-    seen: set = set()
-    for _, element in _subgroup_words(presentation, elements, max_blocks, max_exp):
-        if element.is_identity() or not _component_is_identity(element, component):
-            continue
-        if element not in seen:
-            seen.add(element)
-            found.append(element)
-    return found
-
-
-# -- mixed-order commutator witness --------------------------------------
-
-
-@dataclass(frozen=True)
-class CommutatorWitnessReport:
-    blocks: ExponentBlocks  # over the two elements, 1 = d_i, 2 = d_j
-    reduces_to_identity: bool
-    nontrivial_blocks: bool
-
-    def word_text(self) -> str:
-        return " ".join(f"d{i}^{n}" for i, n in self.blocks)
-
-
-def commutator_witness(
-    presentation: GroupPresentation,
-    d_i: GroupElement,
-    d_j: GroupElement,
-    m: int,
-    n: int,
-) -> CommutatorWitnessReport:
-    """Freeness-violating word for mixed-order direct product elements.
-
-    Hypothesis: the first component of d_i dies at power m while the rest
-    does not, and the rest dies at power n while the first component does
-    not.  Then d_i^m d_j d_i^n d_j^-1 d_i^-m d_j d_i^-n d_j^-1 reduces to
-    the identity although every block is nontrivial, so (d_i, d_j) is not
-    free whenever d_j is nontrivial and distinct from d_i.
-    """
-    if presentation.num_factors < 2:
-        raise PreconditionError("commutator witness needs at least two components")
-    if d_i == d_j:
-        raise PreconditionError("commutator witness requires distinct elements")
-    if d_j.is_identity():
-        raise PreconditionError("d_j must be nontrivial")
-
-    pm = power(presentation, d_i, m)
-    pn = power(presentation, d_i, n)
-    first_dies_at_m = _component_is_identity(pm, 1)
-    rest_alive_at_m = any(pm.components[k] for k in range(1, presentation.num_factors))
-    rest_dies_at_n = all(
-        not pn.components[k] for k in range(1, presentation.num_factors)
-    )
-    first_alive_at_n = not _component_is_identity(pn, 1)
-    if not (first_dies_at_m and rest_alive_at_m and rest_dies_at_n and first_alive_at_n):
-        raise PreconditionError(
-            "order pattern does not hold: need component 1 of d_i to die at m "
-            "(rest surviving) and the rest to die at n (component 1 surviving)"
-        )
-
-    blocks: ExponentBlocks = (
-        (1, m), (2, 1), (1, n), (2, -1), (1, -m), (2, 1), (1, -n), (2, -1),
-    )
-    elements = {1: d_i, 2: d_j}
-    acc = identity(presentation)
-    nontrivial = True
-    for idx, e in blocks:
-        block_power = power(presentation, elements[idx], e)
-        if block_power.is_identity():
-            nontrivial = False
-        acc = multiply(presentation, acc, block_power)
-    return CommutatorWitnessReport(blocks, acc.is_identity(), nontrivial)
 
 
 # -- dominating factor for free direct-product collections ---------------
@@ -475,11 +328,12 @@ def group_dominating_report(
     """For a free collection of direct products, locate a component whose
     projections are free and respect the order condition.
 
-    The order condition bounded to n <= max_exp: whenever d_i^n is not the
-    identity, its k-th component is not either.  When the collection is
-    free but no component passes, the result is flagged suspect: either
-    the bounds are too small or there is an implementation fault, because
-    a dominating component must exist for free collections.
+    The order condition is exact: the k-th component of every d_i has the
+    same order as d_i (both may be infinite).  Only the freeness searches
+    are bounded.  When the collection is free but no component passes, the
+    result is flagged suspect: either the bounds are too small or there is
+    an implementation fault, because a dominating component must exist for
+    free collections.
     """
     elements = _element_list(elements)
     for g in elements:
@@ -489,20 +343,13 @@ def group_dominating_report(
     if not verdict.free:
         return GroupDominatingReport(False, verdict.witness, None, (), False, False)
 
+    orders = [element_order(presentation, g) for g in elements]
     reports: list[tuple[int, bool, bool]] = []
     dominating: int | None = None
     for k in range(1, presentation.num_factors + 1):
         sub, comps = _component_elements(presentation, elements, k)
         comp_free = is_free_collection(sub, comps, max_blocks, max_exp).free
-        orders_ok = True
-        for g in elements:
-            for e in range(1, max_exp + 1):
-                pe = power(presentation, g, e)
-                if not pe.is_identity() and not pe.components[k - 1]:
-                    orders_ok = False
-                    break
-            if not orders_ok:
-                break
+        orders_ok = all(element_order(sub, c) == d for c, d in zip(comps, orders))
         reports.append((k, comp_free, orders_ok))
         if dominating is None and comp_free and orders_ok:
             dominating = k

@@ -161,9 +161,6 @@ class SpectralModel(MomentFunctional):
             {v: _sequence_marginal(seq) for v, seq in self.sequences.items()}
         )
 
-    def is_unitary_variable(self, var: int) -> bool:
-        return self.sequences[var].unitary
-
     def marginal_moment(self, var: int, stars: Sequence[bool]) -> ExactComplex:
         seq = self.sequences[var]
         if seq.unitary:
@@ -261,16 +258,6 @@ class AxiomReport:
     gram_len: int
     mode: str
     notes: tuple[str, ...] = ()
-
-    @property
-    def all_passed(self) -> bool:
-        return (
-            self.unital
-            and self.hermitian
-            and self.tracial
-            and self.positive_semidefinite
-            and self.positive_definite
-        )
 
 
 def gram_basis(

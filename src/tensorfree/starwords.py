@@ -138,12 +138,6 @@ def merge_powers(
     return tuple(stack)
 
 
-def power_word_text(pw: PowerWord) -> str:
-    if not pw:
-        return "1"
-    return " ".join(f"x{i}^{e}" for i, e in pw)
-
-
 def power_word_to_star_word(pw: PowerWord) -> StarWord:
     letters: list[Letter] = []
     for index, exp in pw:

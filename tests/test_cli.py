@@ -283,6 +283,34 @@ def test_dominating_component_search(run_cli, scenario_path):
     assert body["searched"] is False
 
 
+def test_dominating_search_checks_exact_orders(run_cli, tmp_path):
+    # g1.1 g2.1 in Z5 x Z7 has order 35, and its components die at powers
+    # 5 and 7, past the default exponent bound 3
+    path = write_scenario(
+        tmp_path,
+        "z5_z7",
+        {
+            "version": 1,
+            "name": "z5_z7",
+            "kind": "group",
+            "presentation": {
+                "components": [{"cyclic_orders": [5]}, {"cyclic_orders": [7]}]
+            },
+            "elements": {"1": "g1.1^1 g2.1^1"},
+        },
+    )
+    res = run_cli(path, "prop-1-6")
+    assert res.code == 1
+    body = res.json()["report"]
+    assert body["collection_free"] is True
+    assert body["dominating"] is None
+    assert body["component_reports"] == [
+        {"component": 1, "projections_free": True, "orders_preserved": False},
+        {"component": 2, "projections_free": True, "orders_preserved": False},
+    ]
+    assert body["suspect"] is True
+
+
 # -- necessary conditions --------------------------------------------------------------
 
 

@@ -12,9 +12,7 @@ from tensorfree.errors import DepthLimitError, PreconditionError
 from tensorfree.freeness import (
     FreeFamilySpec,
     Verdict,
-    alternating_pair_moment,
     centered_product_value,
-    conjugated_pair_moment,
     mixed_moment_by_cumulants,
 )
 from tensorfree.freeness import test_freeness as freeness_verdict
@@ -63,14 +61,27 @@ def test_engine_reproduces_the_worked_pair():
     assert spec.mixed_moment_letters(word("x1 x2 x1* x2*").letters) == Fraction(1, 3)
 
 
-def test_closed_form_alternating_pair():
-    value = alternating_pair_moment(
-        ExactComplex(Fraction(1, 2)), ONE, ExactComplex(Fraction(1, 3)), ONE
+def pair_closed_form(m1, sq1, m2, sq2):
+    """Moment of b1 b2 b1* b2* for a star-free pair with means m_i and
+    psi(b_i b_i*) = sq_i."""
+    a1, a2 = m1.abs2(), m2.abs2()
+    return a1 * sq2 + a2 * sq1 - ExactComplex(a1 * a2)
+
+
+def pair_engine_moment(m1, sq1, m2, sq2):
+    spec = FreeFamilySpec(
+        {1: mean_square_table(m1, sq1).moment, 2: mean_square_table(m2, sq2).moment}
     )
-    assert value == Fraction(1, 3)
+    return spec.mixed_moment_letters(word("x1 x2 x1* x2*").letters)
+
+
+def test_closed_form_alternating_pair():
+    half, third = ExactComplex(Fraction(1, 2)), ExactComplex(Fraction(1, 3))
+    assert pair_engine_moment(half, ONE, third, ONE) == Fraction(1, 3)
+    assert pair_closed_form(half, ONE, third, ONE) == Fraction(1, 3)
     # centered pair: only the cross terms survive
-    assert alternating_pair_moment(ZERO, ONE, ZERO, ONE) == ZERO
-    assert alternating_pair_moment(ONE, ONE, ONE, ONE) == ONE
+    assert pair_engine_moment(ZERO, ONE, ZERO, ONE) == ZERO
+    assert pair_engine_moment(ONE, ONE, ONE, ONE) == ONE
 
 
 def test_closed_form_matches_engine_on_random_data():
@@ -80,39 +91,16 @@ def test_closed_form_matches_engine_on_random_data():
                           Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
         m2 = ExactComplex(Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
                           Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
-        sq1 = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-        sq2 = Fraction(rng.randint(0, 5), rng.randint(1, 3))
-        tables = {
-            1: MomentSequence(
-                {(False,): m1, (False, True): sq1, (True, False): sq1},
-                complete_through=2,
-            ),
-            2: MomentSequence(
-                {(False,): m2, (False, True): sq2, (True, False): sq2},
-                complete_through=2,
-            ),
-        }
-        spec = FreeFamilySpec({v: t.moment for v, t in tables.items()})
-        engine = spec.mixed_moment_letters(word("x1 x2 x1* x2*").letters)
-        closed = alternating_pair_moment(
-            m1, ExactComplex(sq1), m2, ExactComplex(sq2)
-        )
-        assert engine == closed
+        sq1 = ExactComplex(Fraction(rng.randint(0, 5), rng.randint(1, 3)))
+        sq2 = ExactComplex(Fraction(rng.randint(0, 5), rng.randint(1, 3)))
+        engine = pair_engine_moment(m1, sq1, m2, sq2)
+        assert engine == pair_closed_form(m1, sq1, m2, sq2)
 
 
 def test_conjugated_pair_closed_form():
-    value = conjugated_pair_moment(
-        ExactComplex(Fraction(1, 2)), ONE, ZERO, ONE
-    )
-    assert value == Fraction(1, 4)
-
+    # b c1 b* c2 b c1* b* c2* with b = x3 Haar unitary free from (c1, c2)
+    # has the plain alternating form in the c data
     haar = MomentSequence({}, unitary=True)
-    checked = conjugated_pair_moment(
-        ExactComplex(Fraction(1, 2)), ONE, ZERO, ONE, b_marginal=star_adapter(haar)
-    )
-    assert checked == Fraction(1, 4)
-
-    # the engine agrees on the eight-letter conjugated word with b = x3 Haar
     spec = FreeFamilySpec(
         {
             1: mean_square_table(Fraction(1, 2)).moment,
@@ -122,16 +110,7 @@ def test_conjugated_pair_closed_form():
     )
     engine = spec.mixed_moment_letters(word("x3 x1 x3* x2 x3 x1* x3* x2*").letters)
     assert engine == Fraction(1, 4)
-
-
-def test_conjugated_pair_preconditions():
-    biased = MomentSequence({1: Fraction(1, 4)}, unitary=True, period=3)
-    with pytest.raises(PreconditionError, match="centered"):
-        conjugated_pair_moment(ONE, ONE, ONE, ONE, b_marginal=star_adapter(biased))
-    # centered but not unitary
-    flat = MomentSequence({(False,): 0}, complete_through=4)
-    with pytest.raises(PreconditionError, match="unitary"):
-        conjugated_pair_moment(ONE, ONE, ONE, ONE, b_marginal=flat.moment)
+    assert engine == pair_closed_form(ExactComplex(Fraction(1, 2)), ONE, ZERO, ONE)
 
 
 def random_star_table(rng, max_len=4):
@@ -164,29 +143,6 @@ def test_engine_guards():
     too_long = tuple(Letter(1 + i % 2, False) for i in range(17))
     with pytest.raises(DepthLimitError):
         spec.mixed_moment_letters(too_long)
-
-
-def test_from_classes_validation_and_evaluation():
-    ints = GroupAlgebraModel(
-        INTEGERS,
-        {1: parse_group_word(INTEGERS, "g1.1^1"), 2: parse_group_word(INTEGERS, "g1.1^2")},
-    )
-    haar = MomentSequence({}, unitary=True)
-    spec = FreeFamilySpec.from_classes(
-        {10: (1, 2), 20: (3,)},
-        {10: ints.moment_letters, 20: lambda ls: star_adapter(haar)(tuple(l.star for l in ls))},
-    )
-    assert spec.variables == (1, 2, 3)
-    assert spec.class_moment(10, word("x1 x1 x2*").letters) == ONE
-    # an alternating centered pair of two centered classes vanishes
-    assert spec.mixed_moment_letters(word("x1 x3 x1* x3*").letters) == ZERO
-    verdict = freeness_verdict(spec.mixed_moment_letters, {10: (1, 2), 20: (3,)}, max_len=4)
-    assert verdict.free
-
-    with pytest.raises(ValueError, match="two classes"):
-        FreeFamilySpec.from_classes({1: (1,), 2: (1,)}, {1: ints.moment_letters, 2: ints.moment_letters})
-    with pytest.raises(ValueError, match="no oracle"):
-        FreeFamilySpec.from_classes({1: (1,)}, {})
 
 
 def test_free_pair_passes_the_bounded_test():

@@ -1,25 +1,23 @@
 """Group normal forms and the bounded freeness decision procedures."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorfree.errors import PreconditionError, ScenarioError
 from tensorfree.groups import (
     FreeProductPresentation,
+    GroupElement,
     GroupPresentation,
     GroupWitness,
-    commutator_witness,
     element_order,
     group_dominating_report,
     identity,
     inverse,
     is_free_collection,
-    kernel_elements,
     multiply,
     parse_group_word,
     power,
-    projection_kernel_trivial,
     reduce,
     reduce_factor_word,
 )
@@ -146,6 +144,11 @@ def test_element_order():
     assert element_order(dihedral, parse_group_word(dihedral, "g1.1^1 g1.2^1")) is None
     six = GroupPresentation((FreeProductPresentation((6,)),))
     assert element_order(six, parse_group_word(six, "g1.1^2")) == 3
+    # a conjugate of a generator keeps its order, however long it is
+    z29 = GroupPresentation((FreeProductPresentation((29, 2)),))
+    assert element_order(z29, parse_group_word(z29, "g1.2^1 g1.1^1 g1.2^1")) == 29
+    conjugate = parse_group_word(F2, "g1.1^2 g1.2^-1 g1.1^-2")
+    assert element_order(F2, conjugate) is None
 
 
 def test_element_order_lcm_can_exceed_the_search_bound():
@@ -154,6 +157,47 @@ def test_element_order_lcm_can_exceed_the_search_bound():
     )
     d = parse_group_word(big, "g1.1^1 g2.1^1")
     assert element_order(big, d) == 91
+
+
+@st.composite
+def presented_elements(draw):
+    """1-2 components of 1-3 generators of order 2, 3, 4 or infinite, and
+    an element whose component words have up to 6 syllables."""
+    components = draw(
+        st.lists(
+            st.lists(st.sampled_from((2, 3, 4, None)), min_size=1, max_size=3),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    pres = GroupPresentation(tuple(FreeProductPresentation(tuple(c)) for c in components))
+    words = [
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=1, max_value=len(c)),
+                    st.integers(min_value=-4, max_value=4).filter(bool),
+                ),
+                max_size=6,
+            )
+        )
+        for c in components
+    ]
+    return pres, reduce(pres, words)
+
+
+@settings(max_examples=300)
+@given(presented_elements())
+def test_element_order_matches_repeated_multiplication(case):
+    # finite orders here divide lcm(4, 3) = 12, so 40 powers decide the order
+    pres, g = case
+    acc, brute = g, None
+    for n in range(1, 41):
+        if acc.is_identity():
+            brute = n
+            break
+        acc = multiply(pres, acc, g)
+    assert element_order(pres, g) == brute
 
 
 # -- bounded freeness ----------------------------------------------------
@@ -191,15 +235,19 @@ def test_mixed_order_pair_witness():
     assert not verdict.free
     assert verdict.witness.blocks == ((1, 2), (2, 3), (1, -2), (2, 3))
     assert verdict.witness.text() == "d1^2 d2^3 d1^-2 d2^3"
-    # honesty: the witness really multiplies out to the identity and no
-    # block collapses on its own
+    # honesty: the witness, and the commutator-style certificate
+    # d1^2 d2 d1^3 d2^-1 d1^-2 d2 d1^-3 d2^-1 built from the component
+    # orders 2 and 3, really multiply out to the identity and no block
+    # collapses on its own
+    commutator = ((1, 2), (2, 1), (1, 3), (2, -1), (1, -2), (2, 1), (1, -3), (2, -1))
     elements = {1: d1, 2: d2}
-    acc = identity(MIXED)
-    for i, n in verdict.witness.blocks:
-        block = power(MIXED, elements[i], n)
-        assert not block.is_identity()
-        acc = multiply(MIXED, acc, block)
-    assert acc.is_identity()
+    for blocks in (verdict.witness.blocks, commutator):
+        acc = identity(MIXED)
+        for i, n in blocks:
+            block = power(MIXED, elements[i], n)
+            assert not block.is_identity()
+            acc = multiply(MIXED, acc, block)
+        assert acc.is_identity()
 
 
 def test_collection_as_mapping_matches_sequence():
@@ -219,66 +267,38 @@ def test_single_torsion_element_is_vacuously_free():
 # -- projection kernels --------------------------------------------------
 
 
+def projections(pres, g):
+    return [
+        (GroupPresentation((comp,)), GroupElement((word,)))
+        for comp, word in zip(pres.factors, g.components)
+    ]
+
+
 def test_projection_kernel_witness_on_mixed_orders():
+    # the first components die at power 2, the second at power 3
     d1, d2 = mixed_pair()
-    report = projection_kernel_trivial(MIXED, [d1, d2], 1)
-    assert not report.trivial_within_bounds
-    assert report.witness.text() == "d1^2"
-    assert report.element.text() == "g2.1^2"
-    assert report.component == 1
+    for d in (d1, d2):
+        assert element_order(MIXED, d) == 6
+        assert [element_order(sub, c) for sub, c in projections(MIXED, d)] == [2, 3]
+    assert power(MIXED, d1, 2).text() == "g2.1^2"
 
 
 def test_projection_kernel_trivial_for_diagonal_pair():
     p1 = parse_group_word(PRODUCT_PAIR, "g1.1^1 g2.1^1")
     p2 = parse_group_word(PRODUCT_PAIR, "g1.2^1 g2.2^1")
-    for k in (1, 2):
-        report = projection_kernel_trivial(PRODUCT_PAIR, [p1, p2], k)
-        assert report.trivial_within_bounds
-        assert report.witness is None and report.element is None
-
-
-def test_projection_kernel_component_range():
-    d1, d2 = mixed_pair()
-    with pytest.raises(ScenarioError):
-        projection_kernel_trivial(MIXED, [d1, d2], 3)
+    for p in (p1, p2):
+        assert element_order(PRODUCT_PAIR, p) is None
+        for sub, c in projections(PRODUCT_PAIR, p):
+            assert element_order(sub, c) is None
 
 
 def test_kernel_elements_are_deduplicated_kernel_members():
-    d1, d2 = mixed_pair()
-    found = kernel_elements(MIXED, [d1, d2], 1)
-    assert len(found) == len(set(found))
-    texts = [g.text() for g in found]
-    assert "g2.1^2" in texts and "g2.1^1" in texts
-    for g in found:
+    d1, _ = mixed_pair()
+    kernel = [power(MIXED, d1, n) for n in (2, 4)]
+    assert [g.text() for g in kernel] == ["g2.1^2", "g2.1^1"]
+    for g in kernel:
         assert not g.is_identity()
         assert not g.components[0]
-
-
-# -- commutator-style witness ---------------------------------------------
-
-
-def test_commutator_witness_reduces_to_identity():
-    d1, d2 = mixed_pair()
-    report = commutator_witness(MIXED, d1, d2, 2, 3)
-    assert report.blocks == (
-        (1, 2), (2, 1), (1, 3), (2, -1), (1, -2), (2, 1), (1, -3), (2, -1),
-    )
-    assert report.reduces_to_identity
-    assert report.nontrivial_blocks
-    assert report.word_text() == "d1^2 d2^1 d1^3 d2^-1 d1^-2 d2^1 d1^-3 d2^-1"
-
-
-def test_commutator_witness_preconditions():
-    d1, d2 = mixed_pair()
-    single = GroupPresentation((FreeProductPresentation((2,)),))
-    with pytest.raises(PreconditionError):
-        commutator_witness(single, identity(single), identity(single), 2, 3)
-    with pytest.raises(PreconditionError):
-        commutator_witness(MIXED, d1, d1, 2, 3)
-    with pytest.raises(PreconditionError):
-        commutator_witness(MIXED, d1, identity(MIXED), 2, 3)
-    with pytest.raises(PreconditionError, match="order pattern"):
-        commutator_witness(MIXED, d1, d2, 1, 3)
 
 
 # -- dominating component ---------------------------------------------------
@@ -306,17 +326,19 @@ def test_dominating_report_when_not_free():
 
 
 def test_dominating_report_flags_vacuous_freeness_as_suspect():
-    # one element of order 6 in Z2 x Z3 passes the bounded freeness test
-    # vacuously, but neither projection can dominate it
-    pres = GroupPresentation(
-        (FreeProductPresentation((2,)), FreeProductPresentation((3,)))
-    )
-    d = parse_group_word(pres, "g1.1^1 g2.1^1")
-    report = group_dominating_report(pres, [d])
-    assert report.collection_free
-    assert report.dominating is None
-    assert report.component_reports == ((1, True, False), (2, True, False))
-    assert report.suspect
+    # one element of order m*n in Zm x Zn passes the bounded freeness test
+    # vacuously, but neither projection can dominate it; in Z5 x Z7 the
+    # components die only past the exponent bound max_exp = 3
+    for m, n in ((2, 3), (5, 7)):
+        pres = GroupPresentation(
+            (FreeProductPresentation((m,)), FreeProductPresentation((n,)))
+        )
+        d = parse_group_word(pres, "g1.1^1 g2.1^1")
+        report = group_dominating_report(pres, [d])
+        assert report.collection_free
+        assert report.dominating is None
+        assert report.component_reports == ((1, True, False), (2, True, False))
+        assert report.suspect
 
 
 def test_dominating_report_rejects_identity_members():

@@ -112,7 +112,7 @@ def test_spectral_marginals_and_mixed_words():
     # centered product of two free variables vanishes, so the mixed moment
     # is the product of the means
     assert free.moment(word("x1 x2")) == Fraction(1, 6)
-    assert not free.is_unitary_variable(1)
+    assert not free.sequences[1].unitary
 
 
 def test_spectral_reduced_keys():
@@ -129,7 +129,7 @@ def test_spectral_reduced_keys():
     # a unitary run that cancels joins the star letters on either side
     assert k(word("x2 x1 x1* x2").letters) == k(word("x2 x2").letters)
     assert k(word("x2 x1 x1 x1 x2*").letters) == k(word("x2 x2*").letters)
-    assert model.is_unitary_variable(1)
+    assert model.sequences[1].unitary
 
 
 def test_variance_values():
@@ -172,7 +172,8 @@ def test_is_deterministic_warns_without_faithfulness():
 def test_free_group_trace_axioms_all_pass():
     model = f2_trace()
     report = check_axioms(model, gram_len=2)
-    assert report.all_passed
+    assert report.unital and report.hermitian and report.tracial
+    assert report.positive_semidefinite and report.positive_definite
     assert report.basis_size == 17  # 1 + 4 + 12 reduced words
     assert report.mode == "exact"
     assert report.notes == ()
@@ -185,7 +186,6 @@ def test_biased_table_breaks_traciality_but_stays_positive():
     assert any("trace property fails" in n for n in report.notes)
     assert report.positive_semidefinite and report.positive_definite
     assert report.basis_size == 17
-    assert not report.all_passed
 
 
 def test_large_bias_defeats_positivity():

@@ -21,7 +21,6 @@ from tensorfree.starwords import (
     iter_words,
     merge_powers,
     parse_word,
-    power_word_text,
     power_word_to_star_word,
     single_variable_word,
     word,
@@ -181,11 +180,6 @@ keyed_syllables = st.lists(
 @given(keyed_syllables, keyed_orders)
 def test_merge_powers_matches_letter_cancellation(syllables, orders):
     assert merge_powers(syllables, orders) == brute_force_reduction(syllables, orders)
-
-
-def test_power_word_text():
-    assert power_word_text(()) == "1"
-    assert power_word_text(((1, 2), (2, -3))) == "x1^2 x2^-3"
 
 
 def test_power_word_to_star_word():
