@@ -235,19 +235,26 @@ def test_mixed_order_pair_witness():
     assert not verdict.free
     assert verdict.witness.blocks == ((1, 2), (2, 3), (1, -2), (2, 3))
     assert verdict.witness.text() == "d1^2 d2^3 d1^-2 d2^3"
-    # honesty: the witness, and the commutator-style certificate
-    # d1^2 d2 d1^3 d2^-1 d1^-2 d2 d1^-3 d2^-1 built from the component
-    # orders 2 and 3, really multiply out to the identity and no block
-    # collapses on its own
+    # honesty: the witness really multiplies out to the identity and no
+    # block collapses on its own
+    assert_reduces_to_identity(verdict.witness.blocks, {1: d1, 2: d2})
+
+
+def assert_reduces_to_identity(blocks, elements):
+    acc = identity(MIXED)
+    for i, n in blocks:
+        block = power(MIXED, elements[i], n)
+        assert not block.is_identity()
+        acc = multiply(MIXED, acc, block)
+    assert acc.is_identity()
+
+
+def test_commutator_witness_reduces_to_identity():
+    # the commutator-style certificate d1^2 d2 d1^3 d2^-1 d1^-2 d2 d1^-3 d2^-1
+    # built from the component orders 2 and 3
+    d1, d2 = mixed_pair()
     commutator = ((1, 2), (2, 1), (1, 3), (2, -1), (1, -2), (2, 1), (1, -3), (2, -1))
-    elements = {1: d1, 2: d2}
-    for blocks in (verdict.witness.blocks, commutator):
-        acc = identity(MIXED)
-        for i, n in blocks:
-            block = power(MIXED, elements[i], n)
-            assert not block.is_identity()
-            acc = multiply(MIXED, acc, block)
-        assert acc.is_identity()
+    assert_reduces_to_identity(commutator, {1: d1, 2: d2})
 
 
 def test_collection_as_mapping_matches_sequence():
