@@ -24,7 +24,6 @@ from .errors import (
     EnumerationLimitError,
     FactorNotEvaluable,
     FactorNotFreeError,
-    FaithfulnessWarning,
     InsufficientMomentDataError,
     LimitError,
     NotDirectlyEvaluable,
@@ -86,7 +85,6 @@ from .spaces import (
     SpectralModel,
     TableFunctional,
     check_axioms,
-    is_deterministic,
     variance,
 )
 from .starwords import Letter, StarWord, parse_word, power_word_to_star_word

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from fractions import Fraction
 
-from .counterexample import analyze_biased_power
+from .counterexample import DEFAULT_ALPHA, analyze_biased_power
 from .errors import (
     FactorNotFreeError,
     LimitError,
@@ -185,7 +186,7 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     if sf.tensor is not None:
         scen = sf.tensor
         oracle = joint_oracle(scen)
-        diagonal = test_freeness(oracle, {i: (i,) for i in scen.indices}, max_len)
+        diagonal = test_freeness(oracle, scen.indices, max_len)
         factors: dict = {}
         for k in range(1, scen.K + 1):
             verdict = factor_freeness_verdict(scen, k, max_len)
@@ -203,9 +204,7 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         return report, EXIT_OK if diagonal.free else EXIT_FAILED
     collection = sf.collection
     model = canonical_trace_view(collection)
-    verdict = test_freeness(
-        model.moment_letters, {i: (i,) for i in collection.indices}, max_len
-    )
+    verdict = test_freeness(model.moment_letters, collection.indices, max_len)
     report = {"canonical_trace": _verdict_json(verdict, model.moment_letters)}
     return report, EXIT_OK if verdict.free else EXIT_FAILED
 
@@ -249,9 +248,7 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         bounds["max_exp"],
     )
     model = canonical_trace_view(collection)
-    star = test_freeness(
-        model.moment_letters, {i: (i,) for i in collection.indices}, bounds["max_len"]
-    )
+    star = test_freeness(model.moment_letters, collection.indices, bounds["max_len"])
     report: dict = {
         "group": {
             "free": verdict.free,
@@ -331,7 +328,7 @@ def _run_counterexample_k(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             f"scenario {sf.name!r} has {sf.tensor.K} factors, "
             f"but the command asked for K = {args.K}"
         )
-    alpha = sf.alpha if sf.alpha is not None else Fraction(1, 10)
+    alpha = sf.alpha if sf.alpha is not None else DEFAULT_ALPHA
     analysis = analyze_biased_power(args.K, alpha, bounds["max_len"])
     report = {
         "factors": analysis.factors,
@@ -440,6 +437,10 @@ def _run_identities(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 
 
 def _run_check_axioms(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
+    if not 0 <= args.tolerance < math.inf:
+        raise ScenarioError(
+            f"--tolerance must be a finite number >= 0, got {args.tolerance}"
+        )
     mode = "float" if args.float else "exact"
     gram_len = bounds["gram_len"]
     if sf.tensor is not None:

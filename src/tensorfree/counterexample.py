@@ -18,6 +18,7 @@ length, of any word that could witness non-freeness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ScenarioError
@@ -34,6 +35,11 @@ from .starwords import (
     power_word_to_star_word,
 )
 from .tensor import TensorScenario, joint_oracle
+
+# alpha of the biased-power scenario when none is given
+DEFAULT_ALPHA = Fraction(1, 10)
+# the filter table stops at this many block pairs
+BLOCK_PAIR_CAP = 7
 
 
 def biased_power_scenario(K: int, alpha) -> TensorScenario:
@@ -265,7 +271,7 @@ def filter_counts(t: int) -> FilterCounts:
     )
 
 
-def minimal_block_pairs(K: int, cap: int = 7) -> int | None:
+def minimal_block_pairs(K: int) -> int | None:
     """Smallest t whose filtered partitions can serve K factors at once.
 
     A violating word must keep, for every factor k, some partition all
@@ -273,11 +279,11 @@ def minimal_block_pairs(K: int, cap: int = 7) -> int | None:
     need partitions with pairwise disjoint singleton sets.  The returned
     t is the smallest with that capacity, a necessary size bound only:
     nothing here says a violation of that size exists.  None means the
-    capacity stays below K through the cap.
+    capacity stays below K through BLOCK_PAIR_CAP.
     """
     if K < 1:
         raise ValueError("K must be positive")
-    for t in range(1, cap + 1):
+    for t in range(1, BLOCK_PAIR_CAP + 1):
         if filter_counts(t).disjoint_singleton_capacity >= K:
             return t
     return None
@@ -298,9 +304,7 @@ class BiasedPowerReport:
     block_pair_cap: int
 
 
-def analyze_biased_power(
-    K: int, alpha, max_len: int = 8, pair_cap: int = 7
-) -> BiasedPowerReport:
+def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     """Scan the biased-power pair for freeness violations and locate the
     smallest block pair count the filters leave open.
 
@@ -313,13 +317,14 @@ def analyze_biased_power(
     unitary (x x* = 1), and every moment sequence is Hermitian.
 
     The filter table grows until the disjoint singleton capacity first
-    reaches K (the minimal t) or the pair cap is hit.
+    reaches K (the minimal t) or BLOCK_PAIR_CAP is hit.
     """
     scenario = biased_power_scenario(K, alpha)
     oracle = _tracial_classes(joint_oracle(scenario))
     verdict, scan = scan_alternating_powers(oracle, (1, 2), max_len)
-    minimal = minimal_block_pairs(K, pair_cap)
-    filters = tuple(filter_counts(t) for t in range(1, (minimal or pair_cap) + 1))
+    minimal = minimal_block_pairs(K)
+    last = minimal or BLOCK_PAIR_CAP
+    filters = tuple(filter_counts(t) for t in range(1, last + 1))
     return BiasedPowerReport(
         factors=K,
         alpha=as_scalar(alpha),
@@ -328,5 +333,5 @@ def analyze_biased_power(
         scan=scan,
         filters=filters,
         minimal_block_pairs=minimal,
-        block_pair_cap=pair_cap,
+        block_pair_cap=BLOCK_PAIR_CAP,
     )

@@ -64,6 +64,3 @@ class FactorNotFreeError(PreconditionError):
         self.factor = factor
         self.verdict = verdict
 
-
-class FaithfulnessWarning(UserWarning):
-    """Determinism checks rely on faithfulness that was not verified."""

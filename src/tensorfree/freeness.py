@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DepthLimitError
 from .ncpartitions import cumulant_from_moments, moment_from_cumulants
@@ -31,49 +31,43 @@ from .starwords import (
 MIXED_MOMENT_LENGTH_CAP = 16
 
 MarginalOracle = Callable[[tuple[bool, ...]], ExactComplex]
-ClassOracle = Callable[[LetterTuple], ExactComplex]
 JointOracle = Callable[[LetterTuple], ExactComplex]
 
 
 class FreeFamilySpec:
-    """A family of mutually free grouping classes with marginal data.
+    """A free family of variables with marginal data.
 
-    The constructor takes one marginal oracle per variable (a callable on
-    star patterns) and puts every variable in its own class; the classes
-    are the free coordinates.
+    The constructor takes one marginal oracle per variable, a callable
+    on star patterns; the variables are the free coordinates.
     """
 
     def __init__(self, marginals: Mapping[int, MarginalOracle]) -> None:
-        self.class_of: dict[int, int] = {v: v for v in marginals}
-        self._oracles: dict[int, ClassOracle] = {
-            v: _single_variable_oracle(m) for v, m in marginals.items()
-        }
+        self._marginals = dict(marginals)
+        # the identity class map, so the engine splits words with the same
+        # class_blocks as centered_product_value
+        self._class_of = {v: v for v in self._marginals}
         self._memo: dict[LetterTuple, ExactComplex] = {}
-        self._cumulant_memos: dict[int, dict] = {c: {} for c in self._oracles}
+        self._cumulant_memos: dict[int, dict] = {v: {} for v in self._marginals}
 
-    @property
-    def variables(self) -> tuple[int, ...]:
-        return tuple(sorted(self.class_of))
-
-    def class_moment(self, cid: int, letters: LetterTuple) -> ExactComplex:
+    def class_moment(self, var: int, letters: LetterTuple) -> ExactComplex:
         if not letters:
             return ONE
-        return self._oracles[cid](letters)
+        return self._marginals[var](tuple(l.star for l in letters))
 
-    def class_cumulant(self, cid: int, letters: LetterTuple) -> ExactComplex:
+    def class_cumulant(self, var: int, letters: LetterTuple) -> ExactComplex:
         return cumulant_from_moments(
-            lambda ls: self.class_moment(cid, ls), letters, self._cumulant_memos[cid]
+            lambda ls: self.class_moment(var, ls), letters, self._cumulant_memos[var]
         )
 
-    def mixed_moment_letters(
-        self, letters: LetterTuple, max_len: int = MIXED_MOMENT_LENGTH_CAP
-    ) -> ExactComplex:
+    def mixed_moment_letters(self, letters: LetterTuple) -> ExactComplex:
         """Joint moment of a word across the free family."""
         letters = tuple(letters)
-        if len(letters) > max_len:
-            raise DepthLimitError("mixed moment word", len(letters), max_len)
+        if len(letters) > MIXED_MOMENT_LENGTH_CAP:
+            raise DepthLimitError(
+                "mixed moment word", len(letters), MIXED_MOMENT_LENGTH_CAP
+            )
         for l in letters:
-            if l.index not in self.class_of:
+            if l.index not in self._marginals:
                 raise ValueError(f"unknown variable x{l.index}")
         return self._eval(letters)
 
@@ -83,20 +77,19 @@ class FreeFamilySpec:
         cached = self._memo.get(letters)
         if cached is not None:
             return cached
-        blocks = class_blocks(StarWord(letters), self.class_of)
+        blocks = class_blocks(letters, self._class_of)
         if len(blocks) == 1:
-            value = self.class_moment(blocks[0][0], letters)
-            self._memo[letters] = value
-            return value
-        betas = [self.class_moment(cid, ls) for cid, ls in blocks]
-        value = _dropped_block_sum(self._eval, blocks, betas)
+            value = self.class_moment(letters[0].index, letters)
+        else:
+            betas = [self.class_moment(ls[0].index, ls) for ls in blocks]
+            value = _dropped_block_sum(self._eval, blocks, betas)
         self._memo[letters] = value
         return value
 
 
 def _dropped_block_sum(
     evaluate: JointOracle,
-    blocks: Sequence[tuple[int, LetterTuple]],
+    blocks: Sequence[LetterTuple],
     betas: Sequence[ExactComplex],
 ) -> ExactComplex:
     """Sum over nonempty sets S of blocks with nonzero means beta of
@@ -114,32 +107,25 @@ def _dropped_block_sum(
             for s in dropped:
                 coeff = coeff * betas[s]
             kept: list[Letter] = []
-            for s, (_, ls) in enumerate(blocks):
+            for s, ls in enumerate(blocks):
                 if s not in dropped:
                     kept.extend(ls)
             total = total + coeff * evaluate(tuple(kept))
     return total
 
 
-def _single_variable_oracle(marginal: MarginalOracle) -> ClassOracle:
-    def oracle(letters: LetterTuple) -> ExactComplex:
-        return marginal(tuple(l.star for l in letters))
-
-    return oracle
-
-
 def mixed_moment_by_cumulants(spec: FreeFamilySpec, word: StarWord) -> ExactComplex:
     """The same mixed moment as a sum over noncrossing partitions.
 
-    Cumulants mixing distinct classes vanish for free families, so each
-    partition contributes the product of per-class block cumulants.
+    Cumulants mixing distinct variables vanish for free families, so each
+    partition contributes the product of single-variable block cumulants.
     """
 
     def block_cumulant(letters: LetterTuple) -> ExactComplex:
-        cids = {spec.class_of[l.index] for l in letters}
-        if len(cids) > 1:
+        indices = {l.index for l in letters}
+        if len(indices) > 1:
             return ZERO
-        return spec.class_cumulant(cids.pop(), letters)
+        return spec.class_cumulant(indices.pop(), letters)
 
     return moment_from_cumulants(block_cumulant, word.letters)
 
@@ -164,23 +150,6 @@ class Verdict:
     words_checked: int = 0
 
 
-def _normalize_grouping(grouping) -> dict[int, int]:
-    """Accept {class: vars} mappings or iterables of variable groups."""
-    class_of: dict[int, int] = {}
-    if isinstance(grouping, Mapping):
-        items = grouping.items()
-    else:
-        items = enumerate(grouping, start=1)
-    for cid, variables in items:
-        if isinstance(variables, int):
-            variables = (variables,)
-        for v in variables:
-            if v in class_of:
-                raise ValueError(f"variable x{v} in two grouping classes")
-            class_of[v] = cid
-    return class_of
-
-
 def centered_product_value(
     oracle: JointOracle, letters: LetterTuple, class_of: dict[int, int]
 ) -> ExactComplex | None:
@@ -189,10 +158,10 @@ def centered_product_value(
     Returns None for single-class words, which are trivially centered
     to zero and witness nothing.
     """
-    blocks = class_blocks(StarWord(letters), class_of)
+    blocks = class_blocks(letters, class_of)
     if len(blocks) < 2:
         return None
-    betas = [oracle(ls) for _, ls in blocks]
+    betas = [oracle(ls) for ls in blocks]
     value = oracle(letters)
     dropped = _dropped_block_sum(oracle, blocks, betas)
     # the sum is zero for most scanned words; skip the exact subtraction then
@@ -215,15 +184,18 @@ def _memoized(oracle: JointOracle) -> JointOracle:
     return wrapped
 
 
-def test_freeness(joint: JointOracle, grouping, max_len: int = 8) -> Verdict:
-    """Bounded star-freeness of grouping classes under a joint functional.
+def test_freeness(
+    joint: JointOracle, indices: Iterable[int], max_len: int = 8
+) -> Verdict:
+    """Bounded star-freeness of the variables with the given indices
+    under a joint functional.
 
-    Enumerates every word up to max_len letters whose class blocks
-    alternate at least once, computes the centered alternating product
-    by inclusion-exclusion through the joint oracle, and reports the
-    first nonzero value in (length, canonical text) order.
+    Enumerates every word up to max_len letters that switches variable
+    at least once, computes the centered alternating product by
+    inclusion-exclusion through the joint oracle, and reports the first
+    nonzero value in (length, canonical text) order.
     """
-    class_of = _normalize_grouping(grouping)
+    class_of = {i: i for i in indices}
     oracle = _memoized(joint)
     checked = 0
     for length in range(2, max_len + 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .counterexample import biased_power_scenario
+from .counterexample import DEFAULT_ALPHA, biased_power_scenario
 from .groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -32,16 +32,17 @@ def _haar_sequence() -> MomentSequence:
     return MomentSequence({}, unitary=True)
 
 
-def circular_sequence(max_len: int = 8) -> MomentSequence:
+def circular_sequence() -> MomentSequence:
     """Star moments of a circular element.
 
     The moment of a star pattern counts its noncrossing pairings in
     which every pair joins a plain letter to a starred one.  Odd and
     unbalanced patterns get no entry, hence evaluate to zero through
-    the declared completeness bound.
+    the declared completeness bound of 8 letters.
     """
+    through = 8
     values: dict[tuple[bool, ...], ExactComplex] = {}
-    for n in range(2, max_len + 1, 2):
+    for n in range(2, through + 1, 2):
         pairings = [
             blocks for blocks in enumerate_nc(n) if all(len(b) == 2 for b in blocks)
         ]
@@ -54,15 +55,15 @@ def circular_sequence(max_len: int = 8) -> MomentSequence:
                     count += 1
             if count:
                 values[pattern] = as_scalar(count)
-    return MomentSequence(values, complete_through=max_len)
+    return MomentSequence(values, complete_through=through)
 
 
-def free_without_dominating(beta=Fraction(1, 10)) -> ScenarioFile:
+def free_without_dominating() -> ScenarioFile:
     """Two joint variables that are star-free while neither factor
     satisfies the tensor freeness conditions.
 
     Factor one perturbs the canonical trace of the free group on g, h
-    by the value beta at gh and its inverse (which breaks traciality);
+    by the value 1/10 at gh and its inverse (which breaks traciality);
     factor two takes the integer powers 1 and 2 under the canonical
     trace.  The diagonal pair (g x 1, h x 2) is star-free, yet the
     dominating-factor search comes back empty.
@@ -70,7 +71,7 @@ def free_without_dominating(beta=Fraction(1, 10)) -> ScenarioFile:
     g = parse_group_word(FREE_GROUP_2, "g1.1^1")
     h = parse_group_word(FREE_GROUP_2, "g1.2^1")
     gh = multiply(FREE_GROUP_2, g, h)
-    factor1 = TableFunctional(FREE_GROUP_2, {1: g, 2: h}, {gh: beta})
+    factor1 = TableFunctional(FREE_GROUP_2, {1: g, 2: h}, {gh: Fraction(1, 10)})
     factor2 = GroupAlgebraModel(
         INTEGERS,
         {1: parse_group_word(INTEGERS, "g1.1^1"), 2: parse_group_word(INTEGERS, "g1.1^2")},
@@ -196,16 +197,16 @@ def biased_unitary() -> ScenarioFile:
     )
 
 
-def biased_power(K: int, alpha=Fraction(1, 10)) -> ScenarioFile:
+def biased_power(K: int) -> ScenarioFile:
     """K factors, each a unitary whose single nonzero power moment sits
     at a different exponent, tensored against Haar partners."""
-    tensor = biased_power_scenario(K, alpha)
+    tensor = biased_power_scenario(K, DEFAULT_ALPHA)
     return ScenarioFile(
         name=tensor.name,
         kind="tensor",
         tensor=tensor,
         bounds={"max_len": 8, "gram_len": 2},
-        alpha=as_scalar(alpha),
+        alpha=as_scalar(DEFAULT_ALPHA),
     )
 
 

@@ -27,10 +27,10 @@ NC_CACHE_LIMIT = 10
 
 @lru_cache(maxsize=None)
 def _nc_cached(n: int) -> tuple[Blocks, ...]:
-    return tuple(_gap_blocks(tuple(range(1, n + 1)), False, True))
+    return tuple(_gap_blocks(tuple(range(1, n + 1)), False))
 
 
-def enumerate_nc(n: int, cap: int = NC_ENUMERATION_CAP) -> list[Blocks]:
+def enumerate_nc(n: int) -> list[Blocks]:
     """All noncrossing partitions of {1..n} in canonical order.
 
     Each partition is a tuple of blocks sorted by least element, each
@@ -40,21 +40,21 @@ def enumerate_nc(n: int, cap: int = NC_ENUMERATION_CAP) -> list[Blocks]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > cap:
-        raise EnumerationLimitError("noncrossing partition enumeration", n, cap)
+    if n > NC_ENUMERATION_CAP:
+        raise EnumerationLimitError(
+            "noncrossing partition enumeration", n, NC_ENUMERATION_CAP
+        )
     if n <= NC_CACHE_LIMIT:
         return list(_nc_cached(n))
-    return list(_gap_blocks(tuple(range(1, n + 1)), False, True))
+    return list(_gap_blocks(tuple(range(1, n + 1)), False))
 
 
-def _gap_blocks(
-    points: tuple[int, ...], same_parity: bool, even_singletons: bool
-) -> Iterator[Blocks]:
+def _gap_blocks(points: tuple[int, ...], same_parity: bool) -> Iterator[Blocks]:
     """Noncrossing partitions of points, by placing the block of the first
     point and recursing into the gaps its other members leave.
 
     With same_parity only points of the first point's parity may join its
-    block; without even_singletons no even point may stay alone.
+    block.
     """
     if not points:
         yield ()
@@ -62,8 +62,6 @@ def _gap_blocks(
     first, rest = points[0], points[1:]
     mates = tuple(p for p in rest if p % 2 == first % 2) if same_parity else rest
     for size in range(len(mates) + 1):
-        if size == 0 and not even_singletons and first % 2 == 0:
-            continue
         for chosen in combinations(mates, size):
             # the chosen elements split the remainder into independent gaps
             gaps: list[tuple[int, ...]] = []
@@ -75,19 +73,17 @@ def _gap_blocks(
                 else:
                     gap.append(p)
             gaps.append(tuple(gap))
-            yield from _fill_gaps(
-                ((first,) + chosen,), gaps, same_parity, even_singletons
-            )
+            yield from _fill_gaps(((first,) + chosen,), gaps, same_parity)
 
 
 def _fill_gaps(
-    acc: Blocks, gaps: list[tuple[int, ...]], same_parity: bool, even_singletons: bool
+    acc: Blocks, gaps: list[tuple[int, ...]], same_parity: bool
 ) -> Iterator[Blocks]:
     if not gaps:
         yield acc
         return
-    for sub in _gap_blocks(gaps[0], same_parity, even_singletons):
-        yield from _fill_gaps(acc + sub, gaps[1:], same_parity, even_singletons)
+    for sub in _gap_blocks(gaps[0], same_parity):
+        yield from _fill_gaps(acc + sub, gaps[1:], same_parity)
 
 
 def catalan(n: int) -> int:
@@ -250,29 +246,24 @@ def moment_from_cumulants(
     return _partition_sum(cumulant_fn, letters, enumerate_nc(len(letters)))
 
 
-# -- parity and singleton filters -------------------------------------
+# -- the parity filter -------------------------------------
 
 
 PURE_PARITY_CAP = 16
 
 
-def iter_pure_parity_blocks(
-    two_t: int,
-    forbid_even_singletons: bool = False,
-    cap: int = PURE_PARITY_CAP,
-) -> Iterator[Blocks]:
+def iter_pure_parity_blocks(two_t: int) -> Iterator[Blocks]:
     """Noncrossing partitions of {1..two_t} with pure-parity blocks.
 
     Runs the gap recursion with the parity restriction built in, so the
     ambient noncrossing partitions are never materialized and sizes past
-    the plain enumeration cap stay cheap.  With forbid_even_singletons,
-    partitions owning a singleton block at an even position are skipped.
-    Yields raw block tuples; block order is not canonical.
+    the plain enumeration cap stay cheap.  Yields raw block tuples; block
+    order is not canonical.
     """
     if two_t < 0:
         raise ValueError("two_t must be nonnegative")
-    if two_t > cap:
-        raise EnumerationLimitError("pure-parity partition enumeration", two_t, cap)
-    yield from _gap_blocks(
-        tuple(range(1, two_t + 1)), True, not forbid_even_singletons
-    )
+    if two_t > PURE_PARITY_CAP:
+        raise EnumerationLimitError(
+            "pure-parity partition enumeration", two_t, PURE_PARITY_CAP
+        )
+    yield from _gap_blocks(tuple(range(1, two_t + 1)), True)

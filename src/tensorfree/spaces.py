@@ -15,18 +15,13 @@ eigenvalues.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Sequence
 
 from . import freeness
-from .errors import (
-    DimensionLimitError,
-    FaithfulnessWarning,
-    NotDirectlyEvaluable,
-    ScenarioError,
-)
+from .errors import DimensionLimitError, NotDirectlyEvaluable, ScenarioError
 from .groups import (
     GroupElement,
     GroupPresentation,
@@ -158,7 +153,7 @@ class SpectralModel(MomentFunctional):
             v: seq.period for v, seq in self.sequences.items() if seq.unitary
         }
         self._family = freeness.FreeFamilySpec(
-            {v: _sequence_marginal(seq) for v, seq in self.sequences.items()}
+            {v: partial(self.marginal_moment, v) for v in self.sequences}
         )
 
     def marginal_moment(self, var: int, stars: Sequence[bool]) -> ExactComplex:
@@ -194,54 +189,22 @@ class SpectralModel(MomentFunctional):
         return merge_powers(syllables, self._periods)
 
 
-def _sequence_marginal(seq: MomentSequence):
-    if seq.unitary:
-        return lambda stars: seq.moment(tuple(-1 if s else 1 for s in stars))
-    return lambda stars: seq.moment(tuple(stars))
-
-
 # -- derived quantities -------------------------------------------------
 
 
-def _as_letters(functional: MomentFunctional, word) -> LetterTuple:
-    if isinstance(word, StarWord):
-        return word.letters
-    if isinstance(word, int):
-        return (Letter(word, False),)
-    return tuple(word)
+def variance(functional: MomentFunctional, word: StarWord) -> Fraction:
+    """Exact variance psi(b b*) - |psi(b)|^2 of a word.
 
-
-def variance(functional: MomentFunctional, word) -> Fraction:
-    """Exact variance psi(b b*) - |psi(b)|^2 of a word or variable."""
-    letters = _as_letters(functional, word)
+    Zero variance makes the word a scalar multiple of the unit only
+    when the functional is faithful; callers that read it as
+    determinism say so in their reports.
+    """
+    letters = word.letters
     mean = functional.moment_letters(letters)
     second = functional.moment_letters(letters + _adjoint_letters(letters))
     if second.im != 0:
         raise ScenarioError("psi(b b*) is not real; Hermitian symmetry is broken")
     return second.re - mean.abs2()
-
-
-def is_deterministic(
-    functional: MomentFunctional, word, faithfulness_checked: bool | None = None
-) -> bool:
-    """Whether the word is a scalar multiple of the unit, via zero variance.
-
-    Zero variance only pins the element down when the functional is
-    faithful, so a warning is attached unless a positive-definiteness
-    check is known to have passed.
-    """
-    checked = (
-        functional.faithfulness_verified
-        if faithfulness_checked is None
-        else faithfulness_checked
-    )
-    if not checked:
-        warnings.warn(
-            "determinism asserted without a faithfulness check at this level",
-            FaithfulnessWarning,
-            stacklevel=2,
-        )
-    return variance(functional, word) == 0
 
 
 # -- axioms at a word-length level ---------------------------------------
@@ -260,9 +223,7 @@ class AxiomReport:
     notes: tuple[str, ...] = ()
 
 
-def gram_basis(
-    functional: MomentFunctional, gram_len: int, cap: int = GRAM_BASIS_CAP
-) -> list[LetterTuple]:
+def gram_basis(functional: MomentFunctional, gram_len: int) -> list[LetterTuple]:
     """First word per normal form, over all words of length <= gram_len."""
     basis: list[LetterTuple] = [()]
     seen = {functional.reduced_key(())}
@@ -281,8 +242,10 @@ def gram_basis(
                     seen.add(key)
                     basis.append(word)
                     next_frontier.append(word)
-                    if len(basis) > cap:
-                        raise DimensionLimitError("Gram basis", len(basis), cap)
+                    if len(basis) > GRAM_BASIS_CAP:
+                        raise DimensionLimitError(
+                            "Gram basis", len(basis), GRAM_BASIS_CAP
+                        )
         frontier = next_frontier
     return basis
 
@@ -343,13 +306,12 @@ def check_axioms(
     gram_len: int = 3,
     mode: str = "exact",
     tolerance: float = 1e-9,
-    basis_cap: int = GRAM_BASIS_CAP,
 ) -> AxiomReport:
     """Verify unitality, Hermitian symmetry, traciality, and positivity
     on the span of all reduced words of length <= gram_len."""
     if mode not in ("exact", "float"):
         raise ValueError("mode must be 'exact' or 'float'")
-    basis = gram_basis(functional, gram_len, basis_cap)
+    basis = gram_basis(functional, gram_len)
     notes: list[str] = []
 
     unital = functional.moment_letters(()) == ONE

@@ -145,17 +145,15 @@ def power_word_to_star_word(pw: PowerWord) -> StarWord:
     return StarWord(tuple(letters))
 
 
-def class_blocks(w: StarWord, class_of: dict[int, int]) -> list[tuple[int, LetterTuple]]:
-    """Split into maximal runs belonging to one grouping class."""
-    blocks: list[tuple[int, LetterTuple]] = []
-    run: list[Letter] = []
-    for letter in w.letters:
-        cls = class_of[letter.index]
-        if run and class_of[run[-1].index] != cls:
-            blocks.append((class_of[run[0].index], tuple(run)))
-            run = []
-        run.append(letter)
-    blocks.append((class_of[run[0].index], tuple(run)))
+def class_blocks(letters: LetterTuple, class_of: Mapping[int, int]) -> list[LetterTuple]:
+    """Split a letter tuple into maximal runs belonging to one class."""
+    blocks: list[LetterTuple] = []
+    start = 0
+    for pos in range(1, len(letters)):
+        if class_of[letters[pos].index] != class_of[letters[pos - 1].index]:
+            blocks.append(letters[start:pos])
+            start = pos
+    blocks.append(letters[start:])
     return blocks
 
 

@@ -10,7 +10,6 @@ joint index; reports always carry that bound, never an unbounded claim.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,14 +22,7 @@ from .errors import (
 )
 from .freeness import Verdict, test_freeness
 from .scalars import ExactComplex
-from .spaces import (
-    FaithfulnessWarning,
-    MomentFunctional,
-    SpectralModel,
-    check_axioms,
-    is_deterministic,
-    variance,
-)
+from .spaces import MomentFunctional, SpectralModel, check_axioms, variance
 from .starwords import StarWord, iter_star_patterns, single_variable_word
 from .tensor import (
     TensorScenario,
@@ -85,26 +77,22 @@ def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
         word = factor_word(scenario, StarWord(letters), k)
         return functional.moment(word)
 
-    return test_freeness(oracle, {i: (i,) for i in scenario.indices}, max_len)
+    return test_freeness(oracle, scenario.indices, max_len)
 
 
-def ensure_faithfulness(functional: MomentFunctional, gram_len: int = 2) -> bool:
-    """Best-effort positive-definiteness check backing determinism claims."""
+def ensure_faithfulness(functional: MomentFunctional) -> bool:
+    """Best-effort positive-definiteness check, at Gram length 2, backing
+    determinism claims."""
     if functional.faithfulness_verified:
         return True
     try:
-        report = check_axioms(functional, gram_len=gram_len)
+        report = check_axioms(functional, gram_len=2)
     except (NotDirectlyEvaluable, InsufficientMomentDataError, LimitError):
         return False
     return report.positive_definite
 
 
-def check_tfc(
-    scenario: TensorScenario,
-    k: int,
-    max_len: int = 8,
-    verify_faithfulness: bool = True,
-) -> TfcReport:
+def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
     """Both tensor freeness conditions for candidate factor k, over all
     single-variable star-words up to max_len letters and all joint
     indices.  The first violation of each condition is reported.
@@ -119,13 +107,12 @@ def check_tfc(
         raise FactorNotFreeError(k, freeness_verdict)
 
     notes: list[str] = []
-    if verify_faithfulness:
-        for l in range(1, scenario.K + 1):
-            if l != k and not ensure_faithfulness(scenario.factors[l - 1]):
-                notes.append(
-                    f"factor {l}: faithfulness unverified, determinism is "
-                    "variance-zero only"
-                )
+    for l in range(1, scenario.K + 1):
+        if l != k and not ensure_faithfulness(scenario.factors[l - 1]):
+            notes.append(
+                f"factor {l}: faithfulness unverified, determinism is "
+                "variance-zero only"
+            )
 
     first_1: TfcViolation | None = None
     first_2: TfcViolation | None = None
@@ -152,21 +139,17 @@ def check_tfc(
                     for l in range(1, scenario.K + 1):
                         if l == k:
                             continue
-                        functional = scenario.factors[l - 1]
-                        component_word = factor_word(scenario, word, l)
-                        with warnings.catch_warnings():
-                            warnings.simplefilter("ignore", FaithfulnessWarning)
-                            deterministic = is_deterministic(
-                                functional, component_word
-                            )
-                        if not deterministic:
+                        spread = variance(
+                            scenario.factors[l - 1], factor_word(scenario, word, l)
+                        )
+                        if spread != 0:
                             first_2 = TfcViolation(
                                 condition=2,
                                 index=i,
                                 pattern=pattern,
                                 factor=l,
                                 tensor_value=value,
-                                variance=variance(functional, component_word),
+                                variance=spread,
                             )
                             break
             if first_1 is not None and first_2 is not None:
@@ -196,9 +179,7 @@ class DominatingSearch:
     bound: int
 
 
-def find_dominating(
-    scenario: TensorScenario, max_len: int = 8, verify_faithfulness: bool = True
-) -> DominatingSearch:
+def find_dominating(scenario: TensorScenario, max_len: int = 8) -> DominatingSearch:
     """Smallest factor index whose TFC check passes, searching k ascending.
 
     Factors whose own family fails the freeness precondition are recorded
@@ -208,7 +189,7 @@ def find_dominating(
     not_free: dict[int, Verdict] = {}
     for k in range(1, scenario.K + 1):
         try:
-            report = check_tfc(scenario, k, max_len, verify_faithfulness)
+            report = check_tfc(scenario, k, max_len)
         except FactorNotFreeError as exc:
             not_free[k] = exc.verdict
             continue
@@ -256,9 +237,7 @@ def _component_power_deterministic(
 ) -> bool:
     functional = scenario.factors[k - 1]
     word = single_variable_word((False,) * m, scenario.component(i, k))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", FaithfulnessWarning)
-        return is_deterministic(functional, word)
+    return variance(functional, word) == 0
 
 
 def check_necessary_conditions(
@@ -331,8 +310,7 @@ def check_necessary_conditions(
                 non_unitary.append((k, i))
     non_unitary_factors = tuple(sorted({k for k, _ in non_unitary}))
 
-    grouping = {i: (i,) for i in normalized.indices}
-    d_verdict = test_freeness(joint_oracle(normalized), grouping, max_len)
+    d_verdict = test_freeness(joint_oracle(normalized), normalized.indices, max_len)
     if not d_verdict.free:
         return NecessaryConditionsReport(
             bound=max_len,

@@ -69,3 +69,9 @@ def test_microbenchmark_names_exist():
     ):
         assert inspect.isfunction(fn), fn
     assert list(inspect.signature(FreeFamilySpec).parameters) == ["marginals"]
+    # micro.py passes a class map as the third argument
+    assert list(inspect.signature(centered_product_value).parameters) == [
+        "oracle",
+        "letters",
+        "class_of",
+    ]

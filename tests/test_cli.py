@@ -474,6 +474,16 @@ def test_check_axioms_float_mode(run_cli, scenario_path):
     assert factors["1"]["positive_definite"] is True
 
 
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_check_axioms_rejects_a_bad_tolerance(run_cli, scenario_path, value):
+    res = run_cli(
+        scenario_path("biased_unitary"), "check-axioms", "--float", "--tolerance", value
+    )
+    assert res.code == 2
+    assert res.out == ""
+    assert "--tolerance" in res.err
+
+
 def test_check_axioms_dimension_limit(run_cli, scenario_path):
     res = run_cli(
         scenario_path("free_pair_collection"), "check-axioms", "--gram-len", "5"

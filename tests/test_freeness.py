@@ -152,7 +152,7 @@ def test_free_pair_passes_the_bounded_test():
             2: mean_square_table(Fraction(1, 3)).moment,
         }
     )
-    verdict = freeness_verdict(spec.mixed_moment_letters, {1: (1,), 2: (2,)}, max_len=4)
+    verdict = freeness_verdict(spec.mixed_moment_letters, (1, 2), max_len=4)
     assert verdict.free
     assert verdict.witness is None and verdict.lhs is None
     assert verdict.bound == 4
@@ -168,27 +168,12 @@ def integer_oracle():
 
 
 def test_integer_powers_fail_with_the_shortest_witness():
-    verdict = freeness_verdict(integer_oracle(), {1: (1,), 2: (2,)}, max_len=4)
+    verdict = freeness_verdict(integer_oracle(), (1, 2), max_len=4)
     assert not verdict.free
     assert verdict.witness == word("x1 x1 x2*")
     assert verdict.lhs == ONE
     assert verdict.rhs == ZERO
     assert verdict.words_checked == 10
-
-
-def test_grouping_forms_are_equivalent():
-    mapping = freeness_verdict(integer_oracle(), {1: (1,), 2: (2,)}, max_len=3)
-    iterable = freeness_verdict(integer_oracle(), [(1,), (2,)], max_len=3)
-    bare_ints = freeness_verdict(integer_oracle(), [1, 2], max_len=3)
-    assert mapping == iterable == bare_ints
-    with pytest.raises(ValueError, match="two grouping classes"):
-        freeness_verdict(integer_oracle(), [(1,), (1, 2)], max_len=3)
-
-
-def test_single_class_grouping_is_vacuously_free():
-    verdict = freeness_verdict(integer_oracle(), {1: (1, 2)}, max_len=4)
-    assert verdict.free
-    assert verdict.words_checked == 0
 
 
 def test_centered_product_value_basics():
@@ -248,10 +233,10 @@ def test_haar_power_scan_agrees_with_the_general_path():
     )
     fast, _ = scan_alternating_powers(model.moment_letters, [1, 2], max_len=6)
     assert fast.free
-    general = freeness_verdict(model.moment_letters, {1: (1,), 2: (2,)}, max_len=4)
+    general = freeness_verdict(model.moment_letters, (1, 2), max_len=4)
     assert general.free
 
-    slow_fail = freeness_verdict(integer_oracle(), {1: (1,), 2: (2,)}, max_len=4)
+    slow_fail = freeness_verdict(integer_oracle(), (1, 2), max_len=4)
     fast_fail, _ = scan_alternating_powers(integer_oracle(), [1, 2], max_len=4)
     assert not fast_fail.free
     assert fast_fail.witness == slow_fail.witness == word("x1 x1 x2*")

@@ -294,8 +294,19 @@ def filtered_nc(two_t, singleton_ok=lambda p: True):
     }
 
 
+def no_even_singletons(two_t):
+    return [
+        blocks
+        for blocks in iter_pure_parity_blocks(two_t)
+        if all(len(b) > 1 or b[0] % 2 == 1 for b in blocks)
+    ]
+
+
 def streamed(two_t, forbid_even_singletons=False):
-    blocks_list = list(iter_pure_parity_blocks(two_t, forbid_even_singletons))
+    if forbid_even_singletons:
+        blocks_list = no_even_singletons(two_t)
+    else:
+        blocks_list = list(iter_pure_parity_blocks(two_t))
     found = {frozenset(frozenset(b) for b in blocks) for blocks in blocks_list}
     assert len(found) == len(blocks_list)  # no partition is produced twice
     return found
@@ -318,7 +329,7 @@ def test_pure_parity_matches_direct_definition():
 def test_odd_singleton_counts_and_example():
     for two_t, count in ODD_SINGLETON_COUNTS.items():
         assert len(streamed(two_t, forbid_even_singletons=True)) == count
-    (only,) = iter_pure_parity_blocks(4, forbid_even_singletons=True)
+    (only,) = no_even_singletons(4)
     assert sorted(only) == [(1,), (2, 4), (3,)]
 
 

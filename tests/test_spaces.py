@@ -5,12 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from tensorfree.errors import (
-    DimensionLimitError,
-    FaithfulnessWarning,
-    NotDirectlyEvaluable,
-    ScenarioError,
-)
+from tensorfree import spaces
+from tensorfree.errors import DimensionLimitError, NotDirectlyEvaluable, ScenarioError
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -31,7 +27,6 @@ from tensorfree.spaces import (
     gram_basis,
     gram_matrix,
     hermitian_ldl_signature,
-    is_deterministic,
     variance,
 )
 from tensorfree.starwords import Letter, word
@@ -135,7 +130,6 @@ def test_spectral_reduced_keys():
 def test_variance_values():
     model = f2_trace()
     assert variance(model, word("x1")) == 1
-    assert variance(model, 1) == 1  # bare variable index works too
     assert variance(model, word("x1 x1*")) == 0
     biased = beta_table(Fraction(1, 10))
     assert variance(biased, word("x1 x2")) == 1 - Fraction(1, 100)
@@ -152,21 +146,15 @@ def test_variance_requires_real_second_moment():
         variance(Rigged(), word("x1"))
 
 
-def test_is_deterministic_warns_without_faithfulness():
+def test_positive_definite_check_axioms_sets_faithfulness_verified():
     model = f2_trace()
-    with pytest.warns(FaithfulnessWarning):
-        assert is_deterministic(model, word("x1 x1*"))
-    with pytest.warns(FaithfulnessWarning):
-        assert not is_deterministic(model, word("x1"))
-    # explicit override or a passed positivity check silences the warning
-    import warnings
+    assert not model.faithfulness_verified
+    assert check_axioms(model, gram_len=2).positive_definite
+    assert model.faithfulness_verified
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert is_deterministic(model, word("x1 x1*"), faithfulness_checked=True)
-        check_axioms(model, gram_len=2)
-        assert model.faithfulness_verified
-        assert is_deterministic(model, word("x1 x1*"))
+    degenerate = beta_table(Fraction(1))
+    assert not check_axioms(degenerate, gram_len=2).positive_definite
+    assert not degenerate.faithfulness_verified
 
 
 def test_free_group_trace_axioms_all_pass():
@@ -240,14 +228,15 @@ def test_ldl_rejects_imaginary_pivot():
         hermitian_ldl_signature([[z(0, 1)]])
 
 
-def test_gram_basis_normal_forms_and_cap():
+def test_gram_basis_normal_forms_and_cap(monkeypatch):
     u = MomentSequence({}, unitary=True, period=3)
     model = SpectralModel({1: u})
     assert len(gram_basis(model, 2)) == 3  # unit, u, u^2
     haar = SpectralModel({1: MomentSequence({}, unitary=True)})
     assert len(gram_basis(haar, 2)) == 5  # exponents -2..2
-    with pytest.raises(DimensionLimitError):
-        gram_basis(f2_trace(), 2, cap=5)
+    monkeypatch.setattr(spaces, "GRAM_BASIS_CAP", 5)
+    with pytest.raises(DimensionLimitError, match="cap is 5"):
+        gram_basis(f2_trace(), 2)
 
 
 def test_gram_matrix_of_haar_powers_is_the_identity():

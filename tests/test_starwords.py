@@ -200,31 +200,31 @@ def variable_classes(w):
 
 def test_alternating_blocks_example():
     w = word("x1 x1* x2 x1")
-    assert class_blocks(w, variable_classes(w)) == [
-        (1, word("x1 x1*").letters),
-        (2, word("x2").letters),
-        (1, word("x1").letters),
+    assert class_blocks(w.letters, variable_classes(w)) == [
+        word("x1 x1*").letters,
+        word("x2").letters,
+        word("x1").letters,
     ]
 
 
 @given(words)
 def test_alternating_blocks_partition_the_word(w):
-    blocks = class_blocks(w, variable_classes(w))
-    assert tuple(l for _, piece in blocks for l in piece) == w.letters
-    for (i, piece), (j, _) in zip(blocks, blocks[1:]):
-        assert i != j
-    for i, piece in blocks:
-        assert {l.index for l in piece} == {i}
+    blocks = class_blocks(w.letters, variable_classes(w))
+    assert tuple(l for piece in blocks for l in piece) == w.letters
+    for piece, after in zip(blocks, blocks[1:]):
+        assert piece[-1].index != after[0].index
+    for piece in blocks:
+        assert len({l.index for l in piece}) == 1
 
 
 def test_class_blocks_group_by_class():
     w = word("x1 x2 x3 x1*")
     class_of = {1: 1, 2: 1, 3: 2}
-    blocks = class_blocks(w, class_of)
+    blocks = class_blocks(w.letters, class_of)
     assert blocks == [
-        (1, (Letter(1, False), Letter(2, False))),
-        (2, (Letter(3, False),)),
-        (1, (Letter(1, True),)),
+        (Letter(1, False), Letter(2, False)),
+        (Letter(3, False),),
+        (Letter(1, True),),
     ]
 
 

@@ -199,6 +199,22 @@ def test_ensure_faithfulness():
     assert not ensure_faithfulness(short)
 
 
+def test_unverified_faithfulness_is_noted():
+    # the degenerate table is not positive definite, so zero variance in
+    # factor 2 cannot be read as determinism; the report says so
+    g = parse_group_word(F2, "g1.1^1")
+    h = parse_group_word(F2, "g1.2^1")
+    degenerate = TableFunctional(F2, {1: g, 2: h}, {multiply(F2, g, h): 1})
+    scen = TensorScenario(
+        factors=(integer_model(), degenerate), assignments={1: (1, 1)}
+    )
+    report = check_tfc(scen, 1, 2)
+    assert report.notes == (
+        "factor 2: faithfulness unverified, determinism is variance-zero only",
+    )
+    assert check_tfc(scen, 2, 2).notes == ()
+
+
 # -- necessary-condition classifier ----------------------------------------
 
 
