@@ -28,7 +28,6 @@ from .scalars import ZERO, ExactComplex, as_scalar
 from .spaces import SpectralModel
 from .starwords import (
     Letter,
-    LetterTuple,
     StarWord,
     iter_letters,
     iter_sequences,
@@ -96,12 +95,10 @@ def scan_alternating_powers(
     the first violation in (length, text) order if any exists.
 
     joint is asked about every walked word.  analyze_biased_power passes
-    _tracial_classes(joint), which evaluates one word per class: the
-    class key is the least rotation of the cyclically reduced word or
-    of its adjoint reversal, whichever is smaller.  That is sound for
-    its model because three identities hold there by construction: the
-    functional is a trace, every letter is unitary (x x* = 1), and the
-    functional is Hermitian (phi(w*) = conj(phi(w))).
+    the biased-power scenario's joint_oracle; that scenario is a trace
+    of unitaries by construction, so the oracle evaluates one word per
+    tracial class (tensor._tracial_classes).  The scan itself does not
+    rely on that.
     """
     for v in variables:
         for e in range(1, max_len):
@@ -143,63 +140,6 @@ def scan_alternating_powers(
     else:
         verdict = Verdict(True, None, None, None, max_len, checked)
     return verdict, scan
-
-
-def _least_rotation(word: LetterTuple) -> LetterTuple:
-    n = len(word)
-    ring = word + word
-    return min([ring[i : i + n] for i in range(n)])
-
-
-class _Adjoints(dict):
-    """Letter -> its adjoint, filled on first use; a plain dict lookup
-    keeps the per-word class key cheap beside the walk."""
-
-    def __missing__(self, letter: Letter) -> Letter:
-        flipped = self[letter] = letter.adjoint()
-        return flipped
-
-
-def _tracial_classes(joint: JointOracle) -> JointOracle:
-    """joint, evaluated once per tracial class of words.
-
-    The class key of a word is found in three steps: cyclically reduce
-    it (drop first/last letter pairs l ... l*), take the least rotation
-    of the core and the least rotation of its adjoint reversal, and
-    keep the smaller.  When the adjoint side wins, the stored value is
-    conjugated.  Words with the same key have equal values, or
-    conjugate ones, when these three identities hold:
-
-    * phi is a trace, phi(ab) = phi(ba), so rotation keeps the value;
-    * every letter is unitary, x x* = x* x = 1, so with the trace
-      phi(l c l*) = phi(c l* l) = phi(c);
-    * phi is Hermitian, phi(w*) = conj(phi(w)).
-
-    Nothing here checks them.  They hold by construction for
-    biased_power_scenario, the one model this wraps: each factor is a
-    free product (assume_free) of unitary power-moment laws, which is a
-    trace; every letter is unitary; every MomentSequence is Hermitian.
-    A tensor product of such factors keeps all three.  A word whose
-    core is empty goes to joint unchanged.
-    """
-    values: dict[LetterTuple, ExactComplex] = {}
-    flip = _Adjoints()
-
-    def oracle(letters: LetterTuple) -> ExactComplex:
-        core = tuple(letters)
-        while len(core) > 1 and core[0] == flip[core[-1]]:
-            core = core[1:-1]
-        if not core:
-            return joint(letters)
-        own = _least_rotation(core)
-        adjoint = _least_rotation(tuple(map(flip.__getitem__, reversed(core))))
-        key = min(own, adjoint)
-        value = values.get(key)
-        if value is None:
-            value = values[key] = joint(key)
-        return value if key == own else value.conjugate()
-
-    return oracle
 
 
 # -- cumulant support filters ---------------------------------------------
@@ -308,20 +248,15 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     """Scan the biased-power pair for freeness violations and locate the
     smallest block pair count the filters leave open.
 
-    The scan walks every word but evaluates the tensor oracle once per
-    tracial class: the class key is the least rotation of the
-    cyclically reduced word or of its adjoint reversal, whichever is
-    smaller.  That is sound here, and only here, because the model is
-    built so that three identities hold: each factor is a free product
-    of unitary power-moment laws and so a trace, every letter is
-    unitary (x x* = 1), and every moment sequence is Hermitian.
+    The scan walks every word, but joint_oracle evaluates the tensor
+    product once per tracial class, because each factor is a free
+    product of unitary power-moment laws (TensorScenario.unitary_trace).
 
     The filter table grows until the disjoint singleton capacity first
     reaches K (the minimal t) or BLOCK_PAIR_CAP is hit.
     """
     scenario = biased_power_scenario(K, alpha)
-    oracle = _tracial_classes(joint_oracle(scenario))
-    verdict, scan = scan_alternating_powers(oracle, (1, 2), max_len)
+    verdict, scan = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len)
     minimal = minimal_block_pairs(K)
     last = minimal or BLOCK_PAIR_CAP
     filters = tuple(filter_counts(t) for t in range(1, last + 1))

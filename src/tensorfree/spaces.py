@@ -22,13 +22,7 @@ from typing import Sequence
 
 from . import freeness
 from .errors import DimensionLimitError, NotDirectlyEvaluable, ScenarioError
-from .groups import (
-    GroupElement,
-    GroupPresentation,
-    identity,
-    inverse,
-    multiply,
-)
+from .groups import GroupElement, GroupPresentation, inverse, reduce
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
 from .starwords import Letter, LetterTuple, StarWord, iter_letters, merge_powers
@@ -79,12 +73,15 @@ class GroupBackedModel(MomentFunctional):
         }
 
     def element_of(self, letters: LetterTuple) -> GroupElement:
+        """The product of the letters' elements: each component's syllables
+        are concatenated and reduced once."""
         self._check_vars(letters)
-        acc = identity(self.presentation)
+        syllables: list[list] = [[] for _ in self.presentation.factors]
         for l in letters:
             g = self._inverses[l.index] if l.star else self.generators[l.index]
-            acc = multiply(self.presentation, acc, g)
-        return acc
+            for sylls, word in zip(syllables, g.components):
+                sylls.extend(word)
+        return reduce(self.presentation, syllables)
 
     def reduced_key(self, letters: LetterTuple) -> GroupElement:
         return self.element_of(letters)

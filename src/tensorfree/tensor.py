@@ -4,14 +4,15 @@ A scenario binds each joint index i to one variable per factor; the
 joint variable is the elementary tensor of its components.  The joint
 functional is never materialized: the moment of a word factorizes as
 the product over factors of the same word evaluated on the components,
-and that product is all this module computes.
+and that product is all this module computes.  When every factor is a
+trace of unitaries by construction, the joint oracle evaluates that
+product once per tracial class of words.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .errors import (
     FactorNotEvaluable,
@@ -19,8 +20,9 @@ from .errors import (
     NotDirectlyEvaluable,
     ScenarioError,
 )
+from .freeness import JointOracle
 from .scalars import ONE, ExactComplex, rational_sqrt
-from .spaces import MomentFunctional, variance
+from .spaces import GroupAlgebraModel, MomentFunctional, SpectralModel, variance
 from .starwords import Letter, LetterTuple, StarWord, single_variable_word
 
 
@@ -29,12 +31,17 @@ class TensorScenario:
     """K factor models and the per-factor components of each joint variable.
 
     assignments maps a joint index i to the K-tuple of factor variable
-    identifiers making up the elementary tensor.
+    identifiers making up the elementary tensor.  factor_maps holds, per
+    factor, the map from joint index to component, or None where that
+    map is the identity.
     """
 
     factors: tuple[MomentFunctional, ...]
     assignments: dict[int, tuple[int, ...]]
     name: str = ""
+    factor_maps: tuple[dict[int, int] | None, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         object.__setattr__(
@@ -58,6 +65,12 @@ class TensorScenario:
                         f"joint variable {i}: factor {factor_index + 1} has no "
                         f"variable x{var}"
                     )
+        maps = ({i: c[f] for i, c in self.assignments.items()} for f in range(k))
+        object.__setattr__(
+            self,
+            "factor_maps",
+            tuple(None if all(i == c for i, c in m.items()) else m for m in maps),
+        )
 
     @property
     def K(self) -> int:
@@ -67,15 +80,39 @@ class TensorScenario:
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.assignments))
 
+    @property
+    def unitary_trace(self) -> bool:
+        """Whether every factor is, by its declared structure, a Hermitian
+        trace in which every variable is unitary.
+
+        A GroupAlgebraModel qualifies: the canonical trace is a Hermitian
+        trace and group elements are unitary.  So does a SpectralModel
+        with assume_free whose every MomentSequence is unitary: a free
+        product of unitary power-moment laws, each Hermitian by
+        construction.  Nothing else does, table functionals and rescaled
+        views included, and no axiom check is consulted.  The tensor
+        product of such factors is again a Hermitian trace of unitaries.
+        """
+        return all(
+            isinstance(f, GroupAlgebraModel)
+            or (
+                isinstance(f, SpectralModel)
+                and f.assume_free
+                and all(seq.unitary for seq in f.sequences.values())
+            )
+            for f in self.factors
+        )
+
     def component(self, i: int, k: int) -> int:
         """Factor-k variable identifier of joint variable i (k is 1-based)."""
         return self.assignments[i][k - 1]
 
 
 def factor_word(scenario: TensorScenario, word: StarWord, k: int) -> StarWord:
-    """The word with every joint index replaced by its factor-k component."""
-    mapping = {i: scenario.component(i, k) for i in scenario.indices}
-    return word.substitute(mapping)
+    """The word with every joint index replaced by its factor-k component;
+    the word itself when that map is the identity."""
+    mapping = scenario.factor_maps[k - 1]
+    return word if mapping is None else word.substitute(mapping)
 
 
 def factor_moment(scenario: TensorScenario, word: StarWord, k: int) -> ExactComplex:
@@ -100,9 +137,71 @@ def tensor_moment(scenario: TensorScenario, word: StarWord) -> ExactComplex:
     return out
 
 
-def joint_oracle(scenario: TensorScenario) -> Callable[[LetterTuple], ExactComplex]:
+def joint_oracle(scenario: TensorScenario) -> JointOracle:
+    """The joint moment of a letter tuple, as a callable.
+
+    When the scenario is a unitary trace by construction (see
+    TensorScenario.unitary_trace), the oracle evaluates the tensor
+    product once per tracial class of words; otherwise once per call.
+    """
+
     def oracle(letters: LetterTuple) -> ExactComplex:
         return tensor_moment(scenario, StarWord(tuple(letters)))
+
+    return _tracial_classes(oracle) if scenario.unitary_trace else oracle
+
+
+def _least_rotation(word: LetterTuple) -> LetterTuple:
+    n = len(word)
+    ring = word + word
+    return min([ring[i : i + n] for i in range(n)])
+
+
+class _Adjoints(dict):
+    """Letter -> its adjoint, filled on first use; a plain dict lookup
+    keeps the per-word class key cheap beside the walk."""
+
+    def __missing__(self, letter: Letter) -> Letter:
+        flipped = self[letter] = letter.adjoint()
+        return flipped
+
+
+def _tracial_classes(joint: JointOracle) -> JointOracle:
+    """joint, evaluated once per tracial class of words.
+
+    The class key of a word is found in three steps: cyclically reduce
+    it (drop first/last letter pairs l ... l*), take the least rotation
+    of the core and the least rotation of its adjoint reversal, and
+    keep the smaller.  When the adjoint side wins, the stored value is
+    conjugated.  Words with the same key have equal values, or
+    conjugate ones, when these three identities hold:
+
+    * phi is a trace, phi(ab) = phi(ba), so rotation keeps the value;
+    * every letter is unitary, x x* = x* x = 1, so with the trace
+      phi(l c l*) = phi(c l* l) = phi(c);
+    * phi is Hermitian, phi(w*) = conj(phi(w)).
+
+    Nothing here checks them.  joint_oracle wraps a scenario's oracle
+    only when TensorScenario.unitary_trace reads them off the factors'
+    declared structure; every biased-power scenario qualifies.  A word
+    whose core is empty goes to joint unchanged.
+    """
+    values: dict[LetterTuple, ExactComplex] = {}
+    flip = _Adjoints()
+
+    def oracle(letters: LetterTuple) -> ExactComplex:
+        core = tuple(letters)
+        while len(core) > 1 and core[0] == flip[core[-1]]:
+            core = core[1:-1]
+        if not core:
+            return joint(letters)
+        own = _least_rotation(core)
+        adjoint = _least_rotation(tuple(map(flip.__getitem__, reversed(core))))
+        key = min(own, adjoint)
+        value = values.get(key)
+        if value is None:
+            value = values[key] = joint(key)
+        return value if key == own else value.conjugate()
 
     return oracle
 

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorfree.counterexample import (
-    _tracial_classes,
     analyze_biased_power,
     biased_power_scenario,
     filter_counts,
@@ -26,8 +25,13 @@ from tensorfree.groups import (
 from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE, ExactComplex
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel, check_axioms
-from tensorfree.starwords import iter_letters, iter_sequences, word
-from tensorfree.tensor import joint_oracle
+from tensorfree.starwords import StarWord, iter_letters, iter_sequences, word
+from tensorfree.tensor import (
+    TensorScenario,
+    _tracial_classes,
+    joint_oracle,
+    tensor_moment,
+)
 
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
 
@@ -140,12 +144,26 @@ NONREAL_MOMENTS = {
 LETTERS = iter_letters((1, 2))
 
 
+def one_factor(model) -> TensorScenario:
+    """The model's variables 1 and 2 as the joint variables of a
+    one-factor tensor scenario."""
+    return TensorScenario(factors=(model,), assignments={1: (1,), 2: (2,)})
+
+
+def plain_oracle(scenario: TensorScenario):
+    """The joint moment of every word evaluated on its own, with no
+    class quotient."""
+    return lambda letters: tensor_moment(scenario, StarWord(tuple(letters)))
+
+
 def assert_classes_match(make, max_len):
-    """The quotient oracle gives the plain oracle's value on every word,
-    reduced or not; each side gets a fresh model, so no memo is shared.
-    Returns how many of the values were nonreal."""
-    plain = make().moment_letters
-    classes = _tracial_classes(make().moment_letters)
+    """The class-keyed joint oracle gives the plain tensor moment on
+    every word, reduced or not; each side gets a fresh model, so no
+    memo is shared.  Returns how many of the values were nonreal."""
+    plain = plain_oracle(one_factor(make()))
+    scenario = one_factor(make())
+    assert scenario.unitary_trace
+    classes = joint_oracle(scenario)
     nonreal = 0
     for n in range(1, max_len + 1):
         for letters in iter_sequences(LETTERS, n):
@@ -193,18 +211,19 @@ def test_tracial_classes_evaluate_once_per_class():
 
 
 @pytest.mark.parametrize(
-    "make_oracle, max_len, free",
+    "make_scenario, max_len, free",
     [
-        (lambda: joint_oracle(biased_power_scenario(2, Fraction(1, 10))), 8, True),
-        (lambda: integer_pair().moment_letters, 6, False),
+        (lambda: biased_power_scenario(2, Fraction(1, 10)), 8, True),
+        (lambda: one_factor(integer_pair()), 6, False),
     ],
     ids=["biased-power", "integer-pair"],
 )
-def test_class_scan_matches_the_plain_scan(make_oracle, max_len, free):
-    verdict, lines = scan_alternating_powers(
-        _tracial_classes(make_oracle()), (1, 2), max_len
-    )
-    assert (verdict, lines) == scan_alternating_powers(make_oracle(), (1, 2), max_len)
+def test_class_scan_matches_the_plain_scan(make_scenario, max_len, free):
+    scenario = make_scenario()
+    assert scenario.unitary_trace
+    verdict, lines = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len)
+    plain = plain_oracle(make_scenario())
+    assert (verdict, lines) == scan_alternating_powers(plain, (1, 2), max_len)
     assert verdict.free is free
     assert verdict.words_checked == sum(line.words for line in lines)
 

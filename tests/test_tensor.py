@@ -1,11 +1,14 @@
-"""Tensor scenarios: factorized joint moments, the centering case analysis
-behind the tensor freeness conditions, normalization, and hypothesis
-screening."""
+"""Tensor scenarios: factorized joint moments, the class-keyed joint
+oracle and its plain twin, the centering case analysis behind the tensor
+freeness conditions, normalization, and hypothesis screening."""
 
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorfree.errors import FactorNotEvaluable, PreconditionError, ScenarioError
 from tensorfree.goldens import circular_sequence
@@ -13,10 +16,17 @@ from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
     parse_group_word,
+    reduce,
 )
 from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE, ZERO, ExactComplex
-from tensorfree.spaces import GroupAlgebraModel, SpectralModel, check_axioms
+from tensorfree.scenario import load_scenario
+from tensorfree.spaces import (
+    GroupAlgebraModel,
+    SpectralModel,
+    TableFunctional,
+    check_axioms,
+)
 from tensorfree.tensor import (
     ScaledView,
     TensorScenario,
@@ -27,8 +37,10 @@ from tensorfree.tensor import (
     scalar_component_check,
     tensor_moment,
 )
-from tensorfree.starwords import word
+from tensorfree.starwords import StarWord, iter_letters, iter_sequences, word
 from tensorfree.tfc import TfcViolation, check_tfc
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
@@ -82,6 +94,104 @@ def test_scenario_accessors():
     assert scen.component(1, 2) == 2
     assert factor_word(scen, word("x1 x2*"), 1) == word("x1 x2*")
     assert factor_word(scen, word("x1 x2*"), 2) == word("x2 x1*")
+
+
+def test_identity_factor_maps_return_the_word_itself():
+    scen = haar_times_integers()
+    assert scen.factor_maps == (None, None)
+    w = word("x1 x2*")
+    assert factor_word(scen, w, 1) is w
+    swapped = TensorScenario(
+        factors=(f2_model(), integer_model()),
+        assignments={1: (1, 2), 2: (2, 1)},
+    )
+    assert swapped.factor_maps == (None, {1: 2, 2: 1})
+
+
+# -- the class-keyed joint oracle ---------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, keyed",
+    [
+        ("biased_power_k2", True),
+        ("biased_power_k3", True),
+        ("biased_unitary", True),
+        ("doubly_free", True),
+        ("haar_dominated", True),
+        ("circular_dominated", False),
+        ("free_without_dominating", False),
+    ],
+)
+def test_bundled_scenarios_that_are_unitary_traces(name, keyed):
+    scen = load_scenario(str(SCENARIO_DIR / f"{name}.json")).tensor
+    assert scen.unitary_trace is keyed
+
+
+def test_table_functional_is_never_class_keyed():
+    # phi(x1 x2) = 1/10 but phi(x2 x1) = 0: not a trace, so a rotation
+    # must not share a value
+    table = TableFunctional(
+        F2,
+        {1: parse_group_word(F2, "g1.1^1"), 2: parse_group_word(F2, "g1.2^1")},
+        {parse_group_word(F2, "g1.1^1 g1.2^1"): Fraction(1, 10)},
+    )
+    scen = TensorScenario(factors=(table,), assignments={1: (1,), 2: (2,)})
+    assert not scen.unitary_trace
+    oracle = joint_oracle(scen)
+    assert oracle(word("x1 x2").letters) == Fraction(1, 10)
+    assert oracle(word("x2 x1").letters) == ZERO
+
+
+def test_scaled_and_star_table_factors_are_not_unitary_traces():
+    haar = MomentSequence({}, unitary=True)
+    star_table = SpectralModel({1: haar, 2: circular_sequence()}, assume_free=True)
+    unflagged = SpectralModel({1: haar, 2: haar})
+    scaled = ScaledView(f2_model(), {1: Fraction(1, 2)})
+    for factor in (star_table, unflagged, scaled):
+        scen = TensorScenario(factors=(f2_model(), factor), assignments={1: (1, 1)})
+        assert not scen.unitary_trace
+
+
+RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+NONREAL = st.builds(ExactComplex, RATIONALS, RATIONALS.filter(bool))
+# powers 1 and 2 with period 5 or 6 never fold onto each other's adjoint
+POWER_LAWS = st.builds(
+    lambda values, period: MomentSequence(values, unitary=True, period=period),
+    st.dictionaries(st.integers(1, 2), NONREAL, min_size=1, max_size=2),
+    st.sampled_from([None, 5, 6]),
+)
+Z3_FREE_Z = GroupPresentation((FreeProductPresentation((3, None)),))
+# the identity and order-3 elements make many group words trivial, so
+# the spectral factor's nonreal values reach the joint moment
+ELEMENTS = st.lists(
+    st.tuples(st.integers(1, 2), st.integers(-2, 2).filter(bool)), max_size=2
+).map(lambda syllables: reduce(Z3_FREE_Z, [syllables]))
+ASSIGNMENTS = ({1: (1, 2), 2: (2, 1)}, {1: (1, 1), 2: (1, 2)})
+
+
+@settings(max_examples=5, deadline=None)
+@given(POWER_LAWS, POWER_LAWS, ELEMENTS, ELEMENTS, st.sampled_from(ASSIGNMENTS))
+def test_class_keyed_oracle_matches_the_tensor_moment(u1, u2, g1, g2, assignments):
+    # free unitaries with nonreal moments (x) a group algebra of Z3 * Z,
+    # through non-identity and repeated component maps; each side gets
+    # its own models, so no memo is shared
+    def scenario():
+        return TensorScenario(
+            factors=(
+                SpectralModel({1: u1, 2: u2}, assume_free=True),
+                GroupAlgebraModel(Z3_FREE_Z, {1: g1, 2: g2}),
+            ),
+            assignments=assignments,
+        )
+
+    keyed = scenario()
+    assert keyed.unitary_trace
+    oracle = joint_oracle(keyed)
+    plain = scenario()
+    for n in range(1, 7):
+        for letters in iter_sequences(iter_letters((1, 2)), n):
+            assert oracle(letters) == tensor_moment(plain, StarWord(letters)), letters
 
 
 def test_scenario_validation():
