@@ -1,9 +1,8 @@
 """Exact complex scalars with rational real and imaginary parts.
 
 Every moment computed by this package is an element of Q(i).  Floating
-point appears nowhere except the optional eigenvalue mode of the Gram
-checks, so equality of moments is always decidable and witness values
-never suffer rounding drift.
+point appears nowhere, so equality of moments is always decidable and
+witness values never suffer rounding drift.
 """
 
 from __future__ import annotations

@@ -9,8 +9,7 @@ Three interchangeable models:
 
 All moments are exact.  The axiom checker builds the Gram matrix of all
 reduced words up to a length bound and decides positivity exactly by a
-Hermitian LDL elimination; an optional floating mode cross-checks with
-eigenvalues.
+Hermitian LDL elimination.
 """
 
 from __future__ import annotations
@@ -216,7 +215,6 @@ class AxiomReport:
     positive_definite: bool
     basis_size: int
     gram_len: int
-    mode: str
     notes: tuple[str, ...] = ()
 
 
@@ -287,27 +285,9 @@ def hermitian_ldl_signature(matrix: list[list[ExactComplex]]) -> tuple[bool, boo
     return (True, pd)
 
 
-def float_eigenvalue_signature(
-    matrix: list[list[ExactComplex]], tolerance: float = 1e-9
-) -> tuple[bool, bool]:
-    import numpy as np
-
-    arr = np.array([[complex(z) for z in row] for row in matrix], dtype=complex)
-    eigenvalues = np.linalg.eigvalsh(arr)
-    smallest = float(eigenvalues.min()) if len(eigenvalues) else 1.0
-    return (smallest >= -tolerance, smallest > tolerance)
-
-
-def check_axioms(
-    functional: MomentFunctional,
-    gram_len: int = 3,
-    mode: str = "exact",
-    tolerance: float = 1e-9,
-) -> AxiomReport:
+def check_axioms(functional: MomentFunctional, gram_len: int = 3) -> AxiomReport:
     """Verify unitality, Hermitian symmetry, traciality, and positivity
     on the span of all reduced words of length <= gram_len."""
-    if mode not in ("exact", "float"):
-        raise ValueError("mode must be 'exact' or 'float'")
     basis = gram_basis(functional, gram_len)
     notes: list[str] = []
 
@@ -334,16 +314,12 @@ def check_axioms(
         if not tracial:
             break
 
-    gram = gram_matrix(functional, basis)
-    if mode == "exact":
-        psd, pd = hermitian_ldl_signature(gram)
-    else:
-        psd, pd = float_eigenvalue_signature(gram, tolerance)
+    psd, pd = hermitian_ldl_signature(gram_matrix(functional, basis))
 
     if pd:
         functional.faithfulness_verified = True
     return AxiomReport(
-        unital, hermitian, tracial, psd, pd, len(basis), gram_len, mode, tuple(notes)
+        unital, hermitian, tracial, psd, pd, len(basis), gram_len, tuple(notes)
     )
 
 

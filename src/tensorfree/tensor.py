@@ -12,7 +12,6 @@ product once per tracial class of words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     FactorNotEvaluable,
@@ -21,7 +20,8 @@ from .errors import (
     ScenarioError,
 )
 from .freeness import JointOracle
-from .scalars import ONE, ExactComplex, rational_sqrt
+from .ncpartitions import MomentSequence
+from .scalars import ONE, ExactComplex, RationalLike, rational_sqrt
 from .spaces import GroupAlgebraModel, MomentFunctional, SpectralModel, variance
 from .starwords import Letter, LetterTuple, StarWord, single_variable_word
 
@@ -89,9 +89,9 @@ class TensorScenario:
         trace and group elements are unitary.  So does a SpectralModel
         with assume_free whose every MomentSequence is unitary: a free
         product of unitary power-moment laws, each Hermitian by
-        construction.  Nothing else does, table functionals and rescaled
-        views included, and no axiom check is consulted.  The tensor
-        product of such factors is again a Hermitian trace of unitaries.
+        construction.  Nothing else does, table functionals included,
+        and no axiom check is consulted.  The tensor product of such
+        factors is again a Hermitian trace of unitaries.
         """
         return all(
             isinstance(f, GroupAlgebraModel)
@@ -209,50 +209,23 @@ def _tracial_classes(joint: JointOracle) -> JointOracle:
 # -- normalization pre-flight --------------------------------------------
 
 
-class ScaledView(MomentFunctional):
-    """A functional with each variable rescaled by a positive rational.
-
-    The moment of a word picks up one scale factor per letter, which is
-    exactly the effect of replacing each variable a by c*a with c a
-    positive real scalar.  Positivity, traciality and faithfulness are
-    unaffected, so the base model's verified flag is carried over.
-    """
-
-    def __init__(self, base: MomentFunctional, scales: dict[int, Fraction]) -> None:
-        super().__init__()
-        self.base = base
-        self.scales = dict(scales)
-        self.variables = base.variables
-        for var, c in self.scales.items():
-            if var not in self.variables:
-                raise ScenarioError(f"scale for unknown variable x{var}")
-            if c <= 0:
-                raise ScenarioError(f"scale for x{var} must be positive")
-        self.faithfulness_verified = base.faithfulness_verified
-
-    def moment_letters(self, letters: LetterTuple) -> ExactComplex:
-        value = self.base.moment_letters(letters)
-        factor = Fraction(1)
-        for l in letters:
-            factor *= self.scales.get(l.index, Fraction(1))
-        return value * ExactComplex(factor)
-
-    def reduced_key(self, letters: LetterTuple):
-        return self.base.reduced_key(letters)
-
-
 def normalized_scenario(scenario: TensorScenario) -> TensorScenario:
     """Rescale every component so its second moment is exactly one.
 
     Each component a is replaced by c*a with c = moment(a a*)^(-1/2).
     The square root must be rational for the model to stay exact; a
     zero or non-real second moment means the component is degenerate.
-    Factors already normalized are shared, not wrapped.
+    Group elements and unitary sequences always have second moment one,
+    so only star-table variables of a SpectralModel are rescaled: the
+    value of a pattern of length n is multiplied by c^n.  Rescaling by
+    a positive scalar keeps positivity, traciality and faithfulness, so
+    the verified flag is carried over.  Factors already normalized are
+    shared, not rebuilt.
     """
     new_factors: list[MomentFunctional] = []
     for k in range(1, scenario.K + 1):
         functional = scenario.factors[k - 1]
-        scales: dict[int, Fraction] = {}
+        scales: dict[int, RationalLike] = {}
         for i in scenario.indices:
             var = scenario.component(i, k)
             if var in scales:
@@ -275,10 +248,19 @@ def normalized_scenario(scenario: TensorScenario) -> TensorScenario:
                     "exact arithmetic"
                 )
             scales[var] = 1 / root
-        if scales:
-            new_factors.append(ScaledView(functional, scales))
-        else:
+        if not scales:
             new_factors.append(functional)
+            continue
+        sequences = dict(functional.sequences)
+        for var, c in scales.items():
+            seq = sequences[var]
+            sequences[var] = MomentSequence(
+                {key: value * c ** len(key) for key, value in seq.values.items()},
+                complete_through=seq.complete_through,
+            )
+        rescaled = SpectralModel(sequences, assume_free=functional.assume_free)
+        rescaled.faithfulness_verified = functional.faithfulness_verified
+        new_factors.append(rescaled)
     return TensorScenario(
         factors=tuple(new_factors),
         assignments=dict(scenario.assignments),

@@ -98,6 +98,16 @@ def test_out_flag_writes_the_same_bytes(run_cli, scenario_path, tmp_path):
     assert target.read_text(encoding="utf-8") == plain.out
 
 
+def test_out_to_an_unwritable_path(run_cli, scenario_path, tmp_path):
+    target = tmp_path / "missing" / "report.json"
+    res = run_cli(scenario_path("haar_dominated"), "moments", "x1", "--out", target)
+    assert res.code == 2
+    assert res.out == ""
+    assert res.err.startswith("error: --out: ")
+    assert "Traceback" not in res.err
+    assert not target.exists()
+
+
 # -- moments -------------------------------------------------------------------
 
 
@@ -330,6 +340,22 @@ def test_necessary_conditions_classifications(run_cli, scenario_path):
     assert body["claims"] == {"claim1": None, "claim2": None, "claim3": None}
 
 
+def test_theorem_1_8_is_invariant_under_rescaling(run_cli, scenario_path, tmp_path):
+    # 2a for the circular a: a pattern of length n gets 2^n, and the
+    # normalization pre-flight must undo exactly that
+    path = scenario_path("circular_dominated")
+    with open(path, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    moments = payload["factors"][0]["variables"]["1"]["moments"]
+    for pattern, value in moments.items():
+        moments[pattern] = value * 2 ** pattern.count("a")
+    plain = run_cli(path, "theorem-1-8")
+    scaled = run_cli(write_scenario(tmp_path, "scaled", payload), "theorem-1-8")
+    assert moments["aa*"] == 4
+    assert scaled.code == plain.code == 0
+    assert scaled.out == plain.out
+
+
 # -- counterexample-k --------------------------------------------------------------------
 
 
@@ -445,6 +471,24 @@ def test_identity_flags_reject_bad_scalars(run_cli, scenario_path, name, flag, v
     assert "Traceback" not in res.err
 
 
+@pytest.mark.parametrize(
+    "name, flags",
+    [
+        ("shifted-product", ("--t", "[1]", "--y", "[2]")),
+        ("shifted-product", ("--y", "[2]")),
+        ("interpolated-product", ("--alpha", "2")),
+        ("product-sum", ("--t", "[1, 2]")),
+    ],
+)
+def test_identities_reject_flags_the_identity_does_not_take(
+    run_cli, scenario_path, name, flags
+):
+    res = run_cli(scenario_path("circular_dominated"), "identities", name, *flags)
+    assert res.code == 2
+    assert res.out == ""
+    assert f"error: {flags[0]}: identity {name!r} takes only" in res.err
+
+
 # -- check-axioms -------------------------------------------------------------------------
 
 
@@ -466,22 +510,33 @@ def test_check_axioms_reports_broken_traces(run_cli, scenario_path):
     assert factors["2"]["tracial"] is True
 
 
-def test_check_axioms_float_mode(run_cli, scenario_path):
-    res = run_cli(scenario_path("circular_dominated"), "check-axioms", "--float")
-    assert res.code == 0
-    factors = res.json()["report"]["factors"]
-    assert factors["1"]["mode"] == "float"
-    assert factors["1"]["positive_definite"] is True
+@pytest.mark.parametrize(
+    "flags",
+    [
+        pytest.param(("--float",), id="float"),
+        pytest.param(("--exact",), id="exact"),
+    ],
+)
+def test_check_axioms_rejects_removed_flags(scenario_path, capsys, flags):
+    # positivity is decided exactly only; the float mode's flags are gone
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([scenario_path("biased_unitary"), "check-axioms", *flags])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flags[0] in captured.err
 
 
 @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
-def test_check_axioms_rejects_a_bad_tolerance(run_cli, scenario_path, value):
-    res = run_cli(
-        scenario_path("biased_unitary"), "check-axioms", "--float", "--tolerance", value
-    )
-    assert res.code == 2
-    assert res.out == ""
-    assert "--tolerance" in res.err
+def test_check_axioms_rejects_a_bad_tolerance(scenario_path, capsys, value):
+    # --tolerance went with the float mode: any value is refused as an
+    # unknown flag, not silently ignored
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main([scenario_path("biased_unitary"), "check-axioms", "--tolerance", value])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tolerance" in captured.err
 
 
 def test_check_axioms_dimension_limit(run_cli, scenario_path):

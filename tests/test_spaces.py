@@ -2,8 +2,11 @@
 and the exact axiom checks on word spans."""
 
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorfree import spaces
 from tensorfree.errors import DimensionLimitError, NotDirectlyEvaluable, ScenarioError
@@ -23,7 +26,6 @@ from tensorfree.spaces import (
     SpectralModel,
     TableFunctional,
     check_axioms,
-    float_eigenvalue_signature,
     gram_basis,
     gram_matrix,
     hermitian_ldl_signature,
@@ -163,7 +165,6 @@ def test_free_group_trace_axioms_all_pass():
     assert report.unital and report.hermitian and report.tracial
     assert report.positive_semidefinite and report.positive_definite
     assert report.basis_size == 17  # 1 + 4 + 12 reduced words
-    assert report.mode == "exact"
     assert report.notes == ()
 
 
@@ -181,21 +182,6 @@ def test_large_bias_defeats_positivity():
     assert not report.positive_semidefinite and not report.positive_definite
     report2 = check_axioms(beta_table(Fraction(2)), gram_len=2)
     assert not report2.positive_semidefinite
-
-
-def test_check_axioms_mode_guard():
-    with pytest.raises(ValueError):
-        check_axioms(f2_trace(), gram_len=1, mode="approximate")
-
-
-def test_float_mode_agrees_on_the_free_group():
-    exact = check_axioms(f2_trace(), gram_len=2, mode="exact")
-    fl = check_axioms(f2_trace(), gram_len=2, mode="float")
-    assert (exact.positive_semidefinite, exact.positive_definite) == (
-        fl.positive_semidefinite,
-        fl.positive_definite,
-    )
-    assert fl.mode == "float"
 
 
 def z(re, im=0):
@@ -218,9 +204,70 @@ def test_exact_positivity_signature(matrix, expected):
     assert hermitian_ldl_signature(matrix) == expected
 
 
+def determinant(matrix):
+    """Leibniz expansion: the sum over permutations of signed products."""
+    n = len(matrix)
+    total = ZERO
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i, j in combinations(range(n), 2))
+        term = ONE if inversions % 2 == 0 else -ONE
+        for row, col in enumerate(perm):
+            term = term * matrix[row][col]
+        total = total + term
+    return total
+
+
+def sylvester_signature(matrix):
+    """(psd, pd) by Sylvester's criterion: a Hermitian matrix is positive
+    semidefinite iff every principal minor is >= 0, and positive definite
+    iff every leading principal minor is > 0."""
+    d = len(matrix)
+    minors = {
+        rows: determinant([[matrix[i][j] for j in rows] for i in rows])
+        for size in range(1, d + 1)
+        for rows in combinations(range(d), size)
+    }
+    assert all(m.im == 0 for m in minors.values())
+    psd = all(m.re >= 0 for m in minors.values())
+    pd = all(minors[tuple(range(size))].re > 0 for size in range(1, d + 1))
+    return psd, pd
+
+
 @pytest.mark.parametrize("matrix,expected", [case for case in LDL_CASES if case[0]])
-def test_float_signature_agrees(matrix, expected):
-    assert float_eigenvalue_signature(matrix) == expected
+def test_sylvester_signature_agrees(matrix, expected):
+    assert sylvester_signature(matrix) == expected
+
+
+RATIONALS = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+GAUSSIAN = st.builds(ExactComplex, RATIONALS, RATIONALS)
+
+
+@st.composite
+def hermitian_matrices(draw):
+    d = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        # B B* with B of d rows and r <= d columns; r < d makes it
+        # semidefinite but singular
+        r = draw(st.integers(0, d))
+        b = [[draw(GAUSSIAN) for _ in range(r)] for _ in range(d)]
+
+        def entry(i, j):
+            return sum((b[i][k] * b[j][k].conjugate() for k in range(r)), ZERO)
+
+        return [[entry(i, j) for j in range(d)] for i in range(d)]
+    m = [[ZERO] * d for _ in range(d)]
+    for i in range(d):
+        m[i][i] = ExactComplex(draw(RATIONALS))
+        for j in range(i + 1, d):
+            m[i][j] = draw(GAUSSIAN)
+            m[j][i] = m[i][j].conjugate()
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(hermitian_matrices())
+def test_ldl_signature_matches_sylvester(matrix):
+    assert hermitian_ldl_signature(matrix) == sylvester_signature(matrix)
 
 
 def test_ldl_rejects_imaginary_pivot():

@@ -28,7 +28,6 @@ from tensorfree.spaces import (
     check_axioms,
 )
 from tensorfree.tensor import (
-    ScaledView,
     TensorScenario,
     factor_moment,
     factor_word,
@@ -147,8 +146,7 @@ def test_scaled_and_star_table_factors_are_not_unitary_traces():
     haar = MomentSequence({}, unitary=True)
     star_table = SpectralModel({1: haar, 2: circular_sequence()}, assume_free=True)
     unflagged = SpectralModel({1: haar, 2: haar})
-    scaled = ScaledView(f2_model(), {1: Fraction(1, 2)})
-    for factor in (star_table, unflagged, scaled):
+    for factor in (star_table, unflagged):
         scen = TensorScenario(factors=(f2_model(), factor), assignments={1: (1, 1)})
         assert not scen.unitary_trace
 
@@ -298,23 +296,6 @@ def test_decomposition_guards():
             check_tfc(scen, k)
 
 
-def test_scaled_view():
-    base = f2_model()
-    view = ScaledView(base, {1: Fraction(1, 2)})
-    assert view.moment(word("x1 x1*")) == Fraction(1, 4)
-    assert view.moment(word("x2 x2*")) == ONE  # unscaled variable
-    assert view.moment(word("x1 x2")) == ZERO
-    assert view.reduced_key(word("x1 x1*").letters) == base.reduced_key(
-        word("x1 x1*").letters
-    )
-    with pytest.raises(ScenarioError, match="unknown variable"):
-        ScaledView(base, {9: Fraction(1, 2)})
-    with pytest.raises(ScenarioError, match="positive"):
-        ScaledView(base, {1: Fraction(-1, 2)})
-    base.faithfulness_verified = True
-    assert ScaledView(base, {1: Fraction(2)}).faithfulness_verified
-
-
 def wide_spectral(second):
     seq = MomentSequence(
         {(False,): 0, (False, True): second, (True, False): second},
@@ -324,14 +305,31 @@ def wide_spectral(second):
 
 
 def test_normalized_scenario_rescales_to_unit_second_moment():
+    # a pattern of length n picks up c^n, here c = 1/2
+    values = {(False,): 1, (False, True): 4, (True, False): 4}
+    values[(False, False, True, True)] = 16
+    seq = MomentSequence(values, complete_through=4)
+    wide = SpectralModel({1: seq, 2: MomentSequence({}, unitary=True)})
+    wide.faithfulness_verified = True
     scen = TensorScenario(
-        factors=(wide_spectral(Fraction(4)), f2_model()),
-        assignments={1: (1, 1)},
+        factors=(wide, f2_model()),
+        assignments={1: (1, 1), 2: (2, 2)},
     )
     normalized = normalized_scenario(scen)
-    assert isinstance(normalized.factors[0], ScaledView)
-    assert normalized.factors[0].scales == {1: Fraction(1, 2)}
-    assert normalized.factors[0].moment(word("x1 x1*")) == ONE
+    rescaled = normalized.factors[0]
+    assert type(rescaled) is SpectralModel
+    assert rescaled.sequences[1].values == {
+        (False,): Fraction(1, 2),
+        (True,): Fraction(1, 2),
+        (False, True): ONE,
+        (True, False): ONE,
+        (False, False, True, True): ONE,
+    }
+    assert rescaled.sequences[1].complete_through == 4
+    assert rescaled.sequences[2] is wide.sequences[2]  # unit second moment
+    assert rescaled.assume_free is wide.assume_free
+    assert rescaled.faithfulness_verified
+    assert rescaled.moment(word("x1 x1*")) == ONE
     # the already normalized factor is shared, not wrapped
     assert normalized.factors[1] is scen.factors[1]
 
