@@ -73,10 +73,7 @@ from .scenario import (
     ScenarioFile,
     canonical_trace_view,
     load_scenario,
-    save_scenario,
-    scenario_dumps,
     scenario_from_json,
-    scenario_to_json,
 )
 from .spaces import (
     AxiomReport,

@@ -410,32 +410,37 @@ def _run_identities(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     except (PreconditionError, ValueError) as exc:
         raise ScenarioError(f"identity inputs rejected: {exc}") from exc
 
-    def _num(value):
-        return scalar_json(value)
-
     payload: dict = {"identity": name, "inputs": {}}
     for param, value in inputs.items():
         if param == "alpha":
-            payload["inputs"][param] = _num(value)
+            payload["inputs"][param] = scalar_json(value)
         else:
-            payload["inputs"][param] = [_num(e) for e in value]
+            payload["inputs"][param] = [scalar_json(e) for e in value]
     if isinstance(result, IdentityCheck):
         payload.update(
-            {"lhs": _num(result.lhs), "rhs": _num(result.rhs), "equal": result.equal}
+            {
+                "lhs": scalar_json(result.lhs),
+                "rhs": scalar_json(result.rhs),
+                "equal": result.equal,
+            }
         )
         ok = result.equal
     elif isinstance(result, InequalityCheck):
         payload.update(
-            {"lhs": _num(result.lhs), "rhs": _num(result.rhs), "holds": result.holds}
+            {
+                "lhs": scalar_json(result.lhs),
+                "rhs": scalar_json(result.rhs),
+                "holds": result.holds,
+            }
         )
         ok = result.holds
     else:
         assert isinstance(result, ConclusionReport)
         payload.update(
             {
-                "hypothesis_lhs": _num(result.hypothesis_lhs),
-                "hypothesis_rhs": _num(result.hypothesis_rhs),
-                "terms": [[label, _num(value)] for label, value in result.terms],
+                "hypothesis_lhs": scalar_json(result.hypothesis_lhs),
+                "hypothesis_rhs": scalar_json(result.hypothesis_rhs),
+                "terms": [[label, scalar_json(value)] for label, value in result.terms],
                 "all_zero": result.all_zero,
             }
         )

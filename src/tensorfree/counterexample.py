@@ -48,7 +48,9 @@ def biased_power_scenario(K: int, alpha) -> TensorScenario:
     Joint variable 1 collects the biased components a_k, joint variable
     2 the Haar ones.  With a single factor, D_1 = a_1 would keep the
     nonvanishing first moment alpha, so K >= 2 is required for the
-    vanishing-power profile the analysis is about.
+    vanishing-power profile the analysis is about.  The law of a_k has
+    density 1 + 2 Re(conj(alpha) e^{ik theta}), which is a state exactly
+    when |alpha| <= 1/2.
     """
     if K < 2:
         raise ScenarioError(
@@ -58,15 +60,17 @@ def biased_power_scenario(K: int, alpha) -> TensorScenario:
     value = as_scalar(alpha)
     if value.is_zero():
         raise ScenarioError("alpha must be nonzero")
+    if value.abs2() > Fraction(1, 4):
+        raise ScenarioError(
+            f"alpha {value} has modulus above 1/2, so the biased law is not a state"
+        )
     factors = []
     for k in range(1, K + 1):
         biased = MomentSequence({k: value}, unitary=True)
         haar = MomentSequence({}, unitary=True)
         factors.append(SpectralModel({1: biased, 2: haar}, assume_free=True))
     return TensorScenario(
-        factors=tuple(factors),
-        assignments={1: (1,) * K, 2: (2,) * K},
-        name=f"biased_power_k{K}",
+        factors=tuple(factors), assignments={1: (1,) * K, 2: (2,) * K}
     )
 
 

@@ -21,7 +21,7 @@ from operator import ne
 from typing import Sequence, Union
 
 from .errors import PreconditionError, ScenarioError
-from .starwords import iter_sequences, merge_powers
+from .starwords import iter_sequences, merge_powers, parse_int
 
 Syllable = tuple[int, int]  # (1-based generator index, nonzero exponent)
 FactorWord = tuple[Syllable, ...]
@@ -151,13 +151,14 @@ def parse_group_word(presentation: GroupPresentation, text: str) -> GroupElement
         exp = 1
         if caret:
             try:
-                exp = int(exp_text)
+                exp = parse_int(exp_text, signed=True)
             except ValueError:
                 raise ScenarioError(f"bad exponent in group token {token!r}") from None
-        k_text, dot, j_text = body.partition(".")
-        if not dot or not k_text.isdigit() or not j_text.isdigit():
-            raise ScenarioError(f"bad group token {token!r}")
-        k, j = int(k_text), int(j_text)
+        k_text, _, j_text = body.partition(".")
+        try:
+            k, j = parse_int(k_text, signed=False), parse_int(j_text, signed=False)
+        except ValueError:
+            raise ScenarioError(f"bad group token {token!r}") from None
         if not 1 <= k <= presentation.num_factors:
             raise ScenarioError(f"component {k} out of range in {token!r}")
         per_component[k - 1].append((j, exp))

@@ -10,8 +10,10 @@ Values are exact: scalars are integers, [num, den] rationals, or
 [re_num, re_den, im_num, im_den] complex rationals.  Star patterns use
 the grammar "aa*a" (a letter per "a", starred by a following "*");
 unitary power moments are keyed by signed integers; group elements use
-the shared token grammar ("g1.2^-3", identity "e").  Every object
-rejects a key it does not read.
+the shared token grammar ("g1.2^-3", identity "e").  Integers written
+as text, keys and token numbers alike, are ASCII decimal.  Every object
+rejects a key it does not read.  The committed files in scenarios/ are
+written by hand; nothing in the package writes a scenario.
 """
 
 from __future__ import annotations
@@ -29,13 +31,14 @@ from .groups import (
     parse_group_word,
 )
 from .ncpartitions import MomentSequence
-from .scalars import ExactComplex, scalar_from_json, scalar_json
+from .scalars import ExactComplex, scalar_from_json
 from .spaces import (
     GroupAlgebraModel,
     MomentFunctional,
     SpectralModel,
     TableFunctional,
 )
+from .starwords import parse_int
 from .tensor import TensorScenario
 
 SCHEMA_VERSION = 1
@@ -57,7 +60,6 @@ class GroupCollection:
 
     presentation: GroupPresentation
     elements: dict[int, GroupElement]
-    name: str = ""
 
     def __post_init__(self) -> None:
         if not self.elements:
@@ -84,9 +86,6 @@ class ScenarioFile:
     collection: GroupCollection | None = None
     bounds: Mapping[str, int] = field(default_factory=dict)
     alpha: ExactComplex | None = None
-
-
-# -- reading ---------------------------------------------------------------
 
 
 def _object(data, keys, where: str) -> None:
@@ -124,12 +123,21 @@ def _int_key(text: str, where: str, taken: Mapping[int, object]) -> int:
     """Integer value of an object key that must differ from the keys in
     taken, so that "01" cannot silently overwrite "1"."""
     try:
-        key = int(text)
+        key = parse_int(text, signed=True)
     except ValueError:
         raise ScenarioError(f"{where}: bad integer key {text!r}") from None
     if key in taken:
         raise ScenarioError(f"{where}: key {text!r} repeats the integer key {key}")
     return key
+
+
+def _group_word(presentation: GroupPresentation, text, where: str) -> GroupElement:
+    if not isinstance(text, str):
+        raise ScenarioError(f"{where}: must be a group word")
+    try:
+        return parse_group_word(presentation, text)
+    except ScenarioError as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
 
 
 def _flag(data: Mapping, key: str, where: str) -> bool:
@@ -182,10 +190,6 @@ def _pattern_from_text(text: str) -> tuple[bool, ...]:
     if not out:
         raise ScenarioError("empty star pattern")
     return tuple(out)
-
-
-def _pattern_to_text(pattern) -> str:
-    return "".join("a*" if b else "a" for b in pattern)
 
 
 def _sequence_from_json(data, where: str) -> MomentSequence:
@@ -242,10 +246,8 @@ def factor_from_json(data, where: str) -> MomentFunctional:
     variables_raw = _require_object(data, "variables", where)
     generators = {}
     for v, text in variables_raw.items():
-        if not isinstance(text, str):
-            raise ScenarioError(f"{where}.variables[{v}]: must be a group word")
         key = _int_key(v, f"{where}.variables", generators)
-        generators[key] = parse_group_word(presentation, text)
+        generators[key] = _group_word(presentation, text, f"{where}.variables[{v}]")
     if not generators:
         raise ScenarioError(f"{where}: no variables")
     if kind == "group":
@@ -253,7 +255,7 @@ def factor_from_json(data, where: str) -> MomentFunctional:
     table_raw = _require_object(data, "table", where)
     table = {}
     for text, raw in table_raw.items():
-        element = parse_group_word(presentation, text)
+        element = _group_word(presentation, text, f"{where}.table[{text!r}]")
         if element in table:
             raise ScenarioError(
                 f"{where}.table: key {text!r} repeats the element {element.text()}"
@@ -307,7 +309,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
                 )
             key = _int_key(i, "scenario.tensor.variables", assignments)
             assignments[key] = tuple(components)
-        tensor = TensorScenario(factors=factors, assignments=assignments, name=name)
+        tensor = TensorScenario(factors=factors, assignments=assignments)
         return ScenarioFile(name, "tensor", tensor=tensor, bounds=bounds, alpha=alpha)
     presentation = presentation_from_json(
         _require(data, "presentation", "scenario"), "scenario.presentation"
@@ -315,12 +317,9 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
     elements_raw = _require_object(data, "elements", "scenario")
     elements = {}
     for i, text in elements_raw.items():
-        if not isinstance(text, str):
-            raise ScenarioError(f"scenario.elements[{i}]: must be a group word")
-        elements[_int_key(i, "scenario.elements", elements)] = parse_group_word(
-            presentation, text
-        )
-    collection = GroupCollection(presentation, elements, name=name)
+        key = _int_key(i, "scenario.elements", elements)
+        elements[key] = _group_word(presentation, text, f"scenario.elements[{i}]")
+    collection = GroupCollection(presentation, elements)
     return ScenarioFile(
         name, "group", collection=collection, bounds=bounds, alpha=alpha
     )
@@ -336,103 +335,3 @@ def load_scenario(path) -> ScenarioFile:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
     default_name = os.path.splitext(os.path.basename(str(path)))[0]
     return scenario_from_json(data, default_name)
-
-
-# -- writing ---------------------------------------------------------------
-
-
-def presentation_to_json(presentation: GroupPresentation) -> dict:
-    return {
-        "components": [
-            {"cyclic_orders": ["inf" if o is None else o for o in comp.orders]}
-            for comp in presentation.factors
-        ]
-    }
-
-
-def _sequence_to_json(seq: MomentSequence) -> dict:
-    out: dict = {}
-    if seq.unitary:
-        out["unitary"] = True
-        if seq.period is not None:
-            out["period"] = seq.period
-        out["moments"] = {
-            str(power): scalar_json(value)
-            for power, value in sorted(seq.values.items())
-        }
-    else:
-        if seq.complete_through is not None:
-            out["complete_through"] = seq.complete_through
-        out["moments"] = {
-            _pattern_to_text(key): scalar_json(value)
-            for key, value in sorted(seq.values.items())
-        }
-    return out
-
-
-def factor_to_json(functional: MomentFunctional) -> dict:
-    if isinstance(functional, SpectralModel):
-        return {
-            "space": "spectral",
-            "assume_free": functional.assume_free,
-            "variables": {
-                str(v): _sequence_to_json(seq)
-                for v, seq in sorted(functional.sequences.items())
-            },
-        }
-    if isinstance(functional, TableFunctional):
-        return {
-            "space": "table",
-            "presentation": presentation_to_json(functional.presentation),
-            "variables": {
-                str(v): g.text() for v, g in sorted(functional.generators.items())
-            },
-            "table": {
-                element.text(): scalar_json(value)
-                for element, value in sorted(
-                    functional.table.items(), key=lambda kv: kv[0].text()
-                )
-            },
-        }
-    if isinstance(functional, GroupAlgebraModel):
-        return {
-            "space": "group",
-            "presentation": presentation_to_json(functional.presentation),
-            "variables": {
-                str(v): g.text() for v, g in sorted(functional.generators.items())
-            },
-        }
-    raise ScenarioError(f"cannot serialize factor of type {type(functional).__name__}")
-
-
-def scenario_to_json(scenario: ScenarioFile) -> dict:
-    out: dict = {"version": SCHEMA_VERSION, "name": scenario.name, "kind": scenario.kind}
-    if scenario.bounds:
-        out["bounds"] = dict(sorted(scenario.bounds.items()))
-    if scenario.alpha is not None:
-        out["alpha"] = scalar_json(scenario.alpha)
-    if scenario.kind == "tensor":
-        tensor = scenario.tensor
-        out["factors"] = [factor_to_json(f) for f in tensor.factors]
-        out["tensor"] = {
-            "variables": {
-                str(i): list(components)
-                for i, components in sorted(tensor.assignments.items())
-            },
-        }
-        return out
-    out["presentation"] = presentation_to_json(scenario.collection.presentation)
-    out["elements"] = {
-        str(i): g.text() for i, g in sorted(scenario.collection.elements.items())
-    }
-    return out
-
-
-def scenario_dumps(scenario: ScenarioFile) -> str:
-    return json.dumps(scenario_to_json(scenario), indent=2, sort_keys=True) + "\n"
-
-
-def save_scenario(scenario: ScenarioFile, path) -> None:
-    text = scenario_dumps(scenario)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)

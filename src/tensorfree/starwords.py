@@ -5,7 +5,9 @@ A letter is a pair (index, star); a word is a nonempty tuple of letters.
 Power words are the unitary reductions: adjacent letters with equal index
 merge into signed exponents and zero exponents cancel.  merge_powers is
 the one stack-merge reducer behind every normal form in the package,
-and iter_sequences the one lazy walker behind every bounded word scan.
+iter_sequences the one lazy walker behind every bounded word scan, and
+parse_int the one reader of integer text in words, group tokens and
+scenario keys.
 """
 
 from __future__ import annotations
@@ -57,17 +59,8 @@ class StarWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "StarWord") -> "StarWord":
-        return StarWord(self.letters + other.letters)
-
-    def adjoint(self) -> "StarWord":
-        return StarWord(tuple(l.adjoint() for l in reversed(self.letters)))
-
     def text(self) -> str:
         return " ".join(l.text() for l in self.letters)
-
-    def indices(self) -> set[int]:
-        return {l.index for l in self.letters}
 
     def substitute(self, mapping: dict[int, int]) -> "StarWord":
         """Relabel variable indices; unmapped indices are kept."""
@@ -79,8 +72,18 @@ class StarWord:
         return self.text()
 
 
-def word(text: str) -> StarWord:
-    return parse_word(text)
+def parse_int(text: str, *, signed: bool) -> int:
+    """The integer spelled by text in ASCII decimal: [+-]?[0-9]+ when
+    signed, [0-9]+ otherwise; anything else is a ValueError.
+
+    int() alone would also read surrounding spaces, underscores between
+    digits and non-ASCII digits ("1_0" as 10, " 1" as 1), turning a
+    mistyped key or token into a different number.
+    """
+    digits = text[1:] if signed and text[:1] in ("+", "-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def parse_word(text: str) -> StarWord:
@@ -100,10 +103,11 @@ def parse_word(text: str) -> StarWord:
             body = body[:-1]
         if not body.startswith("x"):
             raise WordSyntaxError(f"expected 'x<INT>', got {token!r}", offset)
-        digits = body[1:]
-        if not digits.isdigit():
-            raise WordSyntaxError(f"bad variable index in {token!r}", offset)
-        letters.append(Letter(int(digits), star))
+        try:
+            index = parse_int(body[1:], signed=False)
+        except ValueError:
+            raise WordSyntaxError(f"bad variable index in {token!r}", offset) from None
+        letters.append(Letter(index, star))
     return StarWord(tuple(letters))
 
 

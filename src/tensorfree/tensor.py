@@ -38,7 +38,6 @@ class TensorScenario:
 
     factors: tuple[MomentFunctional, ...]
     assignments: dict[int, tuple[int, ...]]
-    name: str = ""
     factor_maps: tuple[dict[int, int] | None, ...] = field(
         init=False, repr=False, compare=False
     )
@@ -262,9 +261,7 @@ def normalized_scenario(scenario: TensorScenario) -> TensorScenario:
         rescaled.faithfulness_verified = functional.faithfulness_verified
         new_factors.append(rescaled)
     return TensorScenario(
-        factors=tuple(new_factors),
-        assignments=dict(scenario.assignments),
-        name=scenario.name,
+        factors=tuple(new_factors), assignments=dict(scenario.assignments)
     )
 
 

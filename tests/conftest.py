@@ -1,4 +1,5 @@
-"""Shared fixtures: bundled scenario paths and an in-process CLI runner."""
+"""Shared fixtures: bundled scenario paths and files, and an in-process CLI
+runner."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ import pytest
 from tensorfree import cli
 from tensorfree.counterexample import scan_alternating_powers
 from tensorfree.scalars import ZERO
+from tensorfree.scenario import ScenarioFile, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -30,6 +32,16 @@ def scenario_path():
         return str(SCENARIO_DIR / f"{name}.json")
 
     return path
+
+
+@pytest.fixture(scope="session")
+def bundled():
+    """A freshly loaded bundled scenario, by file stem."""
+
+    def load(name: str) -> ScenarioFile:
+        return load_scenario(SCENARIO_DIR / f"{name}.json")
+
+    return load
 
 
 @pytest.fixture

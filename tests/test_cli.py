@@ -383,6 +383,22 @@ def test_counterexample_factor_count_must_match(run_cli, scenario_path):
     assert "has 2 factors" in res.err
 
 
+@pytest.mark.parametrize("alpha", [1, [3, 4], [0, 1, 1, 1]], ids=["1", "3/4", "i"])
+def test_counterexample_rejects_alpha_that_is_not_a_state(
+    run_cli, tmp_path, scenario_path, alpha
+):
+    # the biased law has density 1 + 2 Re(conj(alpha) e^{ik theta}),
+    # a state exactly when |alpha| <= 1/2
+    with open(scenario_path("biased_power_k2"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["alpha"] = alpha
+    path = write_scenario(tmp_path, "biased", payload)
+    res = run_cli(path, "counterexample-k", "2", "--max-len", "4")
+    assert res.code == 2
+    assert res.out == ""
+    assert "alpha" in res.err
+
+
 # -- identities ------------------------------------------------------------------------------
 
 
@@ -691,11 +707,47 @@ STRICT_INPUTS = [
         set_in(("tensor", "variables"), [1]),
         "scenario.tensor.variables: must be an object",
     ),
+    # integer text is ASCII [+-]?[0-9]+: no underscores, spaces or other digits
+    (
+        "factor-word-exponent-underscore",
+        set_in(("factors", 1, "variables", "2"), "g1.1^1_0"),
+        "factors[2].variables[2]: bad exponent in group token 'g1.1^1_0'",
+    ),
     # rows on a group scenario name it as a fourth entry
     (
         "elements-list",
         set_in(("elements",), ["g1.1^1"]),
         "scenario.elements: must be an object",
+        "free_pair_collection",
+    ),
+    (
+        "element-key-underscore",
+        duplicate_key(("elements",), "2", "1_0"),
+        "scenario.elements: bad integer key '1_0'",
+        "free_pair_collection",
+    ),
+    (
+        "element-key-space",
+        duplicate_key(("elements",), "2", " 3"),
+        "scenario.elements: bad integer key ' 3'",
+        "free_pair_collection",
+    ),
+    (
+        "element-key-arabic-indic-digit",
+        duplicate_key(("elements",), "2", "\u0663"),
+        "scenario.elements: bad integer key '\u0663'",
+        "free_pair_collection",
+    ),
+    (
+        "element-exponent-underscore",
+        set_in(("elements", "1"), "g1.1^1_0"),
+        "scenario.elements[1]: bad exponent in group token 'g1.1^1_0'",
+        "free_pair_collection",
+    ),
+    (
+        "element-component-superscript",
+        set_in(("elements", "1"), "g\u00b2.1^1"),
+        "scenario.elements[1]: bad group token 'g\u00b2.1^1'",
         "free_pair_collection",
     ),
 ]

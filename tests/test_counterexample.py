@@ -25,7 +25,12 @@ from tensorfree.groups import (
 from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE, ExactComplex
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel, check_axioms
-from tensorfree.starwords import StarWord, iter_letters, iter_sequences, word
+from tensorfree.starwords import (
+    StarWord,
+    iter_letters,
+    iter_sequences,
+    parse_word as word,
+)
 from tensorfree.tensor import (
     TensorScenario,
     _tracial_classes,
@@ -52,12 +57,18 @@ def test_scenario_guards():
         biased_power_scenario(1, Fraction(1, 10))
     with pytest.raises(ScenarioError, match="alpha must be nonzero"):
         biased_power_scenario(2, 0)
+    # the biased law is a state exactly when |alpha| <= 1/2
+    for alpha in (1, Fraction(-3, 5), ExactComplex(Fraction(3, 10), Fraction(1, 2))):
+        with pytest.raises(ScenarioError, match="alpha .* modulus above 1/2"):
+            biased_power_scenario(2, alpha)
+    on_the_circle = ExactComplex(Fraction(3, 10), Fraction(2, 5))
+    for alpha in (Fraction(1, 2), Fraction(-1, 2), on_the_circle):
+        assert biased_power_scenario(2, alpha).K == 2
 
 
 def test_scenario_shape():
     scen = biased_power_scenario(3, Fraction(1, 10))
     assert scen.K == 3
-    assert scen.name == "biased_power_k3"
     assert scen.indices == (1, 2)
     assert scen.assignments == {1: (1, 1, 1), 2: (2, 2, 2)}
 

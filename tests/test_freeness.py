@@ -29,7 +29,7 @@ from tensorfree.starwords import (
     iter_words,
     merge_powers,
     power_word_to_star_word,
-    word,
+    parse_word as word,
 )
 
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
@@ -282,7 +282,7 @@ def test_reduced_walk_is_a_filter_of_iter_words(scanned_words, variables):
         for length in range(2, 7)
         for w in iter_words(variables, length)
         if all(b != a.adjoint() for a, b in zip(w.letters, w.letters[1:]))
-        and len(w.indices()) > 1
+        and len({l.index for l in w.letters}) > 1
     ]
     assert scanned_words(variables, 6) == brute
 

@@ -1,8 +1,18 @@
-"""Bundled scenarios: the circular moment sequence and the catalog."""
+"""Bundled scenarios: the committed files in scenarios/ are their only
+source.  The circular table and the biased-power files are checked here
+against independent references; the other files are pinned by the report
+goldens and the benchmark manifest."""
 
-from tensorfree.goldens import all_scenarios, circular_sequence, write_all
-from tensorfree.scalars import ZERO, ExactComplex
-from tensorfree.scenario import load_scenario
+from pathlib import Path
+
+import pytest
+
+from tensorfree.counterexample import DEFAULT_ALPHA, biased_power_scenario
+from tensorfree.ncpartitions import enumerate_nc
+from tensorfree.scalars import ZERO, ExactComplex, as_scalar
+from tensorfree.starwords import iter_star_patterns
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 # star pattern -> number of noncrossing pairings joining plain to starred
 CIRCULAR_VALUES = {
@@ -27,8 +37,22 @@ EXPECTED_NAMES = [
 ]
 
 
-def test_circular_moments():
-    seq = circular_sequence()
+def circular_sequence(bundled):
+    return bundled("circular_dominated").tensor.factors[0].sequences[1]
+
+
+def mixed_pairings(pattern):
+    """Noncrossing pairings of the positions of pattern in which every
+    pair joins a plain letter to a starred one: the star moment of a
+    circular element."""
+    return sum(
+        all(len(b) == 2 and pattern[b[0] - 1] != pattern[b[1] - 1] for b in blocks)
+        for blocks in enumerate_nc(len(pattern))
+    )
+
+
+def test_circular_moments(bundled):
+    seq = circular_sequence(bundled)
     for pattern, count in CIRCULAR_VALUES.items():
         assert seq.moment(pattern) == ExactComplex(count), pattern
     # odd and unbalanced patterns vanish inside the completeness bound
@@ -38,15 +62,47 @@ def test_circular_moments():
     assert seq.moment((False, False, True)) == ZERO
 
 
-def test_circular_moments_are_hermitian():
-    seq = circular_sequence()
+def test_circular_moments_are_hermitian(bundled):
+    seq = circular_sequence(bundled)
     for pattern, count in CIRCULAR_VALUES.items():
         mirrored = tuple(not b for b in reversed(pattern))
         assert seq.moment(mirrored) == ExactComplex(count)
 
 
-def test_catalog_names_and_kinds():
-    scenarios = all_scenarios()
+def test_circular_table_counts_noncrossing_pairings(bundled):
+    seq = circular_sequence(bundled)
+    assert seq.complete_through == 8
+    expected = {}
+    for n in range(1, 9):
+        for pattern in iter_star_patterns(n):
+            count = mixed_pairings(pattern)
+            assert seq.moment(pattern) == ExactComplex(count), pattern
+            if count:
+                expected[pattern] = ExactComplex(count)
+    # the file lists exactly the nonzero counts
+    assert seq.values == expected
+
+
+@pytest.mark.parametrize("K", [2, 3])
+def test_biased_power_files_match_the_family(bundled, K):
+    sf = bundled(f"biased_power_k{K}")
+    built = biased_power_scenario(K, DEFAULT_ALPHA)
+    assert sf.alpha == as_scalar(DEFAULT_ALPHA)
+    assert sf.tensor.assignments == built.assignments
+    assert len(sf.tensor.factors) == len(built.factors) == K
+    for loaded, expected in zip(sf.tensor.factors, built.factors):
+        assert type(loaded) is type(expected)
+        assert loaded.assume_free == expected.assume_free
+        assert loaded.sequences.keys() == expected.sequences.keys()
+        for var, seq in expected.sequences.items():
+            twin = loaded.sequences[var]
+            assert (twin.unitary, twin.period) == (seq.unitary, seq.period)
+            assert twin.values == seq.values
+
+
+def test_catalog_names_and_kinds(bundled):
+    assert sorted(p.stem for p in SCENARIO_DIR.glob("*.json")) == sorted(EXPECTED_NAMES)
+    scenarios = [bundled(name) for name in EXPECTED_NAMES]
     assert [s.name for s in scenarios] == EXPECTED_NAMES
     kinds = {s.name: s.kind for s in scenarios}
     assert all(kinds[n] == "tensor" for n in EXPECTED_NAMES[:7])
@@ -54,11 +110,3 @@ def test_catalog_names_and_kinds():
     for s in scenarios:
         assert s.bounds, s.name
         assert (s.tensor is None) != (s.collection is None)
-
-
-def test_write_all_produces_loadable_files(tmp_path):
-    paths = write_all(tmp_path)
-    assert len(paths) == len(EXPECTED_NAMES)
-    for path in paths:
-        loaded = load_scenario(path)
-        assert loaded.name in EXPECTED_NAMES

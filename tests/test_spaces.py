@@ -31,7 +31,7 @@ from tensorfree.spaces import (
     hermitian_ldl_signature,
     variance,
 )
-from tensorfree.starwords import Letter, word
+from tensorfree.starwords import Letter, parse_word as word
 
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 

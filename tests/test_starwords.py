@@ -23,8 +23,8 @@ from tensorfree.starwords import (
     parse_word,
     power_word_to_star_word,
     single_variable_word,
-    word,
 )
+from tensorfree.spaces import _adjoint_letters
 
 letters = st.builds(Letter, st.integers(min_value=1, max_value=4), st.booleans())
 words = st.builds(StarWord, st.lists(letters, min_size=1, max_size=10).map(tuple))
@@ -40,8 +40,7 @@ def test_parse_canonical_text():
     assert w.text() == "x1 x2* x1"
     assert str(w) == "x1 x2* x1"
     assert len(w) == 3
-    assert w.indices() == {1, 2}
-    assert word("  x3*  ") == parse_word("x3*")
+    assert parse_word("  x3*  ") == parse_word("x3*")
 
 
 def test_parse_rejects_empty():
@@ -61,6 +60,10 @@ def test_parse_rejects_empty():
         ("x1 x*", 3),
         ("x-1", 0),
         ("x1 x2.5", 3),
+        # only ASCII digits name an index
+        ("x1 x\u00b9", 3),
+        ("x\u0661", 0),
+        ("x+1", 0),
     ],
 )
 def test_parse_errors_carry_offsets(text, offset):
@@ -75,24 +78,26 @@ def test_text_round_trip(w):
 
 
 def test_adjoint_example():
-    assert word("x1 x2*").adjoint().text() == "x2 x1*"
+    assert _adjoint_letters(parse_word("x1 x2*").letters) == parse_word("x2 x1*").letters
 
 
 @given(words, words)
 def test_adjoint_is_an_involution_and_antihomomorphism(v, w):
-    assert w.adjoint().adjoint() == w
-    assert (v * w).adjoint() == w.adjoint() * v.adjoint()
-    assert len(w.adjoint()) == len(w)
+    assert _adjoint_letters(_adjoint_letters(w.letters)) == w.letters
+    assert _adjoint_letters(v.letters + w.letters) == (
+        _adjoint_letters(w.letters) + _adjoint_letters(v.letters)
+    )
+    assert len(_adjoint_letters(w.letters)) == len(w)
 
 
 def test_substitute_keeps_unmapped_indices():
-    assert word("x1 x2").substitute({1: 5}).text() == "x5 x2"
-    assert word("x1 x1*").substitute({1: 3, 2: 9}).text() == "x3 x3*"
+    assert parse_word("x1 x2").substitute({1: 5}).text() == "x5 x2"
+    assert parse_word("x1 x1*").substitute({1: 3, 2: 9}).text() == "x3 x3*"
 
 
 def test_single_variable_word():
-    assert single_variable_word((False, True)) == word("x1 x1*")
-    assert single_variable_word([True], index=4) == word("x4*")
+    assert single_variable_word((False, True)) == parse_word("x1 x1*")
+    assert single_variable_word([True], index=4) == parse_word("x4*")
 
 
 def unitary_syllables(w):
@@ -101,23 +106,24 @@ def unitary_syllables(w):
 
 
 def test_reduce_unitary_examples():
-    assert merge_powers(unitary_syllables(word("x1 x1* x2"))) == ((2, 1),)
-    assert merge_powers(unitary_syllables(word("x1 x1 x2* x2* x2*"))) == (
+    assert merge_powers(unitary_syllables(parse_word("x1 x1* x2"))) == ((2, 1),)
+    assert merge_powers(unitary_syllables(parse_word("x1 x1 x2* x2* x2*"))) == (
         (1, 2),
         (2, -3),
     )
-    assert merge_powers(unitary_syllables(word("x1 x2 x2* x1*"))) == ()
+    assert merge_powers(unitary_syllables(parse_word("x1 x2 x2* x1*"))) == ()
     # a period folds exponents to their nonnegative residue
-    assert merge_powers(unitary_syllables(word("x1* x1* x2")), {1: 3}) == (
+    assert merge_powers(unitary_syllables(parse_word("x1* x1* x2")), {1: 3}) == (
         (1, 1),
         (2, 1),
     )
-    assert merge_powers(unitary_syllables(word("x1 x1 x1 x2")), {1: 3}) == ((2, 1),)
+    assert merge_powers(unitary_syllables(parse_word("x1 x1 x1 x2")), {1: 3}) == ((2, 1),)
 
 
 @given(words)
 def test_reduce_unitary_cancels_adjoint(w):
-    assert merge_powers(unitary_syllables(w * w.adjoint())) == ()
+    doubled = StarWord(w.letters + _adjoint_letters(w.letters))
+    assert merge_powers(unitary_syllables(doubled)) == ()
 
 
 def test_reduce_power_word_examples():
@@ -183,7 +189,7 @@ def test_merge_powers_matches_letter_cancellation(syllables, orders):
 
 
 def test_power_word_to_star_word():
-    assert power_word_to_star_word(((1, 2), (2, -1))) == word("x1 x1 x2*")
+    assert power_word_to_star_word(((1, 2), (2, -1))) == parse_word("x1 x1 x2*")
 
 
 @given(power_factors)
@@ -195,15 +201,15 @@ def test_power_and_star_forms_agree(factors):
 
 
 def variable_classes(w):
-    return {i: i for i in w.indices()}
+    return {l.index: l.index for l in w.letters}
 
 
 def test_alternating_blocks_example():
-    w = word("x1 x1* x2 x1")
+    w = parse_word("x1 x1* x2 x1")
     assert class_blocks(w.letters, variable_classes(w)) == [
-        word("x1 x1*").letters,
-        word("x2").letters,
-        word("x1").letters,
+        parse_word("x1 x1*").letters,
+        parse_word("x2").letters,
+        parse_word("x1").letters,
     ]
 
 
@@ -218,7 +224,7 @@ def test_alternating_blocks_partition_the_word(w):
 
 
 def test_class_blocks_group_by_class():
-    w = word("x1 x2 x3 x1*")
+    w = parse_word("x1 x2 x3 x1*")
     class_of = {1: 1, 2: 1, 3: 2}
     blocks = class_blocks(w.letters, class_of)
     assert blocks == [

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorfree.errors import FactorNotEvaluable, PreconditionError, ScenarioError
-from tensorfree.goldens import circular_sequence
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -36,7 +35,12 @@ from tensorfree.tensor import (
     scalar_component_check,
     tensor_moment,
 )
-from tensorfree.starwords import StarWord, iter_letters, iter_sequences, word
+from tensorfree.starwords import (
+    StarWord,
+    iter_letters,
+    iter_sequences,
+    parse_word as word,
+)
 from tensorfree.tfc import TfcViolation, check_tfc
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -67,7 +71,6 @@ def haar_times_integers():
     return TensorScenario(
         factors=(f2_model(), integer_model()),
         assignments={1: (1, 1), 2: (2, 2)},
-        name="haar_times_integers",
     )
 
 
@@ -142,9 +145,10 @@ def test_table_functional_is_never_class_keyed():
     assert oracle(word("x2 x1").letters) == ZERO
 
 
-def test_scaled_and_star_table_factors_are_not_unitary_traces():
+def test_scaled_and_star_table_factors_are_not_unitary_traces(bundled):
     haar = MomentSequence({}, unitary=True)
-    star_table = SpectralModel({1: haar, 2: circular_sequence()}, assume_free=True)
+    circular = bundled("circular_dominated").tensor.factors[0].sequences[1]
+    star_table = SpectralModel({1: haar, 2: circular}, assume_free=True)
     unflagged = SpectralModel({1: haar, 2: haar})
     for factor in (star_table, unflagged):
         scen = TensorScenario(factors=(f2_model(), factor), assignments={1: (1, 1)})
@@ -274,8 +278,8 @@ def test_decomposition_nonvanishing_case_holds():
     assert report.dominating == 1
 
 
-def test_decomposition_nonvanishing_case_violated():
-    circ = SpectralModel({1: circular_sequence()})
+def test_decomposition_nonvanishing_case_violated(bundled):
+    circ = bundled("circular_dominated").tensor.factors[0]
     scen = TensorScenario(
         factors=(order2_model(), circ),
         assignments={1: (1, 1)},

@@ -6,15 +6,6 @@ from fractions import Fraction
 import pytest
 
 from tensorfree.errors import FactorNotFreeError, PreconditionError
-from tensorfree.goldens import (
-    biased_power,
-    biased_unitary,
-    circular_dominated,
-    circular_sequence,
-    doubly_free,
-    free_without_dominating,
-    haar_dominated,
-)
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -24,7 +15,7 @@ from tensorfree.groups import (
 from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE, ZERO
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel, TableFunctional
-from tensorfree.starwords import word
+from tensorfree.starwords import parse_word as word
 from tensorfree.tensor import TensorScenario, factor_moment, tensor_moment
 from tensorfree.tfc import (
     check_necessary_conditions,
@@ -50,8 +41,8 @@ def order2_model():
 # -- factor family freeness ------------------------------------------------
 
 
-def test_assume_free_spectral_factor_has_no_verdict():
-    scen = biased_unitary().tensor
+def test_assume_free_spectral_factor_has_no_verdict(bundled):
+    scen = bundled("biased_unitary").tensor
     assert factor_freeness_verdict(scen, 1, 6) is None
     # the group factor gets a real verdict
     assert factor_freeness_verdict(scen, 2, 6) is not None
@@ -73,8 +64,8 @@ def test_repeated_component_is_tested_against_itself():
 # -- check_tfc on bundled scenarios ----------------------------------------
 
 
-def test_haar_factor_dominates():
-    scen = haar_dominated().tensor
+def test_haar_factor_dominates(bundled):
+    scen = bundled("haar_dominated").tensor
     report = check_tfc(scen, 1, 6)
     assert report.satisfied
     assert report.dominating == 1
@@ -83,16 +74,16 @@ def test_haar_factor_dominates():
     assert report.freeness is not None and report.freeness.free
 
 
-def test_non_free_factor_is_rejected_as_candidate():
-    scen = haar_dominated().tensor
+def test_non_free_factor_is_rejected_as_candidate(bundled):
+    scen = bundled("haar_dominated").tensor
     with pytest.raises(FactorNotFreeError) as exc:
         check_tfc(scen, 2, 6)
     assert exc.value.factor == 2
     assert exc.value.verdict.witness == word("x1 x1 x2*")
 
 
-def test_candidate_index_out_of_range():
-    scen = haar_dominated().tensor
+def test_candidate_index_out_of_range(bundled):
+    scen = bundled("haar_dominated").tensor
     with pytest.raises(PreconditionError, match="out of range"):
         check_tfc(scen, 3, 4)
 
@@ -118,9 +109,9 @@ def test_condition_one_violation_is_reported_with_values():
     assert factor_moment(scen, word(v.word_text()), 2) == v.factor_value == ONE
 
 
-def test_condition_two_violation_carries_the_variance():
+def test_condition_two_violation_carries_the_variance(bundled):
     scen = TensorScenario(
-        factors=(order2_model(), SpectralModel({1: circular_sequence()})),
+        factors=(order2_model(), bundled("circular_dominated").tensor.factors[0]),
         assignments={1: (1, 1)},
     )
     report = check_tfc(scen, 1, 4)
@@ -135,10 +126,10 @@ def test_condition_two_violation_carries_the_variance():
     assert v2.word_text() == "x1 x1*"
 
 
-def test_report_consistency_invariant():
+def test_report_consistency_invariant(bundled):
     reports = [
-        check_tfc(haar_dominated().tensor, 1, 4),
-        check_tfc(circular_dominated().tensor, 1, 4),
+        check_tfc(bundled("haar_dominated").tensor, 1, 4),
+        check_tfc(bundled("circular_dominated").tensor, 1, 4),
         check_tfc(
             TensorScenario(
                 factors=(integer_model(), order2_model()),
@@ -156,15 +147,15 @@ def test_report_consistency_invariant():
 # -- dominating-factor search ----------------------------------------------
 
 
-def test_find_dominating_stops_at_the_first_hit():
-    search = find_dominating(haar_dominated().tensor, 6)
+def test_find_dominating_stops_at_the_first_hit(bundled):
+    search = find_dominating(bundled("haar_dominated").tensor, 6)
     assert search.dominating == 1
     assert sorted(search.reports) == [1]
     assert search.not_free == {}
 
 
-def test_find_dominating_records_non_free_factors():
-    search = find_dominating(free_without_dominating().tensor, 6)
+def test_find_dominating_records_non_free_factors(bundled):
+    search = find_dominating(bundled("free_without_dominating").tensor, 6)
     assert search.dominating is None
     assert search.reports == {}
     assert {k: v.witness for k, v in search.not_free.items()} == {
@@ -173,8 +164,8 @@ def test_find_dominating_records_non_free_factors():
     }
 
 
-def test_find_dominating_accepts_the_circular_factor():
-    search = find_dominating(circular_dominated().tensor, 4)
+def test_find_dominating_accepts_the_circular_factor(bundled):
+    search = find_dominating(bundled("circular_dominated").tensor, 4)
     assert search.dominating == 1
 
 
@@ -218,8 +209,8 @@ def test_unverified_faithfulness_is_noted():
 # -- necessary-condition classifier ----------------------------------------
 
 
-def test_classifier_one_nonunitary_factor():
-    report = check_necessary_conditions(circular_dominated().tensor, max_len=4)
+def test_classifier_one_nonunitary_factor(bundled):
+    report = check_necessary_conditions(bundled("circular_dominated").tensor, max_len=4)
     assert report.classification == "one_nonunitary_factor"
     assert report.non_unitary == ((1, 1),)
     assert report.dominating == 1
@@ -228,8 +219,8 @@ def test_classifier_one_nonunitary_factor():
     assert report.d_verdict is not None and report.d_verdict.free
 
 
-def test_classifier_power_hypothesis():
-    report = check_necessary_conditions(biased_unitary().tensor, max_len=6)
+def test_classifier_power_hypothesis(bundled):
+    report = check_necessary_conditions(bundled("biased_unitary").tensor, max_len=6)
     assert report.classification == "power_hypothesis"
     assert report.power_witness == (1, 1, 1)
     assert report.dominating == 1
@@ -237,8 +228,8 @@ def test_classifier_power_hypothesis():
     assert report.tfc is not None and report.tfc.satisfied
 
 
-def test_classifier_missing_case_group_like():
-    report = check_necessary_conditions(doubly_free().tensor, max_len=6)
+def test_classifier_missing_case_group_like(bundled):
+    report = check_necessary_conditions(bundled("doubly_free").tensor, max_len=6)
     assert report.classification == "missing_case"
     assert report.group_like is True
     assert report.claim1_holds
@@ -246,15 +237,15 @@ def test_classifier_missing_case_group_like():
 
 
 @pytest.mark.parametrize("K", [2, 3])
-def test_classifier_missing_case_not_group_like(K):
-    report = check_necessary_conditions(biased_power(K).tensor, max_len=4)
+def test_classifier_missing_case_not_group_like(K, bundled):
+    report = check_necessary_conditions(bundled(f"biased_power_k{K}").tensor, max_len=4)
     assert report.classification == "missing_case"
     assert report.group_like is False
     assert report.claim1_holds
 
 
-def test_classifier_rejects_non_free_factor_families():
-    report = check_necessary_conditions(free_without_dominating().tensor, max_len=6)
+def test_classifier_rejects_non_free_factor_families(bundled):
+    report = check_necessary_conditions(bundled("free_without_dominating").tensor, max_len=6)
     assert report.classification == "hypotheses_not_met"
     assert not report.hypotheses_met
     assert report.hypothesis_problems == (
@@ -263,7 +254,7 @@ def test_classifier_rejects_non_free_factor_families():
         "factor 2 family is not star-free at length 6 (witness x1 x1 x2*)",
     )
 
-    report = check_necessary_conditions(haar_dominated().tensor, max_len=6)
+    report = check_necessary_conditions(bundled("haar_dominated").tensor, max_len=6)
     assert report.classification == "hypotheses_not_met"
     assert report.hypothesis_problems == (
         "factor 2 family is not star-free at length 6 (witness x1 x1 x2*)",
