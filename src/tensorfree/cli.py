@@ -187,7 +187,7 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     if sf.tensor is not None:
         scen = sf.tensor
         oracle = joint_oracle(scen)
-        diagonal = test_freeness(oracle, scen.indices, max_len)
+        diagonal = test_freeness(oracle, scen.indices, max_len, scen.unitary_indices)
         factors: dict = {}
         for k in range(1, scen.K + 1):
             verdict = factor_freeness_verdict(scen, k, max_len)
@@ -261,7 +261,12 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         "canonical_trace": _verdict_json(star, model.moment_letters),
     }
     if verdict.witness is not None:
-        word = power_word_to_star_word(verdict.witness.blocks)
+        # the witness numbers the elements 1..n in index order
+        word = power_word_to_star_word(
+            tuple(
+                (collection.indices[p - 1], n) for p, n in verdict.witness.blocks
+            )
+        )
         centered = centered_product_value(
             model.moment_letters, word.letters, {i: i for i in collection.indices}
         )

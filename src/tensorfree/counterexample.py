@@ -121,8 +121,9 @@ def scan_alternating_powers(
     # forms of reduced power words; text-ordered letters walk them in
     # text order, as iter_words does
     letters = sorted(iter_letters(variables), key=Letter.text)
+    adjoint = {l: l.adjoint() for l in letters}
     for total in range(2, max_len + 1):
-        for word in iter_sequences(letters, total, lambda a, b: a != b.adjoint()):
+        for word in iter_sequences(letters, total, lambda a, b: a != adjoint[b]):
             runs = 1 + sum(a.index != b.index for a, b in zip(word, word[1:]))
             if runs == 1:
                 continue

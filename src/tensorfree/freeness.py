@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import DepthLimitError
 from .ncpartitions import cumulant_from_moments, moment_from_cumulants
@@ -25,6 +25,7 @@ from .starwords import (
     LetterTuple,
     StarWord,
     class_blocks,
+    iter_letters,
     iter_words,
 )
 
@@ -185,7 +186,10 @@ def _memoized(oracle: JointOracle) -> JointOracle:
 
 
 def test_freeness(
-    joint: JointOracle, indices: Iterable[int], max_len: int = 8
+    joint: JointOracle,
+    indices: Iterable[int],
+    max_len: int = 8,
+    unitary: Collection[int] = (),
 ) -> Verdict:
     """Bounded star-freeness of the variables with the given indices
     under a joint functional.
@@ -193,13 +197,37 @@ def test_freeness(
     Enumerates every word up to max_len letters that switches variable
     at least once, computes the centered alternating product by
     inclusion-exclusion through the joint oracle, and reports the first
-    nonzero value in (length, canonical text) order.
+    nonzero value in (length, canonical text) order.  words_checked
+    counts every such word up to and including the witness.
+
+    unitary names indices whose variables are unitary by the caller's
+    declared structure.  A block of one of them with as many starred
+    letters as plain ones is u^0, the unit: its centered part 1 - phi(1)
+    is zero, so the word's centered product vanishes under any unital
+    functional that respects u u* = u* u = 1.  Such words are counted
+    but not evaluated; the witness, its lhs and words_checked are those
+    of the full scan.
     """
     class_of = {i: i for i in indices}
+    # the exponent of each letter of a unitary index; a block is u^0 when
+    # its letters' exponents sum to zero
+    exponent = {l: -1 if l.star else 1 for l in iter_letters(unitary)}
     oracle = _memoized(joint)
     checked = 0
     for length in range(2, max_len + 1):
         for word in iter_words(class_of.keys(), length):
+            # with no unitary index, centered_product_value alone splits
+            # the word, so the scans that cannot skip pay nothing extra
+            if exponent:
+                blocks = class_blocks(word.letters, class_of)
+                if len(blocks) < 2:
+                    continue
+                if any(
+                    ls[0] in exponent and not sum(map(exponent.__getitem__, ls))
+                    for ls in blocks
+                ):
+                    checked += 1
+                    continue
             value = centered_product_value(oracle, word.letters, class_of)
             if value is None:
                 continue

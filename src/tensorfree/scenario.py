@@ -11,7 +11,8 @@ Values are exact: scalars are integers, [num, den] rationals, or
 the grammar "aa*a" (a letter per "a", starred by a following "*");
 unitary power moments are keyed by signed integers; group elements use
 the shared token grammar ("g1.2^-3", identity "e").  Integers written
-as text, keys and token numbers alike, are ASCII decimal.  Every object
+as text, keys and token numbers alike, are ASCII decimal; variable keys
+are unsigned, as the x<INT> of word text is.  Every object
 rejects a key it does not read.  The committed files in scenarios/ are
 written by hand; nothing in the package writes a scenario.
 """
@@ -119,13 +120,25 @@ def _scalar(raw, where: str) -> ExactComplex:
         raise ScenarioError(f"{where}: bad scalar {raw!r}: {exc}") from exc
 
 
-def _int_key(text: str, where: str, taken: Mapping[int, object]) -> int:
+def _int_key(
+    text: str, where: str, taken: Mapping[int, object], *, signed: bool
+) -> int:
     """Integer value of an object key that must differ from the keys in
-    taken, so that "01" cannot silently overwrite "1"."""
+    taken, so that "01" cannot silently overwrite "1".
+
+    Variable keys are unsigned (signed=False): word text names a
+    variable as x<INT> with INT unsigned, so a variable keyed "-1" or
+    "+1" could be named by no word.  Power moment keys are signed.
+    """
     try:
         key = parse_int(text, signed=True)
     except ValueError:
         raise ScenarioError(f"{where}: bad integer key {text!r}") from None
+    if not signed and text[0] in "+-":
+        raise ScenarioError(
+            f"{where}: key {text!r} is signed, but a variable index is "
+            "unsigned (words name x0, x1, ...)"
+        )
     if key in taken:
         raise ScenarioError(f"{where}: key {text!r} repeats the integer key {key}")
     return key
@@ -210,7 +223,8 @@ def _sequence_from_json(data, where: str) -> MomentSequence:
     for key_text, raw in moments_raw.items():
         value = _scalar(raw, f"{where}.moments[{key_text!r}]")
         if unitary:
-            moments[_int_key(key_text, f"{where}.moments", moments)] = value
+            key = _int_key(key_text, f"{where}.moments", moments, signed=True)
+            moments[key] = value
         else:
             moments[_pattern_from_text(key_text)] = value
     try:
@@ -235,7 +249,7 @@ def factor_from_json(data, where: str) -> MomentFunctional:
         variables_raw = _require_object(data, "variables", where)
         variables = {}
         for v, seq in variables_raw.items():
-            key = _int_key(v, f"{where}.variables", variables)
+            key = _int_key(v, f"{where}.variables", variables, signed=False)
             variables[key] = _sequence_from_json(seq, f"{where}.variables[{v}]")
         if not variables:
             raise ScenarioError(f"{where}: no variables")
@@ -246,7 +260,7 @@ def factor_from_json(data, where: str) -> MomentFunctional:
     variables_raw = _require_object(data, "variables", where)
     generators = {}
     for v, text in variables_raw.items():
-        key = _int_key(v, f"{where}.variables", generators)
+        key = _int_key(v, f"{where}.variables", generators, signed=False)
         generators[key] = _group_word(presentation, text, f"{where}.variables[{v}]")
     if not generators:
         raise ScenarioError(f"{where}: no variables")
@@ -307,7 +321,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
                 raise ScenarioError(
                     f"scenario.tensor.variables[{i}]: must be a list of variable ids"
                 )
-            key = _int_key(i, "scenario.tensor.variables", assignments)
+            key = _int_key(i, "scenario.tensor.variables", assignments, signed=False)
             assignments[key] = tuple(components)
         tensor = TensorScenario(factors=factors, assignments=assignments)
         return ScenarioFile(name, "tensor", tensor=tensor, bounds=bounds, alpha=alpha)
@@ -317,7 +331,7 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
     elements_raw = _require_object(data, "elements", "scenario")
     elements = {}
     for i, text in elements_raw.items():
-        key = _int_key(i, "scenario.elements", elements)
+        key = _int_key(i, "scenario.elements", elements, signed=False)
         elements[key] = _group_word(presentation, text, f"scenario.elements[{i}]")
     collection = GroupCollection(presentation, elements)
     return ScenarioFile(

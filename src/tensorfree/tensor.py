@@ -22,7 +22,13 @@ from .errors import (
 from .freeness import JointOracle
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ExactComplex, RationalLike, rational_sqrt
-from .spaces import GroupAlgebraModel, MomentFunctional, SpectralModel, variance
+from .spaces import (
+    GroupAlgebraModel,
+    GroupBackedModel,
+    MomentFunctional,
+    SpectralModel,
+    variance,
+)
 from .starwords import Letter, LetterTuple, StarWord, single_variable_word
 
 
@@ -100,6 +106,28 @@ class TensorScenario:
                 and all(seq.unitary for seq in f.sequences.values())
             )
             for f in self.factors
+        )
+
+    @property
+    def unitary_indices(self) -> frozenset[int]:
+        """The joint indices whose every component is, by its declared
+        structure, a unitary: a variable of a GroupBackedModel (a group
+        element, whatever the functional) or a SpectralModel variable
+        whose MomentSequence is unitary.
+
+        The elementary tensor of unitaries is unitary, so a run of such
+        an index with as many starred letters as plain ones is the unit
+        under any unital functional; no trace, Hermitian or freeness
+        flag is needed, and no axiom check is consulted.
+        """
+        return frozenset(
+            i
+            for i, components in self.assignments.items()
+            if all(
+                isinstance(f, GroupBackedModel)
+                or (isinstance(f, SpectralModel) and f.sequences[var].unitary)
+                for f, var in zip(self.factors, components)
+            )
         )
 
     def component(self, i: int, k: int) -> int:

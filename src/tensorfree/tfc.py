@@ -310,7 +310,12 @@ def check_necessary_conditions(
                 non_unitary.append((k, i))
     non_unitary_factors = tuple(sorted({k for k, _ in non_unitary}))
 
-    d_verdict = test_freeness(joint_oracle(normalized), normalized.indices, max_len)
+    d_verdict = test_freeness(
+        joint_oracle(normalized),
+        normalized.indices,
+        max_len,
+        normalized.unitary_indices,
+    )
     if not d_verdict.free:
         return NecessaryConditionsReport(
             bound=max_len,

@@ -6,6 +6,7 @@ deleting any of them would break the benchmark rather than a test.
 These checks move that failure into the test suite.
 """
 
+import importlib.util
 import inspect
 import json
 import os
@@ -13,24 +14,38 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+WORKLOADS = ROOT / "perfbench" / "workloads.py"
 
 
-def test_tracer_binds_every_entry_point(tmp_path):
+def trace(tmp_path, *cli_args) -> dict:
+    """The tracer's summary of one CLI invocation run from the repo root."""
     summary_path = tmp_path / "summary.json"
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     run = subprocess.run(
-        [sys.executable, str(TRACER), str(summary_path), "--",
-         "scenarios/biased_unitary.json", "moments", "x1"],
+        [sys.executable, str(TRACER), str(summary_path), "--", *cli_args],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert run.returncode == 0, run.stderr
-    summary = json.loads(summary_path.read_text(encoding="utf-8"))
+    assert run.returncode in (0, 1), run.stderr
+    return json.loads(summary_path.read_text(encoding="utf-8"))
+
+
+def expected_entry_points(workload: str) -> frozenset:
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.EXPECTED_ENTRY_POINTS[workload]
+
+
+def test_tracer_binds_every_entry_point(tmp_path):
+    summary = trace(tmp_path, "scenarios/biased_unitary.json", "moments", "x1")
     assert summary["exit"] == 0
     # the tracer counts calls for every name in its ENTRY_POINTS table
     names = set(summary["calls"])
@@ -75,3 +90,23 @@ def test_microbenchmark_names_exist():
         "letters",
         "class_of",
     ]
+
+
+# The scan workloads at a small bound.  A traced benchmark run reports
+# correct: false when an entry point its workload expects records no
+# call, so a change that routes a scan around one (a fast path that
+# skips the L0 arithmetic, say) fails here first.
+SMALL_SCANS = {
+    "tensor-scan": ("scenarios/biased_power_k2.json", "test-freeness"),
+    "group-scan": ("scenarios/product_pair_collection.json", "group-freeness"),
+    "witness-search": ("scenarios/biased_power_k2.json", "counterexample-k", "2"),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(SMALL_SCANS))
+def test_small_scans_reach_the_expected_entry_points(tmp_path, workload):
+    summary = trace(tmp_path, *SMALL_SCANS[workload], "--max-len", "4")
+    silent = sorted(
+        name for name in expected_entry_points(workload) if summary["calls"][name] < 1
+    )
+    assert silent == []

@@ -255,6 +255,27 @@ def test_group_freeness_bridge(run_cli, scenario_path):
     }
 
 
+@pytest.mark.parametrize(
+    "keys, star_word",
+    [(("2", "3"), "x2 x2 x3*"), (("1", "3"), "x1 x1 x3*"), (("3", "1"), "x1 x3* x3*")],
+    ids=["2-3", "1-3", "3-1"],
+)
+def test_group_freeness_bridge_uses_the_element_keys(
+    run_cli, scenario_path, tmp_path, keys, star_word
+):
+    # the group witness numbers the elements 1..n in key order; the
+    # bridge word must name them by their keys
+    with open(scenario_path("integer_pair_collection"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["elements"] = dict(zip(keys, payload["elements"].values()))
+    res = run_cli(write_scenario(tmp_path, "keyed", payload), "group-freeness")
+    assert res.code == 1, res.err
+    body = res.json()["report"]
+    assert body["bridge"]["witness_star_word"] == star_word
+    assert body["bridge"]["centered_value"] == 1
+    assert body["canonical_trace"]["witness"] == star_word
+
+
 def test_group_freeness_on_a_free_pair(run_cli, scenario_path):
     res = run_cli(scenario_path("free_pair_collection"), "group-freeness")
     assert res.code == 0
@@ -713,7 +734,29 @@ STRICT_INPUTS = [
         set_in(("factors", 1, "variables", "2"), "g1.1^1_0"),
         "factors[2].variables[2]: bad exponent in group token 'g1.1^1_0'",
     ),
+    # variable keys are unsigned, as the x<INT> of word text is
+    (
+        "spectral-key-negative",
+        duplicate_key(("factors", 0, "variables"), "1", "-1"),
+        "factors[1].variables: key '-1' is signed",
+    ),
+    (
+        "group-key-negative",
+        duplicate_key(("factors", 1, "variables"), "2", "-2"),
+        "factors[2].variables: key '-2' is signed",
+    ),
+    (
+        "joint-key-negative",
+        duplicate_key(("tensor", "variables"), "1", "-1"),
+        "scenario.tensor.variables: key '-1' is signed",
+    ),
     # rows on a group scenario name it as a fourth entry
+    (
+        "element-key-negative",
+        duplicate_key(("elements",), "2", "-1"),
+        "scenario.elements: key '-1' is signed",
+        "free_pair_collection",
+    ),
     (
         "elements-list",
         set_in(("elements",), ["g1.1^1"]),
