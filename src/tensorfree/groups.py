@@ -305,12 +305,32 @@ def is_free_collection(
 
 @dataclass(frozen=True)
 class GroupDominatingReport:
-    collection_free: bool
+    """The collection's freeness witness (None when free within the
+    bounds) and, for a free collection, one (k, projections free, orders
+    preserved) row per component; everything else follows from these."""
+
     freeness_witness: GroupWitness | None
-    dominating: int | None
-    component_reports: tuple[tuple[int, bool, bool], ...]  # (k, comp free, orders ok)
-    searched: bool
-    suspect: bool  # free collection but no component passed: bounds or bug
+    component_reports: tuple[tuple[int, bool, bool], ...]
+
+    @property
+    def collection_free(self) -> bool:
+        return self.freeness_witness is None
+
+    @property
+    def dominating(self) -> int | None:
+        """The first component whose projections are free and keep orders."""
+        rows = self.component_reports
+        return next((k for k, free, orders in rows if free and orders), None)
+
+    @property
+    def searched(self) -> bool:
+        """Components are searched exactly when the collection is free."""
+        return self.collection_free
+
+    @property
+    def suspect(self) -> bool:
+        """Free collection but no component passed: bounds or a fault."""
+        return self.collection_free and self.dominating is None
 
 
 def _component_elements(
@@ -342,18 +362,13 @@ def group_dominating_report(
             raise PreconditionError("collection must not contain the neutral element")
     verdict = is_free_collection(presentation, elements, max_blocks, max_exp)
     if not verdict.free:
-        return GroupDominatingReport(False, verdict.witness, None, (), False, False)
+        return GroupDominatingReport(verdict.witness, ())
 
     orders = [element_order(presentation, g) for g in elements]
     reports: list[tuple[int, bool, bool]] = []
-    dominating: int | None = None
     for k in range(1, presentation.num_factors + 1):
         sub, comps = _component_elements(presentation, elements, k)
         comp_free = is_free_collection(sub, comps, max_blocks, max_exp).free
         orders_ok = all(element_order(sub, c) == d for c, d in zip(comps, orders))
         reports.append((k, comp_free, orders_ok))
-        if dominating is None and comp_free and orders_ok:
-            dominating = k
-    return GroupDominatingReport(
-        True, None, dominating, tuple(reports), True, dominating is None
-    )
+    return GroupDominatingReport(None, tuple(reports))

@@ -38,9 +38,6 @@ class MomentFunctional:
 
     variables: tuple[int, ...]
 
-    def __init__(self) -> None:
-        self.faithfulness_verified = False
-
     def moment(self, word: StarWord) -> ExactComplex:
         return self.moment_letters(word.letters)
 
@@ -63,7 +60,6 @@ class GroupBackedModel(MomentFunctional):
     def __init__(
         self, presentation: GroupPresentation, generators: dict[int, GroupElement]
     ) -> None:
-        super().__init__()
         self.presentation = presentation
         self.generators = dict(generators)
         self.variables = tuple(sorted(self.generators))
@@ -141,7 +137,6 @@ class SpectralModel(MomentFunctional):
     def __init__(
         self, variables: dict[int, MomentSequence], assume_free: bool = False
     ) -> None:
-        super().__init__()
         self.sequences = dict(variables)
         self.variables = tuple(sorted(self.sequences))
         self.assume_free = assume_free
@@ -315,9 +310,6 @@ def check_axioms(functional: MomentFunctional, gram_len: int = 3) -> AxiomReport
             break
 
     psd, pd = hermitian_ldl_signature(gram_matrix(functional, basis))
-
-    if pd:
-        functional.faithfulness_verified = True
     return AxiomReport(
         unital, hermitian, tracial, psd, pd, len(basis), gram_len, tuple(notes)
     )

@@ -245,9 +245,8 @@ def normalized_scenario(scenario: TensorScenario) -> TensorScenario:
     Group elements and unitary sequences always have second moment one,
     so only star-table variables of a SpectralModel are rescaled: the
     value of a pattern of length n is multiplied by c^n.  Rescaling by
-    a positive scalar keeps positivity, traciality and faithfulness, so
-    the verified flag is carried over.  Factors already normalized are
-    shared, not rebuilt.
+    a positive scalar keeps positivity, traciality and faithfulness.
+    Factors already normalized are shared, not rebuilt.
     """
     new_factors: list[MomentFunctional] = []
     for k in range(1, scenario.K + 1):
@@ -285,9 +284,9 @@ def normalized_scenario(scenario: TensorScenario) -> TensorScenario:
                 {key: value * c ** len(key) for key, value in seq.values.items()},
                 complete_through=seq.complete_through,
             )
-        rescaled = SpectralModel(sequences, assume_free=functional.assume_free)
-        rescaled.faithfulness_verified = functional.faithfulness_verified
-        new_factors.append(rescaled)
+        new_factors.append(
+            SpectralModel(sequences, assume_free=functional.assume_free)
+        )
     return TensorScenario(
         factors=tuple(new_factors), assignments=dict(scenario.assignments)
     )

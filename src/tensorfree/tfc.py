@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .errors import (
     FactorNotFreeError,
@@ -53,12 +54,18 @@ class TfcViolation:
 class TfcReport:
     k: int
     bound: int
-    satisfied: bool
-    dominating: int | None
     violations: tuple[TfcViolation, ...]
     freeness: Verdict | None
     patterns_checked: int
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    @property
+    def satisfied(self) -> bool:
+        return not self.violations
+
+    @property
+    def dominating(self) -> int | None:
+        return self.k if self.satisfied else None
 
 
 def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
@@ -83,13 +90,10 @@ def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
 def ensure_faithfulness(functional: MomentFunctional) -> bool:
     """Best-effort positive-definiteness check, at Gram length 2, backing
     determinism claims."""
-    if functional.faithfulness_verified:
-        return True
     try:
-        report = check_axioms(functional, gram_len=2)
+        return check_axioms(functional, gram_len=2).positive_definite
     except (NotDirectlyEvaluable, InsufficientMomentDataError, LimitError):
         return False
-    return report.positive_definite
 
 
 def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
@@ -106,77 +110,52 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
     if freeness_verdict is not None and not freeness_verdict.free:
         raise FactorNotFreeError(k, freeness_verdict)
 
-    notes: list[str] = []
-    for l in range(1, scenario.K + 1):
-        if l != k and not ensure_faithfulness(scenario.factors[l - 1]):
-            notes.append(
-                f"factor {l}: faithfulness unverified, determinism is "
-                "variance-zero only"
-            )
+    others = [l for l in range(1, scenario.K + 1) if l != k]
+    notes = tuple(
+        f"factor {l}: faithfulness unverified, determinism is variance-zero only"
+        for l in others
+        if not ensure_faithfulness(scenario.factors[l - 1])
+    )
 
     first_1: TfcViolation | None = None
     first_2: TfcViolation | None = None
     checked = 0
-    for length in range(1, max_len + 1):
-        for pattern in iter_star_patterns(length):
-            for i in scenario.indices:
-                checked += 1
-                word = single_variable_word(pattern, i)
-                value = tensor_moment(scenario, word)
-                if value.is_zero():
-                    if first_1 is None:
-                        fk = factor_moment(scenario, word, k)
-                        if not fk.is_zero():
-                            first_1 = TfcViolation(
-                                condition=1,
-                                index=i,
-                                pattern=pattern,
-                                factor=k,
-                                tensor_value=value,
-                                factor_value=fk,
-                            )
-                elif first_2 is None:
-                    for l in range(1, scenario.K + 1):
-                        if l == k:
-                            continue
-                        spread = variance(
-                            scenario.factors[l - 1], factor_word(scenario, word, l)
-                        )
-                        if spread != 0:
-                            first_2 = TfcViolation(
-                                condition=2,
-                                index=i,
-                                pattern=pattern,
-                                factor=l,
-                                tensor_value=value,
-                                variance=spread,
-                            )
-                            break
-            if first_1 is not None and first_2 is not None:
-                break
+    patterns = chain.from_iterable(
+        iter_star_patterns(length) for length in range(1, max_len + 1)
+    )
+    for pattern in patterns:
+        for i in scenario.indices:
+            checked += 1
+            word = single_variable_word(pattern, i)
+            value = tensor_moment(scenario, word)
+            if value.is_zero():
+                if first_1 is None:
+                    fk = factor_moment(scenario, word, k)
+                    if not fk.is_zero():
+                        first_1 = TfcViolation(1, i, pattern, k, value, factor_value=fk)
+            elif first_2 is None:
+                for l in others:
+                    spread = variance(
+                        scenario.factors[l - 1], factor_word(scenario, word, l)
+                    )
+                    if spread != 0:
+                        first_2 = TfcViolation(2, i, pattern, l, value, variance=spread)
+                        break
         if first_1 is not None and first_2 is not None:
             break
 
     violations = tuple(v for v in (first_1, first_2) if v is not None)
-    satisfied = not violations
-    return TfcReport(
-        k=k,
-        bound=max_len,
-        satisfied=satisfied,
-        dominating=k if satisfied else None,
-        violations=violations,
-        freeness=freeness_verdict,
-        patterns_checked=checked,
-        notes=tuple(notes),
-    )
+    return TfcReport(k, max_len, violations, freeness_verdict, checked, notes)
 
 
 @dataclass(frozen=True)
 class DominatingSearch:
-    dominating: int | None
     reports: dict[int, TfcReport]
     not_free: dict[int, Verdict]
-    bound: int
+
+    @property
+    def dominating(self) -> int | None:
+        return next((k for k, r in self.reports.items() if r.satisfied), None)
 
 
 def find_dominating(scenario: TensorScenario, max_len: int = 8) -> DominatingSearch:
@@ -195,8 +174,8 @@ def find_dominating(scenario: TensorScenario, max_len: int = 8) -> DominatingSea
             continue
         reports[k] = report
         if report.satisfied:
-            return DominatingSearch(k, reports, not_free, max_len)
-    return DominatingSearch(None, reports, not_free, max_len)
+            break
+    return DominatingSearch(reports, not_free)
 
 
 # -- necessary conditions for free diagonal families ----------------------
@@ -208,36 +187,58 @@ class NecessaryConditionsReport:
 
     classification is one of: hypotheses_not_met, not_free_at_bound,
     one_nonunitary_factor, power_hypothesis, missing_case, or
-    claim1_violated (which would indicate a bug in this package, not a
-    mathematical phenomenon).
+    claim1_violated.  Every one of them holds at the report's bound only:
+    claim1_violated says that the diagonal family tested free through the
+    bound although two factors hold non-unitary components, which either
+    a witness beyond the bound or a fault in this package explains.
+
+    The claims and the dominating factor follow from the classification
+    and the TFC report, so they are derived rather than stored.
     """
 
     bound: int
-    hypotheses_met: bool
-    hypothesis_problems: tuple[str, ...]
-    non_unitary: tuple[tuple[int, int], ...]
-    d_verdict: Verdict | None
     classification: str
-    dominating: int | None = None
+    hypothesis_problems: tuple[str, ...]
+    notes: tuple[str, ...]
+    non_unitary: tuple[tuple[int, int], ...] = ()
+    d_verdict: Verdict | None = None
     tfc: TfcReport | None = None
     power_witness: tuple[int, int, int] | None = None
     group_like: bool | None = None
-    claim1_holds: bool | None = None
-    claim2_holds: bool | None = None
-    claim3_holds: bool | None = None
-    notes: tuple[str, ...] = ()
+
+    @property
+    def hypotheses_met(self) -> bool:
+        return self.classification != "hypotheses_not_met"
+
+    @property
+    def dominating(self) -> int | None:
+        return None if self.tfc is None else self.tfc.dominating
+
+    @property
+    def claim1_holds(self) -> bool | None:
+        if self.classification in ("hypotheses_not_met", "not_free_at_bound"):
+            return None
+        return self.classification != "claim1_violated"
+
+    @property
+    def claim2_holds(self) -> bool | None:
+        if self.classification != "one_nonunitary_factor":
+            return None
+        return self.tfc.satisfied
+
+    @property
+    def claim3_holds(self) -> bool | None:
+        if self.classification != "power_hypothesis":
+            return None
+        return self.tfc.satisfied
 
 
 def _power_moment(scenario: TensorScenario, i: int, m: int) -> ExactComplex:
     return tensor_moment(scenario, single_variable_word((False,) * m, i))
 
 
-def _component_power_deterministic(
-    scenario: TensorScenario, k: int, i: int, m: int
-) -> bool:
-    functional = scenario.factors[k - 1]
-    word = single_variable_word((False,) * m, scenario.component(i, k))
-    return variance(functional, word) == 0
+def _component_power(scenario: TensorScenario, k: int, i: int, m: int) -> StarWord:
+    return single_variable_word((False,) * m, scenario.component(i, k))
 
 
 def check_necessary_conditions(
@@ -260,11 +261,16 @@ def check_necessary_conditions(
     classified (group_like tells whether every vanishing joint power
     vanishes factorwise), not judged.
     """
-    problems = list(scalar_component_check(scenario))
-    normalized = normalized_scenario(scenario)
-    notes: list[str] = []
+    problems = scalar_component_check(scenario)
+    if problems:
+        return NecessaryConditionsReport(
+            max_len, "hypotheses_not_met", tuple(problems), ()
+        )
 
-    for k in range(1, normalized.K + 1):
+    normalized = normalized_scenario(scenario)
+    factors = range(1, normalized.K + 1)
+    notes: list[str] = []
+    for k in factors:
         verdict = factor_freeness_verdict(normalized, k, max_len)
         if verdict is not None and not verdict.free:
             witness = verdict.witness.text() if verdict.witness else "?"
@@ -272,9 +278,8 @@ def check_necessary_conditions(
                 f"factor {k} family is not star-free at length {max_len} "
                 f"(witness {witness})"
             )
-        functional = normalized.factors[k - 1]
         try:
-            axioms = check_axioms(functional, gram_len=gram_len)
+            axioms = check_axioms(normalized.factors[k - 1], gram_len=gram_len)
         except (NotDirectlyEvaluable, InsufficientMomentDataError) as exc:
             problems.append(f"factor {k} axioms not checkable: {exc}")
             continue
@@ -286,140 +291,85 @@ def check_necessary_conditions(
             notes.append(
                 f"factor {k}: faithfulness unverified at gram length {gram_len}"
             )
-
     if problems:
         return NecessaryConditionsReport(
-            bound=max_len,
-            hypotheses_met=False,
-            hypothesis_problems=tuple(problems),
-            non_unitary=(),
-            d_verdict=None,
-            classification="hypotheses_not_met",
-            notes=tuple(notes),
+            max_len, "hypotheses_not_met", tuple(problems), tuple(notes)
         )
 
     # unitary iff the fourth moment of a normalized component is one
-    non_unitary: list[tuple[int, int]] = []
-    for k in range(1, normalized.K + 1):
-        functional = normalized.factors[k - 1]
-        for i in normalized.indices:
-            word = single_variable_word(
-                (False, True, False, True), normalized.component(i, k)
-            )
-            if functional.moment(word) != 1:
-                non_unitary.append((k, i))
-    non_unitary_factors = tuple(sorted({k for k, _ in non_unitary}))
-
+    fourth = (False, True, False, True)
+    non_unitary = tuple(
+        (k, i)
+        for k in factors
+        for i in normalized.indices
+        if normalized.factors[k - 1].moment(
+            single_variable_word(fourth, normalized.component(i, k))
+        )
+        != 1
+    )
+    non_unitary_factors = sorted({k for k, _ in non_unitary})
     d_verdict = test_freeness(
         joint_oracle(normalized),
         normalized.indices,
         max_len,
         normalized.unitary_indices,
     )
+
+    def report(classification: str, *extra_notes: str, **found):
+        return NecessaryConditionsReport(
+            max_len,
+            classification,
+            (),
+            tuple(notes) + extra_notes,
+            non_unitary,
+            d_verdict,
+            **found,
+        )
+
     if not d_verdict.free:
-        return NecessaryConditionsReport(
-            bound=max_len,
-            hypotheses_met=True,
-            hypothesis_problems=(),
-            non_unitary=tuple(non_unitary),
-            d_verdict=d_verdict,
-            classification="not_free_at_bound",
-            notes=tuple(notes),
+        return report("not_free_at_bound")
+    if len(non_unitary_factors) > 1:
+        return report(
+            "claim1_violated",
+            "two factors with non-unitary components in a free family",
         )
 
-    claim1 = len(non_unitary_factors) <= 1
-    if not claim1:
-        return NecessaryConditionsReport(
-            bound=max_len,
-            hypotheses_met=True,
-            hypothesis_problems=(),
-            non_unitary=tuple(non_unitary),
-            d_verdict=d_verdict,
-            classification="claim1_violated",
-            claim1_holds=False,
-            notes=tuple(notes)
-            + ("two factors with non-unitary components in a free family",),
-        )
-
-    if non_unitary_factors:
-        k0 = non_unitary_factors[0]
-        report = check_tfc(normalized, k0, max_len)
-        return NecessaryConditionsReport(
-            bound=max_len,
-            hypotheses_met=True,
-            hypothesis_problems=(),
-            non_unitary=tuple(non_unitary),
-            d_verdict=d_verdict,
-            classification="one_nonunitary_factor",
-            dominating=report.dominating,
-            tfc=report,
-            claim1_holds=True,
-            claim2_holds=report.satisfied,
-            notes=tuple(notes),
-        )
-
-    witness: tuple[int, int, int] | None = None
-    for m in range(1, max_len + 1):
-        for i in normalized.indices:
-            if _power_moment(normalized, i, m).is_zero():
-                continue
-            for k in range(1, normalized.K + 1):
-                if not _component_power_deterministic(normalized, k, i, m):
-                    witness = (k, m, i)
-                    break
-            if witness:
-                break
-        if witness:
-            break
-
-    if witness is not None:
-        k0 = witness[0]
-        report = check_tfc(normalized, k0, max_len)
-        return NecessaryConditionsReport(
-            bound=max_len,
-            hypotheses_met=True,
-            hypothesis_problems=(),
-            non_unitary=(),
-            d_verdict=d_verdict,
-            classification="power_hypothesis",
-            dominating=report.dominating,
-            tfc=report,
-            power_witness=witness,
-            claim1_holds=True,
-            claim3_holds=report.satisfied,
-            notes=tuple(notes),
-        )
-
-    group_like = True
-    for i in normalized.indices:
-        for m in range(1, max_len + 1):
-            if not _power_moment(normalized, i, m).is_zero():
-                continue
-            for k in range(1, normalized.K + 1):
-                var = normalized.component(i, k)
-                value = normalized.factors[k - 1].moment(
-                    single_variable_word((False,) * m, var)
+    # a nonvanishing joint power with a non-deterministic component
+    power_witness = None
+    if not non_unitary_factors:
+        power_witness = next(
+            (
+                (k, m, i)
+                for m in range(1, max_len + 1)
+                for i in normalized.indices
+                if not _power_moment(normalized, i, m).is_zero()
+                for k in factors
+                if variance(
+                    normalized.factors[k - 1], _component_power(normalized, k, i, m)
                 )
-                if not value.is_zero():
-                    group_like = False
-                    break
-            if not group_like:
-                break
-        if not group_like:
-            break
+                != 0
+            ),
+            None,
+        )
+    if non_unitary_factors or power_witness is not None:
+        k0 = non_unitary_factors[0] if non_unitary_factors else power_witness[0]
+        return report(
+            "one_nonunitary_factor" if non_unitary_factors else "power_hypothesis",
+            tfc=check_tfc(normalized, k0, max_len),
+            power_witness=power_witness,
+        )
 
-    return NecessaryConditionsReport(
-        bound=max_len,
-        hypotheses_met=True,
-        hypothesis_problems=(),
-        non_unitary=(),
-        d_verdict=d_verdict,
-        classification="missing_case",
+    # group-like: every vanishing joint power vanishes in every factor
+    group_like = all(
+        normalized.factors[k - 1].moment(_component_power(normalized, k, i, m)).is_zero()
+        for i in normalized.indices
+        for m in range(1, max_len + 1)
+        if _power_moment(normalized, i, m).is_zero()
+        for k in factors
+    )
+    return report(
+        "missing_case",
+        "every nonvanishing joint power is deterministic at this bound; "
+        "the necessary conditions assert nothing here",
         group_like=group_like,
-        claim1_holds=True,
-        notes=tuple(notes)
-        + (
-            "every nonvanishing joint power is deterministic at this bound; "
-            "the necessary conditions assert nothing here",
-        ),
     )

@@ -377,6 +377,63 @@ def test_theorem_1_8_is_invariant_under_rescaling(run_cli, scenario_path, tmp_pa
     assert scaled.out == plain.out
 
 
+def diagonal_spectral_payload(name, first, second):
+    """Two assume_free spectral factors, each holding x1 = first and
+    x2 = second, paired diagonally."""
+    factor = {
+        "space": "spectral",
+        "assume_free": True,
+        "variables": {"1": first, "2": second},
+    }
+    return {
+        "version": 1,
+        "name": name,
+        "kind": "tensor",
+        "bounds": {"gram_len": 2},
+        "factors": [factor, factor],
+        "tensor": {"variables": {"1": [1, 1], "2": [2, 2]}},
+    }
+
+
+HAAR = {"moments": {}, "unitary": True}
+HALF = {"moments": {"1": [1, 2]}, "unitary": True}
+
+
+def test_theorem_1_8_screen_reports_a_zero_component(run_cli, tmp_path):
+    # normalizing would divide by the zero second moment of x1
+    empty = {"moments": {}, "complete_through": 4}
+    payload = diagonal_spectral_payload("zero", empty, HAAR)
+    res = run_cli(write_scenario(tmp_path, "zero", payload), "theorem-1-8")
+    assert res.code == 0
+    body = res.json()["report"]
+    assert body["classification"] == "hypotheses_not_met"
+    assert body["hypothesis_problems"] == ["joint variable 1 has a zero component"]
+
+
+def test_theorem_1_8_bounded_classifications(run_cli, scenario_path, tmp_path):
+    with open(scenario_path("circular_dominated"), encoding="utf-8") as handle:
+        circular = json.load(handle)["factors"][0]["variables"]["1"]
+    payload = diagonal_spectral_payload("circular_pair", circular, HAAR)
+    res = run_cli(write_scenario(tmp_path, "circular", payload), "theorem-1-8", "--max-len", "2")
+    assert res.code == 1
+    body = res.json()["report"]
+    assert body["classification"] == "claim1_violated"
+    assert body["claims"] == {"claim1": False, "claim2": None, "claim3": None}
+
+    path = write_scenario(tmp_path, "half", diagonal_spectral_payload("half", HALF, HALF))
+    res = run_cli(path, "theorem-1-8", "--max-len", "4")
+    assert res.code == 0
+    body = res.json()["report"]
+    assert body["classification"] == "not_free_at_bound"
+    assert body["diagonal"]["witness"] == "x1 x2 x1 x2"
+
+    res = run_cli(path, "theorem-1-8", "--max-len", "3")
+    assert res.code == 1
+    body = res.json()["report"]
+    assert body["classification"] == "power_hypothesis"
+    assert body["claims"] == {"claim1": True, "claim2": None, "claim3": False}
+
+
 # -- counterexample-k --------------------------------------------------------------------
 
 

@@ -302,8 +302,7 @@ def test_minimal_block_pairs():
 
 def test_analysis_report_for_three_factors():
     report = analyze_biased_power(3, Fraction(1, 10), max_len=4)
-    assert report.factors == 3
-    assert report.verdict.free
+    assert report.verdict.free and report.verdict.bound == 4
     assert [(l.block_pairs, l.words, l.violations) for l in report.scan] == [
         (1, 48, 0),
         (2, 96, 0),

@@ -148,15 +148,9 @@ def test_variance_requires_real_second_moment():
         variance(Rigged(), word("x1"))
 
 
-def test_positive_definite_check_axioms_sets_faithfulness_verified():
-    model = f2_trace()
-    assert not model.faithfulness_verified
-    assert check_axioms(model, gram_len=2).positive_definite
-    assert model.faithfulness_verified
-
-    degenerate = beta_table(Fraction(1))
-    assert not check_axioms(degenerate, gram_len=2).positive_definite
-    assert not degenerate.faithfulness_verified
+def test_check_axioms_decides_positive_definiteness():
+    assert check_axioms(f2_trace(), gram_len=2).positive_definite
+    assert not check_axioms(beta_table(Fraction(1)), gram_len=2).positive_definite
 
 
 def test_free_group_trace_axioms_all_pass():

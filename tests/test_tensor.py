@@ -314,7 +314,6 @@ def test_normalized_scenario_rescales_to_unit_second_moment():
     values[(False, False, True, True)] = 16
     seq = MomentSequence(values, complete_through=4)
     wide = SpectralModel({1: seq, 2: MomentSequence({}, unitary=True)})
-    wide.faithfulness_verified = True
     scen = TensorScenario(
         factors=(wide, f2_model()),
         assignments={1: (1, 1), 2: (2, 2)},
@@ -332,7 +331,6 @@ def test_normalized_scenario_rescales_to_unit_second_moment():
     assert rescaled.sequences[1].complete_through == 4
     assert rescaled.sequences[2] is wide.sequences[2]  # unit second moment
     assert rescaled.assume_free is wide.assume_free
-    assert rescaled.faithfulness_verified
     assert rescaled.moment(word("x1 x1*")) == ONE
     # the already normalized factor is shared, not wrapped
     assert normalized.factors[1] is scen.factors[1]

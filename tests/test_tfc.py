@@ -28,6 +28,8 @@ from tensorfree.tfc import (
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
 ORDER2 = GroupPresentation((FreeProductPresentation((2,)),))
+HAAR = MomentSequence({}, unitary=True)
+HALF = MomentSequence({1: Fraction(1, 2)}, unitary=True)
 
 
 def integer_model():
@@ -173,13 +175,7 @@ def test_find_dominating_accepts_the_circular_factor(bundled):
 
 
 def test_ensure_faithfulness():
-    model = integer_model()
-    assert ensure_faithfulness(model)
-    assert model.faithfulness_verified
-
-    verified = order2_model()
-    verified.faithfulness_verified = True
-    assert ensure_faithfulness(verified)
+    assert ensure_faithfulness(integer_model())
 
     g = parse_group_word(F2, "g1.1^1")
     h = parse_group_word(F2, "g1.2^1")
@@ -271,3 +267,93 @@ def test_classifier_screens_scalar_components():
     assert report.hypothesis_problems == (
         "joint variable 1 is a constant multiple of the unit",
     )
+
+
+def test_classifier_screen_reports_a_zero_component():
+    # x1 of factor 1 is a star table with no moments: its second moment is
+    # zero, so normalizing would fail; the screen must answer first
+    empty = MomentSequence({}, complete_through=4)
+    scen = TensorScenario(
+        factors=(
+            SpectralModel({1: empty, 2: HAAR}, assume_free=True),
+            GroupAlgebraModel(
+                INTEGERS,
+                {n: parse_group_word(INTEGERS, f"g1.1^{n}") for n in (1, 2)},
+            ),
+        ),
+        assignments={1: (1, 1), 2: (2, 2)},
+    )
+    report = check_necessary_conditions(scen, max_len=4)
+    assert report.classification == "hypotheses_not_met"
+    assert report.hypothesis_problems == ("joint variable 1 has a zero component",)
+    assert report.d_verdict is None and report.notes == ()
+
+
+def diagonal_pair(first, second):
+    """Two assume_free factors, each holding x1 = first and x2 = second,
+    paired diagonally: joint 1 = (1, 1) and joint 2 = (2, 2)."""
+    return TensorScenario(
+        factors=tuple(
+            SpectralModel({1: first, 2: second}, assume_free=True) for _ in range(2)
+        ),
+        assignments={1: (1, 1), 2: (2, 2)},
+    )
+
+
+def circular_pair(bundled):
+    circular = bundled("circular_dominated").tensor.factors[0].sequences[1]
+    return diagonal_pair(circular, HAAR)
+
+
+def test_classifier_two_nonunitary_factors(bundled):
+    # a bounded scan cannot tell a fault from a witness beyond its bound:
+    # the diagonal pair tests free at this length although both factors
+    # hold the circular element
+    report = check_necessary_conditions(circular_pair(bundled), max_len=2)
+    assert report.classification == "claim1_violated"
+    assert report.non_unitary == ((1, 1), (2, 1))
+    assert report.d_verdict.free and report.tfc is None
+    assert report.notes[-1] == "two factors with non-unitary components in a free family"
+
+
+def test_classifier_not_free_at_bound():
+    report = check_necessary_conditions(diagonal_pair(HALF, HALF), max_len=4)
+    assert report.classification == "not_free_at_bound"
+    assert report.d_verdict.witness == word("x1 x2 x1 x2")
+    assert report.tfc is None and report.power_witness is None
+
+    # one letter shorter the witness is out of reach, and the power x1
+    # has a non-deterministic component in factor 1
+    shorter = check_necessary_conditions(diagonal_pair(HALF, HALF), max_len=3)
+    assert shorter.power_witness == (1, 1, 1)
+
+
+# (scenario, max_len, classification, claims 1-3, dominating, hypotheses_met)
+CLASSIFICATIONS = [
+    (lambda b: b("haar_dominated").tensor, 4,
+     "hypotheses_not_met", (None, None, None), None, False),
+    (lambda b: diagonal_pair(HALF, HALF), 4,
+     "not_free_at_bound", (None, None, None), None, True),
+    (circular_pair, 2,
+     "claim1_violated", (False, None, None), None, True),
+    (lambda b: b("circular_dominated").tensor, 4,
+     "one_nonunitary_factor", (True, True, None), 1, True),
+    (lambda b: diagonal_pair(HALF, HALF), 3,
+     "power_hypothesis", (True, None, False), None, True),
+    (lambda b: b("doubly_free").tensor, 4,
+     "missing_case", (True, None, None), None, True),
+]
+
+
+@pytest.mark.parametrize(
+    "build, max_len, classification, claims, dominating, met",
+    [pytest.param(*row, id=row[2]) for row in CLASSIFICATIONS],
+)
+def test_classification_determines_claims(
+    bundled, build, max_len, classification, claims, dominating, met
+):
+    report = check_necessary_conditions(build(bundled), max_len=max_len)
+    assert report.classification == classification
+    assert (report.claim1_holds, report.claim2_holds, report.claim3_holds) == claims
+    assert report.dominating == dominating
+    assert report.hypotheses_met is met
