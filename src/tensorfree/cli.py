@@ -188,7 +188,9 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     if sf.tensor is not None:
         scen = sf.tensor
         oracle = joint_oracle(scen)
-        diagonal = test_freeness(oracle, scen.indices, max_len, scen.unitary_indices)
+        diagonal = test_freeness(
+            oracle, scen.indices, max_len, scen.unitary_indices, scen.gauge_moduli
+        )
         factors: dict = {}
         for k in range(1, scen.K + 1):
             verdict = factor_freeness_verdict(scen, k, max_len)

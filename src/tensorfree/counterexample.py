@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ScenarioError
-from .freeness import JointOracle, Verdict
+from .freeness import Gauge, JointOracle, Verdict, gauge_breaker
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
 from .scalars import as_scalar
 from .spaces import SpectralModel
@@ -87,7 +87,7 @@ class PowerScanLine:
 
 
 def scan_alternating_powers(
-    joint: JointOracle, variables: Sequence[int], max_len: int = 8
+    joint: JointOracle, variables: Sequence[int], max_len: int = 8, gauge: Gauge = ()
 ) -> tuple[Verdict, tuple[PowerScanLine, ...]]:
     """Exhaustive freeness scan over reduced alternating power words.
 
@@ -98,11 +98,14 @@ def scan_alternating_powers(
     words and nonzero values per block pair count; the verdict carries
     the first violation in (length, text) order if any exists.
 
-    joint is asked about every walked word.  analyze_biased_power passes
-    the biased-power scenario's joint_oracle; that scenario is a trace
-    of unitaries by construction, so the oracle evaluates one word per
-    tracial class (tensor._tracial_classes).  The scan itself does not
-    rely on that.
+    joint is asked about every walked word that keeps the gauge
+    constraints (TensorScenario.gauge_moduli, tested by
+    freeness.gauge_breaker).  A word that breaks one has moment zero: it
+    counts in words_checked and in its tally line's words, never in its
+    violations.  analyze_biased_power passes the biased-power scenario's
+    joint_oracle; that scenario is a trace of unitaries by construction,
+    so the oracle evaluates one word per tracial class
+    (tensor._tracial_classes).  The scan itself does not rely on that.
     """
     for v in variables:
         for e in range(1, max_len):
@@ -123,6 +126,7 @@ def scan_alternating_powers(
     letters = sorted(iter_letters(variables), key=Letter.text)
     adjoint = {l: l.adjoint() for l in letters}
     for total in range(2, max_len + 1):
+        breaks = gauge_breaker(gauge, variables, total)
         for word in iter_sequences(letters, total, lambda a, b: a != adjoint[b]):
             runs = 1 + sum(a.index != b.index for a, b in zip(word, word[1:]))
             if runs == 1:
@@ -130,6 +134,8 @@ def scan_alternating_powers(
             checked += 1
             line = tallies.setdefault((runs + 1) // 2, [0, 0])
             line[0] += 1
+            if breaks is not None and breaks(word):
+                continue
             value = joint(word)
             if not value.is_zero():
                 line[1] += 1
@@ -249,15 +255,21 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     """Scan the biased-power pair for freeness violations and locate the
     smallest block pair count the filters leave open.
 
-    The scan walks every word, but joint_oracle evaluates the tensor
-    product once per tracial class, because each factor is a free
-    product of unitary power-moment laws (TensorScenario.unitary_trace).
+    The scan walks every word, but asks only about those whose x1
+    exponent sum is 0 mod lcm(2..K) and whose x2 exponent sum is 0 (the
+    scenario's gauge_moduli: factor k's a_k has nonzero powers +-k only,
+    and each u_k is Haar); every other word has moment zero.
+    joint_oracle evaluates the tensor product once per tracial class,
+    because each factor is a free product of unitary power-moment laws
+    (TensorScenario.unitary_trace).
 
     The filter table grows until the disjoint singleton capacity first
     reaches K (the minimal t) or BLOCK_PAIR_CAP is hit.
     """
     scenario = biased_power_scenario(K, alpha)
-    verdict, scan = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len)
+    verdict, scan = scan_alternating_powers(
+        joint_oracle(scenario), (1, 2), max_len, scenario.gauge_moduli
+    )
     minimal = minimal_block_pairs(K)
     last = minimal or BLOCK_PAIR_CAP
     filters = tuple(filter_counts(t) for t in range(1, last + 1))

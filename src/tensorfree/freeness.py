@@ -14,14 +14,13 @@ check each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import DepthLimitError
 from .ncpartitions import cumulant_from_moments, moment_from_cumulants
 from .scalars import ONE, ZERO, ExactComplex
 from .starwords import (
-    Letter,
     LetterTuple,
     StarWord,
     class_blocks,
@@ -33,6 +32,8 @@ MIXED_MOMENT_LENGTH_CAP = 16
 
 MarginalOracle = Callable[[tuple[bool, ...]], ExactComplex]
 JointOracle = Callable[[LetterTuple], ExactComplex]
+# (modulus, joint indices, length cap) rotation constraints
+Gauge = Sequence[tuple[int, Sequence[int], int | None]]
 
 
 class FreeFamilySpec:
@@ -83,13 +84,14 @@ class FreeFamilySpec:
             value = self.class_moment(letters[0].index, letters)
         else:
             betas = [self.class_moment(ls[0].index, ls) for ls in blocks]
-            value = _dropped_block_sum(self._eval, blocks, betas)
+            value = _dropped_block_sum(self._eval, letters, blocks, betas)
         self._memo[letters] = value
         return value
 
 
 def _dropped_block_sum(
     evaluate: JointOracle,
+    letters: LetterTuple,
     blocks: Sequence[LetterTuple],
     betas: Sequence[ExactComplex],
 ) -> ExactComplex:
@@ -99,19 +101,34 @@ def _dropped_block_sum(
     Writing each block as its centered part plus its mean and expanding
     the product shows phi(w) = phi(centered alternating product) + this
     sum; freeness makes the centered product vanish.
+
+    The sets are visited by size, each in combinations order, and each
+    is built from the set without its last block: one multiply for the
+    coefficient, and the kept letters before the last dropped block
+    extended by one slice.  A kept word of moment zero adds nothing.
     """
     nonzero = [s for s, beta in enumerate(betas) if not beta.is_zero()]
+    ends = list(accumulate(map(len, blocks)))
+    # per set of the previous size: prod beta (None for the empty set),
+    # its kept letters before its last block, and where that block ends
+    level: dict[tuple[int, ...], tuple[ExactComplex | None, LetterTuple, int]] = {
+        (): (None, (), 0)
+    }
     total = ZERO
     for size in range(1, len(nonzero) + 1):
+        extended = {}
         for dropped in combinations(nonzero, size):
-            coeff = ONE if size % 2 == 1 else -ONE
-            for s in dropped:
-                coeff = coeff * betas[s]
-            kept: list[Letter] = []
-            for s, ls in enumerate(blocks):
-                if s not in dropped:
-                    kept.extend(ls)
-            total = total + coeff * evaluate(tuple(kept))
+            coeff, head, start = level[dropped[:-1]]
+            last = dropped[-1]
+            beta = betas[last]
+            coeff = beta if coeff is None else coeff * beta
+            head = head + letters[start : ends[last] - len(blocks[last])]
+            extended[dropped] = (coeff, head, ends[last])
+            value = evaluate(head + letters[ends[last] :])
+            if not value.is_zero():
+                term = coeff * value
+                total = total + term if size % 2 == 1 else total - term
+        level = extended
     return total
 
 
@@ -163,7 +180,7 @@ def centered_product_value(
         return None
     betas = [oracle(ls) for ls in blocks]
     value = oracle(letters)
-    dropped = _dropped_block_sum(oracle, blocks, betas)
+    dropped = _dropped_block_sum(oracle, letters, blocks, betas)
     # the sum is zero for most scanned words; skip the exact subtraction then
     return value if dropped.is_zero() else value - dropped
 
@@ -184,11 +201,48 @@ def _memoized(oracle: JointOracle) -> JointOracle:
     return wrapped
 
 
+def gauge_breaker(
+    gauge: Gauge, indices: Iterable[int], length: int
+) -> Callable[[LetterTuple], bool] | None:
+    """The gauge test for the words of one length over indices, or None
+    when no constraint reaches that length.
+
+    Each constraint (m, members, cap) of gauge (TensorScenario.
+    gauge_moduli) states that a word of at most cap letters (any length
+    when cap is None) has moment zero unless its exponent sum over the
+    letters of members, +1 per plain letter and -1 per starred one, is
+    0 mod m (m = 0: is 0).  The test says whether a word breaks one.
+
+    Such a word's centered alternating product is exactly zero: a block
+    with a nonzero mean has moment nonzero, so it keeps every sum, and
+    every shorter word the inclusion-exclusion evaluates for the word
+    breaks the same constraint.
+    """
+    alphabet = iter_letters(indices)
+    weights = [
+        (m, {l: (-1 if l.star else 1) if l.index in members else 0 for l in alphabet})
+        for m, members, cap in gauge
+        if cap is None or length <= cap
+    ]
+    if not weights:
+        return None
+
+    def breaks(letters: LetterTuple) -> bool:
+        for m, weight in weights:
+            total = sum(map(weight.__getitem__, letters))
+            if total % m if m else total:
+                return True
+        return False
+
+    return breaks
+
+
 def test_freeness(
     joint: JointOracle,
     indices: Iterable[int],
     max_len: int = 8,
     unitary: Collection[int] = (),
+    gauge: Gauge = (),
 ) -> Verdict:
     """Bounded star-freeness of the variables with the given indices
     under a joint functional.
@@ -199,13 +253,17 @@ def test_freeness(
     nonzero value in (length, canonical text) order.  words_checked
     counts every such word up to and including the witness.
 
-    unitary names indices whose variables are unitary by the caller's
-    declared structure.  A block of one of them with as many starred
-    letters as plain ones is u^0, the unit: its centered part 1 - phi(1)
-    is zero, so the word's centered product vanishes under any unital
-    functional that respects u u* = u* u = 1.  Such words are counted
-    but not evaluated; the witness, its lhs and words_checked are those
-    of the full scan.
+    Two skips count a word without evaluating it, because its centered
+    product is exactly zero; the witness, its lhs and words_checked are
+    those of the full scan.
+
+    * unitary names indices whose variables are unitary by the caller's
+      declared structure.  A block of one of them with as many starred
+      letters as plain ones is u^0, the unit: its centered part 1 - phi(1)
+      is zero, so the word's centered product vanishes under any unital
+      functional that respects u u* = u* u = 1.
+    * gauge lists rotation constraints (TensorScenario.gauge_moduli); a
+      word that breaks one centers to zero (see gauge_breaker).
     """
     class_of = {i: i for i in indices}
     # the exponent of each letter of a unitary index; a block is u^0 when
@@ -214,20 +272,22 @@ def test_freeness(
     oracle = _memoized(joint)
     checked = 0
     for length in range(2, max_len + 1):
+        breaks = gauge_breaker(gauge, class_of, length)
         for word in iter_words(class_of.keys(), length):
-            # with no unitary index, centered_product_value alone splits
-            # the word, so the scans that cannot skip pay nothing extra
-            if exponent:
-                blocks = class_blocks(word.letters, class_of)
+            letters = word.letters
+            # with no skip at this length, centered_product_value alone
+            # splits the word, so the scans that cannot skip pay nothing
+            if exponent or breaks:
+                blocks = class_blocks(letters, class_of)
                 if len(blocks) < 2:
                     continue
-                if any(
+                if (breaks is not None and breaks(letters)) or any(
                     ls[0] in exponent and not sum(map(exponent.__getitem__, ls))
                     for ls in blocks
                 ):
                     checked += 1
                     continue
-            value = centered_product_value(oracle, word.letters, class_of)
+            value = centered_product_value(oracle, letters, class_of)
             if value is None:
                 continue
             checked += 1

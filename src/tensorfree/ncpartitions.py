@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import gcd
 from typing import Callable, Iterable, Iterator
 
 from .errors import DepthLimitError, EnumerationLimitError, InsufficientMomentDataError
@@ -187,6 +188,35 @@ class MomentSequence:
                 )
             return ZERO
         return self.values[key]
+
+    @property
+    def rotation_modulus(self) -> int:
+        """The m for which the law is, by its data, unchanged under
+        x -> lambda x for every lambda with lambda^m = 1 (m = 0: every
+        lambda on the unit circle), so a moment whose exponent sum
+        (plain letters minus starred ones) is not 0 mod m vanishes.
+
+        A power sequence gives the gcd of its period and of its powers
+        with a nonzero moment; a star table declared complete gives the
+        gcd of (plain - starred) over its nonzero patterns.  A table with
+        no complete_through leaves its missing patterns unknown, so it
+        gives 1, which constrains nothing.
+        """
+        if self.unitary:
+            m = self.period or 0
+            shifts = (p for p, value in self.values.items() if not value.is_zero())
+        elif self.complete_through is not None:
+            m = 0
+            shifts = (
+                len(key) - 2 * sum(key)
+                for key, value in self.values.items()
+                if not value.is_zero()
+            )
+        else:
+            return 1
+        for shift in shifts:
+            m = gcd(m, shift)
+        return m
 
     def power_moment(self, power: int) -> ExactComplex:
         if not self.unitary:

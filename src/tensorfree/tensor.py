@@ -12,6 +12,7 @@ product once per tracial class of words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .errors import (
     FactorNotEvaluable,
@@ -19,7 +20,7 @@ from .errors import (
     NotDirectlyEvaluable,
     ScenarioError,
 )
-from .freeness import JointOracle
+from .freeness import MIXED_MOMENT_LENGTH_CAP, Gauge, JointOracle
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ExactComplex, RationalLike, rational_sqrt
 from .spaces import (
@@ -129,6 +130,56 @@ class TensorScenario:
                 for f, var in zip(self.factors, components)
             )
         )
+
+    @property
+    def gauge_moduli(self) -> Gauge:
+        """Rotation constraints read off the declared structure, as
+        (modulus, joint indices, length cap) triples for
+        freeness.gauge_breaker, sorted by joint indices.
+
+        An assume_free SpectralModel's law is the free product of its
+        marginals, so rotating one variable v by a lambda that keeps v's
+        marginal (MomentSequence.rotation_modulus m: lambda^m = 1) keeps
+        the whole factor law.  A joint variable rotates with its factor-k
+        component, so a word whose exponent sum over the joint indices
+        with component v is not 0 mod m has factor-k moment zero, and so
+        joint moment zero.  Constraints on the same joint indices merge
+        by lcm; modulus 1 constrains nothing and is left out.
+
+        The cap is the length through which every factor evaluates every
+        word without error: the least complete_through of the star tables
+        in use, and MIXED_MOMENT_LENGTH_CAP when a factor synthesizes
+        mixed words.  Beyond it a table's rotation invariance is unknown
+        and a skipped word could have raised a depth limit, so longer
+        words are evaluated.  A factor that can fail at any length (a
+        table with no complete_through, or mixed words in a SpectralModel
+        without assume_free) leaves no constraint at all, so a skip never
+        hides an error.
+        """
+        caps: list[int] = []
+        moduli: dict[tuple[int, ...], int] = {}
+        for k, functional in enumerate(self.factors):
+            if not isinstance(functional, SpectralModel):
+                continue
+            used = {c[k] for c in self.assignments.values()}
+            if len(used) > 1:
+                if not functional.assume_free:
+                    return ()
+                caps.append(MIXED_MOMENT_LENGTH_CAP)
+            for var in used:
+                seq = functional.sequences[var]
+                if not seq.unitary:
+                    if seq.complete_through is None:
+                        return ()
+                    caps.append(seq.complete_through)
+                m = seq.rotation_modulus
+                if functional.assume_free and m != 1:
+                    members = tuple(
+                        sorted(i for i, c in self.assignments.items() if c[k] == var)
+                    )
+                    moduli[members] = lcm(moduli.get(members, m), m)
+        cap = min(caps, default=None)
+        return tuple((moduli[members], members, cap) for members in sorted(moduli))
 
     def component(self, i: int, k: int) -> int:
         """Factor-k variable identifier of joint variable i (k is 1-based)."""

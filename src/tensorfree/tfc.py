@@ -313,6 +313,7 @@ def check_necessary_conditions(
         normalized.indices,
         max_len,
         normalized.unitary_indices,
+        normalized.gauge_moduli,
     )
 
     def report(classification: str, *extra_notes: str, **found):

@@ -1,0 +1,431 @@
+"""The gauge skip: in an assume_free spectral factor, a variable whose
+marginal is unchanged by x -> lambda x (lambda^m = 1, or any lambda on
+the unit circle for m = 0) can be rotated alone without changing the
+factor's law.  A tensor word whose exponent sum over the joint indices
+with that component is not 0 mod m therefore has moment zero, and so
+does its centered alternating product.  The scans count such words
+without evaluating them; these tests pin the moduli, the exact set of
+skipped words and the limits of the rule, and hold both scans to their
+twins that evaluate every word."""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tensorfree import freeness
+from tensorfree.counterexample import biased_power_scenario, scan_alternating_powers
+from tensorfree.errors import DepthLimitError, PreconditionError
+from tensorfree.freeness import centered_product_value, gauge_breaker
+from tensorfree.freeness import test_freeness as freeness_verdict
+from tensorfree.groups import (
+    FreeProductPresentation,
+    GroupPresentation,
+    parse_group_word,
+)
+from tensorfree.ncpartitions import MomentSequence
+from tensorfree.scalars import ExactComplex
+from tensorfree.scenario import load_scenario
+from tensorfree.spaces import GroupAlgebraModel, SpectralModel
+from tensorfree.starwords import class_blocks, iter_words, parse_word
+from tensorfree.tensor import TensorScenario, joint_oracle, normalized_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+HAAR = MomentSequence({}, unitary=True)
+CLASS_OF = {1: 1, 2: 2}
+
+
+def unitary(moments, period=None) -> MomentSequence:
+    return MomentSequence(moments, unitary=True, period=period)
+
+
+def star_table(patterns, complete_through=None) -> MomentSequence:
+    return MomentSequence(
+        {tuple(c == "*" for c in text): value for text, value in patterns.items()},
+        complete_through=complete_through,
+    )
+
+
+@pytest.mark.parametrize(
+    "sequence, modulus",
+    [
+        (HAAR, 0),
+        (unitary({1: Fraction(1, 2)}), 1),
+        (unitary({2: Fraction(1, 3)}), 2),
+        # the Hermitian fill adds power -3 beside 3, and 6 beside -6
+        (unitary({3: Fraction(1, 3), -6: Fraction(1, 5)}), 3),
+        # a period folds powers: u^4 = 1 makes the law Z_4-invariant at most
+        (unitary({}, period=4), 4),
+        (unitary({2: Fraction(1, 2)}, period=4), 2),
+        (unitary({1: Fraction(1, 2)}, period=3), 1),
+        # star tables: "-" is a plain letter, "*" a starred one
+        (star_table({"-*": 1, "*-": 1}, complete_through=4), 0),
+        (star_table({"---": Fraction(1, 2), "***": Fraction(1, 2)}, 4), 3),
+        (star_table({"-": Fraction(1, 3), "-*": 1, "*-": 1}, 4), 1),
+        # a zero entry constrains nothing
+        (star_table({"-": 0, "-*": 1, "*-": 1}, 4), 0),
+        # with no complete_through the missing patterns are unknown
+        (star_table({"-*": 1, "*-": 1}), 1),
+    ],
+)
+def test_rotation_modulus(sequence, modulus):
+    assert sequence.rotation_modulus == modulus
+
+
+@pytest.mark.parametrize(
+    "name, gauge",
+    [
+        # factor 2's biased x1 has power +-2 only; the Haar x2 has none
+        ("biased_power_k2", ((2, (1,), 16), (0, (2,), 16))),
+        ("biased_power_k3", ((6, (1,), 16), (0, (2,), 16))),
+        # factor 1's x1 has powers 1 and 2 with period 3, so no constraint
+        ("biased_unitary", ((0, (2,), 16),)),
+        # no assume_free spectral factor
+        ("circular_dominated", ()),
+        ("doubly_free", ()),
+        ("haar_dominated", ()),
+        ("free_without_dominating", ()),
+    ],
+)
+def test_bundled_gauge_moduli(bundled, name, gauge):
+    scenario = bundled(name).tensor
+    assert scenario.gauge_moduli == gauge
+    # rescaling a star table keeps its nonzero patterns and its depth
+    assert normalized_scenario(scenario).gauge_moduli == gauge
+
+
+def test_biased_power_gauge_is_lcm_of_the_biased_powers():
+    for K, modulus in ((2, 2), (3, 6), (4, 12)):
+        gauge = biased_power_scenario(K, Fraction(1, 10)).gauge_moduli
+        assert gauge == ((modulus, (1,), 16), (0, (2,), 16))
+
+
+def free_factor(*sequences) -> SpectralModel:
+    return SpectralModel(dict(enumerate(sequences, 1)), assume_free=True)
+
+
+def test_the_cap_is_the_least_depth_in_use():
+    circular = star_table({"-*": 1, "*-": 1}, complete_through=6)
+    shallow = star_table({"-*": 1, "*-": 1}, complete_through=4)
+    # one component per factor: no mixed word, so no engine cap
+    scenario = TensorScenario(
+        factors=(free_factor(circular), free_factor(shallow, HAAR)),
+        assignments={1: (1, 1), 2: (1, 1)},
+    )
+    assert scenario.gauge_moduli == ((0, (1, 2), 4),)
+    # a table that can fail at any length, or mixed words in a factor
+    # without assume_free, would let a skip hide an error
+    for factor in (
+        free_factor(HAAR, star_table({"-*": 1, "*-": 1})),
+        SpectralModel({1: HAAR, 2: HAAR}),
+    ):
+        scenario = TensorScenario(
+            factors=(free_factor(HAAR, HAAR), factor),
+            assignments={1: (1, 1), 2: (2, 2)},
+        )
+        assert scenario.gauge_moduli == ()
+
+
+# -- soundness pins ------------------------------------------------------------
+
+
+def shared_component_scenario() -> TensorScenario:
+    """Factor 1 is a Haar x1 alone; factor 2 has free unitaries with means
+    1/2 and 1/3.  Both joint variables share factor 1's component."""
+    return TensorScenario(
+        factors=(
+            free_factor(HAAR),
+            free_factor(unitary({1: Fraction(1, 2)}), unitary({1: Fraction(1, 3)})),
+        ),
+        assignments={1: (1, 1), 2: (1, 2)},
+    )
+
+
+def test_shared_component_constrains_the_sum():
+    scenario = shared_component_scenario()
+    # one constraint on s1 + s2: rotating x1 rotates both joint variables
+    assert scenario.gauge_moduli == ((0, (1, 2), 16),)
+    verdict = freeness_verdict(
+        joint_oracle(scenario),
+        scenario.indices,
+        4,
+        scenario.unitary_indices,
+        scenario.gauge_moduli,
+    )
+    assert verdict.witness == parse_word("x1 x2*")
+    assert verdict.lhs == Fraction(1, 6)
+    assert verdict.words_checked == 2
+    # a constraint per joint index would have skipped the witness
+    per_index = gauge_breaker(((0, (1,), None), (0, (2,), None)), (1, 2), 2)
+    assert per_index(verdict.witness.letters)
+
+
+def test_a_word_past_the_table_depth_is_evaluated():
+    # Z_2-invariant table declared through length 4; a mixed word of
+    # length 6 needs the length-5 run, which raises the depth limit
+    table = star_table(
+        {"-*": 1, "*-": 1, "--": Fraction(1, 2), "**": Fraction(1, 2)},
+        complete_through=4,
+    )
+    scenario = TensorScenario(
+        factors=(free_factor(table, HAAR),), assignments={1: (1,), 2: (2,)}
+    )
+    assert scenario.gauge_moduli == ((2, (1,), 4), (0, (2,), 4))
+    errors = []
+    for gauge in ((), scenario.gauge_moduli):
+        with pytest.raises(DepthLimitError) as caught:
+            freeness_verdict(joint_oracle(scenario), (1, 2), 6, (), gauge)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
+def exponent_sums(letters, members):
+    return sum((-1 if l.star else 1) for l in letters if l.index in members)
+
+
+def breaks_by_hand(letters, gauge) -> bool:
+    for m, members, cap in gauge:
+        if cap is not None and len(letters) > cap:
+            continue
+        total = exponent_sums(letters, members)
+        if (total % m if m else total) != 0:
+            return True
+    return False
+
+
+def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
+    scenario = bundled("biased_power_k2").tensor
+    evaluated = []
+
+    def recording(oracle, letters, class_of):
+        evaluated.append(letters)
+        return centered_product_value(oracle, letters, class_of)
+
+    monkeypatch.setattr(freeness, "centered_product_value", recording)
+    verdict = freeness_verdict(
+        joint_oracle(scenario), (1, 2), 5, (), scenario.gauge_moduli
+    )
+    assert verdict.free
+    expected = [
+        w.letters
+        for n in range(2, 6)
+        for w in iter_words((1, 2), n)
+        if len(class_blocks(w.letters, CLASS_OF)) > 1
+        and not breaks_by_hand(w.letters, scenario.gauge_moduli)
+    ]
+    assert evaluated == expected
+    # x1 sums even and x2 sums zero: odd lengths never survive
+    assert {len(w) for w in evaluated} == {4}
+    assert verdict.words_checked == 1_240 > len(expected) == 48
+
+
+@pytest.mark.parametrize("name", ["biased_power_k2", "biased_power_k3", "biased_unitary"])
+def test_words_that_break_the_gauge_center_to_zero(bundled, name):
+    scenario = bundled(name).tensor
+    oracle = joint_oracle(scenario)
+    breaking = 0
+    for length in range(2, 6):
+        for word in iter_words((1, 2), length):
+            letters = word.letters
+            if breaks_by_hand(letters, scenario.gauge_moduli):
+                breaking += 1
+                assert oracle(letters).is_zero(), word
+                value = centered_product_value(oracle, letters, CLASS_OF)
+                assert value is None or value.is_zero(), word
+    assert breaking > 0
+
+
+# -- the skip against the full scan on generated scenarios ---------------------
+
+RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+COMPLEX = st.builds(ExactComplex, RATIONALS, RATIONALS)
+
+
+@st.composite
+def unitary_sequences(draw) -> MomentSequence:
+    """Haar, or a few nonzero Hermitian power moments, optionally periodic:
+    one value per pair {p, -p} of folded powers, real where p = -p."""
+    period = draw(st.sampled_from([None, None, 2, 3, 4, 6]))
+    top = 4 if period is None else period // 2
+    powers = draw(st.lists(st.integers(1, top), max_size=2, unique=True))
+    values = {}
+    for p in powers:
+        value = draw(COMPLEX)
+        if period is not None and 2 * p == period:
+            value = ExactComplex(value.re)
+        values[p] = value
+    return MomentSequence(values, unitary=True, period=period)
+
+
+def canonical_patterns(length):
+    """One star pattern per adjoint pair {key, reversed flipped key}."""
+    for key in iter_words((1,), length):
+        stars = tuple(l.star for l in key.letters)
+        adjoint = tuple(not s for s in reversed(stars))
+        if stars <= adjoint:
+            yield stars, stars == adjoint
+
+
+@st.composite
+def star_tables(draw) -> MomentSequence:
+    """A table whose nonzero patterns all shift by a multiple of m (m = 0:
+    balanced), with x x* = x* x = 1, complete through 3 or 4 letters; or
+    one with no complete_through that lists every pattern through 2
+    letters, so a longer one raises."""
+    m = draw(st.sampled_from([0, 2, 3]))
+    complete = draw(st.sampled_from([3, 4, 4, None]))
+    values = {(False, True): 1, (True, False): 1}
+    for length in range(1, (complete or 2) + 1):
+        for stars, self_adjoint in canonical_patterns(length):
+            shift = len(stars) - 2 * sum(stars)
+            if stars in values:
+                continue
+            value = 0
+            if not (shift % m if m else shift) and draw(st.booleans()):
+                value = draw(COMPLEX)
+                value = ExactComplex(value.re) if self_adjoint else value
+            if value or complete is None:
+                values[stars] = value
+    return MomentSequence(values, complete_through=complete)
+
+
+# the circular element of circular_dominated, complete through length 8
+CIRCULAR = load_scenario(SCENARIOS / "circular_dominated.json").tensor.factors[0].sequences[1]
+
+
+@st.composite
+def spectral_factors(draw):
+    """Two variables, mostly assume_free: a unitary or a star table, then
+    a unitary, a star table or the circular element."""
+    first = draw(st.one_of(unitary_sequences(), star_tables()))
+    second = draw(
+        st.one_of(unitary_sequences(), star_tables(), st.just(CIRCULAR))
+    )
+    free = draw(st.sampled_from([True, True, True, False]))
+    return SpectralModel({1: first, 2: second}, assume_free=free)
+
+
+def group_factor() -> GroupAlgebraModel:
+    presentation = GroupPresentation((FreeProductPresentation((None, 3)),))
+    return GroupAlgebraModel(
+        presentation,
+        {
+            1: parse_group_word(presentation, "g1.1^1"),
+            2: parse_group_word(presentation, "g1.1^1 g1.2^1"),
+        },
+    )
+
+
+@st.composite
+def tensor_scenarios(draw) -> TensorScenario:
+    """One or two factors; per factor, joint variables 1 and 2 take the
+    components (1, 2), (2, 1) or a shared (1, 1) or (2, 2)."""
+    factor = st.one_of(spectral_factors(), st.just(group_factor()))
+    factors = draw(st.lists(factor, min_size=1, max_size=2))
+    pairs = [draw(st.sampled_from([(1, 2), (2, 1), (1, 1), (2, 2)])) for _ in factors]
+    return TensorScenario(
+        factors=tuple(factors),
+        assignments={i: tuple(pair[i - 1] for pair in pairs) for i in (1, 2)},
+    )
+
+
+def outcome(scenario, max_len, gauge):
+    """The scan's verdict, or the type of the error it raised."""
+    try:
+        return freeness_verdict(
+            joint_oracle(scenario), (1, 2), max_len, scenario.unitary_indices, gauge
+        )
+    except Exception as exc:  # the twin must raise the same type
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_scenarios(), st.integers(2, 5))
+@example(shared_component_scenario(), 4)
+def test_gauge_skip_matches_the_full_scan(scenario, max_len):
+    skipping = outcome(scenario, max_len, scenario.gauge_moduli)
+    assert skipping == outcome(scenario, max_len, ())
+
+
+@settings(max_examples=60, deadline=None)
+@given(tensor_scenarios(), st.integers(2, 5))
+def test_every_word_the_gauge_breaks_is_evaluable_and_zero(scenario, max_len):
+    # the scan compares first witnesses only; this checks every skip
+    oracle = joint_oracle(scenario)
+    for length in range(2, max_len + 1):
+        breaks = gauge_breaker(scenario.gauge_moduli, (1, 2), length)
+        for word in iter_words((1, 2), length):
+            if breaks is not None and breaks(word.letters):
+                assert oracle(word.letters).is_zero(), word
+
+
+# -- the power-word scan ---------------------------------------------------------
+
+
+@st.composite
+def power_scenarios(draw) -> TensorScenario:
+    """K = 2 or 3 assume_free factors of two unitaries each, joined
+    diagonally.  Each joint variable has a Haar component in one factor,
+    so every single power has moment zero as the scan requires."""
+    K = draw(st.sampled_from([2, 3]))
+    haar_in = {v: draw(st.integers(0, K - 1)) for v in (1, 2)}
+    factors = tuple(
+        free_factor(
+            *(HAAR if haar_in[v] == k else draw(unitary_sequences()) for v in (1, 2))
+        )
+        for k in range(K)
+    )
+    return TensorScenario(factors=factors, assignments={1: (1,) * K, 2: (2,) * K})
+
+
+def power_outcome(scenario, max_len, gauge):
+    return scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, gauge)
+
+
+@settings(max_examples=20, deadline=None)
+@given(power_scenarios(), st.integers(2, 6))
+# the biased-power pair at K = 3
+@example(biased_power_scenario(3, Fraction(1, 2)), 6)
+# x1 biased in factor 1 and x2 in factor 2: x1 x2 x1* x2* violates
+@example(
+    TensorScenario(
+        factors=(
+            free_factor(unitary({1: Fraction(1, 2)}), HAAR),
+            free_factor(HAAR, unitary({1: Fraction(1, 3)})),
+        ),
+        assignments={1: (1, 1), 2: (2, 2)},
+    ),
+    6,
+)
+def test_power_scan_gauge_matches_the_full_scan(scenario, max_len):
+    full = power_outcome(scenario, max_len, ())
+    assert power_outcome(scenario, max_len, scenario.gauge_moduli) == full
+
+
+def test_power_scan_skips_count_in_the_tallies():
+    scenario = biased_power_scenario(2, Fraction(1, 10))
+    asked = []
+    joint = joint_oracle(scenario)
+
+    def recording(letters):
+        asked.append(letters)
+        return joint(letters)
+
+    verdict, scan = scan_alternating_powers(recording, (1, 2), 6, scenario.gauge_moduli)
+    full_verdict, full_scan = power_outcome(scenario, 6, ())
+    assert (verdict, scan) == (full_verdict, full_scan)
+    # past the single-power probes, only words keeping both sums are asked
+    walked = asked[2 * 5 * 2 :]
+    assert walked and not any(breaks_by_hand(w, scenario.gauge_moduli) for w in walked)
+    assert len(walked) < verdict.words_checked
+
+
+def test_power_scan_precondition_is_unchanged():
+    scenario = TensorScenario(
+        factors=(free_factor(unitary({1: Fraction(1, 2)}), HAAR),),
+        assignments={1: (1,), 2: (2,)},
+    )
+    with pytest.raises(PreconditionError):
+        power_outcome(scenario, 4, scenario.gauge_moduli)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from tensorfree.errors import FactorNotFreeError, PreconditionError
+from tensorfree.freeness import centered_product_value, gauge_breaker
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -16,7 +17,12 @@ from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE, ZERO
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel, TableFunctional
 from tensorfree.starwords import parse_word as word
-from tensorfree.tensor import TensorScenario, factor_moment, tensor_moment
+from tensorfree.tensor import (
+    TensorScenario,
+    factor_moment,
+    joint_oracle,
+    tensor_moment,
+)
 from tensorfree.tfc import (
     check_necessary_conditions,
     check_tfc,
@@ -303,6 +309,33 @@ def diagonal_pair(first, second):
 def circular_pair(bundled):
     circular = bundled("circular_dominated").tensor.factors[0].sequences[1]
     return diagonal_pair(circular, HAAR)
+
+
+def test_circular_pair_witness_at_length_12(bundled):
+    # Theorem 1.8 (1) says the circular pair is not star-free; its first
+    # witness has 12 letters.  With u Haar and free from the a's and b's,
+    # phi(a1 u b1 u* a2 u b2 u*) = X + Y - Z, and every block below is
+    # c c*, so in the tensor square the joint moment is (X + Y - Z)^2
+    # against a free prediction that leaves 2 (X - Z)(Y - Z).
+    scenario = circular_pair(bundled)
+    table = scenario.factors[0].sequences[1]
+    cc = table.moment((False, True))
+    cccc = table.moment((False, True, False, True))
+    x = cccc * cc * cc  # phi(a1 a2) phi(b1) phi(b2)
+    y = cc * cc * cccc  # phi(a1) phi(a2) phi(b1 b2)
+    z = cc * cc * cc * cc
+    witness = word("x1 x1* x2 x1 x1* x2* x1 x1* x2 x1 x1* x2*")
+    oracle = joint_oracle(scenario)
+    assert oracle(witness.letters) == (x + y - z) * (x + y - z) == 9
+    value = centered_product_value(oracle, witness.letters, {1: 1, 2: 2})
+    assert value == 2 * (x - z) * (y - z) == 2
+    # the gauge keeps it: both exponent sums vanish, and past the
+    # circular table's depth of 8 no word is skipped at all
+    gauge = scenario.gauge_moduli
+    assert gauge == ((0, (1,), 8), (0, (2,), 8))
+    assert gauge_breaker(gauge, (1, 2), len(witness)) is None
+    uncapped = tuple((m, members, None) for m, members, _ in gauge)
+    assert not gauge_breaker(uncapped, (1, 2), len(witness))(witness.letters)
 
 
 def test_classifier_two_nonunitary_factors(bundled):
