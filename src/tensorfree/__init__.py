@@ -68,13 +68,7 @@ from .ncpartitions import (
     moment_from_cumulants,
 )
 from .scalars import ExactComplex, ONE, ZERO, as_scalar
-from .scenario import (
-    GroupCollection,
-    ScenarioFile,
-    canonical_trace_view,
-    load_scenario,
-    scenario_from_json,
-)
+from .scenario import ScenarioFile, load_scenario, scenario_from_json
 from .spaces import (
     AxiomReport,
     GroupAlgebraModel,

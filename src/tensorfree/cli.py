@@ -15,7 +15,12 @@ import sys
 import time
 from fractions import Fraction
 
-from .counterexample import BLOCK_PAIR_CAP, DEFAULT_ALPHA, analyze_biased_power
+from .counterexample import (
+    BLOCK_PAIR_CAP,
+    DEFAULT_ALPHA,
+    analyze_biased_power,
+    biased_power_scenario,
+)
 from .errors import (
     FactorNotFreeError,
     LimitError,
@@ -26,11 +31,11 @@ from .errors import (
 from .freeness import Verdict, centered_product_value, test_freeness
 from .groups import group_dominating_report, is_free_collection
 from .identities import IDENTITY_CHECKS, ConclusionReport, IdentityCheck, InequalityCheck
-from .scenario import ScenarioFile, canonical_trace_view, load_scenario
+from .scenario import ScenarioFile, load_scenario
 from .scalars import fraction_from_json, scalar_json
-from .spaces import check_axioms
-from .starwords import StarWord, parse_word, power_word_to_star_word
-from .tensor import factor_moment, joint_oracle, tensor_moment
+from .spaces import SpectralModel, check_axioms
+from .starwords import parse_word, power_word_to_star_word
+from .tensor import factor_moment, factor_oracle, joint_oracle, tensor_moment
 from .tfc import (
     check_necessary_conditions,
     check_tfc,
@@ -71,20 +76,14 @@ def _bounds(sf: ScenarioFile, args) -> dict[str, int]:
     return out
 
 
-def _require_tensor(sf: ScenarioFile):
-    if sf.tensor is None:
+def _require(sf: ScenarioFile, kind: str):
+    """The file's tensor scenario or group algebra, by the kind asked for."""
+    model = sf.tensor if kind == "tensor" else sf.collection
+    if model is None:
         raise ScenarioError(
-            f"subcommand needs a tensor scenario, but {sf.name!r} is {sf.kind!r}"
+            f"subcommand needs a {kind} scenario, but {sf.name!r} is {sf.kind!r}"
         )
-    return sf.tensor
-
-
-def _require_collection(sf: ScenarioFile):
-    if sf.collection is None:
-        raise ScenarioError(
-            f"subcommand needs a group scenario, but {sf.name!r} is {sf.kind!r}"
-        )
-    return sf.collection
+    return model
 
 
 def _verdict_json(verdict: Verdict, oracle=None) -> dict:
@@ -156,11 +155,12 @@ def _run_moments(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         word = parse_word(args.word)
     except ValueError as exc:
         raise ScenarioError(f"bad star word {args.word!r}: {exc}") from exc
+    variables = sf.tensor.indices if sf.tensor is not None else sf.collection.variables
+    for letter in word.letters:
+        if letter.index not in variables:
+            raise ScenarioError(f"word uses unknown variable x{letter.index}")
     if sf.tensor is not None:
         scen = sf.tensor
-        for letter in word.letters:
-            if letter.index not in scen.indices:
-                raise ScenarioError(f"word uses unknown variable x{letter.index}")
         report = {
             "word": word.text(),
             "joint_moment": scalar_json(tensor_moment(scen, word)),
@@ -170,11 +170,7 @@ def _run_moments(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             },
         }
     else:
-        collection = sf.collection
-        model = canonical_trace_view(collection)
-        for letter in word.letters:
-            if letter.index not in collection.indices:
-                raise ScenarioError(f"word uses unknown variable x{letter.index}")
+        model = sf.collection
         report = {
             "word": word.text(),
             "canonical_trace_moment": scalar_json(model.moment(word)),
@@ -197,24 +193,20 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             if verdict is None:
                 factors[str(k)] = {"declared_free": True}
             else:
-                def factor_oracle(letters, k=k):
-                    return factor_moment(scen, StarWord(tuple(letters)), k)
-
-                factors[str(k)] = _verdict_json(verdict, factor_oracle)
+                factors[str(k)] = _verdict_json(verdict, factor_oracle(scen, k))
         report = {
             "diagonal": _verdict_json(diagonal, oracle),
             "factors": factors,
         }
         return report, EXIT_OK if diagonal.free else EXIT_FAILED
-    collection = sf.collection
-    model = canonical_trace_view(collection)
-    verdict = test_freeness(model.moment_letters, collection.indices, max_len)
+    model = sf.collection
+    verdict = test_freeness(model.moment_letters, model.variables, max_len)
     report = {"canonical_trace": _verdict_json(verdict, model.moment_letters)}
     return report, EXIT_OK if verdict.free else EXIT_FAILED
 
 
 def _run_check_tfc(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
-    scen = _require_tensor(sf)
+    scen = _require(sf, "tensor")
     oracle = joint_oracle(scen)
     try:
         report = check_tfc(scen, args.k, bounds["max_len"])
@@ -229,7 +221,7 @@ def _run_check_tfc(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 
 
 def _run_find_dominating(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
-    scen = _require_tensor(sf)
+    scen = _require(sf, "tensor")
     oracle = joint_oracle(scen)
     search = find_dominating(scen, bounds["max_len"])
     report = {
@@ -244,15 +236,14 @@ def _run_find_dominating(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 
 
 def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
-    collection = _require_collection(sf)
+    model = _require(sf, "group")
     verdict = is_free_collection(
-        collection.presentation,
-        collection.elements,
+        model.presentation,
+        tuple(model.elements.values()),
         bounds["max_blocks"],
         bounds["max_exp"],
     )
-    model = canonical_trace_view(collection)
-    star = test_freeness(model.moment_letters, collection.indices, bounds["max_len"])
+    star = test_freeness(model.moment_letters, model.variables, bounds["max_len"])
     report: dict = {
         "group": {
             "free": verdict.free,
@@ -264,14 +255,12 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         "canonical_trace": _verdict_json(star, model.moment_letters),
     }
     if verdict.witness is not None:
-        # the witness numbers the elements 1..n in index order
+        # the witness numbers the elements 1..n in variable order
         word = power_word_to_star_word(
-            tuple(
-                (collection.indices[p - 1], n) for p, n in verdict.witness.blocks
-            )
+            tuple((model.variables[p - 1], n) for p, n in verdict.witness.blocks)
         )
         centered = centered_product_value(
-            model.moment_letters, word.letters, {i: i for i in collection.indices}
+            model.moment_letters, word.letters, {i: i for i in model.variables}
         )
         report["bridge"] = {
             "witness_star_word": word.text(),
@@ -283,10 +272,10 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 
 
 def _run_prop_1_6(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
-    collection = _require_collection(sf)
+    model = _require(sf, "group")
     rep = group_dominating_report(
-        collection.presentation,
-        collection.elements,
+        model.presentation,
+        tuple(model.elements.values()),
         bounds["max_blocks"],
         bounds["max_exp"],
     )
@@ -306,7 +295,7 @@ def _run_prop_1_6(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 
 
 def _run_theorem_1_8(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
-    scen = _require_tensor(sf)
+    scen = _require(sf, "tensor")
     oracle = joint_oracle(scen)
     rep = check_necessary_conditions(scen, bounds["max_len"], bounds["gram_len"])
     claims = {
@@ -331,13 +320,37 @@ def _run_theorem_1_8(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     return report, EXIT_FAILED if failed else EXIT_OK
 
 
+def _declared(scen) -> tuple:
+    """A tensor scenario's assignments and, per spectral factor, its
+    freeness flag and moment sequences (None for other factors)."""
+    return scen.assignments, [
+        (
+            f.assume_free,
+            {
+                v: (seq.values, seq.unitary, seq.period, seq.complete_through)
+                for v, seq in f.sequences.items()
+            },
+        )
+        if isinstance(f, SpectralModel)
+        else None
+        for f in scen.factors
+    ]
+
+
 def _run_counterexample_k(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
-    if sf.tensor is not None and sf.tensor.K != args.K:
+    scen = _require(sf, "tensor")
+    alpha = sf.alpha if sf.alpha is not None else DEFAULT_ALPHA
+    pair = biased_power_scenario(args.K, alpha)
+    if scen.K != args.K:
         raise ScenarioError(
-            f"scenario {sf.name!r} has {sf.tensor.K} factors, "
+            f"scenario {sf.name!r} has {scen.K} factors, "
             f"but the command asked for K = {args.K}"
         )
-    alpha = sf.alpha if sf.alpha is not None else DEFAULT_ALPHA
+    if _declared(scen) != _declared(pair):
+        raise ScenarioError(
+            f"scenario {sf.name!r} is not the biased-power pair for "
+            f"K = {args.K} and alpha {alpha}"
+        )
     analysis = analyze_biased_power(args.K, alpha, bounds["max_len"])
     report = {
         "factors": args.K,
@@ -468,9 +481,7 @@ def _run_check_axioms(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             ok = ok and rep.unital and rep.hermitian and rep.tracial
             ok = ok and rep.positive_semidefinite
         return {"factors": factors}, EXIT_OK if ok else EXIT_FAILED
-    collection = sf.collection
-    model = canonical_trace_view(collection)
-    rep = check_axioms(model, gram_len)
+    rep = check_axioms(sf.collection, gram_len)
     ok = rep.unital and rep.hermitian and rep.tracial and rep.positive_semidefinite
     return {"canonical_trace": _axioms_json(rep)}, EXIT_OK if ok else EXIT_FAILED
 

@@ -12,13 +12,12 @@ products, and the dominating-component search built on it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
 from operator import ne
-from typing import Sequence, Union
+from typing import Sequence
 
 from .errors import PreconditionError, ScenarioError
 from .starwords import iter_sequences, merge_powers, parse_int
@@ -234,17 +233,6 @@ class GroupFreenessVerdict:
     words_checked: int
 
 
-ElementCollection = Union[Sequence["GroupElement"], Mapping[int, "GroupElement"]]
-
-
-def _element_list(elements: ElementCollection) -> list[GroupElement]:
-    """Collections can be given as sequences or index keyed mappings;
-    witnesses always number the elements 1..n in listing (key) order."""
-    if isinstance(elements, Mapping):
-        return [elements[k] for k in sorted(elements)]
-    return list(elements)
-
-
 def _exponent_order(max_exp: int) -> list[int]:
     out: list[int] = []
     for e in range(1, max_exp + 1):
@@ -266,7 +254,7 @@ def _nontrivial_powers(
 
 def is_free_collection(
     presentation: GroupPresentation,
-    elements: ElementCollection,
+    elements: Sequence[GroupElement],
     max_blocks: int = 4,
     max_exp: int = 3,
 ) -> GroupFreenessVerdict:
@@ -277,9 +265,9 @@ def is_free_collection(
     skipping blocks whose power is already the identity.  The collection is
     free within bounds iff no such product reduces to the identity.
     The first violation in breadth-first order (block count, then index
-    sequence, then exponents) is the witness.
+    sequence, then exponents) is the witness; it numbers the elements
+    1..n in listing order.
     """
-    elements = _element_list(elements)
     powers = _nontrivial_powers(presentation, elements, max_exp)
     exp_order = _exponent_order(max_exp)
     checked = 0
@@ -342,7 +330,7 @@ def _component_elements(
 
 def group_dominating_report(
     presentation: GroupPresentation,
-    elements: ElementCollection,
+    elements: Sequence[GroupElement],
     max_blocks: int = 4,
     max_exp: int = 3,
 ) -> GroupDominatingReport:
@@ -356,7 +344,6 @@ def group_dominating_report(
     an implementation fault, because a dominating component must exist for
     free collections.
     """
-    elements = _element_list(elements)
     for g in elements:
         if g.is_identity():
             raise PreconditionError("collection must not contain the neutral element")

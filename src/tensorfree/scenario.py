@@ -3,7 +3,8 @@
 Two kinds of file.  A tensor scenario lists K factor spaces (group
 algebra, group algebra with a value table, or spectral) and binds each
 joint variable to one component variable per factor.  A group scenario
-lists a presented group and a collection of its elements, for the
+lists a presented group and a collection of its elements; it loads as
+the group algebra of those elements with the canonical trace, for the
 group-level freeness checks and their group-algebra bridge.
 
 Values are exact: scalars are integers, [num, den] rationals, or
@@ -56,35 +57,16 @@ SEQUENCE_KEYS = ("unitary", "period", "complete_through", "moments")
 
 
 @dataclass(frozen=True)
-class GroupCollection:
-    """A presented group with an indexed collection of its elements."""
-
-    presentation: GroupPresentation
-    elements: dict[int, GroupElement]
-
-    def __post_init__(self) -> None:
-        if not self.elements:
-            raise ScenarioError("empty group collection")
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(sorted(self.elements))
-
-
-def canonical_trace_view(collection: GroupCollection) -> GroupAlgebraModel:
-    """The collection's elements as variables of the group algebra with
-    the canonical trace, so star-word freeness can be tested on them."""
-    return GroupAlgebraModel(collection.presentation, dict(collection.elements))
-
-
-@dataclass(frozen=True)
 class ScenarioFile:
-    """A parsed scenario: exactly one of tensor or collection is set."""
+    """A parsed scenario: exactly one of tensor or collection is set.
+
+    A group file's collection is the group algebra of its elements with
+    the canonical trace, one variable per element key."""
 
     name: str
     kind: str
     tensor: TensorScenario | None = None
-    collection: GroupCollection | None = None
+    collection: GroupAlgebraModel | None = None
     bounds: Mapping[str, int] = field(default_factory=dict)
     alpha: ExactComplex | None = None
 
@@ -151,6 +133,21 @@ def _group_word(presentation: GroupPresentation, text, where: str) -> GroupEleme
         return parse_group_word(presentation, text)
     except ScenarioError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+
+
+def _group_words(
+    presentation: GroupPresentation, data: Mapping, key: str, where: str
+) -> dict[int, GroupElement]:
+    """The nonempty object of variable id -> group word at data[key]."""
+    raw = _require_object(data, key, where)
+    where = f"{where}.{key}"
+    words: dict[int, GroupElement] = {}
+    for v, text in raw.items():
+        index = _int_key(v, where, words, signed=False)
+        words[index] = _group_word(presentation, text, f"{where}[{v}]")
+    if not words:
+        raise ScenarioError(f"{where}: empty group collection")
+    return words
 
 
 def _flag(data: Mapping, key: str, where: str) -> bool:
@@ -257,15 +254,9 @@ def factor_from_json(data, where: str) -> MomentFunctional:
     presentation = presentation_from_json(
         _require(data, "presentation", where), f"{where}.presentation"
     )
-    variables_raw = _require_object(data, "variables", where)
-    generators = {}
-    for v, text in variables_raw.items():
-        key = _int_key(v, f"{where}.variables", generators, signed=False)
-        generators[key] = _group_word(presentation, text, f"{where}.variables[{v}]")
-    if not generators:
-        raise ScenarioError(f"{where}: no variables")
+    elements = _group_words(presentation, data, "variables", where)
     if kind == "group":
-        return GroupAlgebraModel(presentation, generators)
+        return GroupAlgebraModel(presentation, elements)
     table_raw = _require_object(data, "table", where)
     table = {}
     for text, raw in table_raw.items():
@@ -275,7 +266,7 @@ def factor_from_json(data, where: str) -> MomentFunctional:
                 f"{where}.table: key {text!r} repeats the element {element.text()}"
             )
         table[element] = _scalar(raw, f"{where}.table[{text!r}]")
-    return TableFunctional(presentation, generators, table)
+    return TableFunctional(presentation, elements, table)
 
 
 def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
@@ -328,12 +319,8 @@ def scenario_from_json(data, default_name: str = "") -> ScenarioFile:
     presentation = presentation_from_json(
         _require(data, "presentation", "scenario"), "scenario.presentation"
     )
-    elements_raw = _require_object(data, "elements", "scenario")
-    elements = {}
-    for i, text in elements_raw.items():
-        key = _int_key(i, "scenario.elements", elements, signed=False)
-        elements[key] = _group_word(presentation, text, f"scenario.elements[{i}]")
-    collection = GroupCollection(presentation, elements)
+    elements = _group_words(presentation, data, "elements", "scenario")
+    collection = GroupAlgebraModel(presentation, elements)
     return ScenarioFile(
         name, "group", collection=collection, bounds=bounds, alpha=alpha
     )

@@ -20,7 +20,13 @@ from functools import partial
 from typing import Sequence
 
 from . import freeness
-from .errors import DimensionLimitError, NotDirectlyEvaluable, ScenarioError
+from .errors import (
+    DimensionLimitError,
+    InsufficientMomentDataError,
+    LimitError,
+    NotDirectlyEvaluable,
+    ScenarioError,
+)
 from .groups import GroupElement, GroupPresentation, inverse, reduce
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
@@ -58,14 +64,13 @@ class GroupBackedModel(MomentFunctional):
     """Base for models whose variables are elements of a presented group."""
 
     def __init__(
-        self, presentation: GroupPresentation, generators: dict[int, GroupElement]
+        self, presentation: GroupPresentation, elements: dict[int, GroupElement]
     ) -> None:
         self.presentation = presentation
-        self.generators = dict(generators)
-        self.variables = tuple(sorted(self.generators))
-        self._inverses = {
-            v: inverse(presentation, g) for v, g in self.generators.items()
-        }
+        # variable order is key order, here and wherever elements are listed
+        self.elements = {v: elements[v] for v in sorted(elements)}
+        self.variables = tuple(self.elements)
+        self._inverses = {v: inverse(presentation, g) for v, g in self.elements.items()}
 
     def element_of(self, letters: LetterTuple) -> GroupElement:
         """The product of the letters' elements: each component's syllables
@@ -73,7 +78,7 @@ class GroupBackedModel(MomentFunctional):
         self._check_vars(letters)
         syllables: list[list] = [[] for _ in self.presentation.factors]
         for l in letters:
-            g = self._inverses[l.index] if l.star else self.generators[l.index]
+            g = self._inverses[l.index] if l.star else self.elements[l.index]
             for sylls, word in zip(syllables, g.components):
                 sylls.extend(word)
         return reduce(self.presentation, syllables)
@@ -100,10 +105,10 @@ class TableFunctional(GroupBackedModel):
     def __init__(
         self,
         presentation: GroupPresentation,
-        generators: dict[int, GroupElement],
+        elements: dict[int, GroupElement],
         table: dict[GroupElement, ExactComplex],
     ) -> None:
-        super().__init__(presentation, generators)
+        super().__init__(presentation, elements)
         self.table: dict[GroupElement, ExactComplex] = {}
         for element, raw in table.items():
             value = as_scalar(raw)
@@ -313,6 +318,15 @@ def check_axioms(functional: MomentFunctional, gram_len: int = 3) -> AxiomReport
     return AxiomReport(
         unital, hermitian, tracial, psd, pd, len(basis), gram_len, tuple(notes)
     )
+
+
+def ensure_faithfulness(functional: MomentFunctional) -> bool:
+    """Best-effort positive-definiteness check, at Gram length 2, backing
+    determinism claims."""
+    try:
+        return check_axioms(functional, gram_len=2).positive_definite
+    except (NotDirectlyEvaluable, InsufficientMomentDataError, LimitError):
+        return False
 
 
 def _text_of(letters: LetterTuple) -> str:

@@ -12,7 +12,9 @@ product once per tracial class of words.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from math import lcm
+from typing import Callable
 
 from .errors import (
     FactorNotEvaluable,
@@ -28,6 +30,7 @@ from .spaces import (
     GroupBackedModel,
     MomentFunctional,
     SpectralModel,
+    ensure_faithfulness,
     variance,
 )
 from .starwords import Letter, LetterTuple, StarWord, single_variable_word
@@ -85,6 +88,12 @@ class TensorScenario:
     @property
     def indices(self) -> tuple[int, ...]:
         return tuple(sorted(self.assignments))
+
+    @cached_property
+    def faithful(self) -> Callable[[int], bool]:
+        """Whether factor k passes spaces.ensure_faithfulness, its
+        Gram-length-2 check; each factor is checked on first ask only."""
+        return cache(lambda k: ensure_faithfulness(self.factors[k - 1]))
 
     @property
     def unitary_trace(self) -> bool:
@@ -199,6 +208,12 @@ def factor_moment(scenario: TensorScenario, word: StarWord, k: int) -> ExactComp
         return scenario.factors[k - 1].moment(projected)
     except (NotDirectlyEvaluable, InsufficientMomentDataError) as exc:
         raise FactorNotEvaluable(k, projected.text(), str(exc)) from exc
+
+
+def factor_oracle(scenario: TensorScenario, k: int) -> JointOracle:
+    """Factor k's moment of a letter tuple in the joint indices, as a
+    callable; it fails as factor_moment does, naming the factor."""
+    return lambda letters: factor_moment(scenario, StarWord(tuple(letters)), k)
 
 
 def tensor_moment(scenario: TensorScenario, word: StarWord) -> ExactComplex:

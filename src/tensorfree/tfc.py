@@ -17,17 +17,17 @@ from itertools import chain
 from .errors import (
     FactorNotFreeError,
     InsufficientMomentDataError,
-    LimitError,
     NotDirectlyEvaluable,
     PreconditionError,
 )
 from .freeness import Verdict, test_freeness
 from .scalars import ExactComplex
-from .spaces import MomentFunctional, SpectralModel, check_axioms, variance
+from .spaces import SpectralModel, check_axioms, variance
 from .starwords import StarWord, iter_star_patterns, single_variable_word
 from .tensor import (
     TensorScenario,
     factor_moment,
+    factor_oracle,
     factor_word,
     joint_oracle,
     normalized_scenario,
@@ -80,20 +80,7 @@ def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
 
     # the family is indexed by the joint variables, so a repeated factor
     # component must be tested against itself, not collapsed away
-    def oracle(letters):
-        word = factor_word(scenario, StarWord(letters), k)
-        return functional.moment(word)
-
-    return test_freeness(oracle, scenario.indices, max_len)
-
-
-def ensure_faithfulness(functional: MomentFunctional) -> bool:
-    """Best-effort positive-definiteness check, at Gram length 2, backing
-    determinism claims."""
-    try:
-        return check_axioms(functional, gram_len=2).positive_definite
-    except (NotDirectlyEvaluable, InsufficientMomentDataError, LimitError):
-        return False
+    return test_freeness(factor_oracle(scenario, k), scenario.indices, max_len)
 
 
 def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
@@ -114,7 +101,7 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
     notes = tuple(
         f"factor {l}: faithfulness unverified, determinism is variance-zero only"
         for l in others
-        if not ensure_faithfulness(scenario.factors[l - 1])
+        if not scenario.faithful(l)
     )
 
     first_1: TfcViolation | None = None

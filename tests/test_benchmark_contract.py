@@ -90,6 +90,12 @@ def test_microbenchmark_names_exist():
         "letters",
         "class_of",
     ]
+    # micro.py multiplies a group file's elements in its presentation
+    path = ROOT / "scenarios" / "product_pair_collection.json"
+    collection = load_scenario(path).collection
+    presentation = collection.presentation
+    d1, d2 = collection.elements.values()
+    assert multiply(presentation, d1, d2).text() == "g1.1^1 g1.2^1 g2.1^1 g2.2^1"
 
 
 # The scan workloads at a small bound.  A traced benchmark run reports

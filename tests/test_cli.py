@@ -276,6 +276,31 @@ def test_group_freeness_bridge_uses_the_element_keys(
     assert body["canonical_trace"]["witness"] == star_word
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("moments", "x1 x2* x1* x2"),
+        ("test-freeness",),
+        ("group-freeness",),
+        ("prop-1-6",),
+        ("check-axioms",),
+    ],
+    ids=lambda command: command[0],
+)
+def test_group_reports_do_not_depend_on_element_listing_order(
+    run_cli, scenario_path, tmp_path, command
+):
+    # elements are variables in key order however the file lists them
+    plain = scenario_path("integer_pair_collection")
+    with open(plain, encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["elements"] = dict(reversed(payload["elements"].items()))
+    reversed_path = write_scenario(tmp_path, "integer_pair_collection", payload)
+    before, after = run_cli(plain, *command), run_cli(reversed_path, *command)
+    assert before.code == after.code != 2
+    assert before.out == after.out
+
+
 def test_group_freeness_on_a_free_pair(run_cli, scenario_path):
     res = run_cli(scenario_path("free_pair_collection"), "group-freeness")
     assert res.code == 0
@@ -434,6 +459,21 @@ def test_theorem_1_8_bounded_classifications(run_cli, scenario_path, tmp_path):
     assert body["claims"] == {"claim1": True, "claim2": None, "claim3": False}
 
 
+@pytest.mark.parametrize(
+    "command", ["test-freeness", "check-tfc", "find-dominating", "theorem-1-8"]
+)
+def test_an_unevaluable_factor_word_names_the_factor(run_cli, tmp_path, command):
+    # factor 1 holds two unitaries without a freeness flag, so it has no
+    # value for their mixed words; every route reports the factor and word
+    payload = diagonal_spectral_payload("unflagged", HALF, HAAR)
+    payload["factors"][0] = dict(payload["factors"][0], assume_free=False)
+    path = write_scenario(tmp_path, "unflagged", payload)
+    res = run_cli(path, command, "--max-len", "4")
+    assert res.code == 2
+    assert res.out == ""
+    assert "factor 1 cannot evaluate 'x1 x2'" in res.err
+
+
 # -- counterexample-k --------------------------------------------------------------------
 
 
@@ -475,6 +515,27 @@ def test_counterexample_rejects_alpha_that_is_not_a_state(
     assert res.code == 2
     assert res.out == ""
     assert "alpha" in res.err
+
+
+@pytest.mark.parametrize(
+    "name, alpha",
+    [("doubly_free", None), ("free_pair_collection", None), ("biased_power_k2", [1, 5])],
+    ids=["doubly_free", "free_pair_collection", "biased_power_k2-alpha-1/5"],
+)
+def test_counterexample_needs_the_biased_pair(
+    run_cli, tmp_path, scenario_path, name, alpha
+):
+    # the analysis builds the pair from K and alpha, so a file holding
+    # anything else would get a report about a family it does not hold
+    with open(scenario_path(name), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    if alpha is not None:
+        payload["alpha"] = alpha
+    path = write_scenario(tmp_path, name, payload)
+    res = run_cli(path, "counterexample-k", "2", "--max-len", "4")
+    assert res.code == 2
+    assert res.out == ""
+    assert repr(name) in res.err
 
 
 # -- identities ------------------------------------------------------------------------------

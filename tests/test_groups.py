@@ -257,13 +257,6 @@ def test_commutator_witness_reduces_to_identity():
     assert_reduces_to_identity(commutator, {1: d1, 2: d2})
 
 
-def test_collection_as_mapping_matches_sequence():
-    d1, d2 = mixed_pair()
-    from_map = is_free_collection(MIXED, {2: d2, 1: d1})
-    from_seq = is_free_collection(MIXED, [d1, d2])
-    assert from_map == from_seq
-
-
 def test_single_torsion_element_is_vacuously_free():
     two = GroupPresentation((FreeProductPresentation((2,)),))
     verdict = is_free_collection(two, [parse_group_word(two, "g1.1^1")])

@@ -7,19 +7,14 @@ from fractions import Fraction
 import pytest
 
 from tensorfree.errors import ScenarioError
-from tensorfree.groups import (
-    FreeProductPresentation,
-    GroupPresentation,
-    parse_group_word,
-)
+from tensorfree.groups import FreeProductPresentation, GroupPresentation
 from tensorfree.scalars import ExactComplex, ONE, scalar_json
 from tensorfree.scenario import (
-    GroupCollection,
-    canonical_trace_view,
     load_scenario,
     presentation_from_json,
     scenario_from_json,
 )
+from tensorfree.spaces import GroupAlgebraModel
 from tensorfree.starwords import parse_word as word
 
 
@@ -66,7 +61,7 @@ def test_save_and_load(tmp_path):
     assert loaded.name == "pair"
     assert loaded.kind == "group"
     assert loaded.tensor is None
-    assert loaded.collection.indices == (1, 2)
+    assert loaded.collection.variables == (1, 2)
     assert [g.text() for g in loaded.collection.elements.values()] == ["g1.1^1", "g1.2^1"]
     assert loaded.collection.presentation == GroupPresentation(
         (FreeProductPresentation((None, None)),)
@@ -120,17 +115,18 @@ def test_presentation_reader_errors():
         presentation_from_json({"components": [{"cyclic_orders": ["x"]}]})
 
 
-def test_canonical_trace_view():
-    pres = GroupPresentation((FreeProductPresentation((None, None)),))
-    collection = GroupCollection(
-        pres,
-        {1: parse_group_word(pres, "g1.1^1"), 2: parse_group_word(pres, "g1.2^1")},
-    )
-    view = canonical_trace_view(collection)
-    assert view.moment(word("x1 x1*")) == ONE
-    assert view.moment(word("x1 x2")).is_zero()
-    with pytest.raises(ScenarioError, match="empty group collection"):
-        GroupCollection(pres, {})
+def test_group_file_loads_as_its_group_algebra():
+    # elements written out of key order still list in variable order
+    loaded = scenario_from_json(group_payload(elements={"2": "g1.2^1", "1": "g1.1^1"}))
+    model = loaded.collection
+    assert isinstance(model, GroupAlgebraModel)
+    assert model.variables == (1, 2)
+    assert list(model.elements) == [1, 2]
+    assert [g.text() for g in model.elements.values()] == ["g1.1^1", "g1.2^1"]
+    assert model.moment(word("x1 x1*")) == ONE
+    assert model.moment(word("x1 x2")).is_zero()
+    with pytest.raises(ScenarioError, match="scenario.elements: empty group collection"):
+        scenario_from_json(group_payload(elements={}))
 
 
 # -- top-level reader errors ---------------------------------------------------

@@ -60,7 +60,7 @@ def test_canonical_trace_values():
 
 def test_group_model_star_is_group_inverse():
     model = f2_trace()
-    a = model.generators[1]
+    a = model.elements[1]
     assert model.element_of((Letter(1, True),)) == inverse(F2, a)
     assert model.reduced_key(word("x1 x1*").letters) == identity(F2)
 

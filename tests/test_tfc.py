@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from tensorfree import spaces, tfc
 from tensorfree.errors import FactorNotFreeError, PreconditionError
 from tensorfree.freeness import centered_product_value, gauge_breaker
 from tensorfree.groups import (
@@ -15,7 +16,13 @@ from tensorfree.groups import (
 )
 from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE, ZERO
-from tensorfree.spaces import GroupAlgebraModel, SpectralModel, TableFunctional
+from tensorfree.spaces import (
+    GroupAlgebraModel,
+    SpectralModel,
+    TableFunctional,
+    check_axioms,
+    ensure_faithfulness,
+)
 from tensorfree.starwords import parse_word as word
 from tensorfree.tensor import (
     TensorScenario,
@@ -26,7 +33,6 @@ from tensorfree.tensor import (
 from tensorfree.tfc import (
     check_necessary_conditions,
     check_tfc,
-    ensure_faithfulness,
     factor_freeness_verdict,
     find_dominating,
 )
@@ -175,6 +181,26 @@ def test_find_dominating_records_non_free_factors(bundled):
 def test_find_dominating_accepts_the_circular_factor(bundled):
     search = find_dominating(bundled("circular_dominated").tensor, 4)
     assert search.dominating == 1
+
+
+def test_find_dominating_checks_each_factor_faithfulness_once(bundled, monkeypatch):
+    calls = []
+
+    def counting(functional, gram_len=3):
+        calls.append(gram_len)
+        return check_axioms(functional, gram_len)
+
+    # the check runs through spaces; tfc's own name is counted too
+    monkeypatch.setattr(spaces, "check_axioms", counting)
+    monkeypatch.setattr(tfc, "check_axioms", counting)
+    search = find_dominating(bundled("biased_power_k3").tensor, 4)
+    assert sorted(search.reports) == [1, 2, 3]
+    assert all(r.notes == () for r in search.reports.values())
+    assert calls == [2, 2, 2]
+    # a factor no candidate asks about is not checked at all
+    calls.clear()
+    assert find_dominating(bundled("circular_dominated").tensor, 4).dominating == 1
+    assert calls == [2]
 
 
 # -- faithfulness helper ----------------------------------------------------
