@@ -200,7 +200,9 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         }
         return report, EXIT_OK if diagonal.free else EXIT_FAILED
     model = sf.collection
-    verdict = test_freeness(model.moment_letters, model.variables, max_len)
+    verdict = test_freeness(
+        model.moment_letters, model.variables, max_len, (), model.gauge
+    )
     report = {"canonical_trace": _verdict_json(verdict, model.moment_letters)}
     return report, EXIT_OK if verdict.free else EXIT_FAILED
 
@@ -243,7 +245,9 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         bounds["max_blocks"],
         bounds["max_exp"],
     )
-    star = test_freeness(model.moment_letters, model.variables, bounds["max_len"])
+    star = test_freeness(
+        model.moment_letters, model.variables, bounds["max_len"], (), model.gauge
+    )
     report: dict = {
         "group": {
             "free": verdict.free,

@@ -32,8 +32,9 @@ MIXED_MOMENT_LENGTH_CAP = 16
 
 MarginalOracle = Callable[[tuple[bool, ...]], ExactComplex]
 JointOracle = Callable[[LetterTuple], ExactComplex]
-# (modulus, joint indices, length cap) rotation constraints
-Gauge = Sequence[tuple[int, Sequence[int], int | None]]
+# (modulus, ((index, weight), ...), length cap) linear constraints on the
+# exponent sums of a word's letters
+Gauge = Sequence[tuple[int, Sequence[tuple[int, int]], int | None]]
 
 
 class FreeFamilySpec:
@@ -207,23 +208,27 @@ def gauge_breaker(
     """The gauge test for the words of one length over indices, or None
     when no constraint reaches that length.
 
-    Each constraint (m, members, cap) of gauge (TensorScenario.
-    gauge_moduli) states that a word of at most cap letters (any length
-    when cap is None) has moment zero unless its exponent sum over the
-    letters of members, +1 per plain letter and -1 per starred one, is
-    0 mod m (m = 0: is 0).  The test says whether a word breaks one.
+    Each constraint (m, weights, cap) of gauge (TensorScenario.
+    gauge_moduli, GroupAlgebraModel.gauge) states that a word of at most
+    cap letters (any length when cap is None) has moment zero unless its
+    weighted exponent sum, +w per plain letter and -w per starred one of
+    an index of weight w, is 0 mod m (m = 0: is 0).  The test says
+    whether a word breaks one.
 
-    Such a word's centered alternating product is exactly zero: a block
-    with a nonzero mean has moment nonzero, so it keeps every sum, and
-    every shorter word the inclusion-exclusion evaluates for the word
-    breaks the same constraint.
+    Such a word's centered alternating product is exactly zero.  A block
+    with a nonzero mean keeps every constraint, so dropping it leaves the
+    broken sum as it was: every shorter word the inclusion-exclusion
+    evaluates for the word breaks the same constraint, and so has moment
+    zero like the word itself.
     """
     alphabet = iter_letters(indices)
-    weights = [
-        (m, {l: (-1 if l.star else 1) if l.index in members else 0 for l in alphabet})
-        for m, members, cap in gauge
-        if cap is None or length <= cap
-    ]
+    weights = []
+    for m, terms, cap in gauge:
+        if cap is None or length <= cap:
+            w = dict(terms)
+            weights.append(
+                (m, {l: (-1 if l.star else 1) * w.get(l.index, 0) for l in alphabet})
+            )
     if not weights:
         return None
 
@@ -262,8 +267,11 @@ def test_freeness(
       letters as plain ones is u^0, the unit: its centered part 1 - phi(1)
       is zero, so the word's centered product vanishes under any unital
       functional that respects u u* = u* u = 1.
-    * gauge lists rotation constraints (TensorScenario.gauge_moduli); a
-      word that breaks one centers to zero (see gauge_breaker).
+    * gauge lists linear constraints on a word's exponent sums that every
+      word of nonzero moment keeps: the rotation symmetries of a tensor
+      scenario (TensorScenario.gauge_moduli) or the abelianization of a
+      group algebra under the canonical trace (GroupAlgebraModel.gauge).
+      A word that breaks one centers to zero (see gauge_breaker).
     """
     class_of = {i: i for i in indices}
     # the exponent of each letter of a unitary index; a block is u^0 when
@@ -278,12 +286,17 @@ def test_freeness(
             # with no skip at this length, centered_product_value alone
             # splits the word, so the scans that cannot skip pay nothing
             if exponent or breaks:
-                blocks = class_blocks(letters, class_of)
-                if len(blocks) < 2:
+                # the classes are the indices, and a word in one of them
+                # witnesses nothing
+                first = letters[0].index
+                if all(l.index == first for l in letters):
                     continue
-                if (breaks is not None and breaks(letters)) or any(
+                if breaks is not None and breaks(letters):
+                    checked += 1
+                    continue
+                if exponent and any(
                     ls[0] in exponent and not sum(map(exponent.__getitem__, ls))
-                    for ls in blocks
+                    for ls in class_blocks(letters, class_of)
                 ):
                     checked += 1
                     continue

@@ -57,6 +57,12 @@ class GroupPresentation:
     def num_factors(self) -> int:
         return len(self.factors)
 
+    @property
+    def abelian_orders(self) -> tuple[int, ...]:
+        """The abelianization is the direct sum of Z_n over the generators
+        of every component, in order; n per generator, 0 for Z."""
+        return tuple(d or 0 for comp in self.factors for d in comp.orders)
+
 
 @dataclass(frozen=True)
 class GroupElement:
@@ -133,6 +139,20 @@ def power(presentation: GroupPresentation, a: GroupElement, n: int) -> GroupElem
         base = multiply(presentation, base, base)
         n >>= 1
     return acc
+
+
+def abelian_image(presentation: GroupPresentation, g: GroupElement) -> tuple[int, ...]:
+    """The image of g in the abelianization (GroupPresentation.
+    abelian_orders): per generator of every component, the exponent sum
+    of g's normal form, reduced mod the generator's order.  It is a
+    homomorphism, so the identity maps to zero."""
+    image: list[int] = []
+    for comp, word in zip(presentation.factors, g.components):
+        sums = [0] * comp.num_generators
+        for j, e in word:
+            sums[j - 1] += e
+        image.extend(s % d if d else s for s, d in zip(sums, comp.orders))
+    return tuple(image)
 
 
 def parse_group_word(presentation: GroupPresentation, text: str) -> GroupElement:

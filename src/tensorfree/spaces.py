@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
+from math import lcm
 from typing import Sequence
 
 from . import freeness
@@ -27,7 +28,7 @@ from .errors import (
     NotDirectlyEvaluable,
     ScenarioError,
 )
-from .groups import GroupElement, GroupPresentation, inverse, reduce
+from .groups import GroupElement, GroupPresentation, abelian_image, inverse, reduce
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
 from .starwords import Letter, LetterTuple, StarWord, iter_letters, merge_powers
@@ -92,6 +93,29 @@ class GroupAlgebraModel(GroupBackedModel):
 
     def moment_letters(self, letters: LetterTuple) -> ExactComplex:
         return ONE if self.element_of(letters).is_identity() else ZERO
+
+    @cached_property
+    def gauge(self) -> freeness.Gauge:
+        """The abelianization's constraints on a word of nonzero trace, as
+        (modulus, ((variable, weight), ...), None) triples for
+        freeness.gauge_breaker, sorted by weights.
+
+        A word's element maps to the weighted exponent sum of its letters
+        in each coordinate Z_n of the abelianization (groups.abelian_image),
+        variable v weighing the coordinate of v's element.  A nonzero sum
+        means the element is not the identity, so its trace is zero, at
+        every length.  Coordinates with the same weights merge by lcm, and
+        those where every weight is zero constrain nothing and are left out.
+        """
+        images = {
+            v: abelian_image(self.presentation, g) for v, g in self.elements.items()
+        }
+        moduli: dict[tuple[tuple[int, int], ...], int] = {}
+        for c, n in enumerate(self.presentation.abelian_orders):
+            weights = tuple((v, image[c]) for v, image in images.items() if image[c])
+            if weights:
+                moduli[weights] = lcm(moduli.get(weights, n), n)
+        return tuple((m, weights, None) for weights, m in sorted(moduli.items()))
 
 
 class TableFunctional(GroupBackedModel):

@@ -142,18 +142,25 @@ class TensorScenario:
 
     @property
     def gauge_moduli(self) -> Gauge:
-        """Rotation constraints read off the declared structure, as
-        (modulus, joint indices, length cap) triples for
-        freeness.gauge_breaker, sorted by joint indices.
+        """Linear constraints on a word's exponent sums read off the
+        declared structure, as (modulus, ((joint index, weight), ...),
+        length cap) triples for freeness.gauge_breaker, sorted by weights.
 
-        An assume_free SpectralModel's law is the free product of its
-        marginals, so rotating one variable v by a lambda that keeps v's
-        marginal (MomentSequence.rotation_modulus m: lambda^m = 1) keeps
-        the whole factor law.  A joint variable rotates with its factor-k
-        component, so a word whose exponent sum over the joint indices
-        with component v is not 0 mod m has factor-k moment zero, and so
-        joint moment zero.  Constraints on the same joint indices merge
-        by lcm; modulus 1 constrains nothing and is left out.
+        Each is a constraint of one factor k, on its own variables, that
+        every word of nonzero factor-k moment keeps; joint index i takes
+        the weight of its component c_k(i), so a tensor word that breaks
+        it has factor-k moment zero, and so joint moment zero.
+
+        * An assume_free SpectralModel's law is the free product of its
+          marginals, so rotating one variable v by a lambda that keeps
+          v's marginal (MomentSequence.rotation_modulus m: lambda^m = 1)
+          keeps the whole factor law: v weighs 1, mod m; modulus 1
+          constrains nothing and is left out.
+        * A GroupAlgebraModel (the canonical trace) gives its
+          abelianization's constraints, GroupAlgebraModel.gauge.
+
+        Constraints with the same joint weights merge by lcm, and those
+        where every joint index weighs zero are left out.
 
         The cap is the length through which every factor evaluates every
         word without error: the least complete_through of the star tables
@@ -166,8 +173,14 @@ class TensorScenario:
         hides an error.
         """
         caps: list[int] = []
-        moduli: dict[tuple[int, ...], int] = {}
+        # (modulus, factor-variable weights, factor position)
+        constraints: list[tuple[int, dict[int, int], int]] = []
         for k, functional in enumerate(self.factors):
+            if isinstance(functional, GroupAlgebraModel):
+                constraints.extend(
+                    (m, dict(terms), k) for m, terms, _ in functional.gauge
+                )
+                continue
             if not isinstance(functional, SpectralModel):
                 continue
             used = {c[k] for c in self.assignments.values()}
@@ -183,12 +196,18 @@ class TensorScenario:
                     caps.append(seq.complete_through)
                 m = seq.rotation_modulus
                 if functional.assume_free and m != 1:
-                    members = tuple(
-                        sorted(i for i, c in self.assignments.items() if c[k] == var)
-                    )
-                    moduli[members] = lcm(moduli.get(members, m), m)
+                    constraints.append((m, {var: 1}, k))
+        moduli: dict[tuple[tuple[int, int], ...], int] = {}
+        for m, weight, k in constraints:
+            terms = tuple(
+                (i, weight[c[k]])
+                for i, c in sorted(self.assignments.items())
+                if c[k] in weight
+            )
+            if terms:
+                moduli[terms] = lcm(moduli.get(terms, m), m)
         cap = min(caps, default=None)
-        return tuple((moduli[members], members, cap) for members in sorted(moduli))
+        return tuple((m, terms, cap) for terms, m in sorted(moduli.items()))
 
     def component(self, i: int, k: int) -> int:
         """Factor-k variable identifier of joint variable i (k is 1-based)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import Callable
 
 from .errors import (
     FactorNotFreeError,
@@ -91,6 +92,14 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
     Raises FactorNotFreeError when factor k's own family fails the
     bounded freeness test, which is a precondition of the definition.
     """
+    return _check_tfc(scenario, k, max_len, scenario.faithful)
+
+
+def _check_tfc(
+    scenario: TensorScenario, k: int, max_len: int, faithful: Callable[[int], bool]
+) -> TfcReport:
+    """check_tfc, reading each other factor's Gram-length-2 faithfulness
+    (TensorScenario.faithful) from faithful."""
     if not 1 <= k <= scenario.K:
         raise PreconditionError(f"factor index {k} out of range 1..{scenario.K}")
     freeness_verdict = factor_freeness_verdict(scenario, k, max_len)
@@ -101,7 +110,7 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
     notes = tuple(
         f"factor {l}: faithfulness unverified, determinism is variance-zero only"
         for l in others
-        if not scenario.faithful(l)
+        if not faithful(l)
     )
 
     first_1: TfcViolation | None = None
@@ -257,6 +266,8 @@ def check_necessary_conditions(
     normalized = normalized_scenario(scenario)
     factors = range(1, normalized.K + 1)
     notes: list[str] = []
+    # factors the check below shows faithful at Gram length 2
+    definite: set[int] = set()
     for k in factors:
         verdict = factor_freeness_verdict(normalized, k, max_len)
         if verdict is not None and not verdict.free:
@@ -278,6 +289,11 @@ def check_necessary_conditions(
             notes.append(
                 f"factor {k}: faithfulness unverified at gram length {gram_len}"
             )
+        # the Gram basis through length 2 leads every longer one (spaces.
+        # gram_basis), so a Gram matrix definite at gram_len >= 2 is so on
+        # it too, and TensorScenario.faithful need not check k again
+        if gram_len >= 2 and axioms.positive_definite:
+            definite.add(k)
     if problems:
         return NecessaryConditionsReport(
             max_len, "hypotheses_not_met", tuple(problems), tuple(notes)
@@ -343,7 +359,12 @@ def check_necessary_conditions(
         k0 = non_unitary_factors[0] if non_unitary_factors else power_witness[0]
         return report(
             "one_nonunitary_factor" if non_unitary_factors else "power_hypothesis",
-            tfc=check_tfc(normalized, k0, max_len),
+            tfc=_check_tfc(
+                normalized,
+                k0,
+                max_len,
+                lambda l: l in definite or normalized.faithful(l),
+            ),
             power_witness=power_witness,
         )
 

@@ -1,0 +1,153 @@
+"""Hypothesis strategies for small valid scenarios: moment sequences and
+spectral factors, and group algebras of free products of cyclic groups
+under the canonical trace or a table of values."""
+
+from pathlib import Path
+
+from hypothesis import strategies as st
+
+from tensorfree.groups import (
+    FreeProductPresentation,
+    GroupElement,
+    GroupPresentation,
+    inverse,
+    power,
+    reduce,
+)
+from tensorfree.ncpartitions import MomentSequence
+from tensorfree.scalars import ExactComplex
+from tensorfree.scenario import load_scenario
+from tensorfree.spaces import GroupAlgebraModel, SpectralModel, TableFunctional
+from tensorfree.starwords import iter_words
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=4)
+COMPLEX = st.builds(ExactComplex, RATIONALS, RATIONALS)
+
+
+@st.composite
+def unitary_sequences(draw) -> MomentSequence:
+    """Haar, or a few nonzero Hermitian power moments, optionally periodic:
+    one value per pair {p, -p} of folded powers, real where p = -p."""
+    period = draw(st.sampled_from([None, None, 2, 3, 4, 6]))
+    top = 4 if period is None else period // 2
+    powers = draw(st.lists(st.integers(1, top), max_size=2, unique=True))
+    values = {}
+    for p in powers:
+        value = draw(COMPLEX)
+        if period is not None and 2 * p == period:
+            value = ExactComplex(value.re)
+        values[p] = value
+    return MomentSequence(values, unitary=True, period=period)
+
+
+def canonical_patterns(length):
+    """One star pattern per adjoint pair {key, reversed flipped key}."""
+    for key in iter_words((1,), length):
+        stars = tuple(l.star for l in key.letters)
+        adjoint = tuple(not s for s in reversed(stars))
+        if stars <= adjoint:
+            yield stars, stars == adjoint
+
+
+@st.composite
+def star_tables(draw) -> MomentSequence:
+    """A table whose nonzero patterns all shift by a multiple of m (m = 0:
+    balanced), with x x* = x* x = 1, complete through 3 or 4 letters; or
+    one with no complete_through that lists every pattern through 2
+    letters, so a longer one raises."""
+    m = draw(st.sampled_from([0, 2, 3]))
+    complete = draw(st.sampled_from([3, 4, 4, None]))
+    values = {(False, True): 1, (True, False): 1}
+    for length in range(1, (complete or 2) + 1):
+        for stars, self_adjoint in canonical_patterns(length):
+            shift = len(stars) - 2 * sum(stars)
+            if stars in values:
+                continue
+            value = 0
+            if not (shift % m if m else shift) and draw(st.booleans()):
+                value = draw(COMPLEX)
+                value = ExactComplex(value.re) if self_adjoint else value
+            if value or complete is None:
+                values[stars] = value
+    return MomentSequence(values, complete_through=complete)
+
+
+# the circular element of circular_dominated, complete through length 8
+CIRCULAR = (
+    load_scenario(SCENARIOS / "circular_dominated.json").tensor.factors[0].sequences[1]
+)
+
+
+@st.composite
+def spectral_factors(draw):
+    """Two variables, mostly assume_free: a unitary or a star table, then
+    a unitary, a star table or the circular element."""
+    first = draw(st.one_of(unitary_sequences(), star_tables()))
+    second = draw(
+        st.one_of(unitary_sequences(), star_tables(), st.just(CIRCULAR))
+    )
+    free = draw(st.sampled_from([True, True, True, False]))
+    return SpectralModel({1: first, 2: second}, assume_free=free)
+
+
+# -- group algebras ------------------------------------------------------------
+
+ORDERS = st.sampled_from([None, 2, 3, 4])
+
+
+@st.composite
+def presentations(draw) -> GroupPresentation:
+    """1-2 direct-product components, each a free product of 1-2 cyclic
+    groups of order 2, 3, 4 or infinite."""
+    components = draw(
+        st.lists(st.lists(ORDERS, min_size=1, max_size=2), min_size=1, max_size=2)
+    )
+    return GroupPresentation(
+        tuple(FreeProductPresentation(tuple(c)) for c in components)
+    )
+
+
+@st.composite
+def group_elements(draw, presentation: GroupPresentation) -> GroupElement:
+    """A random reduced element: up to 3 syllables of exponent 1-3 or
+    -1..-3 per component, then reduced."""
+    words = [
+        draw(
+            st.lists(
+                st.tuples(
+                    st.integers(1, comp.num_generators),
+                    st.integers(-3, 3).filter(bool),
+                ),
+                max_size=3,
+            )
+        )
+        for comp in presentation.factors
+    ]
+    return reduce(presentation, words)
+
+
+@st.composite
+def group_algebras(draw) -> GroupAlgebraModel:
+    """The canonical trace on two elements of a random presentation, each
+    a random element or a power of one shared random element, so that
+    words in both variables can reduce to the identity."""
+    presentation = draw(presentations())
+    base = draw(group_elements(presentation))
+    powers = st.integers(-3, 3).map(lambda e: power(presentation, base, e))
+    element = st.one_of(group_elements(presentation), powers)
+    return GroupAlgebraModel(presentation, {v: draw(element) for v in (1, 2)})
+
+
+@st.composite
+def table_functionals(draw) -> TableFunctional:
+    """Two random elements, and real values at up to two other elements
+    (the inverses are filled by Hermitian symmetry)."""
+    presentation = draw(presentations())
+    elements = {v: draw(group_elements(presentation)) for v in (1, 2)}
+    table = {}
+    for g in draw(st.lists(group_elements(presentation), max_size=2)):
+        if not g.is_identity() and inverse(presentation, g) not in table:
+            table[g] = ExactComplex(draw(RATIONALS))
+    return TableFunctional(presentation, elements, table)

@@ -6,10 +6,11 @@ with that component is not 0 mod m therefore has moment zero, and so
 does its centered alternating product.  The scans count such words
 without evaluating them; these tests pin the moduli, the exact set of
 skipped words and the limits of the rule, and hold both scans to their
-twins that evaluate every word."""
+twins that evaluate every word.  Group-algebra factors add the
+constraints of their abelianization (tests/test_group_gauge.py), which
+the bundled pins below include."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -26,13 +27,12 @@ from tensorfree.groups import (
     parse_group_word,
 )
 from tensorfree.ncpartitions import MomentSequence
-from tensorfree.scalars import ExactComplex
-from tensorfree.scenario import load_scenario
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel
 from tensorfree.starwords import class_blocks, iter_words, parse_word
 from tensorfree.tensor import TensorScenario, joint_oracle, normalized_scenario
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+from strategies import spectral_factors, unitary_sequences
+
 HAAR = MomentSequence({}, unitary=True)
 CLASS_OF = {1: 1, 2: 2}
 
@@ -78,15 +78,26 @@ def test_rotation_modulus(sequence, modulus):
     "name, gauge",
     [
         # factor 2's biased x1 has power +-2 only; the Haar x2 has none
-        ("biased_power_k2", ((2, (1,), 16), (0, (2,), 16))),
-        ("biased_power_k3", ((6, (1,), 16), (0, (2,), 16))),
-        # factor 1's x1 has powers 1 and 2 with period 3, so no constraint
-        ("biased_unitary", ((0, (2,), 16),)),
-        # no assume_free spectral factor
+        ("biased_power_k2", ((2, ((1, 1),), 16), (0, ((2, 1),), 16))),
+        ("biased_power_k3", ((6, ((1, 1),), 16), (0, ((2, 1),), 16))),
+        # factor 1's x1 has powers 1 and 2 with period 3, so no constraint;
+        # factor 2's x2 = g1.1 gives the same constraint as the Haar x2
+        ("biased_unitary", ((0, ((2, 1),), 16),)),
+        # one star table of no rotation symmetry, and no group algebra
         ("circular_dominated", ()),
-        ("doubly_free", ()),
-        ("haar_dominated", ()),
-        ("free_without_dominating", ()),
+        # free generators in both factors: s1 = 0 and s2 = 0
+        ("doubly_free", ((0, ((1, 1),), None), (0, ((2, 1),), None))),
+        # factor 2 has x1 = g and x2 = g^2: s1 + 2 s2 = 0
+        (
+            "haar_dominated",
+            (
+                (0, ((1, 1),), None),
+                (0, ((1, 1), (2, 2)), None),
+                (0, ((2, 1),), None),
+            ),
+        ),
+        # factor 1 is a table functional, which gives nothing
+        ("free_without_dominating", ((0, ((1, 1), (2, 2)), None),)),
     ],
 )
 def test_bundled_gauge_moduli(bundled, name, gauge):
@@ -99,7 +110,7 @@ def test_bundled_gauge_moduli(bundled, name, gauge):
 def test_biased_power_gauge_is_lcm_of_the_biased_powers():
     for K, modulus in ((2, 2), (3, 6), (4, 12)):
         gauge = biased_power_scenario(K, Fraction(1, 10)).gauge_moduli
-        assert gauge == ((modulus, (1,), 16), (0, (2,), 16))
+        assert gauge == ((modulus, ((1, 1),), 16), (0, ((2, 1),), 16))
 
 
 def free_factor(*sequences) -> SpectralModel:
@@ -114,7 +125,7 @@ def test_the_cap_is_the_least_depth_in_use():
         factors=(free_factor(circular), free_factor(shallow, HAAR)),
         assignments={1: (1, 1), 2: (1, 1)},
     )
-    assert scenario.gauge_moduli == ((0, (1, 2), 4),)
+    assert scenario.gauge_moduli == ((0, ((1, 1), (2, 1)), 4),)
     # a table that can fail at any length, or mixed words in a factor
     # without assume_free, would let a skip hide an error
     for factor in (
@@ -146,7 +157,7 @@ def shared_component_scenario() -> TensorScenario:
 def test_shared_component_constrains_the_sum():
     scenario = shared_component_scenario()
     # one constraint on s1 + s2: rotating x1 rotates both joint variables
-    assert scenario.gauge_moduli == ((0, (1, 2), 16),)
+    assert scenario.gauge_moduli == ((0, ((1, 1), (2, 1)), 16),)
     verdict = freeness_verdict(
         joint_oracle(scenario),
         scenario.indices,
@@ -158,7 +169,7 @@ def test_shared_component_constrains_the_sum():
     assert verdict.lhs == Fraction(1, 6)
     assert verdict.words_checked == 2
     # a constraint per joint index would have skipped the witness
-    per_index = gauge_breaker(((0, (1,), None), (0, (2,), None)), (1, 2), 2)
+    per_index = gauge_breaker(((0, ((1, 1),), None), (0, ((2, 1),), None)), (1, 2), 2)
     assert per_index(verdict.witness.letters)
 
 
@@ -172,7 +183,7 @@ def test_a_word_past_the_table_depth_is_evaluated():
     scenario = TensorScenario(
         factors=(free_factor(table, HAAR),), assignments={1: (1,), 2: (2,)}
     )
-    assert scenario.gauge_moduli == ((2, (1,), 4), (0, (2,), 4))
+    assert scenario.gauge_moduli == ((2, ((1, 1),), 4), (0, ((2, 1),), 4))
     errors = []
     for gauge in ((), scenario.gauge_moduli):
         with pytest.raises(DepthLimitError) as caught:
@@ -181,15 +192,16 @@ def test_a_word_past_the_table_depth_is_evaluated():
     assert errors[0] == errors[1]
 
 
-def exponent_sums(letters, members):
-    return sum((-1 if l.star else 1) for l in letters if l.index in members)
+def exponent_sums(letters, weights):
+    weight = dict(weights)
+    return sum((-1 if l.star else 1) * weight.get(l.index, 0) for l in letters)
 
 
 def breaks_by_hand(letters, gauge) -> bool:
-    for m, members, cap in gauge:
+    for m, weights, cap in gauge:
         if cap is not None and len(letters) > cap:
             continue
-        total = exponent_sums(letters, members)
+        total = exponent_sums(letters, weights)
         if (total % m if m else total) != 0:
             return True
     return False
@@ -238,74 +250,6 @@ def test_words_that_break_the_gauge_center_to_zero(bundled, name):
 
 
 # -- the skip against the full scan on generated scenarios ---------------------
-
-RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=4)
-COMPLEX = st.builds(ExactComplex, RATIONALS, RATIONALS)
-
-
-@st.composite
-def unitary_sequences(draw) -> MomentSequence:
-    """Haar, or a few nonzero Hermitian power moments, optionally periodic:
-    one value per pair {p, -p} of folded powers, real where p = -p."""
-    period = draw(st.sampled_from([None, None, 2, 3, 4, 6]))
-    top = 4 if period is None else period // 2
-    powers = draw(st.lists(st.integers(1, top), max_size=2, unique=True))
-    values = {}
-    for p in powers:
-        value = draw(COMPLEX)
-        if period is not None and 2 * p == period:
-            value = ExactComplex(value.re)
-        values[p] = value
-    return MomentSequence(values, unitary=True, period=period)
-
-
-def canonical_patterns(length):
-    """One star pattern per adjoint pair {key, reversed flipped key}."""
-    for key in iter_words((1,), length):
-        stars = tuple(l.star for l in key.letters)
-        adjoint = tuple(not s for s in reversed(stars))
-        if stars <= adjoint:
-            yield stars, stars == adjoint
-
-
-@st.composite
-def star_tables(draw) -> MomentSequence:
-    """A table whose nonzero patterns all shift by a multiple of m (m = 0:
-    balanced), with x x* = x* x = 1, complete through 3 or 4 letters; or
-    one with no complete_through that lists every pattern through 2
-    letters, so a longer one raises."""
-    m = draw(st.sampled_from([0, 2, 3]))
-    complete = draw(st.sampled_from([3, 4, 4, None]))
-    values = {(False, True): 1, (True, False): 1}
-    for length in range(1, (complete or 2) + 1):
-        for stars, self_adjoint in canonical_patterns(length):
-            shift = len(stars) - 2 * sum(stars)
-            if stars in values:
-                continue
-            value = 0
-            if not (shift % m if m else shift) and draw(st.booleans()):
-                value = draw(COMPLEX)
-                value = ExactComplex(value.re) if self_adjoint else value
-            if value or complete is None:
-                values[stars] = value
-    return MomentSequence(values, complete_through=complete)
-
-
-# the circular element of circular_dominated, complete through length 8
-CIRCULAR = load_scenario(SCENARIOS / "circular_dominated.json").tensor.factors[0].sequences[1]
-
-
-@st.composite
-def spectral_factors(draw):
-    """Two variables, mostly assume_free: a unitary or a star table, then
-    a unitary, a star table or the circular element."""
-    first = draw(st.one_of(unitary_sequences(), star_tables()))
-    second = draw(
-        st.one_of(unitary_sequences(), star_tables(), st.just(CIRCULAR))
-    )
-    free = draw(st.sampled_from([True, True, True, False]))
-    return SpectralModel({1: first, 2: second}, assume_free=free)
-
 
 def group_factor() -> GroupAlgebraModel:
     presentation = GroupPresentation((FreeProductPresentation((None, 3)),))

@@ -1,0 +1,222 @@
+"""The gauge skip for group algebras under the canonical trace.
+
+G = prod_c (Z_{n_1} * ... * Z_{n_r}) maps onto its abelianization, the
+direct sum of the Z_{n_j}, by exponent sums.  A word whose element has a
+nonzero image there is not the identity, so its trace is zero, and so is
+its centered alternating product.  These tests pin the constraints of
+the bundled files and of small examples, hold the scans that skip such
+words to their twins that evaluate every word, and check that every
+skipped word is exactly zero."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from tensorfree.errors import DepthLimitError
+from tensorfree.freeness import centered_product_value, gauge_breaker
+from tensorfree.freeness import test_freeness as freeness_verdict
+from tensorfree.groups import (
+    FreeProductPresentation,
+    GroupPresentation,
+    abelian_image,
+    parse_group_word,
+)
+from tensorfree.ncpartitions import MomentSequence
+from tensorfree.scalars import ZERO
+from tensorfree.spaces import GroupAlgebraModel, SpectralModel, TableFunctional
+from tensorfree.starwords import iter_words, parse_word
+from tensorfree.tensor import TensorScenario, joint_oracle
+
+from strategies import group_algebras, spectral_factors, table_functionals
+
+CLASS_OF = {1: 1, 2: 2}
+
+
+def group_model(orders, *texts) -> GroupAlgebraModel:
+    presentation = GroupPresentation((FreeProductPresentation(orders),))
+    return GroupAlgebraModel(
+        presentation,
+        {v: parse_group_word(presentation, text) for v, text in enumerate(texts, 1)},
+    )
+
+
+def test_abelian_image_is_the_exponent_sums():
+    pres = GroupPresentation(
+        (FreeProductPresentation((None, None)), FreeProductPresentation((3, 4)))
+    )
+    assert pres.abelian_orders == (0, 0, 3, 4)
+    g = parse_group_word(pres, "g1.1^2 g1.2^-1 g1.1^-1 g2.1^1 g2.2^3 g2.1^1")
+    assert abelian_image(pres, g) == (1, -1, 2, 3)
+    # a commutator, and the cube of an order-3 generator, map to zero
+    h = parse_group_word(pres, "g1.1^1 g1.2^1 g1.1^-1 g1.2^-1 g2.1^1 g2.2^1 g2.1^2")
+    assert abelian_image(pres, h) == (0, 0, 0, 1)
+
+
+@pytest.mark.parametrize(
+    "name, gauge",
+    [
+        # free generators, one component or two merged: s1 = 0 and s2 = 0
+        ("free_pair_collection", ((0, ((1, 1),), None), (0, ((2, 1),), None))),
+        ("product_pair_collection", ((0, ((1, 1),), None), (0, ((2, 1),), None))),
+        # Z2 * Z2 x Z3 * Z3: the mod-2 and mod-3 coordinates merge to mod 6
+        ("mixed_order_collection", ((6, ((1, 1),), None), (6, ((2, 1),), None))),
+        # x1 = g, x2 = g^2: s1 + 2 s2 = 0
+        ("integer_pair_collection", ((0, ((1, 1), (2, 2)), None),)),
+    ],
+)
+def test_bundled_group_gauges(bundled, name, gauge):
+    assert bundled(name).collection.gauge == gauge
+
+
+def scan(model, max_len, gauge):
+    return freeness_verdict(model.moment_letters, model.variables, max_len, (), gauge)
+
+
+@pytest.mark.parametrize(
+    "model, gauge, witness",
+    [
+        # g and its inverse: a negative weight, and x1 x2 is the identity
+        (
+            group_model((None,), "g1.1^1", "g1.1^-1"),
+            ((0, ((1, 1), (2, -1)), None),),
+            "x1 x2",
+        ),
+        # weights 1 and 2: x1 x1 x2* is the identity
+        (
+            group_model((None,), "g1.1^1", "g1.1^2"),
+            ((0, ((1, 1), (2, 2)), None),),
+            "x1 x1 x2*",
+        ),
+        # x1's exponent sum in g1.1 is 3 = 0 mod 3: x1 weighs 0 there
+        (
+            group_model((3, 3), "g1.1^1 g1.2^1 g1.1^2", "g1.1^1"),
+            ((3, ((1, 1),), None), (3, ((2, 1),), None)),
+            None,
+        ),
+        # two commutators: every coordinate is 0, so no constraint at all
+        (
+            group_model(
+                (3, None), "g1.1^1 g1.2^1 g1.1^2 g1.2^-1", "g1.2^2 g1.1^1 g1.2^-2 g1.1^2"
+            ),
+            (),
+            None,
+        ),
+    ],
+)
+def test_group_gauge_examples(model, gauge, witness):
+    assert model.gauge == gauge
+    verdict = scan(model, 4, model.gauge)
+    assert verdict == scan(model, 4, ())
+    assert verdict.witness == (witness and parse_word(witness))
+
+
+def test_a_table_functional_gives_no_constraint():
+    # a table of values is not the canonical trace: x1 x2 has value 1/10
+    # although its element g1.1 g1.2 is not the identity
+    pres = GroupPresentation((FreeProductPresentation((None, None)),))
+    g, h, gh = (
+        parse_group_word(pres, t) for t in ("g1.1^1", "g1.2^1", "g1.1^1 g1.2^1")
+    )
+    table = TableFunctional(pres, {1: g, 2: h}, {gh: Fraction(1, 10)})
+    scenario = TensorScenario(factors=(table,), assignments={1: (1,), 2: (2,)})
+    assert scenario.gauge_moduli == ()
+    assert table.moment(parse_word("x1 x2")) == Fraction(1, 10)
+
+
+def test_group_constraints_take_the_table_depth_as_cap():
+    # a Z_2-invariant star table declared through length 4 beside a free
+    # group: the length-6 words with a run of five x1 letters all break
+    # the group's s2 = 0, and they must still raise the depth limit
+    half = Fraction(1, 2)
+    table = MomentSequence(
+        {(False, True): 1, (True, False): 1, (False, False): half, (True, True): half},
+        complete_through=4,
+    )
+    haar = MomentSequence({}, unitary=True)
+    scenario = TensorScenario(
+        factors=(
+            SpectralModel({1: table, 2: haar}, assume_free=True),
+            group_model((None, None), "g1.1^1", "g1.2^1"),
+        ),
+        assignments={1: (1, 1), 2: (2, 2)},
+    )
+    assert scenario.gauge_moduli == ((0, ((1, 1),), 4), (0, ((2, 1),), 4))
+    errors = []
+    for gauge in ((), scenario.gauge_moduli):
+        with pytest.raises(DepthLimitError) as caught:
+            freeness_verdict(joint_oracle(scenario), (1, 2), 6, (), gauge)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
+
+
+# -- the skip against the full scan on generated group algebras ----------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_algebras(), st.integers(2, 5))
+@example(group_model((2, 3), "g1.1^1", "g1.2^1"), 5)
+def test_group_gauge_matches_the_full_scan(model, max_len):
+    assert scan(model, max_len, model.gauge) == scan(model, max_len, ())
+
+
+def breaking_words(gauge, max_len):
+    for length in range(2, max_len + 1):
+        breaks = gauge_breaker(gauge, (1, 2), length)
+        if breaks is not None:
+            yield from (w for w in iter_words((1, 2), length) if breaks(w.letters))
+
+
+def assert_zero(oracle, word):
+    assert oracle(word.letters) == ZERO, word
+    value = centered_product_value(oracle, word.letters, CLASS_OF)
+    assert value is None or value == ZERO, word
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_algebras(), st.integers(2, 4))
+def test_every_word_the_group_gauge_breaks_is_zero(model, max_len):
+    for word in breaking_words(model.gauge, max_len):
+        assert_zero(model.moment_letters, word)
+
+
+@st.composite
+def group_tensor_scenarios(draw) -> TensorScenario:
+    """A group algebra alone, or beside a spectral factor or a table
+    functional in either order; per factor, joint variables 1 and 2 take
+    the components (1, 2), (2, 1) or a shared (1, 1) or (2, 2)."""
+    factors = [draw(group_algebras())]
+    beside = st.one_of(spectral_factors(), table_functionals())
+    factors += draw(st.lists(beside, max_size=1))
+    factors = draw(st.permutations(factors))
+    pairs = [draw(st.sampled_from([(1, 2), (2, 1), (1, 1), (2, 2)])) for _ in factors]
+    return TensorScenario(
+        factors=tuple(factors),
+        assignments={i: tuple(pair[i - 1] for pair in pairs) for i in (1, 2)},
+    )
+
+
+def tensor_outcome(scenario, max_len, gauge):
+    """The scan's verdict, or the type of the error it raised."""
+    try:
+        return freeness_verdict(
+            joint_oracle(scenario), (1, 2), max_len, scenario.unitary_indices, gauge
+        )
+    except Exception as exc:  # the twin must raise the same type
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_tensor_scenarios(), st.integers(2, 4))
+def test_group_factor_gauge_matches_the_full_scan(scenario, max_len):
+    skipping = tensor_outcome(scenario, max_len, scenario.gauge_moduli)
+    assert skipping == tensor_outcome(scenario, max_len, ())
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_tensor_scenarios(), st.integers(2, 4))
+def test_every_word_a_group_factor_breaks_is_zero(scenario, max_len):
+    oracle = joint_oracle(scenario)
+    for word in breaking_words(scenario.gauge_moduli, max_len):
+        assert_zero(oracle, word)

@@ -203,6 +203,31 @@ def test_find_dominating_checks_each_factor_faithfulness_once(bundled, monkeypat
     assert calls == [2]
 
 
+@pytest.mark.parametrize("name", ["circular_dominated", "biased_unitary", "doubly_free"])
+def test_the_length_2_gram_basis_leads_every_longer_one(bundled, name):
+    # so a Gram matrix definite at a longer length is definite on it too
+    for factor in bundled(name).tensor.factors:
+        short = spaces.gram_basis(factor, 2)
+        assert spaces.gram_basis(factor, 3)[: len(short)] == short
+
+
+@pytest.mark.parametrize("name", ["circular_dominated", "biased_unitary"])
+def test_theorem_1_8_checks_each_factor_axioms_once(bundled, monkeypatch, name):
+    calls = []
+
+    def counting(functional, gram_len=3):
+        calls.append(gram_len)
+        return check_axioms(functional, gram_len)
+
+    monkeypatch.setattr(spaces, "check_axioms", counting)
+    monkeypatch.setattr(tfc, "check_axioms", counting)
+    report = check_necessary_conditions(bundled(name).tensor, 4, 2)
+    assert report.tfc is not None and report.tfc.notes == ()
+    # one hypothesis check per factor; check_tfc's faithfulness check on
+    # the other factor is implied by it and does not run again
+    assert calls == [2, 2]
+
+
 # -- faithfulness helper ----------------------------------------------------
 
 
@@ -358,7 +383,7 @@ def test_circular_pair_witness_at_length_12(bundled):
     # the gauge keeps it: both exponent sums vanish, and past the
     # circular table's depth of 8 no word is skipped at all
     gauge = scenario.gauge_moduli
-    assert gauge == ((0, (1,), 8), (0, (2,), 8))
+    assert gauge == ((0, ((1, 1),), 8), (0, ((2, 1),), 8))
     assert gauge_breaker(gauge, (1, 2), len(witness)) is None
     uncapped = tuple((m, members, None) for m, members, _ in gauge)
     assert not gauge_breaker(uncapped, (1, 2), len(witness))(witness.letters)
