@@ -283,27 +283,20 @@ def test_freeness(
         breaks = gauge_breaker(gauge, class_of, length)
         for word in iter_words(class_of.keys(), length):
             letters = word.letters
-            # with no skip at this length, centered_product_value alone
-            # splits the word, so the scans that cannot skip pay nothing
-            if exponent or breaks:
-                # the classes are the indices, and a word in one of them
-                # witnesses nothing
-                first = letters[0].index
-                if all(l.index == first for l in letters):
-                    continue
-                if breaks is not None and breaks(letters):
-                    checked += 1
-                    continue
-                if exponent and any(
-                    ls[0] in exponent and not sum(map(exponent.__getitem__, ls))
-                    for ls in class_blocks(letters, class_of)
-                ):
-                    checked += 1
-                    continue
-            value = centered_product_value(oracle, letters, class_of)
-            if value is None:
+            # the classes are the indices, and a word in one of them
+            # witnesses nothing
+            first = letters[0].index
+            if all(l.index == first for l in letters):
                 continue
             checked += 1
+            if breaks is not None and breaks(letters):
+                continue
+            if exponent and any(
+                ls[0] in exponent and not sum(map(exponent.__getitem__, ls))
+                for ls in class_blocks(letters, class_of)
+            ):
+                continue
+            value = centered_product_value(oracle, letters, class_of)
             if not value.is_zero():
                 return Verdict(False, word, value, max_len, checked)
     return Verdict(True, None, None, max_len, checked)

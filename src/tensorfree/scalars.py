@@ -96,9 +96,6 @@ class ExactComplex:
     def __bool__(self) -> bool:
         return not self.is_zero()
 
-    def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
-
     def __repr__(self) -> str:
         return f"ExactComplex({self.re!r}, {self.im!r})"
 

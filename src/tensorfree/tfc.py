@@ -47,8 +47,9 @@ class TfcViolation:
     factor_value: ExactComplex | None = None
     variance: Fraction | None = None
 
-    def word_text(self) -> str:
-        return single_variable_word(self.pattern, self.index).text()
+    @property
+    def word(self) -> StarWord:
+        return single_variable_word(self.pattern, self.index)
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,19 @@ def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
         return None
 
     # the family is indexed by the joint variables, so a repeated factor
-    # component must be tested against itself, not collapsed away
-    return test_freeness(factor_oracle(scenario, k), scenario.indices, max_len)
+    # component must be tested against itself, not collapsed away; as the
+    # one-factor scenario of factor k it takes the skips of factor k's
+    # declared structure, and factor_oracle keeps k in evaluation errors
+    family = TensorScenario(
+        (functional,), {i: (c[k - 1],) for i, c in scenario.assignments.items()}
+    )
+    return test_freeness(
+        factor_oracle(scenario, k),
+        scenario.indices,
+        max_len,
+        family.unitary_indices,
+        family.gauge_moduli,
+    )
 
 
 def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:

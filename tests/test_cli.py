@@ -474,6 +474,18 @@ def test_an_unevaluable_factor_word_names_the_factor(run_cli, tmp_path, command)
     assert "factor 1 cannot evaluate 'x1 x2'" in res.err
 
 
+def test_an_unevaluable_word_of_factor_2_names_factor_2(run_cli, tmp_path):
+    # factor 2's family is scanned as a one-factor scenario of its own,
+    # and the error still names factor 2, not that scenario's only factor
+    payload = diagonal_spectral_payload("unflagged_2", HALF, HAAR)
+    payload["factors"][1] = dict(payload["factors"][1], assume_free=False)
+    path = write_scenario(tmp_path, "unflagged_2", payload)
+    res = run_cli(path, "check-tfc", "--k", "2", "--max-len", "4")
+    assert res.code == 2
+    assert res.out == ""
+    assert "factor 2 cannot evaluate 'x1 x2'" in res.err
+
+
 # -- counterexample-k --------------------------------------------------------------------
 
 

@@ -72,8 +72,10 @@ def test_equality_and_hash_against_rationals():
     assert bool(ONE) is True
 
 
-def test_complex_conversion():
-    assert complex(ExactComplex(Fraction(1, 2), Fraction(-1, 4))) == 0.5 - 0.25j
+def test_no_float_conversion():
+    # moments stay in Q(i): a scalar has no complex() value to round to
+    with pytest.raises(TypeError):
+        complex(ONE)
 
 
 def test_as_scalar_coercion():

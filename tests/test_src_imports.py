@@ -1,8 +1,11 @@
-"""The package imports nothing outside the standard library.
+"""The package imports nothing outside the standard library, and each
+of its names has one import path.
 
 Every import statement under src/tensorfree, those inside functions
 included, must be relative or name a module in sys.stdlib_module_names.
-pyproject.toml accordingly declares no runtime dependency.
+pyproject.toml accordingly declares no runtime dependency.  The package
+root holds its docstring and nothing else, so every name is imported
+from the module that defines it.
 """
 
 import ast
@@ -34,3 +37,9 @@ def third_party_imports():
 
 def test_src_imports_only_the_standard_library():
     assert third_party_imports() == []
+
+
+def test_the_package_root_binds_no_name():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1

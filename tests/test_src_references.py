@@ -7,9 +7,9 @@ target of an enclosing function binds, or as <module>.<name> with
 <module> a tensorfree module.  A non-dunder method counts as used when
 its name is read (as a bare name or as an attribute) anywhere; names are
 matched by text, so a method shares its uses with every other
-definition of the same name.  Imports, the re-exports of __init__.py
-among them, are not reads, so a procedure that only its tests reach
-fails here: give it a use in the CLI or a report, or delete it.
+definition of the same name.  Imports are not reads, so a procedure
+that only its tests reach fails here: give it a use in the CLI or a
+report, or delete it.
 """
 
 import ast

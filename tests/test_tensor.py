@@ -233,7 +233,7 @@ def test_pattern_plumbing():
     violation = TfcViolation(
         condition=1, index=3, pattern=(False, True), factor=1, tensor_value=ZERO
     )
-    assert violation.word_text() == "x3 x3*"
+    assert violation.word.text() == "x3 x3*"
 
 
 def test_decomposition_vanishing_case_holds():
@@ -258,7 +258,7 @@ def test_decomposition_vanishing_case_violated():
     assert violation.factor == 2
     assert violation.tensor_value == ZERO
     assert violation.factor_value == ONE
-    assert violation.word_text() == "x1 x1"
+    assert violation.word.text() == "x1 x1"
 
 
 def test_decomposition_nonvanishing_case_holds():
@@ -287,7 +287,7 @@ def test_decomposition_nonvanishing_case_violated(bundled):
     report = check_tfc(scen, 1, max_len=2)
     violation = report.violations[-1]
     assert violation.condition == 2
-    assert violation.word_text() == "x1 x1*"
+    assert violation.word.text() == "x1 x1*"
     assert violation.tensor_value == ONE
     assert violation.factor == 2  # c c* is not deterministic
     assert violation.variance == 1

@@ -117,10 +117,10 @@ def test_condition_one_violation_is_reported_with_values():
     assert v.condition == 1
     assert v.pattern == (False, False)
     assert v.factor == 2
-    assert v.word_text() == "x1 x1"
+    assert v.word.text() == "x1 x1"
     # the reported values re-evaluate
-    assert tensor_moment(scen, word(v.word_text())) == v.tensor_value == ZERO
-    assert factor_moment(scen, word(v.word_text()), 2) == v.factor_value == ONE
+    assert tensor_moment(scen, word(v.word.text())) == v.tensor_value == ZERO
+    assert factor_moment(scen, word(v.word.text()), 2) == v.factor_value == ONE
 
 
 def test_condition_two_violation_carries_the_variance(bundled):
@@ -137,7 +137,7 @@ def test_condition_two_violation_carries_the_variance(bundled):
     assert v2.factor == 2
     assert v2.tensor_value == ONE
     assert v2.variance == Fraction(1)
-    assert v2.word_text() == "x1 x1*"
+    assert v2.word.text() == "x1 x1*"
 
 
 def test_report_consistency_invariant(bundled):
