@@ -19,20 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ScenarioError
-from .freeness import Gauge, JointOracle, Verdict, gauge_breaker
+from .freeness import Gauge, GaugeWalk, JointOracle, Verdict
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
 from .scalars import as_scalar
 from .spaces import SpectralModel
-from .starwords import (
-    Letter,
-    StarWord,
-    iter_letters,
-    iter_sequences,
-    power_word_to_star_word,
-)
+from .starwords import iter_letters, iter_words, power_word_to_star_word
 from .tensor import TensorScenario, joint_oracle
 
 # alpha of the biased-power scenario when none is given
@@ -86,6 +81,19 @@ class PowerScanLine:
     violations: int
 
 
+def reduced_word_count(n: int, length: int, runs: int) -> int:
+    """The reduced words (no letter next to its adjoint) of the given
+    length over n variables whose letters fall into the given number of
+    maximal one-variable runs.
+
+    Such a word is a sequence of run variables, each unlike the one
+    before (n (n-1)^(runs-1) of them), a composition of the length into
+    run lengths (C(length-1, runs-1)), and a sign per run: a reduced run
+    is a nonzero power, all plain letters or all starred ones.
+    """
+    return n * (n - 1) ** (runs - 1) * comb(length - 1, runs - 1) * 2**runs
+
+
 def scan_alternating_powers(
     joint: JointOracle, variables: Sequence[int], max_len: int = 8, gauge: Gauge = ()
 ) -> tuple[Verdict, tuple[PowerScanLine, ...]]:
@@ -94,15 +102,17 @@ def scan_alternating_powers(
     Requires every single power up to the bound to have vanishing
     moment, which makes each word's plain moment equal to its centered
     alternating product.  Unlike the early-stopping freeness tests this
-    walks every word of total exponent size 2..max_len and tallies
+    covers every word of total exponent size 2..max_len and tallies
     words and nonzero values per block pair count; the verdict carries
     the first violation in (length, text) order if any exists.
 
-    joint is asked about every walked word that keeps the gauge
-    constraints (TensorScenario.gauge_moduli, tested by
-    freeness.gauge_breaker).  A word that breaks one has moment zero: it
-    counts in words_checked and in its tally line's words, never in its
-    violations.  analyze_biased_power passes the biased-power scenario's
+    Each tally line counts its words in closed form
+    (reduced_word_count), and words_checked is their total.  Only the words
+    that keep the gauge constraints (TensorScenario.gauge_moduli) are
+    walked, by a freeness.GaugeWalk that also cuts off every prefix
+    with a letter next to its adjoint, and joint is asked about each of
+    them; every other word has moment zero and no violation.
+    analyze_biased_power passes the biased-power scenario's
     joint_oracle; that scenario is a trace of unitaries by construction,
     so the oracle evaluates one word per tracial class
     (tensor._tracial_classes).  The scan itself does not rely on that.
@@ -116,36 +126,40 @@ def scan_alternating_powers(
                         f"marginal of x{v} is not Haar-type: power {sign} "
                         "has nonzero moment"
                     )
+    n = len(set(variables))
     tallies: dict[int, list[int]] = {}
+    for total in range(2, max_len + 1):
+        for runs in range(2, total + 1):
+            words = reduced_word_count(n, total, runs)
+            if words:
+                tallies.setdefault((runs + 1) // 2, [0, 0])[0] += words
     first_witness = None
     first_value = None
-    checked = 0
     # reduced words (no letter next to its adjoint) are exactly the star
-    # forms of reduced power words; text-ordered letters walk them in
-    # text order, as iter_words does
-    letters = sorted(iter_letters(variables), key=Letter.text)
-    adjoint = {l: l.adjoint() for l in letters}
+    # forms of reduced power words
+    adjoint = {l: l.adjoint() for l in iter_letters(variables)}
     for total in range(2, max_len + 1):
-        breaks = gauge_breaker(gauge, variables, total)
-        for word in iter_sequences(letters, total, lambda a, b: a != adjoint[b]):
-            runs = 1 + sum(a.index != b.index for a, b in zip(word, word[1:]))
+        walk = GaugeWalk(gauge, variables, total)
+        # the walk's state holds the last letter second
+        reduced = lambda state, l, step=walk.step: (
+            None if state[1] == adjoint[l] else step(state, l)
+        )
+        for word in iter_words(variables, total, reduced, walk.start):
+            letters = word.letters
+            runs = 1 + sum(a.index != b.index for a, b in zip(letters, letters[1:]))
             if runs == 1:
                 continue
-            checked += 1
-            line = tallies.setdefault((runs + 1) // 2, [0, 0])
-            line[0] += 1
-            if breaks is not None and breaks(word):
-                continue
-            value = joint(word)
+            value = joint(letters)
             if not value.is_zero():
-                line[1] += 1
+                tallies[(runs + 1) // 2][1] += 1
                 if first_witness is None:
-                    first_witness = StarWord(word)
+                    first_witness = word
                     first_value = value
     scan = tuple(
         PowerScanLine(pairs, words, bad)
         for pairs, (words, bad) in sorted(tallies.items())
     )
+    checked = sum(line.words for line in scan)
     if first_witness is not None:
         verdict = Verdict(False, first_witness, first_value, max_len, checked)
     else:
@@ -255,10 +269,11 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     """Scan the biased-power pair for freeness violations and locate the
     smallest block pair count the filters leave open.
 
-    The scan walks every word, but asks only about those whose x1
-    exponent sum is 0 mod lcm(2..K) and whose x2 exponent sum is 0 (the
-    scenario's gauge_moduli: factor k's a_k has nonzero powers +-k only,
-    and each u_k is Haar); every other word has moment zero.
+    The scan walks only the words whose x1 exponent sum is 0 mod
+    lcm(2..K) and whose x2 exponent sum is 0 (the scenario's
+    gauge_moduli: factor k's a_k has nonzero powers +-k only, and each
+    u_k is Haar); every other word has moment zero and is counted in
+    closed form.
     joint_oracle evaluates the tensor product once per tracial class,
     because each factor is a free product of unitary power-moment laws
     (TensorScenario.unitary_trace).

@@ -15,12 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from math import inf
+from operator import add, le, mod
 from typing import Callable, Collection, Iterable, Mapping, Sequence
 
 from .errors import DepthLimitError
 from .ncpartitions import cumulant_from_moments, moment_from_cumulants
 from .scalars import ONE, ZERO, ExactComplex
 from .starwords import (
+    Letter,
     LetterTuple,
     StarWord,
     class_blocks,
@@ -35,6 +38,8 @@ JointOracle = Callable[[LetterTuple], ExactComplex]
 # (modulus, ((index, weight), ...), length cap) linear constraints on the
 # exponent sums of a word's letters
 Gauge = Sequence[tuple[int, Sequence[tuple[int, int]], int | None]]
+# (letters left, last letter, switched variable, weighted exponent sums)
+GaugeState = tuple[int, Letter | None, bool, tuple[int, ...]]
 
 
 class FreeFamilySpec:
@@ -170,15 +175,14 @@ class Verdict:
 
 def centered_product_value(
     oracle: JointOracle, letters: LetterTuple, class_of: dict[int, int]
-) -> ExactComplex | None:
+) -> ExactComplex:
     """Value of the centered alternating product along the class blocks.
 
-    Returns None for single-class words, which are trivially centered
-    to zero and witness nothing.
+    A single-class word is one block, whose centered part has mean zero.
     """
     blocks = class_blocks(letters, class_of)
     if len(blocks) < 2:
-        return None
+        return ZERO
     betas = [oracle(ls) for ls in blocks]
     value = oracle(letters)
     dropped = _dropped_block_sum(oracle, letters, blocks, betas)
@@ -202,44 +206,73 @@ def _memoized(oracle: JointOracle) -> JointOracle:
     return wrapped
 
 
-def gauge_breaker(
-    gauge: Gauge, indices: Iterable[int], length: int
-) -> Callable[[LetterTuple], bool] | None:
-    """The gauge test for the words of one length over indices, or None
-    when no constraint reaches that length.
+class GaugeWalk:
+    """The gauge constraints that reach the words of one length over
+    indices, as a residue fold for starwords.iter_words.
 
     Each constraint (m, weights, cap) of gauge (TensorScenario.
     gauge_moduli, GroupAlgebraModel.gauge) states that a word of at most
     cap letters (any length when cap is None) has moment zero unless its
     weighted exponent sum, +w per plain letter and -w per starred one of
-    an index of weight w, is 0 mod m (m = 0: is 0).  The test says
-    whether a word breaks one.
+    an index of weight w, is 0 mod m (m = 0: is 0).  The walk keeps
+    exactly the words that break none of them.
 
     Such a word's centered alternating product is exactly zero.  A block
     with a nonzero mean keeps every constraint, so dropping it leaves the
     broken sum as it was: every shorter word the inclusion-exclusion
     evaluates for the word breaks the same constraint, and so has moment
     zero like the word itself.
+
+    The state after a prefix is (letters left, last letter, whether the
+    prefix switches variable, one weighted exponent sum per constraint);
+    start is the state before the first letter.  step prunes a prefix
+    that no completion brings back: a modulus-0 sum larger in size than
+    the letters left times the constraint's largest |w|, or, at the last
+    letter, a sum that is not 0 mod m.  pruned counts the words that
+    switch variable among the completions of the prefixes pruned so far:
+    over n indices, (2n)^r for a prefix with r letters left, less the 2^r
+    words that stay in its one variable when it has not switched yet.
     """
-    alphabet = iter_letters(indices)
-    weights = []
-    for m, terms, cap in gauge:
-        if cap is None or length <= cap:
-            w = dict(terms)
-            weights.append(
-                (m, {l: (-1 if l.star else 1) * w.get(l.index, 0) for l in alphabet})
-            )
-    if not weights:
+
+    def __init__(self, gauge: Gauge, indices: Iterable[int], length: int) -> None:
+        alphabet = iter_letters(indices)
+        rows = []
+        for m, terms, cap in gauge:
+            if cap is None or length <= cap:
+                w = dict(terms)
+                rows.append(
+                    (m, {l: (-1 if l.star else 1) * w.get(l.index, 0) for l in alphabet})
+                )
+        # per letter, its weight in each constraint
+        self._weights = {l: tuple(weight[l] for _, weight in rows) for l in alphabet}
+        # per number of letters left, the largest size each sum may have:
+        # the letters left change a modulus-0 sum by at most left times its
+        # largest |w|; other moduli have no bound and are tested at the
+        # last letter alone, where a modulus-0 sum must be 0 and its
+        # modulus 1 tests nothing
+        reach = [
+            max(map(abs, weight.values()), default=0) if not m else inf
+            for m, weight in rows
+        ]
+        self._bounds = [tuple(0 if not m else inf for m, _ in rows)] + [
+            tuple(left * r for r in reach) for left in range(1, length)
+        ]
+        self._moduli = tuple(m or 1 for m, _ in rows)
+        self._letters = len(alphabet)
+        self.start = (length, None, False, (0,) * len(rows))
+        self.pruned = 0
+
+    def step(self, state: GaugeState, letter: Letter) -> GaugeState | None:
+        left, last, switched, sums = state
+        left -= 1
+        sums = tuple(map(add, sums, self._weights[letter]))
+        switched = switched or (last is not None and last.index != letter.index)
+        if all(map(le, map(abs, sums), self._bounds[left])) and (
+            left or not any(map(mod, sums, self._moduli))
+        ):
+            return left, letter, switched, sums
+        self.pruned += self._letters**left - (0 if switched else 2**left)
         return None
-
-    def breaks(letters: LetterTuple) -> bool:
-        for m, weight in weights:
-            total = sum(map(weight.__getitem__, letters))
-            if total % m if m else total:
-                return True
-        return False
-
-    return breaks
 
 
 def test_freeness(
@@ -271,7 +304,12 @@ def test_freeness(
       word of nonzero moment keeps: the rotation symmetries of a tensor
       scenario (TensorScenario.gauge_moduli) or the abelianization of a
       group algebra under the canonical trace (GroupAlgebraModel.gauge).
-      A word that breaks one centers to zero (see gauge_breaker).
+      A word that breaks one centers to zero (see GaugeWalk).  The walk
+      over each length carries the constraints' exponent sums and cuts
+      off every prefix that no completion keeps; the words that switch
+      variable below a cut prefix are counted in closed form
+      (GaugeWalk.pruned) when the walk passes it, so words_checked
+      counts them in text order as the full scan does.
     """
     class_of = {i: i for i in indices}
     # the exponent of each letter of a unitary index; a block is u^0 when
@@ -280,8 +318,8 @@ def test_freeness(
     oracle = _memoized(joint)
     checked = 0
     for length in range(2, max_len + 1):
-        breaks = gauge_breaker(gauge, class_of, length)
-        for word in iter_words(class_of.keys(), length):
+        walk = GaugeWalk(gauge, class_of, length)
+        for word in iter_words(class_of, length, walk.step, walk.start):
             letters = word.letters
             # the classes are the indices, and a word in one of them
             # witnesses nothing
@@ -289,8 +327,6 @@ def test_freeness(
             if all(l.index == first for l in letters):
                 continue
             checked += 1
-            if breaks is not None and breaks(letters):
-                continue
             if exponent and any(
                 ls[0] in exponent and not sum(map(exponent.__getitem__, ls))
                 for ls in class_blocks(letters, class_of)
@@ -298,5 +334,6 @@ def test_freeness(
                 continue
             value = centered_product_value(oracle, letters, class_of)
             if not value.is_zero():
-                return Verdict(False, word, value, max_len, checked)
+                return Verdict(False, word, value, max_len, checked + walk.pruned)
+        checked += walk.pruned
     return Verdict(True, None, None, max_len, checked)

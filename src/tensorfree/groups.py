@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
-from operator import ne
 from typing import Sequence
 
 from .errors import PreconditionError, ScenarioError
@@ -291,8 +290,10 @@ def is_free_collection(
     powers = _nontrivial_powers(presentation, elements, max_exp)
     exp_order = _exponent_order(max_exp)
     checked = 0
+    # consecutive indices differ: the walk's state is the last index
+    distinct = lambda last, i: None if i == last else i
     for t in range(2, max_blocks + 1):
-        for index_seq in iter_sequences(range(1, len(elements) + 1), t, ne):
+        for index_seq in iter_sequences(range(1, len(elements) + 1), t, distinct):
             for exps in iter_product(exp_order, repeat=t):
                 blocks = tuple(zip(index_seq, exps))
                 if not all(key in powers for key in blocks):

@@ -44,6 +44,7 @@ LetterTuple = tuple[Letter, ...]
 PowerFactor = tuple[int, int]  # (index, signed exponent), exponent != 0
 PowerWord = tuple[PowerFactor, ...]
 T = TypeVar("T")
+S = TypeVar("S")
 
 
 @dataclass(frozen=True)
@@ -173,31 +174,48 @@ def iter_letters(indices: Iterable[int]) -> list[Letter]:
 def iter_sequences(
     alphabet: Iterable[T],
     length: int,
-    follows: Callable[[T, T], bool] | None = None,
+    step: Callable[[S, T], S | None] | None = None,
+    start: S | None = None,
 ) -> Iterator[tuple[T, ...]]:
     """Every length-tuple over alphabet, lazily, in lexicographic order of
     alphabet positions; lengths <= 0 yield nothing.
 
-    With follows given, an item may come right after prev only when
-    follows(prev, item) holds, and no tuple with that prefix is built.
+    With step given, the walk folds step(state, item) along each prefix,
+    from start before the first item.  A None result prunes the prefix
+    that item ends: no tuple with that prefix is built or yielded, and
+    step is not asked about its extensions.  Any other result is the
+    state the next item folds into.  A one-line step carries what the
+    walk needs to know of a prefix, such as its last item; a gauge
+    residue fold (freeness.GaugeWalk) carries weighted exponent sums
+    and prunes the prefixes that no completion brings back to zero.
     """
     items = tuple(alphabet)
 
-    def extend(prefix: tuple[T, ...], remaining: int) -> Iterator[tuple[T, ...]]:
+    def extend(prefix: tuple[T, ...], state, remaining: int) -> Iterator[tuple[T, ...]]:
         for item in items:
-            if follows is not None and prefix and not follows(prefix[-1], item):
-                continue
+            if step is not None:
+                after = step(state, item)
+                if after is None:
+                    continue
+            else:
+                after = state
             if remaining == 1:
                 yield prefix + (item,)
             else:
-                yield from extend(prefix + (item,), remaining - 1)
+                yield from extend(prefix + (item,), after, remaining - 1)
 
     if length > 0:
-        yield from extend((), length)
+        yield from extend((), start, length)
 
 
-def iter_words(indices: Iterable[int], length: int) -> Iterator[StarWord]:
-    """All words of exactly the given length, sorted by canonical text.
+def iter_words(
+    indices: Iterable[int],
+    length: int,
+    step: Callable[[S, Letter], S | None] | None = None,
+    start: S | None = None,
+) -> Iterator[StarWord]:
+    """All words of exactly the given length, sorted by canonical text;
+    with step, those whose letters iter_sequences' fold from start keeps.
 
     Walking the letters in text order gives exactly the text order of
     the words, indices >= 10 included: when one letter's text is a
@@ -205,7 +223,7 @@ def iter_words(indices: Iterable[int], length: int) -> Iterator[StarWord]:
     followed by a space, which sorts before '*' and before digits.
     """
     letters = sorted(iter_letters(indices), key=Letter.text)
-    return map(StarWord, iter_sequences(letters, length))
+    return map(StarWord, iter_sequences(letters, length, step, start))
 
 
 def iter_star_patterns(length: int) -> Iterator[tuple[bool, ...]]:

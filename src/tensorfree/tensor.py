@@ -144,7 +144,7 @@ class TensorScenario:
     def gauge_moduli(self) -> Gauge:
         """Linear constraints on a word's exponent sums read off the
         declared structure, as (modulus, ((joint index, weight), ...),
-        length cap) triples for freeness.gauge_breaker, sorted by weights.
+        length cap) triples for freeness.GaugeWalk, sorted by weights.
 
         Each is a constraint of one factor k, on its own variables, that
         every word of nonzero factor-k moment keeps; joint index i takes

@@ -1,6 +1,7 @@
 """Hypothesis strategies for small valid scenarios: moment sequences and
 spectral factors, and group algebras of free products of cyclic groups
-under the canonical trace or a table of values."""
+under the canonical trace or a table of values; and the gauge rule
+evaluated word by word, the twin of the scans' pruned walk."""
 
 from pathlib import Path
 
@@ -151,3 +152,17 @@ def table_functionals(draw) -> TableFunctional:
         if not g.is_identity() and inverse(presentation, g) not in table:
             table[g] = ExactComplex(draw(RATIONALS))
     return TableFunctional(presentation, elements, table)
+
+
+def breaks_by_hand(letters, gauge) -> bool:
+    """Whether the word breaks a (modulus, weights, cap) gauge constraint
+    that reaches its length: its weighted exponent sum, +w per plain
+    letter and -w per starred one, is not 0 mod m (m = 0: not 0)."""
+    for m, weights, cap in gauge:
+        if cap is not None and len(letters) > cap:
+            continue
+        weight = dict(weights)
+        total = sum((-1 if l.star else 1) * weight.get(l.index, 0) for l in letters)
+        if (total % m if m else total) != 0:
+            return True
+    return False

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from tensorfree import freeness
 from tensorfree.counterexample import biased_power_scenario, scan_alternating_powers
 from tensorfree.errors import DepthLimitError, PreconditionError
-from tensorfree.freeness import centered_product_value, gauge_breaker
+from tensorfree.freeness import Verdict, centered_product_value
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.groups import (
     FreeProductPresentation,
@@ -31,7 +31,7 @@ from tensorfree.spaces import GroupAlgebraModel, SpectralModel
 from tensorfree.starwords import class_blocks, iter_words, parse_word
 from tensorfree.tensor import TensorScenario, joint_oracle, normalized_scenario
 
-from strategies import spectral_factors, unitary_sequences
+from strategies import breaks_by_hand, spectral_factors, unitary_sequences
 
 HAAR = MomentSequence({}, unitary=True)
 CLASS_OF = {1: 1, 2: 2}
@@ -169,8 +169,8 @@ def test_shared_component_constrains_the_sum():
     assert verdict.lhs == Fraction(1, 6)
     assert verdict.words_checked == 2
     # a constraint per joint index would have skipped the witness
-    per_index = gauge_breaker(((0, ((1, 1),), None), (0, ((2, 1),), None)), (1, 2), 2)
-    assert per_index(verdict.witness.letters)
+    per_index = ((0, ((1, 1),), None), (0, ((2, 1),), None))
+    assert breaks_by_hand(verdict.witness.letters, per_index)
 
 
 def test_a_word_past_the_table_depth_is_evaluated():
@@ -190,21 +190,6 @@ def test_a_word_past_the_table_depth_is_evaluated():
             freeness_verdict(joint_oracle(scenario), (1, 2), 6, (), gauge)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
-
-
-def exponent_sums(letters, weights):
-    weight = dict(weights)
-    return sum((-1 if l.star else 1) * weight.get(l.index, 0) for l in letters)
-
-
-def breaks_by_hand(letters, gauge) -> bool:
-    for m, weights, cap in gauge:
-        if cap is not None and len(letters) > cap:
-            continue
-        total = exponent_sums(letters, weights)
-        if (total % m if m else total) != 0:
-            return True
-    return False
 
 
 def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
@@ -244,8 +229,7 @@ def test_words_that_break_the_gauge_center_to_zero(bundled, name):
             if breaks_by_hand(letters, scenario.gauge_moduli):
                 breaking += 1
                 assert oracle(letters).is_zero(), word
-                value = centered_product_value(oracle, letters, CLASS_OF)
-                assert value is None or value.is_zero(), word
+                assert centered_product_value(oracle, letters, CLASS_OF).is_zero(), word
     assert breaking > 0
 
 
@@ -299,9 +283,8 @@ def test_every_word_the_gauge_breaks_is_evaluable_and_zero(scenario, max_len):
     # the scan compares first witnesses only; this checks every skip
     oracle = joint_oracle(scenario)
     for length in range(2, max_len + 1):
-        breaks = gauge_breaker(scenario.gauge_moduli, (1, 2), length)
         for word in iter_words((1, 2), length):
-            if breaks is not None and breaks(word.letters):
+            if breaks_by_hand(word.letters, scenario.gauge_moduli):
                 assert oracle(word.letters).is_zero(), word
 
 
@@ -328,9 +311,47 @@ def power_outcome(scenario, max_len, gauge):
     return scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, gauge)
 
 
+def reduced(letters) -> bool:
+    return all(b != a.adjoint() for a, b in zip(letters, letters[1:]))
+
+
+def brute_power_scan(joint, variables, max_len, gauge):
+    """scan_alternating_powers, tally lines as (block pairs, words,
+    violations), by evaluating every reduced word; the gauge is read only
+    to check that each word it breaks has moment zero."""
+    tallies = {}
+    first = None
+    for total in range(2, max_len + 1):
+        for word in iter_words(variables, total):
+            letters = word.letters
+            runs = len(class_blocks(letters, {v: v for v in variables}))
+            if not reduced(letters) or runs == 1:
+                continue
+            line = tallies.setdefault((runs + 1) // 2, [0, 0])
+            line[0] += 1
+            value = joint(letters)
+            if breaks_by_hand(letters, gauge):
+                assert value.is_zero(), word
+            if not value.is_zero():
+                line[1] += 1
+                if first is None:
+                    first = (word, value)
+    lines = [(pairs, words, bad) for pairs, (words, bad) in sorted(tallies.items())]
+    checked = sum(words for _, words, _ in lines)
+    if first is None:
+        return Verdict(True, None, None, max_len, checked), lines
+    return Verdict(False, *first, max_len, checked), lines
+
+
+def power_scan(joint, variables, max_len, gauge):
+    verdict, scan = scan_alternating_powers(joint, variables, max_len, gauge)
+    return verdict, [(line.block_pairs, line.words, line.violations) for line in scan]
+
+
 @settings(max_examples=20, deadline=None)
 @given(power_scenarios(), st.integers(2, 6))
-# the biased-power pair at K = 3
+# the biased-power pairs at K = 2 and K = 3
+@example(biased_power_scenario(2, Fraction(1, 10)), 8)
 @example(biased_power_scenario(3, Fraction(1, 2)), 6)
 # x1 biased in factor 1 and x2 in factor 2: x1 x2 x1* x2* violates
 @example(
@@ -344,8 +365,37 @@ def power_outcome(scenario, max_len, gauge):
     6,
 )
 def test_power_scan_gauge_matches_the_full_scan(scenario, max_len):
-    full = power_outcome(scenario, max_len, ())
-    assert power_outcome(scenario, max_len, scenario.gauge_moduli) == full
+    # the scan counts its tallies in closed form with or without a gauge;
+    # the twin walks and evaluates every word
+    joint = joint_oracle(scenario)
+    full = brute_power_scan(joint, (1, 2), max_len, scenario.gauge_moduli)
+    assert power_scan(joint, (1, 2), max_len, scenario.gauge_moduli) == full
+    assert power_scan(joint, (1, 2), max_len, ()) == full
+
+
+INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
+
+
+def integer_powers(*exponents) -> GroupAlgebraModel:
+    """Powers of one generator of the integers, one per variable."""
+    return GroupAlgebraModel(
+        INTEGERS,
+        {v: parse_group_word(INTEGERS, f"g1.1^{e}") for v, e in enumerate(exponents, 1)},
+    )
+
+
+@pytest.mark.parametrize(
+    "exponents, max_len", [((1, 2), 7), ((1, 2, 3), 5), ((1, -1), 6), ((2, 3), 7)]
+)
+def test_power_scan_matches_its_brute_twin_on_integer_powers(exponents, max_len):
+    # words reducing to the identity violate, in several tally lines
+    model = integer_powers(*exponents)
+    variables = tuple(model.variables)
+    want = brute_power_scan(model.moment_letters, variables, max_len, model.gauge)
+    assert power_scan(model.moment_letters, variables, max_len, model.gauge) == want
+    assert power_scan(model.moment_letters, variables, max_len, ()) == want
+    assert not want[0].free
+    assert sum(bad > 0 for _, _, bad in want[1]) > 1
 
 
 def test_power_scan_skips_count_in_the_tallies():

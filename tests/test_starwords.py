@@ -3,7 +3,6 @@ and the lazy word walker."""
 
 import tracemalloc
 from itertools import product
-from operator import ne
 
 import pytest
 from hypothesis import given
@@ -286,7 +285,34 @@ def test_iter_sequences_order_and_pruning():
                 for seq in product(range(1, n + 1), repeat=t)
                 if all(a != b for a, b in zip(seq, seq[1:]))
             ]
-            assert list(iter_sequences(range(1, n + 1), t, ne)) == brute
+            distinct = lambda last, i: None if i == last else i
+            assert list(iter_sequences(range(1, n + 1), t, distinct)) == brute
+
+
+def test_iter_sequences_folds_a_state_and_prunes_on_none():
+    # prefix sums of +-1 steps that stay nonnegative: the Dyck prefixes
+    asked = []
+
+    def step(total, item):
+        asked.append(total)
+        total += item
+        return total if total >= 0 else None
+
+    for t in range(1, 8):
+        brute = [
+            seq
+            for seq in product((1, -1), repeat=t)
+            if all(sum(seq[:k]) >= 0 for k in range(1, t + 1))
+        ]
+        asked.clear()
+        assert list(iter_sequences((1, -1), t, step, 0)) == brute
+        # one call per item after each kept proper prefix, none below a cut
+        kept_prefixes = {seq[:k] for seq in brute for k in range(t)}
+        assert len(asked) == 2 * len(kept_prefixes)
+    # a None start is a state like any other, but a None result prunes,
+    # even one that passes that state on
+    assert list(iter_sequences("ab", 2, lambda state, item: state, None)) == []
+    assert len(list(iter_sequences("ab", 2, lambda state, item: item, None))) == 4
 
 
 def test_iter_words_is_lazy():

@@ -7,7 +7,7 @@ import pytest
 
 from tensorfree import spaces, tfc
 from tensorfree.errors import FactorNotFreeError, PreconditionError
-from tensorfree.freeness import centered_product_value, gauge_breaker
+from tensorfree.freeness import centered_product_value
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -36,6 +36,8 @@ from tensorfree.tfc import (
     factor_freeness_verdict,
     find_dominating,
 )
+
+from strategies import breaks_by_hand
 
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
@@ -381,12 +383,12 @@ def test_circular_pair_witness_at_length_12(bundled):
     value = centered_product_value(oracle, witness.letters, {1: 1, 2: 2})
     assert value == 2 * (x - z) * (y - z) == 2
     # the gauge keeps it: both exponent sums vanish, and past the
-    # circular table's depth of 8 no word is skipped at all
+    # circular table's depth of 8 no constraint applies at all
     gauge = scenario.gauge_moduli
     assert gauge == ((0, ((1, 1),), 8), (0, ((2, 1),), 8))
-    assert gauge_breaker(gauge, (1, 2), len(witness)) is None
+    assert all(cap < len(witness) for _, _, cap in gauge)
     uncapped = tuple((m, members, None) for m, members, _ in gauge)
-    assert not gauge_breaker(uncapped, (1, 2), len(witness))(witness.letters)
+    assert not breaks_by_hand(witness.letters, uncapped)
 
 
 def test_classifier_two_nonunitary_factors(bundled):
