@@ -150,8 +150,8 @@ def _tfc_json(report, oracle) -> dict:
 def _canonical_trace_verdict(model, max_len: int) -> Verdict:
     """Bounded star-freeness of a group algebra's variables under its
     canonical trace, skipping the words that break its gauge."""
-    # group elements are unitary, so the unit-block skip would be sound
-    # too; it is left out because with it group-freeness on
+    # group elements are unitary, so the walk's reduced-word rule would be
+    # sound too; it is left out because with it group-freeness on
     # product_pair_collection does no ExactComplex arithmetic, which
     # perfbench/workloads.py expects of the group-scan workload
     return test_freeness(

@@ -27,7 +27,7 @@ from .freeness import Gauge, GaugeWalk, JointOracle, Verdict
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
 from .scalars import as_scalar
 from .spaces import SpectralModel
-from .starwords import iter_letters, iter_words, power_word_to_star_word
+from .starwords import iter_words, power_word_to_star_word
 from .tensor import TensorScenario, joint_oracle
 
 # alpha of the biased-power scenario when none is given
@@ -107,11 +107,11 @@ def scan_alternating_powers(
     the first violation in (length, text) order if any exists.
 
     Each tally line counts its words in closed form
-    (reduced_word_count), and words_checked is their total.  Only the words
-    that keep the gauge constraints (TensorScenario.gauge_moduli) are
-    walked, by a freeness.GaugeWalk that also cuts off every prefix
-    with a letter next to its adjoint, and joint is asked about each of
-    them; every other word has moment zero and no violation.
+    (reduced_word_count), and words_checked is their total.  A
+    freeness.GaugeWalk with every variable unitary walks the reduced
+    words, the star forms of the reduced power words, that keep the
+    gauge constraints (TensorScenario.gauge_moduli), and joint is asked
+    about each of them; every other word has moment zero.
     analyze_biased_power passes the biased-power scenario's
     joint_oracle; that scenario is a trace of unitaries by construction,
     so the oracle evaluates one word per tracial class
@@ -133,18 +133,10 @@ def scan_alternating_powers(
             words = reduced_word_count(n, total, runs)
             if words:
                 tallies.setdefault((runs + 1) // 2, [0, 0])[0] += words
-    first_witness = None
-    first_value = None
-    # reduced words (no letter next to its adjoint) are exactly the star
-    # forms of reduced power words
-    adjoint = {l: l.adjoint() for l in iter_letters(variables)}
+    first = None
     for total in range(2, max_len + 1):
-        walk = GaugeWalk(gauge, variables, total)
-        # the walk's state holds the last letter second
-        reduced = lambda state, l, step=walk.step: (
-            None if state[1] == adjoint[l] else step(state, l)
-        )
-        for word in iter_words(variables, total, reduced, walk.start):
+        walk = GaugeWalk(gauge, variables, total, variables)
+        for word in iter_words(variables, total, walk.step, walk.start):
             letters = word.letters
             runs = 1 + sum(a.index != b.index for a, b in zip(letters, letters[1:]))
             if runs == 1:
@@ -152,19 +144,15 @@ def scan_alternating_powers(
             value = joint(letters)
             if not value.is_zero():
                 tallies[(runs + 1) // 2][1] += 1
-                if first_witness is None:
-                    first_witness = word
-                    first_value = value
+                if first is None:
+                    first = word, value
     scan = tuple(
         PowerScanLine(pairs, words, bad)
         for pairs, (words, bad) in sorted(tallies.items())
     )
     checked = sum(line.words for line in scan)
-    if first_witness is not None:
-        verdict = Verdict(False, first_witness, first_value, max_len, checked)
-    else:
-        verdict = Verdict(True, None, None, max_len, checked)
-    return verdict, scan
+    witness, value = first or (None, None)
+    return Verdict(witness is None, witness, value, max_len, checked), scan
 
 
 # -- cumulant support filters ---------------------------------------------

@@ -38,8 +38,8 @@ JointOracle = Callable[[LetterTuple], ExactComplex]
 # (modulus, ((index, weight), ...), length cap) linear constraints on the
 # exponent sums of a word's letters
 Gauge = Sequence[tuple[int, Sequence[tuple[int, int]], int | None]]
-# (letters left, last letter, switched variable, weighted exponent sums)
-GaugeState = tuple[int, Letter | None, bool, tuple[int, ...]]
+# (letters left, letter refused next, weighted exponent sums)
+GaugeState = tuple[int, Letter | None, tuple[int, ...]]
 
 
 class FreeFamilySpec:
@@ -207,34 +207,39 @@ def _memoized(oracle: JointOracle) -> JointOracle:
 
 
 class GaugeWalk:
-    """The gauge constraints that reach the words of one length over
-    indices, as a residue fold for starwords.iter_words.
+    """The walk rules for the words of one length over indices, as a
+    residue fold for starwords.iter_words.
 
-    Each constraint (m, weights, cap) of gauge (TensorScenario.
-    gauge_moduli, GroupAlgebraModel.gauge) states that a word of at most
-    cap letters (any length when cap is None) has moment zero unless its
-    weighted exponent sum, +w per plain letter and -w per starred one of
-    an index of weight w, is 0 mod m (m = 0: is 0).  The walk keeps
-    exactly the words that break none of them.
+    The reduced-word rule refuses a letter of an index in unitary right
+    after its adjoint.  For a unitary u, u u* = u* u = 1, so such a word
+    has the centered alternating product of the word without the pair,
+    or zero when the pair was its block's only letters; at the first
+    violating length every violating word is reduced.
 
-    Such a word's centered alternating product is exactly zero.  A block
-    with a nonzero mean keeps every constraint, so dropping it leaves the
-    broken sum as it was: every shorter word the inclusion-exclusion
-    evaluates for the word breaks the same constraint, and so has moment
-    zero like the word itself.
+    Each gauge constraint (m, weights, cap) (TensorScenario.gauge_moduli,
+    GroupAlgebraModel.gauge) states that a word of at most cap letters
+    (any length when cap is None) has moment zero unless its weighted
+    exponent sum, +w per plain letter and -w per starred one of an index
+    of weight w, is 0 mod m (m = 0: is 0).  A block with a nonzero mean
+    keeps every constraint, so every shorter word the inclusion-exclusion
+    evaluates for a word that breaks one breaks it too, and the word
+    centers to zero.
 
-    The state after a prefix is (letters left, last letter, whether the
-    prefix switches variable, one weighted exponent sum per constraint);
-    start is the state before the first letter.  step prunes a prefix
-    that no completion brings back: a modulus-0 sum larger in size than
-    the letters left times the constraint's largest |w|, or, at the last
-    letter, a sum that is not 0 mod m.  pruned counts the words that
-    switch variable among the completions of the prefixes pruned so far:
-    over n indices, (2n)^r for a prefix with r letters left, less the 2^r
-    words that stay in its one variable when it has not switched yet.
+    The state after a prefix is (letters left, the letter refused next,
+    one weighted exponent sum per constraint); start is the state before
+    the first letter.  step prunes a prefix that no completion brings
+    back: a modulus-0 sum larger in size than the letters left times the
+    constraint's largest |w|, or, at the last letter, a sum that is not
+    0 mod m.
     """
 
-    def __init__(self, gauge: Gauge, indices: Iterable[int], length: int) -> None:
+    def __init__(
+        self,
+        gauge: Gauge,
+        indices: Iterable[int],
+        length: int,
+        unitary: Collection[int] = (),
+    ) -> None:
         alphabet = iter_letters(indices)
         rows = []
         for m, terms, cap in gauge:
@@ -243,8 +248,9 @@ class GaugeWalk:
                 rows.append(
                     (m, {l: (-1 if l.star else 1) * w.get(l.index, 0) for l in alphabet})
                 )
-        # per letter, its weight in each constraint
-        self._weights = {l: tuple(weight[l] for _, weight in rows) for l in alphabet}
+        # per letter, its weight per constraint and the letter it refuses next
+        refuses = {l: l.adjoint() if l.index in unitary else None for l in alphabet}
+        self._letters = {l: (tuple(w[l] for _, w in rows), refuses[l]) for l in alphabet}
         # per number of letters left, the largest size each sum may have:
         # the letters left change a modulus-0 sum by at most left times its
         # largest |w|; other moduli have no bound and are tested at the
@@ -258,21 +264,35 @@ class GaugeWalk:
             tuple(left * r for r in reach) for left in range(1, length)
         ]
         self._moduli = tuple(m or 1 for m, _ in rows)
-        self._letters = len(alphabet)
-        self.start = (length, None, False, (0,) * len(rows))
-        self.pruned = 0
+        self.start = (length, None, (0,) * len(rows))
 
     def step(self, state: GaugeState, letter: Letter) -> GaugeState | None:
-        left, last, switched, sums = state
+        left, refused, sums = state
+        if letter == refused:
+            return None
+        weights, adjoint = self._letters[letter]
         left -= 1
-        sums = tuple(map(add, sums, self._weights[letter]))
-        switched = switched or (last is not None and last.index != letter.index)
+        sums = tuple(map(add, sums, weights))
         if all(map(le, map(abs, sums), self._bounds[left])) and (
             left or not any(map(mod, sums, self._moduli))
         ):
-            return left, letter, switched, sums
-        self.pruned += self._letters**left - (0 if switched else 2**left)
+            return left, adjoint, sums
         return None
+
+
+def _switching_rank(indices: Collection[int], letters: LetterTuple) -> int:
+    """The 1-based rank of a switching word among the words of its length
+    in text order that use at least two indices: per position j and
+    smaller letter c there, the (2n)^r words that follow letters[:j] + c,
+    less the 2^r of them in one index when letters[:j] + c is in one."""
+    alphabet = sorted(iter_letters(indices), key=Letter.text)
+    rank = 1
+    for j, letter in enumerate(letters):
+        r = len(letters) - 1 - j
+        for c in alphabet[: alphabet.index(letter)]:
+            one_index = all(l.index == c.index for l in letters[:j])
+            rank += len(alphabet) ** r - (2**r if one_index else 0)
+    return rank
 
 
 def test_freeness(
@@ -285,40 +305,32 @@ def test_freeness(
     """Bounded star-freeness of the variables with the given indices
     under a joint functional.
 
-    Enumerates every word up to max_len letters that switches variable
-    at least once, computes the centered alternating product by
+    Scans every word up to max_len letters that switches variable at
+    least once, computes the centered alternating product by
     inclusion-exclusion through the joint oracle, and reports the first
     nonzero value in (length, canonical text) order.  words_checked
-    counts every such word up to and including the witness.
+    counts every such word up to and including the witness, in closed
+    form: (2n)^L - n 2^L per shorter length L over n indices, plus the
+    witness's rank in its own (_switching_rank).
 
-    Two skips count a word without evaluating it, because its centered
-    product is exactly zero; the witness, its lhs and words_checked are
-    those of the full scan.
+    Only the words of a GaugeWalk are built and evaluated; every other
+    word's centered product is zero or that of a shorter word, so the
+    witness and its lhs are those of the scan over every word.
 
     * unitary names indices whose variables are unitary by the caller's
-      declared structure.  A block of one of them with as many starred
-      letters as plain ones is u^0, the unit: its centered part 1 - phi(1)
-      is zero, so the word's centered product vanishes under any unital
-      functional that respects u u* = u* u = 1.
+      declared structure (TensorScenario.unitary_indices); the walk keeps
+      the words with no letter of one of them right after its adjoint.
     * gauge lists linear constraints on a word's exponent sums that every
       word of nonzero moment keeps: the rotation symmetries of a tensor
       scenario (TensorScenario.gauge_moduli) or the abelianization of a
       group algebra under the canonical trace (GroupAlgebraModel.gauge).
-      A word that breaks one centers to zero (see GaugeWalk).  The walk
-      over each length carries the constraints' exponent sums and cuts
-      off every prefix that no completion keeps; the words that switch
-      variable below a cut prefix are counted in closed form
-      (GaugeWalk.pruned) when the walk passes it, so words_checked
-      counts them in text order as the full scan does.
     """
     class_of = {i: i for i in indices}
-    # the exponent of each letter of a unitary index; a block is u^0 when
-    # its letters' exponents sum to zero
-    exponent = {l: -1 if l.star else 1 for l in iter_letters(unitary)}
+    n = len(class_of)
     oracle = _memoized(joint)
     checked = 0
     for length in range(2, max_len + 1):
-        walk = GaugeWalk(gauge, class_of, length)
+        walk = GaugeWalk(gauge, class_of, length, unitary)
         for word in iter_words(class_of, length, walk.step, walk.start):
             letters = word.letters
             # the classes are the indices, and a word in one of them
@@ -326,14 +338,9 @@ def test_freeness(
             first = letters[0].index
             if all(l.index == first for l in letters):
                 continue
-            checked += 1
-            if exponent and any(
-                ls[0] in exponent and not sum(map(exponent.__getitem__, ls))
-                for ls in class_blocks(letters, class_of)
-            ):
-                continue
             value = centered_product_value(oracle, letters, class_of)
             if not value.is_zero():
-                return Verdict(False, word, value, max_len, checked + walk.pruned)
-        checked += walk.pruned
+                checked += _switching_rank(class_of, letters)
+                return Verdict(False, word, value, max_len, checked)
+        checked += (2 * n) ** length - n * 2**length
     return Verdict(True, None, None, max_len, checked)

@@ -125,10 +125,11 @@ class TensorScenario:
         element, whatever the functional) or a SpectralModel variable
         whose MomentSequence is unitary.
 
-        The elementary tensor of unitaries is unitary, so a run of such
-        an index with as many starred letters as plain ones is the unit
-        under any unital functional; no trace, Hermitian or freeness
-        flag is needed, and no axiom check is consulted.
+        The elementary tensor of unitaries is unitary, so a letter of
+        such an index next to its adjoint multiplies to the unit under
+        any unital functional, and the scans walk the reduced words
+        alone (freeness.GaugeWalk); no trace, Hermitian or freeness flag
+        is needed, and no axiom check is consulted.
         """
         return frozenset(
             i

@@ -82,7 +82,7 @@ def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
 
     # the family is indexed by the joint variables, so a repeated factor
     # component must be tested against itself, not collapsed away; as the
-    # one-factor scenario of factor k it takes the skips of factor k's
+    # one-factor scenario of factor k it takes the walk rules of factor k's
     # declared structure, and factor_oracle keeps k in evaluation errors
     family = TensorScenario(
         (functional,), {i: (c[k - 1],) for i, c in scenario.assignments.items()}

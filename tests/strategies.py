@@ -1,7 +1,8 @@
 """Hypothesis strategies for small valid scenarios: moment sequences and
 spectral factors, and group algebras of free products of cyclic groups
-under the canonical trace or a table of values; and the gauge rule
-evaluated word by word, the twin of the scans' pruned walk."""
+under the canonical trace or a table of values; and the gauge and
+reduced-word rules evaluated word by word, the twins of the scans'
+pruned walk."""
 
 from pathlib import Path
 
@@ -166,3 +167,11 @@ def breaks_by_hand(letters, gauge) -> bool:
         if (total % m if m else total) != 0:
             return True
     return False
+
+
+def reduced_by_hand(letters, unitary) -> bool:
+    """Whether no letter of an index in unitary stands right after its
+    adjoint."""
+    return not any(
+        b.index in unitary and a == b.adjoint() for a, b in zip(letters, letters[1:])
+    )

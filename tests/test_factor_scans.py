@@ -1,8 +1,8 @@
 """The factor scans against their twin that evaluates every word.
 
 tfc.factor_freeness_verdict scans factor k's family (a_{k;i})_i as the
-one-factor scenario of factor k, so it skips the words that the unit
-blocks and the gauge of factor k's declared structure center to zero.
+one-factor scenario of factor k, so it walks only the reduced words of
+factor k's unitaries that keep the gauge of its declared structure.
 Its twin here passes no rule; both must agree on the verdict, the
 witness, its lhs and the words checked, or raise the same error for the
 same factor and word."""
@@ -107,7 +107,8 @@ def test_doubly_free_factor_scan_evaluates_few_words(bundled, monkeypatch):
     verdict = factor_freeness_verdict(scenario, 1, 6)
     assert verdict.free
     assert verdict.words_checked == 5_208
-    assert len(evaluated) == 144
+    # the reduced switching words that keep both of factor 1's constraints
+    assert len(evaluated) == 48
 
 
 def test_free_without_dominating_factor_2_witness(bundled):

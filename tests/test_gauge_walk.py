@@ -1,13 +1,15 @@
-"""The residue-carrying walk: GaugeWalk folds each constraint's weighted
-exponent sum along the prefixes of a word walk and cuts off every prefix
-that no completion keeps.  These tests hold the pruned walk to the plain
-walk filtered word by word, its closed-form count of the cut-off words
-to the number of words that switch variable, and the power-word scan's
-closed-form word count to the reduced words enumerated and counted
-letter by letter.  tests/test_gauge.py holds the power-word scan to its
-brute-force twin."""
+"""The residue-carrying walk: GaugeWalk refuses a unitary letter right
+after its adjoint, folds each constraint's weighted exponent sum along
+the prefixes of a word walk and cuts off every prefix that no completion
+keeps.  These tests hold the walk to the plain walk filtered word by
+word, test_freeness's closed-form words_checked to the switching words
+enumerated in text order, and the power-word scan's closed-form word
+count to the reduced words enumerated and counted letter by letter.
+tests/test_gauge.py holds the power-word scan to its brute-force twin."""
 
 from collections import Counter
+from functools import lru_cache
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,9 +17,17 @@ from hypothesis import strategies as st
 
 from tensorfree.counterexample import reduced_word_count
 from tensorfree.freeness import GaugeWalk
-from tensorfree.starwords import StarWord, iter_letters, iter_sequences, iter_words
+from tensorfree.freeness import test_freeness as freeness_verdict
+from tensorfree.scalars import ONE, ZERO
+from tensorfree.starwords import (
+    Letter,
+    iter_letters,
+    iter_sequences,
+    iter_words,
+    parse_word,
+)
 
-from strategies import breaks_by_hand
+from strategies import breaks_by_hand, reduced_by_hand
 
 MODULI = st.sampled_from([0, 2, 3, 6])
 CAPS = st.sampled_from([None, 3, 4, 5])
@@ -25,10 +35,11 @@ CAPS = st.sampled_from([None, 3, 4, 5])
 
 @st.composite
 def gauged_walks(draw):
-    """(indices, gauge, length): 1-3 indices, up to three constraints of
-    modulus 0, 2, 3 or 6 with weights -2..2 on some of the indices and a
-    cap of None or 3-5, and a length of 1-7 (1-5 over three indices, so
-    the plain walk stays under 8,000 words)."""
+    """(indices, gauge, length, unitary): 1-3 indices, up to three
+    constraints of modulus 0, 2, 3 or 6 with weights -2..2 on some of the
+    indices and a cap of None or 3-5, a length of 1-7 (1-5 over three
+    indices, so the plain walk stays under 8,000 words), and any subset
+    of the indices as the unitary ones."""
     n = draw(st.integers(1, 3))
     indices = tuple(range(1, n + 1))
     terms = st.lists(
@@ -39,43 +50,105 @@ def gauged_walks(draw):
     ).map(tuple)
     gauge = draw(st.lists(st.tuples(MODULI, terms, CAPS), max_size=3).map(tuple))
     length = draw(st.integers(1, 7 if n < 3 else 5))
-    return indices, gauge, length
-
-
-def one_variable(word: StarWord) -> bool:
-    return len({l.index for l in word.letters}) == 1
+    unitary = tuple(sorted(draw(st.sets(st.sampled_from(indices)))))
+    return indices, gauge, length, unitary
 
 
 @settings(max_examples=60, deadline=None)
 @given(gauged_walks())
 # a modulus-0 sum cut off before the prefix switches variable: x1 x1 x1
 # leaves one letter, and 2 of its 4 completions stay in x1
-@example(((1, 2), ((0, ((1, 1),), None),), 4))
+@example(((1, 2), ((0, ((1, 1),), None),), 4, ()))
 # the cap: the constraint reaches length 3, not length 5
-@example(((1, 2), ((0, ((1, 1),), 3),), 5))
+@example(((1, 2), ((0, ((1, 1),), 3),), 5, ()))
 # a bound met exactly: x1 x1 with two letters left can still come back
-@example(((1, 2), ((0, ((1, 2), (2, 1)), None), (3, ((2, 1),), 5)), 4))
+@example(((1, 2), ((0, ((1, 2), (2, 1)), None), (3, ((2, 1),), 5)), 4, ()))
+# the rule on x1 only: x2 x2* and x2* x2 stay, x1 x1* and x1* x1 go
+@example(((1, 2), (), 4, (1,)))
+# both rules at once: s1 = 0 keeps x1 x1 x1* x1*, the rule cuts x1 x1*
+@example(((1, 2), ((0, ((1, 1),), None),), 6, (1, 2)))
 def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
-    indices, gauge, length = walk_input
-    walk = GaugeWalk(gauge, indices, length)
+    indices, gauge, length, unitary = walk_input
+    walk = GaugeWalk(gauge, indices, length, unitary)
     pruned = list(iter_words(indices, length, walk.step, walk.start))
-    plain = [w for w in iter_words(indices, length) if not breaks_by_hand(w.letters, gauge)]
+    plain = [
+        w
+        for w in iter_words(indices, length)
+        if reduced_by_hand(w.letters, unitary) and not breaks_by_hand(w.letters, gauge)
+    ]
     assert pruned == plain
-    n = len(indices)
-    switching = sum(not one_variable(w) for w in pruned)
-    assert switching + walk.pruned == (2 * n) ** length - n * 2**length
 
 
-def test_walk_counts_the_cut_off_words_as_it_passes_them():
-    # one Haar-like x1: a word keeps the gauge when its x1 letters balance
-    gauge = ((0, ((1, 1),), None),)
-    walk = GaugeWalk(gauge, (1, 2), 4)
-    words = iter_words((1, 2), 4, walk.step, walk.start)
-    assert next(words).text() == "x1 x1 x1* x1*"
-    # x1 x1 x1 and x1 x1 x1* x1 were cut off first: 2 + 0 switching words
-    assert walk.pruned == 2
-    switching = sum(not one_variable(w) for w in words)
-    assert switching + walk.pruned == 4**4 - 2 * 2**4
+# -- test_freeness's closed-form count -------------------------------------------
+
+
+def switching(letters) -> bool:
+    return len({l.index for l in letters}) > 1
+
+
+def words_in_text_order(indices, length):
+    """Every letter tuple of one length, in the text order of its words
+    (iter_words' order; tests/test_starwords.py holds it to sorting)."""
+    return product(sorted(iter_letters(indices), key=Letter.text), repeat=length)
+
+
+@lru_cache(maxsize=None)
+def switching_total(indices, length) -> int:
+    """The switching words of one length, by enumeration."""
+    return sum(map(switching, words_in_text_order(indices, length)))
+
+
+def position(indices, letters) -> int:
+    """The 1-based position of a switching word among the switching words
+    of its length in text order, by enumeration."""
+    count = 0
+    for word in words_in_text_order(indices, len(letters)):
+        count += switching(word)
+        if word == letters:
+            return count
+    raise AssertionError("not reached")
+
+
+@st.composite
+def switching_words(draw):
+    """(indices, letters): a switching word over two indices of length
+    2-7 or three of length 2-6, the indices 1 and 10 among the pairs so
+    that x1 sorts before x1* and x10."""
+    indices = draw(st.sampled_from([(1, 2), (1, 10), (1, 2, 3)]))
+    length = draw(st.integers(2, 7 if len(indices) == 2 else 6))
+    letters = st.sampled_from(iter_letters(indices))
+    word = draw(st.lists(letters, min_size=length, max_size=length).filter(switching))
+    return indices, tuple(word)
+
+
+def exponent_sums(letters, indices) -> dict[int, int]:
+    return {
+        i: sum(-1 if l.star else 1 for l in letters if l.index == i) for i in indices
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(switching_words())
+# three indices at length 7: every one-variable word that starts with x1,
+# x1*, x2, x2* or x3 sorts before the word
+@example(((1, 2, 3), parse_word("x3* x1 x2 x1* x3 x2* x3*").letters))
+@example(((1, 10), parse_word("x10 x1* x1 x1* x10* x10* x1").letters))
+def test_words_checked_is_the_witness_position(case):
+    indices, word = case
+    # nonzero on the word alone: every other word centers to zero, and so
+    # does every word that breaks a gauge the word keeps, which spares the
+    # walk most of them; words_checked must count them all the same
+    joint = lambda letters: ONE if letters == word else ZERO
+    sums = exponent_sums(word, indices)
+    gauge = tuple((abs(s), ((i, 1),), None) for i, s in sums.items())
+    shorter = sum(switching_total(indices, n) for n in range(2, len(word)))
+    verdict = freeness_verdict(joint, indices, len(word), (), gauge)
+    assert verdict.witness.letters == word
+    assert verdict.words_checked == shorter + position(indices, word)
+    # a free verdict counts every switching word through its bound
+    verdict = freeness_verdict(joint, indices, len(word) - 1, (), gauge)
+    assert verdict.free
+    assert verdict.words_checked == shorter
 
 
 # -- the power-word scan's closed-form count ------------------------------------

@@ -1,9 +1,11 @@
-"""Star words with a unit block: a run of one unitary joint variable with
-as many starred letters as plain ones is u^0 = 1, its centered part is
-zero, and so is the word's centered alternating product.  The tensor
-freeness scans count such words without evaluating them; these tests
-pin the identity itself and hold the scan to its twin that evaluates
-every word."""
+"""Star words over unitary joint variables: for a unitary u, u u* =
+u* u = 1, so a word with a letter of a unitary index right after its
+adjoint has the centered alternating product of the word without the
+pair, and a run with as many starred letters as plain ones is u^0 = 1,
+whose centered part is zero.  The scans walk only the reduced words (no
+unitary letter next to its adjoint) and count the rest in closed form;
+these tests pin the unit-block identity itself, which words the scan
+evaluates, and hold the scan to its twin that evaluates every word."""
 
 import pytest
 from hypothesis import example, given, settings
@@ -22,6 +24,8 @@ from tensorfree.scalars import ONE, ZERO, ExactComplex
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel
 from tensorfree.starwords import class_blocks, iter_words
 from tensorfree.tensor import TensorScenario, joint_oracle, normalized_scenario
+
+from strategies import reduced_by_hand
 
 CLASS_OF = {1: 1, 2: 2}
 
@@ -81,9 +85,9 @@ def test_unit_block_words_center_to_zero(bundled, name):
     assert unit_words == 2_184
 
 
-def test_skip_fires_exactly_on_unit_blocks_of_unitary_indices(monkeypatch):
-    # x1 is a Haar unitary; x2 has a star table with x2 x2* = 2, so its
-    # balanced runs are not the unit and must be evaluated
+def test_walk_evaluates_exactly_the_reduced_switching_words(monkeypatch):
+    # x1 is a Haar unitary; x2 has a star table with x2 x2* = 2, so it is
+    # not unitary, and its words with x2 next to x2* must be evaluated
     table = MomentSequence(
         {(False,): ExactComplex(1, 2), (False, True): 2, (True, False): 2},
         complete_through=5,
@@ -107,14 +111,14 @@ def test_skip_fires_exactly_on_unit_blocks_of_unitary_indices(monkeypatch):
         for n in range(2, 6)
         for w in iter_words((1, 2), n)
         if len(class_blocks(w.letters, CLASS_OF)) > 1
-        and not has_unit_block(w.letters, {1})
+        and reduced_by_hand(w.letters, {1})
     ]
     assert evaluated == expected
     assert verdict.words_checked == 1_240 > len(expected)
-    assert any(has_unit_block(w, {2}) for w in evaluated)
+    assert not all(reduced_by_hand(w, {2}) for w in evaluated)
 
 
-# -- the skip against the full scan on generated scenarios ---------------------
+# -- the reduced walk against the full scan on generated scenarios ---------------------
 
 RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=4)
 COMPLEX = st.builds(ExactComplex, RATIONALS, RATIONALS)
@@ -199,6 +203,17 @@ def outcome(scenario, max_len, unitary):
 
 INTEGER_PAIR = group_model((None,), "g1.1^1", "g1.1^2")
 HAAR_PAIR = group_model((None, None), "g1.1^1", "g1.2^1")
+ORDER_3_PAIR = group_model((3, 3), "g1.1^2", "g1.2^1 g1.1^1")
+HAAR_BESIDE_TABLE = SpectralModel(
+    {
+        1: MomentSequence({}, unitary=True),
+        2: MomentSequence(
+            {(False,): ExactComplex(1, 2), (False, True): 2, (True, False): 2},
+            complete_through=4,
+        ),
+    },
+    assume_free=True,
+)
 
 
 @settings(max_examples=25, deadline=None)
@@ -206,6 +221,15 @@ HAAR_PAIR = group_model((None, None), "g1.1^1", "g1.2^1")
 # x1 = g, x2 = g^2: the first witness, x1 x1 x2*, has a run of a unitary
 # index that is not the unit, so the scan must evaluate it
 @example(TensorScenario(factors=(INTEGER_PAIR,), assignments={1: (1,), 2: (2,)}), 4)
+# x1 = a^-1, x2 = b a with a, b of order 3: (x1 x2)^3 = a^-1 b^3 a = 1 is
+# the first witness, at length 6, after non-reduced words of length 6
+# such as x1 x1* x2 x2 x2 x2
+@example(TensorScenario(factors=(ORDER_3_PAIR,), assignments={1: (1,), 2: (2,)}), 6)
+# a Haar x1 beside a star table through 4 letters: past the table's depth
+# the reduced walk raises the depth limit as the full scan does
+@example(
+    TensorScenario(factors=(HAAR_BESIDE_TABLE,), assignments={1: (1,), 2: (2,)}), 6
+)
 # Example (A): a free Haar pair in factor 1 keeps the family free
 @example(
     TensorScenario(
