@@ -23,11 +23,11 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import PreconditionError, ScenarioError
-from .freeness import Gauge, GaugeWalk, JointOracle, Verdict
+from .freeness import Gauge, JointOracle, Verdict, switching_words
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
 from .scalars import as_scalar
 from .spaces import SpectralModel
-from .starwords import iter_words, power_word_to_star_word
+from .starwords import power_word_to_star_word
 from .tensor import TensorScenario, joint_oracle
 
 # alpha of the biased-power scenario when none is given
@@ -107,11 +107,12 @@ def scan_alternating_powers(
     the first violation in (length, text) order if any exists.
 
     Each tally line counts its words in closed form
-    (reduced_word_count), and words_checked is their total.  A
-    freeness.GaugeWalk with every variable unitary walks the reduced
-    words, the star forms of the reduced power words, that keep the
-    gauge constraints (TensorScenario.gauge_moduli), and joint is asked
-    about each of them; every other word has moment zero.
+    (reduced_word_count), and words_checked is their total.
+    freeness.switching_words with every variable unitary walks the
+    reduced words that use two variables, the star forms of the reduced
+    alternating power words, and keep the gauge constraints
+    (TensorScenario.gauge_moduli); joint is asked about each of them,
+    and every other word has moment zero.
     analyze_biased_power passes the biased-power scenario's
     joint_oracle; that scenario is a trace of unitaries by construction,
     so the oracle evaluates one word per tracial class
@@ -134,18 +135,14 @@ def scan_alternating_powers(
             if words:
                 tallies.setdefault((runs + 1) // 2, [0, 0])[0] += words
     first = None
-    for total in range(2, max_len + 1):
-        walk = GaugeWalk(gauge, variables, total, variables)
-        for word in iter_words(variables, total, walk.step, walk.start):
-            letters = word.letters
+    for word in switching_words(variables, max_len, variables, gauge):
+        letters = word.letters
+        value = joint(letters)
+        if not value.is_zero():
             runs = 1 + sum(a.index != b.index for a, b in zip(letters, letters[1:]))
-            if runs == 1:
-                continue
-            value = joint(letters)
-            if not value.is_zero():
-                tallies[(runs + 1) // 2][1] += 1
-                if first is None:
-                    first = word, value
+            tallies[(runs + 1) // 2][1] += 1
+            if first is None:
+                first = word, value
     scan = tuple(
         PowerScanLine(pairs, words, bad)
         for pairs, (words, bad) in sorted(tallies.items())

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, combinations
-from math import inf
-from operator import add, le, mod
-from typing import Callable, Collection, Iterable, Mapping, Sequence
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DepthLimitError
 from .ncpartitions import cumulant_from_moments, moment_from_cumulants
@@ -38,7 +36,7 @@ JointOracle = Callable[[LetterTuple], ExactComplex]
 # (modulus, ((index, weight), ...), length cap) linear constraints on the
 # exponent sums of a word's letters
 Gauge = Sequence[tuple[int, Sequence[tuple[int, int]], int | None]]
-# (letters left, letter refused next, weighted exponent sums)
+# (letters left, letter refused next, weighted exponent sums mod their moduli)
 GaugeState = tuple[int, Letter | None, tuple[int, ...]]
 
 
@@ -226,11 +224,12 @@ class GaugeWalk:
     centers to zero.
 
     The state after a prefix is (letters left, the letter refused next,
-    one weighted exponent sum per constraint); start is the state before
-    the first letter.  step prunes a prefix that no completion brings
-    back: a modulus-0 sum larger in size than the letters left times the
-    constraint's largest |w|, or, at the last letter, a sum that is not
-    0 mod m.
+    one weighted exponent sum per constraint, reduced mod m when m > 0);
+    start is the state before the first letter.  One rule keeps a
+    prefix: some completion of it is reduced and brings every sum to 0
+    mod its modulus.  The constructor finds the states the walk reaches,
+    level by level from start, and then, from the last letter back, the
+    moves into states with such a completion; step looks its move up.
     """
 
     def __init__(
@@ -238,46 +237,55 @@ class GaugeWalk:
         gauge: Gauge,
         indices: Iterable[int],
         length: int,
-        unitary: Collection[int] = (),
+        unitary: Collection[int],
     ) -> None:
         alphabet = iter_letters(indices)
-        rows = []
-        for m, terms, cap in gauge:
-            if cap is None or length <= cap:
-                w = dict(terms)
-                rows.append(
-                    (m, {l: (-1 if l.star else 1) * w.get(l.index, 0) for l in alphabet})
-                )
+        rows = [(m, dict(t)) for m, t, cap in gauge if cap is None or length <= cap]
+        moduli = [m for m, _ in rows]
         # per letter, its weight per constraint and the letter it refuses next
-        refuses = {l: l.adjoint() if l.index in unitary else None for l in alphabet}
-        self._letters = {l: (tuple(w[l] for _, w in rows), refuses[l]) for l in alphabet}
-        # per number of letters left, the largest size each sum may have:
-        # the letters left change a modulus-0 sum by at most left times its
-        # largest |w|; other moduli have no bound and are tested at the
-        # last letter alone, where a modulus-0 sum must be 0 and its
-        # modulus 1 tests nothing
-        reach = [
-            max(map(abs, weight.values()), default=0) if not m else inf
-            for m, weight in rows
-        ]
-        self._bounds = [tuple(0 if not m else inf for m, _ in rows)] + [
-            tuple(left * r for r in reach) for left in range(1, length)
-        ]
-        self._moduli = tuple(m or 1 for m, _ in rows)
-        self.start = (length, None, (0,) * len(rows))
+        letters = {
+            l: (
+                [(-1 if l.star else 1) * w.get(l.index, 0) for _, w in rows],
+                l.adjoint() if l.index in unitary else None,
+            )
+            for l in alphabet
+        }
+
+        def after(state: GaugeState, letter: Letter) -> GaugeState:
+            weights, refused = letters[letter]
+            terms = zip(state[2], weights, moduli)
+            sums = tuple((s + w) % m if m else s + w for s, w, m in terms)
+            return state[0] - 1, refused, sums
+
+        self.start: GaugeState = (length, None, (0,) * len(rows))
+        levels = [{self.start}]
+        moves: dict[GaugeState, dict[Letter, GaugeState]] = {}
+        for _ in range(length):
+            for state in levels[-1]:
+                moves[state] = {l: after(state, l) for l in alphabet if l != state[1]}
+            levels.append({t for s in levels[-1] for t in moves[s].values()})
+        live = {state for state in levels.pop() if not any(state[2])}
+        for level in reversed(levels):
+            for state in level:
+                moves[state] = {l: t for l, t in moves[state].items() if t in live}
+            live = {state for state in level if moves[state]}
+        self._moves = moves
 
     def step(self, state: GaugeState, letter: Letter) -> GaugeState | None:
-        left, refused, sums = state
-        if letter == refused:
-            return None
-        weights, adjoint = self._letters[letter]
-        left -= 1
-        sums = tuple(map(add, sums, weights))
-        if all(map(le, map(abs, sums), self._bounds[left])) and (
-            left or not any(map(mod, sums, self._moduli))
-        ):
-            return left, adjoint, sums
-        return None
+        return self._moves[state].get(letter)
+
+
+def switching_words(
+    indices: Collection[int], max_len: int, unitary: Collection[int], gauge: Gauge
+) -> Iterator[StarWord]:
+    """The words of 2..max_len letters that a GaugeWalk over indices
+    keeps and that use at least two indices, in (length, text) order."""
+    for length in range(2, max_len + 1):
+        walk = GaugeWalk(gauge, indices, length, unitary)
+        for word in iter_words(indices, length, walk.step, walk.start):
+            first = word.letters[0].index
+            if any(l.index != first for l in word.letters):
+                yield word
 
 
 def _switching_rank(indices: Collection[int], letters: LetterTuple) -> int:
@@ -313,9 +321,9 @@ def test_freeness(
     form: (2n)^L - n 2^L per shorter length L over n indices, plus the
     witness's rank in its own (_switching_rank).
 
-    Only the words of a GaugeWalk are built and evaluated; every other
-    word's centered product is zero or that of a shorter word, so the
-    witness and its lhs are those of the scan over every word.
+    Only the words of switching_words are built and evaluated; every
+    other word's centered product is zero or that of a shorter word, so
+    the witness and its lhs are those of the scan over every word.
 
     * unitary names indices whose variables are unitary by the caller's
       declared structure (TensorScenario.unitary_indices); the walk keeps
@@ -328,19 +336,10 @@ def test_freeness(
     class_of = {i: i for i in indices}
     n = len(class_of)
     oracle = _memoized(joint)
-    checked = 0
-    for length in range(2, max_len + 1):
-        walk = GaugeWalk(gauge, class_of, length, unitary)
-        for word in iter_words(class_of, length, walk.step, walk.start):
-            letters = word.letters
-            # the classes are the indices, and a word in one of them
-            # witnesses nothing
-            first = letters[0].index
-            if all(l.index == first for l in letters):
-                continue
-            value = centered_product_value(oracle, letters, class_of)
-            if not value.is_zero():
-                checked += _switching_rank(class_of, letters)
-                return Verdict(False, word, value, max_len, checked)
-        checked += (2 * n) ** length - n * 2**length
-    return Verdict(True, None, None, max_len, checked)
+    shorter = lambda length: sum((2 * n) ** L - n * 2**L for L in range(2, length))
+    for word in switching_words(class_of, max_len, unitary, gauge):
+        value = centered_product_value(oracle, word.letters, class_of)
+        if not value.is_zero():
+            checked = shorter(len(word)) + _switching_rank(class_of, word.letters)
+            return Verdict(False, word, value, max_len, checked)
+    return Verdict(True, None, None, max_len, shorter(max_len + 1))

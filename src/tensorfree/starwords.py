@@ -186,8 +186,9 @@ def iter_sequences(
     step is not asked about its extensions.  Any other result is the
     state the next item folds into.  A one-line step carries what the
     walk needs to know of a prefix, such as its last item; a gauge
-    residue fold (freeness.GaugeWalk) carries weighted exponent sums
-    and prunes the prefixes that no completion brings back to zero.
+    residue fold (freeness.GaugeWalk) carries the letters left, the
+    letter refused next and weighted exponent sums, and looks up in a
+    table whether some completion of the prefix keeps the word.
     """
     items = tuple(alphabet)
 

@@ -1,11 +1,13 @@
 """The residue-carrying walk: GaugeWalk refuses a unitary letter right
 after its adjoint, folds each constraint's weighted exponent sum along
-the prefixes of a word walk and cuts off every prefix that no completion
-keeps.  These tests hold the walk to the plain walk filtered word by
-word, test_freeness's closed-form words_checked to the switching words
-enumerated in text order, and the power-word scan's closed-form word
-count to the reduced words enumerated and counted letter by letter.
-tests/test_gauge.py holds the power-word scan to its brute-force twin."""
+the prefixes of a word walk and keeps a prefix only when some completion
+keeps the word.  These tests hold the walk and switching_words to the
+plain walk filtered word by word, the walk's steps to the prefixes of
+the words it keeps, test_freeness's closed-form words_checked to the
+switching words enumerated in text order, and the power-word scan's
+closed-form word count to the reduced words enumerated and counted
+letter by letter.  tests/test_gauge.py holds the power-word scan to its
+brute-force twin."""
 
 from collections import Counter
 from functools import lru_cache
@@ -16,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorfree.counterexample import reduced_word_count
-from tensorfree.freeness import GaugeWalk
+from tensorfree.freeness import GaugeWalk, switching_words
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.scalars import ONE, ZERO
 from tensorfree.starwords import (
@@ -67,16 +69,43 @@ def gauged_walks(draw):
 @example(((1, 2), (), 4, (1,)))
 # both rules at once: s1 = 0 keeps x1 x1 x1* x1*, the rule cuts x1 x1*
 @example(((1, 2), ((0, ((1, 1),), None),), 6, (1, 2)))
+# two constraints together: every letter changes s1 + s2 by 1 mod 2, so
+# s1 = 0 mod 2 and s2 = 0 keep no word of odd length (biased_power_k2)
+@example(((1, 2), ((2, ((1, 1),), None), (0, ((2, 1),), None)), 7, (1, 2)))
+# mixed_order_collection's constraints: s1 and s2 = 0 mod 6 force an even
+# length, and no single sum rules out a prefix before the last letter
+@example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 7, ()))
+@example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 6, ()))
 def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
     indices, gauge, length, unitary = walk_input
     walk = GaugeWalk(gauge, indices, length, unitary)
-    pruned = list(iter_words(indices, length, walk.step, walk.start))
-    plain = [
-        w
-        for w in iter_words(indices, length)
-        if reduced_by_hand(w.letters, unitary) and not breaks_by_hand(w.letters, gauge)
-    ]
+    calls = []
+
+    def step(state, letter):
+        after = walk.step(state, letter)
+        calls.append(after)
+        return after
+
+    pruned = list(iter_words(indices, length, step, walk.start))
+    keeps = lambda w: reduced_by_hand(w, unitary) and not breaks_by_hand(w, gauge)
+    plain = [w for w in iter_words(indices, length) if keeps(w.letters)]
     assert pruned == plain
+    # exact: each prefix is stepped into once, and only when some
+    # completion keeps the word, so every state step returns has a kept
+    # completion and the kept steps are the prefixes of the kept words;
+    # with no kept word, the walk stops at its root's 2n steps
+    prefixes = {w.letters[:k] for w in plain for k in range(1, length + 1)}
+    assert sum(after is not None for after in calls) == len(prefixes)
+    if not plain:
+        assert len(calls) == 2 * len(indices)
+    # the words of 2..length letters in two indices or more, in order
+    expected = [
+        w
+        for n in range(2, length + 1)
+        for w in iter_words(indices, n)
+        if keeps(w.letters) and switching(w.letters)
+    ]
+    assert list(switching_words(indices, length, unitary, gauge)) == expected
 
 
 # -- test_freeness's closed-form count -------------------------------------------
@@ -110,7 +139,7 @@ def position(indices, letters) -> int:
 
 
 @st.composite
-def switching_words(draw):
+def switching_cases(draw):
     """(indices, letters): a switching word over two indices of length
     2-7 or three of length 2-6, the indices 1 and 10 among the pairs so
     that x1 sorts before x1* and x10."""
@@ -128,7 +157,7 @@ def exponent_sums(letters, indices) -> dict[int, int]:
 
 
 @settings(max_examples=40, deadline=None)
-@given(switching_words())
+@given(switching_cases())
 # three indices at length 7: every one-variable word that starts with x1,
 # x1*, x2, x2* or x3 sorts before the word
 @example(((1, 2, 3), parse_word("x3* x1 x2 x1* x3 x2* x3*").letters))
