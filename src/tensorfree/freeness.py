@@ -36,8 +36,9 @@ JointOracle = Callable[[LetterTuple], ExactComplex]
 # (modulus, ((index, weight), ...), length cap) linear constraints on the
 # exponent sums of a word's letters
 Gauge = Sequence[tuple[int, Sequence[tuple[int, int]], int | None]]
-# (letters left, letter refused next, weighted exponent sums mod their moduli)
-GaugeState = tuple[int, Letter | None, tuple[int, ...]]
+# (letter refused next, weighted exponent sums mod their moduli, the one
+# index so far or None)
+GaugeState = tuple[Letter | None, tuple[int, ...], int | None]
 
 
 class FreeFamilySpec:
@@ -204,88 +205,88 @@ def _memoized(oracle: JointOracle) -> JointOracle:
     return wrapped
 
 
-class GaugeWalk:
-    """The walk rules for the words of one length over indices, as a
-    residue fold for starwords.iter_words.
+def scan_graph(
+    gauge: Gauge, indices: Iterable[int], length: int, unitary: Collection[int]
+) -> dict[Letter, dict]:
+    """The root of the graph of the words of one length over indices that
+    a scan keeps, for starwords.iter_words: each node maps a letter
+    allowed after its prefix to the node after it, and a letter is
+    allowed when some completion keeps the word by three rules at once.
 
-    The reduced-word rule refuses a letter of an index in unitary right
-    after its adjoint.  For a unitary u, u u* = u* u = 1, so such a word
-    has the centered alternating product of the word without the pair,
-    or zero when the pair was its block's only letters; at the first
-    violating length every violating word is reduced.
+    * Reduced: no letter of an index in unitary right after its adjoint.
+      For a unitary u, u u* = u* u = 1, so such a word has the centered
+      alternating product of the word without the pair, or zero when
+      the pair was its block's only letters; at the first violating
+      length every violating word is reduced.
+    * Gauge: each constraint (m, weights, cap) (TensorScenario.gauge_moduli,
+      GroupAlgebraModel.gauge) states that a word of at most cap letters
+      (any length when cap is None) has moment zero unless its weighted
+      exponent sum, +w per plain letter and -w per starred one of an
+      index of weight w, is 0 mod m (m = 0: is 0).  A block with a
+      nonzero mean keeps every constraint, so every shorter word the
+      inclusion-exclusion evaluates for a word that breaks one breaks it
+      too, and the word centers to zero.
+    * Switching: the word uses two indices or more; a word in one index
+      is one block and centers to zero.
 
-    Each gauge constraint (m, weights, cap) (TensorScenario.gauge_moduli,
-    GroupAlgebraModel.gauge) states that a word of at most cap letters
-    (any length when cap is None) has moment zero unless its weighted
-    exponent sum, +w per plain letter and -w per starred one of an index
-    of weight w, is 0 mod m (m = 0: is 0).  A block with a nonzero mean
-    keeps every constraint, so every shorter word the inclusion-exclusion
-    evaluates for a word that breaks one breaks it too, and the word
-    centers to zero.
-
-    The state after a prefix is (letters left, the letter refused next,
-    one weighted exponent sum per constraint, reduced mod m when m > 0);
-    start is the state before the first letter.  One rule keeps a
-    prefix: some completion of it is reduced and brings every sum to 0
-    mod its modulus.  The constructor finds the states the walk reaches,
-    level by level from start, and then, from the last letter back, the
-    moves into states with such a completion; step looks its move up.
+    The state after a prefix is (the letter refused next, one weighted
+    exponent sum per constraint, reduced mod m when m > 0, the prefix's
+    one index or None once it switches).  The states each prefix length
+    reaches are found level by level from the empty prefix; then, from
+    the last letter back, a state keeps the moves into states with a
+    kept completion, and a state with none is dropped.  So every node
+    above the last level is nonempty, and the root is empty exactly when
+    no word is kept.
     """
+    alphabet = iter_letters(indices)
+    rows = [(m, dict(t)) for m, t, cap in gauge if cap is None or length <= cap]
+    moduli = [m for m, _ in rows]
+    # per letter, its weight per constraint and the letter it refuses next
+    letters = {
+        l: (
+            [(-1 if l.star else 1) * w.get(l.index, 0) for _, w in rows],
+            l.adjoint() if l.index in unitary else None,
+        )
+        for l in alphabet
+    }
 
-    def __init__(
-        self,
-        gauge: Gauge,
-        indices: Iterable[int],
-        length: int,
-        unitary: Collection[int],
-    ) -> None:
-        alphabet = iter_letters(indices)
-        rows = [(m, dict(t)) for m, t, cap in gauge if cap is None or length <= cap]
-        moduli = [m for m, _ in rows]
-        # per letter, its weight per constraint and the letter it refuses next
-        letters = {
-            l: (
-                [(-1 if l.star else 1) * w.get(l.index, 0) for _, w in rows],
-                l.adjoint() if l.index in unitary else None,
-            )
-            for l in alphabet
+    def after(state: GaugeState, letter: Letter, first: bool) -> GaugeState:
+        weights, refused = letters[letter]
+        terms = zip(state[1], weights, moduli)
+        sums = tuple((s + w) % m if m else s + w for s, w, m in terms)
+        one = letter.index if first or state[2] == letter.index else None
+        return refused, sums, one
+
+    start: GaugeState = (None, (0,) * len(rows), None)
+    level = {start}
+    moves: list[dict[GaugeState, dict[Letter, GaugeState]]] = []
+    for depth in range(length):
+        first = depth == 0
+        moves.append(
+            {s: {l: after(s, l, first) for l in alphabet if l != s[0]} for s in level}
+        )
+        level = {t for out in moves[-1].values() for t in out.values()}
+    # a kept word brings every sum to 0 and has switched index
+    nodes: dict[GaugeState, dict] = {
+        s: {} for s in level if not any(s[1]) and s[2] is None
+    }
+    for out_of in reversed(moves):
+        nodes = {
+            s: kept
+            for s, out in out_of.items()
+            if (kept := {l: nodes[t] for l, t in out.items() if t in nodes})
         }
-
-        def after(state: GaugeState, letter: Letter) -> GaugeState:
-            weights, refused = letters[letter]
-            terms = zip(state[2], weights, moduli)
-            sums = tuple((s + w) % m if m else s + w for s, w, m in terms)
-            return state[0] - 1, refused, sums
-
-        self.start: GaugeState = (length, None, (0,) * len(rows))
-        levels = [{self.start}]
-        moves: dict[GaugeState, dict[Letter, GaugeState]] = {}
-        for _ in range(length):
-            for state in levels[-1]:
-                moves[state] = {l: after(state, l) for l in alphabet if l != state[1]}
-            levels.append({t for s in levels[-1] for t in moves[s].values()})
-        live = {state for state in levels.pop() if not any(state[2])}
-        for level in reversed(levels):
-            for state in level:
-                moves[state] = {l: t for l, t in moves[state].items() if t in live}
-            live = {state for state in level if moves[state]}
-        self._moves = moves
-
-    def step(self, state: GaugeState, letter: Letter) -> GaugeState | None:
-        return self._moves[state].get(letter)
+    return nodes.get(start, {})
 
 
 def switching_words(
     indices: Collection[int], max_len: int, unitary: Collection[int], gauge: Gauge
 ) -> Iterator[StarWord]:
-    """The words of 2..max_len letters that a GaugeWalk over indices
-    keeps and that use at least two indices, in (length, text) order."""
+    """The words of 2..max_len letters that scan_graph keeps, in (length,
+    text) order."""
     for length in range(2, max_len + 1):
-        walk = GaugeWalk(gauge, indices, length, unitary)
-        for word in iter_words(indices, length, walk.step, walk.start):
-            first = word.letters[0].index
-            if any(l.index != first for l in word.letters):
-                yield word
+        graph = scan_graph(gauge, indices, length, unitary)
+        yield from iter_words(indices, length, graph)
 
 
 def _switching_rank(indices: Collection[int], letters: LetterTuple) -> int:

@@ -290,10 +290,13 @@ def is_free_collection(
     powers = _nontrivial_powers(presentation, elements, max_exp)
     exp_order = _exponent_order(max_exp)
     checked = 0
-    # consecutive indices differ: the walk's state is the last index
-    distinct = lambda last, i: None if i == last else i
+    # consecutive indices differ: the node after index i holds the others
+    indices = range(1, len(elements) + 1)
+    after = {i: {} for i in indices}
+    for i, node in after.items():
+        node.update((j, after[j]) for j in indices if j != i)
     for t in range(2, max_blocks + 1):
-        for index_seq in iter_sequences(range(1, len(elements) + 1), t, distinct):
+        for index_seq in iter_sequences(indices, t, after):
             for exps in iter_product(exp_order, repeat=t):
                 blocks = tuple(zip(index_seq, exps))
                 if not all(key in powers for key in blocks):

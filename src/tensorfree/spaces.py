@@ -98,7 +98,7 @@ class GroupAlgebraModel(GroupBackedModel):
     def gauge(self) -> freeness.Gauge:
         """The abelianization's constraints on a word of nonzero trace, as
         (modulus, ((variable, weight), ...), None) triples for
-        freeness.GaugeWalk, sorted by weights.
+        freeness.scan_graph, sorted by weights.
 
         A word's element maps to the weighted exponent sum of its letters
         in each coordinate Z_n of the abelianization (groups.abelian_image),

@@ -5,15 +5,15 @@ A letter is a pair (index, star); a word is a nonempty tuple of letters.
 Power words are the unitary reductions: adjacent letters with equal index
 merge into signed exponents and zero exponents cancel.  merge_powers is
 the one stack-merge reducer behind every normal form in the package,
-iter_sequences the one lazy walker behind every bounded word scan, and
-parse_int the one reader of integer text in words, group tokens and
-scenario keys.
+iter_sequences the one lazy walker behind every bounded word scan (it
+follows a graph of the items allowed after each prefix), and parse_int
+the one reader of integer text in words, group tokens and scenario keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 
 class WordSyntaxError(ValueError):
@@ -44,7 +44,6 @@ LetterTuple = tuple[Letter, ...]
 PowerFactor = tuple[int, int]  # (index, signed exponent), exponent != 0
 PowerWord = tuple[PowerFactor, ...]
 T = TypeVar("T")
-S = TypeVar("S")
 
 
 @dataclass(frozen=True)
@@ -172,51 +171,43 @@ def iter_letters(indices: Iterable[int]) -> list[Letter]:
 
 
 def iter_sequences(
-    alphabet: Iterable[T],
-    length: int,
-    step: Callable[[S, T], S | None] | None = None,
-    start: S | None = None,
+    alphabet: Iterable[T], length: int, graph: Mapping[T, Mapping] | None = None
 ) -> Iterator[tuple[T, ...]]:
     """Every length-tuple over alphabet, lazily, in lexicographic order of
     alphabet positions; lengths <= 0 yield nothing.
 
-    With step given, the walk folds step(state, item) along each prefix,
-    from start before the first item.  A None result prunes the prefix
-    that item ends: no tuple with that prefix is built or yielded, and
-    step is not asked about its extensions.  Any other result is the
-    state the next item folds into.  A one-line step carries what the
-    walk needs to know of a prefix, such as its last item; a gauge
-    residue fold (freeness.GaugeWalk) carries the letters left, the
-    letter refused next and weighted exponent sums, and looks up in a
-    table whether some completion of the prefix keeps the word.
+    With graph given, the walk follows it from its root node: a node maps
+    each item allowed next to the node after it, so after a prefix the
+    walk offers only the items its node holds, and no tuple through a
+    missing item is built or yielded; the node after the last item is
+    not read.  Without graph, one node maps every item back to itself.
+    freeness.scan_graph builds the graph of the words a scan keeps;
+    groups.is_free_collection's graph allows a different index next.
     """
     items = tuple(alphabet)
+    if graph is None:
+        graph = {}
+        graph.update((item, graph) for item in items)
 
-    def extend(prefix: tuple[T, ...], state, remaining: int) -> Iterator[tuple[T, ...]]:
+    def extend(prefix: tuple[T, ...], node, remaining: int) -> Iterator[tuple[T, ...]]:
         for item in items:
-            if step is not None:
-                after = step(state, item)
-                if after is None:
-                    continue
-            else:
-                after = state
+            after = node.get(item)
+            if after is None:
+                continue
             if remaining == 1:
                 yield prefix + (item,)
             else:
                 yield from extend(prefix + (item,), after, remaining - 1)
 
     if length > 0:
-        yield from extend((), start, length)
+        yield from extend((), graph, length)
 
 
 def iter_words(
-    indices: Iterable[int],
-    length: int,
-    step: Callable[[S, Letter], S | None] | None = None,
-    start: S | None = None,
+    indices: Iterable[int], length: int, graph: Mapping[Letter, Mapping] | None = None
 ) -> Iterator[StarWord]:
     """All words of exactly the given length, sorted by canonical text;
-    with step, those whose letters iter_sequences' fold from start keeps.
+    with graph, those whose letters iter_sequences follows through it.
 
     Walking the letters in text order gives exactly the text order of
     the words, indices >= 10 included: when one letter's text is a
@@ -224,7 +215,7 @@ def iter_words(
     followed by a space, which sorts before '*' and before digits.
     """
     letters = sorted(iter_letters(indices), key=Letter.text)
-    return map(StarWord, iter_sequences(letters, length, step, start))
+    return map(StarWord, iter_sequences(letters, length, graph))
 
 
 def iter_star_patterns(length: int) -> Iterator[tuple[bool, ...]]:

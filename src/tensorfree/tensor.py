@@ -128,7 +128,7 @@ class TensorScenario:
         The elementary tensor of unitaries is unitary, so a letter of
         such an index next to its adjoint multiplies to the unit under
         any unital functional, and the scans walk the reduced words
-        alone (freeness.GaugeWalk); no trace, Hermitian or freeness flag
+        alone (freeness.scan_graph); no trace, Hermitian or freeness flag
         is needed, and no axiom check is consulted.
         """
         return frozenset(
@@ -145,7 +145,7 @@ class TensorScenario:
     def gauge_moduli(self) -> Gauge:
         """Linear constraints on a word's exponent sums read off the
         declared structure, as (modulus, ((joint index, weight), ...),
-        length cap) triples for freeness.GaugeWalk, sorted by weights.
+        length cap) triples for freeness.scan_graph, sorted by weights.
 
         Each is a constraint of one factor k, on its own variables, that
         every word of nonzero factor-k moment keeps; joint index i takes

@@ -14,6 +14,7 @@ from tensorfree.freeness import (
     Verdict,
     centered_product_value,
     mixed_moment_by_cumulants,
+    scan_graph,
 )
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.groups import (
@@ -158,6 +159,16 @@ def test_free_pair_passes_the_bounded_test():
     assert verdict.witness is None and verdict.lhs is None
     assert verdict.bound == 4
     assert verdict.words_checked > 0
+    # one variable alone: no word switches, so no scan graph has a move
+    # and no word is walked or evaluated, at any bound
+    for unitary in [(), (1,)]:
+        assert all(scan_graph((), (1,), n, unitary) == {} for n in range(2, 41))
+
+    def never(letters):
+        raise AssertionError(f"evaluated {letters}")
+
+    verdict = freeness_verdict(never, (1,), max_len=24)
+    assert verdict.free and verdict.words_checked == 0
 
 
 def integer_oracle():

@@ -1,13 +1,13 @@
-"""The residue-carrying walk: GaugeWalk refuses a unitary letter right
-after its adjoint, folds each constraint's weighted exponent sum along
-the prefixes of a word walk and keeps a prefix only when some completion
-keeps the word.  These tests hold the walk and switching_words to the
-plain walk filtered word by word, the walk's steps to the prefixes of
-the words it keeps, test_freeness's closed-form words_checked to the
-switching words enumerated in text order, and the power-word scan's
-closed-form word count to the reduced words enumerated and counted
-letter by letter.  tests/test_gauge.py holds the power-word scan to its
-brute-force twin."""
+"""The scan graph: scan_graph keeps a letter after a prefix only when
+some completion is reduced (no unitary letter right after its adjoint),
+brings each constraint's weighted exponent sum to 0 mod its modulus and
+uses two indices or more.  These tests hold the graph's words and
+switching_words to the plain walk filtered word by word, the graph's
+nodes to the prefixes of the words it keeps, test_freeness's
+closed-form words_checked to the switching words enumerated in text
+order, and the power-word scan's closed-form word count to the reduced
+words enumerated and counted letter by letter.  tests/test_gauge.py
+holds the power-word scan to its brute-force twin."""
 
 from collections import Counter
 from functools import lru_cache
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorfree.counterexample import reduced_word_count
-from tensorfree.freeness import GaugeWalk, switching_words
+from tensorfree.freeness import scan_graph, switching_words
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.scalars import ONE, ZERO
 from tensorfree.starwords import (
@@ -76,35 +76,30 @@ def gauged_walks(draw):
 # length, and no single sum rules out a prefix before the last letter
 @example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 7, ()))
 @example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 6, ()))
+# one index: no word switches, so the root is empty, with a gauge or
+# none and with the index unitary or not
+@example(((1,), (), 7, ()))
+@example(((1,), ((0, ((1, 1),), None),), 7, (1,)))
 def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
     indices, gauge, length, unitary = walk_input
-    walk = GaugeWalk(gauge, indices, length, unitary)
-    calls = []
-
-    def step(state, letter):
-        after = walk.step(state, letter)
-        calls.append(after)
-        return after
-
-    pruned = list(iter_words(indices, length, step, walk.start))
-    keeps = lambda w: reduced_by_hand(w, unitary) and not breaks_by_hand(w, gauge)
+    graph = scan_graph(gauge, indices, length, unitary)
+    keeps = lambda w: (
+        reduced_by_hand(w, unitary) and not breaks_by_hand(w, gauge) and switching(w)
+    )
     plain = [w for w in iter_words(indices, length) if keeps(w.letters)]
-    assert pruned == plain
-    # exact: each prefix is stepped into once, and only when some
-    # completion keeps the word, so every state step returns has a kept
-    # completion and the kept steps are the prefixes of the kept words;
-    # with no kept word, the walk stops at its root's 2n steps
-    prefixes = {w.letters[:k] for w in plain for k in range(1, length + 1)}
-    assert sum(after is not None for after in calls) == len(prefixes)
-    if not plain:
-        assert len(calls) == 2 * len(indices)
-    # the words of 2..length letters in two indices or more, in order
-    expected = [
-        w
-        for n in range(2, length + 1)
-        for w in iter_words(indices, n)
-        if keeps(w.letters) and switching(w.letters)
-    ]
+    assert list(iter_words(indices, length, graph)) == plain
+    # exact: every node reached above the last level is nonempty, so every
+    # path from the root ends in a kept word and the walk follows no move
+    # that no completion keeps; the root is empty exactly when no word is
+    # kept
+    assert bool(graph) == bool(plain)
+    level = [graph] if plain else []
+    for _ in range(length - 1):
+        assert all(level)
+        level = [node for parent in level for node in parent.values()]
+    # the words of 2..length letters that the graphs keep, in order
+    lengths = range(2, length + 1)
+    expected = [w for n in lengths for w in iter_words(indices, n) if keeps(w.letters)]
     assert list(switching_words(indices, length, unitary, gauge)) == expected
 
 
@@ -189,10 +184,13 @@ def runs_of(letters) -> int:
 
 def brute_cells(n, length) -> Counter:
     """Reduced words of one length over n variables per run count, by
-    enumerating them: the walk cuts off a letter next to its adjoint."""
+    enumerating them through the last-letter graph: the node after a
+    letter holds every letter but its adjoint."""
     letters = iter_letters(range(1, n + 1))
-    step = lambda last, l: None if last == l.adjoint() else l
-    return Counter(map(runs_of, iter_sequences(letters, length, step)))
+    after = {l: {} for l in letters}
+    for l, node in after.items():
+        node.update((m, after[m]) for m in letters if m != l.adjoint())
+    return Counter(map(runs_of, iter_sequences(letters, length, after)))
 
 
 def counted_cells(n, length) -> Counter:

@@ -279,40 +279,42 @@ def test_iter_sequences_order_and_pruning():
     assert list(iter_sequences("ab", 0)) == []
     assert list(iter_sequences("ab", -1)) == []
     for n in range(1, 4):
+        indices = range(1, n + 1)
+        # consecutive items differ: the node after i holds every other index
+        after = {i: {} for i in indices}
+        for i, node in after.items():
+            node.update((j, after[j]) for j in indices if j != i)
         for t in range(1, 6):
             brute = [
                 seq
-                for seq in product(range(1, n + 1), repeat=t)
+                for seq in product(indices, repeat=t)
                 if all(a != b for a, b in zip(seq, seq[1:]))
             ]
-            distinct = lambda last, i: None if i == last else i
-            assert list(iter_sequences(range(1, n + 1), t, distinct)) == brute
+            assert list(iter_sequences(indices, t, after)) == brute
 
 
-def test_iter_sequences_folds_a_state_and_prunes_on_none():
-    # prefix sums of +-1 steps that stay nonnegative: the Dyck prefixes
-    asked = []
-
-    def step(total, item):
-        asked.append(total)
-        total += item
-        return total if total >= 0 else None
-
+def test_iter_sequences_follows_a_graph():
+    # prefix sums of +-1 steps that stay nonnegative, the Dyck prefixes:
+    # the node at sum 0 lacks -1, which prunes every tuple through it
+    at = [{} for _ in range(9)]
+    for k, node in enumerate(at[:-1]):
+        node[1] = at[k + 1]
+        if k:
+            node[-1] = at[k - 1]
     for t in range(1, 8):
         brute = [
             seq
             for seq in product((1, -1), repeat=t)
             if all(sum(seq[:k]) >= 0 for k in range(1, t + 1))
         ]
-        asked.clear()
-        assert list(iter_sequences((1, -1), t, step, 0)) == brute
-        # one call per item after each kept proper prefix, none below a cut
-        kept_prefixes = {seq[:k] for seq in brute for k in range(t)}
-        assert len(asked) == 2 * len(kept_prefixes)
-    # a None start is a state like any other, but a None result prunes,
-    # even one that passes that state on
-    assert list(iter_sequences("ab", 2, lambda state, item: state, None)) == []
-    assert len(list(iter_sequences("ab", 2, lambda state, item: item, None))) == 4
+        assert list(iter_sequences((1, -1), t, at[0])) == brute
+    # the walk keeps the alphabet's order, not the node's, and an empty
+    # root yields nothing
+    assert list(iter_sequences("ab", 1, {"b": {}, "a": {}})) == [("a",), ("b",)]
+    assert list(iter_sequences("ab", 3, {})) == []
+    # with no graph, every tuple
+    for t in range(1, 5):
+        assert list(iter_sequences("abc", t)) == list(product("abc", repeat=t))
 
 
 def test_iter_words_is_lazy():
