@@ -17,10 +17,9 @@ length, of any word that could witness non-freeness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError, ScenarioError
 from .freeness import Gauge, JointOracle, Verdict, switching_words
@@ -72,8 +71,7 @@ def biased_power_scenario(K: int, alpha) -> TensorScenario:
 # -- power word scan ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PowerScanLine:
+class PowerScanLine(NamedTuple):
     """Scan totals for one block pair count."""
 
     block_pairs: int
@@ -155,8 +153,7 @@ def scan_alternating_powers(
 # -- cumulant support filters ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class FilterCounts:
+class FilterCounts(NamedTuple):
     """Partition counts surviving each cumulant support filter at one t.
 
     An alternating word of block pair count t expands over the
@@ -242,8 +239,7 @@ def minimal_block_pairs(K: int) -> int | None:
 # -- full analysis ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiasedPowerReport:
+class BiasedPowerReport(NamedTuple):
     verdict: Verdict
     scan: tuple[PowerScanLine, ...]
     filters: tuple[FilterCounts, ...]

@@ -13,9 +13,16 @@ check each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, combinations
-from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from typing import (
+    Callable,
+    Collection,
+    Iterable,
+    Iterator,
+    Mapping,
+    NamedTuple,
+    Sequence,
+)
 
 from .errors import DepthLimitError
 from .ncpartitions import cumulant_from_moments, moment_from_cumulants
@@ -156,8 +163,7 @@ def mixed_moment_by_cumulants(spec: FreeFamilySpec, word: StarWord) -> ExactComp
 # -- bounded star-freeness testing ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a bounded freeness test.
 
     A failure carries the first violating word in (length, text) order;
@@ -169,7 +175,7 @@ class Verdict:
     witness: StarWord | None
     lhs: ExactComplex | None
     bound: int
-    words_checked: int = 0
+    words_checked: int
 
 
 def centered_product_value(

@@ -12,11 +12,10 @@ products, and the dominating-component search built on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import PreconditionError, ScenarioError
 from .starwords import iter_sequences, merge_powers, parse_int
@@ -25,16 +24,18 @@ Syllable = tuple[int, int]  # (1-based generator index, nonzero exponent)
 FactorWord = tuple[Syllable, ...]
 
 
-@dataclass(frozen=True)
-class FreeProductPresentation:
-    """One direct-product component: a free product of cyclic groups."""
-
+class _FreeProductFields(NamedTuple):
     orders: tuple[int | None, ...]  # per generator; None means infinite
 
-    def __post_init__(self) -> None:
-        for d in self.orders:
+
+class FreeProductPresentation(_FreeProductFields):
+    """One direct-product component: a free product of cyclic groups."""
+
+    def __new__(cls, orders: tuple[int | None, ...]) -> "FreeProductPresentation":
+        for d in orders:
             if d is not None and d < 2:
                 raise ScenarioError(f"cyclic order must be >= 2 or inf, got {d}")
+        return tuple.__new__(cls, (orders,))
 
     @property
     def num_generators(self) -> int:
@@ -46,8 +47,7 @@ class FreeProductPresentation:
         return {j: d for j, d in enumerate(self.orders, start=1) if d is not None}
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(NamedTuple):
     """A direct product of free-product components."""
 
     factors: tuple[FreeProductPresentation, ...]
@@ -63,8 +63,7 @@ class GroupPresentation:
         return tuple(d or 0 for comp in self.factors for d in comp.orders)
 
 
-@dataclass(frozen=True)
-class GroupElement:
+class GroupElement(NamedTuple):
     components: tuple[FactorWord, ...]
 
     def is_identity(self) -> bool:
@@ -233,8 +232,7 @@ def element_order(presentation: GroupPresentation, g: GroupElement) -> int | Non
 ExponentBlocks = tuple[tuple[int, int], ...]  # (1-based element index, exponent)
 
 
-@dataclass(frozen=True)
-class GroupWitness:
+class GroupWitness(NamedTuple):
     """An alternating product of element powers that reduces to identity."""
 
     blocks: ExponentBlocks
@@ -243,8 +241,7 @@ class GroupWitness:
         return " ".join(f"d{i}^{n}" for i, n in self.blocks)
 
 
-@dataclass(frozen=True)
-class GroupFreenessVerdict:
+class GroupFreenessVerdict(NamedTuple):
     free: bool
     witness: GroupWitness | None
     max_blocks: int
@@ -315,8 +312,7 @@ def is_free_collection(
 # -- dominating factor for free direct-product collections ---------------
 
 
-@dataclass(frozen=True)
-class GroupDominatingReport:
+class GroupDominatingReport(NamedTuple):
     """The collection's freeness witness (None when free within the
     bounds) and, for a free collection, one (k, projections free, orders
     preserved) row per component; everything else follows from these."""

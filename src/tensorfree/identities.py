@@ -9,10 +9,9 @@ case into a family of products that must each vanish.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import PreconditionError
 
@@ -38,22 +37,19 @@ def _proper_subsets(k: int):
         yield from combinations(range(k), size)
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
+class IdentityCheck(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     equal: bool
 
 
-@dataclass(frozen=True)
-class InequalityCheck:
+class InequalityCheck(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     holds: bool
 
 
-@dataclass(frozen=True)
-class ConclusionReport:
+class ConclusionReport(NamedTuple):
     """Subset products forced to vanish by an equality hypothesis."""
 
     hypothesis_lhs: Fraction

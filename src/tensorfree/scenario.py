@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import ScenarioError
 from .groups import (
@@ -56,8 +55,7 @@ FACTOR_KEYS = {
 SEQUENCE_KEYS = ("unitary", "period", "complete_through", "moments")
 
 
-@dataclass(frozen=True)
-class ScenarioFile:
+class ScenarioFile(NamedTuple):
     """A parsed scenario: exactly one of tensor or collection is set.
 
     A group file's collection is the group algebra of its elements with
@@ -65,10 +63,10 @@ class ScenarioFile:
 
     name: str
     kind: str
+    bounds: Mapping[str, int]
+    alpha: ExactComplex | None
     tensor: TensorScenario | None = None
     collection: GroupAlgebraModel | None = None
-    bounds: Mapping[str, int] = field(default_factory=dict)
-    alpha: ExactComplex | None = None
 
 
 def _object(data, keys, where: str) -> None:

@@ -14,11 +14,10 @@ Hermitian LDL elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import freeness
 from .errors import (
@@ -230,8 +229,7 @@ def variance(functional: MomentFunctional, word: StarWord) -> Fraction:
 # -- axioms at a word-length level ---------------------------------------
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     unital: bool
     hermitian: bool
     tracial: bool
@@ -239,7 +237,7 @@ class AxiomReport:
     positive_definite: bool
     basis_size: int
     gram_len: int
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
 
 
 def gram_basis(functional: MomentFunctional, gram_len: int) -> list[LetterTuple]:

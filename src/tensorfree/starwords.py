@@ -12,7 +12,6 @@ the one reader of integer text in words, group tokens and scenario keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 
@@ -46,15 +45,33 @@ PowerWord = tuple[PowerFactor, ...]
 T = TypeVar("T")
 
 
-@dataclass(frozen=True)
 class StarWord:
-    """A nonempty word over the letters x_i, x_i*."""
+    """A nonempty word over the letters x_i, x_i*; immutable, and equal
+    and hashed by its letters."""
 
-    letters: LetterTuple
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        if not self.letters:
+    def __init__(self, letters: LetterTuple) -> None:
+        if not letters:
             raise EmptyWordError()
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to StarWord.{name}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete StarWord.{name}")
+
+    def __eq__(self, other):
+        if type(other) is not StarWord:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash(self.letters)
+
+    def __repr__(self) -> str:
+        return f"StarWord(letters={self.letters!r})"
 
     def __len__(self) -> int:
         return len(self.letters)

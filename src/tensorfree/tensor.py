@@ -11,10 +11,9 @@ product once per tracial class of words.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache, cached_property
 from math import lcm
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     FactorNotEvaluable,
@@ -36,50 +35,48 @@ from .spaces import (
 from .starwords import Letter, LetterTuple, StarWord, single_variable_word
 
 
-@dataclass(frozen=True)
-class TensorScenario:
+class _TensorScenarioFields(NamedTuple):
+    factors: tuple[MomentFunctional, ...]
+    assignments: dict[int, tuple[int, ...]]
+    factor_maps: tuple[dict[int, int] | None, ...]
+
+
+class TensorScenario(_TensorScenarioFields):
     """K factor models and the per-factor components of each joint variable.
 
     assignments maps a joint index i to the K-tuple of factor variable
     identifiers making up the elementary tensor.  factor_maps holds, per
     factor, the map from joint index to component, or None where that
-    map is the identity.
+    map is the identity; it is derived from assignments.
     """
 
-    factors: tuple[MomentFunctional, ...]
-    assignments: dict[int, tuple[int, ...]]
-    factor_maps: tuple[dict[int, int] | None, ...] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "assignments",
-            {int(i): tuple(c) for i, c in self.assignments.items()},
-        )
-        k = len(self.factors)
+    def __new__(
+        cls,
+        factors: tuple[MomentFunctional, ...],
+        assignments: dict[int, tuple[int, ...]],
+    ) -> "TensorScenario":
+        assignments = {int(i): tuple(c) for i, c in assignments.items()}
+        k = len(factors)
         if k == 0:
             raise ScenarioError("a tensor scenario needs at least one factor")
-        if not self.assignments:
+        if not assignments:
             raise ScenarioError("empty joint index set")
-        for i, components in self.assignments.items():
+        for i, components in assignments.items():
             if len(components) != k:
                 raise ScenarioError(
                     f"joint variable {i} must list one component per factor"
                 )
             for factor_index, var in enumerate(components):
-                if var not in self.factors[factor_index].variables:
+                if var not in factors[factor_index].variables:
                     raise ScenarioError(
                         f"joint variable {i}: factor {factor_index + 1} has no "
                         f"variable x{var}"
                     )
-        maps = ({i: c[f] for i, c in self.assignments.items()} for f in range(k))
-        object.__setattr__(
-            self,
-            "factor_maps",
-            tuple(None if all(i == c for i, c in m.items()) else m for m in maps),
+        maps = ({i: c[f] for i, c in assignments.items()} for f in range(k))
+        factor_maps = tuple(
+            None if all(i == c for i, c in m.items()) else m for m in maps
         )
+        return tuple.__new__(cls, (factors, assignments, factor_maps))
 
     @property
     def K(self) -> int:

@@ -10,10 +10,9 @@ joint index; reports always carry that bound, never an unbounded claim.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import (
     FactorNotFreeError,
@@ -37,8 +36,7 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
-class TfcViolation:
+class TfcViolation(NamedTuple):
     condition: int
     index: int
     pattern: tuple[bool, ...]
@@ -52,8 +50,7 @@ class TfcViolation:
         return single_variable_word(self.pattern, self.index)
 
 
-@dataclass(frozen=True)
-class TfcReport:
+class TfcReport(NamedTuple):
     k: int
     bound: int
     violations: tuple[TfcViolation, ...]
@@ -156,8 +153,7 @@ def _check_tfc(
     return TfcReport(k, max_len, violations, freeness_verdict, checked, notes)
 
 
-@dataclass(frozen=True)
-class DominatingSearch:
+class DominatingSearch(NamedTuple):
     reports: dict[int, TfcReport]
     not_free: dict[int, Verdict]
 
@@ -189,8 +185,7 @@ def find_dominating(scenario: TensorScenario, max_len: int = 8) -> DominatingSea
 # -- necessary conditions for free diagonal families ----------------------
 
 
-@dataclass(frozen=True)
-class NecessaryConditionsReport:
+class NecessaryConditionsReport(NamedTuple):
     """Outcome of the instance checks behind the main necessary conditions.
 
     classification is one of: hypotheses_not_met, not_free_at_bound,

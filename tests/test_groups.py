@@ -34,12 +34,24 @@ PRODUCT_PAIR = GroupPresentation(
 
 def test_presentation_rejects_small_orders():
     FreeProductPresentation((2, 3, None))  # fine
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match=r"cyclic order must be >= 2 or inf, got 1"):
         FreeProductPresentation((1,))
     with pytest.raises(ScenarioError):
         FreeProductPresentation((0, 2))
     assert FreeProductPresentation((2, 3, None)).num_generators == 3
     assert MIXED.num_factors == 2
+
+
+def test_presentations_and_elements_are_immutable_values():
+    with pytest.raises(AttributeError):
+        F2.factors[0].orders = (2,)
+    a = parse_group_word(F2, "g1.1^1 g1.2^-1")
+    with pytest.raises(AttributeError):
+        a.components = ()
+    twin = reduce(F2, [[(1, 1), (2, 1), (2, -2)]])
+    assert twin == a and twin is not a
+    assert hash(twin) == hash(a)
+    assert {a: "found"}[twin] == "found"
 
 
 def test_factor_word_reduction():

@@ -6,9 +6,17 @@ included, must be relative or name a module in sys.stdlib_module_names.
 pyproject.toml accordingly declares no runtime dependency.  The package
 root holds its docstring and nothing else, so every name is imported
 from the module that defines it.
+
+Every command-line run is a fresh process that pays for what
+`import tensorfree.cli` loads: that import must not pull in dataclasses
+or inspect, and it must load every module of the package, which
+perfbench/tracer.py reads from sys.modules.
 """
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -43,3 +51,16 @@ def test_the_package_root_binds_no_name():
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert ast.get_docstring(tree)
     assert len(tree.body) == 1
+
+
+def test_cli_import_is_lean_and_loads_every_module():
+    probe = "import json, sys, tensorfree.cli; print(json.dumps(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    loaded = set(json.loads(run.stdout))
+    assert not loaded & {"dataclasses", "inspect"}
+    modules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    assert {"tensorfree"} | {f"tensorfree.{name}" for name in modules} <= loaded

@@ -42,6 +42,19 @@ def test_parse_canonical_text():
     assert parse_word("  x3*  ") == parse_word("x3*")
 
 
+def test_star_words_are_immutable_values():
+    w = parse_word("x1 x2*")
+    with pytest.raises(AttributeError):
+        w.letters = ()
+    with pytest.raises(AttributeError):
+        del w.letters
+    twin = parse_word("x1  x2*")
+    assert twin == w and twin is not w
+    assert hash(twin) == hash(w)
+    assert {w: "found"}[twin] == "found"
+    assert w != w.letters
+
+
 def test_parse_rejects_empty():
     with pytest.raises(EmptyWordError):
         parse_word("")

@@ -110,6 +110,16 @@ def test_identity_factor_maps_return_the_word_itself():
     assert swapped.factor_maps == (None, {1: 2, 2: 1})
 
 
+def test_scenarios_normalize_their_assignments_and_are_read_only():
+    factors = (f2_model(), integer_model())
+    scen = TensorScenario(factors=factors, assignments={"1": [1, 1]})
+    assert scen.assignments == {1: (1, 1)}
+    assert scen == TensorScenario(factors=factors, assignments={1: (1, 1)})
+    for field in ("factors", "assignments", "factor_maps"):
+        with pytest.raises(AttributeError):
+            setattr(scen, field, None)
+
+
 # -- the class-keyed joint oracle ---------------------------------------------
 
 
