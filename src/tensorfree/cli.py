@@ -29,12 +29,17 @@ from .errors import (
     TensorFreeError,
 )
 from .freeness import Verdict, centered_product_value, test_freeness
-from .groups import group_dominating_report, is_free_collection
-from .identities import IDENTITY_CHECKS, ConclusionReport, IdentityCheck, InequalityCheck
+from .groups import (
+    GroupElement,
+    GroupWitness,
+    group_dominating_report,
+    is_free_collection,
+)
+from .identities import IDENTITY_CHECKS
 from .scenario import ScenarioFile, load_scenario
-from .scalars import fraction_from_json, scalar_json
+from .scalars import ExactComplex, fraction_from_json, scalar_json
 from .spaces import SpectralModel, check_axioms
-from .starwords import parse_word, power_word_to_star_word
+from .starwords import StarWord, parse_word, power_word_to_star_word
 from .tensor import factor_moment, factor_oracle, joint_oracle, tensor_moment
 from .tfc import (
     check_necessary_conditions,
@@ -49,17 +54,6 @@ EXIT_INVALID = 2
 EXIT_LIMITS = 3
 
 DEFAULT_BOUNDS = {"max_len": 8, "max_blocks": 4, "max_exp": 3, "gram_len": 3}
-
-# worked inputs used when an identity check gets no vectors on the line
-IDENTITY_DEFAULTS = {
-    "shifted-product": {"alpha": Fraction(2), "x": (3, 5)},
-    "interpolated-product": {"t": (Fraction(1, 2), Fraction(1, 3)), "x": (3, 4)},
-    "interpolated-product-conclusions": {"t": (1, Fraction(1, 3)), "x": (1, 5)},
-    "product-sum": {"x": (2, 1), "y": (1, 3)},
-    "product-sum-conclusions": {"x": (2, 1), "y": (1, 1)},
-    "or-product": {"x": (Fraction(1, 2), 1), "y": (Fraction(1, 3), Fraction(1, 4))},
-    "or-product-conclusions": {"x": (Fraction(1, 2), 1), "y": (Fraction(1, 3), 1)},
-}
 
 
 def _bounds(sf: ScenarioFile, args) -> dict[str, int]:
@@ -86,64 +80,56 @@ def _require(sf: ScenarioFile, kind: str):
     return model
 
 
+def _json(value):
+    """A report value in its JSON form: exact scalars as scalar_json
+    writes them, words and group witnesses and elements as their text,
+    records as the object of their fields, tuples as arrays."""
+    if isinstance(value, (ExactComplex, Fraction)):
+        return scalar_json(value)
+    if isinstance(value, (StarWord, GroupWitness, GroupElement)):
+        return value.text()
+    if isinstance(value, tuple) and hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _json(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json(item) for item in value]
+    return value
+
+
 def _verdict_json(verdict: Verdict, oracle=None) -> dict:
-    out: dict = {
-        "free": verdict.free,
-        "bound": verdict.bound,
-        "words_checked": verdict.words_checked,
-        "witness": None,
-    }
-    if verdict.witness is not None:
-        out["witness"] = verdict.witness.text()
-        out["lhs"] = scalar_json(verdict.lhs)
+    out = verdict._asdict()
+    if verdict.witness is None:
+        del out["lhs"]  # a free verdict has no lhs
+    else:
         # a witness's centered product should have been zero
         out["rhs"] = 0
         if oracle is not None:
-            out["moment"] = scalar_json(oracle(verdict.witness.letters))
+            out["moment"] = oracle(verdict.witness.letters)
     return out
 
 
-def _axioms_json(report) -> dict:
-    return {
-        "unital": report.unital,
-        "hermitian": report.hermitian,
-        "tracial": report.tracial,
-        "positive_semidefinite": report.positive_semidefinite,
-        "positive_definite": report.positive_definite,
-        "basis_size": report.basis_size,
-        "gram_len": report.gram_len,
-        # positivity is always decided exactly; the key stays because
-        # report goldens and benchmark stdout hashes pin it
-        "mode": "exact",
-        "notes": list(report.notes),
-    }
-
-
 def _tfc_json(report, oracle) -> dict:
-    violations = []
-    for v in report.violations:
-        entry = {
-            "condition": v.condition,
-            "index": v.index,
-            "word": v.word.text(),
-            "factor": v.factor,
-            "tensor_value": scalar_json(v.tensor_value),
-            "moment": scalar_json(oracle(v.word.letters)),
+    # a violation shows its word, not its pattern, and factor_value and
+    # variance only when they are set
+    violations = [
+        {
+            **{
+                field: x
+                for field, x in v._asdict().items()
+                if field != "pattern" and x is not None
+            },
+            "word": v.word,
+            "moment": oracle(v.word.letters),
         }
-        if v.factor_value is not None:
-            entry["factor_value"] = scalar_json(v.factor_value)
-        if v.variance is not None:
-            entry["variance"] = scalar_json(v.variance)
-        violations.append(entry)
+        for v in report.violations
+    ]
     return {
-        "k": report.k,
-        "bound": report.bound,
+        **report._asdict(),
         "satisfied": report.satisfied,
         "dominating": report.dominating,
-        "patterns_checked": report.patterns_checked,
         "violations": violations,
         "freeness": None if report.freeness is None else _verdict_json(report.freeness),
-        "notes": list(report.notes),
     }
 
 
@@ -174,19 +160,18 @@ def _run_moments(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     if sf.tensor is not None:
         scen = sf.tensor
         report = {
-            "word": word.text(),
-            "joint_moment": scalar_json(tensor_moment(scen, word)),
+            "word": word,
+            "joint_moment": tensor_moment(scen, word),
             "factor_moments": {
-                str(k): scalar_json(factor_moment(scen, word, k))
-                for k in range(1, scen.K + 1)
+                str(k): factor_moment(scen, word, k) for k in range(1, scen.K + 1)
             },
         }
     else:
         model = sf.collection
         report = {
-            "word": word.text(),
-            "canonical_trace_moment": scalar_json(model.moment(word)),
-            "element": model.element_of(word.letters).text(),
+            "word": word,
+            "canonical_trace_moment": model.moment(word),
+            "element": model.element_of(word.letters),
         }
     return report, EXIT_OK
 
@@ -257,13 +242,7 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     )
     star = _canonical_trace_verdict(model, bounds["max_len"])
     report: dict = {
-        "group": {
-            "free": verdict.free,
-            "witness": verdict.witness.text() if verdict.witness else None,
-            "max_blocks": verdict.max_blocks,
-            "max_exp": verdict.max_exp,
-            "words_checked": verdict.words_checked,
-        },
+        "group": verdict,
         "canonical_trace": _verdict_json(star, model.moment_letters),
     }
     if verdict.witness is not None:
@@ -275,9 +254,9 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             model.moment_letters, word.letters, {i: i for i in model.variables}
         )
         report["bridge"] = {
-            "witness_star_word": word.text(),
-            "centered_value": scalar_json(centered),
-            "moment": scalar_json(model.moment(word)),
+            "witness_star_word": word,
+            "centered_value": centered,
+            "moment": model.moment(word),
         }
     ok = verdict.free and star.free
     return report, EXIT_OK if ok else EXIT_FAILED
@@ -293,7 +272,7 @@ def _run_prop_1_6(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     )
     report = {
         "collection_free": rep.collection_free,
-        "freeness_witness": rep.freeness_witness.text() if rep.freeness_witness else None,
+        "freeness_witness": rep.freeness_witness,
         "dominating": rep.dominating,
         "component_reports": [
             {"component": k, "projections_free": free, "orders_preserved": orders}
@@ -315,19 +294,17 @@ def _run_theorem_1_8(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         "claim2": rep.claim2_holds,
         "claim3": rep.claim3_holds,
     }
-    report = {
-        "classification": rep.classification,
-        "hypotheses_met": rep.hypotheses_met,
-        "hypothesis_problems": list(rep.hypothesis_problems),
-        "non_unitary": [list(pair) for pair in rep.non_unitary],
-        "diagonal": None if rep.d_verdict is None else _verdict_json(rep.d_verdict, oracle),
-        "dominating": rep.dominating,
-        "tfc": None if rep.tfc is None else _tfc_json(rep.tfc, oracle),
-        "power_witness": None if rep.power_witness is None else list(rep.power_witness),
-        "group_like": rep.group_like,
-        "claims": claims,
-        "notes": list(rep.notes),
-    }
+    report = rep._asdict()
+    # no bound (the envelope's max_len is it), and d_verdict shows as diagonal
+    del report["bound"], report["d_verdict"]
+    verdict = rep.d_verdict
+    report.update(
+        hypotheses_met=rep.hypotheses_met,
+        diagonal=None if verdict is None else _verdict_json(verdict, oracle),
+        dominating=rep.dominating,
+        tfc=None if rep.tfc is None else _tfc_json(rep.tfc, oracle),
+        claims=claims,
+    )
     failed = any(value is False for value in claims.values())
     return report, EXIT_FAILED if failed else EXIT_OK
 
@@ -351,44 +328,24 @@ def _declared(scen) -> tuple:
 
 def _run_counterexample_k(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     scen = _require(sf, "tensor")
-    alpha = sf.alpha if sf.alpha is not None else DEFAULT_ALPHA
-    pair = biased_power_scenario(args.K, alpha)
     if scen.K != args.K:
         raise ScenarioError(
             f"scenario {sf.name!r} has {scen.K} factors, "
             f"but the command asked for K = {args.K}"
         )
-    if _declared(scen) != _declared(pair):
+    alpha = sf.alpha if sf.alpha is not None else DEFAULT_ALPHA
+    if _declared(scen) != _declared(biased_power_scenario(args.K, alpha)):
         raise ScenarioError(
             f"scenario {sf.name!r} is not the biased-power pair for "
             f"K = {args.K} and alpha {alpha}"
         )
     analysis = analyze_biased_power(args.K, alpha, bounds["max_len"])
     report = {
+        **analysis._asdict(),
         "factors": args.K,
-        "alpha": scalar_json(alpha),
+        "alpha": alpha,
         "bound": bounds["max_len"],
         "verdict": _verdict_json(analysis.verdict),
-        "scan": [
-            {
-                "block_pairs": line.block_pairs,
-                "words": line.words,
-                "violations": line.violations,
-            }
-            for line in analysis.scan
-        ],
-        "filters": [
-            {
-                "block_pairs": fc.block_pairs,
-                "noncrossing": fc.noncrossing,
-                "pure_parity": fc.pure_parity,
-                "no_even_singletons": fc.no_even_singletons,
-                "disjoint_singleton_capacity": fc.disjoint_singleton_capacity,
-                "singleton_supports": [list(s) for s in fc.singleton_supports],
-            }
-            for fc in analysis.filters
-        ],
-        "minimal_block_pairs": analysis.minimal_block_pairs,
         "block_pair_cap": BLOCK_PAIR_CAP,
         "note": (
             "a violating word needs one partition with all singleton exponents "
@@ -423,79 +380,45 @@ def _run_identities(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         raise ScenarioError(
             f"unknown identity {name!r}; choose from {sorted(IDENTITY_CHECKS)}"
         )
-    func, params = IDENTITY_CHECKS[name]
+    func, defaults = IDENTITY_CHECKS[name]
     for param in ("alpha", "t", "x", "y"):
-        if param not in params and getattr(args, param) is not None:
+        if param not in defaults and getattr(args, param) is not None:
             raise ScenarioError(
                 f"--{param}: identity {name!r} takes only "
-                + ", ".join("--" + p for p in params)
+                + ", ".join("--" + p for p in defaults)
             )
-    defaults = IDENTITY_DEFAULTS[name]
-    inputs: dict = {}
-    for param in params:
-        flag = getattr(args, param, None)
-        if flag is None:
-            inputs[param] = defaults[param]
-        else:
+    inputs = dict(defaults)
+    for param in defaults:
+        flag = getattr(args, param)
+        if flag is not None:
             inputs[param] = _parse_flag(flag, "--" + param)
     try:
         result = func(**inputs)
     except (PreconditionError, ValueError) as exc:
         raise ScenarioError(f"identity inputs rejected: {exc}") from exc
-
-    payload: dict = {"identity": name, "inputs": {}}
-    for param, value in inputs.items():
-        if param == "alpha":
-            payload["inputs"][param] = scalar_json(value)
-        else:
-            payload["inputs"][param] = [scalar_json(e) for e in value]
-    if isinstance(result, IdentityCheck):
-        payload.update(
-            {
-                "lhs": scalar_json(result.lhs),
-                "rhs": scalar_json(result.rhs),
-                "equal": result.equal,
-            }
-        )
-        ok = result.equal
-    elif isinstance(result, InequalityCheck):
-        payload.update(
-            {
-                "lhs": scalar_json(result.lhs),
-                "rhs": scalar_json(result.rhs),
-                "holds": result.holds,
-            }
-        )
-        ok = result.holds
-    else:
-        assert isinstance(result, ConclusionReport)
-        payload.update(
-            {
-                "hypothesis_lhs": scalar_json(result.hypothesis_lhs),
-                "hypothesis_rhs": scalar_json(result.hypothesis_rhs),
-                "terms": [[label, scalar_json(value)] for label, value in result.terms],
-                "all_zero": result.all_zero,
-            }
-        )
-        ok = result.all_zero
+    # every identity result ends with its verdict: equal, holds or all_zero
+    ok = result[-1]
+    payload = {"identity": name, "inputs": inputs, **result._asdict()}
     return payload, EXIT_OK if ok else EXIT_FAILED
 
 
 def _run_check_axioms(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     gram_len = bounds["gram_len"]
     if sf.tensor is not None:
-        scen = sf.tensor
-        factors = {}
-        ok = True
-        for k in range(1, scen.K + 1):
-            rep = check_axioms(scen.factors[k - 1], gram_len)
-            factors[str(k)] = _axioms_json(rep)
-            ok = ok and rep.unital and rep.hermitian and rep.tracial
-            ok = ok and rep.positive_semidefinite
-        return {"factors": factors}, EXIT_OK if ok else EXIT_FAILED
-    rep = check_axioms(sf.collection, gram_len)
-    ok = rep.unital and rep.hermitian and rep.tracial and rep.positive_semidefinite
-    return {"canonical_trace": _axioms_json(rep)}, EXIT_OK if ok else EXIT_FAILED
+        factors = enumerate(sf.tensor.factors, start=1)
+        reports = {str(k): check_axioms(f, gram_len) for k, f in factors}
+    else:
+        reports = {"canonical_trace": check_axioms(sf.collection, gram_len)}
+    ok = all(
+        r.unital and r.hermitian and r.tracial and r.positive_semidefinite
+        for r in reports.values()
+    )
+    # positivity is always decided exactly; the key stays because report
+    # goldens and benchmark stdout hashes pin it
+    report = {key: {**r._asdict(), "mode": "exact"} for key, r in reports.items()}
+    if sf.tensor is not None:
+        report = {"factors": report}
+    return report, EXIT_OK if ok else EXIT_FAILED
 
 
 _HANDLERS = {
@@ -564,7 +487,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, out_path: str | None) -> None:
-    blob = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    blob = json.dumps(_json(report), indent=2, sort_keys=True) + "\n"
     if out_path:
         try:
             with open(out_path, "w", encoding="utf-8") as handle:

@@ -218,22 +218,26 @@ def filter_counts(t: int) -> FilterCounts:
     )
 
 
-def minimal_block_pairs(K: int) -> int | None:
-    """Smallest t whose filtered partitions can serve K factors at once.
+def filter_table(K: int) -> tuple[tuple[FilterCounts, ...], int | None]:
+    """The filter rows for t = 1, 2, ... and the smallest t whose
+    filtered partitions can serve K factors at once.
 
     A violating word must keep, for every factor k, some partition all
     of whose singletons carry exponent +-k; distinct factors therefore
-    need partitions with pairwise disjoint singleton sets.  The returned
-    t is the smallest with that capacity, a necessary size bound only:
-    nothing here says a violation of that size exists.  None means the
-    capacity stays below K through BLOCK_PAIR_CAP.
+    need partitions with pairwise disjoint singleton sets.  The table
+    grows until that capacity first reaches K, and its last t is then
+    the minimal one, a necessary size bound only: nothing here says a
+    violation of that size exists.  None means the capacity stays below
+    K through BLOCK_PAIR_CAP, where the table stops.
     """
     if K < 1:
         raise ValueError("K must be positive")
+    rows: list[FilterCounts] = []
     for t in range(1, BLOCK_PAIR_CAP + 1):
-        if filter_counts(t).disjoint_singleton_capacity >= K:
-            return t
-    return None
+        rows.append(filter_counts(t))
+        if rows[-1].disjoint_singleton_capacity >= K:
+            return tuple(rows), t
+    return tuple(rows), None
 
 
 # -- full analysis ---------------------------------------------------------
@@ -259,14 +263,10 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     because each factor is a free product of unitary power-moment laws
     (TensorScenario.unitary_trace).
 
-    The filter table grows until the disjoint singleton capacity first
-    reaches K (the minimal t) or BLOCK_PAIR_CAP is hit.
+    The filter table is filter_table(K).
     """
     scenario = biased_power_scenario(K, alpha)
     verdict, scan = scan_alternating_powers(
         joint_oracle(scenario), (1, 2), max_len, scenario.gauge_moduli
     )
-    minimal = minimal_block_pairs(K)
-    last = minimal or BLOCK_PAIR_CAP
-    filters = tuple(filter_counts(t) for t in range(1, last + 1))
-    return BiasedPowerReport(verdict, scan, filters, minimal)
+    return BiasedPowerReport(verdict, scan, *filter_table(K))

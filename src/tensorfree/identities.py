@@ -194,16 +194,31 @@ def or_product_equality_conclusions(x: Sequence, y: Sequence) -> ConclusionRepor
     )
 
 
-# CLI name -> (callable, parameter names it consumes)
+# CLI name -> (callable, {parameter: worked input used when no flag gives it})
 IDENTITY_CHECKS = {
-    "shifted-product": (shifted_product_identity, ("alpha", "x")),
-    "interpolated-product": (interpolated_product_identity, ("t", "x")),
+    "shifted-product": (
+        shifted_product_identity,
+        {"alpha": Fraction(2), "x": (3, 5)},
+    ),
+    "interpolated-product": (
+        interpolated_product_identity,
+        {"t": (Fraction(1, 2), Fraction(1, 3)), "x": (3, 4)},
+    ),
     "interpolated-product-conclusions": (
         interpolated_product_conclusions,
-        ("t", "x"),
+        {"t": (1, Fraction(1, 3)), "x": (1, 5)},
     ),
-    "product-sum": (product_sum_inequality, ("x", "y")),
-    "product-sum-conclusions": (product_sum_equality_conclusions, ("x", "y")),
-    "or-product": (or_product_inequality, ("x", "y")),
-    "or-product-conclusions": (or_product_equality_conclusions, ("x", "y")),
+    "product-sum": (product_sum_inequality, {"x": (2, 1), "y": (1, 3)}),
+    "product-sum-conclusions": (
+        product_sum_equality_conclusions,
+        {"x": (2, 1), "y": (1, 1)},
+    ),
+    "or-product": (
+        or_product_inequality,
+        {"x": (Fraction(1, 2), 1), "y": (Fraction(1, 3), Fraction(1, 4))},
+    ),
+    "or-product-conclusions": (
+        or_product_equality_conclusions,
+        {"x": (Fraction(1, 2), 1), "y": (Fraction(1, 3), 1)},
+    ),
 }

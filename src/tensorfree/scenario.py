@@ -330,7 +330,11 @@ def load_scenario(path) -> ScenarioFile:
             data = json.load(handle)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file is not UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ScenarioError(f"scenario file nests too deeply: {exc}") from exc
     default_name = os.path.splitext(os.path.basename(str(path)))[0]
     return scenario_from_json(data, default_name)

@@ -210,6 +210,33 @@ def test_check_tfc_violation_report(run_cli, tmp_path):
     ]
 
 
+def test_check_tfc_condition_two_report(run_cli, scenario_path, tmp_path):
+    # an order-two generator beside the circular element of
+    # circular_dominated: condition (1) fails for x1 x1 and condition (2)
+    # for x1 x1*, whose factor 2 component has variance 1
+    with open(scenario_path("circular_dominated"), encoding="utf-8") as handle:
+        circular = json.load(handle)["factors"][0]
+    payload = {
+        "version": 1,
+        "name": "order2_circular",
+        "kind": "tensor",
+        "factors": [square_drop_payload()["factors"][1], circular],
+        "tensor": {"variables": {"1": [1, 1]}},
+    }
+    res = run_cli(
+        write_scenario(tmp_path, "order2_circular", payload),
+        "check-tfc", "--k", "1", "--max-len", "4",
+    )
+    assert res.code == 1
+    first, second = res.json()["report"]["violations"]
+    assert first["condition"] == 1
+    assert "factor_value" in first and "variance" not in first
+    assert second["condition"] == 2
+    assert second["word"] == "x1 x1*"
+    assert second["variance"] == 1
+    assert "factor_value" not in second
+
+
 def test_check_tfc_requires_a_tensor_scenario(run_cli, scenario_path):
     res = run_cli(scenario_path("free_pair_collection"), "check-tfc")
     assert res.code == 2
@@ -513,6 +540,21 @@ def test_counterexample_factor_count_must_match(run_cli, scenario_path):
     assert "has 2 factors" in res.err
 
 
+@pytest.mark.parametrize("K", [3, 10**6])
+def test_counterexample_compares_the_factor_count_first(
+    run_cli, scenario_path, monkeypatch, K
+):
+    # a wrong K is refused before the K-factor pair is built
+    def fail(*args):
+        raise AssertionError("built the biased-power pair")
+
+    monkeypatch.setattr(cli, "biased_power_scenario", fail)
+    res = run_cli(scenario_path("biased_power_k2"), "counterexample-k", K)
+    assert res.code == 2
+    assert res.out == ""
+    assert "has 2 factors" in res.err
+
+
 @pytest.mark.parametrize("alpha", [1, [3, 4], [0, 1, 1, 1]], ids=["1", "3/4", "i"])
 def test_counterexample_rejects_alpha_that_is_not_a_state(
     run_cli, tmp_path, scenario_path, alpha
@@ -743,6 +785,24 @@ def test_missing_file_and_bad_bounds(run_cli, scenario_path, tmp_path):
     res = run_cli(scenario_path("haar_dominated"), "moments", "x1", "--max-len", "0")
     assert res.code == 2
     assert "bound max_len must be positive" in res.err
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"\xff\xfe{}", "not UTF-8"),
+        (b"[" * 200_000, "nests too deeply"),
+    ],
+    ids=["not-utf8", "too-deep"],
+)
+def test_malformed_scenario_files(run_cli, tmp_path, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    res = run_cli(path, "moments", "x1")
+    assert res.code == 2
+    assert res.out == ""
+    assert res.err.startswith("error: scenario file ")
+    assert message in res.err
 
 
 def set_in(path, value):

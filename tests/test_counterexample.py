@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorfree.counterexample import (
+    BLOCK_PAIR_CAP,
     analyze_biased_power,
     biased_power_scenario,
     filter_counts,
-    minimal_block_pairs,
+    filter_table,
     scan_alternating_powers,
 )
 from tensorfree.errors import PreconditionError, ScenarioError
@@ -292,12 +293,14 @@ def test_singleton_capacity_sequence():
 
 
 def test_minimal_block_pairs():
-    assert minimal_block_pairs(1) == 2
-    assert minimal_block_pairs(2) == 4
-    assert minimal_block_pairs(3) == 6
-    assert minimal_block_pairs(4) is None  # capacity stays below 4 through t=7
+    # the table stops at the minimal t, or at the cap when there is none
+    for K, minimal in ((1, 2), (2, 4), (3, 6), (4, None)):
+        filters, found = filter_table(K)
+        assert found == minimal
+        last = minimal or BLOCK_PAIR_CAP  # capacity stays below 4 through t=7
+        assert filters == tuple(filter_counts(t) for t in range(1, last + 1))
     with pytest.raises(ValueError, match="K must be positive"):
-        minimal_block_pairs(0)
+        filter_table(0)
 
 
 def test_analysis_report_for_three_factors():
