@@ -295,8 +295,8 @@ def _run_theorem_1_8(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         "claim3": rep.claim3_holds,
     }
     report = rep._asdict()
-    # no bound (the envelope's max_len is it), and d_verdict shows as diagonal
-    del report["bound"], report["d_verdict"]
+    # d_verdict shows as diagonal
+    del report["d_verdict"]
     verdict = rep.d_verdict
     report.update(
         hypotheses_met=rep.hypotheses_met,

@@ -18,22 +18,16 @@ class LimitError(TensorFreeError):
 class EnumerationLimitError(LimitError):
     def __init__(self, what: str, requested: int, cap: int) -> None:
         super().__init__(f"{what} for n={requested} exceeds cap {cap}")
-        self.requested = requested
-        self.cap = cap
 
 
 class DimensionLimitError(LimitError):
     def __init__(self, what: str, size: int, cap: int) -> None:
         super().__init__(f"{what} needs dimension {size}, cap is {cap}")
-        self.size = size
-        self.cap = cap
 
 
 class DepthLimitError(LimitError):
     def __init__(self, what: str, size: int, cap: int) -> None:
         super().__init__(f"{what} of length {size} exceeds bound {cap}")
-        self.size = size
-        self.cap = cap
 
 
 class InsufficientMomentDataError(TensorFreeError):
@@ -47,8 +41,6 @@ class NotDirectlyEvaluable(TensorFreeError):
 class FactorNotEvaluable(TensorFreeError):
     def __init__(self, factor: int, word_text: str, reason: str) -> None:
         super().__init__(f"factor {factor} cannot evaluate '{word_text}': {reason}")
-        self.factor = factor
-        self.word_text = word_text
 
 
 class PreconditionError(TensorFreeError):

@@ -75,14 +75,10 @@ class FreeFamilySpec:
 
     def mixed_moment_letters(self, letters: LetterTuple) -> ExactComplex:
         """Joint moment of a word across the free family."""
-        letters = tuple(letters)
         if len(letters) > MIXED_MOMENT_LENGTH_CAP:
             raise DepthLimitError(
                 "mixed moment word", len(letters), MIXED_MOMENT_LENGTH_CAP
             )
-        for l in letters:
-            if l.index not in self._marginals:
-                raise ValueError(f"unknown variable x{l.index}")
         return self._eval(letters)
 
     def _eval(self, letters: LetterTuple) -> ExactComplex:

@@ -84,10 +84,6 @@ def identity(presentation: GroupPresentation) -> GroupElement:
 def reduce_factor_word(
     component: FreeProductPresentation, syllables: Sequence[Syllable]
 ) -> FactorWord:
-    n = component.num_generators
-    for j, _ in syllables:
-        if not 1 <= j <= n:
-            raise ScenarioError(f"generator g.{j} out of range")
     return merge_powers(syllables, component.generator_orders)
 
 
@@ -96,8 +92,6 @@ def reduce(
     syllables_per_component: Sequence[Sequence[Syllable]],
 ) -> GroupElement:
     """Normal form of an unreduced componentwise word."""
-    if len(syllables_per_component) != presentation.num_factors:
-        raise ScenarioError("component count does not match presentation")
     return GroupElement(
         tuple(
             reduce_factor_word(comp, sylls)
@@ -178,6 +172,8 @@ def parse_group_word(presentation: GroupPresentation, text: str) -> GroupElement
             raise ScenarioError(f"bad group token {token!r}") from None
         if not 1 <= k <= presentation.num_factors:
             raise ScenarioError(f"component {k} out of range in {token!r}")
+        if not 1 <= j <= presentation.factors[k - 1].num_generators:
+            raise ScenarioError(f"generator g{k}.{j} out of range in {token!r}")
         per_component[k - 1].append((j, exp))
     return reduce(presentation, per_component)
 

@@ -173,7 +173,8 @@ class MomentSequence:
         if not letters:
             return ONE
         if self.unitary:
-            return self.power_moment(sum(letters))
+            power = self._fold(sum(letters))
+            return ONE if power == 0 else self.values.get(power, ZERO)
         key = tuple(bool(b) for b in letters)
         if key not in self.values:
             if self.complete_through is None:
@@ -217,14 +218,6 @@ class MomentSequence:
         for shift in shifts:
             m = gcd(m, shift)
         return m
-
-    def power_moment(self, power: int) -> ExactComplex:
-        if not self.unitary:
-            raise ValueError("power_moment requires a unitary sequence")
-        power = self._fold(power)
-        if power == 0:
-            return ONE
-        return self.values.get(power, ZERO)
 
 
 def _partition_sum(

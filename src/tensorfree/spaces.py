@@ -22,8 +22,6 @@ from typing import NamedTuple, Sequence
 from . import freeness
 from .errors import (
     DimensionLimitError,
-    InsufficientMomentDataError,
-    LimitError,
     NotDirectlyEvaluable,
     ScenarioError,
 )
@@ -54,11 +52,6 @@ class MomentFunctional:
         """Normal form key used to deduplicate basis words."""
         raise NotImplementedError
 
-    def _check_vars(self, letters: LetterTuple) -> None:
-        for l in letters:
-            if l.index not in self.variables:
-                raise ScenarioError(f"unknown variable x{l.index}")
-
 
 class GroupBackedModel(MomentFunctional):
     """Base for models whose variables are elements of a presented group."""
@@ -75,7 +68,6 @@ class GroupBackedModel(MomentFunctional):
     def element_of(self, letters: LetterTuple) -> GroupElement:
         """The product of the letters' elements: each component's syllables
         are concatenated and reduced once."""
-        self._check_vars(letters)
         syllables: list[list] = [[] for _ in self.presentation.factors]
         for l in letters:
             g = self._inverses[l.index] if l.star else self.elements[l.index]
@@ -182,7 +174,6 @@ class SpectralModel(MomentFunctional):
         return seq.moment(tuple(stars))
 
     def moment_letters(self, letters: LetterTuple) -> ExactComplex:
-        self._check_vars(letters)
         if not letters:
             return ONE
         indices = {l.index for l in letters}
@@ -340,15 +331,6 @@ def check_axioms(functional: MomentFunctional, gram_len: int = 3) -> AxiomReport
     return AxiomReport(
         unital, hermitian, tracial, psd, pd, len(basis), gram_len, tuple(notes)
     )
-
-
-def ensure_faithfulness(functional: MomentFunctional) -> bool:
-    """Best-effort positive-definiteness check, at Gram length 2, backing
-    determinism claims."""
-    try:
-        return check_axioms(functional, gram_len=2).positive_definite
-    except (NotDirectlyEvaluable, InsufficientMomentDataError, LimitError):
-        return False
 
 
 def _text_of(letters: LetterTuple) -> str:

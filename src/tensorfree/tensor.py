@@ -18,6 +18,7 @@ from typing import Callable, NamedTuple
 from .errors import (
     FactorNotEvaluable,
     InsufficientMomentDataError,
+    LimitError,
     NotDirectlyEvaluable,
     ScenarioError,
 )
@@ -25,11 +26,12 @@ from .freeness import MIXED_MOMENT_LENGTH_CAP, Gauge, JointOracle
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ExactComplex, RationalLike, rational_sqrt
 from .spaces import (
+    AxiomReport,
     GroupAlgebraModel,
     GroupBackedModel,
     MomentFunctional,
     SpectralModel,
-    ensure_faithfulness,
+    check_axioms,
     variance,
 )
 from .starwords import Letter, LetterTuple, StarWord, single_variable_word
@@ -87,10 +89,19 @@ class TensorScenario(_TensorScenarioFields):
         return tuple(sorted(self.assignments))
 
     @cached_property
-    def faithful(self) -> Callable[[int], bool]:
-        """Whether factor k passes spaces.ensure_faithfulness, its
-        Gram-length-2 check; each factor is checked on first ask only."""
-        return cache(lambda k: ensure_faithfulness(self.factors[k - 1]))
+    def axioms(self) -> Callable[[int, int], AxiomReport]:
+        """axioms(k, gram_len): spaces.check_axioms of factor k at that
+        Gram length; each (factor, length) pair is checked once."""
+        return cache(lambda k, gram_len: check_axioms(self.factors[k - 1], gram_len))
+
+    def faithful(self, k: int) -> bool:
+        """Whether factor k's Gram matrix at length 2 is positive
+        definite, backing determinism claims; False when the check cannot
+        be made."""
+        try:
+            return self.axioms(k, 2).positive_definite
+        except (NotDirectlyEvaluable, InsufficientMomentDataError, LimitError):
+            return False
 
     @property
     def unitary_trace(self) -> bool:

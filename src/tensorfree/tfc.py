@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import (
     FactorNotFreeError,
@@ -22,7 +22,7 @@ from .errors import (
 )
 from .freeness import Verdict, test_freeness
 from .scalars import ExactComplex
-from .spaces import SpectralModel, check_axioms, variance
+from .spaces import SpectralModel, variance
 from .starwords import StarWord, iter_star_patterns, single_variable_word
 from .tensor import (
     TensorScenario,
@@ -101,14 +101,6 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
     Raises FactorNotFreeError when factor k's own family fails the
     bounded freeness test, which is a precondition of the definition.
     """
-    return _check_tfc(scenario, k, max_len, scenario.faithful)
-
-
-def _check_tfc(
-    scenario: TensorScenario, k: int, max_len: int, faithful: Callable[[int], bool]
-) -> TfcReport:
-    """check_tfc, reading each other factor's Gram-length-2 faithfulness
-    (TensorScenario.faithful) from faithful."""
     if not 1 <= k <= scenario.K:
         raise PreconditionError(f"factor index {k} out of range 1..{scenario.K}")
     freeness_verdict = factor_freeness_verdict(scenario, k, max_len)
@@ -119,7 +111,7 @@ def _check_tfc(
     notes = tuple(
         f"factor {l}: faithfulness unverified, determinism is variance-zero only"
         for l in others
-        if not faithful(l)
+        if not scenario.faithful(l)
     )
 
     first_1: TfcViolation | None = None
@@ -190,16 +182,15 @@ class NecessaryConditionsReport(NamedTuple):
 
     classification is one of: hypotheses_not_met, not_free_at_bound,
     one_nonunitary_factor, power_hypothesis, missing_case, or
-    claim1_violated.  Every one of them holds at the report's bound only:
-    claim1_violated says that the diagonal family tested free through the
-    bound although two factors hold non-unitary components, which either
-    a witness beyond the bound or a fault in this package explains.
+    claim1_violated.  Every one of them holds at the max_len of the check
+    only: claim1_violated says that the diagonal family tested free
+    through max_len although two factors hold non-unitary components,
+    which either a witness beyond it or a fault in this package explains.
 
     The claims and the dominating factor follow from the classification
     and the TFC report, so they are derived rather than stored.
     """
 
-    bound: int
     classification: str
     hypothesis_problems: tuple[str, ...]
     notes: tuple[str, ...]
@@ -266,15 +257,11 @@ def check_necessary_conditions(
     """
     problems = scalar_component_check(scenario)
     if problems:
-        return NecessaryConditionsReport(
-            max_len, "hypotheses_not_met", tuple(problems), ()
-        )
+        return NecessaryConditionsReport("hypotheses_not_met", tuple(problems), ())
 
     normalized = normalized_scenario(scenario)
     factors = range(1, normalized.K + 1)
     notes: list[str] = []
-    # factors the check below shows faithful at Gram length 2
-    definite: set[int] = set()
     for k in factors:
         verdict = factor_freeness_verdict(normalized, k, max_len)
         if verdict is not None and not verdict.free:
@@ -284,7 +271,7 @@ def check_necessary_conditions(
                 f"(witness {witness})"
             )
         try:
-            axioms = check_axioms(normalized.factors[k - 1], gram_len=gram_len)
+            axioms = normalized.axioms(k, gram_len)
         except (NotDirectlyEvaluable, InsufficientMomentDataError) as exc:
             problems.append(f"factor {k} axioms not checkable: {exc}")
             continue
@@ -296,14 +283,9 @@ def check_necessary_conditions(
             notes.append(
                 f"factor {k}: faithfulness unverified at gram length {gram_len}"
             )
-        # the Gram basis through length 2 leads every longer one (spaces.
-        # gram_basis), so a Gram matrix definite at gram_len >= 2 is so on
-        # it too, and TensorScenario.faithful need not check k again
-        if gram_len >= 2 and axioms.positive_definite:
-            definite.add(k)
     if problems:
         return NecessaryConditionsReport(
-            max_len, "hypotheses_not_met", tuple(problems), tuple(notes)
+            "hypotheses_not_met", tuple(problems), tuple(notes)
         )
 
     # unitary iff the fourth moment of a normalized component is one
@@ -328,7 +310,6 @@ def check_necessary_conditions(
 
     def report(classification: str, *extra_notes: str, **found):
         return NecessaryConditionsReport(
-            max_len,
             classification,
             (),
             tuple(notes) + extra_notes,
@@ -366,12 +347,7 @@ def check_necessary_conditions(
         k0 = non_unitary_factors[0] if non_unitary_factors else power_witness[0]
         return report(
             "one_nonunitary_factor" if non_unitary_factors else "power_hypothesis",
-            tfc=_check_tfc(
-                normalized,
-                k0,
-                max_len,
-                lambda l: l in definite or normalized.faithful(l),
-            ),
+            tfc=check_tfc(normalized, k0, max_len),
             power_witness=power_witness,
         )
 

@@ -1026,6 +1026,20 @@ def test_element_keys_must_not_collide(run_cli, scenario_path, tmp_path, scenari
     assert field in res.err
 
 
+def test_table_keys_name_generators_of_the_presentation(run_cli, scenario_path, tmp_path):
+    # the table's one component has two generators, so g1.3 names none
+    with open(scenario_path("free_without_dominating"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    payload["factors"][0]["table"]["g1.3^1"] = [1, 10]
+    res = run_cli(write_scenario(tmp_path, "strict", payload), "moments", "x1")
+    assert res.code == 2
+    assert res.out == ""
+    assert res.err.splitlines() == [
+        "error: factors[1].table['g1.3^1']: "
+        "generator g1.3 out of range in 'g1.3^1'"
+    ]
+
+
 @pytest.mark.parametrize(
     "error, code",
     [

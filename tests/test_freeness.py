@@ -140,8 +140,6 @@ def test_expansion_and_cumulant_routes_agree(seed):
 
 def test_engine_guards():
     spec = FreeFamilySpec({1: mean_square_table(Fraction(0)).moment})
-    with pytest.raises(ValueError, match="x9"):
-        spec.mixed_moment_letters((Letter(9, False),))
     too_long = tuple(Letter(1 + i % 2, False) for i in range(17))
     with pytest.raises(DepthLimitError):
         spec.mixed_moment_letters(too_long)

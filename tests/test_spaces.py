@@ -65,12 +65,6 @@ def test_group_model_star_is_group_inverse():
     assert model.reduced_key(word("x1 x1*").letters) == identity(F2)
 
 
-def test_unknown_variable_rejected():
-    model = f2_trace()
-    with pytest.raises(ScenarioError, match="x9"):
-        model.moment(word("x9"))
-
-
 def test_table_functional_values():
     model = beta_table(Fraction(1, 10))
     assert model.moment(word("x1 x2")) == Fraction(1, 10)

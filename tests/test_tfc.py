@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tensorfree import spaces, tfc
+from tensorfree import spaces, tensor
 from tensorfree.errors import FactorNotFreeError, PreconditionError
 from tensorfree.freeness import centered_product_value
 from tensorfree.groups import (
@@ -21,7 +21,6 @@ from tensorfree.spaces import (
     SpectralModel,
     TableFunctional,
     check_axioms,
-    ensure_faithfulness,
 )
 from tensorfree.starwords import parse_word as word
 from tensorfree.tensor import (
@@ -185,16 +184,20 @@ def test_find_dominating_accepts_the_circular_factor(bundled):
     assert search.dominating == 1
 
 
-def test_find_dominating_checks_each_factor_faithfulness_once(bundled, monkeypatch):
+def counted_axiom_checks(monkeypatch):
+    """The Gram length of every axiom check from here on, in call order."""
     calls = []
 
     def counting(functional, gram_len=3):
         calls.append(gram_len)
         return check_axioms(functional, gram_len)
 
-    # the check runs through spaces; tfc's own name is counted too
-    monkeypatch.setattr(spaces, "check_axioms", counting)
-    monkeypatch.setattr(tfc, "check_axioms", counting)
+    monkeypatch.setattr(tensor, "check_axioms", counting)
+    return calls
+
+
+def test_find_dominating_checks_each_factor_faithfulness_once(bundled, monkeypatch):
+    calls = counted_axiom_checks(monkeypatch)
     search = find_dominating(bundled("biased_power_k3").tensor, 4)
     assert sorted(search.reports) == [1, 2, 3]
     assert all(r.notes == () for r in search.reports.values())
@@ -215,34 +218,42 @@ def test_the_length_2_gram_basis_leads_every_longer_one(bundled, name):
 
 @pytest.mark.parametrize("name", ["circular_dominated", "biased_unitary"])
 def test_theorem_1_8_checks_each_factor_axioms_once(bundled, monkeypatch, name):
-    calls = []
-
-    def counting(functional, gram_len=3):
-        calls.append(gram_len)
-        return check_axioms(functional, gram_len)
-
-    monkeypatch.setattr(spaces, "check_axioms", counting)
-    monkeypatch.setattr(tfc, "check_axioms", counting)
+    calls = counted_axiom_checks(monkeypatch)
     report = check_necessary_conditions(bundled(name).tensor, 4, 2)
     assert report.tfc is not None and report.tfc.notes == ()
     # one hypothesis check per factor; check_tfc's faithfulness check on
-    # the other factor is implied by it and does not run again
+    # the other factor is the same check, read from the scenario's cache
     assert calls == [2, 2]
 
 
-# -- faithfulness helper ----------------------------------------------------
+@pytest.mark.parametrize("name", ["circular_dominated", "biased_unitary"])
+def test_theorem_1_8_at_gram_length_3_checks_the_other_factor_at_2(
+    bundled, monkeypatch, name
+):
+    calls = counted_axiom_checks(monkeypatch)
+    report = check_necessary_conditions(bundled(name).tensor, 4, 3)
+    assert report.tfc is not None and report.tfc.notes == ()
+    # the faithfulness check of the factor other than the TFC's candidate
+    # is a Gram-length-2 check of its own
+    assert calls == [3, 3, 2]
 
 
-def test_ensure_faithfulness():
-    assert ensure_faithfulness(integer_model())
+# -- faithfulness ------------------------------------------------------------
 
+
+def test_scenario_faithfulness():
     g = parse_group_word(F2, "g1.1^1")
     h = parse_group_word(F2, "g1.2^1")
     degenerate = TableFunctional(F2, {1: g, 2: h}, {multiply(F2, g, h): 1})
-    assert not ensure_faithfulness(degenerate)
-
     short = SpectralModel({1: MomentSequence({(False,): 0}, complete_through=1)})
-    assert not ensure_faithfulness(short)
+    scen = TensorScenario(
+        factors=(integer_model(), degenerate, short), assignments={1: (1, 1, 1)}
+    )
+    assert scen.faithful(1)
+    # a Gram matrix that is semidefinite only
+    assert not scen.faithful(2)
+    # a table too short for the length-2 Gram matrix cannot be checked
+    assert not scen.faithful(3)
 
 
 def test_unverified_faithfulness_is_noted():
