@@ -182,7 +182,12 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         scen = sf.tensor
         oracle = joint_oracle(scen)
         diagonal = test_freeness(
-            oracle, scen.indices, max_len, scen.unitary_indices, scen.gauge_moduli
+            oracle,
+            scen.indices,
+            max_len,
+            scen.unitary_indices,
+            scen.gauge_moduli,
+            scen.unitary_trace,
         )
         factors: dict = {}
         for k in range(1, scen.K + 1):

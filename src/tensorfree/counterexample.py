@@ -17,16 +17,23 @@ length, of any word that could witness non-freeness.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import PreconditionError, ScenarioError
-from .freeness import Gauge, JointOracle, Verdict, switching_words
+from .errors import DepthLimitError, PreconditionError, ScenarioError
+from .freeness import (
+    MIXED_MOMENT_LENGTH_CAP,
+    Gauge,
+    JointOracle,
+    Verdict,
+    switching_words,
+)
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
 from .scalars import as_scalar
 from .spaces import SpectralModel
-from .starwords import power_word_to_star_word
+from .starwords import LetterTuple, iter_letters, power_word_to_star_word
 from .tensor import TensorScenario, joint_oracle
 
 # alpha of the biased-power scenario when none is given
@@ -93,7 +100,10 @@ def reduced_word_count(n: int, length: int, runs: int) -> int:
 
 
 def scan_alternating_powers(
-    joint: JointOracle, variables: Sequence[int], max_len: int = 8, gauge: Gauge = ()
+    joint: JointOracle,
+    variables: Sequence[int],
+    max_len: int = 8,
+    gauge: Gauge = (),
 ) -> tuple[Verdict, tuple[PowerScanLine, ...]]:
     """Exhaustive freeness scan over reduced alternating power words.
 
@@ -109,12 +119,22 @@ def scan_alternating_powers(
     freeness.switching_words with every variable unitary walks the
     reduced words that use two variables, the star forms of the reduced
     alternating power words, and keep the gauge constraints
-    (TensorScenario.gauge_moduli); joint is asked about each of them,
-    and every other word has moment zero.
-    analyze_biased_power passes the biased-power scenario's
-    joint_oracle; that scenario is a trace of unitaries by construction,
-    so the oracle evaluates one word per tracial class
-    (tensor._tracial_classes).  The scan itself does not rely on that.
+    (TensorScenario.gauge_moduli); every other word has moment zero.
+
+    joint must be a Hermitian trace of unitaries, as analyze_biased_power's
+    scenario is by construction (TensorScenario.unitary_trace) and a
+    group algebra under its canonical trace is.  Then a word's moment is
+    a function of its class under rotation and adjoint reversal
+    (conjugated on the adjoint side), at every length, and joint is asked
+    once per bracelet (switching_words with trace): a violating rep adds
+    each distinct rotation of itself and of its adjoint reversal, every
+    one of them kept, to its own run count's tally.  The kept words that
+    are not cyclically reduced are the reduced l c l*, whose moment is
+    that of c; so the violating ones of each length are those with c
+    among the violations two letters shorter, counted without a call to
+    joint.  The witness is the first violating rep: at the first
+    violating length every violating word is cyclically reduced, and a
+    rep is the least word of its class.
     """
     for v in variables:
         for e in range(1, max_len):
@@ -133,14 +153,31 @@ def scan_alternating_powers(
             if words:
                 tallies.setdefault((runs + 1) // 2, [0, 0])[0] += words
     first = None
-    for word in switching_words(variables, max_len, variables, gauge):
+    # per length, the violating words counted by (first letter, last
+    # letter, run count): all that growing l c l* and the tallies read
+    violating: dict[int, Counter] = {}
+    for word in switching_words(variables, max_len, variables, gauge, True):
         letters = word.letters
         value = joint(letters)
         if not value.is_zero():
-            runs = 1 + sum(a.index != b.index for a, b in zip(letters, letters[1:]))
-            tallies[(runs + 1) // 2][1] += 1
+            size = len(letters)
+            adjoint = tuple(l.adjoint() for l in reversed(letters))
+            orbit = {w[i:] + w[:i] for w in (letters, adjoint) for i in range(size)}
+            found = violating.setdefault(size, Counter())
+            found.update((w[0], w[-1], _run_count(w)) for w in orbit)
             if first is None:
                 first = word, value
+    alphabet = iter_letters(variables)
+    for length in range(4, max_len + 1):
+        found = violating.setdefault(length, Counter())
+        for (head, tail, runs), count in violating.get(length - 2, {}).items():
+            for l in alphabet:
+                if head != l.adjoint() and tail != l:
+                    more = (l.index != head.index) + (l.index != tail.index)
+                    found[l, l.adjoint(), runs + more] += count
+    for found in violating.values():
+        for (_, _, runs), count in found.items():
+            tallies[(runs + 1) // 2][1] += count
     scan = tuple(
         PowerScanLine(pairs, words, bad)
         for pairs, (words, bad) in sorted(tallies.items())
@@ -148,6 +185,11 @@ def scan_alternating_powers(
     checked = sum(line.words for line in scan)
     witness, value = first or (None, None)
     return Verdict(witness is None, witness, value, max_len, checked), scan
+
+
+def _run_count(letters: LetterTuple) -> int:
+    """The maximal one-variable runs of a word's letters."""
+    return 1 + sum(a.index != b.index for a, b in zip(letters, letters[1:]))
 
 
 # -- cumulant support filters ---------------------------------------------
@@ -259,13 +301,25 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     gauge_moduli: factor k's a_k has nonzero powers +-k only, and each
     u_k is Haar); every other word has moment zero and is counted in
     closed form.
-    joint_oracle evaluates the tensor product once per tracial class,
-    because each factor is a free product of unitary power-moment laws
+    The scan evaluates one word per bracelet (scan_alternating_powers),
+    because each factor is a free product of unitary
+    power-moment laws, a Hermitian trace of unitaries by construction
     (TensorScenario.unitary_trace).
+
+    Past MIXED_MOMENT_LENGTH_CAP the free engine refuses every mixed
+    word, and the scan would reach one only after every shorter length,
+    so the depth limit is raised before the scan, with the message the
+    first such word would give.  The scan's Haar-type check that it
+    skips cannot fail here: every factor gives x2 Haar, and the power n
+    of x1 needs n = k in every factor k at once.
 
     The filter table is filter_table(K).
     """
     scenario = biased_power_scenario(K, alpha)
+    if max_len > MIXED_MOMENT_LENGTH_CAP:
+        raise DepthLimitError(
+            "mixed moment word", MIXED_MOMENT_LENGTH_CAP + 1, MIXED_MOMENT_LENGTH_CAP
+        )
     verdict, scan = scan_alternating_powers(
         joint_oracle(scenario), (1, 2), max_len, scenario.gauge_moduli
     )

@@ -34,6 +34,7 @@ from .starwords import (
     class_blocks,
     iter_letters,
     iter_words,
+    text_ordered_letters,
 )
 
 MIXED_MOMENT_LENGTH_CAP = 16
@@ -282,13 +283,39 @@ def scan_graph(
 
 
 def switching_words(
-    indices: Collection[int], max_len: int, unitary: Collection[int], gauge: Gauge
+    indices: Collection[int],
+    max_len: int,
+    unitary: Collection[int],
+    gauge: Gauge,
+    trace: bool = False,
 ) -> Iterator[StarWord]:
     """The words of 2..max_len letters that scan_graph keeps, in (length,
-    text) order."""
+    text) order.
+
+    With trace, one word per bracelet: the necklace walk
+    (starwords.iter_necklaces) yields the kept words least among their
+    rotations in text order, and of those this keeps the ones that are
+    cyclically reduced (not a letter l of an index in unitary first and
+    l* last) and no greater than the least rotation of their adjoint
+    reversal.  A cyclically reduced word's rotations and adjoint
+    reversals keep every rule of scan_graph with it, so each class of
+    kept, cyclically reduced words under rotation and adjoint reversal
+    yields exactly its least word.
+    """
+    rank = {l: r for r, l in enumerate(text_ordered_letters(indices))}
+
+    def least_in_bracelet(word: StarWord) -> bool:
+        letters = word.letters
+        if letters[0].index in unitary and letters[-1] == letters[0].adjoint():
+            return False
+        own = [rank[l] for l in letters]
+        adjoint = [rank[l.adjoint()] for l in reversed(letters)]
+        return all(own <= adjoint[i:] + adjoint[:i] for i in range(len(own)))
+
     for length in range(2, max_len + 1):
         graph = scan_graph(gauge, indices, length, unitary)
-        yield from iter_words(indices, length, graph)
+        words = iter_words(indices, length, graph, trace)
+        yield from filter(least_in_bracelet, words) if trace else words
 
 
 def _switching_rank(indices: Collection[int], letters: LetterTuple) -> int:
@@ -296,7 +323,7 @@ def _switching_rank(indices: Collection[int], letters: LetterTuple) -> int:
     in text order that use at least two indices: per position j and
     smaller letter c there, the (2n)^r words that follow letters[:j] + c,
     less the 2^r of them in one index when letters[:j] + c is in one."""
-    alphabet = sorted(iter_letters(indices), key=Letter.text)
+    alphabet = text_ordered_letters(indices)
     rank = 1
     for j, letter in enumerate(letters):
         r = len(letters) - 1 - j
@@ -312,6 +339,7 @@ def test_freeness(
     max_len: int = 8,
     unitary: Collection[int] = (),
     gauge: Gauge = (),
+    trace: bool = False,
 ) -> Verdict:
     """Bounded star-freeness of the variables with the given indices
     under a joint functional.
@@ -335,12 +363,26 @@ def test_freeness(
       word of nonzero moment keeps: the rotation symmetries of a tensor
       scenario (TensorScenario.gauge_moduli) or the abelianization of a
       group algebra under the canonical trace (GroupAlgebraModel.gauge).
+    * trace declares joint a Hermitian trace by the caller's structure
+      (TensorScenario.unitary_trace); the scan then evaluates one word
+      per bracelet (switching_words with trace).  This is exact.  While
+      every shorter centered product vanishes, a word whose first and
+      last blocks share an index centers as its rotation that merges
+      them, and a word of two blocks or more keeps its centered value
+      under rotation by whole blocks (the trace property), so the value
+      is a function of the necklace; a word l ... l* of a unitary l
+      rotates into a word with l* l inside and centers to zero; and the
+      adjoint reversal's value is the conjugate (Hermitian symmetry).
+      So at the first length with a nonzero value the violating words
+      are whole classes, each class's least word is the rep the walk
+      yields, and the first violating rep is the witness of the full
+      scan; at every shorter length the reps' zeros are every word's.
     """
     class_of = {i: i for i in indices}
     n = len(class_of)
     oracle = _memoized(joint)
     shorter = lambda length: sum((2 * n) ** L - n * 2**L for L in range(2, length))
-    for word in switching_words(class_of, max_len, unitary, gauge):
+    for word in switching_words(class_of, max_len, unitary, gauge, trace):
         value = centered_product_value(oracle, word.letters, class_of)
         if not value.is_zero():
             checked = shorter(len(word)) + _switching_rank(class_of, word.letters)

@@ -6,8 +6,9 @@ Power words are the unitary reductions: adjacent letters with equal index
 merge into signed exponents and zero exponents cancel.  merge_powers is
 the one stack-merge reducer behind every normal form in the package,
 iter_sequences the one lazy walker behind every bounded word scan (it
-follows a graph of the items allowed after each prefix), and parse_int
-the one reader of integer text in words, group tokens and scenario keys.
+follows a graph of the items allowed after each prefix), iter_necklaces
+its twin that yields only least rotations, and parse_int the one reader
+of integer text in words, group tokens and scenario keys.
 """
 
 from __future__ import annotations
@@ -220,18 +221,68 @@ def iter_sequences(
         yield from extend((), graph, length)
 
 
+def iter_necklaces(
+    alphabet: Iterable[T], length: int, graph: Mapping[T, Mapping]
+) -> Iterator[tuple[T, ...]]:
+    """The tuples iter_sequences yields that are least among their
+    rotations in lexicographic order of alphabet positions (necklaces),
+    lazily, in the same order.
+
+    The Fredricksen-Kessler-Maiorana walk (Ruskey, Savage and Wang,
+    J. Algorithms 13, 1992): every prefix of a necklace is a prenecklace,
+    a prefix a_1..a_t that is a prefix of some necklace.  With p the
+    prefix's period (the length of its longest Lyndon prefix), the next
+    item a_(t+1) must be no earlier than a_(t+1-p); an equal one keeps
+    the period and a later one makes it t+1.  A prenecklace of length n
+    is a necklace exactly when p divides n.  The walk follows graph as
+    iter_sequences does, so it offers the items both allow.
+    """
+    items = tuple(alphabet)
+    rank = {item: r for r, item in enumerate(items)}
+
+    def extend(prefix: tuple[T, ...], node, period: int) -> Iterator[tuple[T, ...]]:
+        t = len(prefix)
+        least = rank[prefix[t - period]] if t else 0
+        for r in range(least, len(items)):
+            item = items[r]
+            after = node.get(item)
+            if after is None:
+                continue
+            p = period if t and r == least else t + 1
+            if t + 1 < length:
+                yield from extend(prefix + (item,), after, p)
+            elif length % p == 0:
+                yield prefix + (item,)
+
+    if length > 0:
+        yield from extend((), graph, 0)
+
+
+def text_ordered_letters(indices: Iterable[int]) -> list[Letter]:
+    """All letters over the given variable indices, sorted by their text:
+    the order iter_words walks them in."""
+    return sorted(iter_letters(indices), key=Letter.text)
+
+
 def iter_words(
-    indices: Iterable[int], length: int, graph: Mapping[Letter, Mapping] | None = None
+    indices: Iterable[int],
+    length: int,
+    graph: Mapping[Letter, Mapping] | None = None,
+    necklaces: bool = False,
 ) -> Iterator[StarWord]:
     """All words of exactly the given length, sorted by canonical text;
-    with graph, those whose letters iter_sequences follows through it.
+    with graph, those whose letters iter_sequences follows through it;
+    with necklaces and graph, only those least among their rotations in
+    that order (iter_necklaces).
 
     Walking the letters in text order gives exactly the text order of
     the words, indices >= 10 included: when one letter's text is a
     prefix of another's (x1 of x1* or x10), the shorter letter is
     followed by a space, which sorts before '*' and before digits.
     """
-    letters = sorted(iter_letters(indices), key=Letter.text)
+    letters = text_ordered_letters(indices)
+    if necklaces:
+        return map(StarWord, iter_necklaces(letters, length, graph))
     return map(StarWord, iter_sequences(letters, length, graph))
 
 

@@ -5,8 +5,9 @@ joint variable is the elementary tensor of its components.  The joint
 functional is never materialized: the moment of a word factorizes as
 the product over factors of the same word evaluated on the components,
 and that product is all this module computes.  When every factor is a
-trace of unitaries by construction, the joint oracle evaluates that
-product once per tracial class of words.
+trace of unitaries by construction (TensorScenario.unitary_trace), the
+diagonal scans evaluate it on one word per bracelet, the class of a
+word under rotation and adjoint reversal (freeness.switching_words).
 """
 
 from __future__ import annotations
@@ -114,7 +115,9 @@ class TensorScenario(_TensorScenarioFields):
         product of unitary power-moment laws, each Hermitian by
         construction.  Nothing else does, table functionals included,
         and no axiom check is consulted.  The tensor product of such
-        factors is again a Hermitian trace of unitaries.
+        factors is again a Hermitian trace of unitaries, so the diagonal
+        scans may walk one word per bracelet (freeness.test_freeness with
+        trace).
         """
         return all(
             isinstance(f, GroupAlgebraModel)
@@ -259,70 +262,10 @@ def tensor_moment(scenario: TensorScenario, word: StarWord) -> ExactComplex:
 
 
 def joint_oracle(scenario: TensorScenario) -> JointOracle:
-    """The joint moment of a letter tuple, as a callable.
-
-    When the scenario is a unitary trace by construction (see
-    TensorScenario.unitary_trace), the oracle evaluates the tensor
-    product once per tracial class of words; otherwise once per call.
-    """
+    """The joint moment of a letter tuple, as a callable."""
 
     def oracle(letters: LetterTuple) -> ExactComplex:
         return tensor_moment(scenario, StarWord(tuple(letters)))
-
-    return _tracial_classes(oracle) if scenario.unitary_trace else oracle
-
-
-def _least_rotation(word: LetterTuple) -> LetterTuple:
-    n = len(word)
-    ring = word + word
-    return min([ring[i : i + n] for i in range(n)])
-
-
-class _Adjoints(dict):
-    """Letter -> its adjoint, filled on first use; a plain dict lookup
-    keeps the per-word class key cheap beside the walk."""
-
-    def __missing__(self, letter: Letter) -> Letter:
-        flipped = self[letter] = letter.adjoint()
-        return flipped
-
-
-def _tracial_classes(joint: JointOracle) -> JointOracle:
-    """joint, evaluated once per tracial class of words.
-
-    The class key of a word is found in three steps: cyclically reduce
-    it (drop first/last letter pairs l ... l*), take the least rotation
-    of the core and the least rotation of its adjoint reversal, and
-    keep the smaller.  When the adjoint side wins, the stored value is
-    conjugated.  Words with the same key have equal values, or
-    conjugate ones, when these three identities hold:
-
-    * phi is a trace, phi(ab) = phi(ba), so rotation keeps the value;
-    * every letter is unitary, x x* = x* x = 1, so with the trace
-      phi(l c l*) = phi(c l* l) = phi(c);
-    * phi is Hermitian, phi(w*) = conj(phi(w)).
-
-    Nothing here checks them.  joint_oracle wraps a scenario's oracle
-    only when TensorScenario.unitary_trace reads them off the factors'
-    declared structure; every biased-power scenario qualifies.  A word
-    whose core is empty goes to joint unchanged.
-    """
-    values: dict[LetterTuple, ExactComplex] = {}
-    flip = _Adjoints()
-
-    def oracle(letters: LetterTuple) -> ExactComplex:
-        core = tuple(letters)
-        while len(core) > 1 and core[0] == flip[core[-1]]:
-            core = core[1:-1]
-        if not core:
-            return joint(letters)
-        own = _least_rotation(core)
-        adjoint = _least_rotation(tuple(map(flip.__getitem__, reversed(core))))
-        key = min(own, adjoint)
-        value = values.get(key)
-        if value is None:
-            value = values[key] = joint(key)
-        return value if key == own else value.conjugate()
 
     return oracle
 

@@ -306,6 +306,7 @@ def check_necessary_conditions(
         max_len,
         normalized.unitary_indices,
         normalized.gauge_moduli,
+        normalized.unitary_trace,
     )
 
     def report(classification: str, *extra_notes: str, **found):

@@ -1,7 +1,8 @@
 """Hypothesis strategies for small valid scenarios: moment sequences and
-spectral factors, and group algebras of free products of cyclic groups
-under the canonical trace or a table of values; and the gauge and
-reduced-word rules evaluated word by word, the twins of the scans'
+spectral factors, group algebras of free products of cyclic groups
+under the canonical trace or a table of values, and tensor scenarios
+that are Hermitian traces of unitaries by construction; and the gauge
+and reduced-word rules evaluated word by word, the twins of the scans'
 pruned walk."""
 
 from pathlib import Path
@@ -21,6 +22,7 @@ from tensorfree.scalars import ExactComplex
 from tensorfree.scenario import load_scenario
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel, TableFunctional
 from tensorfree.starwords import iter_words
+from tensorfree.tensor import TensorScenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -153,6 +155,55 @@ def table_functionals(draw) -> TableFunctional:
         if not g.is_identity() and inverse(presentation, g) not in table:
             table[g] = ExactComplex(draw(RATIONALS))
     return TableFunctional(presentation, elements, table)
+
+
+# -- tensor scenarios that are unitary traces ------------------------------------
+
+HAAR = MomentSequence({}, unitary=True)
+
+
+@st.composite
+def free_unitary_factors(draw, haar=()) -> SpectralModel:
+    """An assume_free factor of two unitaries, Haar for the variables in
+    haar and unitary_sequences() for the others."""
+    return SpectralModel(
+        {v: HAAR if v in haar else draw(unitary_sequences()) for v in (1, 2)},
+        assume_free=True,
+    )
+
+
+@st.composite
+def unitary_trace_scenarios(draw) -> TensorScenario:
+    """One or two factors, each free unitaries or a group algebra under the
+    canonical trace, so TensorScenario.unitary_trace holds; per factor,
+    joint variables 1 and 2 take the components (1, 2), (2, 1) or a
+    shared (1, 1) or (2, 2)."""
+    factor = st.one_of(free_unitary_factors(), group_algebras())
+    factors = draw(st.lists(factor, min_size=1, max_size=2))
+    pairs = [draw(st.sampled_from([(1, 2), (2, 1), (1, 1), (2, 2)])) for _ in factors]
+    return TensorScenario(
+        factors=tuple(factors),
+        assignments={i: tuple(pair[i - 1] for pair in pairs) for i in (1, 2)},
+    )
+
+
+@st.composite
+def haar_type_scenarios(draw) -> TensorScenario:
+    """K = 2 or 3 factors of free unitaries joined diagonally, and at times
+    a group algebra as one more factor.  Each joint variable has a Haar
+    component in one of the free factors, so every single power has
+    moment zero, as the power-word scan requires."""
+    K = draw(st.sampled_from([2, 3]))
+    haar_in = {v: draw(st.integers(0, K - 1)) for v in (1, 2)}
+    factors = [
+        draw(free_unitary_factors({v for v in (1, 2) if haar_in[v] == k}))
+        for k in range(K)
+    ]
+    factors += draw(st.lists(group_algebras(), max_size=1))
+    return TensorScenario(
+        factors=tuple(factors),
+        assignments={v: (v,) * len(factors) for v in (1, 2)},
+    )
 
 
 def breaks_by_hand(letters, gauge) -> bool:

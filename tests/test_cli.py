@@ -534,6 +534,18 @@ def test_counterexample_scan(run_cli, scenario_path):
     assert body["filters"][-1]["disjoint_singleton_capacity"] == 2
 
 
+def test_counterexample_past_the_depth_cap_exits_before_the_scan(
+    run_cli, scenario_path
+):
+    # the scan would reach its first length-17 word after every shorter one
+    res = run_cli(
+        scenario_path("biased_power_k2"), "counterexample-k", "2", "--max-len", "17"
+    )
+    assert res.code == 3
+    assert res.out == ""
+    assert res.err == "error: mixed moment word of length 17 exceeds bound 16\n"
+
+
 def test_counterexample_factor_count_must_match(run_cli, scenario_path):
     res = run_cli(scenario_path("biased_power_k2"), "counterexample-k", "3")
     assert res.code == 2

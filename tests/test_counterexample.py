@@ -1,23 +1,33 @@
 """Biased-power family: scenario guards, the alternating power scan and
-its tracial class quotient, and the cumulant support filter table with
-its block pair bound."""
+its walk of one word per bracelet against the plain walk, and the
+cumulant support filter table with its block pair bound."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tensorfree import counterexample
 from tensorfree.counterexample import (
     BLOCK_PAIR_CAP,
+    PowerScanLine,
     analyze_biased_power,
     biased_power_scenario,
     filter_counts,
     filter_table,
+    reduced_word_count,
     scan_alternating_powers,
 )
-from tensorfree.errors import PreconditionError, ScenarioError
-from tensorfree.freeness import FreeFamilySpec, mixed_moment_by_cumulants
+from tensorfree.errors import DepthLimitError, PreconditionError, ScenarioError
+from tensorfree.freeness import (
+    MIXED_MOMENT_LENGTH_CAP,
+    FreeFamilySpec,
+    Verdict,
+    mixed_moment_by_cumulants,
+    switching_words,
+)
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -28,16 +38,14 @@ from tensorfree.scalars import ONE, ExactComplex
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel, check_axioms
 from tensorfree.starwords import (
     StarWord,
+    class_blocks,
     iter_letters,
     iter_sequences,
     parse_word as word,
 )
-from tensorfree.tensor import (
-    TensorScenario,
-    _tracial_classes,
-    joint_oracle,
-    tensor_moment,
-)
+from tensorfree.tensor import TensorScenario, joint_oracle, tensor_moment
+
+from strategies import haar_type_scenarios
 
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
 
@@ -145,10 +153,10 @@ def test_k2_length_10_witness(scanned_words):
     assert per_factor == [Fraction(1, 100), Fraction(1, 1000)]
 
 
-# -- the tracial class quotient ---------------------------------------------
+# -- the bracelet scan ------------------------------------------------------------
 
 # nonreal, non-Haar power moments: values are nonzero and nonreal, so
-# the conjugating branch of the class lookup is exercised
+# the conjugation under adjoint reversal is exercised
 NONREAL_MOMENTS = {
     1: {1: Fraction(1, 2), 2: Fraction(1, 3)},
     2: {1: ExactComplex(Fraction(1, 5), Fraction(1, 7)), 3: Fraction(1, 4)},
@@ -163,34 +171,70 @@ def one_factor(model) -> TensorScenario:
 
 
 def plain_oracle(scenario: TensorScenario):
-    """The joint moment of every word evaluated on its own, with no
-    class quotient."""
+    """The joint moment of every word evaluated on its own."""
     return lambda letters: tensor_moment(scenario, StarWord(tuple(letters)))
 
 
-def assert_classes_match(make, max_len):
-    """The class-keyed joint oracle gives the plain tensor moment on
-    every word, reduced or not; each side gets a fresh model, so no
-    memo is shared.  Returns how many of the values were nonreal."""
-    plain = plain_oracle(one_factor(make()))
+def plain_power_scan(joint, max_len, gauge):
+    """scan_alternating_powers on variables 1 and 2, word by word: joint
+    is asked about every word switching_words keeps, and each tally line
+    counts its words in closed form."""
+    tallies = {}
+    for total in range(2, max_len + 1):
+        for runs in range(2, total + 1):
+            line = tallies.setdefault((runs + 1) // 2, [0, 0])
+            line[0] += reduced_word_count(2, total, runs)
+    first = None
+    for word in switching_words((1, 2), max_len, (1, 2), gauge):
+        value = joint(word.letters)
+        if not value.is_zero():
+            runs = len(class_blocks(word.letters, {1: 1, 2: 2}))
+            tallies[(runs + 1) // 2][1] += 1
+            if first is None:
+                first = word, value
+    lines = sorted(tallies.items())
+    scan = tuple(PowerScanLine(pairs, words, bad) for pairs, (words, bad) in lines)
+    checked = sum(line.words for line in scan)
+    witness, value = first or (None, None)
+    return Verdict(witness is None, witness, value, max_len, checked), scan
+
+
+def adjoint(letters):
+    return tuple(l.adjoint() for l in reversed(letters))
+
+
+def tracial_class(letters) -> frozenset:
+    """Every rotation of the word and of its adjoint reversal."""
+    return frozenset(
+        w[i:] + w[:i] for w in (letters, adjoint(letters)) for i in range(len(w))
+    )
+
+
+def assert_tracial_classes(make, max_len):
+    """The identities the bracelet scans read off unitary_trace, word by
+    word: a rotation by one letter keeps the plain tensor moment, the
+    adjoint reversal conjugates it, and dropping a first/last pair
+    l ... l* keeps it.  Returns how many of the values were nonreal."""
     scenario = one_factor(make())
     assert scenario.unitary_trace
-    classes = joint_oracle(scenario)
-    nonreal = 0
+    joint = plain_oracle(scenario)
+    values = {}
     for n in range(1, max_len + 1):
-        for letters in iter_sequences(LETTERS, n):
-            value = plain(letters)
-            assert classes(letters) == value, letters
-            nonreal += not value.is_real()
-    return nonreal
+        values.update((w, joint(w)) for w in iter_sequences(LETTERS, n))
+    for letters, value in values.items():
+        assert values[letters[1:] + letters[:1]] == value, letters
+        assert values[adjoint(letters)] == value.conjugate(), letters
+        if len(letters) > 2 and letters[-1] == letters[0].adjoint():
+            assert values[letters[1:-1]] == value, letters
+    return sum(not value.is_real() for value in values.values())
 
 
 def test_tracial_classes_match_the_free_unitary_oracle():
-    assert assert_classes_match(lambda: free_unitaries(NONREAL_MOMENTS), 6) > 0
+    assert assert_tracial_classes(lambda: free_unitaries(NONREAL_MOMENTS), 6) > 0
 
 
 def test_tracial_classes_match_the_integer_pair_oracle():
-    assert_classes_match(integer_pair, 6)
+    assert_tracial_classes(integer_pair, 6)
 
 
 RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=6)
@@ -202,24 +246,34 @@ POWER_MOMENTS = st.dictionaries(
 @settings(max_examples=25, deadline=None)
 @given(POWER_MOMENTS, POWER_MOMENTS)
 def test_tracial_classes_match_on_random_power_moments(m1, m2):
-    assert_classes_match(lambda: free_unitaries({1: m1, 2: m2}), 4)
+    assert_tracial_classes(lambda: free_unitaries({1: m1, 2: m2}), 4)
 
 
 def test_tracial_classes_evaluate_once_per_class():
-    calls = []
+    # past the Haar-type probes, the bracelet scan asks joint once for
+    # each class of the kept, cyclically reduced words, at that class's
+    # least word in text order
+    model = integer_pair()
+    asked = []
 
     def joint(letters):
-        calls.append(letters)
-        return ONE
+        asked.append(letters)
+        return model.moment_letters(letters)
 
-    oracle = _tracial_classes(joint)
-    core = word("x1 x1 x2 x1 x2*").letters
-    rotations = [core[i:] + core[:i] for i in range(len(core))]
-    adjoint = word("x2 x1* x2* x1* x1*").letters
-    conjugated = word("x2 x1 x1 x2 x1 x2* x2*").letters
-    for letters in rotations + [adjoint, conjugated]:
-        assert oracle(letters) == ONE
-    assert len(calls) == 1
+    max_len = 7
+    scan_alternating_powers(joint, (1, 2), max_len, model.gauge)
+    walked = asked[2 * (max_len - 1) * 2 :]
+    kept = [
+        w.letters
+        for w in switching_words((1, 2), max_len, (1, 2), model.gauge)
+        if w.letters[-1] != w.letters[0].adjoint()
+    ]
+    classes = {tracial_class(w) for w in kept}
+    assert len(walked) == len(classes) < len(kept) / 4
+    assert {tracial_class(w) for w in walked} == classes
+    text = lambda w: (len(w), StarWord(w).text())
+    least = {min(c, key=text) for c in classes}
+    assert walked == sorted(least, key=text)
 
 
 @pytest.mark.parametrize(
@@ -233,11 +287,65 @@ def test_tracial_classes_evaluate_once_per_class():
 def test_class_scan_matches_the_plain_scan(make_scenario, max_len, free):
     scenario = make_scenario()
     assert scenario.unitary_trace
-    verdict, lines = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len)
-    plain = plain_oracle(make_scenario())
-    assert (verdict, lines) == scan_alternating_powers(plain, (1, 2), max_len)
+    want = plain_power_scan(plain_oracle(make_scenario()), max_len, ())
+    for gauge in ((), scenario.gauge_moduli):
+        got = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, gauge)
+        assert got == want
+    verdict, lines = want
     assert verdict.free is free
     assert verdict.words_checked == sum(line.words for line in lines)
+
+
+def test_bracelet_counts_on_the_biased_power_k2_graph():
+    # one word per bracelet against every kept word, per length
+    gauge = biased_power_scenario(2, Fraction(1, 10)).gauge_moduli
+    walk = lambda trace: Counter(
+        len(w) for w in switching_words((1, 2), 12, (1, 2), gauge, trace)
+    )
+    bracelets, kept = walk(True), walk(False)
+    assert bracelets == {4: 2, 6: 8, 8: 55, 10: 346, 12: 2_418}
+    assert kept == {4: 20, 6: 144, 8: 1_204, 10: 9_632, 12: 79_924}
+    assert 8 * bracelets[12] <= kept[12]
+
+
+@settings(max_examples=25, deadline=None)
+@given(haar_type_scenarios(), st.integers(2, 7))
+# the biased-power pair through its length-10 witness
+@example(biased_power_scenario(2, Fraction(1, 10)), 10)
+# x1 biased in factor 1 and x2 in factor 2: x1 x2 x1* x2* violates, and
+# so do longer words l c l* around it
+@example(
+    TensorScenario(
+        factors=(
+            free_unitaries({1: {1: Fraction(1, 2)}, 2: {}}),
+            free_unitaries({1: {}, 2: {1: Fraction(1, 3)}}),
+        ),
+        assignments={1: (1, 1), 2: (2, 2)},
+    ),
+    8,
+)
+def test_bracelet_power_scan_matches_the_plain_walk(scenario, max_len):
+    # verdict, witness, lhs, words_checked and every tally line
+    assert scenario.unitary_trace
+    gauge = scenario.gauge_moduli
+    plain = plain_power_scan(plain_oracle(scenario), max_len, gauge)
+    got = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, gauge)
+    assert got == plain
+
+
+def test_depth_cap_fails_before_the_scan(monkeypatch):
+    # past the free engine's cap the scan would reach a length-17 word
+    # only after every shorter one; the analysis refuses at once
+    def unreachable(*args):
+        raise AssertionError("scanned")
+
+    monkeypatch.setattr(counterexample, "scan_alternating_powers", unreachable)
+    with pytest.raises(DepthLimitError) as caught:
+        analyze_biased_power(2, Fraction(1, 10), MIXED_MOMENT_LENGTH_CAP + 1)
+    assert str(caught.value) == "mixed moment word of length 17 exceeds bound 16"
+    # bad scenario input is still reported first
+    with pytest.raises(ScenarioError, match="at least two factors"):
+        analyze_biased_power(1, Fraction(1, 10), MIXED_MOMENT_LENGTH_CAP + 1)
 
 
 @pytest.mark.parametrize("K", [2, 3])

@@ -31,7 +31,12 @@ from tensorfree.spaces import GroupAlgebraModel, SpectralModel
 from tensorfree.starwords import class_blocks, iter_words, parse_word
 from tensorfree.tensor import TensorScenario, joint_oracle, normalized_scenario
 
-from strategies import breaks_by_hand, spectral_factors, unitary_sequences
+from strategies import (
+    breaks_by_hand,
+    haar_type_scenarios,
+    spectral_factors,
+    unitary_trace_scenarios,
+)
 
 HAAR = MomentSequence({}, unitary=True)
 CLASS_OF = {1: 1, 2: 2}
@@ -288,23 +293,21 @@ def test_every_word_the_gauge_breaks_is_evaluable_and_zero(scenario, max_len):
                 assert oracle(word.letters).is_zero(), word
 
 
+@settings(max_examples=40, deadline=None)
+@given(unitary_trace_scenarios(), st.integers(2, 6))
+# the biased-power pair through its length-10 witness
+@example(biased_power_scenario(2, Fraction(1, 10)), 10)
+@example(shared_component_scenario(), 4)
+def test_bracelet_scan_matches_the_plain_scan(scenario, max_len):
+    # one word per bracelet under a declared trace against every kept
+    # word: the same verdict, witness, lhs and words_checked
+    assert scenario.unitary_trace
+    args = (scenario.indices, max_len, scenario.unitary_indices, scenario.gauge_moduli)
+    plain = freeness_verdict(joint_oracle(scenario), *args)
+    assert freeness_verdict(joint_oracle(scenario), *args, True) == plain
+
+
 # -- the power-word scan ---------------------------------------------------------
-
-
-@st.composite
-def power_scenarios(draw) -> TensorScenario:
-    """K = 2 or 3 assume_free factors of two unitaries each, joined
-    diagonally.  Each joint variable has a Haar component in one factor,
-    so every single power has moment zero as the scan requires."""
-    K = draw(st.sampled_from([2, 3]))
-    haar_in = {v: draw(st.integers(0, K - 1)) for v in (1, 2)}
-    factors = tuple(
-        free_factor(
-            *(HAAR if haar_in[v] == k else draw(unitary_sequences()) for v in (1, 2))
-        )
-        for k in range(K)
-    )
-    return TensorScenario(factors=factors, assignments={1: (1,) * K, 2: (2,) * K})
 
 
 def power_outcome(scenario, max_len, gauge):
@@ -349,7 +352,7 @@ def power_scan(joint, variables, max_len, gauge):
 
 
 @settings(max_examples=20, deadline=None)
-@given(power_scenarios(), st.integers(2, 6))
+@given(haar_type_scenarios(), st.integers(2, 6))
 # the biased-power pairs at K = 2 and K = 3
 @example(biased_power_scenario(2, Fraction(1, 10)), 8)
 @example(biased_power_scenario(3, Fraction(1, 2)), 6)
@@ -366,7 +369,9 @@ def power_scan(joint, variables, max_len, gauge):
 )
 def test_power_scan_gauge_matches_the_full_scan(scenario, max_len):
     # the scan counts its tallies in closed form with or without a gauge;
-    # the twin walks and evaluates every word
+    # the twin walks and evaluates every word, where the scan evaluates
+    # one word per bracelet: every scenario here is a unitary trace
+    assert scenario.unitary_trace
     joint = joint_oracle(scenario)
     full = brute_power_scan(joint, (1, 2), max_len, scenario.gauge_moduli)
     assert power_scan(joint, (1, 2), max_len, scenario.gauge_moduli) == full

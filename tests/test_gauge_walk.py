@@ -6,8 +6,11 @@ switching_words to the plain walk filtered word by word, the graph's
 nodes to the prefixes of the words it keeps, test_freeness's
 closed-form words_checked to the switching words enumerated in text
 order, and the power-word scan's closed-form word count to the reduced
-words enumerated and counted letter by letter.  tests/test_gauge.py
-holds the power-word scan to its brute-force twin."""
+words enumerated and counted letter by letter.  The necklace walk is
+held to the plain walk filtered to least rotations, and switching_words'
+bracelet mode to the least words of each class under rotation and
+adjoint reversal.  tests/test_gauge.py holds the power-word scan to its
+brute-force twin."""
 
 from collections import Counter
 from functools import lru_cache
@@ -36,12 +39,12 @@ CAPS = st.sampled_from([None, 3, 4, 5])
 
 
 @st.composite
-def gauged_walks(draw):
+def gauged_walks(draw, longest=7):
     """(indices, gauge, length, unitary): 1-3 indices, up to three
     constraints of modulus 0, 2, 3 or 6 with weights -2..2 on some of the
-    indices and a cap of None or 3-5, a length of 1-7 (1-5 over three
-    indices, so the plain walk stays under 8,000 words), and any subset
-    of the indices as the unitary ones."""
+    indices and a cap of None or 3-5, a length of 1 to longest (1-5 over
+    three indices, so the plain walk stays under 8,000 words), and any
+    subset of the indices as the unitary ones."""
     n = draw(st.integers(1, 3))
     indices = tuple(range(1, n + 1))
     terms = st.lists(
@@ -51,7 +54,7 @@ def gauged_walks(draw):
         unique_by=lambda term: term[0],
     ).map(tuple)
     gauge = draw(st.lists(st.tuples(MODULI, terms, CAPS), max_size=3).map(tuple))
-    length = draw(st.integers(1, 7 if n < 3 else 5))
+    length = draw(st.integers(1, longest if n < 3 else 5))
     unitary = tuple(sorted(draw(st.sets(st.sampled_from(indices)))))
     return indices, gauge, length, unitary
 
@@ -101,6 +104,52 @@ def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
     lengths = range(2, length + 1)
     expected = [w for n in lengths for w in iter_words(indices, n) if keeps(w.letters)]
     assert list(switching_words(indices, length, unitary, gauge)) == expected
+
+
+# -- the necklace walk ------------------------------------------------------------
+
+
+def least_turn(key, *others) -> bool:
+    """Whether key is no greater than every rotation of itself and of
+    the other keys."""
+    return all(key <= k[i:] + k[:i] for k in (key, *others) for i in range(len(k)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gauged_walks(longest=8))
+# x10 sorts before x2 in text though index 10 follows index 2
+@example(((2, 10), ((2, ((10, 1),), None),), 6, (10,)))
+@example(((2, 10), (), 5, ()))
+# periodic necklaces: x1 x2 x1 x2 x1 x2 and its like
+@example(((1, 2), ((0, ((1, 1),), None), (0, ((2, 1),), None)), 6, ()))
+# biased_power_k2's rules at length 8: 55 words, one per bracelet
+@example(((1, 2), ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), 8, (1, 2)))
+def test_necklace_walk_is_the_plain_walk_filtered(walk_input):
+    indices, gauge, length, unitary = walk_input
+    graph = scan_graph(gauge, indices, length, unitary)
+    # words of one length compare as their texts do, letter by letter
+    texts = {l: l.text() for l in iter_letters(indices)}
+    text_key = lambda letters: tuple(map(texts.__getitem__, letters))
+    least = lambda w: least_turn(text_key(w))
+    plain = [w for w in iter_words(indices, length, graph) if least(w.letters)]
+    assert list(iter_words(indices, length, graph, True)) == plain
+    # switching_words with trace: of those, the cyclically reduced words no
+    # greater than any rotation of their adjoint reversal
+    def rep(w):
+        if w[0].index in unitary and w[-1] == w[0].adjoint():
+            return False
+        own = text_key(w)
+        if not least_turn(own):
+            return False
+        return least_turn(own, text_key(tuple(l.adjoint() for l in reversed(w))))
+
+    expected = [
+        w
+        for n in range(2, length + 1)
+        for w in iter_words(indices, n, scan_graph(gauge, indices, n, unitary))
+        if rep(w.letters)
+    ]
+    assert list(switching_words(indices, length, unitary, gauge, True)) == expected
 
 
 # -- test_freeness's closed-form count -------------------------------------------

@@ -9,9 +9,9 @@ line naming the field that changed and why.
 Every golden but two is also pinned by the benchmark manifest.  The two
 are ``test-freeness`` on biased_power_k2 and ``theorem-1-8`` on
 biased_power_k3 at the file's bounds (max_len 8): the manifest runs the
-first only at ``--max-len 7`` and the second not at all.  Evaluating
-their joint moments once per tracial class brings each to a few
-seconds.  ``test-freeness`` on biased_power_k3 and ``group-freeness`` on
+first only at ``--max-len 7`` and the second not at all.  Their
+diagonal scans evaluate one word per bracelet, which keeps each under a
+second.  ``test-freeness`` on biased_power_k3 and ``group-freeness`` on
 product_pair_collection are pinned by the manifest alone.
 """
 

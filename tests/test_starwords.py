@@ -1,5 +1,5 @@
 """Word algebra: parsing, adjoints, unitary reduction, block splitting,
-and the lazy word walker."""
+and the lazy word walker and its necklace twin."""
 
 import tracemalloc
 from itertools import product
@@ -15,6 +15,7 @@ from tensorfree.starwords import (
     WordSyntaxError,
     class_blocks,
     iter_letters,
+    iter_necklaces,
     iter_sequences,
     iter_star_patterns,
     iter_words,
@@ -328,6 +329,46 @@ def test_iter_sequences_follows_a_graph():
     # with no graph, every tuple
     for t in range(1, 5):
         assert list(iter_sequences("abc", t)) == list(product("abc", repeat=t))
+
+
+def every_item(items) -> dict:
+    """The one-node graph that allows every item after every prefix."""
+    node = {}
+    node.update((item, node) for item in items)
+    return node
+
+
+def test_iter_necklaces_counts_and_order():
+    # binary and ternary necklaces (OEIS A000031, A001867), in order
+    for k, counts in ((2, [2, 3, 4, 6, 8, 14, 20, 36]), (3, [3, 6, 11, 24, 51, 130])):
+        for n, count in enumerate(counts, 1):
+            brute = [
+                seq
+                for seq in product(range(k), repeat=n)
+                if all(seq <= seq[i:] + seq[:i] for i in range(n))
+            ]
+            assert list(iter_necklaces(range(k), n, every_item(range(k)))) == brute
+            assert len(brute) == count
+    assert list(iter_necklaces("ab", 0, every_item("ab"))) == []
+    # the walk follows a graph: consecutive items differ, so of "abab"
+    # and "aabb" only the first is walked
+    after = {"a": {}, "b": {}}
+    after["a"]["b"] = after["b"]
+    after["b"]["a"] = after["a"]
+    assert list(iter_necklaces("ab", 4, after)) == [("a", "b", "a", "b")]
+
+
+@pytest.mark.parametrize("indices", [[2, 10], [1, 10, 2]])
+def test_necklace_words_are_least_in_text_order(indices):
+    for length in range(1, 5):
+        texts = lambda w: [" ".join(map(Letter.text, w[i:] + w[:i])) for i in range(length)]
+        want = [
+            w.text()
+            for w in iter_words(indices, length)
+            if w.text() == min(texts(w.letters))
+        ]
+        graph = every_item(iter_letters(indices))
+        assert [w.text() for w in iter_words(indices, length, graph, True)] == want
 
 
 def test_iter_words_is_lazy():

@@ -1,6 +1,7 @@
-"""Tensor scenarios: factorized joint moments, the class-keyed joint
-oracle and its plain twin, the centering case analysis behind the tensor
-freeness conditions, normalization, and hypothesis screening."""
+"""Tensor scenarios: factorized joint moments, the unitary traces whose
+joint moment is a function of the word's tracial class, the centering
+case analysis behind the tensor freeness conditions, normalization, and
+hypothesis screening."""
 
 import warnings
 from fractions import Fraction
@@ -36,7 +37,6 @@ from tensorfree.tensor import (
     tensor_moment,
 )
 from tensorfree.starwords import (
-    StarWord,
     iter_letters,
     iter_sequences,
     parse_word as word,
@@ -120,7 +120,7 @@ def test_scenarios_normalize_their_assignments_and_are_read_only():
             setattr(scen, field, None)
 
 
-# -- the class-keyed joint oracle ---------------------------------------------
+# -- unitary traces by construction --------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -141,8 +141,8 @@ def test_bundled_scenarios_that_are_unitary_traces(name, keyed):
 
 
 def test_table_functional_is_never_class_keyed():
-    # phi(x1 x2) = 1/10 but phi(x2 x1) = 0: not a trace, so a rotation
-    # must not share a value
+    # phi(x1 x2) = 1/10 but phi(x2 x1) = 0: not a trace, so the diagonal
+    # scans must walk both rotations
     table = TableFunctional(
         F2,
         {1: parse_group_word(F2, "g1.1^1"), 2: parse_group_word(F2, "g1.2^1")},
@@ -184,26 +184,30 @@ ASSIGNMENTS = ({1: (1, 2), 2: (2, 1)}, {1: (1, 1), 2: (1, 2)})
 
 @settings(max_examples=5, deadline=None)
 @given(POWER_LAWS, POWER_LAWS, ELEMENTS, ELEMENTS, st.sampled_from(ASSIGNMENTS))
-def test_class_keyed_oracle_matches_the_tensor_moment(u1, u2, g1, g2, assignments):
+def test_tensor_moment_is_a_tracial_class_function(u1, u2, g1, g2, assignments):
     # free unitaries with nonreal moments (x) a group algebra of Z3 * Z,
-    # through non-identity and repeated component maps; each side gets
-    # its own models, so no memo is shared
-    def scenario():
-        return TensorScenario(
-            factors=(
-                SpectralModel({1: u1, 2: u2}, assume_free=True),
-                GroupAlgebraModel(Z3_FREE_Z, {1: g1, 2: g2}),
-            ),
-            assignments=assignments,
-        )
-
-    keyed = scenario()
-    assert keyed.unitary_trace
-    oracle = joint_oracle(keyed)
-    plain = scenario()
+    # through non-identity and repeated component maps: a rotation by one
+    # letter keeps the joint moment, the adjoint reversal conjugates it
+    # and dropping a first/last pair l ... l* keeps it, the identities
+    # the bracelet scans read off unitary_trace
+    scenario = TensorScenario(
+        factors=(
+            SpectralModel({1: u1, 2: u2}, assume_free=True),
+            GroupAlgebraModel(Z3_FREE_Z, {1: g1, 2: g2}),
+        ),
+        assignments=assignments,
+    )
+    assert scenario.unitary_trace
+    joint = joint_oracle(scenario)
+    values = {}
     for n in range(1, 7):
-        for letters in iter_sequences(iter_letters((1, 2)), n):
-            assert oracle(letters) == tensor_moment(plain, StarWord(letters)), letters
+        values.update((w, joint(w)) for w in iter_sequences(iter_letters((1, 2)), n))
+    for letters, value in values.items():
+        assert values[letters[1:] + letters[:1]] == value, letters
+        adjoint = tuple(l.adjoint() for l in reversed(letters))
+        assert values[adjoint] == value.conjugate(), letters
+        if len(letters) > 2 and letters[-1] == letters[0].adjoint():
+            assert values[letters[1:-1]] == value, letters
 
 
 def test_scenario_validation():
