@@ -135,13 +135,15 @@ def _tfc_json(report, oracle) -> dict:
 
 def _canonical_trace_verdict(model, max_len: int) -> Verdict:
     """Bounded star-freeness of a group algebra's variables under its
-    canonical trace, skipping the words that break its gauge."""
+    canonical trace, a Hermitian trace: one word per bracelet, skipping
+    the words that break its gauge."""
     # group elements are unitary, so the walk's reduced-word rule would be
     # sound too; it is left out because with it group-freeness on
     # product_pair_collection does no ExactComplex arithmetic, which
-    # perfbench/workloads.py expects of the group-scan workload
+    # perfbench/workloads.py expects of the group-scan workload; bracelets
+    # alone keep that arithmetic
     return test_freeness(
-        model.moment_letters, model.variables, max_len, (), model.gauge
+        model.moment_letters, model.variables, max_len, (), model.gauge, trace=True
     )
 
 

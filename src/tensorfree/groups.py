@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import PreconditionError, ScenarioError
 from .starwords import iter_sequences, merge_powers, parse_int
@@ -145,6 +145,30 @@ def abelian_image(presentation: GroupPresentation, g: GroupElement) -> tuple[int
             sums[j - 1] += e
         image.extend(s % d if d else s for s, d in zip(sums, comp.orders))
     return tuple(image)
+
+
+def abelian_gauge(
+    presentation: GroupPresentation, elements: Mapping[int, GroupElement]
+) -> tuple[tuple[int, tuple[tuple[int, int], ...], None], ...]:
+    """The abelianization's constraints on a product of the labelled
+    elements that is the identity, as (modulus, ((label, weight), ...),
+    None) triples sorted by weights: freeness.Gauge's form, with no
+    length cap.
+
+    A product maps to the weighted exponent sum of its factors in each
+    coordinate Z_n of the abelianization (abelian_image), label v
+    weighing the coordinate of v's element and its inverse the negative.
+    A nonzero sum means the product is not the identity.  Coordinates
+    with the same weights merge by lcm, and those where every weight is
+    zero constrain nothing and are left out.
+    """
+    images = {v: abelian_image(presentation, g) for v, g in elements.items()}
+    moduli: dict[tuple[tuple[int, int], ...], int] = {}
+    for c, n in enumerate(presentation.abelian_orders):
+        weights = tuple((v, image[c]) for v, image in images.items() if image[c])
+        if weights:
+            moduli[weights] = lcm(moduli.get(weights, n), n)
+    return tuple((m, weights, None) for weights, m in sorted(moduli.items()))
 
 
 def parse_group_word(presentation: GroupPresentation, text: str) -> GroupElement:
@@ -279,9 +303,20 @@ def is_free_collection(
     The first violation in breadth-first order (block count, then index
     sequence, then exponents) is the witness; it numbers the elements
     1..n in listing order.
+
+    A product whose image in the abelianization is nonzero (abelian_gauge)
+    is not the identity, so it is not multiplied out.  words_checked
+    counts every product up to and including the witness, these too.
     """
     powers = _nontrivial_powers(presentation, elements, max_exp)
     exp_order = _exponent_order(max_exp)
+    gauge = abelian_gauge(presentation, dict(enumerate(elements, start=1)))
+    moduli = [m for m, _, _ in gauge]
+    # per nontrivial power, its weighted exponent sum per constraint
+    images = {
+        (i, e): tuple(e * dict(weights).get(i, 0) for _, weights, _ in gauge)
+        for i, e in powers
+    }
     checked = 0
     # consecutive indices differ: the node after index i holds the others
     indices = range(1, len(elements) + 1)
@@ -294,10 +329,13 @@ def is_free_collection(
                 blocks = tuple(zip(index_seq, exps))
                 if not all(key in powers for key in blocks):
                     continue
+                checked += 1
+                sums = map(sum, zip(*(images[key] for key in blocks)))
+                if any(s % m if m else s for s, m in zip(sums, moduli)):
+                    continue
                 acc = powers[blocks[0]]
                 for key in blocks[1:]:
                     acc = multiply(presentation, acc, powers[key])
-                checked += 1
                 if acc.is_identity():
                     return GroupFreenessVerdict(
                         False, GroupWitness(blocks), max_blocks, max_exp, checked

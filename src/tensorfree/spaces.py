@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from math import lcm
 from typing import NamedTuple, Sequence
 
 from . import freeness
@@ -25,7 +24,7 @@ from .errors import (
     NotDirectlyEvaluable,
     ScenarioError,
 )
-from .groups import GroupElement, GroupPresentation, abelian_image, inverse, reduce
+from .groups import GroupElement, GroupPresentation, abelian_gauge, inverse, reduce
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
 from .starwords import Letter, LetterTuple, StarWord, iter_letters, merge_powers
@@ -87,26 +86,11 @@ class GroupAlgebraModel(GroupBackedModel):
 
     @cached_property
     def gauge(self) -> freeness.Gauge:
-        """The abelianization's constraints on a word of nonzero trace, as
-        (modulus, ((variable, weight), ...), None) triples for
-        freeness.scan_graph, sorted by weights.
-
-        A word's element maps to the weighted exponent sum of its letters
-        in each coordinate Z_n of the abelianization (groups.abelian_image),
-        variable v weighing the coordinate of v's element.  A nonzero sum
-        means the element is not the identity, so its trace is zero, at
-        every length.  Coordinates with the same weights merge by lcm, and
-        those where every weight is zero constrain nothing and are left out.
-        """
-        images = {
-            v: abelian_image(self.presentation, g) for v, g in self.elements.items()
-        }
-        moduli: dict[tuple[tuple[int, int], ...], int] = {}
-        for c, n in enumerate(self.presentation.abelian_orders):
-            weights = tuple((v, image[c]) for v, image in images.items() if image[c])
-            if weights:
-                moduli[weights] = lcm(moduli.get(weights, n), n)
-        return tuple((m, weights, None) for weights, m in sorted(moduli.items()))
+        """The abelianization's constraints on a word of nonzero trace
+        (groups.abelian_gauge over the variables' elements): a word whose
+        element has a nonzero image there is not the identity, so its
+        trace is zero, at every length."""
+        return abelian_gauge(self.presentation, self.elements)
 
 
 class TableFunctional(GroupBackedModel):

@@ -14,6 +14,7 @@ from tensorfree.groups import (
     GroupElement,
     GroupPresentation,
     inverse,
+    multiply,
     power,
     reduce,
 )
@@ -142,6 +143,31 @@ def group_algebras(draw) -> GroupAlgebraModel:
     powers = st.integers(-3, 3).map(lambda e: power(presentation, base, e))
     element = st.one_of(group_elements(presentation), powers)
     return GroupAlgebraModel(presentation, {v: draw(element) for v in (1, 2)})
+
+
+@st.composite
+def free_group_collections(draw) -> tuple[GroupPresentation, list[GroupElement]]:
+    """A direct product of 1-2 free groups of rank 1 or 2, and 2-3
+    elements: a random nontrivial one, then random nontrivial ones,
+    nonzero powers of an earlier one or products of two earlier ones, so
+    that many collections are not free."""
+    ranks = draw(st.lists(st.sampled_from([1, 2, 2, 2]), min_size=1, max_size=2))
+    presentation = GroupPresentation(
+        tuple(FreeProductPresentation((None,) * r) for r in ranks)
+    )
+    nontrivial = group_elements(presentation).filter(lambda g: not g.is_identity())
+    elements = [draw(nontrivial)]
+    for _ in range(draw(st.integers(1, 2))):
+        kind = draw(st.sampled_from(["random", "random", "random", "power", "product"]))
+        a, b = (draw(st.sampled_from(elements)) for _ in range(2))
+        if kind == "power":
+            element = power(presentation, a, draw(st.sampled_from([-2, -1, 2])))
+        elif kind == "product":
+            element = multiply(presentation, a, b)
+        else:
+            element = draw(nontrivial)
+        elements.append(element)
+    return presentation, elements
 
 
 @st.composite

@@ -8,6 +8,7 @@ the bundled files and of small examples, hold the scans that skip such
 words to their twins that evaluate every word, and check that every
 skipped word is exactly zero."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorfree.errors import DepthLimitError
-from tensorfree.freeness import centered_product_value
+from tensorfree.freeness import centered_product_value, switching_words
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.groups import (
     FreeProductPresentation,
@@ -222,3 +223,57 @@ def test_every_word_a_group_factor_breaks_is_zero(scenario, max_len):
     oracle = joint_oracle(scenario)
     for word in breaking_words(scenario.gauge_moduli, max_len):
         assert_zero(oracle, word)
+
+
+# -- one word per bracelet under the canonical trace -----------------------------
+
+
+def bracelet_scan(model, max_len):
+    return freeness_verdict(
+        model.moment_letters, model.variables, max_len, (), model.gauge, trace=True
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(group_algebras(), st.integers(2, 6))
+@example(group_model((2, 3), "g1.1^1", "g1.2^1"), 6)
+def test_bracelet_group_scan_matches_the_plain_scan(model, max_len):
+    # the canonical trace is a Hermitian trace: the whole verdict, witness,
+    # lhs and words_checked included, is the plain walk's
+    assert bracelet_scan(model, max_len) == scan(model, max_len, model.gauge)
+
+
+@pytest.mark.parametrize(
+    "model, witness",
+    [
+        # (g, g^2): g g g^-2 is the identity
+        (group_model((None,), "g1.1^1", "g1.1^2"), "x1 x1 x2*"),
+        # (g, g^-1): g g^-1 is the identity
+        (group_model((None,), "g1.1^1", "g1.1^-1"), "x1 x2"),
+        # finite orders: (g, g^2) in Z_4, where g g g^2 = g^4 is the identity
+        (group_model((4,), "g1.1^1", "g1.1^2"), "x1 x1 x2"),
+        # (ab, a) in Z_2 * Z_2: ab a ab a = e, a word of four blocks
+        (group_model((2, 2), "g1.1^1 g1.2^1", "g1.1^1"), "x1 x2 x1 x2"),
+        # the generators of Z_2 * Z_3 are free
+        (group_model((2, 3), "g1.1^1", "g1.2^1"), None),
+        # (e, g): the identity centers to zero, so it is free from anything
+        (group_model((None,), "e", "g1.1^1"), None),
+    ],
+)
+def test_bracelet_group_scan_examples(model, witness):
+    for max_len in (4, 6):
+        verdict = bracelet_scan(model, max_len)
+        assert verdict == scan(model, max_len, model.gauge)
+        assert verdict.witness == (witness and parse_word(witness))
+
+
+def test_bracelet_counts_on_the_product_pair_graph(bundled):
+    # one word per bracelet against every kept word, per length; the
+    # canonical-trace scan takes no reduced-word rule, so l ... l* stays
+    model = bundled("product_pair_collection").collection
+    walk = lambda trace: Counter(
+        len(w) for w in switching_words(model.variables, 10, (), model.gauge, trace)
+    )
+    bracelets, kept = walk(True), walk(False)
+    assert bracelets == {4: 5, 6: 42, 8: 355, 10: 3_390}
+    assert kept == {4: 24, 6: 360, 8: 4_760, 10: 63_000}

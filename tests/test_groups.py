@@ -1,13 +1,16 @@
 """Group normal forms and the bounded freeness decision procedures."""
 
+from itertools import product
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorfree.errors import PreconditionError, ScenarioError
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupElement,
+    GroupFreenessVerdict,
     GroupPresentation,
     GroupWitness,
     element_order,
@@ -22,11 +25,14 @@ from tensorfree.groups import (
     reduce_factor_word,
 )
 
+from strategies import group_elements, presentations
+
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
 MIXED = GroupPresentation(
     (FreeProductPresentation((2, 2)), FreeProductPresentation((3, 3)))
 )
+Z4 = GroupPresentation((FreeProductPresentation((4,)),))
 PRODUCT_PAIR = GroupPresentation(
     (FreeProductPresentation((None, None)), FreeProductPresentation((None, None)))
 )
@@ -269,6 +275,62 @@ def test_single_torsion_element_is_vacuously_free():
     verdict = is_free_collection(two, [parse_group_word(two, "g1.1^1")])
     assert verdict.free
     assert verdict.words_checked == 0
+
+
+# -- the search against its brute twin -------------------------------------------
+
+
+def brute_free_collection(presentation, elements, max_blocks, max_exp):
+    """is_free_collection's search with nothing skipped: every product of
+    nontrivial powers with consecutive indices distinct, in the same order
+    (block count, index sequence, exponents 1, -1, 2, -2, ...), multiplied
+    out from scratch."""
+    exps = [s * e for e in range(1, max_exp + 1) for s in (1, -1)]
+    indices = range(1, len(elements) + 1)
+    checked = 0
+    for t in range(2, max_blocks + 1):
+        for index_seq in product(indices, repeat=t):
+            if any(i == j for i, j in zip(index_seq, index_seq[1:])):
+                continue
+            for exp_seq in product(exps, repeat=t):
+                blocks = tuple(zip(index_seq, exp_seq))
+                block_powers = [power(presentation, elements[i - 1], n) for i, n in blocks]
+                if any(p.is_identity() for p in block_powers):
+                    continue
+                checked += 1
+                acc = identity(presentation)
+                for p in block_powers:
+                    acc = multiply(presentation, acc, p)
+                if acc.is_identity():
+                    witness = GroupWitness(blocks)
+                    return GroupFreenessVerdict(False, witness, max_blocks, max_exp, checked)
+    return GroupFreenessVerdict(True, None, max_blocks, max_exp, checked)
+
+
+@st.composite
+def collections(draw):
+    """A presentation of 1-2 components with finite or infinite orders, and
+    1-3 elements, each a random element or a power of one shared element,
+    so that products can reduce to the identity."""
+    presentation = draw(presentations())
+    base = draw(group_elements(presentation))
+    powers = st.integers(-3, 3).map(lambda e: power(presentation, base, e))
+    element = st.one_of(group_elements(presentation), powers)
+    return presentation, draw(st.lists(element, min_size=1, max_size=3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(collections(), st.integers(2, 4), st.integers(1, 3))
+# finite orders: the witness d1^2 d2^3 d1^-2 d2^3 sums to 6 in d2, which
+# is 0 mod 6 but not 0, and in Z_4 the witness d1^2 d2 is g^4
+@example((MIXED, list(mixed_pair())), 4, 3)
+@example((Z4, [parse_group_word(Z4, "g1.1^1"), parse_group_word(Z4, "g1.1^2")]), 3, 3)
+def test_search_matches_its_brute_twin(case, max_blocks, max_exp):
+    # witness and words_checked included: the gauge skip multiplies out
+    # only the products with a zero abelian image, and counts them all
+    presentation, elements = case
+    got = is_free_collection(presentation, elements, max_blocks, max_exp)
+    assert got == brute_free_collection(presentation, elements, max_blocks, max_exp)
 
 
 # -- projection kernels --------------------------------------------------
