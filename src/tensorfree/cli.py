@@ -40,7 +40,13 @@ from .scenario import ScenarioFile, load_scenario
 from .scalars import ExactComplex, fraction_from_json, scalar_json
 from .spaces import SpectralModel, check_axioms
 from .starwords import StarWord, parse_word, power_word_to_star_word
-from .tensor import factor_moment, factor_oracle, joint_oracle, tensor_moment
+from .tensor import (
+    diagonal_verdict,
+    factor_moment,
+    factor_oracle,
+    joint_oracle,
+    tensor_moment,
+)
 from .tfc import (
     check_necessary_conditions,
     check_tfc,
@@ -109,9 +115,9 @@ def _verdict_json(verdict: Verdict, oracle=None) -> dict:
     return out
 
 
-def _tfc_json(report, oracle) -> dict:
-    # a violation shows its word, not its pattern, and factor_value and
-    # variance only when they are set
+def _tfc_json(report) -> dict:
+    # a violation shows its word, not its pattern, its tensor_value also
+    # as moment, and factor_value and variance only when they are set
     violations = [
         {
             **{
@@ -120,7 +126,7 @@ def _tfc_json(report, oracle) -> dict:
                 if field != "pattern" and x is not None
             },
             "word": v.word,
-            "moment": oracle(v.word.letters),
+            "moment": v.tensor_value,
         }
         for v in report.violations
     ]
@@ -183,14 +189,7 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     if sf.tensor is not None:
         scen = sf.tensor
         oracle = joint_oracle(scen)
-        diagonal = test_freeness(
-            oracle,
-            scen.indices,
-            max_len,
-            scen.unitary_indices,
-            scen.gauge_moduli,
-            scen.unitary_trace,
-        )
+        diagonal = diagonal_verdict(scen, max_len, oracle)
         factors: dict = {}
         for k in range(1, scen.K + 1):
             verdict = factor_freeness_verdict(scen, k, max_len)
@@ -211,7 +210,6 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 
 def _run_check_tfc(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     scen = _require(sf, "tensor")
-    oracle = joint_oracle(scen)
     try:
         report = check_tfc(scen, args.k, bounds["max_len"])
     except FactorNotFreeError as exc:
@@ -221,17 +219,16 @@ def _run_check_tfc(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             "factor_freeness": _verdict_json(exc.verdict),
         }
         return payload, EXIT_FAILED
-    return _tfc_json(report, oracle), EXIT_OK if report.satisfied else EXIT_FAILED
+    return _tfc_json(report), EXIT_OK if report.satisfied else EXIT_FAILED
 
 
 def _run_find_dominating(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     scen = _require(sf, "tensor")
-    oracle = joint_oracle(scen)
     search = find_dominating(scen, bounds["max_len"])
     report = {
         "dominating": search.dominating,
         "bound": bounds["max_len"],
-        "reports": {str(k): _tfc_json(r, oracle) for k, r in search.reports.items()},
+        "reports": {str(k): _tfc_json(r) for k, r in search.reports.items()},
         "not_free": {
             str(k): _verdict_json(v) for k, v in search.not_free.items()
         },
@@ -309,7 +306,7 @@ def _run_theorem_1_8(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         hypotheses_met=rep.hypotheses_met,
         diagonal=None if verdict is None else _verdict_json(verdict, oracle),
         dominating=rep.dominating,
-        tfc=None if rep.tfc is None else _tfc_json(rep.tfc, oracle),
+        tfc=None if rep.tfc is None else _tfc_json(rep.tfc),
         claims=claims,
     )
     failed = any(value is False for value in claims.values())

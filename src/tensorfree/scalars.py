@@ -7,7 +7,6 @@ witness values never suffer rounding drift.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Union
 
@@ -118,19 +117,6 @@ def as_scalar(value: "ExactComplex | RationalLike") -> ExactComplex:
     if isinstance(value, (int, Fraction)):
         return ExactComplex(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to ExactComplex")
-
-
-def rational_sqrt(value: Fraction) -> Fraction | None:
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if value < 0:
-        raise ValueError("rational_sqrt of a negative value")
-    if value == 0:
-        return Fraction(0)
-    num, den = value.numerator, value.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
 
 
 # -- JSON codecs ------------------------------------------------------

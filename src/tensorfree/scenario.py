@@ -170,6 +170,8 @@ def presentation_from_json(data, where: str = "presentation") -> GroupPresentati
         comp_where = f"{where}.components[{n}]"
         _object(comp, ("cyclic_orders",), comp_where)
         orders_raw = _require(comp, "cyclic_orders", comp_where)
+        if not isinstance(orders_raw, list):
+            raise ScenarioError(f"{comp_where}: cyclic_orders must be a list")
         orders = []
         for o in orders_raw:
             if o == "inf" or o is None:

@@ -23,9 +23,14 @@ from .errors import (
     NotDirectlyEvaluable,
     ScenarioError,
 )
-from .freeness import MIXED_MOMENT_LENGTH_CAP, Gauge, JointOracle
-from .ncpartitions import MomentSequence
-from .scalars import ONE, ExactComplex, RationalLike, rational_sqrt
+from .freeness import (
+    MIXED_MOMENT_LENGTH_CAP,
+    Gauge,
+    JointOracle,
+    Verdict,
+    test_freeness,
+)
+from .scalars import ONE, ExactComplex
 from .spaces import (
     AxiomReport,
     GroupAlgebraModel,
@@ -270,62 +275,20 @@ def joint_oracle(scenario: TensorScenario) -> JointOracle:
     return oracle
 
 
-# -- normalization pre-flight --------------------------------------------
-
-
-def normalized_scenario(scenario: TensorScenario) -> TensorScenario:
-    """Rescale every component so its second moment is exactly one.
-
-    Each component a is replaced by c*a with c = moment(a a*)^(-1/2).
-    The square root must be rational for the model to stay exact; a
-    zero or non-real second moment means the component is degenerate.
-    Group elements and unitary sequences always have second moment one,
-    so only star-table variables of a SpectralModel are rescaled: the
-    value of a pattern of length n is multiplied by c^n.  Rescaling by
-    a positive scalar keeps positivity, traciality and faithfulness.
-    Factors already normalized are shared, not rebuilt.
-    """
-    new_factors: list[MomentFunctional] = []
-    for k in range(1, scenario.K + 1):
-        functional = scenario.factors[k - 1]
-        scales: dict[int, RationalLike] = {}
-        for i in scenario.indices:
-            var = scenario.component(i, k)
-            if var in scales:
-                continue
-            second = functional.moment_letters(
-                (Letter(var, False), Letter(var, True))
-            )
-            if not second.is_real() or second.re <= 0:
-                raise ScenarioError(
-                    f"factor {k} variable x{var}: second moment {second} is "
-                    "not a positive real, cannot normalize"
-                )
-            if second == ONE:
-                continue
-            root = rational_sqrt(second.re)
-            if root is None:
-                raise ScenarioError(
-                    f"factor {k} variable x{var}: second moment {second.re} "
-                    "has no rational square root, normalization would leave "
-                    "exact arithmetic"
-                )
-            scales[var] = 1 / root
-        if not scales:
-            new_factors.append(functional)
-            continue
-        sequences = dict(functional.sequences)
-        for var, c in scales.items():
-            seq = sequences[var]
-            sequences[var] = MomentSequence(
-                {key: value * c ** len(key) for key, value in seq.values.items()},
-                complete_through=seq.complete_through,
-            )
-        new_factors.append(
-            SpectralModel(sequences, assume_free=functional.assume_free)
-        )
-    return TensorScenario(
-        factors=tuple(new_factors), assignments=dict(scenario.assignments)
+def diagonal_verdict(
+    scenario: TensorScenario, max_len: int, oracle: JointOracle
+) -> Verdict:
+    """freeness.test_freeness of the joint indices under oracle, walked
+    by the scenario's declared unitary_indices, gauge_moduli and
+    unitary_trace.  oracle is joint_oracle or, for the one-factor
+    scenario of factor k, factor_oracle, so that errors name factor k."""
+    return test_freeness(
+        oracle,
+        scenario.indices,
+        max_len,
+        scenario.unitary_indices,
+        scenario.gauge_moduli,
+        scenario.unitary_trace,
     )
 
 

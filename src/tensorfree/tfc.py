@@ -20,17 +20,17 @@ from .errors import (
     NotDirectlyEvaluable,
     PreconditionError,
 )
-from .freeness import Verdict, test_freeness
+from .freeness import Verdict
 from .scalars import ExactComplex
 from .spaces import SpectralModel, variance
 from .starwords import StarWord, iter_star_patterns, single_variable_word
 from .tensor import (
     TensorScenario,
+    diagonal_verdict,
     factor_moment,
     factor_oracle,
     factor_word,
     joint_oracle,
-    normalized_scenario,
     scalar_component_check,
     tensor_moment,
 )
@@ -68,7 +68,9 @@ class TfcReport(NamedTuple):
 
 
 def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
-    """Bounded star-freeness of factor k's component family.
+    """Bounded star-freeness of factor k's component family, walked by
+    the rules of factor k's declared structure (tensor.diagonal_verdict);
+    evaluation errors name factor k.
 
     Spectral models flagged free synthesize their mixed moments from
     freeness, so the test would be a tautology; None signals that case.
@@ -78,19 +80,11 @@ def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
         return None
 
     # the family is indexed by the joint variables, so a repeated factor
-    # component must be tested against itself, not collapsed away; as the
-    # one-factor scenario of factor k it takes the walk rules of factor k's
-    # declared structure, and factor_oracle keeps k in evaluation errors
+    # component must be tested against itself, not collapsed away
     family = TensorScenario(
         (functional,), {i: (c[k - 1],) for i, c in scenario.assignments.items()}
     )
-    return test_freeness(
-        factor_oracle(scenario, k),
-        scenario.indices,
-        max_len,
-        family.unitary_indices,
-        family.gauge_moduli,
-    )
+    return diagonal_verdict(family, max_len, factor_oracle(scenario, k))
 
 
 def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
@@ -188,7 +182,8 @@ class NecessaryConditionsReport(NamedTuple):
     which either a witness beyond it or a fault in this package explains.
 
     The claims and the dominating factor follow from the classification
-    and the TFC report, so they are derived rather than stored.
+    and the TFC report, so they are derived rather than stored.  Its
+    values are those of the scenario as given, in its own scale.
     """
 
     classification: str
@@ -241,15 +236,17 @@ def check_necessary_conditions(
     """Instance checks of the necessary conditions for a star-free
     diagonal family whose factor families are free faithful traces.
 
-    The scenario is first screened (no zero or scalar joint variable),
-    normalized so every component has unit second moment, and its factor
-    hypotheses verified at the given bounds.  Then, if the diagonal
-    family tests free up to max_len:
+    The scenario is first screened (no zero or scalar joint variable)
+    and its factor hypotheses verified at the given bounds.  Then, if the
+    diagonal family tests free up to max_len:
 
     - at most one factor may contain a non-unitary component;
     - with exactly one such factor, the TFC must hold through it;
     - with all components unitary, a nonvanishing joint power moment of
       a non-deterministic component forces the TFC through its factor.
+
+    Every step runs on the scenario as given: no outcome changes when a
+    component a becomes c a with c > 0, and values stay in its scale.
 
     Scenarios where no such power exists fall into the open case and are
     classified (group_like tells whether every vanishing joint power
@@ -259,11 +256,10 @@ def check_necessary_conditions(
     if problems:
         return NecessaryConditionsReport("hypotheses_not_met", tuple(problems), ())
 
-    normalized = normalized_scenario(scenario)
-    factors = range(1, normalized.K + 1)
+    factors = range(1, scenario.K + 1)
     notes: list[str] = []
     for k in factors:
-        verdict = factor_freeness_verdict(normalized, k, max_len)
+        verdict = factor_freeness_verdict(scenario, k, max_len)
         if verdict is not None and not verdict.free:
             witness = verdict.witness.text() if verdict.witness else "?"
             problems.append(
@@ -271,7 +267,7 @@ def check_necessary_conditions(
                 f"(witness {witness})"
             )
         try:
-            axioms = normalized.axioms(k, gram_len)
+            axioms = scenario.axioms(k, gram_len)
         except (NotDirectlyEvaluable, InsufficientMomentDataError) as exc:
             problems.append(f"factor {k} axioms not checkable: {exc}")
             continue
@@ -288,26 +284,20 @@ def check_necessary_conditions(
             "hypotheses_not_met", tuple(problems), tuple(notes)
         )
 
-    # unitary iff the fourth moment of a normalized component is one
-    fourth = (False, True, False, True)
+    def moment(k: int, i: int, pattern: tuple[bool, ...]) -> ExactComplex:
+        word = single_variable_word(pattern, scenario.component(i, k))
+        return scenario.factors[k - 1].moment(word)
+
+    # a / sqrt(phi(a a*)) is unitary iff phi(a a* a a*) = phi(a a*)^2
+    second = (False, True)
     non_unitary = tuple(
         (k, i)
         for k in factors
-        for i in normalized.indices
-        if normalized.factors[k - 1].moment(
-            single_variable_word(fourth, normalized.component(i, k))
-        )
-        != 1
+        for i in scenario.indices
+        if moment(k, i, second * 2) != moment(k, i, second) * moment(k, i, second)
     )
     non_unitary_factors = sorted({k for k, _ in non_unitary})
-    d_verdict = test_freeness(
-        joint_oracle(normalized),
-        normalized.indices,
-        max_len,
-        normalized.unitary_indices,
-        normalized.gauge_moduli,
-        normalized.unitary_trace,
-    )
+    d_verdict = diagonal_verdict(scenario, max_len, joint_oracle(scenario))
 
     def report(classification: str, *extra_notes: str, **found):
         return NecessaryConditionsReport(
@@ -334,11 +324,11 @@ def check_necessary_conditions(
             (
                 (k, m, i)
                 for m in range(1, max_len + 1)
-                for i in normalized.indices
-                if not _power_moment(normalized, i, m).is_zero()
+                for i in scenario.indices
+                if not _power_moment(scenario, i, m).is_zero()
                 for k in factors
                 if variance(
-                    normalized.factors[k - 1], _component_power(normalized, k, i, m)
+                    scenario.factors[k - 1], _component_power(scenario, k, i, m)
                 )
                 != 0
             ),
@@ -348,16 +338,16 @@ def check_necessary_conditions(
         k0 = non_unitary_factors[0] if non_unitary_factors else power_witness[0]
         return report(
             "one_nonunitary_factor" if non_unitary_factors else "power_hypothesis",
-            tfc=check_tfc(normalized, k0, max_len),
+            tfc=check_tfc(scenario, k0, max_len),
             power_witness=power_witness,
         )
 
     # group-like: every vanishing joint power vanishes in every factor
     group_like = all(
-        normalized.factors[k - 1].moment(_component_power(normalized, k, i, m)).is_zero()
-        for i in normalized.indices
+        moment(k, i, (False,) * m).is_zero()
+        for i in scenario.indices
         for m in range(1, max_len + 1)
-        if _power_moment(normalized, i, m).is_zero()
+        if _power_moment(scenario, i, m).is_zero()
         for k in factors
     )
     return report(

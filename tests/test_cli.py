@@ -1,6 +1,7 @@
 """Command line contract: deterministic JSON reports on stdout, human
 summaries on stderr, and the documented exit codes."""
 
+import itertools
 import json
 
 import pytest
@@ -414,8 +415,8 @@ def test_necessary_conditions_classifications(run_cli, scenario_path):
 
 
 def test_theorem_1_8_is_invariant_under_rescaling(run_cli, scenario_path, tmp_path):
-    # 2a for the circular a: a pattern of length n gets 2^n, and the
-    # normalization pre-flight must undo exactly that
+    # 2a for the circular a: a pattern of length n gets 2^n, and no step
+    # of the classifier depends on that scale
     path = scenario_path("circular_dominated")
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
@@ -451,8 +452,44 @@ HAAR = {"moments": {}, "unitary": True}
 HALF = {"moments": {"1": [1, 2]}, "unitary": True}
 
 
+def test_theorem_1_8_reports_tfc_rows_in_the_file_scale(run_cli, tmp_path):
+    # x1 = 2v (x) w for unitaries v and w with phi(v^+-1) = phi(w) = 1/2:
+    # x1 is unitary up to scale, so the TFC runs through factor 1, and
+    # its rows read the file's own values, as check-tfc's do
+    table = {}
+    for n in range(1, 5):
+        for stars in itertools.product(("a", "a*"), repeat=n):
+            net = abs(n - 2 * stars.count("a*"))
+            value = {0: 2**n, 1: 2 ** (n - 1)}.get(net, 0)
+            table["".join(stars)] = value
+    payload = {
+        "version": 1,
+        "name": "scaled_power",
+        "kind": "tensor",
+        "bounds": {"gram_len": 2, "max_len": 4},
+        "factors": [
+            {
+                "space": "spectral",
+                "variables": {"1": {"moments": table, "complete_through": 4}},
+            },
+            {"space": "spectral", "variables": {"1": HALF}},
+        ],
+        "tensor": {"variables": {"1": [1, 1]}},
+    }
+    path = write_scenario(tmp_path, "scaled_power", payload)
+    theorem = run_cli(path, "theorem-1-8")
+    check = run_cli(path, "check-tfc", "--k", "1")
+    assert theorem.code == check.code == 1
+    body = theorem.json()["report"]
+    assert body["classification"] == "power_hypothesis"
+    assert body["tfc"] == check.json()["report"]
+    [row] = body["tfc"]["violations"]
+    assert row["word"] == "x1"
+    assert row["tensor_value"] == row["moment"] == [1, 2]
+
+
 def test_theorem_1_8_screen_reports_a_zero_component(run_cli, tmp_path):
-    # normalizing would divide by the zero second moment of x1
+    # x1 has a zero component, so the joint variable x1 is zero
     empty = {"moments": {}, "complete_through": 4}
     payload = diagonal_spectral_payload("zero", empty, HAAR)
     res = run_cli(write_scenario(tmp_path, "zero", payload), "theorem-1-8")
@@ -857,6 +894,16 @@ STRICT_INPUTS = [
         "cyclic-order-bool",
         set_in(("factors", 1, "presentation", "components", 0, "cyclic_orders"), [True]),
         'cyclic order must be an integer or "inf"',
+    ),
+    (
+        "cyclic-orders-number",
+        set_in(("factors", 1, "presentation", "components", 0, "cyclic_orders"), 5),
+        "cyclic_orders must be a list",
+    ),
+    (
+        "cyclic-orders-string",
+        set_in(("factors", 1, "presentation", "components", 0, "cyclic_orders"), "inf"),
+        "cyclic_orders must be a list",
     ),
     ("version-bool", set_in(("version",), True), "unsupported version"),
     ("component-bool", set_in(("tensor", "variables", "1"), [True, 1]), "tensor.variables[1]"),

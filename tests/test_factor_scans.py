@@ -107,8 +107,10 @@ def test_doubly_free_factor_scan_evaluates_few_words(bundled, monkeypatch):
     verdict = factor_freeness_verdict(scenario, 1, 6)
     assert verdict.free
     assert verdict.words_checked == 5_208
-    # the reduced switching words that keep both of factor 1's constraints
-    assert len(evaluated) == 48
+    # one reduced switching word per bracelet, of those that keep both of
+    # factor 1's constraints: factor 1 is a group algebra, a Hermitian
+    # trace of unitaries
+    assert len(evaluated) == 3
 
 
 def test_free_without_dominating_factor_2_witness(bundled):

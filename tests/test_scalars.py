@@ -12,7 +12,6 @@ from tensorfree.scalars import (
     ExactComplex,
     as_scalar,
     fraction_from_json,
-    rational_sqrt,
     scalar_from_json,
     scalar_json,
 )
@@ -87,24 +86,6 @@ def test_as_scalar_coercion():
         as_scalar(0.5)
     with pytest.raises(TypeError):
         as_scalar("1/2")
-
-
-def test_rational_sqrt_examples():
-    assert rational_sqrt(Fraction(9, 4)) == Fraction(3, 2)
-    assert rational_sqrt(Fraction(0)) == 0
-    assert rational_sqrt(Fraction(2)) is None
-    assert rational_sqrt(Fraction(1, 3)) is None
-    with pytest.raises(ValueError):
-        rational_sqrt(Fraction(-1, 4))
-
-
-@given(st.fractions(min_value=0, max_value=50, max_denominator=40))
-def test_rational_sqrt_is_exact_when_present(q):
-    r = rational_sqrt(q)
-    if r is not None:
-        assert r >= 0
-        assert r * r == q
-    assert rational_sqrt(q * q) == q
 
 
 def test_json_codec_examples():

@@ -1,7 +1,7 @@
 """Tensor scenarios: factorized joint moments, the unitary traces whose
 joint moment is a function of the word's tracial class, the centering
-case analysis behind the tensor freeness conditions, normalization, and
-hypothesis screening."""
+case analysis behind the tensor freeness conditions, and hypothesis
+screening."""
 
 import warnings
 from fractions import Fraction
@@ -32,7 +32,6 @@ from tensorfree.tensor import (
     factor_moment,
     factor_word,
     joint_oracle,
-    normalized_scenario,
     scalar_component_check,
     tensor_moment,
 )
@@ -320,49 +319,6 @@ def wide_spectral(second):
         complete_through=2,
     )
     return SpectralModel({1: seq})
-
-
-def test_normalized_scenario_rescales_to_unit_second_moment():
-    # a pattern of length n picks up c^n, here c = 1/2
-    values = {(False,): 1, (False, True): 4, (True, False): 4}
-    values[(False, False, True, True)] = 16
-    seq = MomentSequence(values, complete_through=4)
-    wide = SpectralModel({1: seq, 2: MomentSequence({}, unitary=True)})
-    scen = TensorScenario(
-        factors=(wide, f2_model()),
-        assignments={1: (1, 1), 2: (2, 2)},
-    )
-    normalized = normalized_scenario(scen)
-    rescaled = normalized.factors[0]
-    assert type(rescaled) is SpectralModel
-    assert rescaled.sequences[1].values == {
-        (False,): Fraction(1, 2),
-        (True,): Fraction(1, 2),
-        (False, True): ONE,
-        (True, False): ONE,
-        (False, False, True, True): ONE,
-    }
-    assert rescaled.sequences[1].complete_through == 4
-    assert rescaled.sequences[2] is wide.sequences[2]  # unit second moment
-    assert rescaled.assume_free is wide.assume_free
-    assert rescaled.moment(word("x1 x1*")) == ONE
-    # the already normalized factor is shared, not wrapped
-    assert normalized.factors[1] is scen.factors[1]
-
-
-def test_normalized_scenario_rejects_degenerate_components():
-    bad = TensorScenario(
-        factors=(wide_spectral(Fraction(2)),),
-        assignments={1: (1,)},
-    )
-    with pytest.raises(ScenarioError, match="rational square root"):
-        normalized_scenario(bad)
-    zero = TensorScenario(
-        factors=(wide_spectral(Fraction(0)),),
-        assignments={1: (1,)},
-    )
-    with pytest.raises(ScenarioError, match="not a positive real"):
-        normalized_scenario(zero)
 
 
 def test_scalar_component_check():

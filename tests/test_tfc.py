@@ -2,11 +2,14 @@
 necessary-condition classifier on the bundled scenarios."""
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorfree import spaces, tensor
-from tensorfree.errors import FactorNotFreeError, PreconditionError
+from tensorfree.errors import FactorNotFreeError, PreconditionError, TensorFreeError
 from tensorfree.freeness import centered_product_value
 from tensorfree.groups import (
     FreeProductPresentation,
@@ -36,7 +39,7 @@ from tensorfree.tfc import (
     find_dominating,
 )
 
-from strategies import breaks_by_hand
+from strategies import CIRCULAR, breaks_by_hand, group_algebras
 
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
@@ -341,7 +344,7 @@ def test_classifier_screens_scalar_components():
 
 def test_classifier_screen_reports_a_zero_component():
     # x1 of factor 1 is a star table with no moments: its second moment is
-    # zero, so normalizing would fail; the screen must answer first
+    # zero, so the joint variable x1 is zero; the screen must answer first
     empty = MomentSequence({}, complete_through=4)
     scen = TensorScenario(
         factors=(
@@ -454,3 +457,130 @@ def test_classification_determines_claims(
     assert (report.claim1_holds, report.claim2_holds, report.claim3_holds) == claims
     assert report.dominating == dominating
     assert report.hypotheses_met is met
+
+
+# -- invariance under rescaling a component ------------------------------------
+
+
+# Fourier coefficients phi(v^n), n > 0, of unitaries v whose laws have a
+# nonnegative density on the circle, so that every factor below is positive
+LAWS = (
+    {},
+    {1: Fraction(1, 2)},
+    {2: Fraction(1, 2)},
+    {1: Fraction(1, 4), 2: Fraction(1, 4)},
+)
+
+
+def unitary_table(law) -> MomentSequence:
+    """The star table of a unitary with power moments law: a pattern's
+    moment is that of its net exponent."""
+    table = {}
+    for n in range(1, 7):
+        for stars in product((False, True), repeat=n):
+            net = abs(n - 2 * sum(stars))
+            table[stars] = law.get(net, 0) if net else 1
+    return MomentSequence(table, complete_through=6)
+
+
+@st.composite
+def star_table_scenarios(draw) -> TensorScenario:
+    """A spectral factor whose x1 is a star table, a unitary's or the
+    circular element's, then at times a group algebra; per factor, the
+    joint variables take the components (1, 2) or a shared (1, 1)."""
+    laws = st.sampled_from(LAWS)
+    first = draw(st.one_of(laws.map(unitary_table), st.just(CIRCULAR)))
+    unitaries = laws.map(lambda law: MomentSequence(law, unitary=True))
+    second = draw(st.one_of(unitaries, st.just(CIRCULAR)))
+    groups = draw(st.lists(group_algebras(), max_size=1))
+    pair = st.sampled_from([(1, 2), (1, 2), (1, 1)])
+    pairs = [draw(pair) for _ in range(1 + len(groups))]
+    # a factor not declared free has no mixed moments, so it may hold only
+    # a shared component
+    free = pairs[0] == (1, 2) or draw(st.booleans())
+    factors = [SpectralModel({1: first, 2: second}, assume_free=free), *groups]
+    return TensorScenario(
+        tuple(factors), {i: tuple(pair[i - 1] for pair in pairs) for i in (1, 2)}
+    )
+
+
+def rescaled(scenario: TensorScenario, c: Fraction) -> TensorScenario:
+    """Every star-table component a of the first factor becomes c a: a
+    pattern of length n gets c^n."""
+    first = scenario.factors[0]
+    sequences = {
+        v: seq
+        if seq.unitary
+        else MomentSequence(
+            {key: value * c ** len(key) for key, value in seq.values.items()},
+            complete_through=seq.complete_through,
+        )
+        for v, seq in first.sequences.items()
+    }
+    factors = (SpectralModel(sequences, assume_free=first.assume_free),)
+    return TensorScenario(factors + scenario.factors[1:], scenario.assignments)
+
+
+def classifier_outcome(scenario: TensorScenario, max_len: int):
+    """What the classifier decides, with its witness and violation words,
+    or the type of the error it raised."""
+    try:
+        report = check_necessary_conditions(scenario, max_len)
+    except TensorFreeError as exc:
+        return type(exc)
+    return (
+        report.classification,
+        report.hypothesis_problems,
+        report.notes,
+        report.non_unitary,
+        report.power_witness,
+        report.group_like,
+        (report.claim1_holds, report.claim2_holds, report.claim3_holds),
+        None if report.d_verdict is None else report.d_verdict.witness,
+        None
+        if report.tfc is None
+        else tuple((v.condition, v.factor, v.word) for v in report.tfc.violations),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    star_table_scenarios(),
+    st.sampled_from([Fraction(2), Fraction(3), Fraction(1, 2)]),
+    st.integers(2, 4),
+)
+def test_classifier_is_invariant_under_rescaling(scenario, c, max_len):
+    # every step tests values for zero or compares pivots and orders, and
+    # c a scales each of them by a positive factor
+    assert classifier_outcome(rescaled(scenario, c), max_len) == classifier_outcome(
+        scenario, max_len
+    )
+
+
+def scaled_haar_pair(second_moment) -> TensorScenario:
+    """x1 is s^(1/2) u for a Haar unitary u, where s = phi(x1 x1*), in
+    the first factor and a Haar unitary in the second; x2 is Haar in
+    both.  A pattern of length n with as many stars as not has moment
+    s^(n/2) under the first factor, and every other pattern 0."""
+    table = {
+        stars: Fraction(second_moment) ** (n // 2) if sum(stars) * 2 == n else 0
+        for n in range(1, 5)
+        for stars in product((False, True), repeat=n)
+    }
+    scaled = MomentSequence(table, complete_through=4)
+    first = SpectralModel({1: scaled, 2: HAAR}, assume_free=True)
+    haar = SpectralModel({1: HAAR, 2: HAAR}, assume_free=True)
+    return TensorScenario((first, haar), {1: (1, 1), 2: (2, 2)})
+
+
+def test_classifier_takes_an_irrational_normalizer():
+    report = check_necessary_conditions(scaled_haar_pair(2), max_len=4)
+    assert report.classification == "missing_case"
+    assert report.non_unitary == ()
+    assert report.group_like is True
+
+
+def test_classifier_reports_a_negative_second_moment():
+    report = check_necessary_conditions(scaled_haar_pair(-1), max_len=4)
+    assert report.classification == "hypotheses_not_met"
+    assert report.hypothesis_problems == ("factor 1 is not positive on its span",)

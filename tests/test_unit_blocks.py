@@ -23,7 +23,7 @@ from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ONE, ZERO, ExactComplex
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel
 from tensorfree.starwords import class_blocks, iter_words
-from tensorfree.tensor import TensorScenario, joint_oracle, normalized_scenario
+from tensorfree.tensor import TensorScenario, joint_oracle
 
 from strategies import reduced_by_hand
 
@@ -56,8 +56,6 @@ def has_unit_block(letters, unitary) -> bool:
 def test_bundled_unitary_indices(bundled, name, unitary):
     scenario = bundled(name).tensor
     assert scenario.unitary_indices == unitary
-    # normalization rescales star tables only
-    assert normalized_scenario(scenario).unitary_indices == unitary
 
 
 @pytest.mark.parametrize(
