@@ -4,7 +4,9 @@ A scenario binds each joint index i to one variable per factor; the
 joint variable is the elementary tensor of its components.  The joint
 functional is never materialized: the moment of a word factorizes as
 the product over factors of the same word evaluated on the components,
-and that product is all this module computes.  When every factor is a
+and that product is all this module computes, sparsest factor first and
+stopping at a zero one wherever no factor can fail
+(TensorScenario.evaluable_through).  When every factor is a
 trace of unitaries by construction (TensorScenario.unitary_trace), the
 diagonal scans evaluate it on one word per bracelet, the class of a
 word under rotation and adjoint reversal (freeness.switching_words).
@@ -13,7 +15,7 @@ word under rotation and adjoint reversal (freeness.switching_words).
 from __future__ import annotations
 
 from functools import cache, cached_property
-from math import lcm
+from math import lcm, prod
 from typing import Callable, NamedTuple
 
 from .errors import (
@@ -30,7 +32,7 @@ from .freeness import (
     Verdict,
     test_freeness,
 )
-from .scalars import ONE, ExactComplex
+from .scalars import ONE, ZERO, ExactComplex
 from .spaces import (
     AxiomReport,
     GroupAlgebraModel,
@@ -157,16 +159,48 @@ class TensorScenario(_TensorScenarioFields):
             )
         )
 
-    @property
-    def gauge_moduli(self) -> Gauge:
-        """Linear constraints on a word's exponent sums read off the
-        declared structure, as (modulus, ((joint index, weight), ...),
-        length cap) triples for freeness.scan_graph, sorted by weights.
+    @cached_property
+    def evaluable_through(self) -> int | None:
+        """The length through which every factor evaluates every word
+        without error, read off the declared structure; None when that
+        holds at every length, 0 when some factor can fail at any length.
 
-        Each is a constraint of one factor k, on its own variables, that
-        every word of nonzero factor-k moment keeps; joint index i takes
-        the weight of its component c_k(i), so a tensor word that breaks
-        it has factor-k moment zero, and so joint moment zero.
+        Group-backed factors never fail.  A SpectralModel fails past the
+        complete_through of a star table in use, and past
+        MIXED_MOMENT_LENGTH_CAP when it synthesizes mixed words (two or
+        more of its variables in use).  A star table with no
+        complete_through and mixed words without assume_free can fail at
+        any length, and so, for all that is declared, can a factor of any
+        other kind.  Within the cap no evaluation raises, so a skipped
+        word (one that breaks a gauge constraint, or a factor after a zero
+        one in tensor_moment) never hides an error; beyond it every factor
+        is evaluated.
+        """
+        caps: list[int] = []
+        for k, functional in enumerate(self.factors):
+            if isinstance(functional, GroupBackedModel):
+                continue
+            if not isinstance(functional, SpectralModel):
+                return 0
+            used = {c[k] for c in self.assignments.values()}
+            if len(used) > 1:
+                if not functional.assume_free:
+                    return 0
+                caps.append(MIXED_MOMENT_LENGTH_CAP)
+            for var in used:
+                seq = functional.sequences[var]
+                if not seq.unitary:
+                    if seq.complete_through is None:
+                        return 0
+                    caps.append(seq.complete_through)
+        return min(caps, default=None)
+
+    def factor_gauge(self, k: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """Factor k's own linear constraints on a word's exponent sums, as
+        (modulus, ((joint index, weight), ...)) pairs, each sorted by
+        joint index: each is a constraint of factor k, on its own
+        variables, that every word of nonzero factor-k moment keeps; joint
+        index i takes the weight of its component c_k(i).
 
         * An assume_free SpectralModel's law is the free product of its
           marginals, so rotating one variable v by a lambda that keeps
@@ -176,55 +210,64 @@ class TensorScenario(_TensorScenarioFields):
         * A GroupAlgebraModel (the canonical trace) gives its
           abelianization's constraints, GroupAlgebraModel.gauge.
 
-        Constraints with the same joint weights merge by lcm, and those
-        where every joint index weighs zero are left out.
-
-        The cap is the length through which every factor evaluates every
-        word without error: the least complete_through of the star tables
-        in use, and MIXED_MOMENT_LENGTH_CAP when a factor synthesizes
-        mixed words.  Beyond it a table's rotation invariance is unknown
-        and a skipped word could have raised a depth limit, so longer
-        words are evaluated.  A factor that can fail at any length (a
-        table with no complete_through, or mixed words in a SpectralModel
-        without assume_free) leaves no constraint at all, so a skip never
-        hides an error.
+        Constraints where every joint index weighs zero are left out.
+        Beyond evaluable_through a table's rotation invariance is
+        unknown; gauge_moduli caps the constraints there.
         """
-        caps: list[int] = []
-        # (modulus, factor-variable weights, factor position)
-        constraints: list[tuple[int, dict[int, int], int]] = []
-        for k, functional in enumerate(self.factors):
-            if isinstance(functional, GroupAlgebraModel):
-                constraints.extend(
-                    (m, dict(terms), k) for m, terms, _ in functional.gauge
-                )
-                continue
-            if not isinstance(functional, SpectralModel):
-                continue
-            used = {c[k] for c in self.assignments.values()}
-            if len(used) > 1:
-                if not functional.assume_free:
-                    return ()
-                caps.append(MIXED_MOMENT_LENGTH_CAP)
-            for var in used:
-                seq = functional.sequences[var]
-                if not seq.unitary:
-                    if seq.complete_through is None:
-                        return ()
-                    caps.append(seq.complete_through)
-                m = seq.rotation_modulus
-                if functional.assume_free and m != 1:
-                    constraints.append((m, {var: 1}, k))
-        moduli: dict[tuple[tuple[int, int], ...], int] = {}
-        for m, weight, k in constraints:
+        functional = self.factors[k - 1]
+        weights: list[tuple[int, dict[int, int]]] = []
+        if isinstance(functional, GroupAlgebraModel):
+            weights = [(m, dict(terms)) for m, terms, _ in functional.gauge]
+        elif isinstance(functional, SpectralModel) and functional.assume_free:
+            for var in sorted({c[k - 1] for c in self.assignments.values()}):
+                m = functional.sequences[var].rotation_modulus
+                if m != 1:
+                    weights.append((m, {var: 1}))
+        constraints = []
+        for m, weight in weights:
             terms = tuple(
-                (i, weight[c[k]])
+                (i, weight[c[k - 1]])
                 for i, c in sorted(self.assignments.items())
-                if c[k] in weight
+                if c[k - 1] in weight
             )
             if terms:
+                constraints.append((m, terms))
+        return constraints
+
+    @property
+    def gauge_moduli(self) -> Gauge:
+        """Every factor's factor_gauge, as (modulus, ((joint index,
+        weight), ...), length cap) triples for freeness.scan_graph, sorted
+        by weights: a tensor word that breaks one has a factor moment
+        zero, and so joint moment zero.
+
+        Constraints with the same joint weights merge by lcm.  The cap is
+        evaluable_through: beyond it a skipped word could have raised, so
+        longer words are evaluated, and when a factor can fail at any
+        length there is no constraint at all.
+        """
+        cap = self.evaluable_through
+        if cap == 0:
+            return ()
+        moduli: dict[tuple[tuple[int, int], ...], int] = {}
+        for k in range(1, self.K + 1):
+            for m, terms in self.factor_gauge(k):
                 moduli[terms] = lcm(moduli.get(terms, m), m)
-        cap = min(caps, default=None)
         return tuple((m, terms, cap) for terms, m in sorted(moduli.items()))
+
+    @cached_property
+    def zero_first(self) -> tuple[int, ...]:
+        """The factors in the order tensor_moment evaluates them: the
+        sparsest by declared structure first, by its factor_gauge.  More
+        modulus-0 constraints (an exponent sum that must vanish) come
+        first, then a larger product of the nonzero moduli, then the
+        smaller k.  The order reads no moment and no timing."""
+
+        def sparsity(k: int) -> tuple[int, int, int]:
+            moduli = [m for m, _ in self.factor_gauge(k)]
+            return (-moduli.count(0), -prod(m for m in moduli if m), k)
+
+        return tuple(sorted(range(1, self.K + 1), key=sparsity))
 
     def component(self, i: int, k: int) -> int:
         """Factor-k variable identifier of joint variable i (k is 1-based)."""
@@ -256,12 +299,21 @@ def tensor_moment(scenario: TensorScenario, word: StarWord) -> ExactComplex:
     """Joint moment of a word in the diagonal family: the product of the
     factor moments of the projected words.
 
-    Every factor is evaluated even when an earlier one is zero, so that
-    evaluability failures never depend on factor order.
+    Within TensorScenario.evaluable_through no factor can raise, so the
+    factors are evaluated in the order TensorScenario.zero_first and the
+    product stops at the first zero.  A longer word has every factor
+    evaluated first, in the order 1..K, so that an evaluability failure
+    never depends on the order or on another factor's zero.
     """
-    values = [factor_moment(scenario, word, k) for k in range(1, scenario.K + 1)]
+    cap = scenario.evaluable_through
+    if cap is None or len(word.letters) <= cap:
+        values = (factor_moment(scenario, word, k) for k in scenario.zero_first)
+    else:
+        values = [factor_moment(scenario, word, k) for k in range(1, scenario.K + 1)]
     out = ONE
     for value in values:
+        if value.is_zero():
+            return ZERO
         out = out * value
     return out
 

@@ -1,9 +1,9 @@
 """Hypothesis strategies for small valid scenarios: moment sequences and
 spectral factors, group algebras of free products of cyclic groups
-under the canonical trace or a table of values, and tensor scenarios
-that are Hermitian traces of unitaries by construction; and the gauge
-and reduced-word rules evaluated word by word, the twins of the scans'
-pruned walk."""
+under the canonical trace or a table of values, tensor scenarios that
+are Hermitian traces of unitaries by construction, and tensor scenarios
+that mix every kind of factor; and the gauge and reduced-word rules
+evaluated word by word, the twins of the scans' pruned walk."""
 
 from pathlib import Path
 
@@ -229,6 +229,24 @@ def haar_type_scenarios(draw) -> TensorScenario:
     return TensorScenario(
         factors=tuple(factors),
         assignments={v: (v,) * len(factors) for v in (1, 2)},
+    )
+
+
+@st.composite
+def mixed_tensor_scenarios(draw) -> TensorScenario:
+    """One to three factors of any kind: spectral_factors() (star tables
+    with and without complete_through, free or not), group_algebras(),
+    table_functionals() or free_unitary_factors(); per factor, joint
+    variables 1 and 2 take the components (1, 2), (2, 1) or a shared
+    (1, 1) or (2, 2)."""
+    factor = st.one_of(
+        spectral_factors(), group_algebras(), table_functionals(), free_unitary_factors()
+    )
+    factors = draw(st.lists(factor, min_size=1, max_size=3))
+    pairs = [draw(st.sampled_from([(1, 2), (2, 1), (1, 1), (2, 2)])) for _ in factors]
+    return TensorScenario(
+        factors=tuple(factors),
+        assignments={i: tuple(pair[i - 1] for pair in pairs) for i in (1, 2)},
     )
 
 

@@ -37,11 +37,11 @@ def trace(tmp_path, *cli_args) -> dict:
     return json.loads(summary_path.read_text(encoding="utf-8"))
 
 
-def expected_entry_points(workload: str) -> frozenset:
+def load_workloads():
     spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.EXPECTED_ENTRY_POINTS[workload]
+    return module
 
 
 def test_tracer_binds_every_entry_point(tmp_path):
@@ -98,21 +98,21 @@ def test_microbenchmark_names_exist():
     assert multiply(presentation, d1, d2).text() == "g1.1^1 g1.2^1 g2.1^1 g2.2^1"
 
 
-# The scan workloads at a small bound.  A traced benchmark run reports
-# correct: false when an entry point its workload expects records no
-# call, so a change that routes a scan around one (a fast path that
-# skips the L0 arithmetic, say) fails here first.
-SMALL_SCANS = {
-    "tensor-scan": ("scenarios/biased_power_k2.json", "test-freeness"),
-    "group-scan": ("scenarios/product_pair_collection.json", "group-freeness"),
-    "witness-search": ("scenarios/biased_power_k2.json", "counterexample-k", "2"),
-}
+# The scan workloads, each traced at its own invocation.  A traced
+# benchmark run reports correct: false when an entry point its workload
+# expects records no call, so a change that routes a scan around one (a
+# fast path that skips the L0 arithmetic, say) fails here first.
+SCANS = ("group-scan", "tensor-scan", "witness-search")
 
 
-@pytest.mark.parametrize("workload", sorted(SMALL_SCANS))
+@pytest.mark.parametrize("workload", SCANS)
 def test_small_scans_reach_the_expected_entry_points(tmp_path, workload):
-    summary = trace(tmp_path, *SMALL_SCANS[workload], "--max-len", "4")
+    workloads = load_workloads()
+    (invocation,) = workloads.WORKLOADS[workload]
+    summary = trace(tmp_path, *invocation)
     silent = sorted(
-        name for name in expected_entry_points(workload) if summary["calls"][name] < 1
+        name
+        for name in workloads.EXPECTED_ENTRY_POINTS[workload]
+        if summary["calls"][name] < 1
     )
     assert silent == []

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorfree import counterexample
+from tensorfree import counterexample, tensor
 from tensorfree.counterexample import (
     BLOCK_PAIR_CAP,
     PowerScanLine,
@@ -429,6 +429,58 @@ def test_analysis_report_for_three_factors():
     ]
     assert report.minimal_block_pairs == 6
     assert report.filters[-1].block_pairs == 6
+
+
+# (K, max_len): the factor_moment calls, which the oracle's order
+# (TensorScenario.zero_first) and its stop at a zero factor set; then
+# the verdict's witness, lhs and words_checked and the (block pairs,
+# words, violations) tallies, which no evaluation order may change.
+ANALYSIS_WORK = {
+    (2, 10): (
+        481,
+        "x1 x1 x2 x1 x2* x1* x1* x2 x1 x2*",
+        Fraction(1, 100000),
+        118056,
+        [(1, 360, 0), (2, 8640, 0), (3, 43008, 0), (4, 53760, 64), (5, 12288, 16)],
+    ),
+    (3, 12): (
+        1005,
+        None,
+        None,
+        1062832,
+        [
+            (1, 528, 0),
+            (2, 19360, 0),
+            (3, 168960, 0),
+            (4, 456192, 0),
+            (5, 360448, 0),
+            (6, 57344, 0),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("K, max_len", sorted(ANALYSIS_WORK))
+def test_analysis_work_is_pinned(monkeypatch, K, max_len):
+    calls = Counter()
+    factor_moment = tensor.factor_moment
+
+    def counted(*args):
+        calls["factor_moment"] += 1
+        return factor_moment(*args)
+
+    monkeypatch.setattr(tensor, "factor_moment", counted)
+    report = analyze_biased_power(K, Fraction(1, 10), max_len)
+    witness = report.verdict.witness
+    got = (
+        calls["factor_moment"],
+        witness and witness.text(),
+        report.verdict.lhs,
+        report.verdict.words_checked,
+        [(l.block_pairs, l.words, l.violations) for l in report.scan],
+    )
+    assert got == ANALYSIS_WORK[K, max_len]
+    assert report.verdict.free == (witness is None)
 
 
 def test_analysis_propagates_scenario_guards():

@@ -11,7 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorfree.errors import FactorNotEvaluable, PreconditionError, ScenarioError
+from tensorfree.counterexample import biased_power_scenario
+from tensorfree.errors import (
+    DepthLimitError,
+    FactorNotEvaluable,
+    LimitError,
+    PreconditionError,
+    ScenarioError,
+)
+from tensorfree.freeness import MIXED_MOMENT_LENGTH_CAP
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -36,11 +44,14 @@ from tensorfree.tensor import (
     tensor_moment,
 )
 from tensorfree.starwords import (
+    StarWord,
     iter_letters,
     iter_sequences,
     parse_word as word,
 )
 from tensorfree.tfc import TfcViolation, check_tfc
+
+from strategies import mixed_tensor_scenarios
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -240,6 +251,88 @@ def test_factor_not_evaluable_is_tagged_and_order_independent():
         tensor_moment(scen, w)
     # the message names the factor and the projected word
     assert str(exc.value).startswith("factor 2 cannot evaluate 'x1 x2': ")
+
+
+def test_a_failing_factor_raises_after_a_zero_factor_first_in_order():
+    closed = SpectralModel(
+        {
+            1: MomentSequence({(False,): 0}, complete_through=1),
+            2: MomentSequence({(False,): 0}, complete_through=1),
+        }
+    )
+    scen = TensorScenario(
+        factors=(closed, f2_model()),
+        assignments={1: (1, 1), 2: (2, 2)},
+    )
+    # the free group's two modulus-0 constraints put factor 2 first, but
+    # mixed words in a factor without assume_free can fail at any length
+    assert scen.zero_first == (2, 1)
+    assert scen.evaluable_through == 0
+    w = word("x1 x2")  # factor 2 gives zero, factor 1 cannot evaluate at all
+    assert factor_moment(scen, w, 2) == ZERO
+    with pytest.raises(FactorNotEvaluable) as exc:
+        tensor_moment(scen, w)
+    assert str(exc.value).startswith("factor 1 cannot evaluate 'x1 x2': ")
+
+
+def test_a_word_past_the_engine_cap_raises_although_a_factor_is_zero():
+    scen = biased_power_scenario(2, Fraction(1, 10))
+    assert scen.zero_first == (2, 1)
+    assert scen.evaluable_through == MIXED_MOMENT_LENGTH_CAP
+    # x1's exponent sum is odd, so factor 2 (powers +-2 only) is zero
+    short = word(" ".join(["x1 x2"] * 7 + ["x1"]))
+    assert tensor_moment(scen, short) == ZERO
+    past_cap = word(" ".join(["x1 x2"] * 8 + ["x1"]))
+    with pytest.raises(DepthLimitError, match="length 17 exceeds bound 16"):
+        tensor_moment(scen, past_cap)
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 20])
+def test_a_table_with_no_depth_disables_the_zero_shortcut(n):
+    # the table lists x1 alone, so every longer power is missing data;
+    # factor 2, first in order, is zero on every nonzero power of g
+    table = SpectralModel({1: MomentSequence({(False,): 0})})
+    scen = TensorScenario(factors=(table, integer_model((1,))), assignments={1: (1, 1)})
+    assert scen.zero_first == (2, 1)
+    assert scen.evaluable_through == 0
+    w = word(" ".join(["x1"] * n))
+    assert factor_moment(scen, w, 2) == ZERO
+    with pytest.raises(FactorNotEvaluable, match="^factor 1 cannot evaluate"):
+        tensor_moment(scen, w)
+
+
+def every_factor(scenario: TensorScenario, w) -> ExactComplex:
+    """The brute-force twin of tensor_moment: every factor evaluated in
+    the order 1..K, then multiplied."""
+    values = [factor_moment(scenario, w, k) for k in range(1, scenario.K + 1)]
+    out = ONE
+    for value in values:
+        out = out * value
+    return out
+
+
+def outcome(evaluate, scenario, w):
+    try:
+        return "value", evaluate(scenario, w)
+    except (FactorNotEvaluable, LimitError) as exc:
+        return type(exc), str(exc)
+
+
+LETTERS = iter_letters((1, 2))
+# short words, and words one letter past the free engine's cap
+WORDS = st.one_of(
+    st.lists(st.sampled_from(LETTERS), min_size=1, max_size=6),
+    st.lists(st.sampled_from(LETTERS), min_size=17, max_size=17),
+).map(lambda letters: StarWord(tuple(letters)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_tensor_scenarios(), st.lists(WORDS, min_size=1, max_size=8))
+def test_zero_first_matches_the_product_of_every_factor(scenario, words):
+    # most of these words have some factor zero; the value and the error,
+    # its type and its message, are those of the twin's
+    for w in words:
+        assert outcome(tensor_moment, scenario, w) == outcome(every_factor, scenario, w)
 
 
 def test_pattern_plumbing():
