@@ -47,12 +47,7 @@ from .tensor import (
     joint_oracle,
     tensor_moment,
 )
-from .tfc import (
-    check_necessary_conditions,
-    check_tfc,
-    factor_freeness_verdict,
-    find_dominating,
-)
+from .tfc import check_necessary_conditions, check_tfc, find_dominating
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -178,7 +173,7 @@ def _run_moments(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         model = sf.collection
         report = {
             "word": word,
-            "canonical_trace_moment": model.moment(word),
+            "canonical_trace_moment": model.moment_letters(word.letters),
             "element": model.element_of(word.letters),
         }
     return report, EXIT_OK
@@ -192,7 +187,7 @@ def _run_test_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         diagonal = diagonal_verdict(scen, max_len, oracle)
         factors: dict = {}
         for k in range(1, scen.K + 1):
-            verdict = factor_freeness_verdict(scen, k, max_len)
+            verdict = scen.factor_verdict(k, max_len)
             if verdict is None:
                 factors[str(k)] = {"declared_free": True}
             else:
@@ -260,7 +255,7 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         report["bridge"] = {
             "witness_star_word": word,
             "centered_value": centered,
-            "moment": model.moment(word),
+            "moment": model.moment_letters(word.letters),
         }
     ok = verdict.free and star.free
     return report, EXIT_OK if ok else EXIT_FAILED
@@ -409,8 +404,8 @@ def _run_identities(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 def _run_check_axioms(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     gram_len = bounds["gram_len"]
     if sf.tensor is not None:
-        factors = enumerate(sf.tensor.factors, start=1)
-        reports = {str(k): check_axioms(f, gram_len) for k, f in factors}
+        scen = sf.tensor
+        reports = {str(k): scen.axioms(k, gram_len) for k in range(1, scen.K + 1)}
     else:
         reports = {"canonical_trace": check_axioms(sf.collection, gram_len)}
     ok = all(

@@ -24,7 +24,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DepthLimitError, PreconditionError, ScenarioError
 from .freeness import (
-    MIXED_MOMENT_LENGTH_CAP,
     Gauge,
     JointOracle,
     Verdict,
@@ -306,7 +305,8 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     power-moment laws, a Hermitian trace of unitaries by construction
     (TensorScenario.unitary_trace).
 
-    Past MIXED_MOMENT_LENGTH_CAP the free engine refuses every mixed
+    Past the scenario's evaluable_through, which is the free engine's
+    MIXED_MOMENT_LENGTH_CAP here, the free engine refuses every mixed
     word, and the scan would reach one only after every shorter length,
     so the depth limit is raised before the scan, with the message the
     first such word would give.  The scan's Haar-type check that it
@@ -316,10 +316,9 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     The filter table is filter_table(K).
     """
     scenario = biased_power_scenario(K, alpha)
-    if max_len > MIXED_MOMENT_LENGTH_CAP:
-        raise DepthLimitError(
-            "mixed moment word", MIXED_MOMENT_LENGTH_CAP + 1, MIXED_MOMENT_LENGTH_CAP
-        )
+    cap = scenario.evaluable_through
+    if cap is not None and max_len > cap:
+        raise DepthLimitError("mixed moment word", cap + 1, cap)
     verdict, scan = scan_alternating_powers(
         joint_oracle(scenario), (1, 2), max_len, scenario.gauge_moduli
     )

@@ -27,7 +27,7 @@ from .errors import (
 from .groups import GroupElement, GroupPresentation, abelian_gauge, inverse, reduce
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
-from .starwords import Letter, LetterTuple, StarWord, iter_letters, merge_powers
+from .starwords import Letter, LetterTuple, iter_letters, merge_powers
 
 GRAM_BASIS_CAP = 320
 
@@ -40,9 +40,6 @@ class MomentFunctional:
     """Common surface of the three models: exact moments of star-words."""
 
     variables: tuple[int, ...]
-
-    def moment(self, word: StarWord) -> ExactComplex:
-        return self.moment_letters(word.letters)
 
     def moment_letters(self, letters: LetterTuple) -> ExactComplex:
         raise NotImplementedError
@@ -186,16 +183,16 @@ class SpectralModel(MomentFunctional):
 # -- derived quantities -------------------------------------------------
 
 
-def variance(functional: MomentFunctional, word: StarWord) -> Fraction:
-    """Exact variance psi(b b*) - |psi(b)|^2 of a word.
+def variance(moment: freeness.JointOracle, letters: LetterTuple) -> Fraction:
+    """Exact variance psi(b b*) - |psi(b)|^2 of the word b, by the moment
+    oracle psi of a letter tuple.
 
     Zero variance makes the word a scalar multiple of the unit only
     when the functional is faithful; callers that read it as
     determinism say so in their reports.
     """
-    letters = word.letters
-    mean = functional.moment_letters(letters)
-    second = functional.moment_letters(letters + _adjoint_letters(letters))
+    mean = moment(letters)
+    second = moment(letters + _adjoint_letters(letters))
     if second.im != 0:
         raise ScenarioError("psi(b b*) is not real; Hermitian symmetry is broken")
     return second.re - mean.abs2()

@@ -10,6 +10,9 @@ stopping at a zero one wherever no factor can fail
 trace of unitaries by construction (TensorScenario.unitary_trace), the
 diagonal scans evaluate it on one word per bracelet, the class of a
 word under rotation and adjoint reversal (freeness.switching_words).
+The checks read a factor only through this module: its moments through
+factor_moment or factor_oracle, which name the factor when it fails,
+and its axioms and freeness verdicts through the per-scenario caches.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from .spaces import (
     check_axioms,
     variance,
 )
-from .starwords import Letter, LetterTuple, StarWord, single_variable_word
+from .starwords import Letter, LetterTuple, StarWord
 
 
 class _TensorScenarioFields(NamedTuple):
@@ -101,6 +104,30 @@ class TensorScenario(_TensorScenarioFields):
         """axioms(k, gram_len): spaces.check_axioms of factor k at that
         Gram length; each (factor, length) pair is checked once."""
         return cache(lambda k, gram_len: check_axioms(self.factors[k - 1], gram_len))
+
+    @cached_property
+    def factor_verdict(self) -> Callable[[int, int], Verdict | None]:
+        """factor_verdict(k, max_len): bounded star-freeness of factor k's
+        component family, walked by the rules of factor k's declared
+        structure (diagonal_verdict); evaluation errors name factor k.
+        Each (factor, bound) pair is scanned once.
+
+        A SpectralModel flagged free synthesizes its mixed moments from
+        freeness, so the test would be a tautology; None signals that case.
+        """
+
+        def verdict(k: int, max_len: int) -> Verdict | None:
+            functional = self.factors[k - 1]
+            if isinstance(functional, SpectralModel) and functional.assume_free:
+                return None
+            # the family is indexed by the joint variables, so a repeated
+            # factor component is tested against itself, not collapsed away
+            family = TensorScenario(
+                (functional,), {i: (c[k - 1],) for i, c in self.assignments.items()}
+            )
+            return diagonal_verdict(family, max_len, factor_oracle(self, k))
+
+        return cache(verdict)
 
     def faithful(self, k: int) -> bool:
         """Whether factor k's Gram matrix at length 2 is positive
@@ -269,10 +296,6 @@ class TensorScenario(_TensorScenarioFields):
 
         return tuple(sorted(range(1, self.K + 1), key=sparsity))
 
-    def component(self, i: int, k: int) -> int:
-        """Factor-k variable identifier of joint variable i (k is 1-based)."""
-        return self.assignments[i][k - 1]
-
 
 def factor_word(scenario: TensorScenario, word: StarWord, k: int) -> StarWord:
     """The word with every joint index replaced by its factor-k component;
@@ -284,7 +307,7 @@ def factor_word(scenario: TensorScenario, word: StarWord, k: int) -> StarWord:
 def factor_moment(scenario: TensorScenario, word: StarWord, k: int) -> ExactComplex:
     projected = factor_word(scenario, word, k)
     try:
-        return scenario.factors[k - 1].moment(projected)
+        return scenario.factors[k - 1].moment_letters(projected.letters)
     except (NotDirectlyEvaluable, InsufficientMomentDataError) as exc:
         raise FactorNotEvaluable(k, projected.text(), str(exc)) from exc
 
@@ -349,21 +372,20 @@ def scalar_component_check(scenario: TensorScenario) -> list[str]:
 
     Returns human-readable problems: a joint variable that is the zero
     vector (a component with vanishing second moment) or a constant
-    multiple of the unit (every component deterministic).
+    multiple of the unit (every component deterministic).  Every factor
+    moment is read through factor_oracle, so errors name the factor.
     """
     problems: list[str] = []
     for i in scenario.indices:
+        x, x_star = Letter(i, False), Letter(i, True)
         zero = False
         all_det = True
         for k in range(1, scenario.K + 1):
-            var = scenario.component(i, k)
-            functional = scenario.factors[k - 1]
-            second = functional.moment_letters((Letter(var, False), Letter(var, True)))
-            if second.is_zero():
+            moment = factor_oracle(scenario, k)
+            if moment((x, x_star)).is_zero():
                 zero = True
                 break
-            w = single_variable_word((False,), var)
-            if variance(functional, w) != 0:
+            if variance(moment, (x,)) != 0:
                 all_det = False
         if zero:
             problems.append(f"joint variable {i} has a zero component")

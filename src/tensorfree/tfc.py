@@ -22,14 +22,13 @@ from .errors import (
 )
 from .freeness import Verdict
 from .scalars import ExactComplex
-from .spaces import SpectralModel, variance
-from .starwords import StarWord, iter_star_patterns, single_variable_word
+from .spaces import variance
+from .starwords import LetterTuple, StarWord, iter_star_patterns, single_variable_word
 from .tensor import (
     TensorScenario,
     diagonal_verdict,
     factor_moment,
     factor_oracle,
-    factor_word,
     joint_oracle,
     scalar_component_check,
     tensor_moment,
@@ -67,26 +66,6 @@ class TfcReport(NamedTuple):
         return self.k if self.satisfied else None
 
 
-def factor_freeness_verdict(scenario: TensorScenario, k: int, max_len: int):
-    """Bounded star-freeness of factor k's component family, walked by
-    the rules of factor k's declared structure (tensor.diagonal_verdict);
-    evaluation errors name factor k.
-
-    Spectral models flagged free synthesize their mixed moments from
-    freeness, so the test would be a tautology; None signals that case.
-    """
-    functional = scenario.factors[k - 1]
-    if isinstance(functional, SpectralModel) and functional.assume_free:
-        return None
-
-    # the family is indexed by the joint variables, so a repeated factor
-    # component must be tested against itself, not collapsed away
-    family = TensorScenario(
-        (functional,), {i: (c[k - 1],) for i, c in scenario.assignments.items()}
-    )
-    return diagonal_verdict(family, max_len, factor_oracle(scenario, k))
-
-
 def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
     """Both tensor freeness conditions for candidate factor k, over all
     single-variable star-words up to max_len letters and all joint
@@ -97,7 +76,7 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
     """
     if not 1 <= k <= scenario.K:
         raise PreconditionError(f"factor index {k} out of range 1..{scenario.K}")
-    freeness_verdict = factor_freeness_verdict(scenario, k, max_len)
+    freeness_verdict = scenario.factor_verdict(k, max_len)
     if freeness_verdict is not None and not freeness_verdict.free:
         raise FactorNotFreeError(k, freeness_verdict)
 
@@ -126,9 +105,7 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
                         first_1 = TfcViolation(1, i, pattern, k, value, factor_value=fk)
             elif first_2 is None:
                 for l in others:
-                    spread = variance(
-                        scenario.factors[l - 1], factor_word(scenario, word, l)
-                    )
+                    spread = variance(factor_oracle(scenario, l), word.letters)
                     if spread != 0:
                         first_2 = TfcViolation(2, i, pattern, l, value, variance=spread)
                         break
@@ -222,12 +199,8 @@ class NecessaryConditionsReport(NamedTuple):
         return self.tfc.satisfied
 
 
-def _power_moment(scenario: TensorScenario, i: int, m: int) -> ExactComplex:
-    return tensor_moment(scenario, single_variable_word((False,) * m, i))
-
-
-def _component_power(scenario: TensorScenario, k: int, i: int, m: int) -> StarWord:
-    return single_variable_word((False,) * m, scenario.component(i, k))
+def _letters(i: int, pattern: tuple[bool, ...]) -> LetterTuple:
+    return single_variable_word(pattern, i).letters
 
 
 def check_necessary_conditions(
@@ -259,7 +232,7 @@ def check_necessary_conditions(
     factors = range(1, scenario.K + 1)
     notes: list[str] = []
     for k in factors:
-        verdict = factor_freeness_verdict(scenario, k, max_len)
+        verdict = scenario.factor_verdict(k, max_len)
         if verdict is not None and not verdict.free:
             witness = verdict.witness.text() if verdict.witness else "?"
             problems.append(
@@ -284,9 +257,8 @@ def check_necessary_conditions(
             "hypotheses_not_met", tuple(problems), tuple(notes)
         )
 
-    def moment(k: int, i: int, pattern: tuple[bool, ...]) -> ExactComplex:
-        word = single_variable_word(pattern, scenario.component(i, k))
-        return scenario.factors[k - 1].moment(word)
+    joint = joint_oracle(scenario)
+    factor = {k: factor_oracle(scenario, k) for k in factors}
 
     # a / sqrt(phi(a a*)) is unitary iff phi(a a* a a*) = phi(a a*)^2
     second = (False, True)
@@ -294,10 +266,11 @@ def check_necessary_conditions(
         (k, i)
         for k in factors
         for i in scenario.indices
-        if moment(k, i, second * 2) != moment(k, i, second) * moment(k, i, second)
+        if factor[k](_letters(i, second * 2))
+        != factor[k](_letters(i, second)) * factor[k](_letters(i, second))
     )
     non_unitary_factors = sorted({k for k, _ in non_unitary})
-    d_verdict = diagonal_verdict(scenario, max_len, joint_oracle(scenario))
+    d_verdict = diagonal_verdict(scenario, max_len, joint)
 
     def report(classification: str, *extra_notes: str, **found):
         return NecessaryConditionsReport(
@@ -325,12 +298,9 @@ def check_necessary_conditions(
                 (k, m, i)
                 for m in range(1, max_len + 1)
                 for i in scenario.indices
-                if not _power_moment(scenario, i, m).is_zero()
+                if not joint(_letters(i, (False,) * m)).is_zero()
                 for k in factors
-                if variance(
-                    scenario.factors[k - 1], _component_power(scenario, k, i, m)
-                )
-                != 0
+                if variance(factor[k], _letters(i, (False,) * m)) != 0
             ),
             None,
         )
@@ -344,10 +314,10 @@ def check_necessary_conditions(
 
     # group-like: every vanishing joint power vanishes in every factor
     group_like = all(
-        moment(k, i, (False,) * m).is_zero()
+        factor[k](_letters(i, (False,) * m)).is_zero()
         for i in scenario.indices
         for m in range(1, max_len + 1)
-        if _power_moment(scenario, i, m).is_zero()
+        if joint(_letters(i, (False,) * m)).is_zero()
         for k in factors
     )
     return report(

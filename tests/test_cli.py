@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from tensorfree import cli, errors
+from tensorfree import cli, errors, tensor
 
 
 def canonical(data) -> str:
@@ -414,6 +414,23 @@ def test_necessary_conditions_classifications(run_cli, scenario_path):
     assert body["claims"] == {"claim1": None, "claim2": None, "claim3": None}
 
 
+def test_theorem_1_8_scans_each_factor_family_once(run_cli, scenario_path, monkeypatch):
+    # factor 1, factor 2 and the diagonal family: the TFC's precondition
+    # on factor 1 reads the verdict the hypothesis check already made
+    calls = []
+    scan = tensor.test_freeness
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return scan(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "test_freeness", counting)
+    res = run_cli(scenario_path("circular_dominated"), "theorem-1-8")
+    assert res.code == 0
+    assert res.json()["report"]["classification"] == "one_nonunitary_factor"
+    assert len(calls) == 3
+
+
 def test_theorem_1_8_is_invariant_under_rescaling(run_cli, scenario_path, tmp_path):
     # 2a for the circular a: a pattern of length n gets 2^n, and no step
     # of the classifier depends on that scale
@@ -536,6 +553,40 @@ def test_an_unevaluable_factor_word_names_the_factor(run_cli, tmp_path, command)
     assert res.code == 2
     assert res.out == ""
     assert "factor 1 cannot evaluate 'x1 x2'" in res.err
+
+
+# x = a (x) a for an a whose star table stops at two letters: x x* is
+# not deterministic, and its variance needs the missing x x* x x*
+SHORT_TABLE = {
+    "moments": {"a": 0, "a*": 0, "aa": 0, "a*a*": 0, "aa*": 1, "a*a": 1}
+}
+
+
+@pytest.mark.parametrize(
+    "command, factor",
+    [
+        (("check-tfc",), 2),
+        (("find-dominating",), 2),
+        (("theorem-1-8", "--gram-len", "1"), 1),
+    ],
+)
+def test_a_short_star_table_names_the_factor(run_cli, tmp_path, command, factor):
+    # the TFC reads factor 2's variance of x1 x1*; theorem-1-8 reads
+    # factor 1's moment of x1 x1* x1 x1* to tell if x1 is unitary up to
+    # scale; both go through the factor oracle, which names the factor
+    spectral = {"space": "spectral", "variables": {"1": SHORT_TABLE}}
+    payload = {
+        "version": 1,
+        "name": "short_tables",
+        "kind": "tensor",
+        "factors": [spectral, spectral],
+        "tensor": {"variables": {"1": [1, 1]}},
+    }
+    path = write_scenario(tmp_path, "short_tables", payload)
+    res = run_cli(path, *command, "--max-len", "4")
+    assert res.code == 2
+    assert res.out == ""
+    assert f"factor {factor} cannot evaluate 'x1 x1* x1 x1*'" in res.err
 
 
 def test_an_unevaluable_word_of_factor_2_names_factor_2(run_cli, tmp_path):

@@ -1,6 +1,6 @@
 """The factor scans against their twin that evaluates every word.
 
-tfc.factor_freeness_verdict scans factor k's family (a_{k;i})_i as the
+TensorScenario.factor_verdict scans factor k's family (a_{k;i})_i as the
 one-factor scenario of factor k, so it walks only the reduced words of
 factor k's unitaries that keep the gauge of its declared structure.
 Its twin here passes no rule; both must agree on the verdict, the
@@ -26,11 +26,14 @@ from tensorfree.ncpartitions import MomentSequence
 from tensorfree.scalars import ExactComplex
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel, TableFunctional
 from tensorfree.tensor import TensorScenario, factor_oracle
-from tensorfree.tfc import factor_freeness_verdict
 
 from strategies import group_algebras, spectral_factors, table_functionals
 
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
+
+
+def factor_scan(scenario, k, max_len):
+    return scenario.factor_verdict(k, max_len)
 
 
 def full_scan(scenario, k, max_len):
@@ -88,9 +91,9 @@ def test_factor_scans_match_the_full_scan(scenario, max_len):
     for k, functional in enumerate(scenario.factors, 1):
         if isinstance(functional, SpectralModel) and functional.assume_free:
             # a family whose mixed moments come from freeness is free by fiat
-            assert factor_freeness_verdict(scenario, k, max_len) is None
+            assert scenario.factor_verdict(k, max_len) is None
             continue
-        assert outcome(factor_freeness_verdict, scenario, k, max_len) == outcome(
+        assert outcome(factor_scan, scenario, k, max_len) == outcome(
             full_scan, scenario, k, max_len
         )
 
@@ -104,7 +107,7 @@ def test_doubly_free_factor_scan_evaluates_few_words(bundled, monkeypatch):
         return centered_product_value(oracle, letters, class_of)
 
     monkeypatch.setattr(freeness, "centered_product_value", recording)
-    verdict = factor_freeness_verdict(scenario, 1, 6)
+    verdict = scenario.factor_verdict(1, 6)
     assert verdict.free
     assert verdict.words_checked == 5_208
     # one reduced switching word per bracelet, of those that keep both of
@@ -115,11 +118,11 @@ def test_doubly_free_factor_scan_evaluates_few_words(bundled, monkeypatch):
 
 def test_free_without_dominating_factor_2_witness(bundled):
     scenario = bundled("free_without_dominating").tensor
-    verdict = factor_freeness_verdict(scenario, 2, 6)
+    verdict = scenario.factor_verdict(2, 6)
     assert not verdict.free
     assert verdict.witness.text() == "x1 x1 x2*"
     assert verdict.lhs == 1
     assert verdict.words_checked == 10
-    assert outcome(factor_freeness_verdict, scenario, 2, 6) == outcome(
+    assert outcome(factor_scan, scenario, 2, 6) == outcome(
         full_scan, scenario, 2, 6
     )

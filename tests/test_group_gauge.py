@@ -128,7 +128,7 @@ def test_a_table_functional_gives_no_constraint():
     table = TableFunctional(pres, {1: g, 2: h}, {gh: Fraction(1, 10)})
     scenario = TensorScenario(factors=(table,), assignments={1: (1,), 2: (2,)})
     assert scenario.gauge_moduli == ()
-    assert table.moment(parse_word("x1 x2")) == Fraction(1, 10)
+    assert table.moment_letters(parse_word("x1 x2").letters) == Fraction(1, 10)
 
 
 def test_group_constraints_take_the_table_depth_as_cap():

@@ -4,9 +4,11 @@ spaces.check_axioms builds a Gram matrix and eliminates it exactly, so
 a second route to it checks a factor again.  Under src/tensorfree its
 name is read in two places only: TensorScenario.axioms, which keeps one
 report per (factor, Gram length), and cli._run_check_axioms, the
-check-axioms subcommand, which also serves group files that have no
-tensor scenario.  A read is a bare name or an attribute, so passing the
-function on counts too, and an import under another name is refused.
+check-axioms subcommand, which reads that cache for each factor of a
+tensor file and calls check_axioms directly only for a group file, which
+has no tensor scenario.  A read is a bare name or an attribute, so
+passing the function on counts too, and an import under another name is
+refused.
 """
 
 import ast

@@ -103,7 +103,7 @@ def test_scenario_accessors():
     )
     assert scen.K == 2
     assert scen.indices == (1, 2)
-    assert scen.component(1, 2) == 2
+    assert scen.assignments[1][1] == 2
     assert factor_word(scen, word("x1 x2*"), 1) == word("x1 x2*")
     assert factor_word(scen, word("x1 x2*"), 2) == word("x2 x1*")
 

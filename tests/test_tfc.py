@@ -35,7 +35,6 @@ from tensorfree.tensor import (
 from tensorfree.tfc import (
     check_necessary_conditions,
     check_tfc,
-    factor_freeness_verdict,
     find_dominating,
 )
 
@@ -61,9 +60,9 @@ def order2_model():
 
 def test_assume_free_spectral_factor_has_no_verdict(bundled):
     scen = bundled("biased_unitary").tensor
-    assert factor_freeness_verdict(scen, 1, 6) is None
+    assert scen.factor_verdict(1, 6) is None
     # the group factor gets a real verdict
-    assert factor_freeness_verdict(scen, 2, 6) is not None
+    assert scen.factor_verdict(2, 6) is not None
 
 
 def test_repeated_component_is_tested_against_itself():
@@ -73,7 +72,7 @@ def test_repeated_component_is_tested_against_itself():
     scen = TensorScenario(
         factors=(haar,), assignments={1: (1,), 2: (1,)}
     )
-    verdict = factor_freeness_verdict(scen, 1, 4)
+    verdict = scen.factor_verdict(1, 4)
     assert not verdict.free
     assert verdict.witness == word("x1 x2*")
     assert verdict.lhs == ONE
