@@ -38,7 +38,7 @@ from .groups import (
 from .identities import IDENTITY_CHECKS
 from .scenario import ScenarioFile, load_scenario
 from .scalars import ExactComplex, fraction_from_json, scalar_json
-from .spaces import SpectralModel, check_axioms
+from .spaces import check_axioms
 from .starwords import StarWord, parse_word, power_word_to_star_word
 from .tensor import (
     diagonal_verdict,
@@ -308,23 +308,6 @@ def _run_theorem_1_8(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     return report, EXIT_FAILED if failed else EXIT_OK
 
 
-def _declared(scen) -> tuple:
-    """A tensor scenario's assignments and, per spectral factor, its
-    freeness flag and moment sequences (None for other factors)."""
-    return scen.assignments, [
-        (
-            f.assume_free,
-            {
-                v: (seq.values, seq.unitary, seq.period, seq.complete_through)
-                for v, seq in f.sequences.items()
-            },
-        )
-        if isinstance(f, SpectralModel)
-        else None
-        for f in scen.factors
-    ]
-
-
 def _run_counterexample_k(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     scen = _require(sf, "tensor")
     if scen.K != args.K:
@@ -333,7 +316,8 @@ def _run_counterexample_k(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             f"but the command asked for K = {args.K}"
         )
     alpha = sf.alpha if sf.alpha is not None else DEFAULT_ALPHA
-    if _declared(scen) != _declared(biased_power_scenario(args.K, alpha)):
+    # spectral models compare by their freeness flag and moment sequences
+    if scen != biased_power_scenario(args.K, alpha):
         raise ScenarioError(
             f"scenario {sf.name!r} is not the biased-power pair for "
             f"K = {args.K} and alpha {alpha}"

@@ -121,9 +121,9 @@ def scan_alternating_powers(
     (TensorScenario.gauge_moduli); every other word has moment zero.
 
     joint must be a Hermitian trace of unitaries, as analyze_biased_power's
-    scenario is by construction (TensorScenario.unitary_trace) and a
-    group algebra under its canonical trace is.  Then a word's moment is
-    a function of its class under rotation and adjoint reversal
+    scenario is by its factors' declarations (SpectralModel.unitary_trace)
+    and a group algebra under its canonical trace is.  Then a word's moment
+    is a function of its class under rotation and adjoint reversal
     (conjugated on the adjoint side), at every length, and joint is asked
     once per bracelet (switching_words with trace): a violating rep adds
     each distinct rotation of itself and of its adjoint reversal, every
@@ -302,8 +302,8 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     closed form.
     The scan evaluates one word per bracelet (scan_alternating_powers),
     because each factor is a free product of unitary
-    power-moment laws, a Hermitian trace of unitaries by construction
-    (TensorScenario.unitary_trace).
+    power-moment laws, a Hermitian trace of unitaries by its declaration
+    (SpectralModel.unitary_trace).
 
     Past the scenario's evaluable_through, which is the free engine's
     MIXED_MOMENT_LENGTH_CAP here, the free engine refuses every mixed

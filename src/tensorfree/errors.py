@@ -43,6 +43,11 @@ class FactorNotEvaluable(TensorFreeError):
         super().__init__(f"factor {factor} cannot evaluate '{word_text}': {reason}")
 
 
+class FactorAxiomsNotCheckable(TensorFreeError):
+    def __init__(self, factor: int, reason: str) -> None:
+        super().__init__(f"factor {factor} axioms not checkable: {reason}")
+
+
 class PreconditionError(TensorFreeError):
     """An operation's mathematical precondition does not hold."""
 

@@ -364,8 +364,8 @@ def test_freeness(
       scenario (TensorScenario.gauge_moduli) or the abelianization of a
       group algebra under the canonical trace (GroupAlgebraModel.gauge).
     * trace declares joint a Hermitian trace by the caller's structure
-      (TensorScenario.unitary_trace, or a group algebra's canonical
-      trace); the scan then evaluates one word
+      (MomentFunctional.unitary_trace, which TensorScenario.unitary_trace
+      folds over the factors); the scan then evaluates one word
       per bracelet (switching_words with trace).  This is exact.  While
       every shorter centered product vanishes, a word whose first and
       last blocks share an index centers as its rotation that merges

@@ -161,6 +161,11 @@ class MomentSequence:
                 raise ValueError(f"Hermitian symmetry violated at key {k!r}")
             self.values[k] = v
 
+    def __eq__(self, other) -> bool:
+        # by the declared data, so two files stating one law compare equal
+        declared = lambda s: (s.values, s.unitary, s.period, s.complete_through)
+        return isinstance(other, MomentSequence) and declared(self) == declared(other)
+
     # moments of argument tuples ------------------------------------
 
     def moment(self, letters: tuple) -> ExactComplex:

@@ -37,9 +37,27 @@ def _adjoint_letters(letters: LetterTuple) -> LetterTuple:
 
 
 class MomentFunctional:
-    """Common surface of the three models: exact moments of star-words."""
+    """Common surface of the three models: exact moments of star-words.
+
+    A model also declares the structure the tensor scans read to walk
+    fewer words: its unitary_variables; unitary_trace (a Hermitian trace
+    of unitaries); assume_free (free variables by construction); a gauge
+    (freeness.Gauge over its own variables, cap None) that every word of
+    nonzero moment keeps; and evaluable_through(used), the length through
+    which every word in the variables used evaluates without error.  This
+    base declares nothing, so an unknown model is walked in full.
+    """
 
     variables: tuple[int, ...]
+    unitary_variables = frozenset()
+    unitary_trace = False
+    assume_free = False
+    gauge = ()
+
+    def evaluable_through(self, used: set[int]) -> int | None:
+        """None when every word in the variables used evaluates, at every
+        length; 0 when a word may fail at any length, as here."""
+        return 0
 
     def moment_letters(self, letters: LetterTuple) -> ExactComplex:
         raise NotImplementedError
@@ -59,6 +77,8 @@ class GroupBackedModel(MomentFunctional):
         # variable order is key order, here and wherever elements are listed
         self.elements = {v: elements[v] for v in sorted(elements)}
         self.variables = tuple(self.elements)
+        # a group element is unitary under any functional
+        self.unitary_variables = frozenset(self.variables)
         self._inverses = {v: inverse(presentation, g) for v, g in self.elements.items()}
 
     def element_of(self, letters: LetterTuple) -> GroupElement:
@@ -74,9 +94,14 @@ class GroupBackedModel(MomentFunctional):
     def reduced_key(self, letters: LetterTuple) -> GroupElement:
         return self.element_of(letters)
 
+    def evaluable_through(self, used: set[int]) -> None:
+        return None  # every product of group elements has a value
+
 
 class GroupAlgebraModel(GroupBackedModel):
-    """Group algebra with the canonical trace."""
+    """Group algebra with the canonical trace, a Hermitian trace."""
+
+    unitary_trace = True
 
     def moment_letters(self, letters: LetterTuple) -> ExactComplex:
         return ONE if self.element_of(letters).is_identity() else ZERO
@@ -144,6 +169,10 @@ class SpectralModel(MomentFunctional):
         self._periods = {
             v: seq.period for v, seq in self.sequences.items() if seq.unitary
         }
+        self.unitary_variables = frozenset(self._periods)
+        # a free product of unitary power-moment laws, each Hermitian by
+        # construction, is a Hermitian trace of unitaries
+        self.unitary_trace = assume_free and len(self._periods) == len(self.sequences)
         self._family = freeness.FreeFamilySpec(
             {v: partial(self.marginal_moment, v) for v in self.sequences}
         )
@@ -178,6 +207,41 @@ class SpectralModel(MomentFunctional):
             for l in letters
         ]
         return merge_powers(syllables, self._periods)
+
+    def __eq__(self, other) -> bool:
+        # by the declared data, the freeness flag and the sequences
+        declared = lambda m: (m.assume_free, m.sequences)
+        return isinstance(other, SpectralModel) and declared(self) == declared(other)
+
+    @cached_property
+    def gauge(self) -> freeness.Gauge:
+        """With assume_free the law is the free product of the marginals,
+        so rotating one variable v by a lambda that keeps v's marginal
+        (MomentSequence.rotation_modulus m: lambda^m = 1) keeps the whole
+        law: v weighs 1, mod m.  Modulus 1 constrains nothing and is left
+        out; without assume_free nothing is declared."""
+        if not self.assume_free:
+            return ()
+        moduli = ((v, self.sequences[v].rotation_modulus) for v in self.variables)
+        return tuple((m, ((v, 1),), None) for v, m in moduli if m != 1)
+
+    def evaluable_through(self, used: set[int]) -> int | None:
+        """A star table fails past its complete_through, and at any length
+        without one; mixed words (two or more variables used) fail past
+        MIXED_MOMENT_LENGTH_CAP with assume_free, and at any length
+        without it.  Power sequences never fail."""
+        caps: list[int] = []
+        if len(used) > 1:
+            if not self.assume_free:
+                return 0
+            caps.append(freeness.MIXED_MOMENT_LENGTH_CAP)
+        for var in used:
+            seq = self.sequences[var]
+            if not seq.unitary:
+                if seq.complete_through is None:
+                    return 0
+                caps.append(seq.complete_through)
+        return min(caps, default=None)
 
 
 # -- derived quantities -------------------------------------------------

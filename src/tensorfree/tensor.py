@@ -6,10 +6,12 @@ functional is never materialized: the moment of a word factorizes as
 the product over factors of the same word evaluated on the components,
 and that product is all this module computes, sparsest factor first and
 stopping at a zero one wherever no factor can fail
-(TensorScenario.evaluable_through).  When every factor is a
-trace of unitaries by construction (TensorScenario.unitary_trace), the
-diagonal scans evaluate it on one word per bracelet, the class of a
+(TensorScenario.evaluable_through).  When every factor declares
+itself a Hermitian trace of unitaries (MomentFunctional.unitary_trace),
+the diagonal scans evaluate it on one word per bracelet, the class of a
 word under rotation and adjoint reversal (freeness.switching_words).
+What a scan may skip is read off the factors' declarations only
+(spaces.MomentFunctional); this module combines them and names no model.
 The checks read a factor only through this module: its moments through
 factor_moment or factor_oracle, which name the factor when it fails,
 and its axioms and freeness verdicts through the per-scenario caches.
@@ -22,29 +24,16 @@ from math import lcm, prod
 from typing import Callable, NamedTuple
 
 from .errors import (
+    FactorAxiomsNotCheckable,
     FactorNotEvaluable,
     InsufficientMomentDataError,
     LimitError,
     NotDirectlyEvaluable,
     ScenarioError,
 )
-from .freeness import (
-    MIXED_MOMENT_LENGTH_CAP,
-    Gauge,
-    JointOracle,
-    Verdict,
-    test_freeness,
-)
+from .freeness import Gauge, JointOracle, Verdict, test_freeness
 from .scalars import ONE, ZERO, ExactComplex
-from .spaces import (
-    AxiomReport,
-    GroupAlgebraModel,
-    GroupBackedModel,
-    MomentFunctional,
-    SpectralModel,
-    check_axioms,
-    variance,
-)
+from .spaces import AxiomReport, MomentFunctional, check_axioms, variance
 from .starwords import Letter, LetterTuple, StarWord
 
 
@@ -102,8 +91,19 @@ class TensorScenario(_TensorScenarioFields):
     @cached_property
     def axioms(self) -> Callable[[int, int], AxiomReport]:
         """axioms(k, gram_len): spaces.check_axioms of factor k at that
-        Gram length; each (factor, length) pair is checked once."""
-        return cache(lambda k, gram_len: check_axioms(self.factors[k - 1], gram_len))
+        Gram length; each (factor, length) pair is checked once.  A word
+        the factor cannot evaluate raises FactorAxiomsNotCheckable, which
+        names factor k; a LimitError passes as it is."""
+
+        checked = cache(lambda k, gram_len: check_axioms(self.factors[k - 1], gram_len))
+
+        def axioms(k: int, gram_len: int) -> AxiomReport:
+            try:
+                return checked(k, gram_len)
+            except (NotDirectlyEvaluable, InsufficientMomentDataError) as exc:
+                raise FactorAxiomsNotCheckable(k, str(exc)) from exc
+
+        return axioms
 
     @cached_property
     def factor_verdict(self) -> Callable[[int, int], Verdict | None]:
@@ -112,13 +112,13 @@ class TensorScenario(_TensorScenarioFields):
         structure (diagonal_verdict); evaluation errors name factor k.
         Each (factor, bound) pair is scanned once.
 
-        A SpectralModel flagged free synthesizes its mixed moments from
-        freeness, so the test would be a tautology; None signals that case.
+        A factor declared free (assume_free) synthesizes its mixed moments
+        from freeness, so the test would be a tautology; None signals that.
         """
 
         def verdict(k: int, max_len: int) -> Verdict | None:
             functional = self.factors[k - 1]
-            if isinstance(functional, SpectralModel) and functional.assume_free:
+            if functional.assume_free:
                 return None
             # the family is indexed by the joint variables, so a repeated
             # factor component is tested against itself, not collapsed away
@@ -135,40 +135,23 @@ class TensorScenario(_TensorScenarioFields):
         be made."""
         try:
             return self.axioms(k, 2).positive_definite
-        except (NotDirectlyEvaluable, InsufficientMomentDataError, LimitError):
+        except (FactorAxiomsNotCheckable, LimitError):
             return False
 
     @property
     def unitary_trace(self) -> bool:
-        """Whether every factor is, by its declared structure, a Hermitian
-        trace in which every variable is unitary.
-
-        A GroupAlgebraModel qualifies: the canonical trace is a Hermitian
-        trace and group elements are unitary.  So does a SpectralModel
-        with assume_free whose every MomentSequence is unitary: a free
-        product of unitary power-moment laws, each Hermitian by
-        construction.  Nothing else does, table functionals included,
-        and no axiom check is consulted.  The tensor product of such
-        factors is again a Hermitian trace of unitaries, so the diagonal
-        scans may walk one word per bracelet (freeness.test_freeness with
-        trace).
+        """Whether every factor declares itself a Hermitian trace in which
+        every variable is unitary (MomentFunctional.unitary_trace); no
+        axiom check is consulted.  The tensor product of such factors is
+        again a Hermitian trace of unitaries, so the diagonal scans may
+        walk one word per bracelet (freeness.test_freeness with trace).
         """
-        return all(
-            isinstance(f, GroupAlgebraModel)
-            or (
-                isinstance(f, SpectralModel)
-                and f.assume_free
-                and all(seq.unitary for seq in f.sequences.values())
-            )
-            for f in self.factors
-        )
+        return all(f.unitary_trace for f in self.factors)
 
     @property
     def unitary_indices(self) -> frozenset[int]:
-        """The joint indices whose every component is, by its declared
-        structure, a unitary: a variable of a GroupBackedModel (a group
-        element, whatever the functional) or a SpectralModel variable
-        whose MomentSequence is unitary.
+        """The joint indices whose every component its factor declares
+        unitary (MomentFunctional.unitary_variables).
 
         The elementary tensor of unitaries is unitary, so a letter of
         such an index next to its adjoint multiplies to the unit under
@@ -179,79 +162,41 @@ class TensorScenario(_TensorScenarioFields):
         return frozenset(
             i
             for i, components in self.assignments.items()
-            if all(
-                isinstance(f, GroupBackedModel)
-                or (isinstance(f, SpectralModel) and f.sequences[var].unitary)
-                for f, var in zip(self.factors, components)
-            )
+            if all(v in f.unitary_variables for f, v in zip(self.factors, components))
         )
 
     @cached_property
     def evaluable_through(self) -> int | None:
         """The length through which every factor evaluates every word
-        without error, read off the declared structure; None when that
-        holds at every length, 0 when some factor can fail at any length.
+        without error: the least MomentFunctional.evaluable_through of
+        each factor over the variables in use; None when that holds at
+        every length, 0 when some factor can fail at any length.
 
-        Group-backed factors never fail.  A SpectralModel fails past the
-        complete_through of a star table in use, and past
-        MIXED_MOMENT_LENGTH_CAP when it synthesizes mixed words (two or
-        more of its variables in use).  A star table with no
-        complete_through and mixed words without assume_free can fail at
-        any length, and so, for all that is declared, can a factor of any
-        other kind.  Within the cap no evaluation raises, so a skipped
-        word (one that breaks a gauge constraint, or a factor after a zero
-        one in tensor_moment) never hides an error; beyond it every factor
-        is evaluated.
+        Within the cap no evaluation raises, so a skipped word (one that
+        breaks a gauge constraint, or a factor after a zero one in
+        tensor_moment) never hides an error; beyond it every factor is
+        evaluated.
         """
-        caps: list[int] = []
-        for k, functional in enumerate(self.factors):
-            if isinstance(functional, GroupBackedModel):
-                continue
-            if not isinstance(functional, SpectralModel):
-                return 0
-            used = {c[k] for c in self.assignments.values()}
-            if len(used) > 1:
-                if not functional.assume_free:
-                    return 0
-                caps.append(MIXED_MOMENT_LENGTH_CAP)
-            for var in used:
-                seq = functional.sequences[var]
-                if not seq.unitary:
-                    if seq.complete_through is None:
-                        return 0
-                    caps.append(seq.complete_through)
-        return min(caps, default=None)
+        caps = (
+            f.evaluable_through({c[k] for c in self.assignments.values()})
+            for k, f in enumerate(self.factors)
+        )
+        return min((cap for cap in caps if cap is not None), default=None)
 
     def factor_gauge(self, k: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-        """Factor k's own linear constraints on a word's exponent sums, as
-        (modulus, ((joint index, weight), ...)) pairs, each sorted by
-        joint index: each is a constraint of factor k, on its own
-        variables, that every word of nonzero factor-k moment keeps; joint
-        index i takes the weight of its component c_k(i).
-
-        * An assume_free SpectralModel's law is the free product of its
-          marginals, so rotating one variable v by a lambda that keeps
-          v's marginal (MomentSequence.rotation_modulus m: lambda^m = 1)
-          keeps the whole factor law: v weighs 1, mod m; modulus 1
-          constrains nothing and is left out.
-        * A GroupAlgebraModel (the canonical trace) gives its
-          abelianization's constraints, GroupAlgebraModel.gauge.
+        """Factor k's declared gauge (MomentFunctional.gauge) in the joint
+        indices, as (modulus, ((joint index, weight), ...)) pairs, each
+        sorted by joint index: joint index i takes the weight of its
+        component c_k(i), so every word of nonzero factor-k moment keeps
+        each constraint.
 
         Constraints where every joint index weighs zero are left out.
         Beyond evaluable_through a table's rotation invariance is
         unknown; gauge_moduli caps the constraints there.
         """
-        functional = self.factors[k - 1]
-        weights: list[tuple[int, dict[int, int]]] = []
-        if isinstance(functional, GroupAlgebraModel):
-            weights = [(m, dict(terms)) for m, terms, _ in functional.gauge]
-        elif isinstance(functional, SpectralModel) and functional.assume_free:
-            for var in sorted({c[k - 1] for c in self.assignments.values()}):
-                m = functional.sequences[var].rotation_modulus
-                if m != 1:
-                    weights.append((m, {var: 1}))
         constraints = []
-        for m, weight in weights:
+        for m, weights, _ in self.factors[k - 1].gauge:
+            weight = dict(weights)
             terms = tuple(
                 (i, weight[c[k - 1]])
                 for i, c in sorted(self.assignments.items())

@@ -14,12 +14,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import (
-    FactorNotFreeError,
-    InsufficientMomentDataError,
-    NotDirectlyEvaluable,
-    PreconditionError,
-)
+from .errors import FactorAxiomsNotCheckable, FactorNotFreeError, PreconditionError
 from .freeness import Verdict
 from .scalars import ExactComplex
 from .spaces import variance
@@ -241,8 +236,8 @@ def check_necessary_conditions(
             )
         try:
             axioms = scenario.axioms(k, gram_len)
-        except (NotDirectlyEvaluable, InsufficientMomentDataError) as exc:
-            problems.append(f"factor {k} axioms not checkable: {exc}")
+        except FactorAxiomsNotCheckable as exc:
+            problems.append(str(exc))
             continue
         if not (axioms.unital and axioms.hermitian and axioms.tracial):
             problems.append(f"factor {k} is not a Hermitian trace on its span")

@@ -601,6 +601,39 @@ def test_an_unevaluable_word_of_factor_2_names_factor_2(run_cli, tmp_path):
     assert "factor 2 cannot evaluate 'x1 x2'" in res.err
 
 
+def short_pair_payload():
+    # factor 1 is a free Haar pair; factor 2 frees a star table that stops
+    # at two letters against a Haar, so its Gram matrix at length 2 needs
+    # the table's missing three-letter patterns
+    payload = diagonal_spectral_payload("short_pair", HAAR, HAAR)
+    payload["factors"][1] = {
+        "space": "spectral",
+        "assume_free": True,
+        "variables": {"1": SHORT_TABLE, "2": HAAR},
+    }
+    return payload
+
+
+def test_check_axioms_names_the_factor_it_cannot_check(run_cli, tmp_path):
+    path = write_scenario(tmp_path, "short_pair", short_pair_payload())
+    res = run_cli(path, "check-axioms", "--gram-len", "2")
+    assert res.code == 2
+    assert res.out == ""
+    assert res.err == (
+        "error: factor 2 axioms not checkable: "
+        "moment table has no entry for pattern (False, False, False)\n"
+    )
+    # theorem-1-8 reads the same error as a hypothesis problem
+    res = run_cli(path, "theorem-1-8", "--gram-len", "2", "--max-len", "4")
+    assert res.code == 0
+    body = res.json()["report"]
+    assert body["classification"] == "hypotheses_not_met"
+    assert body["hypothesis_problems"] == [
+        "factor 2 axioms not checkable: "
+        "moment table has no entry for pattern (False, False, False)"
+    ]
+
+
 # -- counterexample-k --------------------------------------------------------------------
 
 
@@ -690,6 +723,33 @@ def test_counterexample_needs_the_biased_pair(
     assert res.code == 2
     assert res.out == ""
     assert repr(name) in res.err
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda p: p["factors"][0].update(assume_free=False),
+        lambda p: p["factors"][1]["variables"]["2"].update(period=4),
+        lambda p: p["factors"][1]["variables"]["1"]["moments"].update(
+            {"2": [1, 5], "-2": [1, 5]}
+        ),
+        lambda p: p["tensor"]["variables"].update({"1": [2, 2], "2": [1, 1]}),
+    ],
+    ids=["assume_free", "haar_period", "biased_moment", "swapped_assignments"],
+)
+def test_counterexample_compares_every_declared_field(
+    run_cli, tmp_path, scenario_path, change
+):
+    # the file is the biased-power pair but for one declared field, so
+    # the pair it is compared with differs from it there alone
+    with open(scenario_path("biased_power_k2"), encoding="utf-8") as handle:
+        payload = json.load(handle)
+    change(payload)
+    path = write_scenario(tmp_path, "biased_power_k2", payload)
+    res = run_cli(path, "counterexample-k", "2", "--max-len", "4")
+    assert res.code == 2
+    assert res.out == ""
+    assert "is not the biased-power pair" in res.err
 
 
 # -- identities ------------------------------------------------------------------------------

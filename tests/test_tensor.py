@@ -31,6 +31,7 @@ from tensorfree.scalars import ONE, ZERO, ExactComplex
 from tensorfree.scenario import load_scenario
 from tensorfree.spaces import (
     GroupAlgebraModel,
+    MomentFunctional,
     SpectralModel,
     TableFunctional,
     check_axioms,
@@ -433,3 +434,83 @@ def test_scalar_component_check():
 
     fine = haar_times_integers()
     assert scalar_component_check(fine) == []
+
+
+# -- declared structure ------------------------------------------------------
+
+# (unitary_indices, unitary_trace, evaluable_through, gauge_moduli,
+# zero_first) of each bundled tensor file, as the scenario computed them
+# when it still read them off the model classes itself
+BUNDLED_DECLARATIONS = {
+    "biased_power_k2": (
+        {1, 2}, True, 16, ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), (2, 1)
+    ),
+    "biased_power_k3": (
+        {1, 2}, True, 16, ((6, ((1, 1),), 16), (0, ((2, 1),), 16)), (3, 2, 1)
+    ),
+    "biased_unitary": ({1, 2}, True, 16, ((0, ((2, 1),), 16),), (1, 2)),
+    "circular_dominated": (set(), False, 8, (), (1, 2)),
+    "doubly_free": (
+        {1, 2}, True, None, ((0, ((1, 1),), None), (0, ((2, 1),), None)), (1, 2)
+    ),
+    "free_without_dominating": (
+        {1, 2}, False, None, ((0, ((1, 1), (2, 2)), None),), (2, 1)
+    ),
+    "haar_dominated": (
+        {1, 2},
+        True,
+        None,
+        (
+            (0, ((1, 1),), None),
+            (0, ((1, 1), (2, 2)), None),
+            (0, ((2, 1),), None),
+        ),
+        (1, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DECLARATIONS))
+def test_bundled_declarations(bundled, name):
+    scen = bundled(name).tensor
+    assert (
+        scen.unitary_indices,
+        scen.unitary_trace,
+        scen.evaluable_through,
+        scen.gauge_moduli,
+        scen.zero_first,
+    ) == BUNDLED_DECLARATIONS[name]
+
+
+def test_every_bundled_tensor_file_is_characterized():
+    tensors = {
+        path.stem
+        for path in SCENARIO_DIR.glob("*.json")
+        if load_scenario(path).tensor is not None
+    }
+    assert tensors == set(BUNDLED_DECLARATIONS)
+
+
+class Undeclared(MomentFunctional):
+    """A model that declares nothing: every nonempty word has moment 0."""
+
+    variables = (1, 2)
+
+    def moment_letters(self, letters):
+        return ZERO if letters else ONE
+
+
+def test_a_model_that_declares_nothing_is_walked_in_full():
+    # beside a free group algebra, whose declarations would allow every
+    # shortcut, the undeclared factor takes each of them away
+    scen = TensorScenario(
+        factors=(f2_model(), Undeclared()), assignments={1: (1, 1), 2: (2, 2)}
+    )
+    assert scen.unitary_indices == frozenset()
+    assert not scen.unitary_trace
+    assert scen.evaluable_through == 0
+    assert scen.gauge_moduli == ()
+    # the factor's family is scanned, not taken as free
+    verdict = scen.factor_verdict(2, 4)
+    assert verdict is not None and verdict.free
+    assert scen.factor_verdict(1, 4).free
