@@ -106,7 +106,7 @@ def _verdict_json(verdict: Verdict, oracle=None) -> dict:
         # a witness's centered product should have been zero
         out["rhs"] = 0
         if oracle is not None:
-            out["moment"] = oracle(verdict.witness.letters)
+            out["moment"] = oracle(verdict.witness)
     return out
 
 
@@ -157,7 +157,7 @@ def _run_moments(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     except ValueError as exc:
         raise ScenarioError(f"bad star word {args.word!r}: {exc}") from exc
     variables = sf.tensor.indices if sf.tensor is not None else sf.collection.variables
-    for letter in word.letters:
+    for letter in word:
         if letter.index not in variables:
             raise ScenarioError(f"word uses unknown variable x{letter.index}")
     if sf.tensor is not None:
@@ -173,8 +173,8 @@ def _run_moments(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
         model = sf.collection
         report = {
             "word": word,
-            "canonical_trace_moment": model.moment_letters(word.letters),
-            "element": model.element_of(word.letters),
+            "canonical_trace_moment": model.moment_letters(word),
+            "element": model.element_of(word),
         }
     return report, EXIT_OK
 
@@ -250,12 +250,12 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
             tuple((model.variables[p - 1], n) for p, n in verdict.witness.blocks)
         )
         centered = centered_product_value(
-            model.moment_letters, word.letters, {i: i for i in model.variables}
+            model.moment_letters, word, {i: i for i in model.variables}
         )
         report["bridge"] = {
             "witness_star_word": word,
             "centered_value": centered,
-            "moment": model.moment_letters(word.letters),
+            "moment": model.moment_letters(word),
         }
     ok = verdict.free and star.free
     return report, EXIT_OK if ok else EXIT_FAILED

@@ -32,7 +32,12 @@ from .freeness import (
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
 from .scalars import as_scalar
 from .spaces import SpectralModel
-from .starwords import LetterTuple, iter_letters, power_word_to_star_word
+from .starwords import (
+    LetterTuple,
+    adjoint_letters,
+    iter_letters,
+    power_word_to_star_word,
+)
 from .tensor import TensorScenario, joint_oracle
 
 # alpha of the biased-power scenario when none is given
@@ -138,8 +143,7 @@ def scan_alternating_powers(
     for v in variables:
         for e in range(1, max_len):
             for sign in (e, -e):
-                letters = power_word_to_star_word(((v, sign),)).letters
-                if not joint(letters).is_zero():
+                if not joint(power_word_to_star_word(((v, sign),))).is_zero():
                     raise PreconditionError(
                         f"marginal of x{v} is not Haar-type: power {sign} "
                         "has nonzero moment"
@@ -156,12 +160,11 @@ def scan_alternating_powers(
     # letter, run count): all that growing l c l* and the tallies read
     violating: dict[int, Counter] = {}
     for word in switching_words(variables, max_len, variables, gauge, True):
-        letters = word.letters
-        value = joint(letters)
+        value = joint(word)
         if not value.is_zero():
-            size = len(letters)
-            adjoint = tuple(l.adjoint() for l in reversed(letters))
-            orbit = {w[i:] + w[:i] for w in (letters, adjoint) for i in range(size)}
+            size = len(word)
+            adjoint = adjoint_letters(word)
+            orbit = {w[i:] + w[:i] for w in (word, adjoint) for i in range(size)}
             found = violating.setdefault(size, Counter())
             found.update((w[0], w[-1], _run_count(w)) for w in orbit)
             if first is None:

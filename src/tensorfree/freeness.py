@@ -141,7 +141,7 @@ def _dropped_block_sum(
     return total
 
 
-def mixed_moment_by_cumulants(spec: FreeFamilySpec, word: StarWord) -> ExactComplex:
+def mixed_moment_by_cumulants(spec: FreeFamilySpec, word: LetterTuple) -> ExactComplex:
     """The same mixed moment as a sum over noncrossing partitions.
 
     Cumulants mixing distinct variables vanish for free families, so each
@@ -154,7 +154,7 @@ def mixed_moment_by_cumulants(spec: FreeFamilySpec, word: StarWord) -> ExactComp
             return ZERO
         return spec.class_cumulant(indices.pop(), letters)
 
-    return moment_from_cumulants(block_cumulant, word.letters)
+    return moment_from_cumulants(block_cumulant, word)
 
 
 # -- bounded star-freeness testing ---------------------------------------
@@ -196,7 +196,6 @@ def _memoized(oracle: JointOracle) -> JointOracle:
     memo: dict[LetterTuple, ExactComplex] = {}
 
     def wrapped(letters: LetterTuple) -> ExactComplex:
-        letters = tuple(letters)
         if not letters:
             return ONE
         value = memo.get(letters)
@@ -304,8 +303,7 @@ def switching_words(
     """
     rank = {l: r for r, l in enumerate(text_ordered_letters(indices))}
 
-    def least_in_bracelet(word: StarWord) -> bool:
-        letters = word.letters
+    def least_in_bracelet(letters: StarWord) -> bool:
         if letters[0].index in unitary and letters[-1] == letters[0].adjoint():
             return False
         own = [rank[l] for l in letters]
@@ -384,8 +382,8 @@ def test_freeness(
     oracle = _memoized(joint)
     shorter = lambda length: sum((2 * n) ** L - n * 2**L for L in range(2, length))
     for word in switching_words(class_of, max_len, unitary, gauge, trace):
-        value = centered_product_value(oracle, word.letters, class_of)
+        value = centered_product_value(oracle, word, class_of)
         if not value.is_zero():
-            checked = shorter(len(word)) + _switching_rank(class_of, word.letters)
+            checked = shorter(len(word)) + _switching_rank(class_of, word)
             return Verdict(False, word, value, max_len, checked)
     return Verdict(True, None, None, max_len, shorter(max_len + 1))

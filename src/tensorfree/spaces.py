@@ -27,13 +27,9 @@ from .errors import (
 from .groups import GroupElement, GroupPresentation, abelian_gauge, inverse, reduce
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
-from .starwords import Letter, LetterTuple, iter_letters, merge_powers
+from .starwords import LetterTuple, adjoint_letters, iter_letters, merge_powers
 
 GRAM_BASIS_CAP = 320
-
-
-def _adjoint_letters(letters: LetterTuple) -> LetterTuple:
-    return tuple(Letter(l.index, not l.star) for l in reversed(letters))
 
 
 class MomentFunctional:
@@ -256,7 +252,7 @@ def variance(moment: freeness.JointOracle, letters: LetterTuple) -> Fraction:
     determinism say so in their reports.
     """
     mean = moment(letters)
-    second = moment(letters + _adjoint_letters(letters))
+    second = moment(letters + adjoint_letters(letters))
     if second.im != 0:
         raise ScenarioError("psi(b b*) is not real; Hermitian symmetry is broken")
     return second.re - mean.abs2()
@@ -306,7 +302,7 @@ def gram_basis(functional: MomentFunctional, gram_len: int) -> list[LetterTuple]
 def gram_matrix(
     functional: MomentFunctional, basis: Sequence[LetterTuple]
 ) -> list[list[ExactComplex]]:
-    adjoints = [_adjoint_letters(w) for w in basis]
+    adjoints = [adjoint_letters(w) for w in basis]
     return [
         [functional.moment_letters(w + adj) for adj in adjoints] for w in basis
     ]
@@ -353,7 +349,7 @@ def check_axioms(functional: MomentFunctional, gram_len: int = 3) -> AxiomReport
 
     hermitian = True
     for w in basis:
-        lhs = functional.moment_letters(_adjoint_letters(w))
+        lhs = functional.moment_letters(adjoint_letters(w))
         rhs = functional.moment_letters(w).conjugate()
         if lhs != rhs:
             hermitian = False

@@ -1,7 +1,8 @@
 """Star-words: finite words in noncommuting indeterminates x_i and their adjoints.
 
 The canonical text form is space-separated tokens like ``x1 x2* x1``.
-A letter is a pair (index, star); a word is a nonempty tuple of letters.
+A letter is a pair (index, star); a word is a nonempty tuple of letters,
+and a StarWord is that tuple itself, with its text.
 Power words are the unitary reductions: adjacent letters with equal index
 merge into signed exponents and zero exponents cancel.  merge_powers is
 the one stack-merge reducer behind every normal form in the package,
@@ -46,48 +47,31 @@ PowerWord = tuple[PowerFactor, ...]
 T = TypeVar("T")
 
 
-class StarWord:
-    """A nonempty word over the letters x_i, x_i*; immutable, and equal
-    and hashed by its letters."""
+class StarWord(tuple):
+    """A nonempty word over the letters x_i, x_i*: the tuple of its
+    letters, with its text."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters: LetterTuple) -> None:
-        if not letters:
+    def __new__(cls, letters: Iterable[Letter]) -> "StarWord":
+        word = tuple.__new__(cls, letters)
+        if not word:
             raise EmptyWordError()
-        object.__setattr__(self, "letters", letters)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to StarWord.{name}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete StarWord.{name}")
-
-    def __eq__(self, other):
-        if type(other) is not StarWord:
-            return NotImplemented
-        return self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash(self.letters)
+        return word
 
     def __repr__(self) -> str:
-        return f"StarWord(letters={self.letters!r})"
-
-    def __len__(self) -> int:
-        return len(self.letters)
+        return f"StarWord({tuple(self)!r})"
 
     def text(self) -> str:
-        return " ".join(l.text() for l in self.letters)
-
-    def substitute(self, mapping: dict[int, int]) -> "StarWord":
-        """Relabel variable indices; unmapped indices are kept."""
-        return StarWord(
-            tuple(Letter(mapping.get(l.index, l.index), l.star) for l in self.letters)
-        )
+        return " ".join(l.text() for l in self)
 
     def __str__(self) -> str:
         return self.text()
+
+
+def adjoint_letters(letters: LetterTuple) -> LetterTuple:
+    """The adjoint reversal of a word: (l1 ... ln)* = ln* ... l1*."""
+    return tuple(l.adjoint() for l in reversed(letters))
 
 
 def parse_int(text: str, *, signed: bool) -> int:
@@ -126,13 +110,12 @@ def parse_word(text: str) -> StarWord:
         except ValueError:
             raise WordSyntaxError(f"bad variable index in {token!r}", offset) from None
         letters.append(Letter(index, star))
-    return StarWord(tuple(letters))
+    return StarWord(letters)
 
 
 def single_variable_word(stars: Iterable[bool], index: int = 1) -> StarWord:
     """Build the word x_index^(pattern) from a star pattern."""
-    pattern = tuple(bool(s) for s in stars)
-    return StarWord(tuple(Letter(index, s) for s in pattern))
+    return StarWord(Letter(index, bool(s)) for s in stars)
 
 
 def merge_powers(
@@ -161,10 +144,7 @@ def merge_powers(
 
 
 def power_word_to_star_word(pw: PowerWord) -> StarWord:
-    letters: list[Letter] = []
-    for index, exp in pw:
-        letters.extend([Letter(index, exp < 0)] * abs(exp))
-    return StarWord(tuple(letters))
+    return StarWord(Letter(i, exp < 0) for i, exp in pw for _ in range(abs(exp)))
 
 
 def class_blocks(letters: LetterTuple, class_of: Mapping[int, int]) -> list[LetterTuple]:

@@ -242,30 +242,28 @@ class TensorScenario(_TensorScenarioFields):
         return tuple(sorted(range(1, self.K + 1), key=sparsity))
 
 
-def factor_word(scenario: TensorScenario, word: StarWord, k: int) -> StarWord:
-    """The word with every joint index replaced by its factor-k component;
-    the word itself when that map is the identity."""
+def factor_moment(scenario: TensorScenario, word: LetterTuple, k: int) -> ExactComplex:
+    """Factor k's moment of a letter tuple in the joint indices, each one
+    read as its factor-k component (the tuple as it is under an identity
+    map); FactorNotEvaluable names factor k and the word so projected."""
     mapping = scenario.factor_maps[k - 1]
-    return word if mapping is None else word.substitute(mapping)
-
-
-def factor_moment(scenario: TensorScenario, word: StarWord, k: int) -> ExactComplex:
-    projected = factor_word(scenario, word, k)
+    if mapping is not None:
+        word = tuple(Letter(mapping.get(l.index, l.index), l.star) for l in word)
     try:
-        return scenario.factors[k - 1].moment_letters(projected.letters)
+        return scenario.factors[k - 1].moment_letters(word)
     except (NotDirectlyEvaluable, InsufficientMomentDataError) as exc:
-        raise FactorNotEvaluable(k, projected.text(), str(exc)) from exc
+        raise FactorNotEvaluable(k, StarWord(word).text(), str(exc)) from exc
 
 
 def factor_oracle(scenario: TensorScenario, k: int) -> JointOracle:
-    """Factor k's moment of a letter tuple in the joint indices, as a
-    callable; it fails as factor_moment does, naming the factor."""
-    return lambda letters: factor_moment(scenario, StarWord(tuple(letters)), k)
+    """factor_moment of factor k, as a callable on letter tuples; it fails
+    as factor_moment does, naming the factor."""
+    return lambda letters: factor_moment(scenario, letters, k)
 
 
-def tensor_moment(scenario: TensorScenario, word: StarWord) -> ExactComplex:
-    """Joint moment of a word in the diagonal family: the product of the
-    factor moments of the projected words.
+def tensor_moment(scenario: TensorScenario, word: LetterTuple) -> ExactComplex:
+    """Joint moment of a word, any letter tuple, in the diagonal family:
+    the product of the factor moments of the projected words.
 
     Within TensorScenario.evaluable_through no factor can raise, so the
     factors are evaluated in the order TensorScenario.zero_first and the
@@ -274,7 +272,7 @@ def tensor_moment(scenario: TensorScenario, word: StarWord) -> ExactComplex:
     never depends on the order or on another factor's zero.
     """
     cap = scenario.evaluable_through
-    if cap is None or len(word.letters) <= cap:
+    if cap is None or len(word) <= cap:
         values = (factor_moment(scenario, word, k) for k in scenario.zero_first)
     else:
         values = [factor_moment(scenario, word, k) for k in range(1, scenario.K + 1)]
@@ -288,11 +286,7 @@ def tensor_moment(scenario: TensorScenario, word: StarWord) -> ExactComplex:
 
 def joint_oracle(scenario: TensorScenario) -> JointOracle:
     """The joint moment of a letter tuple, as a callable."""
-
-    def oracle(letters: LetterTuple) -> ExactComplex:
-        return tensor_moment(scenario, StarWord(tuple(letters)))
-
-    return oracle
+    return lambda letters: tensor_moment(scenario, letters)
 
 
 def diagonal_verdict(

@@ -18,7 +18,7 @@ from .errors import FactorAxiomsNotCheckable, FactorNotFreeError, PreconditionEr
 from .freeness import Verdict
 from .scalars import ExactComplex
 from .spaces import variance
-from .starwords import LetterTuple, StarWord, iter_star_patterns, single_variable_word
+from .starwords import StarWord, iter_star_patterns, single_variable_word
 from .tensor import (
     TensorScenario,
     diagonal_verdict,
@@ -100,7 +100,7 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
                         first_1 = TfcViolation(1, i, pattern, k, value, factor_value=fk)
             elif first_2 is None:
                 for l in others:
-                    spread = variance(factor_oracle(scenario, l), word.letters)
+                    spread = variance(factor_oracle(scenario, l), word)
                     if spread != 0:
                         first_2 = TfcViolation(2, i, pattern, l, value, variance=spread)
                         break
@@ -194,10 +194,6 @@ class NecessaryConditionsReport(NamedTuple):
         return self.tfc.satisfied
 
 
-def _letters(i: int, pattern: tuple[bool, ...]) -> LetterTuple:
-    return single_variable_word(pattern, i).letters
-
-
 def check_necessary_conditions(
     scenario: TensorScenario, max_len: int = 6, gram_len: int = 2
 ) -> NecessaryConditionsReport:
@@ -261,8 +257,9 @@ def check_necessary_conditions(
         (k, i)
         for k in factors
         for i in scenario.indices
-        if factor[k](_letters(i, second * 2))
-        != factor[k](_letters(i, second)) * factor[k](_letters(i, second))
+        if factor[k](single_variable_word(second * 2, i))
+        != factor[k](single_variable_word(second, i))
+        * factor[k](single_variable_word(second, i))
     )
     non_unitary_factors = sorted({k for k, _ in non_unitary})
     d_verdict = diagonal_verdict(scenario, max_len, joint)
@@ -293,9 +290,9 @@ def check_necessary_conditions(
                 (k, m, i)
                 for m in range(1, max_len + 1)
                 for i in scenario.indices
-                if not joint(_letters(i, (False,) * m)).is_zero()
+                if not joint(single_variable_word((False,) * m, i)).is_zero()
                 for k in factors
-                if variance(factor[k], _letters(i, (False,) * m)) != 0
+                if variance(factor[k], single_variable_word((False,) * m, i)) != 0
             ),
             None,
         )
@@ -309,10 +306,10 @@ def check_necessary_conditions(
 
     # group-like: every vanishing joint power vanishes in every factor
     group_like = all(
-        factor[k](_letters(i, (False,) * m)).is_zero()
+        factor[k](single_variable_word((False,) * m, i)).is_zero()
         for i in scenario.indices
         for m in range(1, max_len + 1)
-        if joint(_letters(i, (False,) * m)).is_zero()
+        if joint(single_variable_word((False,) * m, i)).is_zero()
         for k in factors
     )
     return report(

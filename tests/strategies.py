@@ -50,7 +50,7 @@ def unitary_sequences(draw) -> MomentSequence:
 def canonical_patterns(length):
     """One star pattern per adjoint pair {key, reversed flipped key}."""
     for key in iter_words((1,), length):
-        stars = tuple(l.star for l in key.letters)
+        stars = tuple(l.star for l in key)
         adjoint = tuple(not s for s in reversed(stars))
         if stars <= adjoint:
             yield stars, stars == adjoint

@@ -141,9 +141,9 @@ def test_scan_is_clean_on_the_biased_power_pair():
 def test_k2_length_10_witness(scanned_words):
     # the first K = 2 violation: four block pairs, the filter lower bound
     witness = word("x1 x1 x2 x1 x2* x1* x1* x2 x1 x2*")
-    assert witness.letters in scanned_words((1, 2), 10)
+    assert witness in scanned_words((1, 2), 10)
     scen = biased_power_scenario(2, Fraction(1, 10))
-    assert joint_oracle(scen)(witness.letters) == Fraction(1, 100000)
+    assert joint_oracle(scen)(witness) == Fraction(1, 100000)
     per_factor = []
     for factor in scen.factors:
         spec = FreeFamilySpec(
@@ -186,9 +186,9 @@ def plain_power_scan(joint, max_len, gauge):
             line[0] += reduced_word_count(2, total, runs)
     first = None
     for word in switching_words((1, 2), max_len, (1, 2), gauge):
-        value = joint(word.letters)
+        value = joint(word)
         if not value.is_zero():
-            runs = len(class_blocks(word.letters, {1: 1, 2: 2}))
+            runs = len(class_blocks(word, {1: 1, 2: 2}))
             tallies[(runs + 1) // 2][1] += 1
             if first is None:
                 first = word, value
@@ -264,9 +264,9 @@ def test_tracial_classes_evaluate_once_per_class():
     scan_alternating_powers(joint, (1, 2), max_len, model.gauge)
     walked = asked[2 * (max_len - 1) * 2 :]
     kept = [
-        w.letters
+        w
         for w in switching_words((1, 2), max_len, (1, 2), model.gauge)
-        if w.letters[-1] != w.letters[0].adjoint()
+        if w[-1] != w[0].adjoint()
     ]
     classes = {tracial_class(w) for w in kept}
     assert len(walked) == len(classes) < len(kept) / 4

@@ -59,8 +59,8 @@ def test_engine_reproduces_the_worked_pair():
             2: mean_square_table(Fraction(1, 3)).moment,
         }
     )
-    assert spec.mixed_moment_letters(word("x1 x2").letters) == Fraction(1, 6)
-    assert spec.mixed_moment_letters(word("x1 x2 x1* x2*").letters) == Fraction(1, 3)
+    assert spec.mixed_moment_letters(word("x1 x2")) == Fraction(1, 6)
+    assert spec.mixed_moment_letters(word("x1 x2 x1* x2*")) == Fraction(1, 3)
 
 
 def pair_closed_form(m1, sq1, m2, sq2):
@@ -74,7 +74,7 @@ def pair_engine_moment(m1, sq1, m2, sq2):
     spec = FreeFamilySpec(
         {1: mean_square_table(m1, sq1).moment, 2: mean_square_table(m2, sq2).moment}
     )
-    return spec.mixed_moment_letters(word("x1 x2 x1* x2*").letters)
+    return spec.mixed_moment_letters(word("x1 x2 x1* x2*"))
 
 
 def test_closed_form_alternating_pair():
@@ -110,7 +110,7 @@ def test_conjugated_pair_closed_form():
             3: star_adapter(haar),
         }
     )
-    engine = spec.mixed_moment_letters(word("x3 x1 x3* x2 x3 x1* x3* x2*").letters)
+    engine = spec.mixed_moment_letters(word("x3 x1 x3* x2 x3 x1* x3* x2*"))
     assert engine == Fraction(1, 4)
     assert engine == pair_closed_form(ExactComplex(Fraction(1, 2)), ONE, ZERO, ONE)
 
@@ -134,7 +134,7 @@ def test_expansion_and_cumulant_routes_agree(seed):
     )
     for length in (1, 2, 3, 4):
         for w in iter_words([1, 2], length):
-            engine = spec.mixed_moment_letters(w.letters)
+            engine = spec.mixed_moment_letters(w)
             assert engine == mixed_moment_by_cumulants(spec, w)
 
 
@@ -189,9 +189,9 @@ def test_centered_product_value_basics():
     oracle = integer_oracle()
     class_of = {1: 1, 2: 2}
     # one block: its centered part has mean zero
-    assert centered_product_value(oracle, word("x1 x1*").letters, class_of) == ZERO
-    assert centered_product_value(oracle, word("x1 x1 x2*").letters, class_of) == ONE
-    assert centered_product_value(oracle, word("x1 x2").letters, class_of) == ZERO
+    assert centered_product_value(oracle, word("x1 x1*"), class_of) == ZERO
+    assert centered_product_value(oracle, word("x1 x1 x2*"), class_of) == ONE
+    assert centered_product_value(oracle, word("x1 x2"), class_of) == ZERO
 
 
 def test_centered_products_vanish_under_a_free_family():
@@ -206,9 +206,9 @@ def test_centered_products_vanish_under_a_free_family():
     alternating = 0
     for length in range(2, 5):
         for w in iter_words([1, 2], length):
-            value = centered_product_value(spec.mixed_moment_letters, w.letters, class_of)
+            value = centered_product_value(spec.mixed_moment_letters, w, class_of)
             assert value == ZERO, w.text()
-            alternating += len(class_blocks(w.letters, class_of)) > 1
+            alternating += len(class_blocks(w, class_of)) > 1
     assert alternating > 200
 
 
@@ -228,10 +228,10 @@ def test_centered_product_is_the_moment_minus_the_free_prediction():
     nonzero = 0
     for length in range(2, 4):
         for w in iter_words([1, 2], length):
-            if len(class_blocks(w.letters, class_of)) < 2:
+            if len(class_blocks(w, class_of)) < 2:
                 continue
-            value = centered_product_value(oracle, w.letters, class_of)
-            assert value == oracle(w.letters) - spec.mixed_moment_letters(w.letters)
+            value = centered_product_value(oracle, w, class_of)
+            assert value == oracle(w) - spec.mixed_moment_letters(w)
             nonzero += not value.is_zero()
     assert nonzero > 0
 
@@ -274,7 +274,7 @@ def test_alternating_power_words(scanned_words):
         assert sum(abs(e) for _, e in pw) == 3
         assert all(e != 0 for _, e in pw)
         assert all(a != b for (a, _), (b, _) in zip(pw, pw[1:]))
-        assert power_word_to_star_word(pw).letters == letters
+        assert power_word_to_star_word(pw) == letters
 
 
 @pytest.mark.parametrize("variables", [(1, 2), (1, 2, 3)])
@@ -289,13 +289,13 @@ def test_reduced_walk_is_a_filter_of_iter_words(scanned_words, variables):
         return text(letters) == min(map(text, turns))
 
     brute = [
-        w.letters
+        w
         for length in range(2, 7)
         for w in iter_words(variables, length)
-        if all(b != a.adjoint() for a, b in zip(w.letters, w.letters[1:]))
-        and len({l.index for l in w.letters}) > 1
-        and w.letters[-1] != w.letters[0].adjoint()
-        and least(w.letters)
+        if all(b != a.adjoint() for a, b in zip(w, w[1:]))
+        and len({l.index for l in w}) > 1
+        and w[-1] != w[0].adjoint()
+        and least(w)
     ]
     assert scanned_words(variables, 6) == brute
 

@@ -173,7 +173,7 @@ def test_shared_component_constrains_the_sum():
     assert verdict.words_checked == 2
     # a constraint per joint index would have skipped the witness
     per_index = ((0, ((1, 1),), None), (0, ((2, 1),), None))
-    assert breaks_by_hand(verdict.witness.letters, per_index)
+    assert breaks_by_hand(verdict.witness, per_index)
 
 
 def test_a_word_past_the_table_depth_is_evaluated():
@@ -209,11 +209,11 @@ def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
     )
     assert verdict.free
     expected = [
-        w.letters
+        w
         for n in range(2, 6)
         for w in iter_words((1, 2), n)
-        if len(class_blocks(w.letters, CLASS_OF)) > 1
-        and not breaks_by_hand(w.letters, scenario.gauge_moduli)
+        if len(class_blocks(w, CLASS_OF)) > 1
+        and not breaks_by_hand(w, scenario.gauge_moduli)
     ]
     assert evaluated == expected
     # x1 sums even and x2 sums zero: odd lengths never survive
@@ -228,7 +228,7 @@ def test_words_that_break_the_gauge_center_to_zero(bundled, name):
     breaking = 0
     for length in range(2, 6):
         for word in iter_words((1, 2), length):
-            letters = word.letters
+            letters = word
             if breaks_by_hand(letters, scenario.gauge_moduli):
                 breaking += 1
                 assert oracle(letters).is_zero(), word
@@ -287,8 +287,8 @@ def test_every_word_the_gauge_breaks_is_evaluable_and_zero(scenario, max_len):
     oracle = joint_oracle(scenario)
     for length in range(2, max_len + 1):
         for word in iter_words((1, 2), length):
-            if breaks_by_hand(word.letters, scenario.gauge_moduli):
-                assert oracle(word.letters).is_zero(), word
+            if breaks_by_hand(word, scenario.gauge_moduli):
+                assert oracle(word).is_zero(), word
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,7 +324,7 @@ def brute_power_scan(joint, variables, max_len, gauge):
     first = None
     for total in range(2, max_len + 1):
         for word in iter_words(variables, total):
-            letters = word.letters
+            letters = word
             runs = len(class_blocks(letters, {v: v for v in variables}))
             if not reduced(letters) or runs == 1:
                 continue

@@ -89,7 +89,7 @@ def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
     keeps = lambda w: (
         reduced_by_hand(w, unitary) and not breaks_by_hand(w, gauge) and switching(w)
     )
-    plain = [w for w in iter_words(indices, length) if keeps(w.letters)]
+    plain = [w for w in iter_words(indices, length) if keeps(w)]
     assert list(iter_words(indices, length, graph)) == plain
     # exact: every node reached above the last level is nonempty, so every
     # path from the root ends in a kept word and the walk follows no move
@@ -102,7 +102,7 @@ def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
         level = [node for parent in level for node in parent.values()]
     # the words of 2..length letters that the graphs keep, in order
     lengths = range(2, length + 1)
-    expected = [w for n in lengths for w in iter_words(indices, n) if keeps(w.letters)]
+    expected = [w for n in lengths for w in iter_words(indices, n) if keeps(w)]
     assert list(switching_words(indices, length, unitary, gauge)) == expected
 
 
@@ -131,7 +131,7 @@ def test_necklace_walk_is_the_plain_walk_filtered(walk_input):
     texts = {l: l.text() for l in iter_letters(indices)}
     text_key = lambda letters: tuple(map(texts.__getitem__, letters))
     least = lambda w: least_turn(text_key(w))
-    plain = [w for w in iter_words(indices, length, graph) if least(w.letters)]
+    plain = [w for w in iter_words(indices, length, graph) if least(w)]
     assert list(iter_words(indices, length, graph, True)) == plain
     # switching_words with trace: of those, the cyclically reduced words no
     # greater than any rotation of their adjoint reversal
@@ -147,7 +147,7 @@ def test_necklace_walk_is_the_plain_walk_filtered(walk_input):
         w
         for n in range(2, length + 1)
         for w in iter_words(indices, n, scan_graph(gauge, indices, n, unitary))
-        if rep(w.letters)
+        if rep(w)
     ]
     assert list(switching_words(indices, length, unitary, gauge, True)) == expected
 
@@ -204,8 +204,8 @@ def exponent_sums(letters, indices) -> dict[int, int]:
 @given(switching_cases())
 # three indices at length 7: every one-variable word that starts with x1,
 # x1*, x2, x2* or x3 sorts before the word
-@example(((1, 2, 3), parse_word("x3* x1 x2 x1* x3 x2* x3*").letters))
-@example(((1, 10), parse_word("x10 x1* x1 x1* x10* x10* x1").letters))
+@example(((1, 2, 3), parse_word("x3* x1 x2 x1* x3 x2* x3*")))
+@example(((1, 10), parse_word("x10 x1* x1 x1* x10* x10* x1")))
 def test_words_checked_is_the_witness_position(case):
     indices, word = case
     # nonzero on the word alone: every other word centers to zero, and so
@@ -216,7 +216,7 @@ def test_words_checked_is_the_witness_position(case):
     gauge = tuple((abs(s), ((i, 1),), None) for i, s in sums.items())
     shorter = sum(switching_total(indices, n) for n in range(2, len(word)))
     verdict = freeness_verdict(joint, indices, len(word), (), gauge)
-    assert verdict.witness.letters == word
+    assert verdict.witness == word
     assert verdict.words_checked == shorter + position(indices, word)
     # a free verdict counts every switching word through its bound
     verdict = freeness_verdict(joint, indices, len(word) - 1, (), gauge)

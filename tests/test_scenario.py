@@ -123,8 +123,8 @@ def test_group_file_loads_as_its_group_algebra():
     assert model.variables == (1, 2)
     assert list(model.elements) == [1, 2]
     assert [g.text() for g in model.elements.values()] == ["g1.1^1", "g1.2^1"]
-    assert model.moment_letters(word("x1 x1*").letters) == ONE
-    assert model.moment_letters(word("x1 x2").letters).is_zero()
+    assert model.moment_letters(word("x1 x1*")) == ONE
+    assert model.moment_letters(word("x1 x2")).is_zero()
     with pytest.raises(ScenarioError, match="scenario.elements: empty group collection"):
         scenario_from_json(group_payload(elements={}))
 

@@ -51,9 +51,9 @@ def beta_table(beta):
 
 def test_canonical_trace_values():
     model = f2_trace()
-    assert model.moment_letters(word("x1 x1*").letters) == ONE
-    assert model.moment_letters(word("x1 x2").letters) == ZERO
-    assert model.moment_letters(word("x1 x2 x2* x1*").letters) == ONE
+    assert model.moment_letters(word("x1 x1*")) == ONE
+    assert model.moment_letters(word("x1 x2")) == ZERO
+    assert model.moment_letters(word("x1 x2 x2* x1*")) == ONE
     assert model.moment_letters(()) == ONE
     assert model.variables == (1, 2)
 
@@ -62,16 +62,16 @@ def test_group_model_star_is_group_inverse():
     model = f2_trace()
     a = model.elements[1]
     assert model.element_of((Letter(1, True),)) == inverse(F2, a)
-    assert model.reduced_key(word("x1 x1*").letters) == identity(F2)
+    assert model.reduced_key(word("x1 x1*")) == identity(F2)
 
 
 def test_table_functional_values():
     model = beta_table(Fraction(1, 10))
-    assert model.moment_letters(word("x1 x2").letters) == Fraction(1, 10)
+    assert model.moment_letters(word("x1 x2")) == Fraction(1, 10)
     # the inverse entry is filled by conjugation
-    assert model.moment_letters(word("x2* x1*").letters) == Fraction(1, 10)
-    assert model.moment_letters(word("x2 x1").letters) == ZERO
-    assert model.moment_letters(word("x1 x1*").letters) == ONE
+    assert model.moment_letters(word("x2* x1*")) == Fraction(1, 10)
+    assert model.moment_letters(word("x2 x1")) == ZERO
+    assert model.moment_letters(word("x1 x1*")) == ONE
 
 
 def test_table_functional_guards():
@@ -94,15 +94,15 @@ def test_spectral_marginals_and_mixed_words():
     seq1 = MomentSequence({(False,): Fraction(1, 2)}, complete_through=2)
     seq2 = MomentSequence({(False,): Fraction(1, 3)}, complete_through=2)
     closed = SpectralModel({1: seq1, 2: seq2})
-    assert closed.moment_letters(word("x1").letters) == Fraction(1, 2)
-    assert closed.moment_letters(word("x1 x1*").letters) == ZERO  # declared complete through 2
+    assert closed.moment_letters(word("x1")) == Fraction(1, 2)
+    assert closed.moment_letters(word("x1 x1*")) == ZERO  # declared complete through 2
     with pytest.raises(NotDirectlyEvaluable):
-        closed.moment_letters(word("x1 x2").letters)
+        closed.moment_letters(word("x1 x2"))
 
     free = SpectralModel({1: seq1, 2: seq2}, assume_free=True)
     # centered product of two free variables vanishes, so the mixed moment
     # is the product of the means
-    assert free.moment_letters(word("x1 x2").letters) == Fraction(1, 6)
+    assert free.moment_letters(word("x1 x2")) == Fraction(1, 6)
     assert not free.sequences[1].unitary
 
 
@@ -111,24 +111,24 @@ def test_spectral_reduced_keys():
     s = MomentSequence({(False,): 0}, complete_through=2)
     model = SpectralModel({1: u, 2: s})
     k = model.reduced_key
-    assert k(word("x1 x1 x1").letters) == k(())
-    assert k(word("x1 x1*").letters) == k(())
-    assert k(word("x1 x1").letters) == k(word("x1*").letters)  # exp 2 = -1 mod 3
-    assert k(word("x2 x2*").letters) != k(())  # star variables have no relations
-    assert k(word("x2 x2*").letters) != k(word("x2* x2").letters)
-    assert k(word("x2 x2").letters) != k(word("x2").letters)
+    assert k(word("x1 x1 x1")) == k(())
+    assert k(word("x1 x1*")) == k(())
+    assert k(word("x1 x1")) == k(word("x1*"))  # exp 2 = -1 mod 3
+    assert k(word("x2 x2*")) != k(())  # star variables have no relations
+    assert k(word("x2 x2*")) != k(word("x2* x2"))
+    assert k(word("x2 x2")) != k(word("x2"))
     # a unitary run that cancels joins the star letters on either side
-    assert k(word("x2 x1 x1* x2").letters) == k(word("x2 x2").letters)
-    assert k(word("x2 x1 x1 x1 x2*").letters) == k(word("x2 x2*").letters)
+    assert k(word("x2 x1 x1* x2")) == k(word("x2 x2"))
+    assert k(word("x2 x1 x1 x1 x2*")) == k(word("x2 x2*"))
     assert model.sequences[1].unitary
 
 
 def test_variance_values():
     model = f2_trace()
-    assert variance(model.moment_letters, word("x1").letters) == 1
-    assert variance(model.moment_letters, word("x1 x1*").letters) == 0
+    assert variance(model.moment_letters, word("x1")) == 1
+    assert variance(model.moment_letters, word("x1 x1*")) == 0
     biased = beta_table(Fraction(1, 10))
-    assert variance(biased.moment_letters, word("x1 x2").letters) == 1 - Fraction(1, 100)
+    assert variance(biased.moment_letters, word("x1 x2")) == 1 - Fraction(1, 100)
 
 
 def test_variance_requires_real_second_moment():
@@ -139,7 +139,7 @@ def test_variance_requires_real_second_moment():
             return ExactComplex(0, 1) if len(letters) == 2 else ZERO
 
     with pytest.raises(ScenarioError, match="not real"):
-        variance(Rigged().moment_letters, word("x1").letters)
+        variance(Rigged().moment_letters, word("x1"))
 
 
 def test_check_axioms_decides_positive_definiteness():

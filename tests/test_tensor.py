@@ -5,6 +5,7 @@ screening."""
 
 import warnings
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -39,7 +40,6 @@ from tensorfree.spaces import (
 from tensorfree.tensor import (
     TensorScenario,
     factor_moment,
-    factor_word,
     joint_oracle,
     scalar_component_check,
     tensor_moment,
@@ -93,8 +93,8 @@ def test_tensor_moment_is_the_product_of_factor_moments():
     assert tensor_moment(scen, w) == ZERO
     assert tensor_moment(scen, word("x1 x1*")) == ONE
     oracle = joint_oracle(scen)
-    assert oracle(word("x1 x1*").letters) == ONE
-    assert oracle(w.letters) == ZERO
+    assert oracle(word("x1 x1*")) == ONE
+    assert oracle(w) == ZERO
 
 
 def test_scenario_accessors():
@@ -105,20 +105,57 @@ def test_scenario_accessors():
     assert scen.K == 2
     assert scen.indices == (1, 2)
     assert scen.assignments[1][1] == 2
-    assert factor_word(scen, word("x1 x2*"), 1) == word("x1 x2*")
-    assert factor_word(scen, word("x1 x2*"), 2) == word("x2 x1*")
 
 
-def test_identity_factor_maps_return_the_word_itself():
-    scen = haar_times_integers()
-    assert scen.factor_maps == (None, None)
-    w = word("x1 x2*")
-    assert factor_word(scen, w, 1) is w
+def test_factor_moment_reads_the_word_in_the_factors_own_variables():
+    # factor 2 swaps the joint indices: joint x1 is its x2 = g^2 and
+    # joint x2 its x1 = g, so it reads x1 x2* as x2 x1*
     swapped = TensorScenario(
         factors=(f2_model(), integer_model()),
         assignments={1: (1, 2), 2: (2, 1)},
     )
     assert swapped.factor_maps == (None, {1: 2, 2: 1})
+    integers = integer_model()
+    for text, projected in [
+        ("x1 x2*", "x2 x1*"),
+        ("x2 x2 x1*", "x1 x1 x2*"),  # g g g^-2 = 1
+        ("x1 x1 x2*", "x2 x2 x1*"),  # g^2 g^2 g^-1 = g^3
+    ]:
+        assert factor_moment(swapped, word(text), 1) == f2_model().moment_letters(
+            word(text)
+        )
+        assert factor_moment(swapped, word(text), 2) == integers.moment_letters(
+            word(projected)
+        )
+    assert factor_moment(swapped, word("x2 x2 x1*"), 2) == ONE
+    assert factor_moment(swapped, word("x1 x1 x2*"), 2) == ZERO
+    # unswapped, factor 2 reads the words as they are
+    scen = haar_times_integers()
+    assert factor_moment(scen, word("x2 x2 x1*"), 2) == ZERO
+    assert factor_moment(scen, word("x1 x1 x2*"), 2) == ONE
+
+
+class Recording(MomentFunctional):
+    """Moment 1 on every word; keeps each letter tuple it is asked for."""
+
+    variables = (1, 2)
+
+    def __init__(self):
+        self.asked = []
+
+    def moment_letters(self, letters):
+        self.asked.append(letters)
+        return ONE
+
+
+def test_identity_factor_maps_return_the_word_itself():
+    assert haar_times_integers().factor_maps == (None, None)
+    recording = Recording()
+    scen = TensorScenario(factors=(recording,), assignments={1: (1,), 2: (2,)})
+    assert scen.factor_maps == (None,)
+    w = word("x1 x2*")
+    assert factor_moment(scen, w, 1) == ONE
+    assert recording.asked[-1] is w
 
 
 def test_scenarios_normalize_their_assignments_and_are_read_only():
@@ -162,8 +199,8 @@ def test_table_functional_is_never_class_keyed():
     scen = TensorScenario(factors=(table,), assignments={1: (1,), 2: (2,)})
     assert not scen.unitary_trace
     oracle = joint_oracle(scen)
-    assert oracle(word("x1 x2").letters) == Fraction(1, 10)
-    assert oracle(word("x2 x1").letters) == ZERO
+    assert oracle(word("x1 x2")) == Fraction(1, 10)
+    assert oracle(word("x2 x1")) == ZERO
 
 
 def test_scaled_and_star_table_factors_are_not_unitary_traces(bundled):
@@ -242,16 +279,18 @@ def test_factor_not_evaluable_is_tagged_and_order_independent():
             2: MomentSequence({(False,): 0}, complete_through=1),
         }
     )
-    scen = TensorScenario(
-        factors=(f2_model(), closed),
-        assignments={1: (1, 1), 2: (2, 2)},
-    )
     w = word("x1 x2")  # factor 1 gives zero, factor 2 cannot evaluate at all
-    assert factor_moment(scen, w, 1) == ZERO
-    with pytest.raises(FactorNotEvaluable) as exc:
-        tensor_moment(scen, w)
-    # the message names the factor and the projected word
-    assert str(exc.value).startswith("factor 2 cannot evaluate 'x1 x2': ")
+    # the message names the factor and the projected word: where factor 2
+    # swaps the joint indices, the word in its own variables
+    for assignments, projected in [
+        ({1: (1, 1), 2: (2, 2)}, "x1 x2"),
+        ({1: (1, 2), 2: (2, 1)}, "x2 x1"),
+    ]:
+        scen = TensorScenario(factors=(f2_model(), closed), assignments=assignments)
+        assert factor_moment(scen, w, 1) == ZERO
+        with pytest.raises(FactorNotEvaluable) as exc:
+            tensor_moment(scen, w)
+        assert str(exc.value).startswith(f"factor 2 cannot evaluate '{projected}': ")
 
 
 def test_a_failing_factor_raises_after_a_zero_factor_first_in_order():
@@ -489,6 +528,22 @@ def test_every_bundled_tensor_file_is_characterized():
         if load_scenario(path).tensor is not None
     }
     assert tensors == set(BUNDLED_DECLARATIONS)
+
+
+@cache
+def bundled_tensor(name):
+    return load_scenario(SCENARIO_DIR / f"{name}.json").tensor
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(BUNDLED_DECLARATIONS)), st.data())
+def test_a_star_word_and_its_letter_tuple_have_one_joint_moment(name, data):
+    scen = bundled_tensor(name)
+    alphabet = st.sampled_from(iter_letters(scen.indices))
+    letters = tuple(data.draw(st.lists(alphabet, min_size=1, max_size=8)))
+    expected = outcome(tensor_moment, scen, StarWord(letters))
+    assert outcome(tensor_moment, scen, letters) == expected
+    assert outcome(lambda s, w: joint_oracle(s)(w), scen, letters) == expected
 
 
 class Undeclared(MomentFunctional):

@@ -392,8 +392,8 @@ def test_circular_pair_witness_at_length_12(bundled):
     z = cc * cc * cc * cc
     witness = word("x1 x1* x2 x1 x1* x2* x1 x1* x2 x1 x1* x2*")
     oracle = joint_oracle(scenario)
-    assert oracle(witness.letters) == (x + y - z) * (x + y - z) == 9
-    value = centered_product_value(oracle, witness.letters, {1: 1, 2: 2})
+    assert oracle(witness) == (x + y - z) * (x + y - z) == 9
+    value = centered_product_value(oracle, witness, {1: 1, 2: 2})
     assert value == 2 * (x - z) * (y - z) == 2
     # the gauge keeps it: both exponent sums vanish, and past the
     # circular table's depth of 8 no constraint applies at all
@@ -401,7 +401,7 @@ def test_circular_pair_witness_at_length_12(bundled):
     assert gauge == ((0, ((1, 1),), 8), (0, ((2, 1),), 8))
     assert all(cap < len(witness) for _, _, cap in gauge)
     uncapped = tuple((m, members, None) for m, members, _ in gauge)
-    assert not breaks_by_hand(witness.letters, uncapped)
+    assert not breaks_by_hand(witness, uncapped)
 
 
 def test_classifier_two_nonunitary_factors(bundled):

@@ -74,7 +74,7 @@ def test_unit_block_words_center_to_zero(bundled, name):
     unit_words = 0
     for length in range(3, 7):
         for word in iter_words((1, 2), length):
-            letters = word.letters
+            letters = word
             if len(class_blocks(letters, CLASS_OF)) < 2:
                 continue
             if has_unit_block(letters, scenario.unitary_indices):
@@ -105,11 +105,11 @@ def test_walk_evaluates_exactly_the_reduced_switching_words(monkeypatch):
     verdict = freeness_verdict(joint_oracle(scenario), (1, 2), 5, {1})
     assert verdict.free
     expected = [
-        w.letters
+        w
         for n in range(2, 6)
         for w in iter_words((1, 2), n)
-        if len(class_blocks(w.letters, CLASS_OF)) > 1
-        and reduced_by_hand(w.letters, {1})
+        if len(class_blocks(w, CLASS_OF)) > 1
+        and reduced_by_hand(w, {1})
     ]
     assert evaluated == expected
     assert verdict.words_checked == 1_240 > len(expected)
