@@ -300,15 +300,29 @@ def switching_words(
     reversals keep every rule of scan_graph with it, so each class of
     kept, cyclically reduced words under rotation and adjoint reversal
     yields exactly its least word.
+
+    A necklace's first letter has its least rank, so an adjoint rank
+    below it starts a smaller rotation, and only the rotations that
+    start at a rank equal to it can tie or win.
     """
     rank = {l: r for r, l in enumerate(text_ordered_letters(indices))}
+    adjoint_rank = {l: rank[l.adjoint()] for l in rank}
+    refused_last = {l: l.adjoint() for l in rank if l.index in unitary}
 
     def least_in_bracelet(letters: StarWord) -> bool:
-        if letters[0].index in unitary and letters[-1] == letters[0].adjoint():
+        first = letters[0]
+        if letters[-1] == refused_last.get(first):
+            return False
+        least = rank[first]
+        adjoint = [adjoint_rank[l] for l in reversed(letters)]
+        if min(adjoint) < least:
             return False
         own = [rank[l] for l in letters]
-        adjoint = [rank[l.adjoint()] for l in reversed(letters)]
-        return all(own <= adjoint[i:] + adjoint[:i] for i in range(len(own)))
+        return all(
+            own <= adjoint[i:] + adjoint[:i]
+            for i, r in enumerate(adjoint)
+            if r == least
+        )
 
     for length in range(2, max_len + 1):
         graph = scan_graph(gauge, indices, length, unitary)

@@ -39,9 +39,11 @@ class MomentFunctional:
     fewer words: its unitary_variables; unitary_trace (a Hermitian trace
     of unitaries); assume_free (free variables by construction); a gauge
     (freeness.Gauge over its own variables, cap None) that every word of
-    nonzero moment keeps; and evaluable_through(used), the length through
-    which every word in the variables used evaluates without error.  This
-    base declares nothing, so an unknown model is walked in full.
+    nonzero moment keeps; gauge_exact, when every word that keeps the
+    gauge has a nonzero moment, so the model is zero exactly off it; and
+    evaluable_through(used), the length through which every word in the
+    variables used evaluates without error.  This base declares nothing,
+    so an unknown model is walked in full.
     """
 
     variables: tuple[int, ...]
@@ -49,6 +51,7 @@ class MomentFunctional:
     unitary_trace = False
     assume_free = False
     gauge = ()
+    gauge_exact = False
 
     def evaluable_through(self, used: set[int]) -> int | None:
         """None when every word in the variables used evaluates, at every
@@ -110,6 +113,13 @@ class GroupAlgebraModel(GroupBackedModel):
         trace is zero, at every length."""
         return abelian_gauge(self.presentation, self.elements)
 
+    @cached_property
+    def gauge_exact(self) -> bool:
+        """A group whose every component has at most one generator is
+        abelian, so its abelianization is itself: a word of zero image
+        there is the identity, of trace 1."""
+        return all(c.num_generators <= 1 for c in self.presentation.factors)
+
 
 class TableFunctional(GroupBackedModel):
     """Group algebra with finitely many exceptional values on normal forms.
@@ -152,8 +162,9 @@ class SpectralModel(MomentFunctional):
     """Variables given by explicit single-variable moment sequences.
 
     Words in one variable are read off the sequence; genuinely mixed words
-    are synthesized by the freeness engine when assume_free is set and are
-    otherwise not directly evaluable.
+    are synthesized by the freeness engine when assume_free is set (or,
+    beside a Haar variable, found zero by the per-height rule before it),
+    and are otherwise not directly evaluable.
     """
 
     def __init__(
@@ -190,7 +201,53 @@ class SpectralModel(MomentFunctional):
             raise NotDirectlyEvaluable(
                 "mixed word in a spectral model without a freeness flag"
             )
+        if self._height_rule and len(letters) <= self.evaluable_through(indices):
+            if self._breaks_height_rule(letters):
+                return ZERO
         return self._family.mixed_moment_letters(letters)
+
+    @cached_property
+    def _height_rule(self) -> tuple[int, dict[int, int]] | None:
+        """(h, moduli) when the model is assume_free and has a Haar
+        variable h, the least unitary of rotation modulus 0; moduli maps
+        every other variable to its modulus.  None otherwise.
+
+        Then B * L(Z) = (*_n u^n B u^-n) x| Z for u = x_h and B the
+        algebra of the other variables (Voiculescu, Dykema and Nica,
+        1992): the copies u^n B u^-n are free, each with B's law, and a
+        free product of rotation-invariant states is invariant under
+        independent rotations, one per copy and variable.
+        """
+        if not self.assume_free:
+            return None
+        moduli = {v: s.rotation_modulus for v, s in self.sequences.items()}
+        haar = [v for v, m in moduli.items() if m == 0 and v in self._periods]
+        if not haar:
+            return None
+        del moduli[haar[0]]
+        return haar[0], moduli
+
+    def _breaks_height_rule(self, letters: LetterTuple) -> bool:
+        """Whether a mixed word has moment zero by the per-height rule:
+        the Haar exponent sum is not 0, or for some other variable v and
+        height n the exponent sum of v's letters at height n is not 0 mod
+        m_v (not 0 when m_v = 0).  A letter's height is the Haar exponent
+        sum of the prefix before it.  Exact at every length the free
+        engine evaluates."""
+        haar, moduli = self._height_rule
+        height = 0
+        sums: dict[tuple[int, int], int] = {}
+        for l in letters:
+            if l.index == haar:
+                height += -1 if l.star else 1
+            else:
+                key = l.index, height
+                sums[key] = sums.get(key, 0) + (-1 if l.star else 1)
+        if height:
+            return True
+        return any(
+            s % moduli[v] if moduli[v] else s for (v, _), s in sums.items()
+        )
 
     def reduced_key(self, letters: LetterTuple):
         # unitary letters are the syllables x^+-1, folded by their period;

@@ -230,14 +230,18 @@ class TensorScenario(_TensorScenarioFields):
     @cached_property
     def zero_first(self) -> tuple[int, ...]:
         """The factors in the order tensor_moment evaluates them: the
-        sparsest by declared structure first, by its factor_gauge.  More
-        modulus-0 constraints (an exponent sum that must vanish) come
-        first, then a larger product of the nonzero moduli, then the
+        sparsest by declared structure first, by its factor_gauge.  A
+        factor zero exactly off its gauge (MomentFunctional.gauge_exact)
+        comes last: the scans' gauge_moduli hold its constraints, so it is
+        zero only on the shorter words an inclusion-exclusion asks for.
+        Then more modulus-0 constraints (an exponent sum that must vanish)
+        come first, then a larger product of the nonzero moduli, then the
         smaller k.  The order reads no moment and no timing."""
 
-        def sparsity(k: int) -> tuple[int, int, int]:
+        def sparsity(k: int) -> tuple[bool, int, int, int]:
             moduli = [m for m, _ in self.factor_gauge(k)]
-            return (-moduli.count(0), -prod(m for m in moduli if m), k)
+            exact = self.factors[k - 1].gauge_exact
+            return (exact, -moduli.count(0), -prod(m for m in moduli if m), k)
 
         return tuple(sorted(range(1, self.K + 1), key=sparsity))
 

@@ -253,13 +253,17 @@ def check_necessary_conditions(
 
     # a / sqrt(phi(a a*)) is unitary iff phi(a a* a a*) = phi(a a*)^2
     second = (False, True)
+
+    def unitary_up_to_scale(k: int, i: int) -> bool:
+        fourth = factor[k](single_variable_word(second * 2, i))
+        square = factor[k](single_variable_word(second, i))
+        return fourth == square * square
+
     non_unitary = tuple(
         (k, i)
         for k in factors
         for i in scenario.indices
-        if factor[k](single_variable_word(second * 2, i))
-        != factor[k](single_variable_word(second, i))
-        * factor[k](single_variable_word(second, i))
+        if not unitary_up_to_scale(k, i)
     )
     non_unitary_factors = sorted({k for k, _ in non_unitary})
     d_verdict = diagonal_verdict(scenario, max_len, joint)

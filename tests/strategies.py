@@ -199,6 +199,20 @@ def free_unitary_factors(draw, haar=()) -> SpectralModel:
 
 
 @st.composite
+def haar_spectral_factors(draw) -> SpectralModel:
+    """An assume_free factor of two or three variables in a random order:
+    a Haar unitary beside one or two unitary_sequences() (Haar at times)
+    or star_tables() with a complete_through, so that the per-height rule
+    of SpectralModel.moment_letters applies."""
+    complete = star_tables().filter(lambda seq: seq.complete_through is not None)
+    others = draw(
+        st.lists(st.one_of(unitary_sequences(), complete), min_size=1, max_size=2)
+    )
+    order = draw(st.permutations(range(1, len(others) + 2)))
+    return SpectralModel(dict(zip(order, [HAAR, *others])), assume_free=True)
+
+
+@st.composite
 def unitary_trace_scenarios(draw) -> TensorScenario:
     """One or two factors, each free unitaries or a group algebra under the
     canonical trace, so TensorScenario.unitary_trace holds; per factor,

@@ -308,6 +308,28 @@ def test_bracelet_counts_on_the_biased_power_k2_graph():
     assert 8 * bracelets[12] <= kept[12]
 
 
+@pytest.mark.parametrize(
+    "K, length, kept, bracelets", [(2, 10, 54, 346), (3, 12, 14, 804)]
+)
+def test_the_height_rule_keeps_few_bracelets(monkeypatch, K, length, kept, bracelets):
+    # a bracelet is kept when every factor passes it to its free engine,
+    # which is stubbed here; the others are zero by some factor's
+    # per-height rule (SpectralModel.moment_letters)
+    scenario = biased_power_scenario(K, Fraction(1, 10))
+    asked = Counter()
+    for factor in scenario.factors:
+        monkeypatch.setattr(
+            factor._family, "mixed_moment_letters", lambda w: asked.update([w]) or ONE
+        )
+    walk = switching_words((1, 2), length, (1, 2), scenario.gauge_moduli, True)
+    words = [w for w in walk if len(w) == length]
+    for w in words:
+        for factor in scenario.factors:
+            factor.moment_letters(w)
+    assert len(words) == bracelets
+    assert sum(count == K for count in asked.values()) == kept
+
+
 @settings(max_examples=25, deadline=None)
 @given(haar_type_scenarios(), st.integers(2, 7))
 # the biased-power pair through its length-10 witness

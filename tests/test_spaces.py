@@ -9,7 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorfree import spaces
-from tensorfree.errors import DimensionLimitError, NotDirectlyEvaluable, ScenarioError
+from tensorfree.errors import (
+    DimensionLimitError,
+    NotDirectlyEvaluable,
+    ScenarioError,
+    TensorFreeError,
+)
 from tensorfree.groups import (
     FreeProductPresentation,
     GroupPresentation,
@@ -31,7 +36,9 @@ from tensorfree.spaces import (
     hermitian_ldl_signature,
     variance,
 )
-from tensorfree.starwords import Letter, parse_word as word
+from tensorfree.starwords import Letter, iter_letters, parse_word as word
+
+from strategies import HAAR, haar_spectral_factors
 
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 
@@ -281,3 +288,68 @@ def test_gram_matrix_of_haar_powers_is_the_identity():
     for i, row in enumerate(gram):
         for j, entry in enumerate(row):
             assert entry == (ONE if i == j else ZERO)
+
+
+# -- the per-height rule ---------------------------------------------------------
+
+
+def outcome(evaluate, letters):
+    """The value, or the error's type and message."""
+    try:
+        return "value", evaluate(letters)
+    except TensorFreeError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def mixed_words(draw, model):
+    """Words in two variables or more: up to 12 letters, at times closed
+    by a run of the least Haar variable that brings its exponent sum to 0
+    (the words the rule passes to the free engine), or 17 letters, one
+    past the engine's cap."""
+    alphabet = st.sampled_from(iter_letters(model.variables))
+    if draw(st.integers(0, 4)) == 0:
+        letters = draw(st.lists(alphabet, min_size=17, max_size=17))
+    else:
+        letters = draw(st.lists(alphabet, min_size=2, max_size=12))
+        haar = min(v for v, seq in model.sequences.items() if seq == HAAR)
+        height = sum((-1) ** l.star for l in letters if l.index == haar)
+        if draw(st.booleans()) and len(letters) + abs(height) <= 12:
+            letters += [Letter(haar, height > 0)] * abs(height)
+    return tuple(letters)
+
+
+@settings(max_examples=150, deadline=None)
+@given(haar_spectral_factors(), st.data())
+def test_the_height_rule_matches_the_free_engine(model, data):
+    # every value, and past a cap every error (type and message), is the
+    # free engine's own
+    for _ in range(6):
+        letters = data.draw(mixed_words(model))
+        if len({l.index for l in letters}) < 2:
+            continue
+        engine = outcome(model._family.mixed_moment_letters, letters)
+        assert outcome(model.moment_letters, letters) == engine
+
+
+def test_the_height_rule_skips_the_free_engine(monkeypatch):
+    # factor 2 of biased_power_k2: a of powers +-2 only (modulus 2) and a
+    # Haar u.  u a u* a* has one a at height 1 and one at height 0, odd
+    # sums both, so it is zero without the engine, as is u a a with its
+    # even sum at height 1 but its Haar sum 1; u a a u* a* a* has sums 2
+    # and -2 and is evaluated
+    model = SpectralModel(
+        {1: MomentSequence({2: Fraction(1, 10)}, unitary=True), 2: HAAR},
+        assume_free=True,
+    )
+    engine = model._family.mixed_moment_letters
+    asked = []
+    monkeypatch.setattr(
+        model._family, "mixed_moment_letters", lambda w: asked.append(w) or engine(w)
+    )
+    assert model.moment_letters(word("x2 x1 x2* x1*")) == ZERO
+    assert model.moment_letters(word("x2 x1 x1")) == ZERO
+    assert asked == []
+    kept = word("x2 x1 x1 x2* x1* x1*")
+    assert model.moment_letters(kept) == Fraction(1, 100)
+    assert asked == [kept]

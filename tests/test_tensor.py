@@ -37,8 +37,10 @@ from tensorfree.spaces import (
     TableFunctional,
     check_axioms,
 )
+from tensorfree import tensor
 from tensorfree.tensor import (
     TensorScenario,
+    diagonal_verdict,
     factor_moment,
     joint_oracle,
     scalar_component_check,
@@ -293,6 +295,38 @@ def test_factor_not_evaluable_is_tagged_and_order_independent():
         assert str(exc.value).startswith(f"factor 2 cannot evaluate '{projected}': ")
 
 
+def test_a_factor_zero_exactly_off_its_gauge_goes_last():
+    # a group of one generator per component is abelian, so its canonical
+    # trace is zero exactly off its gauge; F2's is not
+    z3 = GroupPresentation(
+        (FreeProductPresentation((None,)), FreeProductPresentation((3,)))
+    )
+    abelian = GroupAlgebraModel(z3, {1: parse_group_word(z3, "g1.1^1 g2.1^1")})
+    assert abelian.gauge_exact and integer_model().gauge_exact
+    assert not f2_model().gauge_exact
+    assert not SpectralModel({1: MomentSequence({}, unitary=True)}).gauge_exact
+    assert haar_times_integers().zero_first == (1, 2)
+    swapped = TensorScenario(
+        factors=(integer_model(), f2_model()), assignments={1: (1, 1), 2: (2, 2)}
+    )
+    assert swapped.zero_first == (2, 1)
+
+
+def test_free_without_dominating_scans_with_the_abelian_factor_last(
+    bundled, monkeypatch
+):
+    # the table on F2 is zero on every word of the scan through length 8,
+    # so the canonical trace of Z is never asked; first in order, it took
+    # 1,688 calls
+    calls = []
+    counted = lambda *args: calls.append(args[2]) or factor_moment(*args)
+    monkeypatch.setattr(tensor, "factor_moment", counted)
+    scen = bundled("free_without_dominating").tensor
+    verdict = diagonal_verdict(scen, 8, joint_oracle(scen))
+    assert verdict.free and verdict.words_checked == 86_360
+    assert (len(calls), calls.count(2)) == (852, 0)
+
+
 def test_a_failing_factor_raises_after_a_zero_factor_first_in_order():
     closed = SpectralModel(
         {
@@ -330,9 +364,12 @@ def test_a_word_past_the_engine_cap_raises_although_a_factor_is_zero():
 @pytest.mark.parametrize("n", [2, 3, 8, 20])
 def test_a_table_with_no_depth_disables_the_zero_shortcut(n):
     # the table lists x1 alone, so every longer power is missing data;
-    # factor 2, first in order, is zero on every nonzero power of g
+    # factor 2, a free Haar unitary first in order, is zero on every
+    # nonzero power (the canonical trace of Z would go last, as zero
+    # exactly off its gauge)
     table = SpectralModel({1: MomentSequence({(False,): 0})})
-    scen = TensorScenario(factors=(table, integer_model((1,))), assignments={1: (1, 1)})
+    haar = SpectralModel({1: MomentSequence({}, unitary=True)}, assume_free=True)
+    scen = TensorScenario(factors=(table, haar), assignments={1: (1, 1)})
     assert scen.zero_first == (2, 1)
     assert scen.evaluable_through == 0
     w = word(" ".join(["x1"] * n))
@@ -492,8 +529,9 @@ BUNDLED_DECLARATIONS = {
     "doubly_free": (
         {1, 2}, True, None, ((0, ((1, 1),), None), (0, ((2, 1),), None)), (1, 2)
     ),
+    # the canonical trace of Z, zero exactly off its gauge, goes last
     "free_without_dominating": (
-        {1, 2}, False, None, ((0, ((1, 1), (2, 2)), None),), (2, 1)
+        {1, 2}, False, None, ((0, ((1, 1), (2, 2)), None),), (1, 2)
     ),
     "haar_dominated": (
         {1, 2},

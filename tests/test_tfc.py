@@ -240,6 +240,33 @@ def test_theorem_1_8_at_gram_length_3_checks_the_other_factor_at_2(
     assert calls == [3, 3, 2]
 
 
+# factor_moment calls of check_necessary_conditions at max_len 4: the
+# unitary screen reads each phi(x_i x_i*) once and squares it, so each
+# count is one per (factor, joint index) below 66, 230 and 71, the counts
+# with two reads
+NECESSARY_CONDITIONS_CALLS = {
+    "circular_dominated": 64,
+    "biased_unitary": 226,
+    "doubly_free": 67,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NECESSARY_CONDITIONS_CALLS))
+def test_theorem_1_8_reads_each_second_moment_once_in_its_screen(
+    bundled, monkeypatch, name
+):
+    calls = []
+    factor_moment = tensor.factor_moment
+
+    def counted(*args):
+        calls.append(args)
+        return factor_moment(*args)
+
+    monkeypatch.setattr(tensor, "factor_moment", counted)
+    check_necessary_conditions(bundled(name).tensor, 4)
+    assert len(calls) == NECESSARY_CONDITIONS_CALLS[name]
+
+
 # -- faithfulness ------------------------------------------------------------
 
 
