@@ -25,6 +25,7 @@ from typing import Iterable, NamedTuple, Sequence
 from .errors import DepthLimitError, PreconditionError, ScenarioError
 from .freeness import (
     Gauge,
+    HeightRules,
     JointOracle,
     Verdict,
     switching_words,
@@ -108,6 +109,7 @@ def scan_alternating_powers(
     variables: Sequence[int],
     max_len: int = 8,
     gauge: Gauge = (),
+    heights: HeightRules = (),
 ) -> tuple[Verdict, tuple[PowerScanLine, ...]]:
     """Exhaustive freeness scan over reduced alternating power words.
 
@@ -122,8 +124,9 @@ def scan_alternating_powers(
     (reduced_word_count), and words_checked is their total.
     freeness.switching_words with every variable unitary walks the
     reduced words that use two variables, the star forms of the reduced
-    alternating power words, and keep the gauge constraints
-    (TensorScenario.gauge_moduli); every other word has moment zero.
+    alternating power words, and keep the gauge constraints and the
+    per-height rules (TensorScenario.gauge_moduli and height_rules);
+    every other word has moment zero.
 
     joint must be a Hermitian trace of unitaries, as analyze_biased_power's
     scenario is by its factors' declarations (SpectralModel.unitary_trace)
@@ -159,7 +162,7 @@ def scan_alternating_powers(
     # per length, the violating words counted by (first letter, last
     # letter, run count): all that growing l c l* and the tallies read
     violating: dict[int, Counter] = {}
-    for word in switching_words(variables, max_len, variables, gauge, True):
+    for word in switching_words(variables, max_len, variables, gauge, True, heights):
         value = joint(word)
         if not value.is_zero():
             size = len(word)
@@ -298,11 +301,11 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     """Scan the biased-power pair for freeness violations and locate the
     smallest block pair count the filters leave open.
 
-    The scan walks only the words whose x1 exponent sum is 0 mod
-    lcm(2..K) and whose x2 exponent sum is 0 (the scenario's
-    gauge_moduli: factor k's a_k has nonzero powers +-k only, and each
-    u_k is Haar); every other word has moment zero and is counted in
-    closed form.
+    The scan walks only the words whose x2 exponent sum is 0 and whose
+    x1 letters at every height (the x2 sum before them) sum to 0 mod
+    lcm(2..K) (the scenario's gauge_moduli and height_rules: factor k's
+    a_k has nonzero powers +-k only, and each u_k is Haar); every other
+    word has moment zero and is counted in closed form.
     The scan evaluates one word per bracelet (scan_alternating_powers),
     because each factor is a free product of unitary
     power-moment laws, a Hermitian trace of unitaries by its declaration
@@ -322,7 +325,8 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     cap = scenario.evaluable_through
     if cap is not None and max_len > cap:
         raise DepthLimitError("mixed moment word", cap + 1, cap)
+    gauge, heights = scenario.gauge_moduli, scenario.height_rules
     verdict, scan = scan_alternating_powers(
-        joint_oracle(scenario), (1, 2), max_len, scenario.gauge_moduli
+        joint_oracle(scenario), (1, 2), max_len, gauge, heights
     )
     return BiasedPowerReport(verdict, scan, *filter_table(K))

@@ -13,7 +13,8 @@ check each other.
 
 from __future__ import annotations
 
-from itertools import accumulate, combinations
+from functools import cache
+from itertools import accumulate, combinations, count, islice
 from typing import (
     Callable,
     Collection,
@@ -47,6 +48,8 @@ Gauge = Sequence[tuple[int, Sequence[tuple[int, int]], int | None]]
 # (letter refused next, weighted exponent sums mod their moduli, the one
 # index so far or None)
 GaugeState = tuple[Letter | None, tuple[int, ...], int | None]
+# (modulus, Haar indices, indices, length cap) per-height rules (height_step)
+HeightRules = Sequence[tuple[int, tuple[int, ...], tuple[int, ...], int | None]]
 
 
 class FreeFamilySpec:
@@ -207,12 +210,12 @@ def _memoized(oracle: JointOracle) -> JointOracle:
     return wrapped
 
 
-def scan_graph(
-    gauge: Gauge, indices: Iterable[int], length: int, unitary: Collection[int]
-) -> dict[Letter, dict]:
-    """The root of the graph of the words of one length over indices that
-    a scan keeps, for starwords.iter_words: each node maps a letter
-    allowed after its prefix to the node after it, and a letter is
+def scan_graphs(
+    gauge: Gauge, indices: Iterable[int], unitary: Collection[int]
+) -> Iterator[dict[Letter, dict]]:
+    """The roots of the graphs of the words of 0, 1, 2, ... letters that
+    a scan keeps, lazily, for starwords.iter_words: each node maps a
+    letter allowed after its prefix to the node after it, and a letter is
     allowed when some completion keeps the word by three rules at once.
 
     * Reduced: no letter of an index in unitary right after its adjoint.
@@ -234,19 +237,18 @@ def scan_graph(
     The state after a prefix is (the letter refused next, one weighted
     exponent sum per constraint, reduced mod m when m > 0, the prefix's
     one index or None once it switches).  The states each prefix length
-    reaches are found level by level from the empty prefix; then, from
-    the last letter back, a state keeps the moves into states with a
-    kept completion, and a state with none is dropped.  So every node
-    above the last level is nonempty, and the root is empty exactly when
-    no word is kept.
+    reaches are found level by level from the empty prefix, once for all
+    lengths; then, per length, from the last letter back, a state keeps
+    the moves into states with a kept completion, and a state with none
+    is dropped.  So every node above the last level is nonempty, and a
+    root is empty exactly when no word of its length is kept.
     """
     alphabet = iter_letters(indices)
-    rows = [(m, dict(t)) for m, t, cap in gauge if cap is None or length <= cap]
-    moduli = [m for m, _ in rows]
+    moduli = [m for m, _, _ in gauge]
     # per letter, its weight per constraint and the letter it refuses next
     letters = {
         l: (
-            [(-1 if l.star else 1) * w.get(l.index, 0) for _, w in rows],
+            [(-1 if l.star else 1) * dict(t).get(l.index, 0) for _, t, _ in gauge],
             l.adjoint() if l.index in unitary else None,
         )
         for l in alphabet
@@ -259,26 +261,61 @@ def scan_graph(
         one = letter.index if first or state[2] == letter.index else None
         return refused, sums, one
 
-    start: GaugeState = (None, (0,) * len(rows), None)
+    start: GaugeState = (None, (0,) * len(gauge), None)
     level = {start}
     moves: list[dict[GaugeState, dict[Letter, GaugeState]]] = []
-    for depth in range(length):
-        first = depth == 0
+    for n in count():
+        held = [j for j, (_, _, cap) in enumerate(gauge) if cap is None or n <= cap]
+        # a kept word has switched index, and every sum held at its length is 0
+        nodes: dict[GaugeState, dict] = {
+            s: {} for s in level if s[2] is None and not any(s[1][j] for j in held)
+        }
+        for out_of in reversed(moves):
+            nodes = {
+                s: kept
+                for s, out in out_of.items()
+                if (kept := {l: nodes[t] for l, t in out.items() if t in nodes})
+            }
+        yield nodes.get(start, {})
         moves.append(
-            {s: {l: after(s, l, first) for l in alphabet if l != s[0]} for s in level}
+            {s: {l: after(s, l, not n) for l in alphabet if l != s[0]} for s in level}
         )
         level = {t for out in moves[-1].values() for t in out.values()}
-    # a kept word brings every sum to 0 and has switched index
-    nodes: dict[GaugeState, dict] = {
-        s: {} for s in level if not any(s[1]) and s[2] is None
-    }
-    for out_of in reversed(moves):
-        nodes = {
-            s: kept
-            for s, out in out_of.items()
-            if (kept := {l: nodes[t] for l, t in out.items() if t in nodes})
-        }
-    return nodes.get(start, {})
+
+
+def height_step(rules: HeightRules) -> Callable:
+    """The step of starwords.iter_necklaces that drops a prefix when no
+    completion keeps every rule (m, Haar indices, indices, cap): the Haar
+    letters' exponent sum is 0, and at each height h (after a prefix of
+    Haar sum h) the indices' letters have a sum 0 mod m (0 when m = 0).
+    The caller passes only the rules whose cap holds.  The state is, per
+    rule, the height and the nonzero residues by height (None: the empty
+    prefix).  A completion needs a letter per unit of each residue's
+    distance from 0, and a Haar letter per step of the shortest path
+    from the height through every height with a residue to 0; so no word
+    that keeps every rule is dropped, and a word that breaks one is.
+    """
+
+    @cache
+    def step(state: tuple | None, letter: Letter, left: int) -> tuple | None:
+        sign = -1 if letter.star else 1
+        out = []
+        for (h, residues), (m, haar, terms, _) in zip(state or start, rules):
+            if letter.index in terms:
+                moved = dict(residues)
+                moved[h] = (moved.get(h, 0) + sign) % m if m else moved.get(h, 0) + sign
+                residues = tuple(sorted((g, r) for g, r in moved.items() if r))
+            h += sign * (letter.index in haar)
+            heights = [0, *(g for g, _ in residues)]
+            lo, hi = min(heights), max(heights)
+            need = sum(min(r, m - r) if m else abs(r) for _, r in residues)
+            if need + hi - lo + min(abs(h - lo) + hi, abs(h - hi) - lo) > left:
+                return None
+            out.append((h, residues))
+        return tuple(out)
+
+    start = ((0, ()),) * len(rules)
+    return step
 
 
 def switching_words(
@@ -287,19 +324,20 @@ def switching_words(
     unitary: Collection[int],
     gauge: Gauge,
     trace: bool = False,
+    heights: HeightRules = (),
 ) -> Iterator[StarWord]:
-    """The words of 2..max_len letters that scan_graph keeps, in (length,
+    """The words of 2..max_len letters that scan_graphs keeps, in (length,
     text) order.
 
     With trace, one word per bracelet: the necklace walk
     (starwords.iter_necklaces) yields the kept words least among their
-    rotations in text order, and of those this keeps the ones that are
+    rotations in text order that keep every rule of heights (height_step)
+    held at their length, and of those this keeps the ones that are
     cyclically reduced (not a letter l of an index in unitary first and
     l* last) and no greater than the least rotation of their adjoint
     reversal.  A cyclically reduced word's rotations and adjoint
-    reversals keep every rule of scan_graph with it, so each class of
-    kept, cyclically reduced words under rotation and adjoint reversal
-    yields exactly its least word.
+    reversals keep every rule with it, so each class of kept, cyclically
+    reduced words under rotation and adjoint reversal yields its least.
 
     A necklace's first letter has its least rank, so an adjoint rank
     below it starts a smaller rotation, and only the rotations that
@@ -324,9 +362,11 @@ def switching_words(
             if r == least
         )
 
-    for length in range(2, max_len + 1):
-        graph = scan_graph(gauge, indices, length, unitary)
-        words = iter_words(indices, length, graph, trace)
+    graphs = scan_graphs(gauge, indices, unitary)
+    step = cache(lambda held: height_step(held) if held else None)
+    for length, graph in zip(range(2, max_len + 1), islice(graphs, 2, None)):
+        held = tuple(rule for rule in heights if rule[3] is None or length <= rule[3])
+        words = iter_words(indices, length, graph, trace, step(held))
         yield from filter(least_in_bracelet, words) if trace else words
 
 

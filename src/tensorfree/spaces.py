@@ -38,9 +38,10 @@ class MomentFunctional:
     A model also declares the structure the tensor scans read to walk
     fewer words: its unitary_variables; unitary_trace (a Hermitian trace
     of unitaries); assume_free (free variables by construction); a gauge
-    (freeness.Gauge over its own variables, cap None) that every word of
-    nonzero moment keeps; gauge_exact, when every word that keeps the
-    gauge has a nonzero moment, so the model is zero exactly off it; and
+    (freeness.Gauge over its own variables, cap None) and height_rules
+    (freeness.HeightRules, likewise) that every word of nonzero moment
+    keeps; gauge_exact, when every word that keeps the gauge has a
+    nonzero moment, so the model is zero exactly off it; and
     evaluable_through(used), the length through which every word in the
     variables used evaluates without error.  This base declares nothing,
     so an unknown model is walked in full.
@@ -52,6 +53,7 @@ class MomentFunctional:
     assume_free = False
     gauge = ()
     gauge_exact = False
+    height_rules = ()
 
     def evaluable_through(self, used: set[int]) -> int | None:
         """None when every word in the variables used evaluates, at every
@@ -163,7 +165,7 @@ class SpectralModel(MomentFunctional):
 
     Words in one variable are read off the sequence; genuinely mixed words
     are synthesized by the freeness engine when assume_free is set (or,
-    beside a Haar variable, found zero by the per-height rule before it),
+    beside a Haar variable, found zero by the per-height rules before it),
     and are otherwise not directly evaluable.
     """
 
@@ -183,6 +185,7 @@ class SpectralModel(MomentFunctional):
         self._family = freeness.FreeFamilySpec(
             {v: partial(self.marginal_moment, v) for v in self.sequences}
         )
+        self._height_step = freeness.height_step(self.height_rules)
 
     def marginal_moment(self, var: int, stars: Sequence[bool]) -> ExactComplex:
         seq = self.sequences[var]
@@ -201,16 +204,19 @@ class SpectralModel(MomentFunctional):
             raise NotDirectlyEvaluable(
                 "mixed word in a spectral model without a freeness flag"
             )
-        if self._height_rule and len(letters) <= self.evaluable_through(indices):
-            if self._breaks_height_rule(letters):
-                return ZERO
+        if self.height_rules and len(letters) <= self.evaluable_through(indices):
+            state = None  # the walk's step drops a word that breaks a rule
+            for left, letter in zip(range(len(letters) - 1, -1, -1), letters):
+                if (state := self._height_step(state, letter, left)) is None:
+                    return ZERO
         return self._family.mixed_moment_letters(letters)
 
     @cached_property
-    def _height_rule(self) -> tuple[int, dict[int, int]] | None:
-        """(h, moduli) when the model is assume_free and has a Haar
-        variable h, the least unitary of rotation modulus 0; moduli maps
-        every other variable to its modulus.  None otherwise.
+    def height_rules(self) -> freeness.HeightRules:
+        """With assume_free and a Haar variable h, the least unitary of
+        rotation modulus 0, the rule (m_v, (h,), (v,), None) of
+        freeness.height_step per other variable v, of rotation modulus
+        m_v, that every word of nonzero moment keeps.  Empty otherwise.
 
         Then B * L(Z) = (*_n u^n B u^-n) x| Z for u = x_h and B the
         algebra of the other variables (Voiculescu, Dykema and Nica,
@@ -218,36 +224,11 @@ class SpectralModel(MomentFunctional):
         free product of rotation-invariant states is invariant under
         independent rotations, one per copy and variable.
         """
-        if not self.assume_free:
-            return None
         moduli = {v: s.rotation_modulus for v, s in self.sequences.items()}
-        haar = [v for v, m in moduli.items() if m == 0 and v in self._periods]
-        if not haar:
-            return None
-        del moduli[haar[0]]
-        return haar[0], moduli
-
-    def _breaks_height_rule(self, letters: LetterTuple) -> bool:
-        """Whether a mixed word has moment zero by the per-height rule:
-        the Haar exponent sum is not 0, or for some other variable v and
-        height n the exponent sum of v's letters at height n is not 0 mod
-        m_v (not 0 when m_v = 0).  A letter's height is the Haar exponent
-        sum of the prefix before it.  Exact at every length the free
-        engine evaluates."""
-        haar, moduli = self._height_rule
-        height = 0
-        sums: dict[tuple[int, int], int] = {}
-        for l in letters:
-            if l.index == haar:
-                height += -1 if l.star else 1
-            else:
-                key = l.index, height
-                sums[key] = sums.get(key, 0) + (-1 if l.star else 1)
-        if height:
-            return True
-        return any(
-            s % moduli[v] if moduli[v] else s for (v, _), s in sums.items()
-        )
+        haar = tuple(v for v, m in moduli.items() if m == 0 and v in self._periods)[:1]
+        if not (self.assume_free and haar):
+            return ()
+        return tuple((m, haar, (v,), None) for v, m in moduli.items() if (v,) != haar)
 
     def reduced_key(self, letters: LetterTuple):
         # unitary letters are the syllables x^+-1, folded by their period;

@@ -14,7 +14,7 @@ of integer text in words, group tokens and scenario keys.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, NamedTuple, TypeVar
 
 
 class WordSyntaxError(ValueError):
@@ -179,7 +179,7 @@ def iter_sequences(
     walk offers only the items its node holds, and no tuple through a
     missing item is built or yielded; the node after the last item is
     not read.  Without graph, one node maps every item back to itself.
-    freeness.scan_graph builds the graph of the words a scan keeps;
+    freeness.scan_graphs builds the graphs of the words a scan keeps;
     groups.is_free_collection's graph allows a different index next.
     """
     items = tuple(alphabet)
@@ -202,7 +202,7 @@ def iter_sequences(
 
 
 def iter_necklaces(
-    alphabet: Iterable[T], length: int, graph: Mapping[T, Mapping]
+    alphabet: Iterable[T], length: int, graph: Mapping[T, Mapping], step=None
 ) -> Iterator[tuple[T, ...]]:
     """The tuples iter_sequences yields that are least among their
     rotations in lexicographic order of alphabet positions (necklaces),
@@ -215,12 +215,14 @@ def iter_necklaces(
     item a_(t+1) must be no earlier than a_(t+1-p); an equal one keeps
     the period and a later one makes it t+1.  A prenecklace of length n
     is a necklace exactly when p divides n.  The walk follows graph as
-    iter_sequences does, so it offers the items both allow.
+    iter_sequences does, so it offers the items both allow; with step, only
+    an item whose step(state, item, items left after it), the state after
+    it (None before the first item), is not None.
     """
     items = tuple(alphabet)
     rank = {item: r for r, item in enumerate(items)}
 
-    def extend(prefix: tuple[T, ...], node, period: int) -> Iterator[tuple[T, ...]]:
+    def extend(prefix: tuple[T, ...], node, period: int, state) -> Iterator:
         t = len(prefix)
         least = rank[prefix[t - period]] if t else 0
         for r in range(least, len(items)):
@@ -228,14 +230,16 @@ def iter_necklaces(
             after = node.get(item)
             if after is None:
                 continue
+            if step and (state_after := step(state, item, length - t - 1)) is None:
+                continue
             p = period if t and r == least else t + 1
             if t + 1 < length:
-                yield from extend(prefix + (item,), after, p)
+                yield from extend(prefix + (item,), after, p, step and state_after)
             elif length % p == 0:
                 yield prefix + (item,)
 
     if length > 0:
-        yield from extend((), graph, 0)
+        yield from extend((), graph, 0, None)
 
 
 def text_ordered_letters(indices: Iterable[int]) -> list[Letter]:
@@ -249,11 +253,12 @@ def iter_words(
     length: int,
     graph: Mapping[Letter, Mapping] | None = None,
     necklaces: bool = False,
+    step: Callable | None = None,
 ) -> Iterator[StarWord]:
     """All words of exactly the given length, sorted by canonical text;
     with graph, those whose letters iter_sequences follows through it;
     with necklaces and graph, only those least among their rotations in
-    that order (iter_necklaces).
+    that order (iter_necklaces, which takes step).
 
     Walking the letters in text order gives exactly the text order of
     the words, indices >= 10 included: when one letter's text is a
@@ -262,7 +267,7 @@ def iter_words(
     """
     letters = text_ordered_letters(indices)
     if necklaces:
-        return map(StarWord, iter_necklaces(letters, length, graph))
+        return map(StarWord, iter_necklaces(letters, length, graph, step))
     return map(StarWord, iter_sequences(letters, length, graph))
 
 

@@ -31,7 +31,7 @@ from .errors import (
     NotDirectlyEvaluable,
     ScenarioError,
 )
-from .freeness import Gauge, JointOracle, Verdict, test_freeness
+from .freeness import Gauge, HeightRules, JointOracle, Verdict, test_freeness
 from .scalars import ONE, ZERO, ExactComplex
 from .spaces import AxiomReport, MomentFunctional, check_axioms, variance
 from .starwords import Letter, LetterTuple, StarWord
@@ -156,7 +156,7 @@ class TensorScenario(_TensorScenarioFields):
         The elementary tensor of unitaries is unitary, so a letter of
         such an index next to its adjoint multiplies to the unit under
         any unital functional, and the scans walk the reduced words
-        alone (freeness.scan_graph); no trace, Hermitian or freeness flag
+        alone (freeness.scan_graphs); no trace, Hermitian or freeness flag
         is needed, and no axiom check is consulted.
         """
         return frozenset(
@@ -209,7 +209,7 @@ class TensorScenario(_TensorScenarioFields):
     @property
     def gauge_moduli(self) -> Gauge:
         """Every factor's factor_gauge, as (modulus, ((joint index,
-        weight), ...), length cap) triples for freeness.scan_graph, sorted
+        weight), ...), length cap) triples for freeness.scan_graphs, sorted
         by weights: a tensor word that breaks one has a factor moment
         zero, and so joint moment zero.
 
@@ -226,6 +226,22 @@ class TensorScenario(_TensorScenarioFields):
             for m, terms in self.factor_gauge(k):
                 moduli[terms] = lcm(moduli.get(terms, m), m)
         return tuple((m, terms, cap) for terms, m in sorted(moduli.items()))
+
+    @property
+    def height_rules(self) -> HeightRules:
+        """Every factor's height_rules (MomentFunctional.height_rules), a
+        variable read as the joint indices whose component it is: a word
+        that breaks one has joint moment zero.  As in gauge_moduli, rules
+        on the same indices merge by lcm, and the cap is evaluable_through
+        (at 0 none holds)."""
+        rules: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+        for k, factor in enumerate(self.factors):
+            of = lambda v: tuple(i for i in self.indices if self.assignments[i][k] in v)
+            for m, haar, terms, _ in factor.height_rules:
+                key = of(haar), of(terms)
+                rules[key] = lcm(rules.get(key, m), m)
+        cap = self.evaluable_through
+        return tuple((m, *key, cap) for key, m in sorted(rules.items()))
 
     @cached_property
     def zero_first(self) -> tuple[int, ...]:

@@ -2,8 +2,9 @@
 spectral factors, group algebras of free products of cyclic groups
 under the canonical trace or a table of values, tensor scenarios that
 are Hermitian traces of unitaries by construction, and tensor scenarios
-that mix every kind of factor; and the gauge and reduced-word rules
-evaluated word by word, the twins of the scans' pruned walk."""
+that mix every kind of factor; and the gauge, per-height and
+reduced-word rules evaluated word by word, the twins of the scans'
+pruned walk."""
 
 from pathlib import Path
 
@@ -275,6 +276,26 @@ def breaks_by_hand(letters, gauge) -> bool:
         total = sum((-1 if l.star else 1) * weight.get(l.index, 0) for l in letters)
         if (total % m if m else total) != 0:
             return True
+    return False
+
+
+def breaks_height_rule_by_hand(letters, scenario) -> bool:
+    """Whether some factor's declared height rule (m, Haar variables,
+    variables, cap) breaks on the word read in that factor's components:
+    the exponent sum of the Haar letters is not 0, or at some height n
+    the exponent sum of the variables' letters at height n (the exponent
+    sum of the Haar letters before them) is not 0 mod m (m = 0: not 0)."""
+    for k, factor in enumerate(scenario.factors):
+        for m, haar, terms, _ in factor.height_rules:
+            height, sums = 0, {}
+            for l in letters:
+                v, sign = scenario.assignments[l.index][k], -1 if l.star else 1
+                if v in haar:
+                    height += sign
+                elif v in terms:
+                    sums[height] = sums.get(height, 0) + sign
+            if height or any(s % m if m else s for s in sums.values()):
+                return True
     return False
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorfree import counterexample, tensor
+from tensorfree import counterexample, starwords, tensor
 from tensorfree.counterexample import (
     BLOCK_PAIR_CAP,
     PowerScanLine,
@@ -45,7 +45,7 @@ from tensorfree.starwords import (
 )
 from tensorfree.tensor import TensorScenario, joint_oracle, tensor_moment
 
-from strategies import haar_type_scenarios
+from strategies import breaks_height_rule_by_hand, haar_type_scenarios
 
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
 
@@ -321,13 +321,52 @@ def test_the_height_rule_keeps_few_bracelets(monkeypatch, K, length, kept, brace
         monkeypatch.setattr(
             factor._family, "mixed_moment_letters", lambda w: asked.update([w]) or ONE
         )
-    walk = switching_words((1, 2), length, (1, 2), scenario.gauge_moduli, True)
-    words = [w for w in walk if len(w) == length]
+    gauge = scenario.gauge_moduli
+    walk = lambda *heights: [
+        w
+        for w in switching_words((1, 2), length, (1, 2), gauge, True, *heights)
+        if len(w) == length
+    ]
+    words = walk()
     for w in words:
         for factor in scenario.factors:
             factor.moment_letters(w)
     assert len(words) == bracelets
     assert sum(count == K for count in asked.values()) == kept
+    # the walk that carries heights yields exactly the kept ones
+    assert walk(scenario.height_rules) == [w for w in words if asked[w] == K]
+
+
+@settings(max_examples=30, deadline=None)
+@given(haar_type_scenarios(), st.integers(2, 10))
+# the biased-power pairs: factor 2's rule, and for K = 3 factors 2 and 3
+# merged by lcm (x1 sums 0 mod 6 at every height)
+@example(biased_power_scenario(2, Fraction(1, 10)), 10)
+@example(biased_power_scenario(3, Fraction(1, 10)), 12)
+# two rules at once: the Haar x2 in factor 1 and the Haar x1 in factor 2
+@example(
+    TensorScenario(
+        factors=(
+            free_unitaries({1: {2: Fraction(1, 3)}, 2: {}}),
+            free_unitaries({1: {}, 2: {3: Fraction(1, 4)}}),
+        ),
+        assignments={1: (1, 1), 2: (2, 2)},
+    ),
+    10,
+)
+def test_height_walk_is_the_bracelet_walk_filtered(scenario, max_len):
+    # the walk that carries heights drops a prefix only when no completion
+    # keeps every factor's rule, so it yields the bracelet walk's words
+    # that keep them all, in the same order.  It fails on a bound that
+    # needs r letters for a residue r mod m (not min(r, m - r)), on a
+    # starred Haar letter that raises the height, and on rules whose
+    # moduli overwrite each other instead of merging by lcm
+    gauge = scenario.gauge_moduli
+    walk = lambda *heights: list(
+        switching_words((1, 2), max_len, (1, 2), gauge, True, *heights)
+    )
+    kept = [w for w in walk() if not breaks_height_rule_by_hand(w, scenario)]
+    assert walk(scenario.height_rules) == kept
 
 
 @settings(max_examples=25, deadline=None)
@@ -453,20 +492,24 @@ def test_analysis_report_for_three_factors():
     assert report.filters[-1].block_pairs == 6
 
 
-# (K, max_len): the factor_moment calls, which the oracle's order
-# (TensorScenario.zero_first) and its stop at a zero factor set; then
-# the verdict's witness, lhs and words_checked and the (block pairs,
-# words, violations) tallies, which no evaluation order may change.
+# (K, max_len): the factor_moment calls, which the walk and the oracle's
+# order (TensorScenario.zero_first) and its stop at a zero factor set;
+# the prefixes the walk asks its height step about and those it keeps;
+# then the verdict's witness, lhs and words_checked and the (block pairs,
+# words, violations) tallies, which no walk or evaluation order may
+# change.  Without heights in the walk the calls were 481, 1,005 and 6,831.
 ANALYSIS_WORK = {
     (2, 10): (
-        481,
+        137,
+        (2295, 1593),
         "x1 x1 x2 x1 x2* x1* x1* x2 x1 x2*",
         Fraction(1, 100000),
         118056,
         [(1, 360, 0), (2, 8640, 0), (3, 43008, 0), (4, 53760, 64), (5, 12288, 16)],
     ),
     (3, 12): (
-        1005,
+        67,
+        (2949, 1618),
         None,
         None,
         1062832,
@@ -479,23 +522,53 @@ ANALYSIS_WORK = {
             (6, 57344, 0),
         ],
     ),
+    (3, 14): (
+        125,
+        (12066, 6391),
+        None,
+        None,
+        9565880,
+        [
+            (1, 728, 0),
+            (2, 37856, 0),
+            (3, 512512, 0),
+            (4, 2416128, 0),
+            (5, 4100096, 0),
+            (6, 2236416, 0),
+            (7, 262144, 0),
+        ],
+    ),
 }
 
 
 @pytest.mark.parametrize("K, max_len", sorted(ANALYSIS_WORK))
 def test_analysis_work_is_pinned(monkeypatch, K, max_len):
+    # the factor moments asked for, and the walk's work: the prefixes the
+    # necklace walk asks its height step about and those the step keeps
     calls = Counter()
     factor_moment = tensor.factor_moment
+    iter_necklaces = starwords.iter_necklaces
 
     def counted(*args):
         calls["factor_moment"] += 1
         return factor_moment(*args)
 
+    def counted_walk(alphabet, length, graph, step=None):
+        def counted(*args):
+            state = step(*args)
+            calls["asked"] += 1
+            calls["kept"] += state is not None
+            return state
+
+        return iter_necklaces(alphabet, length, graph, step and counted)
+
     monkeypatch.setattr(tensor, "factor_moment", counted)
+    monkeypatch.setattr(starwords, "iter_necklaces", counted_walk)
     report = analyze_biased_power(K, Fraction(1, 10), max_len)
     witness = report.verdict.witness
     got = (
         calls["factor_moment"],
+        (calls["asked"], calls["kept"]),
         witness and witness.text(),
         report.verdict.lhs,
         report.verdict.words_checked,

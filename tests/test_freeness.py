@@ -3,7 +3,7 @@ bounded star-freeness test."""
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
@@ -14,7 +14,7 @@ from tensorfree.freeness import (
     Verdict,
     centered_product_value,
     mixed_moment_by_cumulants,
-    scan_graph,
+    scan_graphs,
 )
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.groups import (
@@ -160,7 +160,7 @@ def test_free_pair_passes_the_bounded_test():
     # one variable alone: no word switches, so no scan graph has a move
     # and no word is walked or evaluated, at any bound
     for unitary in [(), (1,)]:
-        assert all(scan_graph((), (1,), n, unitary) == {} for n in range(2, 41))
+        assert not any(islice(scan_graphs((), (1,), unitary), 41))
 
     def never(letters):
         raise AssertionError(f"evaluated {letters}")

@@ -1,7 +1,8 @@
-"""The scan graph: scan_graph keeps a letter after a prefix only when
+"""The scan graph: scan_graphs keeps a letter after a prefix only when
 some completion is reduced (no unitary letter right after its adjoint),
 brings each constraint's weighted exponent sum to 0 mod its modulus and
-uses two indices or more.  These tests hold the graph's words and
+uses two indices or more.  These tests hold every length's root to the
+graph built for that length alone, the graph's words and
 switching_words to the plain walk filtered word by word, the graph's
 nodes to the prefixes of the words it keeps, test_freeness's
 closed-form words_checked to the switching words enumerated in text
@@ -14,14 +15,14 @@ brute-force twin."""
 
 from collections import Counter
 from functools import lru_cache
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorfree.counterexample import reduced_word_count
-from tensorfree.freeness import scan_graph, switching_words
+from tensorfree.freeness import scan_graphs, switching_words
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.scalars import ONE, ZERO
 from tensorfree.starwords import (
@@ -36,6 +37,11 @@ from strategies import breaks_by_hand, reduced_by_hand
 
 MODULI = st.sampled_from([0, 2, 3, 6])
 CAPS = st.sampled_from([None, 3, 4, 5])
+
+
+def scan_graph(gauge, indices, length, unitary):
+    """The root of scan_graphs' graph of the words of length letters."""
+    return next(islice(scan_graphs(gauge, indices, unitary), length, None))
 
 
 @st.composite
@@ -104,6 +110,63 @@ def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
     lengths = range(2, length + 1)
     expected = [w for n in lengths for w in iter_words(indices, n) if keeps(w)]
     assert list(switching_words(indices, length, unitary, gauge)) == expected
+
+
+def one_length_graph(gauge, indices, length, unitary):
+    """The scan graph of one length built on its own, forward from the
+    empty prefix and back from the last letter, with only the
+    constraints that hold at that length: the reference for each root
+    of scan_graphs."""
+    alphabet = iter_letters(indices)
+    rows = [(m, dict(t)) for m, t, cap in gauge if cap is None or length <= cap]
+    moduli = [m for m, _ in rows]
+    letters = {
+        l: (
+            [(-1 if l.star else 1) * w.get(l.index, 0) for _, w in rows],
+            l.adjoint() if l.index in unitary else None,
+        )
+        for l in alphabet
+    }
+
+    def after(state, letter, first):
+        weights, refused = letters[letter]
+        terms = zip(state[1], weights, moduli)
+        sums = tuple((s + w) % m if m else s + w for s, w, m in terms)
+        one = letter.index if first or state[2] == letter.index else None
+        return refused, sums, one
+
+    start = (None, (0,) * len(rows), None)
+    level = {start}
+    moves = []
+    for depth in range(length):
+        first = depth == 0
+        moves.append(
+            {s: {l: after(s, l, first) for l in alphabet if l != s[0]} for s in level}
+        )
+        level = {t for out in moves[-1].values() for t in out.values()}
+    nodes = {s: {} for s in level if not any(s[1]) and s[2] is None}
+    for out_of in reversed(moves):
+        nodes = {
+            s: kept
+            for s, out in out_of.items()
+            if (kept := {l: nodes[t] for l, t in out.items() if t in nodes})
+        }
+    return nodes.get(start, {})
+
+
+@settings(max_examples=60, deadline=None)
+@given(gauged_walks())
+# a cap crossed on the way: the constraint holds through 3 letters only
+@example(((1, 2), ((0, ((1, 1),), 3), (2, ((2, 1),), None)), 7, (1, 2)))
+# biased_power_k2's rules through length 7
+@example(((1, 2), ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), 7, (1, 2)))
+def test_scan_graphs_build_every_length_as_one_graph_did(walk_input):
+    # the forward levels are found once for every length; each length's
+    # root still maps to the same moves as the graph built for it alone
+    indices, gauge, length, unitary = walk_input
+    roots = list(islice(scan_graphs(gauge, indices, unitary), length + 1))
+    lengths = range(length + 1)
+    assert roots == [one_length_graph(gauge, indices, n, unitary) for n in lengths]
 
 
 # -- the necklace walk ------------------------------------------------------------
