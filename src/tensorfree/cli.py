@@ -41,6 +41,7 @@ from .scalars import ExactComplex, fraction_from_json, scalar_json
 from .spaces import check_axioms
 from .starwords import StarWord, parse_word, power_word_to_star_word
 from .tensor import (
+    TensorScenario,
     diagonal_verdict,
     factor_moment,
     factor_oracle,
@@ -136,16 +137,18 @@ def _tfc_json(report) -> dict:
 
 def _canonical_trace_verdict(model, max_len: int) -> Verdict:
     """Bounded star-freeness of a group algebra's variables under its
-    canonical trace, a Hermitian trace: one word per bracelet, skipping
-    the words that break its gauge."""
+    canonical trace, walked by the rules of the collection viewed as a
+    one-factor tensor scenario (TensorScenario.scan_rules, as
+    factor_verdict reads a factor's): one word per bracelet, skipping the
+    words that break its gauge."""
+    view = TensorScenario((model,), {v: (v,) for v in model.variables})
     # group elements are unitary, so the walk's reduced-word rule would be
     # sound too; it is left out because with it group-freeness on
     # product_pair_collection does no ExactComplex arithmetic, which
     # perfbench/workloads.py expects of the group-scan workload; bracelets
     # alone keep that arithmetic
-    return test_freeness(
-        model.moment_letters, model.variables, max_len, (), model.gauge, trace=True
-    )
+    rules = view.scan_rules._replace(unitary=frozenset())
+    return test_freeness(model.moment_letters, model.variables, max_len, rules)
 
 
 # -- subcommand handlers ----------------------------------------------------

@@ -23,13 +23,7 @@ from math import comb
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DepthLimitError, PreconditionError, ScenarioError
-from .freeness import (
-    Gauge,
-    HeightRules,
-    JointOracle,
-    Verdict,
-    switching_words,
-)
+from .freeness import JointOracle, ScanRules, Verdict, switching_words
 from .ncpartitions import MomentSequence, catalan, iter_pure_parity_blocks
 from .scalars import as_scalar
 from .spaces import SpectralModel
@@ -105,11 +99,7 @@ def reduced_word_count(n: int, length: int, runs: int) -> int:
 
 
 def scan_alternating_powers(
-    joint: JointOracle,
-    variables: Sequence[int],
-    max_len: int = 8,
-    gauge: Gauge = (),
-    heights: HeightRules = (),
+    joint: JointOracle, variables: Sequence[int], max_len: int, rules: ScanRules
 ) -> tuple[Verdict, tuple[PowerScanLine, ...]]:
     """Exhaustive freeness scan over reduced alternating power words.
 
@@ -125,8 +115,8 @@ def scan_alternating_powers(
     freeness.switching_words with every variable unitary walks the
     reduced words that use two variables, the star forms of the reduced
     alternating power words, and keep the gauge constraints and the
-    per-height rules (TensorScenario.gauge_moduli and height_rules);
-    every other word has moment zero.
+    per-height rules of rules (TensorScenario.scan_rules); every other
+    word has moment zero.
 
     joint must be a Hermitian trace of unitaries, as analyze_biased_power's
     scenario is by its factors' declarations (SpectralModel.unitary_trace)
@@ -162,7 +152,9 @@ def scan_alternating_powers(
     # per length, the violating words counted by (first letter, last
     # letter, run count): all that growing l c l* and the tallies read
     violating: dict[int, Counter] = {}
-    for word in switching_words(variables, max_len, variables, gauge, True, heights):
+    # the closed-form tallies count the reduced words, one per bracelet
+    rules = rules._replace(unitary=variables, trace=True)
+    for word in switching_words(variables, max_len, rules):
         value = joint(word)
         if not value.is_zero():
             size = len(word)
@@ -303,7 +295,7 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
 
     The scan walks only the words whose x2 exponent sum is 0 and whose
     x1 letters at every height (the x2 sum before them) sum to 0 mod
-    lcm(2..K) (the scenario's gauge_moduli and height_rules: factor k's
+    lcm(2..K) (the gauge and heights of the scenario's scan_rules: factor k's
     a_k has nonzero powers +-k only, and each u_k is Haar); every other
     word has moment zero and is counted in closed form.
     The scan evaluates one word per bracelet (scan_alternating_powers),
@@ -325,8 +317,7 @@ def analyze_biased_power(K: int, alpha, max_len: int = 8) -> BiasedPowerReport:
     cap = scenario.evaluable_through
     if cap is not None and max_len > cap:
         raise DepthLimitError("mixed moment word", cap + 1, cap)
-    gauge, heights = scenario.gauge_moduli, scenario.height_rules
     verdict, scan = scan_alternating_powers(
-        joint_oracle(scenario), (1, 2), max_len, gauge, heights
+        joint_oracle(scenario), (1, 2), max_len, scenario.scan_rules
     )
     return BiasedPowerReport(verdict, scan, *filter_table(K))

@@ -210,29 +210,66 @@ def _memoized(oracle: JointOracle) -> JointOracle:
     return wrapped
 
 
+class ScanRules(NamedTuple):
+    """The rules by which a scan walks fewer words (scan_graphs,
+    switching_words), each exact: the witness and its lhs are those of the
+    scan over every word.  TensorScenario.scan_rules combines them from
+    the factors' declared structure (spaces.MomentFunctional); a scan
+    that needs other rules replaces fields of those with _replace.
+
+    * unitary names indices whose variables are unitary; the walk keeps
+      the words with no letter of one of them right after its adjoint.
+      For a unitary u, u u* = u* u = 1, so such a word has the centered
+      alternating product of the word without the pair, or zero when the
+      pair was its block's only letters; at the first violating length
+      every violating word is reduced.
+    * gauge lists linear constraints (m, weights, cap): a word of at most
+      cap letters (any length when cap is None) has moment zero unless its
+      weighted exponent sum, +w per plain letter and -w per starred one
+      of an index of weight w, is 0 mod m (m = 0: is 0).  They are the
+      rotation symmetries of a tensor scenario's factors or the
+      abelianization of a group algebra under its canonical trace
+      (GroupAlgebraModel.gauge).
+    * trace declares the joint functional a Hermitian trace; the scan
+      then evaluates one word per bracelet (switching_words).  While
+      every shorter centered product vanishes, a word whose first and
+      last blocks share an index centers as its rotation that merges
+      them, and a word of two blocks or more keeps its centered value
+      under rotation by whole blocks (the trace property), so the value
+      is a function of the necklace; a word l ... l* of a unitary l
+      rotates into a word with l* l inside and centers to zero; and the
+      adjoint reversal's value is the conjugate (Hermitian symmetry).  So
+      at the first length with a nonzero value the violating words are
+      whole classes, each class's least word is the rep the walk yields,
+      and the first violating rep is the witness of the full scan; at
+      every shorter length the reps' zeros are every word's.
+    * heights lists per-height rules (m, Haar indices, indices, cap) of
+      height_step, each held at the lengths its cap reaches (any length
+      when cap is None): the zeros of a factor with a Haar variable
+      (SpectralModel.height_rules).
+
+    A block with a nonzero mean keeps every gauge constraint and every
+    per-height residue, so every shorter word the inclusion-exclusion
+    evaluates for a word that breaks one breaks it too, and the word
+    centers to zero.
+    """
+
+    unitary: Collection[int] = frozenset()
+    gauge: Gauge = ()
+    trace: bool = False
+    heights: HeightRules = ()
+
+
 def scan_graphs(
-    gauge: Gauge, indices: Iterable[int], unitary: Collection[int]
+    indices: Iterable[int], rules: ScanRules
 ) -> Iterator[dict[Letter, dict]]:
     """The roots of the graphs of the words of 0, 1, 2, ... letters that
     a scan keeps, lazily, for starwords.iter_words: each node maps a
     letter allowed after its prefix to the node after it, and a letter is
-    allowed when some completion keeps the word by three rules at once.
-
-    * Reduced: no letter of an index in unitary right after its adjoint.
-      For a unitary u, u u* = u* u = 1, so such a word has the centered
-      alternating product of the word without the pair, or zero when
-      the pair was its block's only letters; at the first violating
-      length every violating word is reduced.
-    * Gauge: each constraint (m, weights, cap) (TensorScenario.gauge_moduli,
-      GroupAlgebraModel.gauge) states that a word of at most cap letters
-      (any length when cap is None) has moment zero unless its weighted
-      exponent sum, +w per plain letter and -w per starred one of an
-      index of weight w, is 0 mod m (m = 0: is 0).  A block with a
-      nonzero mean keeps every constraint, so every shorter word the
-      inclusion-exclusion evaluates for a word that breaks one breaks it
-      too, and the word centers to zero.
-    * Switching: the word uses two indices or more; a word in one index
-      is one block and centers to zero.
+    allowed when some completion keeps the word by three rules at once:
+    reduced and gauge (rules.unitary and rules.gauge, ScanRules), and
+    switching: the word uses two indices or more, since a word in one
+    index is one block and centers to zero.
 
     The state after a prefix is (the letter refused next, one weighted
     exponent sum per constraint, reduced mod m when m > 0, the prefix's
@@ -243,6 +280,7 @@ def scan_graphs(
     is dropped.  So every node above the last level is nonempty, and a
     root is empty exactly when no word of its length is kept.
     """
+    gauge, unitary = rules.gauge, rules.unitary
     alphabet = iter_letters(indices)
     moduli = [m for m, _, _ in gauge]
     # per letter, its weight per constraint and the letter it refuses next
@@ -284,7 +322,7 @@ def scan_graphs(
 
 
 def height_step(rules: HeightRules) -> Callable:
-    """The step of starwords.iter_necklaces that drops a prefix when no
+    """The step of starwords.iter_words that drops a prefix when no
     completion keeps every rule (m, Haar indices, indices, cap): the Haar
     letters' exponent sum is 0, and at each height h (after a prefix of
     Haar sum h) the indices' letters have a sum 0 mod m (0 when m = 0).
@@ -319,22 +357,17 @@ def height_step(rules: HeightRules) -> Callable:
 
 
 def switching_words(
-    indices: Collection[int],
-    max_len: int,
-    unitary: Collection[int],
-    gauge: Gauge,
-    trace: bool = False,
-    heights: HeightRules = (),
+    indices: Collection[int], max_len: int, rules: ScanRules
 ) -> Iterator[StarWord]:
-    """The words of 2..max_len letters that scan_graphs keeps, in (length,
-    text) order.
+    """The words of 2..max_len letters that scan_graphs keeps and that
+    keep every rule of rules.heights held at their length (height_step),
+    in (length, text) order.
 
-    With trace, one word per bracelet: the necklace walk
+    With rules.trace, one word per bracelet: the necklace walk
     (starwords.iter_necklaces) yields the kept words least among their
-    rotations in text order that keep every rule of heights (height_step)
-    held at their length, and of those this keeps the ones that are
-    cyclically reduced (not a letter l of an index in unitary first and
-    l* last) and no greater than the least rotation of their adjoint
+    rotations in text order, and of those this keeps the ones that are
+    cyclically reduced (not a letter l of an index in rules.unitary first
+    and l* last) and no greater than the least rotation of their adjoint
     reversal.  A cyclically reduced word's rotations and adjoint
     reversals keep every rule with it, so each class of kept, cyclically
     reduced words under rotation and adjoint reversal yields its least.
@@ -345,7 +378,7 @@ def switching_words(
     """
     rank = {l: r for r, l in enumerate(text_ordered_letters(indices))}
     adjoint_rank = {l: rank[l.adjoint()] for l in rank}
-    refused_last = {l: l.adjoint() for l in rank if l.index in unitary}
+    refused_last = {l: l.adjoint() for l in rank if l.index in rules.unitary}
 
     def least_in_bracelet(letters: StarWord) -> bool:
         first = letters[0]
@@ -362,12 +395,12 @@ def switching_words(
             if r == least
         )
 
-    graphs = scan_graphs(gauge, indices, unitary)
+    graphs = scan_graphs(indices, rules)
     step = cache(lambda held: height_step(held) if held else None)
     for length, graph in zip(range(2, max_len + 1), islice(graphs, 2, None)):
-        held = tuple(rule for rule in heights if rule[3] is None or length <= rule[3])
-        words = iter_words(indices, length, graph, trace, step(held))
-        yield from filter(least_in_bracelet, words) if trace else words
+        held = tuple(r for r in rules.heights if r[3] is None or length <= r[3])
+        words = iter_words(indices, length, graph, rules.trace, step(held))
+        yield from filter(least_in_bracelet, words) if rules.trace else words
 
 
 def _switching_rank(indices: Collection[int], letters: LetterTuple) -> int:
@@ -389,9 +422,7 @@ def test_freeness(
     joint: JointOracle,
     indices: Iterable[int],
     max_len: int = 8,
-    unitary: Collection[int] = (),
-    gauge: Gauge = (),
-    trace: bool = False,
+    rules: ScanRules = ScanRules(),
 ) -> Verdict:
     """Bounded star-freeness of the variables with the given indices
     under a joint functional.
@@ -404,38 +435,16 @@ def test_freeness(
     form: (2n)^L - n 2^L per shorter length L over n indices, plus the
     witness's rank in its own (_switching_rank).
 
-    Only the words of switching_words are built and evaluated; every
-    other word's centered product is zero or that of a shorter word, so
-    the witness and its lhs are those of the scan over every word.
-
-    * unitary names indices whose variables are unitary by the caller's
-      declared structure (TensorScenario.unitary_indices); the walk keeps
-      the words with no letter of one of them right after its adjoint.
-    * gauge lists linear constraints on a word's exponent sums that every
-      word of nonzero moment keeps: the rotation symmetries of a tensor
-      scenario (TensorScenario.gauge_moduli) or the abelianization of a
-      group algebra under the canonical trace (GroupAlgebraModel.gauge).
-    * trace declares joint a Hermitian trace by the caller's structure
-      (MomentFunctional.unitary_trace, which TensorScenario.unitary_trace
-      folds over the factors); the scan then evaluates one word
-      per bracelet (switching_words with trace).  This is exact.  While
-      every shorter centered product vanishes, a word whose first and
-      last blocks share an index centers as its rotation that merges
-      them, and a word of two blocks or more keeps its centered value
-      under rotation by whole blocks (the trace property), so the value
-      is a function of the necklace; a word l ... l* of a unitary l
-      rotates into a word with l* l inside and centers to zero; and the
-      adjoint reversal's value is the conjugate (Hermitian symmetry).
-      So at the first length with a nonzero value the violating words
-      are whole classes, each class's least word is the rep the walk
-      yields, and the first violating rep is the witness of the full
-      scan; at every shorter length the reps' zeros are every word's.
+    Only the words that switching_words walks by rules are built and
+    evaluated; every other word's centered product is zero or that of a
+    shorter word (ScanRules), so the witness and its lhs are those of the
+    scan over every word.
     """
     class_of = {i: i for i in indices}
     n = len(class_of)
     oracle = _memoized(joint)
     shorter = lambda length: sum((2 * n) ** L - n * 2**L for L in range(2, length))
-    for word in switching_words(class_of, max_len, unitary, gauge, trace):
+    for word in switching_words(class_of, max_len, rules):
         value = centered_product_value(oracle, word, class_of)
         if not value.is_zero():
             checked = shorter(len(word)) + _switching_rank(class_of, word)

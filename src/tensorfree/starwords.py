@@ -169,7 +169,10 @@ def iter_letters(indices: Iterable[int]) -> list[Letter]:
 
 
 def iter_sequences(
-    alphabet: Iterable[T], length: int, graph: Mapping[T, Mapping] | None = None
+    alphabet: Iterable[T],
+    length: int,
+    graph: Mapping[T, Mapping] | None = None,
+    step: Callable | None = None,
 ) -> Iterator[tuple[T, ...]]:
     """Every length-tuple over alphabet, lazily, in lexicographic order of
     alphabet positions; lengths <= 0 yield nothing.
@@ -181,24 +184,31 @@ def iter_sequences(
     not read.  Without graph, one node maps every item back to itself.
     freeness.scan_graphs builds the graphs of the words a scan keeps;
     groups.is_free_collection's graph allows a different index next.
+    With step, the walk offers only an item whose step(state, item, items
+    left after it), the state after it (None before the first item), is
+    not None (freeness.height_step).
     """
     items = tuple(alphabet)
     if graph is None:
         graph = {}
         graph.update((item, graph) for item in items)
 
-    def extend(prefix: tuple[T, ...], node, remaining: int) -> Iterator[tuple[T, ...]]:
+    def extend(prefix: tuple[T, ...], node, remaining: int, state) -> Iterator:
         for item in items:
             after = node.get(item)
             if after is None:
                 continue
+            if step and (state_after := step(state, item, remaining - 1)) is None:
+                continue
             if remaining == 1:
                 yield prefix + (item,)
             else:
-                yield from extend(prefix + (item,), after, remaining - 1)
+                yield from extend(
+                    prefix + (item,), after, remaining - 1, step and state_after
+                )
 
     if length > 0:
-        yield from extend((), graph, length)
+        yield from extend((), graph, length, None)
 
 
 def iter_necklaces(
@@ -214,10 +224,8 @@ def iter_necklaces(
     prefix's period (the length of its longest Lyndon prefix), the next
     item a_(t+1) must be no earlier than a_(t+1-p); an equal one keeps
     the period and a later one makes it t+1.  A prenecklace of length n
-    is a necklace exactly when p divides n.  The walk follows graph as
-    iter_sequences does, so it offers the items both allow; with step, only
-    an item whose step(state, item, items left after it), the state after
-    it (None before the first item), is not None.
+    is a necklace exactly when p divides n.  The walk follows graph and
+    step as iter_sequences does, so it offers the items all of them allow.
     """
     items = tuple(alphabet)
     rank = {item: r for r, item in enumerate(items)}
@@ -256,9 +264,9 @@ def iter_words(
     step: Callable | None = None,
 ) -> Iterator[StarWord]:
     """All words of exactly the given length, sorted by canonical text;
-    with graph, those whose letters iter_sequences follows through it;
-    with necklaces and graph, only those least among their rotations in
-    that order (iter_necklaces, which takes step).
+    with graph and step, those whose letters iter_sequences follows
+    through both; with necklaces and graph, only those least among their
+    rotations in that order (iter_necklaces).
 
     Walking the letters in text order gives exactly the text order of
     the words, indices >= 10 included: when one letter's text is a
@@ -268,7 +276,7 @@ def iter_words(
     letters = text_ordered_letters(indices)
     if necklaces:
         return map(StarWord, iter_necklaces(letters, length, graph, step))
-    return map(StarWord, iter_sequences(letters, length, graph))
+    return map(StarWord, iter_sequences(letters, length, graph, step))
 
 
 def iter_star_patterns(length: int) -> Iterator[tuple[bool, ...]]:

@@ -11,7 +11,8 @@ itself a Hermitian trace of unitaries (MomentFunctional.unitary_trace),
 the diagonal scans evaluate it on one word per bracelet, the class of a
 word under rotation and adjoint reversal (freeness.switching_words).
 What a scan may skip is read off the factors' declarations only
-(spaces.MomentFunctional); this module combines them and names no model.
+(spaces.MomentFunctional); this module combines them into one
+freeness.ScanRules (TensorScenario.scan_rules) and names no model.
 The checks read a factor only through this module: its moments through
 factor_moment or factor_oracle, which name the factor when it fails,
 and its axioms and freeness verdicts through the per-scenario caches.
@@ -31,7 +32,7 @@ from .errors import (
     NotDirectlyEvaluable,
     ScenarioError,
 )
-from .freeness import Gauge, HeightRules, JointOracle, Verdict, test_freeness
+from .freeness import JointOracle, ScanRules, Verdict, test_freeness
 from .scalars import ONE, ZERO, ExactComplex
 from .spaces import AxiomReport, MomentFunctional, check_axioms, variance
 from .starwords import Letter, LetterTuple, StarWord
@@ -138,33 +139,6 @@ class TensorScenario(_TensorScenarioFields):
         except (FactorAxiomsNotCheckable, LimitError):
             return False
 
-    @property
-    def unitary_trace(self) -> bool:
-        """Whether every factor declares itself a Hermitian trace in which
-        every variable is unitary (MomentFunctional.unitary_trace); no
-        axiom check is consulted.  The tensor product of such factors is
-        again a Hermitian trace of unitaries, so the diagonal scans may
-        walk one word per bracelet (freeness.test_freeness with trace).
-        """
-        return all(f.unitary_trace for f in self.factors)
-
-    @property
-    def unitary_indices(self) -> frozenset[int]:
-        """The joint indices whose every component its factor declares
-        unitary (MomentFunctional.unitary_variables).
-
-        The elementary tensor of unitaries is unitary, so a letter of
-        such an index next to its adjoint multiplies to the unit under
-        any unital functional, and the scans walk the reduced words
-        alone (freeness.scan_graphs); no trace, Hermitian or freeness flag
-        is needed, and no axiom check is consulted.
-        """
-        return frozenset(
-            i
-            for i, components in self.assignments.items()
-            if all(v in f.unitary_variables for f, v in zip(self.factors, components))
-        )
-
     @cached_property
     def evaluable_through(self) -> int | None:
         """The length through which every factor evaluates every word
@@ -192,7 +166,7 @@ class TensorScenario(_TensorScenarioFields):
 
         Constraints where every joint index weighs zero are left out.
         Beyond evaluable_through a table's rotation invariance is
-        unknown; gauge_moduli caps the constraints there.
+        unknown; scan_rules caps the constraints there.
         """
         constraints = []
         for m, weights, _ in self.factors[k - 1].gauge:
@@ -206,49 +180,61 @@ class TensorScenario(_TensorScenarioFields):
                 constraints.append((m, terms))
         return constraints
 
-    @property
-    def gauge_moduli(self) -> Gauge:
-        """Every factor's factor_gauge, as (modulus, ((joint index,
-        weight), ...), length cap) triples for freeness.scan_graphs, sorted
-        by weights: a tensor word that breaks one has a factor moment
-        zero, and so joint moment zero.
+    @cached_property
+    def scan_rules(self) -> ScanRules:
+        """The rules the diagonal scans walk by (freeness.ScanRules),
+        combined from the factors' declarations alone
+        (spaces.MomentFunctional); no axiom check is consulted.
 
-        Constraints with the same joint weights merge by lcm.  The cap is
-        evaluable_through: beyond it a skipped word could have raised, so
-        longer words are evaluated, and when a factor can fail at any
-        length there is no constraint at all.
+        * unitary: the joint indices whose every component its factor
+          declares unitary (unitary_variables).  The elementary tensor of
+          unitaries is unitary under any unital functional, so no trace,
+          Hermitian or freeness flag is needed.
+        * gauge: every factor's factor_gauge, sorted by weights; a tensor
+          word that breaks one has a factor moment zero, and so joint
+          moment zero.  Constraints with the same joint weights merge by
+          lcm.
+        * trace: every factor declares itself a Hermitian trace in which
+          every variable is unitary (unitary_trace); the tensor product
+          of such factors is again one.
+        * heights: every factor's height_rules, a variable read as the
+          joint indices whose component it is; as for the gauge, a word
+          that breaks one has joint moment zero, and rules on the same
+          indices merge by lcm.
+
+        The gauge and the heights carry the cap evaluable_through: beyond
+        it a skipped word could have raised, so longer words are
+        evaluated, and when a factor can fail at any length there are
+        none.
         """
+        unitary = frozenset(
+            i
+            for i, components in self.assignments.items()
+            if all(v in f.unitary_variables for f, v in zip(self.factors, components))
+        )
+        trace = all(f.unitary_trace for f in self.factors)
         cap = self.evaluable_through
         if cap == 0:
-            return ()
+            return ScanRules(unitary, (), trace, ())
         moduli: dict[tuple[tuple[int, int], ...], int] = {}
-        for k in range(1, self.K + 1):
-            for m, terms in self.factor_gauge(k):
-                moduli[terms] = lcm(moduli.get(terms, m), m)
-        return tuple((m, terms, cap) for terms, m in sorted(moduli.items()))
-
-    @property
-    def height_rules(self) -> HeightRules:
-        """Every factor's height_rules (MomentFunctional.height_rules), a
-        variable read as the joint indices whose component it is: a word
-        that breaks one has joint moment zero.  As in gauge_moduli, rules
-        on the same indices merge by lcm, and the cap is evaluable_through
-        (at 0 none holds)."""
         rules: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for k, factor in enumerate(self.factors):
+            for m, terms in self.factor_gauge(k + 1):
+                moduli[terms] = lcm(moduli.get(terms, m), m)
             of = lambda v: tuple(i for i in self.indices if self.assignments[i][k] in v)
             for m, haar, terms, _ in factor.height_rules:
                 key = of(haar), of(terms)
                 rules[key] = lcm(rules.get(key, m), m)
-        cap = self.evaluable_through
-        return tuple((m, *key, cap) for key, m in sorted(rules.items()))
+        gauge = tuple((m, terms, cap) for terms, m in sorted(moduli.items()))
+        heights = tuple((m, *key, cap) for key, m in sorted(rules.items()))
+        return ScanRules(unitary, gauge, trace, heights)
 
     @cached_property
     def zero_first(self) -> tuple[int, ...]:
         """The factors in the order tensor_moment evaluates them: the
         sparsest by declared structure first, by its factor_gauge.  A
         factor zero exactly off its gauge (MomentFunctional.gauge_exact)
-        comes last: the scans' gauge_moduli hold its constraints, so it is
+        comes last: scan_rules' gauge holds its constraints, so it is
         zero only on the shorter words an inclusion-exclusion asks for.
         Then more modulus-0 constraints (an exponent sum that must vanish)
         come first, then a larger product of the nonzero moduli, then the
@@ -313,17 +299,10 @@ def diagonal_verdict(
     scenario: TensorScenario, max_len: int, oracle: JointOracle
 ) -> Verdict:
     """freeness.test_freeness of the joint indices under oracle, walked
-    by the scenario's declared unitary_indices, gauge_moduli and
-    unitary_trace.  oracle is joint_oracle or, for the one-factor
-    scenario of factor k, factor_oracle, so that errors name factor k."""
-    return test_freeness(
-        oracle,
-        scenario.indices,
-        max_len,
-        scenario.unitary_indices,
-        scenario.gauge_moduli,
-        scenario.unitary_trace,
-    )
+    by the scenario's declared scan_rules.  oracle is joint_oracle or,
+    for the one-factor scenario of factor k, factor_oracle, so that
+    errors name factor k."""
+    return test_freeness(oracle, scenario.indices, max_len, scenario.scan_rules)
 
 
 def scalar_component_check(scenario: TensorScenario) -> list[str]:

@@ -11,6 +11,7 @@ import pytest
 
 from tensorfree import cli
 from tensorfree.counterexample import scan_alternating_powers
+from tensorfree.freeness import ScanRules
 from tensorfree.scalars import ZERO
 from tensorfree.scenario import ScenarioFile, load_scenario
 
@@ -72,7 +73,7 @@ def scanned_words():
             seen.append(letters)
             return ZERO
 
-        scan_alternating_powers(oracle, variables, max_len)
+        scan_alternating_powers(oracle, variables, max_len, ScanRules())
         probes = 2 * (max_len - 1) * len(variables)
         assert all(len({l.index for l in w}) == 1 for w in seen[:probes])
         return seen[probes:]

@@ -200,14 +200,18 @@ def free_unitary_factors(draw, haar=()) -> SpectralModel:
 
 
 @st.composite
-def haar_spectral_factors(draw) -> SpectralModel:
-    """An assume_free factor of two or three variables in a random order:
-    a Haar unitary beside one or two unitary_sequences() (Haar at times)
-    or star_tables() with a complete_through, so that the per-height rule
-    of SpectralModel.moment_letters applies."""
+def haar_spectral_factors(draw, size=None) -> SpectralModel:
+    """An assume_free factor of two or three variables (size of them when
+    given) in a random order: a Haar unitary beside one or two
+    unitary_sequences() (Haar at times) or star_tables() with a
+    complete_through, so that the per-height rule of
+    SpectralModel.moment_letters applies."""
     complete = star_tables().filter(lambda seq: seq.complete_through is not None)
+    fewest, most = (size - 1, size - 1) if size else (1, 2)
     others = draw(
-        st.lists(st.one_of(unitary_sequences(), complete), min_size=1, max_size=2)
+        st.lists(
+            st.one_of(unitary_sequences(), complete), min_size=fewest, max_size=most
+        )
     )
     order = draw(st.permutations(range(1, len(others) + 2)))
     return SpectralModel(dict(zip(order, [HAAR, *others])), assume_free=True)
@@ -216,7 +220,7 @@ def haar_spectral_factors(draw) -> SpectralModel:
 @st.composite
 def unitary_trace_scenarios(draw) -> TensorScenario:
     """One or two factors, each free unitaries or a group algebra under the
-    canonical trace, so TensorScenario.unitary_trace holds; per factor,
+    canonical trace, so TensorScenario.scan_rules.trace holds; per factor,
     joint variables 1 and 2 take the components (1, 2), (2, 1) or a
     shared (1, 1) or (2, 2)."""
     factor = st.one_of(free_unitary_factors(), group_algebras())

@@ -25,6 +25,7 @@ from tensorfree.freeness import (
     MIXED_MOMENT_LENGTH_CAP,
     FreeFamilySpec,
     Verdict,
+    ScanRules,
     mixed_moment_by_cumulants,
     switching_words,
 )
@@ -91,7 +92,7 @@ def test_scan_requires_haar_type_marginals():
         assume_free=True,
     )
     with pytest.raises(PreconditionError, match="x1 is not Haar-type: power 1"):
-        scan_alternating_powers(biased.moment_letters, (1, 2), 4)
+        scan_alternating_powers(biased.moment_letters, (1, 2), 4, ScanRules())
 
 
 def integer_pair() -> GroupAlgebraModel:
@@ -116,7 +117,8 @@ def free_unitaries(moments) -> SpectralModel:
 def test_scan_finds_the_integer_pair_violation():
     # Haar-type marginals, yet x1^2 x2^-1 reduces to the identity
     model = integer_pair()
-    verdict, scan = scan_alternating_powers(model.moment_letters, (1, 2), 3)
+    rules = ScanRules()
+    verdict, scan = scan_alternating_powers(model.moment_letters, (1, 2), 3, rules)
     assert not verdict.free
     assert verdict.witness.text() == "x1 x1 x2*"
     assert verdict.lhs == ONE
@@ -129,7 +131,7 @@ def test_scan_finds_the_integer_pair_violation():
 
 def test_scan_is_clean_on_the_biased_power_pair():
     scen = biased_power_scenario(2, Fraction(1, 10))
-    verdict, scan = scan_alternating_powers(joint_oracle(scen), (1, 2), 4)
+    verdict, scan = scan_alternating_powers(joint_oracle(scen), (1, 2), 4, ScanRules())
     assert verdict.free
     assert verdict.witness is None
     assert [(l.block_pairs, l.words, l.violations) for l in scan] == [
@@ -185,7 +187,7 @@ def plain_power_scan(joint, max_len, gauge):
             line = tallies.setdefault((runs + 1) // 2, [0, 0])
             line[0] += reduced_word_count(2, total, runs)
     first = None
-    for word in switching_words((1, 2), max_len, (1, 2), gauge):
+    for word in switching_words((1, 2), max_len, ScanRules((1, 2), gauge)):
         value = joint(word)
         if not value.is_zero():
             runs = len(class_blocks(word, {1: 1, 2: 2}))
@@ -216,7 +218,7 @@ def assert_tracial_classes(make, max_len):
     adjoint reversal conjugates it, and dropping a first/last pair
     l ... l* keeps it.  Returns how many of the values were nonreal."""
     scenario = one_factor(make())
-    assert scenario.unitary_trace
+    assert scenario.scan_rules.trace
     joint = plain_oracle(scenario)
     values = {}
     for n in range(1, max_len + 1):
@@ -261,11 +263,11 @@ def test_tracial_classes_evaluate_once_per_class():
         return model.moment_letters(letters)
 
     max_len = 7
-    scan_alternating_powers(joint, (1, 2), max_len, model.gauge)
+    scan_alternating_powers(joint, (1, 2), max_len, ScanRules(gauge=model.gauge))
     walked = asked[2 * (max_len - 1) * 2 :]
     kept = [
         w
-        for w in switching_words((1, 2), max_len, (1, 2), model.gauge)
+        for w in switching_words((1, 2), max_len, ScanRules((1, 2), model.gauge))
         if w[-1] != w[0].adjoint()
     ]
     classes = {tracial_class(w) for w in kept}
@@ -286,10 +288,10 @@ def test_tracial_classes_evaluate_once_per_class():
 )
 def test_class_scan_matches_the_plain_scan(make_scenario, max_len, free):
     scenario = make_scenario()
-    assert scenario.unitary_trace
+    assert scenario.scan_rules.trace
     want = plain_power_scan(plain_oracle(make_scenario()), max_len, ())
-    for gauge in ((), scenario.gauge_moduli):
-        got = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, gauge)
+    for rules in (ScanRules(), scenario.scan_rules):
+        got = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, rules)
         assert got == want
     verdict, lines = want
     assert verdict.free is free
@@ -298,9 +300,9 @@ def test_class_scan_matches_the_plain_scan(make_scenario, max_len, free):
 
 def test_bracelet_counts_on_the_biased_power_k2_graph():
     # one word per bracelet against every kept word, per length
-    gauge = biased_power_scenario(2, Fraction(1, 10)).gauge_moduli
+    gauge = biased_power_scenario(2, Fraction(1, 10)).scan_rules.gauge
     walk = lambda trace: Counter(
-        len(w) for w in switching_words((1, 2), 12, (1, 2), gauge, trace)
+        len(w) for w in switching_words((1, 2), 12, ScanRules((1, 2), gauge, trace))
     )
     bracelets, kept = walk(True), walk(False)
     assert bracelets == {4: 2, 6: 8, 8: 55, 10: 346, 12: 2_418}
@@ -321,10 +323,12 @@ def test_the_height_rule_keeps_few_bracelets(monkeypatch, K, length, kept, brace
         monkeypatch.setattr(
             factor._family, "mixed_moment_letters", lambda w: asked.update([w]) or ONE
         )
-    gauge = scenario.gauge_moduli
+    gauge = scenario.scan_rules.gauge
     walk = lambda *heights: [
         w
-        for w in switching_words((1, 2), length, (1, 2), gauge, True, *heights)
+        for w in switching_words(
+            (1, 2), length, ScanRules((1, 2), gauge, True, *heights)
+        )
         if len(w) == length
     ]
     words = walk()
@@ -334,7 +338,7 @@ def test_the_height_rule_keeps_few_bracelets(monkeypatch, K, length, kept, brace
     assert len(words) == bracelets
     assert sum(count == K for count in asked.values()) == kept
     # the walk that carries heights yields exactly the kept ones
-    assert walk(scenario.height_rules) == [w for w in words if asked[w] == K]
+    assert walk(scenario.scan_rules.heights) == [w for w in words if asked[w] == K]
 
 
 @settings(max_examples=30, deadline=None)
@@ -361,12 +365,12 @@ def test_height_walk_is_the_bracelet_walk_filtered(scenario, max_len):
     # needs r letters for a residue r mod m (not min(r, m - r)), on a
     # starred Haar letter that raises the height, and on rules whose
     # moduli overwrite each other instead of merging by lcm
-    gauge = scenario.gauge_moduli
+    gauge = scenario.scan_rules.gauge
     walk = lambda *heights: list(
-        switching_words((1, 2), max_len, (1, 2), gauge, True, *heights)
+        switching_words((1, 2), max_len, ScanRules((1, 2), gauge, True, *heights))
     )
     kept = [w for w in walk() if not breaks_height_rule_by_hand(w, scenario)]
-    assert walk(scenario.height_rules) == kept
+    assert walk(scenario.scan_rules.heights) == kept
 
 
 @settings(max_examples=25, deadline=None)
@@ -387,10 +391,10 @@ def test_height_walk_is_the_bracelet_walk_filtered(scenario, max_len):
 )
 def test_bracelet_power_scan_matches_the_plain_walk(scenario, max_len):
     # verdict, witness, lhs, words_checked and every tally line
-    assert scenario.unitary_trace
-    gauge = scenario.gauge_moduli
-    plain = plain_power_scan(plain_oracle(scenario), max_len, gauge)
-    got = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, gauge)
+    assert scenario.scan_rules.trace
+    rules = scenario.scan_rules
+    plain = plain_power_scan(plain_oracle(scenario), max_len, rules.gauge)
+    got = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, rules)
     assert got == plain
 
 

@@ -60,13 +60,9 @@ def example_a_scenarios(draw) -> TensorScenario:
 @settings(max_examples=60, deadline=None)
 @given(example_a_scenarios())
 def test_haar_factor_keeps_the_family_free(scenario):
-    assert scenario.unitary_indices == {1, 2}
+    assert scenario.scan_rules.unitary == {1, 2}
     verdict = freeness_verdict(
-        joint_oracle(scenario),
-        scenario.indices,
-        MAX_LEN,
-        scenario.unitary_indices,
-        scenario.gauge_moduli,
+        joint_oracle(scenario), scenario.indices, MAX_LEN, scenario.scan_rules
     )
     assert verdict.free
     assert verdict.words_checked == sum(4**n - 2 * 2**n for n in range(2, MAX_LEN + 1))

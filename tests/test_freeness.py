@@ -11,6 +11,7 @@ from tensorfree.counterexample import scan_alternating_powers
 from tensorfree.errors import DepthLimitError, PreconditionError
 from tensorfree.freeness import (
     FreeFamilySpec,
+    ScanRules,
     Verdict,
     centered_product_value,
     mixed_moment_by_cumulants,
@@ -160,7 +161,7 @@ def test_free_pair_passes_the_bounded_test():
     # one variable alone: no word switches, so no scan graph has a move
     # and no word is walked or evaluated, at any bound
     for unitary in [(), (1,)]:
-        assert not any(islice(scan_graphs((), (1,), unitary), 41))
+        assert not any(islice(scan_graphs((1,), ScanRules(unitary)), 41))
 
     def never(letters):
         raise AssertionError(f"evaluated {letters}")
@@ -240,13 +241,13 @@ def test_haar_power_scan_agrees_with_the_general_path():
     model = GroupAlgebraModel(
         F2, {1: parse_group_word(F2, "g1.1^1"), 2: parse_group_word(F2, "g1.2^1")}
     )
-    fast, _ = scan_alternating_powers(model.moment_letters, [1, 2], max_len=6)
+    fast, _ = scan_alternating_powers(model.moment_letters, [1, 2], 6, ScanRules())
     assert fast.free
     general = freeness_verdict(model.moment_letters, (1, 2), max_len=4)
     assert general.free
 
     slow_fail = freeness_verdict(integer_oracle(), (1, 2), max_len=4)
-    fast_fail, _ = scan_alternating_powers(integer_oracle(), [1, 2], max_len=4)
+    fast_fail, _ = scan_alternating_powers(integer_oracle(), [1, 2], 4, ScanRules())
     assert not fast_fail.free
     assert fast_fail.witness == slow_fail.witness == word("x1 x1 x2*")
     assert fast_fail.lhs == ONE
@@ -256,7 +257,7 @@ def test_haar_power_scan_precondition():
     biased = MomentSequence({1: Fraction(1, 4)}, unitary=True, period=3)
     oracle = lambda ls: star_adapter(biased)(tuple(l.star for l in ls))
     with pytest.raises(PreconditionError, match="Haar-type"):
-        scan_alternating_powers(oracle, [1], max_len=4)
+        scan_alternating_powers(oracle, [1], 4, ScanRules())
 
 
 def test_alternating_power_words(scanned_words):
@@ -306,7 +307,7 @@ def test_block_pair_count():
     model = GroupAlgebraModel(
         F2, {1: parse_group_word(F2, "g1.1^1"), 2: parse_group_word(F2, "g1.2^1")}
     )
-    _, scan = scan_alternating_powers(model.moment_letters, [1, 2], max_len=5)
+    _, scan = scan_alternating_powers(model.moment_letters, [1, 2], 5, ScanRules())
     assert [(line.block_pairs, line.words) for line in scan] == [
         (1, 80),
         (2, 320),

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from tensorfree import freeness
 from tensorfree.counterexample import biased_power_scenario, scan_alternating_powers
 from tensorfree.errors import DepthLimitError, PreconditionError
-from tensorfree.freeness import Verdict, centered_product_value
+from tensorfree.freeness import ScanRules, Verdict, centered_product_value
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.groups import (
     FreeProductPresentation,
@@ -29,11 +29,13 @@ from tensorfree.groups import (
 from tensorfree.ncpartitions import MomentSequence
 from tensorfree.spaces import GroupAlgebraModel, SpectralModel
 from tensorfree.starwords import class_blocks, iter_words, parse_word
-from tensorfree.tensor import TensorScenario, joint_oracle
+from tensorfree.tensor import TensorScenario, diagonal_verdict, joint_oracle
 
 from strategies import (
+    CIRCULAR,
     breaks_by_hand,
     haar_type_scenarios,
+    mixed_tensor_scenarios,
     spectral_factors,
     unitary_trace_scenarios,
 )
@@ -107,12 +109,12 @@ def test_rotation_modulus(sequence, modulus):
 )
 def test_bundled_gauge_moduli(bundled, name, gauge):
     scenario = bundled(name).tensor
-    assert scenario.gauge_moduli == gauge
+    assert scenario.scan_rules.gauge == gauge
 
 
 def test_biased_power_gauge_is_lcm_of_the_biased_powers():
     for K, modulus in ((2, 2), (3, 6), (4, 12)):
-        gauge = biased_power_scenario(K, Fraction(1, 10)).gauge_moduli
+        gauge = biased_power_scenario(K, Fraction(1, 10)).scan_rules.gauge
         assert gauge == ((modulus, ((1, 1),), 16), (0, ((2, 1),), 16))
 
 
@@ -128,7 +130,7 @@ def test_the_cap_is_the_least_depth_in_use():
         factors=(free_factor(circular), free_factor(shallow, HAAR)),
         assignments={1: (1, 1), 2: (1, 1)},
     )
-    assert scenario.gauge_moduli == ((0, ((1, 1), (2, 1)), 4),)
+    assert scenario.scan_rules.gauge == ((0, ((1, 1), (2, 1)), 4),)
     # a table that can fail at any length, or mixed words in a factor
     # without assume_free, would let a skip hide an error
     for factor in (
@@ -139,7 +141,7 @@ def test_the_cap_is_the_least_depth_in_use():
             factors=(free_factor(HAAR, HAAR), factor),
             assignments={1: (1, 1), 2: (2, 2)},
         )
-        assert scenario.gauge_moduli == ()
+        assert scenario.scan_rules.gauge == ()
 
 
 # -- soundness pins ------------------------------------------------------------
@@ -160,14 +162,9 @@ def shared_component_scenario() -> TensorScenario:
 def test_shared_component_constrains_the_sum():
     scenario = shared_component_scenario()
     # one constraint on s1 + s2: rotating x1 rotates both joint variables
-    assert scenario.gauge_moduli == ((0, ((1, 1), (2, 1)), 16),)
-    verdict = freeness_verdict(
-        joint_oracle(scenario),
-        scenario.indices,
-        4,
-        scenario.unitary_indices,
-        scenario.gauge_moduli,
-    )
+    assert scenario.scan_rules.gauge == ((0, ((1, 1), (2, 1)), 16),)
+    rules = ScanRules(scenario.scan_rules.unitary, scenario.scan_rules.gauge)
+    verdict = freeness_verdict(joint_oracle(scenario), scenario.indices, 4, rules)
     assert verdict.witness == parse_word("x1 x2*")
     assert verdict.lhs == Fraction(1, 6)
     assert verdict.words_checked == 2
@@ -186,11 +183,11 @@ def test_a_word_past_the_table_depth_is_evaluated():
     scenario = TensorScenario(
         factors=(free_factor(table, HAAR),), assignments={1: (1,), 2: (2,)}
     )
-    assert scenario.gauge_moduli == ((2, ((1, 1),), 4), (0, ((2, 1),), 4))
+    assert scenario.scan_rules.gauge == ((2, ((1, 1),), 4), (0, ((2, 1),), 4))
     errors = []
-    for gauge in ((), scenario.gauge_moduli):
+    for rules in (ScanRules(), scenario.scan_rules):
         with pytest.raises(DepthLimitError) as caught:
-            freeness_verdict(joint_oracle(scenario), (1, 2), 6, (), gauge)
+            freeness_verdict(joint_oracle(scenario), (1, 2), 6, rules)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
 
@@ -205,7 +202,7 @@ def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
 
     monkeypatch.setattr(freeness, "centered_product_value", recording)
     verdict = freeness_verdict(
-        joint_oracle(scenario), (1, 2), 5, (), scenario.gauge_moduli
+        joint_oracle(scenario), (1, 2), 5, ScanRules(gauge=scenario.scan_rules.gauge)
     )
     assert verdict.free
     expected = [
@@ -213,7 +210,7 @@ def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
         for n in range(2, 6)
         for w in iter_words((1, 2), n)
         if len(class_blocks(w, CLASS_OF)) > 1
-        and not breaks_by_hand(w, scenario.gauge_moduli)
+        and not breaks_by_hand(w, scenario.scan_rules.gauge)
     ]
     assert evaluated == expected
     # x1 sums even and x2 sums zero: odd lengths never survive
@@ -229,7 +226,7 @@ def test_words_that_break_the_gauge_center_to_zero(bundled, name):
     for length in range(2, 6):
         for word in iter_words((1, 2), length):
             letters = word
-            if breaks_by_hand(letters, scenario.gauge_moduli):
+            if breaks_by_hand(letters, scenario.scan_rules.gauge):
                 breaking += 1
                 assert oracle(letters).is_zero(), word
                 assert centered_product_value(oracle, letters, CLASS_OF).is_zero(), word
@@ -265,9 +262,8 @@ def tensor_scenarios(draw) -> TensorScenario:
 def outcome(scenario, max_len, gauge):
     """The scan's verdict, or the type of the error it raised."""
     try:
-        return freeness_verdict(
-            joint_oracle(scenario), (1, 2), max_len, scenario.unitary_indices, gauge
-        )
+        rules = ScanRules(scenario.scan_rules.unitary, gauge)
+        return freeness_verdict(joint_oracle(scenario), (1, 2), max_len, rules)
     except Exception as exc:  # the twin must raise the same type
         return type(exc)
 
@@ -276,8 +272,38 @@ def outcome(scenario, max_len, gauge):
 @given(tensor_scenarios(), st.integers(2, 5))
 @example(shared_component_scenario(), 4)
 def test_gauge_skip_matches_the_full_scan(scenario, max_len):
-    skipping = outcome(scenario, max_len, scenario.gauge_moduli)
+    skipping = outcome(scenario, max_len, scenario.scan_rules.gauge)
     assert skipping == outcome(scenario, max_len, ())
+
+
+def scan_outcome(scan):
+    """scan(), or the type of the error it raised."""
+    try:
+        return scan()
+    except Exception as exc:  # the twin must raise the same type
+        return type(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(mixed_tensor_scenarios(), haar_type_scenarios()), st.integers(2, 6))
+# the biased-power pair at K = 3: x1 sums 0 mod 6 at every height
+@example(biased_power_scenario(3, Fraction(1, 10)), 6)
+# a Haar x1 beside the circular x2, not a trace: the per-height rule in
+# the walk of every kept word
+@example(
+    TensorScenario(
+        factors=(free_factor(HAAR, CIRCULAR),), assignments={1: (1,), 2: (2,)}
+    ),
+    6,
+)
+def test_diagonal_verdict_matches_the_scan_with_no_rules(scenario, max_len):
+    # every rule of scan_rules at once, the per-height rule in either walk,
+    # against the scan of every switching word; an error is an outcome too
+    oracle = joint_oracle(scenario)
+    ruled = scan_outcome(lambda: diagonal_verdict(scenario, max_len, oracle))
+    indices = scenario.indices
+    full = scan_outcome(lambda: freeness_verdict(oracle, indices, max_len, ScanRules()))
+    assert ruled == full
 
 
 @settings(max_examples=60, deadline=None)
@@ -287,7 +313,7 @@ def test_every_word_the_gauge_breaks_is_evaluable_and_zero(scenario, max_len):
     oracle = joint_oracle(scenario)
     for length in range(2, max_len + 1):
         for word in iter_words((1, 2), length):
-            if breaks_by_hand(word, scenario.gauge_moduli):
+            if breaks_by_hand(word, scenario.scan_rules.gauge):
                 assert oracle(word).is_zero(), word
 
 
@@ -299,17 +325,19 @@ def test_every_word_the_gauge_breaks_is_evaluable_and_zero(scenario, max_len):
 def test_bracelet_scan_matches_the_plain_scan(scenario, max_len):
     # one word per bracelet under a declared trace against every kept
     # word: the same verdict, witness, lhs and words_checked
-    assert scenario.unitary_trace
-    args = (scenario.indices, max_len, scenario.unitary_indices, scenario.gauge_moduli)
-    plain = freeness_verdict(joint_oracle(scenario), *args)
-    assert freeness_verdict(joint_oracle(scenario), *args, True) == plain
+    rules = scenario.scan_rules
+    assert rules.trace
+    args = (joint_oracle(scenario), scenario.indices, max_len)
+    plain = freeness_verdict(*args, rules._replace(trace=False))
+    assert freeness_verdict(*args, rules) == plain
 
 
 # -- the power-word scan ---------------------------------------------------------
 
 
 def power_outcome(scenario, max_len, gauge):
-    return scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, gauge)
+    rules = ScanRules(gauge=gauge)
+    return scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, rules)
 
 
 def reduced(letters) -> bool:
@@ -344,8 +372,8 @@ def brute_power_scan(joint, variables, max_len, gauge):
     return Verdict(False, *first, max_len, checked), lines
 
 
-def power_scan(joint, variables, max_len, gauge):
-    verdict, scan = scan_alternating_powers(joint, variables, max_len, gauge)
+def power_scan(joint, variables, max_len, rules):
+    verdict, scan = scan_alternating_powers(joint, variables, max_len, rules)
     return verdict, [(line.block_pairs, line.words, line.violations) for line in scan]
 
 
@@ -369,11 +397,12 @@ def test_power_scan_gauge_matches_the_full_scan(scenario, max_len):
     # the scan counts its tallies in closed form with or without a gauge;
     # the twin walks and evaluates every word, where the scan evaluates
     # one word per bracelet: every scenario here is a unitary trace
-    assert scenario.unitary_trace
+    rules = scenario.scan_rules
+    assert rules.trace
     joint = joint_oracle(scenario)
-    full = brute_power_scan(joint, (1, 2), max_len, scenario.gauge_moduli)
-    assert power_scan(joint, (1, 2), max_len, scenario.gauge_moduli) == full
-    assert power_scan(joint, (1, 2), max_len, ()) == full
+    full = brute_power_scan(joint, (1, 2), max_len, rules.gauge)
+    assert power_scan(joint, (1, 2), max_len, rules) == full
+    assert power_scan(joint, (1, 2), max_len, ScanRules()) == full
 
 
 INTEGERS = GroupPresentation((FreeProductPresentation((None,)),))
@@ -395,8 +424,9 @@ def test_power_scan_matches_its_brute_twin_on_integer_powers(exponents, max_len)
     model = integer_powers(*exponents)
     variables = tuple(model.variables)
     want = brute_power_scan(model.moment_letters, variables, max_len, model.gauge)
-    assert power_scan(model.moment_letters, variables, max_len, model.gauge) == want
-    assert power_scan(model.moment_letters, variables, max_len, ()) == want
+    rules = ScanRules(gauge=model.gauge)
+    assert power_scan(model.moment_letters, variables, max_len, rules) == want
+    assert power_scan(model.moment_letters, variables, max_len, ScanRules()) == want
     assert not want[0].free
     assert sum(bad > 0 for _, _, bad in want[1]) > 1
 
@@ -410,12 +440,14 @@ def test_power_scan_skips_count_in_the_tallies():
         asked.append(letters)
         return joint(letters)
 
-    verdict, scan = scan_alternating_powers(recording, (1, 2), 6, scenario.gauge_moduli)
+    gauge = scenario.scan_rules.gauge
+    rules = ScanRules(gauge=gauge)
+    verdict, scan = scan_alternating_powers(recording, (1, 2), 6, rules)
     full_verdict, full_scan = power_outcome(scenario, 6, ())
     assert (verdict, scan) == (full_verdict, full_scan)
     # past the single-power probes, only words keeping both sums are asked
     walked = asked[2 * 5 * 2 :]
-    assert walked and not any(breaks_by_hand(w, scenario.gauge_moduli) for w in walked)
+    assert walked and not any(breaks_by_hand(w, gauge) for w in walked)
     assert len(walked) < verdict.words_checked
 
 
@@ -425,4 +457,4 @@ def test_power_scan_precondition_is_unchanged():
         assignments={1: (1,), 2: (2,)},
     )
     with pytest.raises(PreconditionError):
-        power_outcome(scenario, 4, scenario.gauge_moduli)
+        power_outcome(scenario, 4, scenario.scan_rules.gauge)

@@ -1,9 +1,11 @@
 """The scan graph: scan_graphs keeps a letter after a prefix only when
 some completion is reduced (no unitary letter right after its adjoint),
 brings each constraint's weighted exponent sum to 0 mod its modulus and
-uses two indices or more.  These tests hold every length's root to the
-graph built for that length alone, the graph's words and
-switching_words to the plain walk filtered word by word, the graph's
+uses two indices or more; the height step (freeness.height_step) keeps
+it only when some completion keeps every per-height rule.  These tests
+hold every length's root to the graph built for that length alone, the
+graph's words, with and without the height step, and switching_words
+to the plain walk filtered word by word, the graph's
 nodes to the prefixes of the words it keeps, test_freeness's
 closed-form words_checked to the switching words enumerated in text
 order, and the power-word scan's closed-form word count to the reduced
@@ -14,6 +16,7 @@ adjoint reversal.  tests/test_gauge.py holds the power-word scan to its
 brute-force twin."""
 
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice, product
 
@@ -21,10 +24,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorfree.counterexample import reduced_word_count
-from tensorfree.freeness import scan_graphs, switching_words
+from tensorfree.counterexample import biased_power_scenario, reduced_word_count
+from tensorfree.freeness import ScanRules, height_step, scan_graphs, switching_words
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.scalars import ONE, ZERO
+from tensorfree.spaces import SpectralModel
 from tensorfree.starwords import (
     Letter,
     iter_letters,
@@ -33,24 +37,67 @@ from tensorfree.starwords import (
     parse_word,
 )
 
-from strategies import breaks_by_hand, reduced_by_hand
+from tensorfree.tensor import TensorScenario
+
+from strategies import (
+    CIRCULAR,
+    HAAR,
+    breaks_by_hand,
+    breaks_height_rule_by_hand,
+    haar_spectral_factors,
+    reduced_by_hand,
+)
 
 MODULI = st.sampled_from([0, 2, 3, 6])
 CAPS = st.sampled_from([None, 3, 4, 5])
+# a Haar x1 beside the circular element, rotation-invariant and not
+# unitary: its rules hold through the circular table's 8 letters, and the
+# scans walk every kept word, not bracelets
+HAAR_BESIDE_CIRCULAR = TensorScenario(
+    factors=(SpectralModel({1: HAAR, 2: CIRCULAR}, assume_free=True),),
+    assignments={1: (1,), 2: (2,)},
+)
+
+
+BIASED_POWER_K2 = biased_power_scenario(2, Fraction(1, 10))
 
 
 def scan_graph(gauge, indices, length, unitary):
     """The root of scan_graphs' graph of the words of length letters."""
-    return next(islice(scan_graphs(gauge, indices, unitary), length, None))
+    rules = ScanRules(unitary, gauge)
+    return next(islice(scan_graphs(indices, rules), length, None))
+
+
+def height_rules(heights):
+    """The per-height rules of a walk's scenario (scan_rules.heights)."""
+    return heights.scan_rules.heights if heights else ()
+
+
+def breaks_heights(letters, heights) -> bool:
+    """Whether the word breaks a per-height rule of the walk's scenario at
+    a length the rules reach (evaluable_through), by hand."""
+    if heights is None:
+        return False
+    cap = heights.evaluable_through
+    held = cap is None or len(letters) <= cap
+    return held and breaks_height_rule_by_hand(letters, heights)
+
+
+def held_step(heights, length):
+    """switching_words' height step at one length."""
+    held = tuple(r for r in height_rules(heights) if r[3] is None or length <= r[3])
+    return height_step(held) if held else None
 
 
 @st.composite
 def gauged_walks(draw, longest=7):
-    """(indices, gauge, length, unitary): 1-3 indices, up to three
+    """(indices, gauge, length, unitary, heights): 1-3 indices, up to three
     constraints of modulus 0, 2, 3 or 6 with weights -2..2 on some of the
     indices and a cap of None or 3-5, a length of 1 to longest (1-5 over
-    three indices, so the plain walk stays under 8,000 words), and any
-    subset of the indices as the unitary ones."""
+    three indices, so the plain walk stays under 8,000 words), any subset
+    of the indices as the unitary ones, and over two indices or more, at
+    times, the one-factor scenario of haar_spectral_factors() on the
+    indices, whose per-height rules the walk takes (None otherwise)."""
     n = draw(st.integers(1, 3))
     indices = tuple(range(1, n + 1))
     terms = st.lists(
@@ -62,41 +109,54 @@ def gauged_walks(draw, longest=7):
     gauge = draw(st.lists(st.tuples(MODULI, terms, CAPS), max_size=3).map(tuple))
     length = draw(st.integers(1, longest if n < 3 else 5))
     unitary = tuple(sorted(draw(st.sets(st.sampled_from(indices)))))
-    return indices, gauge, length, unitary
+    heights = None
+    if n > 1 and draw(st.booleans()):
+        factor = draw(haar_spectral_factors(n))
+        heights = TensorScenario((factor,), {i: (i,) for i in indices})
+    return indices, gauge, length, unitary, heights
 
 
 @settings(max_examples=60, deadline=None)
 @given(gauged_walks())
 # a modulus-0 sum cut off before the prefix switches variable: x1 x1 x1
 # leaves one letter, and 2 of its 4 completions stay in x1
-@example(((1, 2), ((0, ((1, 1),), None),), 4, ()))
+@example(((1, 2), ((0, ((1, 1),), None),), 4, (), None))
 # the cap: the constraint reaches length 3, not length 5
-@example(((1, 2), ((0, ((1, 1),), 3),), 5, ()))
+@example(((1, 2), ((0, ((1, 1),), 3),), 5, (), None))
 # a bound met exactly: x1 x1 with two letters left can still come back
-@example(((1, 2), ((0, ((1, 2), (2, 1)), None), (3, ((2, 1),), 5)), 4, ()))
+@example(((1, 2), ((0, ((1, 2), (2, 1)), None), (3, ((2, 1),), 5)), 4, (), None))
 # the rule on x1 only: x2 x2* and x2* x2 stay, x1 x1* and x1* x1 go
-@example(((1, 2), (), 4, (1,)))
+@example(((1, 2), (), 4, (1,), None))
 # both rules at once: s1 = 0 keeps x1 x1 x1* x1*, the rule cuts x1 x1*
-@example(((1, 2), ((0, ((1, 1),), None),), 6, (1, 2)))
+@example(((1, 2), ((0, ((1, 1),), None),), 6, (1, 2), None))
 # two constraints together: every letter changes s1 + s2 by 1 mod 2, so
 # s1 = 0 mod 2 and s2 = 0 keep no word of odd length (biased_power_k2)
-@example(((1, 2), ((2, ((1, 1),), None), (0, ((2, 1),), None)), 7, (1, 2)))
+@example(((1, 2), ((2, ((1, 1),), None), (0, ((2, 1),), None)), 7, (1, 2), None))
 # mixed_order_collection's constraints: s1 and s2 = 0 mod 6 force an even
 # length, and no single sum rules out a prefix before the last letter
-@example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 7, ()))
-@example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 6, ()))
+@example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 7, (), None))
+@example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 6, (), None))
 # one index: no word switches, so the root is empty, with a gauge or
 # none and with the index unitary or not
-@example(((1,), (), 7, ()))
-@example(((1,), ((0, ((1, 1),), None),), 7, (1,)))
+@example(((1,), (), 7, (), None))
+@example(((1,), ((0, ((1, 1),), None),), 7, (1,), None))
+# Haar x1 beside the rotation-invariant circular x2, in the plain walk:
+# x1 x2 x1* x2* keeps the gauge but not the rule, x1 x2 x2* x1* keeps both
+@example(
+    ((1, 2), HAAR_BESIDE_CIRCULAR.scan_rules.gauge, 7, (1,), HAAR_BESIDE_CIRCULAR)
+)
 def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
-    indices, gauge, length, unitary = walk_input
+    # the height step fails this when iter_sequences ignores it, or when a
+    # starred Haar letter raises the height
+    indices, gauge, length, unitary, heights = walk_input
     graph = scan_graph(gauge, indices, length, unitary)
     keeps = lambda w: (
         reduced_by_hand(w, unitary) and not breaks_by_hand(w, gauge) and switching(w)
     )
     plain = [w for w in iter_words(indices, length) if keeps(w)]
     assert list(iter_words(indices, length, graph)) == plain
+    stepped = iter_words(indices, length, graph, step=held_step(heights, length))
+    assert list(stepped) == [w for w in plain if not breaks_heights(w, heights)]
     # exact: every node reached above the last level is nonempty, so every
     # path from the root ends in a kept word and the walk follows no move
     # that no completion keeps; the root is empty exactly when no word is
@@ -108,8 +168,14 @@ def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
         level = [node for parent in level for node in parent.values()]
     # the words of 2..length letters that the graphs keep, in order
     lengths = range(2, length + 1)
-    expected = [w for n in lengths for w in iter_words(indices, n) if keeps(w)]
-    assert list(switching_words(indices, length, unitary, gauge)) == expected
+    expected = [
+        w
+        for n in lengths
+        for w in iter_words(indices, n)
+        if keeps(w) and not breaks_heights(w, heights)
+    ]
+    rules = ScanRules(unitary, gauge, False, height_rules(heights))
+    assert list(switching_words(indices, length, rules)) == expected
 
 
 def one_length_graph(gauge, indices, length, unitary):
@@ -157,14 +223,14 @@ def one_length_graph(gauge, indices, length, unitary):
 @settings(max_examples=60, deadline=None)
 @given(gauged_walks())
 # a cap crossed on the way: the constraint holds through 3 letters only
-@example(((1, 2), ((0, ((1, 1),), 3), (2, ((2, 1),), None)), 7, (1, 2)))
+@example(((1, 2), ((0, ((1, 1),), 3), (2, ((2, 1),), None)), 7, (1, 2), None))
 # biased_power_k2's rules through length 7
-@example(((1, 2), ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), 7, (1, 2)))
+@example(((1, 2), ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), 7, (1, 2), None))
 def test_scan_graphs_build_every_length_as_one_graph_did(walk_input):
     # the forward levels are found once for every length; each length's
     # root still maps to the same moves as the graph built for it alone
-    indices, gauge, length, unitary = walk_input
-    roots = list(islice(scan_graphs(gauge, indices, unitary), length + 1))
+    indices, gauge, length, unitary, _ = walk_input
+    roots = list(islice(scan_graphs(indices, ScanRules(unitary, gauge)), length + 1))
     lengths = range(length + 1)
     assert roots == [one_length_graph(gauge, indices, n, unitary) for n in lengths]
 
@@ -181,14 +247,16 @@ def least_turn(key, *others) -> bool:
 @settings(max_examples=40, deadline=None)
 @given(gauged_walks(longest=8))
 # x10 sorts before x2 in text though index 10 follows index 2
-@example(((2, 10), ((2, ((10, 1),), None),), 6, (10,)))
-@example(((2, 10), (), 5, ()))
+@example(((2, 10), ((2, ((10, 1),), None),), 6, (10,), None))
+@example(((2, 10), (), 5, (), None))
 # periodic necklaces: x1 x2 x1 x2 x1 x2 and its like
-@example(((1, 2), ((0, ((1, 1),), None), (0, ((2, 1),), None)), 6, ()))
+@example(((1, 2), ((0, ((1, 1),), None), (0, ((2, 1),), None)), 6, (), None))
 # biased_power_k2's rules at length 8: 55 words, one per bracelet
-@example(((1, 2), ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), 8, (1, 2)))
+@example(((1, 2), ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), 8, (1, 2), None))
+# and with its per-height rule: x1 sums 0 mod 2 at every height
+@example(((1, 2), BIASED_POWER_K2.scan_rules.gauge, 8, (1, 2), BIASED_POWER_K2))
 def test_necklace_walk_is_the_plain_walk_filtered(walk_input):
-    indices, gauge, length, unitary = walk_input
+    indices, gauge, length, unitary, heights = walk_input
     graph = scan_graph(gauge, indices, length, unitary)
     # words of one length compare as their texts do, letter by letter
     texts = {l: l.text() for l in iter_letters(indices)}
@@ -196,6 +264,8 @@ def test_necklace_walk_is_the_plain_walk_filtered(walk_input):
     least = lambda w: least_turn(text_key(w))
     plain = [w for w in iter_words(indices, length, graph) if least(w)]
     assert list(iter_words(indices, length, graph, True)) == plain
+    stepped = iter_words(indices, length, graph, True, held_step(heights, length))
+    assert list(stepped) == [w for w in plain if not breaks_heights(w, heights)]
     # switching_words with trace: of those, the cyclically reduced words no
     # greater than any rotation of their adjoint reversal
     def rep(w):
@@ -210,9 +280,10 @@ def test_necklace_walk_is_the_plain_walk_filtered(walk_input):
         w
         for n in range(2, length + 1)
         for w in iter_words(indices, n, scan_graph(gauge, indices, n, unitary))
-        if rep(w)
+        if rep(w) and not breaks_heights(w, heights)
     ]
-    assert list(switching_words(indices, length, unitary, gauge, True)) == expected
+    rules = ScanRules(unitary, gauge, True, height_rules(heights))
+    assert list(switching_words(indices, length, rules)) == expected
 
 
 # -- test_freeness's closed-form count -------------------------------------------
@@ -278,11 +349,12 @@ def test_words_checked_is_the_witness_position(case):
     sums = exponent_sums(word, indices)
     gauge = tuple((abs(s), ((i, 1),), None) for i, s in sums.items())
     shorter = sum(switching_total(indices, n) for n in range(2, len(word)))
-    verdict = freeness_verdict(joint, indices, len(word), (), gauge)
+    rules = ScanRules(gauge=gauge)
+    verdict = freeness_verdict(joint, indices, len(word), rules)
     assert verdict.witness == word
     assert verdict.words_checked == shorter + position(indices, word)
     # a free verdict counts every switching word through its bound
-    verdict = freeness_verdict(joint, indices, len(word) - 1, (), gauge)
+    verdict = freeness_verdict(joint, indices, len(word) - 1, rules)
     assert verdict.free
     assert verdict.words_checked == shorter
 

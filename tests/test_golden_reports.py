@@ -6,12 +6,16 @@ produce it (scenario paths relative to the repository root) and the
 expected exit code.  A golden changes only together with a CHANGES.md
 line naming the field that changed and why.
 
-Every golden but two is also pinned by the benchmark manifest.  The two
+Every golden but four is also pinned by the benchmark manifest.  Two
 are ``test-freeness`` on biased_power_k2 and ``theorem-1-8`` on
 biased_power_k3 at the file's bounds (max_len 8): the manifest runs the
 first only at ``--max-len 7`` and the second not at all.  Their
 diagonal scans evaluate one word per bracelet, which keeps each under a
-second.  ``test-freeness`` on biased_power_k3 and ``group-freeness`` on
+second.  The other two are frontier rows on biased_power_k3,
+``test-freeness --max-len 16`` and ``theorem-1-8 --max-len 14``: their
+diagonal scans walk only the words that keep the per-height rule
+(freeness.ScanRules), which keeps each under a second too.
+``test-freeness`` on biased_power_k3 and ``group-freeness`` on
 product_pair_collection are pinned by the manifest alone.
 """
 
@@ -31,6 +35,8 @@ MANIFEST = ROOT / "perfbench" / "manifest.json"
 NOT_IN_MANIFEST = {
     "biased_power_k2.test-freeness.json",
     "biased_power_k3.theorem-1-8.json",
+    "biased_power_k3.test-freeness-max-len-16.json",
+    "biased_power_k3.theorem-1-8-max-len-14.json",
 }
 
 
@@ -47,7 +53,7 @@ def test_report_matches_golden(name, tmp_path, capsys):
 
 def test_goldens_match_the_benchmark_manifest():
     manifest = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert len(INDEX) == 61
+    assert len(INDEX) == 63
     for name, entry in INDEX.items():
         scenario, *rest = entry["args"]
         key = " ".join([Path(scenario).stem, *rest])

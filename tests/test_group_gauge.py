@@ -15,8 +15,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tensorfree import cli
 from tensorfree.errors import DepthLimitError
-from tensorfree.freeness import centered_product_value, switching_words
+from tensorfree.freeness import ScanRules, centered_product_value, switching_words
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.groups import (
     FreeProductPresentation,
@@ -77,7 +78,8 @@ def test_bundled_group_gauges(bundled, name, gauge):
 
 
 def scan(model, max_len, gauge):
-    return freeness_verdict(model.moment_letters, model.variables, max_len, (), gauge)
+    rules = ScanRules(gauge=gauge)
+    return freeness_verdict(model.moment_letters, model.variables, max_len, rules)
 
 
 @pytest.mark.parametrize(
@@ -127,7 +129,7 @@ def test_a_table_functional_gives_no_constraint():
     )
     table = TableFunctional(pres, {1: g, 2: h}, {gh: Fraction(1, 10)})
     scenario = TensorScenario(factors=(table,), assignments={1: (1,), 2: (2,)})
-    assert scenario.gauge_moduli == ()
+    assert scenario.scan_rules.gauge == ()
     assert table.moment_letters(parse_word("x1 x2")) == Fraction(1, 10)
 
 
@@ -148,11 +150,11 @@ def test_group_constraints_take_the_table_depth_as_cap():
         ),
         assignments={1: (1, 1), 2: (2, 2)},
     )
-    assert scenario.gauge_moduli == ((0, ((1, 1),), 4), (0, ((2, 1),), 4))
+    assert scenario.scan_rules.gauge == ((0, ((1, 1),), 4), (0, ((2, 1),), 4))
     errors = []
-    for gauge in ((), scenario.gauge_moduli):
+    for rules in (ScanRules(), scenario.scan_rules):
         with pytest.raises(DepthLimitError) as caught:
-            freeness_verdict(joint_oracle(scenario), (1, 2), 6, (), gauge)
+            freeness_verdict(joint_oracle(scenario), (1, 2), 6, rules)
         errors.append(str(caught.value))
     assert errors[0] == errors[1]
 
@@ -203,9 +205,8 @@ def group_tensor_scenarios(draw) -> TensorScenario:
 def tensor_outcome(scenario, max_len, gauge):
     """The scan's verdict, or the type of the error it raised."""
     try:
-        return freeness_verdict(
-            joint_oracle(scenario), (1, 2), max_len, scenario.unitary_indices, gauge
-        )
+        rules = ScanRules(scenario.scan_rules.unitary, gauge)
+        return freeness_verdict(joint_oracle(scenario), (1, 2), max_len, rules)
     except Exception as exc:  # the twin must raise the same type
         return type(exc)
 
@@ -213,7 +214,7 @@ def tensor_outcome(scenario, max_len, gauge):
 @settings(max_examples=40, deadline=None)
 @given(group_tensor_scenarios(), st.integers(2, 4))
 def test_group_factor_gauge_matches_the_full_scan(scenario, max_len):
-    skipping = tensor_outcome(scenario, max_len, scenario.gauge_moduli)
+    skipping = tensor_outcome(scenario, max_len, scenario.scan_rules.gauge)
     assert skipping == tensor_outcome(scenario, max_len, ())
 
 
@@ -221,17 +222,44 @@ def test_group_factor_gauge_matches_the_full_scan(scenario, max_len):
 @given(group_tensor_scenarios(), st.integers(2, 4))
 def test_every_word_a_group_factor_breaks_is_zero(scenario, max_len):
     oracle = joint_oracle(scenario)
-    for word in breaking_words(scenario.gauge_moduli, max_len):
+    for word in breaking_words(scenario.scan_rules.gauge, max_len):
         assert_zero(oracle, word)
 
 
 # -- one word per bracelet under the canonical trace -----------------------------
 
 
+@settings(max_examples=60, deadline=None)
+@given(group_algebras())
+def test_the_collection_view_declares_the_group_rules(model):
+    # the canonical-trace scans read the rules of the collection viewed as
+    # a one-factor tensor scenario: its gauge as the model declares it, a
+    # Hermitian trace of unitaries and no per-height rule
+    view = TensorScenario((model,), {v: (v,) for v in model.variables})
+    unitary = frozenset(model.variables)
+    assert view.scan_rules == ScanRules(unitary, model.gauge, True, ())
+    assert cli._canonical_trace_verdict(model, 4) == bracelet_scan(model, 4)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "free_pair_collection",
+        "integer_pair_collection",
+        "mixed_order_collection",
+        "product_pair_collection",
+    ],
+)
+def test_bundled_collection_views_declare_the_group_rules(bundled, name):
+    model = bundled(name).collection
+    view = TensorScenario((model,), {v: (v,) for v in model.variables})
+    rules = ScanRules(frozenset(model.variables), model.gauge, True, ())
+    assert view.scan_rules == rules
+
+
 def bracelet_scan(model, max_len):
-    return freeness_verdict(
-        model.moment_letters, model.variables, max_len, (), model.gauge, trace=True
-    )
+    rules = ScanRules(gauge=model.gauge, trace=True)
+    return freeness_verdict(model.moment_letters, model.variables, max_len, rules)
 
 
 @settings(max_examples=40, deadline=None)
@@ -272,7 +300,8 @@ def test_bracelet_counts_on_the_product_pair_graph(bundled):
     # canonical-trace scan takes no reduced-word rule, so l ... l* stays
     model = bundled("product_pair_collection").collection
     walk = lambda trace: Counter(
-        len(w) for w in switching_words(model.variables, 10, (), model.gauge, trace)
+        len(w)
+        for w in switching_words(model.variables, 10, ScanRules((), model.gauge, trace))
     )
     bracelets, kept = walk(True), walk(False)
     assert bracelets == {4: 5, 6: 42, 8: 355, 10: 3_390}

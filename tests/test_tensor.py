@@ -187,7 +187,7 @@ def test_scenarios_normalize_their_assignments_and_are_read_only():
 )
 def test_bundled_scenarios_that_are_unitary_traces(name, keyed):
     scen = load_scenario(str(SCENARIO_DIR / f"{name}.json")).tensor
-    assert scen.unitary_trace is keyed
+    assert scen.scan_rules.trace is keyed
 
 
 def test_table_functional_is_never_class_keyed():
@@ -199,7 +199,7 @@ def test_table_functional_is_never_class_keyed():
         {parse_group_word(F2, "g1.1^1 g1.2^1"): Fraction(1, 10)},
     )
     scen = TensorScenario(factors=(table,), assignments={1: (1,), 2: (2,)})
-    assert not scen.unitary_trace
+    assert not scen.scan_rules.trace
     oracle = joint_oracle(scen)
     assert oracle(word("x1 x2")) == Fraction(1, 10)
     assert oracle(word("x2 x1")) == ZERO
@@ -212,7 +212,7 @@ def test_scaled_and_star_table_factors_are_not_unitary_traces(bundled):
     unflagged = SpectralModel({1: haar, 2: haar})
     for factor in (star_table, unflagged):
         scen = TensorScenario(factors=(f2_model(), factor), assignments={1: (1, 1)})
-        assert not scen.unitary_trace
+        assert not scen.scan_rules.trace
 
 
 RATIONALS = st.fractions(min_value=-1, max_value=1, max_denominator=4)
@@ -247,7 +247,7 @@ def test_tensor_moment_is_a_tracial_class_function(u1, u2, g1, g2, assignments):
         ),
         assignments=assignments,
     )
-    assert scenario.unitary_trace
+    assert scenario.scan_rules.trace
     joint = joint_oracle(scenario)
     values = {}
     for n in range(1, 7):
@@ -514,7 +514,7 @@ def test_scalar_component_check():
 
 # -- declared structure ------------------------------------------------------
 
-# (unitary_indices, unitary_trace, evaluable_through, gauge_moduli,
+# (scan_rules' unitary and trace, evaluable_through, scan_rules' gauge,
 # zero_first) of each bundled tensor file, as the scenario computed them
 # when it still read them off the model classes itself
 BUNDLED_DECLARATIONS = {
@@ -551,10 +551,10 @@ BUNDLED_DECLARATIONS = {
 def test_bundled_declarations(bundled, name):
     scen = bundled(name).tensor
     assert (
-        scen.unitary_indices,
-        scen.unitary_trace,
+        scen.scan_rules.unitary,
+        scen.scan_rules.trace,
         scen.evaluable_through,
-        scen.gauge_moduli,
+        scen.scan_rules.gauge,
         scen.zero_first,
     ) == BUNDLED_DECLARATIONS[name]
 
@@ -599,10 +599,10 @@ def test_a_model_that_declares_nothing_is_walked_in_full():
     scen = TensorScenario(
         factors=(f2_model(), Undeclared()), assignments={1: (1, 1), 2: (2, 2)}
     )
-    assert scen.unitary_indices == frozenset()
-    assert not scen.unitary_trace
+    assert scen.scan_rules.unitary == frozenset()
+    assert not scen.scan_rules.trace
     assert scen.evaluable_through == 0
-    assert scen.gauge_moduli == ()
+    assert scen.scan_rules.gauge == ()
     # the factor's family is scanned, not taken as free
     verdict = scen.factor_verdict(2, 4)
     assert verdict is not None and verdict.free

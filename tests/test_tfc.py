@@ -424,7 +424,7 @@ def test_circular_pair_witness_at_length_12(bundled):
     assert value == 2 * (x - z) * (y - z) == 2
     # the gauge keeps it: both exponent sums vanish, and past the
     # circular table's depth of 8 no constraint applies at all
-    gauge = scenario.gauge_moduli
+    gauge = scenario.scan_rules.gauge
     assert gauge == ((0, ((1, 1),), 8), (0, ((2, 1),), 8))
     assert all(cap < len(witness) for _, _, cap in gauge)
     uncapped = tuple((m, members, None) for m, members, _ in gauge)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorfree import freeness
-from tensorfree.freeness import centered_product_value
+from tensorfree.freeness import ScanRules, centered_product_value
 from tensorfree.freeness import test_freeness as freeness_verdict
 from tensorfree.groups import (
     FreeProductPresentation,
@@ -55,7 +55,7 @@ def has_unit_block(letters, unitary) -> bool:
 )
 def test_bundled_unitary_indices(bundled, name, unitary):
     scenario = bundled(name).tensor
-    assert scenario.unitary_indices == unitary
+    assert scenario.scan_rules.unitary == unitary
 
 
 @pytest.mark.parametrize(
@@ -77,7 +77,7 @@ def test_unit_block_words_center_to_zero(bundled, name):
             letters = word
             if len(class_blocks(letters, CLASS_OF)) < 2:
                 continue
-            if has_unit_block(letters, scenario.unitary_indices):
+            if has_unit_block(letters, scenario.scan_rules.unitary):
                 unit_words += 1
                 assert centered_product_value(oracle, letters, CLASS_OF) == ZERO, word
     assert unit_words == 2_184
@@ -94,7 +94,7 @@ def test_walk_evaluates_exactly_the_reduced_switching_words(monkeypatch):
         {1: MomentSequence({}, unitary=True), 2: table}, assume_free=True
     )
     scenario = TensorScenario(factors=(model,), assignments={1: (1,), 2: (2,)})
-    assert scenario.unitary_indices == {1}
+    assert scenario.scan_rules.unitary == {1}
     evaluated = []
 
     def recording(oracle, letters, class_of):
@@ -102,7 +102,7 @@ def test_walk_evaluates_exactly_the_reduced_switching_words(monkeypatch):
         return centered_product_value(oracle, letters, class_of)
 
     monkeypatch.setattr(freeness, "centered_product_value", recording)
-    verdict = freeness_verdict(joint_oracle(scenario), (1, 2), 5, {1})
+    verdict = freeness_verdict(joint_oracle(scenario), (1, 2), 5, ScanRules({1}))
     assert verdict.free
     expected = [
         w
@@ -194,7 +194,8 @@ def tensor_scenarios(draw) -> TensorScenario:
 def outcome(scenario, max_len, unitary):
     """The scan's verdict, or the type of the error it raised."""
     try:
-        return freeness_verdict(joint_oracle(scenario), (1, 2), max_len, unitary)
+        rules = ScanRules(unitary)
+        return freeness_verdict(joint_oracle(scenario), (1, 2), max_len, rules)
     except Exception as exc:  # the twin must raise the same type
         return type(exc)
 
@@ -236,5 +237,5 @@ HAAR_BESIDE_TABLE = SpectralModel(
     5,
 )
 def test_skip_matches_the_full_scan(scenario, max_len):
-    skipping = outcome(scenario, max_len, scenario.unitary_indices)
+    skipping = outcome(scenario, max_len, scenario.scan_rules.unitary)
     assert skipping == outcome(scenario, max_len, ())
