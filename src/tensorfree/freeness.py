@@ -42,14 +42,14 @@ MIXED_MOMENT_LENGTH_CAP = 16
 
 MarginalOracle = Callable[[tuple[bool, ...]], ExactComplex]
 JointOracle = Callable[[LetterTuple], ExactComplex]
-# (modulus, ((index, weight), ...), length cap) linear constraints on the
-# exponent sums of a word's letters
-Gauge = Sequence[tuple[int, Sequence[tuple[int, int]], int | None]]
+# (modulus, ((index, weight), ...)) linear constraints on the exponent
+# sums of a word's letters
+Gauge = Sequence[tuple[int, Sequence[tuple[int, int]]]]
 # (letter refused next, weighted exponent sums mod their moduli, the one
 # index so far or None)
 GaugeState = tuple[Letter | None, tuple[int, ...], int | None]
-# (modulus, Haar indices, indices, length cap) per-height rules (height_step)
-HeightRules = Sequence[tuple[int, tuple[int, ...], tuple[int, ...], int | None]]
+# (modulus, Haar indices, indices) per-height rules (height_step)
+HeightRules = Sequence[tuple[int, tuple[int, ...], tuple[int, ...]]]
 
 
 class FreeFamilySpec:
@@ -223,13 +223,12 @@ class ScanRules(NamedTuple):
       alternating product of the word without the pair, or zero when the
       pair was its block's only letters; at the first violating length
       every violating word is reduced.
-    * gauge lists linear constraints (m, weights, cap): a word of at most
-      cap letters (any length when cap is None) has moment zero unless its
-      weighted exponent sum, +w per plain letter and -w per starred one
-      of an index of weight w, is 0 mod m (m = 0: is 0).  They are the
-      rotation symmetries of a tensor scenario's factors or the
-      abelianization of a group algebra under its canonical trace
-      (GroupAlgebraModel.gauge).
+    * gauge lists linear constraints (m, weights): a word of at most
+      through letters has moment zero unless its weighted exponent sum,
+      +w per plain letter and -w per starred one of an index of weight
+      w, is 0 mod m (m = 0: is 0).  They are the rotation symmetries of
+      a tensor scenario's factors or the abelianization of a group
+      algebra under its canonical trace (GroupAlgebraModel.gauge).
     * trace declares the joint functional a Hermitian trace; the scan
       then evaluates one word per bracelet (switching_words).  While
       every shorter centered product vanishes, a word whose first and
@@ -243,10 +242,12 @@ class ScanRules(NamedTuple):
       whole classes, each class's least word is the rep the walk yields,
       and the first violating rep is the witness of the full scan; at
       every shorter length the reps' zeros are every word's.
-    * heights lists per-height rules (m, Haar indices, indices, cap) of
-      height_step, each held at the lengths its cap reaches (any length
-      when cap is None): the zeros of a factor with a Haar variable
-      (SpectralModel.height_rules).
+    * heights lists per-height rules (m, Haar indices, indices) of
+      height_step, held at the lengths through reaches: the zeros of a
+      factor with a Haar variable (SpectralModel.height_rules).
+    * through is the longest word for which the gauge and the heights
+      hold (None: every length); past it a skipped word could have raised
+      (TensorScenario.evaluable_through), so longer words are walked.
 
     A block with a nonzero mean keeps every gauge constraint and every
     per-height residue, so every shorter word the inclusion-exclusion
@@ -258,6 +259,7 @@ class ScanRules(NamedTuple):
     gauge: Gauge = ()
     trace: bool = False
     heights: HeightRules = ()
+    through: int | None = None
 
 
 def scan_graphs(
@@ -282,11 +284,11 @@ def scan_graphs(
     """
     gauge, unitary = rules.gauge, rules.unitary
     alphabet = iter_letters(indices)
-    moduli = [m for m, _, _ in gauge]
+    moduli = [m for m, _ in gauge]
     # per letter, its weight per constraint and the letter it refuses next
     letters = {
         l: (
-            [(-1 if l.star else 1) * dict(t).get(l.index, 0) for _, t, _ in gauge],
+            [(-1 if l.star else 1) * dict(t).get(l.index, 0) for _, t in gauge],
             l.adjoint() if l.index in unitary else None,
         )
         for l in alphabet
@@ -303,10 +305,10 @@ def scan_graphs(
     level = {start}
     moves: list[dict[GaugeState, dict[Letter, GaugeState]]] = []
     for n in count():
-        held = [j for j, (_, _, cap) in enumerate(gauge) if cap is None or n <= cap]
-        # a kept word has switched index, and every sum held at its length is 0
+        held = rules.through is None or n <= rules.through
+        # a kept word has switched index, and every sum is 0 while the gauge holds
         nodes: dict[GaugeState, dict] = {
-            s: {} for s in level if s[2] is None and not any(s[1][j] for j in held)
+            s: {} for s in level if s[2] is None and not (held and any(s[1]))
         }
         for out_of in reversed(moves):
             nodes = {
@@ -323,22 +325,23 @@ def scan_graphs(
 
 def height_step(rules: HeightRules) -> Callable:
     """The step of starwords.iter_words that drops a prefix when no
-    completion keeps every rule (m, Haar indices, indices, cap): the Haar
+    completion keeps every rule (m, Haar indices, indices): the Haar
     letters' exponent sum is 0, and at each height h (after a prefix of
     Haar sum h) the indices' letters have a sum 0 mod m (0 when m = 0).
-    The caller passes only the rules whose cap holds.  The state is, per
-    rule, the height and the nonzero residues by height (None: the empty
-    prefix).  A completion needs a letter per unit of each residue's
-    distance from 0, and a Haar letter per step of the shortest path
-    from the height through every height with a residue to 0; so no word
-    that keeps every rule is dropped, and a word that breaks one is.
+    The caller passes it only at the lengths the rules hold.  The state
+    is, per rule, the height and the nonzero residues by height (None:
+    the empty prefix).  A completion needs a letter per unit of each
+    residue's distance from 0, and a Haar letter per step of the
+    shortest path from the height through every height with a residue
+    to 0; so no word that keeps every rule is dropped, and a word that
+    breaks one is.
     """
 
     @cache
     def step(state: tuple | None, letter: Letter, left: int) -> tuple | None:
         sign = -1 if letter.star else 1
         out = []
-        for (h, residues), (m, haar, terms, _) in zip(state or start, rules):
+        for (h, residues), (m, haar, terms) in zip(state or start, rules):
             if letter.index in terms:
                 moved = dict(residues)
                 moved[h] = (moved.get(h, 0) + sign) % m if m else moved.get(h, 0) + sign
@@ -359,12 +362,12 @@ def height_step(rules: HeightRules) -> Callable:
 def switching_words(
     indices: Collection[int], max_len: int, rules: ScanRules
 ) -> Iterator[StarWord]:
-    """The words of 2..max_len letters that scan_graphs keeps and that
-    keep every rule of rules.heights held at their length (height_step),
-    in (length, text) order.
+    """The words of 2..max_len letters that scan_graphs keeps and that,
+    at the lengths rules.through reaches, keep every rule of
+    rules.heights (height_step), in (length, text) order.
 
-    With rules.trace, one word per bracelet: the necklace walk
-    (starwords.iter_necklaces) yields the kept words least among their
+    With rules.trace, one word per bracelet: the walk in necklace mode
+    (starwords.iter_sequences) yields the kept words least among their
     rotations in text order, and of those this keeps the ones that are
     cyclically reduced (not a letter l of an index in rules.unitary first
     and l* last) and no greater than the least rotation of their adjoint
@@ -396,10 +399,11 @@ def switching_words(
         )
 
     graphs = scan_graphs(indices, rules)
-    step = cache(lambda held: height_step(held) if held else None)
+    step = height_step(rules.heights) if rules.heights else None
+    through = max_len if rules.through is None else rules.through
     for length, graph in zip(range(2, max_len + 1), islice(graphs, 2, None)):
-        held = tuple(r for r in rules.heights if r[3] is None or length <= r[3])
-        words = iter_words(indices, length, graph, rules.trace, step(held))
+        held = step if length <= through else None
+        words = iter_words(indices, length, graph, rules.trace, held)
         yield from filter(least_in_bracelet, words) if rules.trace else words
 
 

@@ -149,11 +149,10 @@ def abelian_image(presentation: GroupPresentation, g: GroupElement) -> tuple[int
 
 def abelian_gauge(
     presentation: GroupPresentation, elements: Mapping[int, GroupElement]
-) -> tuple[tuple[int, tuple[tuple[int, int], ...], None], ...]:
+) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
     """The abelianization's constraints on a product of the labelled
-    elements that is the identity, as (modulus, ((label, weight), ...),
-    None) triples sorted by weights: freeness.Gauge's form, with no
-    length cap.
+    elements that is the identity, as (modulus, ((label, weight), ...))
+    pairs sorted by weights: freeness.Gauge's form.
 
     A product maps to the weighted exponent sum of its factors in each
     coordinate Z_n of the abelianization (abelian_image), label v
@@ -168,7 +167,7 @@ def abelian_gauge(
         weights = tuple((v, image[c]) for v, image in images.items() if image[c])
         if weights:
             moduli[weights] = lcm(moduli.get(weights, n), n)
-    return tuple((m, weights, None) for weights, m in sorted(moduli.items()))
+    return tuple((m, weights) for weights, m in sorted(moduli.items()))
 
 
 def parse_group_word(presentation: GroupPresentation, text: str) -> GroupElement:
@@ -311,10 +310,10 @@ def is_free_collection(
     powers = _nontrivial_powers(presentation, elements, max_exp)
     exp_order = _exponent_order(max_exp)
     gauge = abelian_gauge(presentation, dict(enumerate(elements, start=1)))
-    moduli = [m for m, _, _ in gauge]
+    moduli = [m for m, _ in gauge]
     # per nontrivial power, its weighted exponent sum per constraint
     images = {
-        (i, e): tuple(e * dict(weights).get(i, 0) for _, weights, _ in gauge)
+        (i, e): tuple(e * dict(weights).get(i, 0) for _, weights in gauge)
         for i, e in powers
     }
     checked = 0

@@ -38,13 +38,13 @@ class MomentFunctional:
     A model also declares the structure the tensor scans read to walk
     fewer words: its unitary_variables; unitary_trace (a Hermitian trace
     of unitaries); assume_free (free variables by construction); a gauge
-    (freeness.Gauge over its own variables, cap None) and height_rules
+    (freeness.Gauge over its own variables) and height_rules
     (freeness.HeightRules, likewise) that every word of nonzero moment
     keeps; gauge_exact, when every word that keeps the gauge has a
     nonzero moment, so the model is zero exactly off it; and
     evaluable_through(used), the length through which every word in the
-    variables used evaluates without error.  This base declares nothing,
-    so an unknown model is walked in full.
+    variables used evaluates without error, the one cap of every rule.
+    This base declares nothing, so an unknown model is walked in full.
     """
 
     variables: tuple[int, ...]
@@ -214,7 +214,7 @@ class SpectralModel(MomentFunctional):
     @cached_property
     def height_rules(self) -> freeness.HeightRules:
         """With assume_free and a Haar variable h, the least unitary of
-        rotation modulus 0, the rule (m_v, (h,), (v,), None) of
+        rotation modulus 0, the rule (m_v, (h,), (v,)) of
         freeness.height_step per other variable v, of rotation modulus
         m_v, that every word of nonzero moment keeps.  Empty otherwise.
 
@@ -224,11 +224,11 @@ class SpectralModel(MomentFunctional):
         free product of rotation-invariant states is invariant under
         independent rotations, one per copy and variable.
         """
-        moduli = {v: s.rotation_modulus for v, s in self.sequences.items()}
+        moduli = {v: self.sequences[v].rotation_modulus for v in self.variables}
         haar = tuple(v for v, m in moduli.items() if m == 0 and v in self._periods)[:1]
         if not (self.assume_free and haar):
             return ()
-        return tuple((m, haar, (v,), None) for v, m in moduli.items() if (v,) != haar)
+        return tuple((m, haar, (v,)) for v, m in moduli.items() if (v,) != haar)
 
     def reduced_key(self, letters: LetterTuple):
         # unitary letters are the syllables x^+-1, folded by their period;
@@ -257,7 +257,7 @@ class SpectralModel(MomentFunctional):
         if not self.assume_free:
             return ()
         moduli = ((v, self.sequences[v].rotation_modulus) for v in self.variables)
-        return tuple((m, ((v, 1),), None) for v, m in moduli if m != 1)
+        return tuple((m, ((v, 1),)) for v, m in moduli if m != 1)
 
     def evaluable_through(self, used: set[int]) -> int | None:
         """A star table fails past its complete_through, and at any length

@@ -7,9 +7,9 @@ Power words are the unitary reductions: adjacent letters with equal index
 merge into signed exponents and zero exponents cancel.  merge_powers is
 the one stack-merge reducer behind every normal form in the package,
 iter_sequences the one lazy walker behind every bounded word scan (it
-follows a graph of the items allowed after each prefix), iter_necklaces
-its twin that yields only least rotations, and parse_int the one reader
-of integer text in words, group tokens and scenario keys.
+follows a graph of the items allowed after each prefix, and in its
+necklace mode yields only least rotations), and parse_int the one
+reader of integer text in words, group tokens and scenario keys.
 """
 
 from __future__ import annotations
@@ -173,6 +173,7 @@ def iter_sequences(
     length: int,
     graph: Mapping[T, Mapping] | None = None,
     step: Callable | None = None,
+    necklaces: bool = False,
 ) -> Iterator[tuple[T, ...]]:
     """Every length-tuple over alphabet, lazily, in lexicographic order of
     alphabet positions; lengths <= 0 yield nothing.
@@ -187,67 +188,42 @@ def iter_sequences(
     With step, the walk offers only an item whose step(state, item, items
     left after it), the state after it (None before the first item), is
     not None (freeness.height_step).
+
+    With necklaces, only the tuples least among their rotations
+    (necklaces), by the Fredricksen-Kessler-Maiorana walk (Ruskey, Savage
+    and Wang, J. Algorithms 13, 1992): every prefix a_1..a_t of a necklace
+    is a prenecklace, a prefix of some necklace.  With p its period (the
+    length of its longest Lyndon prefix), the next item a_(t+1) is no
+    earlier than a_(t+1-p); an equal one keeps the period and a later one
+    makes it t+1.  A prenecklace of length n is a necklace exactly when p
+    divides n.  The graph and the step hold as in the plain walk.
     """
     items = tuple(alphabet)
     if graph is None:
         graph = {}
         graph.update((item, graph) for item in items)
+    tails = {item: items[r:] for r, item in enumerate(items)}
 
-    def extend(prefix: tuple[T, ...], node, remaining: int, state) -> Iterator:
-        for item in items:
+    def extend(prefix: tuple[T, ...], node, left: int, period: int, tail, state):
+        # in necklace mode: the prefix's period p, then the items from a_(t+1-p)
+        if necklaces and prefix:
+            period = period if prefix[-1] is tail[0] else len(prefix)
+            tail = tails[prefix[-period]]
+        for item in tail:
             after = node.get(item)
             if after is None:
                 continue
-            if step and (state_after := step(state, item, remaining - 1)) is None:
+            if step and (stepped := step(state, item, left)) is None:
                 continue
-            if remaining == 1:
-                yield prefix + (item,)
-            else:
+            if left:
                 yield from extend(
-                    prefix + (item,), after, remaining - 1, step and state_after
+                    prefix + (item,), after, left - 1, period, tail, step and stepped
                 )
-
-    if length > 0:
-        yield from extend((), graph, length, None)
-
-
-def iter_necklaces(
-    alphabet: Iterable[T], length: int, graph: Mapping[T, Mapping], step=None
-) -> Iterator[tuple[T, ...]]:
-    """The tuples iter_sequences yields that are least among their
-    rotations in lexicographic order of alphabet positions (necklaces),
-    lazily, in the same order.
-
-    The Fredricksen-Kessler-Maiorana walk (Ruskey, Savage and Wang,
-    J. Algorithms 13, 1992): every prefix of a necklace is a prenecklace,
-    a prefix a_1..a_t that is a prefix of some necklace.  With p the
-    prefix's period (the length of its longest Lyndon prefix), the next
-    item a_(t+1) must be no earlier than a_(t+1-p); an equal one keeps
-    the period and a later one makes it t+1.  A prenecklace of length n
-    is a necklace exactly when p divides n.  The walk follows graph and
-    step as iter_sequences does, so it offers the items all of them allow.
-    """
-    items = tuple(alphabet)
-    rank = {item: r for r, item in enumerate(items)}
-
-    def extend(prefix: tuple[T, ...], node, period: int, state) -> Iterator:
-        t = len(prefix)
-        least = rank[prefix[t - period]] if t else 0
-        for r in range(least, len(items)):
-            item = items[r]
-            after = node.get(item)
-            if after is None:
-                continue
-            if step and (state_after := step(state, item, length - t - 1)) is None:
-                continue
-            p = period if t and r == least else t + 1
-            if t + 1 < length:
-                yield from extend(prefix + (item,), after, p, step and state_after)
-            elif length % p == 0:
+            elif not necklaces or item is not tail[0] or length % period == 0:
                 yield prefix + (item,)
 
     if length > 0:
-        yield from extend((), graph, 0, None)
+        yield from extend((), graph, length - 1, 1, items, None)
 
 
 def text_ordered_letters(indices: Iterable[int]) -> list[Letter]:
@@ -265,8 +241,8 @@ def iter_words(
 ) -> Iterator[StarWord]:
     """All words of exactly the given length, sorted by canonical text;
     with graph and step, those whose letters iter_sequences follows
-    through both; with necklaces and graph, only those least among their
-    rotations in that order (iter_necklaces).
+    through both; with necklaces, only those least among their rotations
+    in that order.
 
     Walking the letters in text order gives exactly the text order of
     the words, indices >= 10 included: when one letter's text is a
@@ -274,9 +250,7 @@ def iter_words(
     followed by a space, which sorts before '*' and before digits.
     """
     letters = text_ordered_letters(indices)
-    if necklaces:
-        return map(StarWord, iter_necklaces(letters, length, graph, step))
-    return map(StarWord, iter_sequences(letters, length, graph, step))
+    return map(StarWord, iter_sequences(letters, length, graph, step, necklaces))
 
 
 def iter_star_patterns(length: int) -> Iterator[tuple[bool, ...]]:

@@ -169,7 +169,7 @@ class TensorScenario(_TensorScenarioFields):
         unknown; scan_rules caps the constraints there.
         """
         constraints = []
-        for m, weights, _ in self.factors[k - 1].gauge:
+        for m, weights in self.factors[k - 1].gauge:
             weight = dict(weights)
             terms = tuple(
                 (i, weight[c[k - 1]])
@@ -201,11 +201,10 @@ class TensorScenario(_TensorScenarioFields):
           joint indices whose component it is; as for the gauge, a word
           that breaks one has joint moment zero, and rules on the same
           indices merge by lcm.
-
-        The gauge and the heights carry the cap evaluable_through: beyond
-        it a skipped word could have raised, so longer words are
-        evaluated, and when a factor can fail at any length there are
-        none.
+        * through: evaluable_through, the one cap of the gauge and the
+          heights.  Beyond it a skipped word could have raised, so longer
+          words are evaluated, and when a factor can fail at any length
+          there is no gauge and there are no heights.
         """
         unitary = frozenset(
             i
@@ -215,19 +214,19 @@ class TensorScenario(_TensorScenarioFields):
         trace = all(f.unitary_trace for f in self.factors)
         cap = self.evaluable_through
         if cap == 0:
-            return ScanRules(unitary, (), trace, ())
+            return ScanRules(unitary, (), trace, (), cap)
         moduli: dict[tuple[tuple[int, int], ...], int] = {}
         rules: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
         for k, factor in enumerate(self.factors):
             for m, terms in self.factor_gauge(k + 1):
                 moduli[terms] = lcm(moduli.get(terms, m), m)
             of = lambda v: tuple(i for i in self.indices if self.assignments[i][k] in v)
-            for m, haar, terms, _ in factor.height_rules:
+            for m, haar, terms in factor.height_rules:
                 key = of(haar), of(terms)
                 rules[key] = lcm(rules.get(key, m), m)
-        gauge = tuple((m, terms, cap) for terms, m in sorted(moduli.items()))
-        heights = tuple((m, *key, cap) for key, m in sorted(rules.items()))
-        return ScanRules(unitary, gauge, trace, heights)
+        gauge = tuple((m, terms) for terms, m in sorted(moduli.items()))
+        heights = tuple((m, *key) for key, m in sorted(rules.items()))
+        return ScanRules(unitary, gauge, trace, heights, cap)
 
     @cached_property
     def zero_first(self) -> tuple[int, ...]:

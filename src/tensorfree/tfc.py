@@ -11,6 +11,7 @@ joint index; reports always carry that bound, never an unbounded claim.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain
 from typing import NamedTuple
 
@@ -250,6 +251,8 @@ def check_necessary_conditions(
 
     joint = joint_oracle(scenario)
     factor = {k: factor_oracle(scenario, k) for k in factors}
+    # each joint power x_i^m, read at most once by the checks below
+    joint_power = cache(lambda i, m: joint(single_variable_word((False,) * m, i)))
 
     # a / sqrt(phi(a a*)) is unitary iff phi(a a* a a*) = phi(a a*)^2
     second = (False, True)
@@ -294,7 +297,7 @@ def check_necessary_conditions(
                 (k, m, i)
                 for m in range(1, max_len + 1)
                 for i in scenario.indices
-                if not joint(single_variable_word((False,) * m, i)).is_zero()
+                if not joint_power(i, m).is_zero()
                 for k in factors
                 if variance(factor[k], single_variable_word((False,) * m, i)) != 0
             ),
@@ -313,7 +316,7 @@ def check_necessary_conditions(
         factor[k](single_variable_word((False,) * m, i)).is_zero()
         for i in scenario.indices
         for m in range(1, max_len + 1)
-        if joint(single_variable_word((False,) * m, i)).is_zero()
+        if joint_power(i, m).is_zero()
         for k in factors
     )
     return report(

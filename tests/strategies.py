@@ -269,13 +269,14 @@ def mixed_tensor_scenarios(draw) -> TensorScenario:
     )
 
 
-def breaks_by_hand(letters, gauge) -> bool:
-    """Whether the word breaks a (modulus, weights, cap) gauge constraint
-    that reaches its length: its weighted exponent sum, +w per plain
-    letter and -w per starred one, is not 0 mod m (m = 0: not 0)."""
-    for m, weights, cap in gauge:
-        if cap is not None and len(letters) > cap:
-            continue
+def breaks_by_hand(letters, gauge, through=None) -> bool:
+    """Whether the word, of at most through letters (any length when
+    through is None), breaks a (modulus, weights) gauge constraint: its
+    weighted exponent sum, +w per plain letter and -w per starred one, is
+    not 0 mod m (m = 0: not 0)."""
+    if through is not None and len(letters) > through:
+        return False
+    for m, weights in gauge:
         weight = dict(weights)
         total = sum((-1 if l.star else 1) * weight.get(l.index, 0) for l in letters)
         if (total % m if m else total) != 0:
@@ -283,14 +284,17 @@ def breaks_by_hand(letters, gauge) -> bool:
     return False
 
 
-def breaks_height_rule_by_hand(letters, scenario) -> bool:
-    """Whether some factor's declared height rule (m, Haar variables,
-    variables, cap) breaks on the word read in that factor's components:
+def breaks_height_rule_by_hand(letters, scenario, through=None) -> bool:
+    """Whether the word, of at most through letters (any length when
+    through is None), breaks some factor's declared height rule
+    (m, Haar variables, variables) read in that factor's components:
     the exponent sum of the Haar letters is not 0, or at some height n
     the exponent sum of the variables' letters at height n (the exponent
     sum of the Haar letters before them) is not 0 mod m (m = 0: not 0)."""
+    if through is not None and len(letters) > through:
+        return False
     for k, factor in enumerate(scenario.factors):
-        for m, haar, terms, _ in factor.height_rules:
+        for m, haar, terms in factor.height_rules:
             height, sums = 0, {}
             for l in letters:
                 v, sign = scenario.assignments[l.index][k], -1 if l.star else 1

@@ -177,7 +177,7 @@ def plain_oracle(scenario: TensorScenario):
     return lambda letters: tensor_moment(scenario, StarWord(tuple(letters)))
 
 
-def plain_power_scan(joint, max_len, gauge):
+def plain_power_scan(joint, max_len, gauge, through=None):
     """scan_alternating_powers on variables 1 and 2, word by word: joint
     is asked about every word switching_words keeps, and each tally line
     counts its words in closed form."""
@@ -187,7 +187,8 @@ def plain_power_scan(joint, max_len, gauge):
             line = tallies.setdefault((runs + 1) // 2, [0, 0])
             line[0] += reduced_word_count(2, total, runs)
     first = None
-    for word in switching_words((1, 2), max_len, ScanRules((1, 2), gauge)):
+    rules = ScanRules((1, 2), gauge, through=through)
+    for word in switching_words((1, 2), max_len, rules):
         value = joint(word)
         if not value.is_zero():
             runs = len(class_blocks(word, {1: 1, 2: 2}))
@@ -300,9 +301,12 @@ def test_class_scan_matches_the_plain_scan(make_scenario, max_len, free):
 
 def test_bracelet_counts_on_the_biased_power_k2_graph():
     # one word per bracelet against every kept word, per length
-    gauge = biased_power_scenario(2, Fraction(1, 10)).scan_rules.gauge
+    rules = biased_power_scenario(2, Fraction(1, 10)).scan_rules
     walk = lambda trace: Counter(
-        len(w) for w in switching_words((1, 2), 12, ScanRules((1, 2), gauge, trace))
+        len(w)
+        for w in switching_words(
+            (1, 2), 12, ScanRules((1, 2), rules.gauge, trace, through=rules.through)
+        )
     )
     bracelets, kept = walk(True), walk(False)
     assert bracelets == {4: 2, 6: 8, 8: 55, 10: 346, 12: 2_418}
@@ -323,11 +327,11 @@ def test_the_height_rule_keeps_few_bracelets(monkeypatch, K, length, kept, brace
         monkeypatch.setattr(
             factor._family, "mixed_moment_letters", lambda w: asked.update([w]) or ONE
         )
-    gauge = scenario.scan_rules.gauge
+    gauge, through = scenario.scan_rules.gauge, scenario.scan_rules.through
     walk = lambda *heights: [
         w
         for w in switching_words(
-            (1, 2), length, ScanRules((1, 2), gauge, True, *heights)
+            (1, 2), length, ScanRules((1, 2), gauge, True, *heights, through=through)
         )
         if len(w) == length
     ]
@@ -365,11 +369,13 @@ def test_height_walk_is_the_bracelet_walk_filtered(scenario, max_len):
     # needs r letters for a residue r mod m (not min(r, m - r)), on a
     # starred Haar letter that raises the height, and on rules whose
     # moduli overwrite each other instead of merging by lcm
-    gauge = scenario.scan_rules.gauge
+    gauge, through = scenario.scan_rules.gauge, scenario.scan_rules.through
     walk = lambda *heights: list(
-        switching_words((1, 2), max_len, ScanRules((1, 2), gauge, True, *heights))
+        switching_words(
+            (1, 2), max_len, ScanRules((1, 2), gauge, True, *heights, through=through)
+        )
     )
-    kept = [w for w in walk() if not breaks_height_rule_by_hand(w, scenario)]
+    kept = [w for w in walk() if not breaks_height_rule_by_hand(w, scenario, through)]
     assert walk(scenario.scan_rules.heights) == kept
 
 
@@ -393,7 +399,7 @@ def test_bracelet_power_scan_matches_the_plain_walk(scenario, max_len):
     # verdict, witness, lhs, words_checked and every tally line
     assert scenario.scan_rules.trace
     rules = scenario.scan_rules
-    plain = plain_power_scan(plain_oracle(scenario), max_len, rules.gauge)
+    plain = plain_power_scan(plain_oracle(scenario), max_len, rules.gauge, rules.through)
     got = scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, rules)
     assert got == plain
 
@@ -548,26 +554,26 @@ ANALYSIS_WORK = {
 @pytest.mark.parametrize("K, max_len", sorted(ANALYSIS_WORK))
 def test_analysis_work_is_pinned(monkeypatch, K, max_len):
     # the factor moments asked for, and the walk's work: the prefixes the
-    # necklace walk asks its height step about and those the step keeps
+    # walk asks its height step about and those the step keeps
     calls = Counter()
     factor_moment = tensor.factor_moment
-    iter_necklaces = starwords.iter_necklaces
+    iter_sequences = starwords.iter_sequences
 
     def counted(*args):
         calls["factor_moment"] += 1
         return factor_moment(*args)
 
-    def counted_walk(alphabet, length, graph, step=None):
+    def counted_walk(alphabet, length, graph=None, step=None, necklaces=False):
         def counted(*args):
             state = step(*args)
             calls["asked"] += 1
             calls["kept"] += state is not None
             return state
 
-        return iter_necklaces(alphabet, length, graph, step and counted)
+        return iter_sequences(alphabet, length, graph, step and counted, necklaces)
 
     monkeypatch.setattr(tensor, "factor_moment", counted)
-    monkeypatch.setattr(starwords, "iter_necklaces", counted_walk)
+    monkeypatch.setattr(starwords, "iter_sequences", counted_walk)
     report = analyze_biased_power(K, Fraction(1, 10), max_len)
     witness = report.verdict.witness
     got = (

@@ -81,30 +81,28 @@ def test_rotation_modulus(sequence, modulus):
     assert sequence.rotation_modulus == modulus
 
 
+# the cap of each file's constraints, ScanRules.through, is pinned with
+# its other declarations in tests/test_tensor.py::BUNDLED_DECLARATIONS
 @pytest.mark.parametrize(
     "name, gauge",
     [
         # factor 2's biased x1 has power +-2 only; the Haar x2 has none
-        ("biased_power_k2", ((2, ((1, 1),), 16), (0, ((2, 1),), 16))),
-        ("biased_power_k3", ((6, ((1, 1),), 16), (0, ((2, 1),), 16))),
+        ("biased_power_k2", ((2, ((1, 1),)), (0, ((2, 1),)))),
+        ("biased_power_k3", ((6, ((1, 1),)), (0, ((2, 1),)))),
         # factor 1's x1 has powers 1 and 2 with period 3, so no constraint;
         # factor 2's x2 = g1.1 gives the same constraint as the Haar x2
-        ("biased_unitary", ((0, ((2, 1),), 16),)),
+        ("biased_unitary", ((0, ((2, 1),)),)),
         # one star table of no rotation symmetry, and no group algebra
         ("circular_dominated", ()),
         # free generators in both factors: s1 = 0 and s2 = 0
-        ("doubly_free", ((0, ((1, 1),), None), (0, ((2, 1),), None))),
+        ("doubly_free", ((0, ((1, 1),)), (0, ((2, 1),)))),
         # factor 2 has x1 = g and x2 = g^2: s1 + 2 s2 = 0
         (
             "haar_dominated",
-            (
-                (0, ((1, 1),), None),
-                (0, ((1, 1), (2, 2)), None),
-                (0, ((2, 1),), None),
-            ),
+            ((0, ((1, 1),)), (0, ((1, 1), (2, 2))), (0, ((2, 1),))),
         ),
         # factor 1 is a table functional, which gives nothing
-        ("free_without_dominating", ((0, ((1, 1), (2, 2)), None),)),
+        ("free_without_dominating", ((0, ((1, 1), (2, 2))),)),
     ],
 )
 def test_bundled_gauge_moduli(bundled, name, gauge):
@@ -114,8 +112,9 @@ def test_bundled_gauge_moduli(bundled, name, gauge):
 
 def test_biased_power_gauge_is_lcm_of_the_biased_powers():
     for K, modulus in ((2, 2), (3, 6), (4, 12)):
-        gauge = biased_power_scenario(K, Fraction(1, 10)).scan_rules.gauge
-        assert gauge == ((modulus, ((1, 1),), 16), (0, ((2, 1),), 16))
+        rules = biased_power_scenario(K, Fraction(1, 10)).scan_rules
+        assert rules.gauge == ((modulus, ((1, 1),)), (0, ((2, 1),)))
+        assert rules.through == 16
 
 
 def free_factor(*sequences) -> SpectralModel:
@@ -130,7 +129,8 @@ def test_the_cap_is_the_least_depth_in_use():
         factors=(free_factor(circular), free_factor(shallow, HAAR)),
         assignments={1: (1, 1), 2: (1, 1)},
     )
-    assert scenario.scan_rules.gauge == ((0, ((1, 1), (2, 1)), 4),)
+    assert scenario.scan_rules.gauge == ((0, ((1, 1), (2, 1))),)
+    assert scenario.scan_rules.through == 4
     # a table that can fail at any length, or mixed words in a factor
     # without assume_free, would let a skip hide an error
     for factor in (
@@ -142,6 +142,7 @@ def test_the_cap_is_the_least_depth_in_use():
             assignments={1: (1, 1), 2: (2, 2)},
         )
         assert scenario.scan_rules.gauge == ()
+        assert scenario.scan_rules.through == 0
 
 
 # -- soundness pins ------------------------------------------------------------
@@ -162,14 +163,16 @@ def shared_component_scenario() -> TensorScenario:
 def test_shared_component_constrains_the_sum():
     scenario = shared_component_scenario()
     # one constraint on s1 + s2: rotating x1 rotates both joint variables
-    assert scenario.scan_rules.gauge == ((0, ((1, 1), (2, 1)), 16),)
-    rules = ScanRules(scenario.scan_rules.unitary, scenario.scan_rules.gauge)
+    assert scenario.scan_rules.gauge == ((0, ((1, 1), (2, 1))),)
+    assert scenario.scan_rules.through == 16
+    declared = scenario.scan_rules
+    rules = ScanRules(declared.unitary, declared.gauge, through=declared.through)
     verdict = freeness_verdict(joint_oracle(scenario), scenario.indices, 4, rules)
     assert verdict.witness == parse_word("x1 x2*")
     assert verdict.lhs == Fraction(1, 6)
     assert verdict.words_checked == 2
     # a constraint per joint index would have skipped the witness
-    per_index = ((0, ((1, 1),), None), (0, ((2, 1),), None))
+    per_index = ((0, ((1, 1),)), (0, ((2, 1),)))
     assert breaks_by_hand(verdict.witness, per_index)
 
 
@@ -183,7 +186,8 @@ def test_a_word_past_the_table_depth_is_evaluated():
     scenario = TensorScenario(
         factors=(free_factor(table, HAAR),), assignments={1: (1,), 2: (2,)}
     )
-    assert scenario.scan_rules.gauge == ((2, ((1, 1),), 4), (0, ((2, 1),), 4))
+    assert scenario.scan_rules.gauge == ((2, ((1, 1),)), (0, ((2, 1),)))
+    assert scenario.scan_rules.through == 4
     errors = []
     for rules in (ScanRules(), scenario.scan_rules):
         with pytest.raises(DepthLimitError) as caught:
@@ -194,6 +198,7 @@ def test_a_word_past_the_table_depth_is_evaluated():
 
 def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
     scenario = bundled("biased_power_k2").tensor
+    gauge, through = scenario.scan_rules.gauge, scenario.scan_rules.through
     evaluated = []
 
     def recording(oracle, letters, class_of):
@@ -202,7 +207,7 @@ def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
 
     monkeypatch.setattr(freeness, "centered_product_value", recording)
     verdict = freeness_verdict(
-        joint_oracle(scenario), (1, 2), 5, ScanRules(gauge=scenario.scan_rules.gauge)
+        joint_oracle(scenario), (1, 2), 5, ScanRules(gauge=gauge, through=through)
     )
     assert verdict.free
     expected = [
@@ -210,7 +215,7 @@ def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
         for n in range(2, 6)
         for w in iter_words((1, 2), n)
         if len(class_blocks(w, CLASS_OF)) > 1
-        and not breaks_by_hand(w, scenario.scan_rules.gauge)
+        and not breaks_by_hand(w, gauge, through)
     ]
     assert evaluated == expected
     # x1 sums even and x2 sums zero: odd lengths never survive
@@ -221,12 +226,13 @@ def test_skip_fires_exactly_on_words_that_break_the_gauge(bundled, monkeypatch):
 @pytest.mark.parametrize("name", ["biased_power_k2", "biased_power_k3", "biased_unitary"])
 def test_words_that_break_the_gauge_center_to_zero(bundled, name):
     scenario = bundled(name).tensor
+    rules = scenario.scan_rules
     oracle = joint_oracle(scenario)
     breaking = 0
     for length in range(2, 6):
         for word in iter_words((1, 2), length):
             letters = word
-            if breaks_by_hand(letters, scenario.scan_rules.gauge):
+            if breaks_by_hand(letters, rules.gauge, rules.through):
                 breaking += 1
                 assert oracle(letters).is_zero(), word
                 assert centered_product_value(oracle, letters, CLASS_OF).is_zero(), word
@@ -262,7 +268,8 @@ def tensor_scenarios(draw) -> TensorScenario:
 def outcome(scenario, max_len, gauge):
     """The scan's verdict, or the type of the error it raised."""
     try:
-        rules = ScanRules(scenario.scan_rules.unitary, gauge)
+        declared = scenario.scan_rules
+        rules = ScanRules(declared.unitary, gauge, through=declared.through)
         return freeness_verdict(joint_oracle(scenario), (1, 2), max_len, rules)
     except Exception as exc:  # the twin must raise the same type
         return type(exc)
@@ -311,9 +318,10 @@ def test_diagonal_verdict_matches_the_scan_with_no_rules(scenario, max_len):
 def test_every_word_the_gauge_breaks_is_evaluable_and_zero(scenario, max_len):
     # the scan compares first witnesses only; this checks every skip
     oracle = joint_oracle(scenario)
+    rules = scenario.scan_rules
     for length in range(2, max_len + 1):
         for word in iter_words((1, 2), length):
-            if breaks_by_hand(word, scenario.scan_rules.gauge):
+            if breaks_by_hand(word, rules.gauge, rules.through):
                 assert oracle(word).is_zero(), word
 
 
@@ -336,7 +344,7 @@ def test_bracelet_scan_matches_the_plain_scan(scenario, max_len):
 
 
 def power_outcome(scenario, max_len, gauge):
-    rules = ScanRules(gauge=gauge)
+    rules = ScanRules(gauge=gauge, through=scenario.scan_rules.through)
     return scan_alternating_powers(joint_oracle(scenario), (1, 2), max_len, rules)
 
 
@@ -344,10 +352,11 @@ def reduced(letters) -> bool:
     return all(b != a.adjoint() for a, b in zip(letters, letters[1:]))
 
 
-def brute_power_scan(joint, variables, max_len, gauge):
+def brute_power_scan(joint, variables, max_len, gauge, through=None):
     """scan_alternating_powers, tally lines as (block pairs, words,
-    violations), by evaluating every reduced word; the gauge is read only
-    to check that each word it breaks has moment zero."""
+    violations), by evaluating every reduced word; the gauge, held
+    through that length, is read only to check that each word it breaks
+    has moment zero."""
     tallies = {}
     first = None
     for total in range(2, max_len + 1):
@@ -359,7 +368,7 @@ def brute_power_scan(joint, variables, max_len, gauge):
             line = tallies.setdefault((runs + 1) // 2, [0, 0])
             line[0] += 1
             value = joint(letters)
-            if breaks_by_hand(letters, gauge):
+            if breaks_by_hand(letters, gauge, through):
                 assert value.is_zero(), word
             if not value.is_zero():
                 line[1] += 1
@@ -400,7 +409,7 @@ def test_power_scan_gauge_matches_the_full_scan(scenario, max_len):
     rules = scenario.scan_rules
     assert rules.trace
     joint = joint_oracle(scenario)
-    full = brute_power_scan(joint, (1, 2), max_len, rules.gauge)
+    full = brute_power_scan(joint, (1, 2), max_len, rules.gauge, rules.through)
     assert power_scan(joint, (1, 2), max_len, rules) == full
     assert power_scan(joint, (1, 2), max_len, ScanRules()) == full
 
@@ -440,14 +449,14 @@ def test_power_scan_skips_count_in_the_tallies():
         asked.append(letters)
         return joint(letters)
 
-    gauge = scenario.scan_rules.gauge
-    rules = ScanRules(gauge=gauge)
+    gauge, through = scenario.scan_rules.gauge, scenario.scan_rules.through
+    rules = ScanRules(gauge=gauge, through=through)
     verdict, scan = scan_alternating_powers(recording, (1, 2), 6, rules)
     full_verdict, full_scan = power_outcome(scenario, 6, ())
     assert (verdict, scan) == (full_verdict, full_scan)
     # past the single-power probes, only words keeping both sums are asked
     walked = asked[2 * 5 * 2 :]
-    assert walked and not any(breaks_by_hand(w, gauge) for w in walked)
+    assert walked and not any(breaks_by_hand(w, gauge, through) for w in walked)
     assert len(walked) < verdict.words_checked
 
 

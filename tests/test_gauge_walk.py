@@ -57,14 +57,15 @@ HAAR_BESIDE_CIRCULAR = TensorScenario(
     factors=(SpectralModel({1: HAAR, 2: CIRCULAR}, assume_free=True),),
     assignments={1: (1,), 2: (2,)},
 )
+HAAR_GAUGE = HAAR_BESIDE_CIRCULAR.scan_rules.gauge
 
 
 BIASED_POWER_K2 = biased_power_scenario(2, Fraction(1, 10))
 
 
-def scan_graph(gauge, indices, length, unitary):
+def scan_graph(gauge, through, indices, length, unitary):
     """The root of scan_graphs' graph of the words of length letters."""
-    rules = ScanRules(unitary, gauge)
+    rules = ScanRules(unitary, gauge, through=through)
     return next(islice(scan_graphs(indices, rules), length, None))
 
 
@@ -73,29 +74,28 @@ def height_rules(heights):
     return heights.scan_rules.heights if heights else ()
 
 
-def breaks_heights(letters, heights) -> bool:
+def breaks_heights(letters, heights, through) -> bool:
     """Whether the word breaks a per-height rule of the walk's scenario at
-    a length the rules reach (evaluable_through), by hand."""
+    a length the rules reach (through), by hand."""
     if heights is None:
         return False
-    cap = heights.evaluable_through
-    held = cap is None or len(letters) <= cap
-    return held and breaks_height_rule_by_hand(letters, heights)
+    return breaks_height_rule_by_hand(letters, heights, through)
 
 
-def held_step(heights, length):
+def held_step(heights, through, length):
     """switching_words' height step at one length."""
-    held = tuple(r for r in height_rules(heights) if r[3] is None or length <= r[3])
-    return height_step(held) if held else None
+    held = heights and (through is None or length <= through)
+    return height_step(height_rules(heights)) if held else None
 
 
 @st.composite
 def gauged_walks(draw, longest=7):
-    """(indices, gauge, length, unitary, heights): 1-3 indices, up to three
-    constraints of modulus 0, 2, 3 or 6 with weights -2..2 on some of the
-    indices and a cap of None or 3-5, a length of 1 to longest (1-5 over
-    three indices, so the plain walk stays under 8,000 words), any subset
-    of the indices as the unitary ones, and over two indices or more, at
+    """(indices, gauge, through, length, unitary, heights): 1-3 indices,
+    up to three constraints of modulus 0, 2, 3 or 6 with weights -2..2 on
+    some of the indices, one cap of None or 3-5 for the constraints and
+    the per-height rules, a length of 1 to longest (1-5 over three
+    indices, so the plain walk stays under 8,000 words), any subset of
+    the indices as the unitary ones, and over two indices or more, at
     times, the one-factor scenario of haar_spectral_factors() on the
     indices, whose per-height rules the walk takes (None otherwise)."""
     n = draw(st.integers(1, 3))
@@ -106,57 +106,63 @@ def gauged_walks(draw, longest=7):
         max_size=n,
         unique_by=lambda term: term[0],
     ).map(tuple)
-    gauge = draw(st.lists(st.tuples(MODULI, terms, CAPS), max_size=3).map(tuple))
+    gauge = draw(st.lists(st.tuples(MODULI, terms), max_size=3).map(tuple))
+    through = draw(CAPS)
     length = draw(st.integers(1, longest if n < 3 else 5))
     unitary = tuple(sorted(draw(st.sets(st.sampled_from(indices)))))
     heights = None
     if n > 1 and draw(st.booleans()):
         factor = draw(haar_spectral_factors(n))
         heights = TensorScenario((factor,), {i: (i,) for i in indices})
-    return indices, gauge, length, unitary, heights
+    return indices, gauge, through, length, unitary, heights
 
 
 @settings(max_examples=60, deadline=None)
 @given(gauged_walks())
 # a modulus-0 sum cut off before the prefix switches variable: x1 x1 x1
 # leaves one letter, and 2 of its 4 completions stay in x1
-@example(((1, 2), ((0, ((1, 1),), None),), 4, (), None))
+@example(((1, 2), ((0, ((1, 1),)),), None, 4, (), None))
 # the cap: the constraint reaches length 3, not length 5
-@example(((1, 2), ((0, ((1, 1),), 3),), 5, (), None))
+@example(((1, 2), ((0, ((1, 1),)),), 3, 5, (), None))
 # a bound met exactly: x1 x1 with two letters left can still come back
-@example(((1, 2), ((0, ((1, 2), (2, 1)), None), (3, ((2, 1),), 5)), 4, (), None))
+@example(((1, 2), ((0, ((1, 2), (2, 1))), (3, ((2, 1),))), 5, 4, (), None))
 # the rule on x1 only: x2 x2* and x2* x2 stay, x1 x1* and x1* x1 go
-@example(((1, 2), (), 4, (1,), None))
+@example(((1, 2), (), None, 4, (1,), None))
 # both rules at once: s1 = 0 keeps x1 x1 x1* x1*, the rule cuts x1 x1*
-@example(((1, 2), ((0, ((1, 1),), None),), 6, (1, 2), None))
+@example(((1, 2), ((0, ((1, 1),)),), None, 6, (1, 2), None))
 # two constraints together: every letter changes s1 + s2 by 1 mod 2, so
 # s1 = 0 mod 2 and s2 = 0 keep no word of odd length (biased_power_k2)
-@example(((1, 2), ((2, ((1, 1),), None), (0, ((2, 1),), None)), 7, (1, 2), None))
+@example(((1, 2), ((2, ((1, 1),)), (0, ((2, 1),))), None, 7, (1, 2), None))
 # mixed_order_collection's constraints: s1 and s2 = 0 mod 6 force an even
 # length, and no single sum rules out a prefix before the last letter
-@example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 7, (), None))
-@example(((1, 2), ((6, ((1, 1),), None), (6, ((2, 1),), None)), 6, (), None))
+@example(((1, 2), ((6, ((1, 1),)), (6, ((2, 1),))), None, 7, (), None))
+@example(((1, 2), ((6, ((1, 1),)), (6, ((2, 1),))), None, 6, (), None))
 # one index: no word switches, so the root is empty, with a gauge or
 # none and with the index unitary or not
-@example(((1,), (), 7, (), None))
-@example(((1,), ((0, ((1, 1),), None),), 7, (1,), None))
+@example(((1,), (), None, 7, (), None))
+@example(((1,), ((0, ((1, 1),)),), None, 7, (1,), None))
 # Haar x1 beside the rotation-invariant circular x2, in the plain walk:
 # x1 x2 x1* x2* keeps the gauge but not the rule, x1 x2 x2* x1* keeps both
-@example(
-    ((1, 2), HAAR_BESIDE_CIRCULAR.scan_rules.gauge, 7, (1,), HAAR_BESIDE_CIRCULAR)
-)
+@example(((1, 2), HAAR_GAUGE, 8, 7, (1,), HAAR_BESIDE_CIRCULAR))
+# the same rules held through 5 letters only: at length 6 the walk keeps
+# words that break them
+@example(((1, 2), HAAR_GAUGE, 5, 6, (1,), HAAR_BESIDE_CIRCULAR))
 def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
     # the height step fails this when iter_sequences ignores it, or when a
     # starred Haar letter raises the height
-    indices, gauge, length, unitary, heights = walk_input
-    graph = scan_graph(gauge, indices, length, unitary)
+    indices, gauge, through, length, unitary, heights = walk_input
+    graph = scan_graph(gauge, through, indices, length, unitary)
     keeps = lambda w: (
-        reduced_by_hand(w, unitary) and not breaks_by_hand(w, gauge) and switching(w)
+        reduced_by_hand(w, unitary)
+        and not breaks_by_hand(w, gauge, through)
+        and switching(w)
     )
     plain = [w for w in iter_words(indices, length) if keeps(w)]
     assert list(iter_words(indices, length, graph)) == plain
-    stepped = iter_words(indices, length, graph, step=held_step(heights, length))
-    assert list(stepped) == [w for w in plain if not breaks_heights(w, heights)]
+    step = held_step(heights, through, length)
+    stepped = iter_words(indices, length, graph, step=step)
+    kept = [w for w in plain if not breaks_heights(w, heights, through)]
+    assert list(stepped) == kept
     # exact: every node reached above the last level is nonempty, so every
     # path from the root ends in a kept word and the walk follows no move
     # that no completion keeps; the root is empty exactly when no word is
@@ -172,19 +178,20 @@ def test_pruned_walk_is_the_plain_walk_filtered(walk_input):
         w
         for n in lengths
         for w in iter_words(indices, n)
-        if keeps(w) and not breaks_heights(w, heights)
+        if keeps(w) and not breaks_heights(w, heights, through)
     ]
-    rules = ScanRules(unitary, gauge, False, height_rules(heights))
+    rules = ScanRules(unitary, gauge, False, height_rules(heights), through)
     assert list(switching_words(indices, length, rules)) == expected
 
 
-def one_length_graph(gauge, indices, length, unitary):
+def one_length_graph(gauge, through, indices, length, unitary):
     """The scan graph of one length built on its own, forward from the
-    empty prefix and back from the last letter, with only the
-    constraints that hold at that length: the reference for each root
-    of scan_graphs."""
+    empty prefix and back from the last letter, with the constraints
+    only when they hold at that length: the reference for each root of
+    scan_graphs."""
     alphabet = iter_letters(indices)
-    rows = [(m, dict(t)) for m, t, cap in gauge if cap is None or length <= cap]
+    held = through is None or length <= through
+    rows = [(m, dict(t)) for m, t in gauge] if held else []
     moduli = [m for m, _ in rows]
     letters = {
         l: (
@@ -222,17 +229,19 @@ def one_length_graph(gauge, indices, length, unitary):
 
 @settings(max_examples=60, deadline=None)
 @given(gauged_walks())
-# a cap crossed on the way: the constraint holds through 3 letters only
-@example(((1, 2), ((0, ((1, 1),), 3), (2, ((2, 1),), None)), 7, (1, 2), None))
+# a cap crossed on the way: the constraints hold through 3 letters only
+@example(((1, 2), ((0, ((1, 1),)), (2, ((2, 1),))), 3, 7, (1, 2), None))
 # biased_power_k2's rules through length 7
-@example(((1, 2), ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), 7, (1, 2), None))
+@example(((1, 2), ((2, ((1, 1),)), (0, ((2, 1),))), 16, 7, (1, 2), None))
 def test_scan_graphs_build_every_length_as_one_graph_did(walk_input):
     # the forward levels are found once for every length; each length's
     # root still maps to the same moves as the graph built for it alone
-    indices, gauge, length, unitary, _ = walk_input
-    roots = list(islice(scan_graphs(indices, ScanRules(unitary, gauge)), length + 1))
+    indices, gauge, through, length, unitary, _ = walk_input
+    rules = ScanRules(unitary, gauge, through=through)
+    roots = list(islice(scan_graphs(indices, rules), length + 1))
     lengths = range(length + 1)
-    assert roots == [one_length_graph(gauge, indices, n, unitary) for n in lengths]
+    one_length = lambda n: one_length_graph(gauge, through, indices, n, unitary)
+    assert roots == [one_length(n) for n in lengths]
 
 
 # -- the necklace walk ------------------------------------------------------------
@@ -247,25 +256,27 @@ def least_turn(key, *others) -> bool:
 @settings(max_examples=40, deadline=None)
 @given(gauged_walks(longest=8))
 # x10 sorts before x2 in text though index 10 follows index 2
-@example(((2, 10), ((2, ((10, 1),), None),), 6, (10,), None))
-@example(((2, 10), (), 5, (), None))
+@example(((2, 10), ((2, ((10, 1),)),), None, 6, (10,), None))
+@example(((2, 10), (), None, 5, (), None))
 # periodic necklaces: x1 x2 x1 x2 x1 x2 and its like
-@example(((1, 2), ((0, ((1, 1),), None), (0, ((2, 1),), None)), 6, (), None))
+@example(((1, 2), ((0, ((1, 1),)), (0, ((2, 1),))), None, 6, (), None))
 # biased_power_k2's rules at length 8: 55 words, one per bracelet
-@example(((1, 2), ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), 8, (1, 2), None))
+@example(((1, 2), ((2, ((1, 1),)), (0, ((2, 1),))), 16, 8, (1, 2), None))
 # and with its per-height rule: x1 sums 0 mod 2 at every height
-@example(((1, 2), BIASED_POWER_K2.scan_rules.gauge, 8, (1, 2), BIASED_POWER_K2))
+@example(((1, 2), BIASED_POWER_K2.scan_rules.gauge, 16, 8, (1, 2), BIASED_POWER_K2))
 def test_necklace_walk_is_the_plain_walk_filtered(walk_input):
-    indices, gauge, length, unitary, heights = walk_input
-    graph = scan_graph(gauge, indices, length, unitary)
+    indices, gauge, through, length, unitary, heights = walk_input
+    graph = scan_graph(gauge, through, indices, length, unitary)
     # words of one length compare as their texts do, letter by letter
     texts = {l: l.text() for l in iter_letters(indices)}
     text_key = lambda letters: tuple(map(texts.__getitem__, letters))
     least = lambda w: least_turn(text_key(w))
     plain = [w for w in iter_words(indices, length, graph) if least(w)]
     assert list(iter_words(indices, length, graph, True)) == plain
-    stepped = iter_words(indices, length, graph, True, held_step(heights, length))
-    assert list(stepped) == [w for w in plain if not breaks_heights(w, heights)]
+    step = held_step(heights, through, length)
+    stepped = iter_words(indices, length, graph, True, step)
+    kept = [w for w in plain if not breaks_heights(w, heights, through)]
+    assert list(stepped) == kept
     # switching_words with trace: of those, the cyclically reduced words no
     # greater than any rotation of their adjoint reversal
     def rep(w):
@@ -279,10 +290,10 @@ def test_necklace_walk_is_the_plain_walk_filtered(walk_input):
     expected = [
         w
         for n in range(2, length + 1)
-        for w in iter_words(indices, n, scan_graph(gauge, indices, n, unitary))
-        if rep(w) and not breaks_heights(w, heights)
+        for w in iter_words(indices, n, scan_graph(gauge, through, indices, n, unitary))
+        if rep(w) and not breaks_heights(w, heights, through)
     ]
-    rules = ScanRules(unitary, gauge, True, height_rules(heights))
+    rules = ScanRules(unitary, gauge, True, height_rules(heights), through)
     assert list(switching_words(indices, length, rules)) == expected
 
 
@@ -347,7 +358,7 @@ def test_words_checked_is_the_witness_position(case):
     # walk most of them; words_checked must count them all the same
     joint = lambda letters: ONE if letters == word else ZERO
     sums = exponent_sums(word, indices)
-    gauge = tuple((abs(s), ((i, 1),), None) for i, s in sums.items())
+    gauge = tuple((abs(s), ((i, 1),)) for i, s in sums.items())
     shorter = sum(switching_total(indices, n) for n in range(2, len(word)))
     rules = ScanRules(gauge=gauge)
     verdict = freeness_verdict(joint, indices, len(word), rules)

@@ -65,12 +65,12 @@ def test_abelian_image_is_the_exponent_sums():
     "name, gauge",
     [
         # free generators, one component or two merged: s1 = 0 and s2 = 0
-        ("free_pair_collection", ((0, ((1, 1),), None), (0, ((2, 1),), None))),
-        ("product_pair_collection", ((0, ((1, 1),), None), (0, ((2, 1),), None))),
+        ("free_pair_collection", ((0, ((1, 1),)), (0, ((2, 1),)))),
+        ("product_pair_collection", ((0, ((1, 1),)), (0, ((2, 1),)))),
         # Z2 * Z2 x Z3 * Z3: the mod-2 and mod-3 coordinates merge to mod 6
-        ("mixed_order_collection", ((6, ((1, 1),), None), (6, ((2, 1),), None))),
+        ("mixed_order_collection", ((6, ((1, 1),)), (6, ((2, 1),)))),
         # x1 = g, x2 = g^2: s1 + 2 s2 = 0
-        ("integer_pair_collection", ((0, ((1, 1), (2, 2)), None),)),
+        ("integer_pair_collection", ((0, ((1, 1), (2, 2))),)),
     ],
 )
 def test_bundled_group_gauges(bundled, name, gauge):
@@ -88,19 +88,19 @@ def scan(model, max_len, gauge):
         # g and its inverse: a negative weight, and x1 x2 is the identity
         (
             group_model((None,), "g1.1^1", "g1.1^-1"),
-            ((0, ((1, 1), (2, -1)), None),),
+            ((0, ((1, 1), (2, -1))),),
             "x1 x2",
         ),
         # weights 1 and 2: x1 x1 x2* is the identity
         (
             group_model((None,), "g1.1^1", "g1.1^2"),
-            ((0, ((1, 1), (2, 2)), None),),
+            ((0, ((1, 1), (2, 2))),),
             "x1 x1 x2*",
         ),
         # x1's exponent sum in g1.1 is 3 = 0 mod 3: x1 weighs 0 there
         (
             group_model((3, 3), "g1.1^1 g1.2^1 g1.1^2", "g1.1^1"),
-            ((3, ((1, 1),), None), (3, ((2, 1),), None)),
+            ((3, ((1, 1),)), (3, ((2, 1),))),
             None,
         ),
         # two commutators: every coordinate is 0, so no constraint at all
@@ -150,7 +150,8 @@ def test_group_constraints_take_the_table_depth_as_cap():
         ),
         assignments={1: (1, 1), 2: (2, 2)},
     )
-    assert scenario.scan_rules.gauge == ((0, ((1, 1),), 4), (0, ((2, 1),), 4))
+    assert scenario.scan_rules.gauge == ((0, ((1, 1),)), (0, ((2, 1),)))
+    assert scenario.scan_rules.through == 4
     errors = []
     for rules in (ScanRules(), scenario.scan_rules):
         with pytest.raises(DepthLimitError) as caught:
@@ -169,9 +170,10 @@ def test_group_gauge_matches_the_full_scan(model, max_len):
     assert scan(model, max_len, model.gauge) == scan(model, max_len, ())
 
 
-def breaking_words(gauge, max_len):
+def breaking_words(gauge, max_len, through=None):
     for length in range(2, max_len + 1):
-        yield from (w for w in iter_words((1, 2), length) if breaks_by_hand(w, gauge))
+        words = iter_words((1, 2), length)
+        yield from (w for w in words if breaks_by_hand(w, gauge, through))
 
 
 def assert_zero(oracle, word):
@@ -205,7 +207,8 @@ def group_tensor_scenarios(draw) -> TensorScenario:
 def tensor_outcome(scenario, max_len, gauge):
     """The scan's verdict, or the type of the error it raised."""
     try:
-        rules = ScanRules(scenario.scan_rules.unitary, gauge)
+        declared = scenario.scan_rules
+        rules = ScanRules(declared.unitary, gauge, through=declared.through)
         return freeness_verdict(joint_oracle(scenario), (1, 2), max_len, rules)
     except Exception as exc:  # the twin must raise the same type
         return type(exc)
@@ -222,7 +225,8 @@ def test_group_factor_gauge_matches_the_full_scan(scenario, max_len):
 @given(group_tensor_scenarios(), st.integers(2, 4))
 def test_every_word_a_group_factor_breaks_is_zero(scenario, max_len):
     oracle = joint_oracle(scenario)
-    for word in breaking_words(scenario.scan_rules.gauge, max_len):
+    rules = scenario.scan_rules
+    for word in breaking_words(rules.gauge, max_len, rules.through):
         assert_zero(oracle, word)
 
 

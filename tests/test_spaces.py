@@ -130,6 +130,20 @@ def test_spectral_reduced_keys():
     assert model.sequences[1].unitary
 
 
+def test_equal_spectral_models_declare_equal_rules():
+    # the per-height rule takes the least Haar variable, whatever the
+    # order of the keys the model was given
+    biased = MomentSequence({2: Fraction(1, 3)}, unitary=True)
+    for sequences in ({1: HAAR, 2: HAAR}, {1: HAAR, 2: biased, 3: HAAR}):
+        forward = SpectralModel(sequences, True)
+        reverse = SpectralModel(dict(reversed(sequences.items())), True)
+        assert forward == reverse
+        assert forward.height_rules == reverse.height_rules
+        assert forward.gauge == reverse.gauge
+    rules = SpectralModel({2: HAAR, 1: HAAR}, True).height_rules
+    assert rules == ((0, (1,), (2,)),)
+
+
 def test_variance_values():
     model = f2_trace()
     assert variance(model.moment_letters, word("x1")) == 1

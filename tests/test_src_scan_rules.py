@@ -9,6 +9,12 @@ the empty default of a parameter in freeness.py.  A scan that needs
 narrower or wider rules derives them from assembled ones with _replace,
 where the change and its reason can be read: cli.py's canonical-trace
 scan and counterexample.py's power-word scan, and no other function.
+
+ScanRules.through is the one length cap of the gauge and the heights,
+TensorScenario.evaluable_through as scan_rules passed it.  No _replace
+sets it, since a cap moved past evaluable_through would let a skipped
+word hide a depth error, and freeness.py reads no evaluable_through, so
+the walk learns its cap from the rules alone.
 """
 
 import ast
@@ -63,6 +69,26 @@ def replacing_functions(tree):
     )
 
 
+def replaced_fields(tree):
+    """(line, field) per keyword of every _replace call."""
+    return sorted(
+        (node.lineno, keyword.arg)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and called_name(node) == "_replace"
+        for keyword in node.keywords
+    )
+
+
+def reads(tree, name):
+    """The lines that read name, as a variable or an attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+    )
+
+
 def parsed():
     return {
         path.name: ast.parse(path.read_text(encoding="utf-8"))
@@ -95,10 +121,30 @@ def test_the_rules_see_constructions_and_replacements():
         "from . import freeness\n"
         "def scan(joint, rules=ScanRules()):\n"
         "    return joint, rules\n"
-        "def narrow(rules):\n"
-        "    return rules._replace(trace=False)\n"
+        "def narrow(rules, scenario):\n"
+        "    return rules._replace(trace=False, through=scenario.evaluable_through)\n"
         "def build(gauge):\n"
         "    return freeness.ScanRules(gauge=gauge), ScanRules()\n"
     )
     assert constructions(snippet) == [(2, True), (7, False), (7, False)]
     assert replacing_functions(snippet) == ["narrow"]
+    assert replaced_fields(snippet) == [(5, "through"), (5, "trace")]
+    assert reads(snippet, "evaluable_through") == [5]
+
+
+def test_no_narrowing_moves_the_cap():
+    fields = {
+        name: [field for _, field in replaced_fields(tree)]
+        for name, tree in parsed().items()
+    }
+    assert fields["cli.py"] == ["unitary"]
+    assert fields["counterexample.py"] == ["trace", "unitary"]
+    assert not any("through" in found for found in fields.values())
+
+
+def test_the_walk_reads_its_cap_from_the_rules_alone():
+    trees = parsed()
+    assert reads(trees["tensor.py"], "evaluable_through")
+    assert reads(trees["freeness.py"], "evaluable_through") == []
+    assert reads(trees["freeness.py"], "through")
+

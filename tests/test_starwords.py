@@ -1,5 +1,5 @@
 """Word algebra: parsing, adjoints, unitary reduction, block splitting,
-and the lazy word walker and its necklace twin."""
+and the lazy word walker with its necklace mode."""
 
 import tracemalloc
 from itertools import product
@@ -16,7 +16,6 @@ from tensorfree.starwords import (
     adjoint_letters,
     class_blocks,
     iter_letters,
-    iter_necklaces,
     iter_sequences,
     iter_star_patterns,
     iter_words,
@@ -331,24 +330,55 @@ def every_item(items) -> dict:
     return node
 
 
-def test_iter_necklaces_counts_and_order():
+def least_rotation(seq) -> bool:
+    return all(seq <= seq[i:] + seq[:i] for i in range(len(seq)))
+
+
+def test_necklace_mode_counts_and_order():
+    """The necklace mode yields the least rotations in order.  With a
+    graph and a step that refuses some items, it yields the plain mode's
+    tuples that are least among their rotations, and the plain mode
+    yields every tuple both allow: this catches a necklace mode that
+    ignores step and a plain mode that applies the period bound."""
     # binary and ternary necklaces (OEIS A000031, A001867), in order
     for k, counts in ((2, [2, 3, 4, 6, 8, 14, 20, 36]), (3, [3, 6, 11, 24, 51, 130])):
         for n, count in enumerate(counts, 1):
-            brute = [
-                seq
-                for seq in product(range(k), repeat=n)
-                if all(seq <= seq[i:] + seq[:i] for i in range(n))
-            ]
-            assert list(iter_necklaces(range(k), n, every_item(range(k)))) == brute
+            brute = [seq for seq in product(range(k), repeat=n) if least_rotation(seq)]
+            walked = iter_sequences(range(k), n, every_item(range(k)), necklaces=True)
+            assert list(walked) == brute
             assert len(brute) == count
-    assert list(iter_necklaces("ab", 0, every_item("ab"))) == []
+    assert list(iter_sequences("ab", 0, every_item("ab"), necklaces=True)) == []
     # the walk follows a graph: consecutive items differ, so of "abab"
     # and "aabb" only the first is walked
     after = {"a": {}, "b": {}}
     after["a"]["b"] = after["b"]
     after["b"]["a"] = after["a"]
-    assert list(iter_necklaces("ab", 4, after)) == [("a", "b", "a", "b")]
+    assert list(iter_sequences("ab", 4, after, necklaces=True)) == [("a", "b", "a", "b")]
+
+    def step(bs: int | None, item: str, left: int) -> int | None:
+        # at most two b's, and no c last
+        bs = (bs or 0) + (item == "b")
+        return None if bs > 2 or (item == "c" and left == 0) else bs
+
+    def kept(seq) -> bool:
+        return seq.count("b") <= 2 and seq[-1] != "c"
+
+    differ = {item: {} for item in "abc"}
+    for item, node in differ.items():
+        node.update((other, differ[other]) for other in "abc" if other != item)
+    for graph, allowed in (
+        (every_item("abc"), lambda seq: True),
+        (differ, lambda seq: all(a != b for a, b in zip(seq, seq[1:]))),
+    ):
+        for n in range(1, 7):
+            plain = list(iter_sequences("abc", n, graph, step))
+            brute = [s for s in product("abc", repeat=n) if kept(s) and allowed(s)]
+            assert plain == brute
+            necklaces = list(iter_sequences("abc", n, graph, step, necklaces=True))
+            assert necklaces == [s for s in plain if least_rotation(s)]
+    # the step refuses necklaces that the graph allows
+    assert ("a", "b", "b", "b") in iter_sequences("abc", 4, necklaces=True)
+    assert ("a", "b", "b", "b") not in iter_sequences("abc", 4, None, step, True)
 
 
 @pytest.mark.parametrize("indices", [[2, 10], [1, 10, 2]])

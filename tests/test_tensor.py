@@ -515,33 +515,47 @@ def test_scalar_component_check():
 # -- declared structure ------------------------------------------------------
 
 # (scan_rules' unitary and trace, evaluable_through, scan_rules' gauge,
-# zero_first) of each bundled tensor file, as the scenario computed them
-# when it still read them off the model classes itself
+# heights and through, zero_first) of each bundled tensor file; all but
+# the heights and through as the scenario computed them when it still
+# read them off the model classes itself
 BUNDLED_DECLARATIONS = {
     "biased_power_k2": (
-        {1, 2}, True, 16, ((2, ((1, 1),), 16), (0, ((2, 1),), 16)), (2, 1)
+        {1, 2},
+        True,
+        16,
+        ((2, ((1, 1),)), (0, ((2, 1),))),
+        ((2, (2,), (1,)),),
+        16,
+        (2, 1),
     ),
     "biased_power_k3": (
-        {1, 2}, True, 16, ((6, ((1, 1),), 16), (0, ((2, 1),), 16)), (3, 2, 1)
+        {1, 2},
+        True,
+        16,
+        ((6, ((1, 1),)), (0, ((2, 1),))),
+        ((6, (2,), (1,)),),
+        16,
+        (3, 2, 1),
     ),
-    "biased_unitary": ({1, 2}, True, 16, ((0, ((2, 1),), 16),), (1, 2)),
-    "circular_dominated": (set(), False, 8, (), (1, 2)),
+    # factor 1's Haar x2 beside its x1 of rotation modulus 1
+    "biased_unitary": (
+        {1, 2}, True, 16, ((0, ((2, 1),)),), ((1, (2,), (1,)),), 16, (1, 2)
+    ),
+    "circular_dominated": (set(), False, 8, (), (), 8, (1, 2)),
     "doubly_free": (
-        {1, 2}, True, None, ((0, ((1, 1),), None), (0, ((2, 1),), None)), (1, 2)
+        {1, 2}, True, None, ((0, ((1, 1),)), (0, ((2, 1),))), (), None, (1, 2)
     ),
     # the canonical trace of Z, zero exactly off its gauge, goes last
     "free_without_dominating": (
-        {1, 2}, False, None, ((0, ((1, 1), (2, 2)), None),), (1, 2)
+        {1, 2}, False, None, ((0, ((1, 1), (2, 2))),), (), None, (1, 2)
     ),
     "haar_dominated": (
         {1, 2},
         True,
         None,
-        (
-            (0, ((1, 1),), None),
-            (0, ((1, 1), (2, 2)), None),
-            (0, ((2, 1),), None),
-        ),
+        ((0, ((1, 1),)), (0, ((1, 1), (2, 2))), (0, ((2, 1),))),
+        (),
+        None,
         (1, 2),
     ),
 }
@@ -555,6 +569,8 @@ def test_bundled_declarations(bundled, name):
         scen.scan_rules.trace,
         scen.evaluable_through,
         scen.scan_rules.gauge,
+        scen.scan_rules.heights,
+        scen.scan_rules.through,
         scen.zero_first,
     ) == BUNDLED_DECLARATIONS[name]
 
@@ -603,6 +619,7 @@ def test_a_model_that_declares_nothing_is_walked_in_full():
     assert not scen.scan_rules.trace
     assert scen.evaluable_through == 0
     assert scen.scan_rules.gauge == ()
+    assert scen.scan_rules.through == 0
     # the factor's family is scanned, not taken as free
     verdict = scen.factor_verdict(2, 4)
     assert verdict is not None and verdict.free

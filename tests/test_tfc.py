@@ -243,11 +243,13 @@ def test_theorem_1_8_at_gram_length_3_checks_the_other_factor_at_2(
 # factor_moment calls of check_necessary_conditions at max_len 4: the
 # unitary screen reads each phi(x_i x_i*) once and squares it, so each
 # count is one per (factor, joint index) below 66, 230 and 71, the counts
-# with two reads
+# with two reads; and the all-unitary branch reads each joint power x_i^m
+# once, which takes doubly_free from 67, when its power and group-like
+# checks each read them, to 59
 NECESSARY_CONDITIONS_CALLS = {
     "circular_dominated": 64,
     "biased_unitary": 226,
-    "doubly_free": 67,
+    "doubly_free": 59,
 }
 
 
@@ -425,10 +427,9 @@ def test_circular_pair_witness_at_length_12(bundled):
     # the gauge keeps it: both exponent sums vanish, and past the
     # circular table's depth of 8 no constraint applies at all
     gauge = scenario.scan_rules.gauge
-    assert gauge == ((0, ((1, 1),), 8), (0, ((2, 1),), 8))
-    assert all(cap < len(witness) for _, _, cap in gauge)
-    uncapped = tuple((m, members, None) for m, members, _ in gauge)
-    assert not breaks_by_hand(witness, uncapped)
+    assert gauge == ((0, ((1, 1),)), (0, ((2, 1),)))
+    assert scenario.scan_rules.through == 8 < len(witness)
+    assert not breaks_by_hand(witness, gauge)
 
 
 def test_classifier_two_nonunitary_factors(bundled):
