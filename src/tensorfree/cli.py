@@ -236,12 +236,8 @@ def _run_find_dominating(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 
 def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     model = _require(sf, "group")
-    verdict = is_free_collection(
-        model.presentation,
-        tuple(model.elements.values()),
-        bounds["max_blocks"],
-        bounds["max_exp"],
-    )
+    collection = (model.presentation, tuple(model.elements.values()))
+    verdict = is_free_collection(*collection, bounds["max_blocks"], bounds["max_exp"])
     star = _canonical_trace_verdict(model, bounds["max_len"])
     report: dict = {
         "group": verdict,
@@ -266,12 +262,8 @@ def _run_group_freeness(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
 
 def _run_prop_1_6(sf: ScenarioFile, args, bounds) -> tuple[dict, int]:
     model = _require(sf, "group")
-    rep = group_dominating_report(
-        model.presentation,
-        tuple(model.elements.values()),
-        bounds["max_blocks"],
-        bounds["max_exp"],
-    )
+    collection = (model.presentation, tuple(model.elements.values()))
+    rep = group_dominating_report(*collection, bounds["max_blocks"], bounds["max_exp"])
     report = {
         "collection_free": rep.collection_free,
         "freeness_witness": rep.freeness_witness,

@@ -3,11 +3,14 @@
 Elements are stored componentwise; inside each direct-product component
 a word is an alternating sequence of syllables (generator, exponent)
 with nonzero exponents reduced modulo the generator order.  Reduction is
-a stack merge, so equality of elements is equality of normal forms.
+the stack merge of starwords.merge_powers, so equality of elements is
+equality of normal forms.
 
 On top of the arithmetic sit exact element orders and the decision
 procedures of Prop 1.6: bounded freeness of a collection via alternating
-products, and the dominating-component search built on it.
+products, which builds only the products its abelian gauge keeps and
+counts the rest in closed form, and the dominating-component search
+built on it.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import product as iter_product
 from math import gcd, lcm
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import PreconditionError, ScenarioError
@@ -70,11 +74,8 @@ class GroupElement(NamedTuple):
         return all(not w for w in self.components)
 
     def text(self) -> str:
-        parts = []
-        for k, word in enumerate(self.components, start=1):
-            for j, e in word:
-                parts.append(f"g{k}.{j}^{e}")
-        return " ".join(parts) if parts else "e"
+        words = enumerate(self.components, start=1)
+        return " ".join(f"g{k}.{j}^{e}" for k, w in words for j, e in w) or "e"
 
 
 def identity(presentation: GroupPresentation) -> GroupElement:
@@ -92,32 +93,20 @@ def reduce(
     syllables_per_component: Sequence[Sequence[Syllable]],
 ) -> GroupElement:
     """Normal form of an unreduced componentwise word."""
-    return GroupElement(
-        tuple(
-            reduce_factor_word(comp, sylls)
-            for comp, sylls in zip(presentation.factors, syllables_per_component)
-        )
-    )
+    words = syllables_per_component
+    return GroupElement(tuple(map(reduce_factor_word, presentation.factors, words)))
 
 
 def multiply(
     presentation: GroupPresentation, a: GroupElement, b: GroupElement
 ) -> GroupElement:
-    return GroupElement(
-        tuple(
-            reduce_factor_word(comp, wa + wb)
-            for comp, wa, wb in zip(presentation.factors, a.components, b.components)
-        )
-    )
+    words = map(add, a.components, b.components)
+    return GroupElement(tuple(map(reduce_factor_word, presentation.factors, words)))
 
 
 def inverse(presentation: GroupPresentation, a: GroupElement) -> GroupElement:
-    return GroupElement(
-        tuple(
-            reduce_factor_word(comp, tuple((j, -e) for j, e in reversed(w)))
-            for comp, w in zip(presentation.factors, a.components)
-        )
-    )
+    words = (tuple((j, -e) for j, e in reversed(w)) for w in a.components)
+    return GroupElement(tuple(map(reduce_factor_word, presentation.factors, words)))
 
 
 def power(presentation: GroupPresentation, a: GroupElement, n: int) -> GroupElement:
@@ -268,25 +257,6 @@ class GroupFreenessVerdict(NamedTuple):
     words_checked: int
 
 
-def _exponent_order(max_exp: int) -> list[int]:
-    out: list[int] = []
-    for e in range(1, max_exp + 1):
-        out.extend((e, -e))
-    return out
-
-
-def _nontrivial_powers(
-    presentation: GroupPresentation, elements: Sequence[GroupElement], max_exp: int
-) -> dict[tuple[int, int], GroupElement]:
-    powers: dict[tuple[int, int], GroupElement] = {}
-    for i, g in enumerate(elements, start=1):
-        for e in _exponent_order(max_exp):
-            p = power(presentation, g, e)
-            if not p.is_identity():
-                powers[(i, e)] = p
-    return powers
-
-
 def is_free_collection(
     presentation: GroupPresentation,
     elements: Sequence[GroupElement],
@@ -304,41 +274,48 @@ def is_free_collection(
     1..n in listing order.
 
     A product whose image in the abelianization is nonzero (abelian_gauge)
-    is not the identity, so it is not multiplied out.  words_checked
-    counts every product up to and including the witness, these too.
+    is not the identity, so it is never built: the search walks the heads
+    (the first t - 1 blocks) and looks up the last blocks whose folded
+    image cancels the head's.  words_checked still counts every product
+    up to and including the witness, in closed form per head.
     """
-    powers = _nontrivial_powers(presentation, elements, max_exp)
-    exp_order = _exponent_order(max_exp)
+    exps = [s * n for n in range(1, max_exp + 1) for s in (1, -1)]
+    # the nontrivial powers, keyed (index, exponent) in search order
+    powers = {
+        (i, e): p
+        for i, g in enumerate(elements, start=1)
+        for e in exps
+        if not (p := power(presentation, g, e)).is_identity()
+    }
     gauge = abelian_gauge(presentation, dict(enumerate(elements, start=1)))
     moduli = [m for m, _ in gauge]
+    fold = lambda sums: tuple(s % m if m else s for s, m in zip(sums, moduli))
     # per nontrivial power, its weighted exponent sum per constraint
-    images = {
-        (i, e): tuple(e * dict(weights).get(i, 0) for _, weights in gauge)
-        for i, e in powers
-    }
-    checked = 0
-    # consecutive indices differ: the node after index i holds the others
+    images = {(i, e): tuple(e * dict(w).get(i, 0) for _, w in gauge) for i, e in powers}
     indices = range(1, len(elements) + 1)
-    after = {i: {} for i in indices}
-    for i, node in after.items():
-        node.update((j, after[j]) for j in indices if j != i)
+    blocks_of = {i: [key for key in powers if key[0] == i] for i in indices}
+    # per index and folded image, the index's blocks there, with their places
+    last_blocks: dict[tuple, list[tuple[int, tuple[int, int]]]] = {}
+    for keys in blocks_of.values():
+        for place, key in enumerate(keys, start=1):
+            last_blocks.setdefault((key[0], fold(images[key])), []).append((place, key))
+    checked = 0
+    differ = lambda before, i, _: None if i == before else i  # a new index next
     for t in range(2, max_blocks + 1):
-        for index_seq in iter_sequences(indices, t, after):
-            for exps in iter_product(exp_order, repeat=t):
-                blocks = tuple(zip(index_seq, exps))
-                if not all(key in powers for key in blocks):
-                    continue
-                checked += 1
-                sums = map(sum, zip(*(images[key] for key in blocks)))
-                if any(s % m if m else s for s, m in zip(sums, moduli)):
-                    continue
-                acc = powers[blocks[0]]
-                for key in blocks[1:]:
-                    acc = multiply(presentation, acc, powers[key])
-                if acc.is_identity():
-                    return GroupFreenessVerdict(
-                        False, GroupWitness(blocks), max_blocks, max_exp, checked
-                    )
+        for *head_indices, i in iter_sequences(indices, t, step=differ):
+            for head in iter_product(*map(blocks_of.get, head_indices)):
+                sums = map(sum, zip(*map(images.get, head)))
+                for place, key in last_blocks.get((i, fold(-s for s in sums)), ()):
+                    acc = powers[head[0]]
+                    for block in head[1:] + (key,):
+                        acc = multiply(presentation, acc, powers[block])
+                    if acc.is_identity():
+                        witness = GroupWitness(head + (key,))
+                        checked += place
+                        return GroupFreenessVerdict(
+                            False, witness, max_blocks, max_exp, checked
+                        )
+                checked += len(blocks_of[i])
     return GroupFreenessVerdict(True, None, max_blocks, max_exp, checked)
 
 

@@ -16,18 +16,15 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
 from . import freeness
-from .errors import (
-    DimensionLimitError,
-    NotDirectlyEvaluable,
-    ScenarioError,
-)
-from .groups import GroupElement, GroupPresentation, abelian_gauge, inverse, reduce
+from .errors import DimensionLimitError, NotDirectlyEvaluable, ScenarioError
+from .groups import FactorWord, GroupElement, GroupPresentation, abelian_gauge, inverse
 from .ncpartitions import MomentSequence
 from .scalars import ONE, ZERO, ExactComplex, as_scalar
-from .starwords import LetterTuple, adjoint_letters, iter_letters, merge_powers
+from .starwords import Letter, LetterTuple, adjoint_letters, iter_letters, merge_powers
 
 GRAM_BASIS_CAP = 320
 
@@ -69,7 +66,13 @@ class MomentFunctional:
 
 
 class GroupBackedModel(MomentFunctional):
-    """Base for models whose variables are elements of a presented group."""
+    """Base for models whose variables are elements of a presented group.
+
+    One letter table, built with the model, holds per component each
+    letter's syllables (its element's, or the inverse's when starred); a
+    read concatenates them and reduces each component once by
+    starwords.merge_powers, building no GroupElement it does not return.
+    """
 
     def __init__(
         self, presentation: GroupPresentation, elements: dict[int, GroupElement]
@@ -80,20 +83,27 @@ class GroupBackedModel(MomentFunctional):
         self.variables = tuple(self.elements)
         # a group element is unitary under any functional
         self.unitary_variables = frozenset(self.variables)
-        self._inverses = {v: inverse(presentation, g) for v, g in self.elements.items()}
+        of_letter = {
+            Letter(v, star): inverse(presentation, g) if star else g
+            for v, g in self.elements.items()
+            for star in (False, True)
+        }
+        self._letter_syllables = tuple(
+            ({l: g.components[c] for l, g in of_letter.items()}, comp.generator_orders)
+            for c, comp in enumerate(presentation.factors)
+        )
+
+    def _reduced(self, letters: LetterTuple) -> Iterator[FactorWord]:
+        # the product's reduced word per component, each when it is drawn
+        for syllables, orders in self._letter_syllables:
+            unreduced = chain.from_iterable(map(syllables.__getitem__, letters))
+            yield merge_powers(unreduced, orders)
 
     def element_of(self, letters: LetterTuple) -> GroupElement:
-        """The product of the letters' elements: each component's syllables
-        are concatenated and reduced once."""
-        syllables: list[list] = [[] for _ in self.presentation.factors]
-        for l in letters:
-            g = self._inverses[l.index] if l.star else self.elements[l.index]
-            for sylls, word in zip(syllables, g.components):
-                sylls.extend(word)
-        return reduce(self.presentation, syllables)
+        """The product of the letters' elements."""
+        return GroupElement(tuple(self._reduced(letters)))
 
-    def reduced_key(self, letters: LetterTuple) -> GroupElement:
-        return self.element_of(letters)
+    reduced_key = element_of
 
     def evaluable_through(self, used: set[int]) -> None:
         return None  # every product of group elements has a value
@@ -105,7 +115,8 @@ class GroupAlgebraModel(GroupBackedModel):
     unitary_trace = True
 
     def moment_letters(self, letters: LetterTuple) -> ExactComplex:
-        return ONE if self.element_of(letters).is_identity() else ZERO
+        # zero at the first component that does not cancel
+        return ZERO if any(self._reduced(letters)) else ONE
 
     @cached_property
     def gauge(self) -> freeness.Gauge:
@@ -154,10 +165,8 @@ class TableFunctional(GroupBackedModel):
                 self.table[key] = val
 
     def moment_letters(self, letters: LetterTuple) -> ExactComplex:
-        element = self.element_of(letters)
-        if element.is_identity():
-            return ONE
-        return self.table.get(element, ZERO)
+        words = tuple(self._reduced(letters))
+        return self.table.get(GroupElement(words), ZERO) if any(words) else ONE
 
 
 class SpectralModel(MomentFunctional):

@@ -183,11 +183,11 @@ def iter_sequences(
     walk offers only the items its node holds, and no tuple through a
     missing item is built or yielded; the node after the last item is
     not read.  Without graph, one node maps every item back to itself.
-    freeness.scan_graphs builds the graphs of the words a scan keeps;
-    groups.is_free_collection's graph allows a different index next.
+    freeness.scan_graphs builds the graphs of the words a scan keeps.
     With step, the walk offers only an item whose step(state, item, items
     left after it), the state after it (None before the first item), is
-    not None (freeness.height_step).
+    not None (freeness.height_step; groups.is_free_collection's step
+    refuses the index just before).
 
     With necklaces, only the tuples least among their rotations
     (necklaces), by the Fredricksen-Kessler-Maiorana walk (Ruskey, Savage

@@ -107,28 +107,31 @@ class TensorScenario(_TensorScenarioFields):
         return axioms
 
     @cached_property
-    def factor_verdict(self) -> Callable[[int, int], Verdict | None]:
-        """factor_verdict(k, max_len): bounded star-freeness of factor k's
-        component family, walked by the rules of factor k's declared
-        structure (diagonal_verdict); evaluation errors name factor k.
-        Each (factor, bound) pair is scanned once.
+    def factor_verdict(self) -> Callable[..., Verdict | None]:
+        """factor_verdict(k, max_len, read=None): bounded star-freeness of
+        factor k's component family, walked by the rules of factor k's
+        declared structure (diagonal_verdict), its moments read through
+        factor_oracle(self, k, read); evaluation errors name factor k.  Each
+        (factor, bound) pair is scanned once, with the first caller's read.
 
         A factor declared free (assume_free) synthesizes its mixed moments
         from freeness, so the test would be a tautology; None signals that.
         """
+        verdicts: dict[tuple[int, int], Verdict | None] = {}
 
-        def verdict(k: int, max_len: int) -> Verdict | None:
+        def verdict(k: int, max_len: int, read: FactorRead | None = None):
             functional = self.factors[k - 1]
-            if functional.assume_free:
-                return None
-            # the family is indexed by the joint variables, so a repeated
-            # factor component is tested against itself, not collapsed away
-            family = TensorScenario(
-                (functional,), {i: (c[k - 1],) for i, c in self.assignments.items()}
-            )
-            return diagonal_verdict(family, max_len, factor_oracle(self, k))
+            if (k, max_len) not in verdicts and not functional.assume_free:
+                # the family is indexed by the joint variables, so a repeated
+                # factor component is tested against itself, not collapsed away
+                family = TensorScenario(
+                    (functional,), {i: (c[k - 1],) for i, c in self.assignments.items()}
+                )
+                oracle = factor_oracle(self, k, read)
+                verdicts[k, max_len] = diagonal_verdict(family, max_len, oracle)
+            return verdicts.get((k, max_len))
 
-        return cache(verdict)
+        return verdict
 
     def faithful(self, k: int) -> bool:
         """Whether factor k's Gram matrix at length 2 is positive
@@ -260,15 +263,30 @@ def factor_moment(scenario: TensorScenario, word: LetterTuple, k: int) -> ExactC
         raise FactorNotEvaluable(k, StarWord(word).text(), str(exc)) from exc
 
 
-def factor_oracle(scenario: TensorScenario, k: int) -> JointOracle:
-    """factor_moment of factor k, as a callable on letter tuples; it fails
-    as factor_moment does, naming the factor."""
-    return lambda letters: factor_moment(scenario, letters, k)
+FactorRead = Callable[[TensorScenario, LetterTuple, int], ExactComplex]
 
 
-def tensor_moment(scenario: TensorScenario, word: LetterTuple) -> ExactComplex:
+def read_once(scenario: TensorScenario) -> FactorRead:
+    """factor_moment of scenario, each (word, factor) pair read once: a check's memo."""
+    once = cache(lambda word, k: factor_moment(scenario, word, k))
+    return lambda _, word, k: once(word, k)
+
+
+def factor_oracle(
+    scenario: TensorScenario, k: int, read: FactorRead | None = None
+) -> JointOracle:
+    """Factor k's moment as read (factor_moment by default), as a callable
+    on letter tuples; it fails as factor_moment does, naming the factor."""
+    read = read or factor_moment
+    return lambda letters: read(scenario, letters, k)
+
+
+def tensor_moment(
+    scenario: TensorScenario, word: LetterTuple, read: FactorRead | None = None
+) -> ExactComplex:
     """Joint moment of a word, any letter tuple, in the diagonal family:
-    the product of the factor moments of the projected words.
+    the product of the factor moments of the projected words, each as
+    read (factor_moment by default).
 
     Within TensorScenario.evaluable_through no factor can raise, so the
     factors are evaluated in the order TensorScenario.zero_first and the
@@ -276,11 +294,12 @@ def tensor_moment(scenario: TensorScenario, word: LetterTuple) -> ExactComplex:
     evaluated first, in the order 1..K, so that an evaluability failure
     never depends on the order or on another factor's zero.
     """
+    read = read or factor_moment
     cap = scenario.evaluable_through
     if cap is None or len(word) <= cap:
-        values = (factor_moment(scenario, word, k) for k in scenario.zero_first)
+        values = (read(scenario, word, k) for k in scenario.zero_first)
     else:
-        values = [factor_moment(scenario, word, k) for k in range(1, scenario.K + 1)]
+        values = [read(scenario, word, k) for k in range(1, scenario.K + 1)]
     out = ONE
     for value in values:
         if value.is_zero():
@@ -304,13 +323,15 @@ def diagonal_verdict(
     return test_freeness(oracle, scenario.indices, max_len, scenario.scan_rules)
 
 
-def scalar_component_check(scenario: TensorScenario) -> list[str]:
+def scalar_component_check(
+    scenario: TensorScenario, read: FactorRead | None = None
+) -> list[str]:
     """Hypothesis screening for the necessary-condition checks.
 
     Returns human-readable problems: a joint variable that is the zero
     vector (a component with vanishing second moment) or a constant
     multiple of the unit (every component deterministic).  Every factor
-    moment is read through factor_oracle, so errors name the factor.
+    moment is read through factor_oracle(scenario, k, read): errors name the factor.
     """
     problems: list[str] = []
     for i in scenario.indices:
@@ -318,7 +339,7 @@ def scalar_component_check(scenario: TensorScenario) -> list[str]:
         zero = False
         all_det = True
         for k in range(1, scenario.K + 1):
-            moment = factor_oracle(scenario, k)
+            moment = factor_oracle(scenario, k, read)
             if moment((x, x_star)).is_zero():
                 zero = True
                 break

@@ -21,11 +21,11 @@ from .scalars import ExactComplex
 from .spaces import variance
 from .starwords import StarWord, iter_star_patterns, single_variable_word
 from .tensor import (
+    FactorRead,
     TensorScenario,
     diagonal_verdict,
-    factor_moment,
     factor_oracle,
-    joint_oracle,
+    read_once,
     scalar_component_check,
     tensor_moment,
 )
@@ -62,17 +62,22 @@ class TfcReport(NamedTuple):
         return self.k if self.satisfied else None
 
 
-def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
+def check_tfc(
+    scenario: TensorScenario, k: int, max_len: int = 8, read: FactorRead | None = None
+) -> TfcReport:
     """Both tensor freeness conditions for candidate factor k, over all
     single-variable star-words up to max_len letters and all joint
-    indices.  The first violation of each condition is reported.
+    indices.  The first violation of each condition is reported.  Factor
+    moments are read by read, a check's own read_once by default, so
+    each (word, factor) pair is read once.
 
     Raises FactorNotFreeError when factor k's own family fails the
     bounded freeness test, which is a precondition of the definition.
     """
     if not 1 <= k <= scenario.K:
         raise PreconditionError(f"factor index {k} out of range 1..{scenario.K}")
-    freeness_verdict = scenario.factor_verdict(k, max_len)
+    read = read or read_once(scenario)
+    freeness_verdict = scenario.factor_verdict(k, max_len, read)
     if freeness_verdict is not None and not freeness_verdict.free:
         raise FactorNotFreeError(k, freeness_verdict)
 
@@ -93,15 +98,15 @@ def check_tfc(scenario: TensorScenario, k: int, max_len: int = 8) -> TfcReport:
         for i in scenario.indices:
             checked += 1
             word = single_variable_word(pattern, i)
-            value = tensor_moment(scenario, word)
+            value = tensor_moment(scenario, word, read)
             if value.is_zero():
                 if first_1 is None:
-                    fk = factor_moment(scenario, word, k)
+                    fk = read(scenario, word, k)
                     if not fk.is_zero():
                         first_1 = TfcViolation(1, i, pattern, k, value, factor_value=fk)
             elif first_2 is None:
                 for l in others:
-                    spread = variance(factor_oracle(scenario, l), word)
+                    spread = variance(factor_oracle(scenario, l, read), word)
                     if spread != 0:
                         first_2 = TfcViolation(2, i, pattern, l, value, variance=spread)
                         break
@@ -125,13 +130,14 @@ def find_dominating(scenario: TensorScenario, max_len: int = 8) -> DominatingSea
     """Smallest factor index whose TFC check passes, searching k ascending.
 
     Factors whose own family fails the freeness precondition are recorded
-    separately with their witnesses and skipped.
+    separately with their witnesses and skipped.  All checks share one read_once.
     """
     reports: dict[int, TfcReport] = {}
     not_free: dict[int, Verdict] = {}
+    read = read_once(scenario)
     for k in range(1, scenario.K + 1):
         try:
-            report = check_tfc(scenario, k, max_len)
+            report = check_tfc(scenario, k, max_len, read)
         except FactorNotFreeError as exc:
             not_free[k] = exc.verdict
             continue
@@ -215,16 +221,18 @@ def check_necessary_conditions(
 
     Scenarios where no such power exists fall into the open case and are
     classified (group_like tells whether every vanishing joint power
-    vanishes factorwise), not judged.
+    vanishes factorwise), not judged.  Each (word, factor) pair is read
+    once (read_once), by every step of the check.
     """
-    problems = scalar_component_check(scenario)
+    read = read_once(scenario)
+    problems = scalar_component_check(scenario, read)
     if problems:
         return NecessaryConditionsReport("hypotheses_not_met", tuple(problems), ())
 
     factors = range(1, scenario.K + 1)
     notes: list[str] = []
     for k in factors:
-        verdict = scenario.factor_verdict(k, max_len)
+        verdict = scenario.factor_verdict(k, max_len, read)
         if verdict is not None and not verdict.free:
             witness = verdict.witness.text() if verdict.witness else "?"
             problems.append(
@@ -249,24 +257,17 @@ def check_necessary_conditions(
             "hypotheses_not_met", tuple(problems), tuple(notes)
         )
 
-    joint = joint_oracle(scenario)
-    factor = {k: factor_oracle(scenario, k) for k in factors}
-    # each joint power x_i^m, read at most once by the checks below
-    joint_power = cache(lambda i, m: joint(single_variable_word((False,) * m, i)))
-
+    joint = lambda letters: tensor_moment(scenario, letters, read)
+    factor = {k: factor_oracle(scenario, k, read) for k in factors}
+    power = lambda i, m: single_variable_word((False,) * m, i)
+    joint_power = cache(lambda i, m: joint(power(i, m)))  # each x_i^m once
     # a / sqrt(phi(a a*)) is unitary iff phi(a a* a a*) = phi(a a*)^2
-    second = (False, True)
-
-    def unitary_up_to_scale(k: int, i: int) -> bool:
-        fourth = factor[k](single_variable_word(second * 2, i))
-        square = factor[k](single_variable_word(second, i))
-        return fourth == square * square
-
+    second = lambda k, i, n: factor[k](single_variable_word((False, True) * n, i))
     non_unitary = tuple(
         (k, i)
         for k in factors
         for i in scenario.indices
-        if not unitary_up_to_scale(k, i)
+        if second(k, i, 2) != second(k, i, 1) * second(k, i, 1)
     )
     non_unitary_factors = sorted({k for k, _ in non_unitary})
     d_verdict = diagonal_verdict(scenario, max_len, joint)
@@ -299,7 +300,7 @@ def check_necessary_conditions(
                 for i in scenario.indices
                 if not joint_power(i, m).is_zero()
                 for k in factors
-                if variance(factor[k], single_variable_word((False,) * m, i)) != 0
+                if variance(factor[k], power(i, m)) != 0
             ),
             None,
         )
@@ -307,13 +308,13 @@ def check_necessary_conditions(
         k0 = non_unitary_factors[0] if non_unitary_factors else power_witness[0]
         return report(
             "one_nonunitary_factor" if non_unitary_factors else "power_hypothesis",
-            tfc=check_tfc(scenario, k0, max_len),
+            tfc=check_tfc(scenario, k0, max_len, read),
             power_witness=power_witness,
         )
 
     # group-like: every vanishing joint power vanishes in every factor
     group_like = all(
-        factor[k](single_variable_word((False,) * m, i)).is_zero()
+        factor[k](power(i, m)).is_zero()
         for i in scenario.indices
         for m in range(1, max_len + 1)
         if joint_power(i, m).is_zero()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tensorfree import groups
 from tensorfree.errors import PreconditionError, ScenarioError
 from tensorfree.groups import (
     FreeProductPresentation,
@@ -307,6 +308,10 @@ def brute_free_collection(presentation, elements, max_blocks, max_exp):
     return GroupFreenessVerdict(True, None, max_blocks, max_exp, checked)
 
 
+Z4_FREE = GroupPresentation((FreeProductPresentation((4, None)),))
+A = parse_group_word(Z4_FREE, "g1.1^1 g1.2^1 g1.1^1 g1.2^-1")
+
+
 @st.composite
 def collections(draw):
     """A presentation of 1-2 components with finite or infinite orders, and
@@ -325,12 +330,30 @@ def collections(draw):
 # is 0 mod 6 but not 0, and in Z_4 the witness d1^2 d2 is g^4
 @example((MIXED, list(mixed_pair())), 4, 3)
 @example((Z4, [parse_group_word(Z4, "g1.1^1"), parse_group_word(Z4, "g1.1^2")]), 3, 3)
+# in Z_4 * Z, a = g h g h^-1 maps to 2 mod 4, so a^3 a^3 and a^3 a^-3 both
+# keep the gauge and only the second is the identity: the witness
+# d1^3 d2^-1 is the second kept product of its head, after 24 products
+@example((Z4_FREE, [A, power(Z4_FREE, A, 3)]), 2, 3)
 def test_search_matches_its_brute_twin(case, max_blocks, max_exp):
     # witness and words_checked included: the gauge skip multiplies out
     # only the products with a zero abelian image, and counts them all
     presentation, elements = case
     got = is_free_collection(presentation, elements, max_blocks, max_exp)
     assert got == brute_free_collection(presentation, elements, max_blocks, max_exp)
+
+
+def test_the_product_pair_search_builds_only_gauge_kept_products(bundled, monkeypatch):
+    # the gauge asks each index's exponents to sum to zero, which only the
+    # 72 four-block products d1^a d2^b d1^-a d2^-b and d2^a d1^b d2^-a d1^-b
+    # do: 3 multiplies each, beside the 36 of the 12 powers, of the 3,096
+    # products counted
+    model = bundled("product_pair_collection").collection
+    calls = []
+    real = groups.multiply
+    monkeypatch.setattr(groups, "multiply", lambda *args: calls.append(1) or real(*args))
+    verdict = is_free_collection(model.presentation, list(model.elements.values()))
+    assert verdict.free and verdict.words_checked == 3096
+    assert len(calls) == 252
 
 
 # -- projection kernels --------------------------------------------------

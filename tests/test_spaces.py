@@ -5,10 +5,10 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tensorfree import spaces
+from tensorfree import groups, spaces
 from tensorfree.errors import (
     DimensionLimitError,
     NotDirectlyEvaluable,
@@ -38,7 +38,7 @@ from tensorfree.spaces import (
 )
 from tensorfree.starwords import Letter, iter_letters, parse_word as word
 
-from strategies import HAAR, haar_spectral_factors
+from strategies import HAAR, group_algebras, haar_spectral_factors, table_functionals
 
 F2 = GroupPresentation((FreeProductPresentation((None, None)),))
 
@@ -95,6 +95,93 @@ def test_table_functional_guards():
             {1: g, 2: h},
             {gh: ExactComplex(0, 1), hg_inv: ExactComplex(0, 1)},
         )
+
+
+# -- group-backed reads against products of elements ----------------------------
+
+MIXED = GroupPresentation(
+    (FreeProductPresentation((2, 2)), FreeProductPresentation((3, 3)))
+)
+PRODUCT_PAIR = GroupPresentation((F2.factors[0], F2.factors[0]))
+
+
+def first_letters_shared():
+    """On F2 x F2, x1 = (a, c) and x2 = (a, d): x1 x2* cancels in the first
+    component only."""
+    return GroupAlgebraModel(
+        PRODUCT_PAIR,
+        {
+            1: parse_group_word(PRODUCT_PAIR, "g1.1^1 g2.1^1"),
+            2: parse_group_word(PRODUCT_PAIR, "g1.1^1 g2.2^1"),
+        },
+    )
+
+
+def multiplied_by_hand(model, letters):
+    """The letters' elements multiplied one at a time (groups.multiply),
+    a starred letter's as its inverse."""
+    acc = identity(model.presentation)
+    for l in letters:
+        g = model.elements[l.index]
+        if l.star:
+            g = inverse(model.presentation, g)
+        acc = multiply(model.presentation, acc, g)
+    return acc
+
+
+def moment_by_hand(model, letters):
+    element = multiplied_by_hand(model, letters)
+    if element.is_identity():
+        return ONE
+    table = getattr(model, "table", {})
+    return table.get(element, ZERO)
+
+
+group_words = st.lists(
+    st.builds(Letter, st.sampled_from((1, 2)), st.booleans()), max_size=10
+).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(group_algebras(), table_functionals()), group_words)
+# a finite-order component: d1^2 d2^3 d1^-2 d2^3 is the identity
+@example(
+    GroupAlgebraModel(
+        MIXED,
+        {
+            1: parse_group_word(MIXED, "g1.1^1 g2.1^1"),
+            2: parse_group_word(MIXED, "g1.2^1 g2.2^1"),
+        },
+    ),
+    word("x1 x1 x2 x2 x2 x1* x1* x2 x2 x2"),
+)
+# the first component cancels and only the second does not
+@example(first_letters_shared(), word("x1 x2*"))
+# the entry at g h, read through its inverse h^-1 g^-1: the conjugate
+@example(beta_table(ExactComplex(Fraction(1, 3), Fraction(1, 5))), word("x2* x1*"))
+def test_group_backed_reads_match_products_of_elements(model, letters):
+    assert model.element_of(letters) == multiplied_by_hand(model, letters)
+    assert model.moment_letters(letters) == moment_by_hand(model, letters)
+
+
+def test_group_backed_examples_by_value():
+    pair = first_letters_shared()
+    assert pair.element_of(word("x1 x2*")).text() == "g2.1^1 g2.2^-1"
+    assert pair.moment_letters(word("x1 x2*")) == ZERO
+    beta = ExactComplex(Fraction(1, 3), Fraction(1, 5))
+    assert beta_table(beta).moment_letters(word("x2* x1*")) == beta.conjugate()
+
+
+def test_group_backed_moments_reduce_no_group_element(monkeypatch):
+    # parsing the elements reduces them; reading the models does not
+    models = (f2_trace(), beta_table(Fraction(1, 10)))
+    calls = []
+    monkeypatch.setattr(groups, "reduce", lambda *args: calls.append(args))
+    words = [word("x1 x2 x2* x1*"), word("x1 x2"), word("x2* x1*"), ()]
+    for model in models:
+        for letters in words:
+            model.moment_letters(letters)
+    assert calls == []
 
 
 def test_spectral_marginals_and_mixed_words():

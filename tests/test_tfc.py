@@ -240,16 +240,16 @@ def test_theorem_1_8_at_gram_length_3_checks_the_other_factor_at_2(
     assert calls == [3, 3, 2]
 
 
-# factor_moment calls of check_necessary_conditions at max_len 4: the
-# unitary screen reads each phi(x_i x_i*) once and squares it, so each
-# count is one per (factor, joint index) below 66, 230 and 71, the counts
-# with two reads; and the all-unitary branch reads each joint power x_i^m
-# once, which takes doubly_free from 67, when its power and group-like
-# checks each read them, to 59
+# factor_moment calls of check_necessary_conditions at max_len 4: every
+# step of the check reads through one memo (tensor.read_once), so each
+# count is the number of distinct (word, factor) pairs the check reads;
+# before the memo the screen, the factor scans, the diagonal scan and the
+# TFC re-read 19, 86, 29 and 6 of them, for 64, 226, 59 and 20 calls
 NECESSARY_CONDITIONS_CALLS = {
-    "circular_dominated": 64,
-    "biased_unitary": 226,
-    "doubly_free": 59,
+    "circular_dominated": 45,
+    "biased_unitary": 140,
+    "doubly_free": 30,
+    "haar_dominated": 14,
 }
 
 
@@ -267,6 +267,21 @@ def test_theorem_1_8_reads_each_second_moment_once_in_its_screen(
     monkeypatch.setattr(tensor, "factor_moment", counted)
     check_necessary_conditions(bundled(name).tensor, 4)
     assert len(calls) == NECESSARY_CONDITIONS_CALLS[name]
+    pairs = {(tuple(word), k) for _, word, k in calls}
+    assert len(pairs) == len(calls)
+
+
+def test_find_dominating_reads_each_factor_moment_once(bundled, monkeypatch):
+    # neither candidate of biased_power_k2 passes, so both are checked and
+    # share one memo; with a memo each, the two made 920 calls
+    calls = []
+    factor_moment = tensor.factor_moment
+    monkeypatch.setattr(
+        tensor, "factor_moment", lambda *args: calls.append(args) or factor_moment(*args)
+    )
+    search = find_dominating(bundled("biased_power_k2").tensor, 6)
+    assert sorted(search.reports) == [1, 2] and search.dominating is None
+    assert len({(tuple(word), k) for _, word, k in calls}) == len(calls) == 453
 
 
 # -- faithfulness ------------------------------------------------------------
