@@ -413,54 +413,54 @@ _HANDLERS = {
 }
 
 
-def _parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--max-len", dest="max_len", type=int, default=None,
-                        help="star word length bound (default 8 or scenario value)")
-    shared.add_argument("--max-blocks", dest="max_blocks", type=int, default=None,
-                        help="group word block bound (default 4 or scenario value)")
-    shared.add_argument("--max-exp", dest="max_exp", type=int, default=None,
-                        help="group exponent bound (default 3 or scenario value)")
-    shared.add_argument("--gram-len", dest="gram_len", type=int, default=None,
-                        help="Gram basis word length (default 3 or scenario value)")
-    shared.add_argument("--out", default=None,
-                        help="write the JSON report here instead of stdout")
+# an argument: (name, type, default, help)
+_SHARED = (
+    ("--max-len", int, None, "star word length bound (default 8 or scenario value)"),
+    ("--max-blocks", int, None, "group word block bound (default 4 or scenario value)"),
+    ("--max-exp", int, None, "group exponent bound (default 3 or scenario value)"),
+    ("--gram-len", int, None, "Gram basis word length (default 3 or scenario value)"),
+    ("--out", None, None, "write the JSON report here instead of stdout"),
+)
 
+# command: (help, its own arguments); every command also takes _SHARED
+_COMMANDS = {
+    "moments": ("evaluate one star word's moment",
+                (("word", None, None, "star word, e.g. 'x1 x2*'"),)),
+    "test-freeness": ("bounded star-freeness of the scenario's family", ()),
+    "check-tfc": ("tensor freeness conditions for one factor",
+                  (("--k", int, 1, "candidate factor (default 1)"),)),
+    "find-dominating": ("smallest factor whose conditions hold", ()),
+    "group-freeness": ("group-level freeness plus the canonical trace route", ()),
+    "prop-1-6": ("dominating component search for a group collection", ()),
+    "theorem-1-8": ("necessary-condition instance checks", ()),
+    "counterexample-k": ("biased-power family scan and filter analysis",
+                         (("K", int, None, "number of tensor factors (>= 2)"),)),
+    "identities": ("polynomial identity and inequality instances", (
+        ("name", None, None, "identity name, e.g. shifted-product"),
+        ("--alpha", None, None, "scalar as JSON, e.g. 2 or [1,2]"),
+        *((flag, None, None, "vector as JSON array of rationals")
+          for flag in ("--t", "--x", "--y")),
+    )),
+    "check-axioms": ("functional axioms and Gram positivity per factor", ()),
+}
+
+
+def _parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for argv: a subparser for the command argv names after
+    the scenario (each costs start-up time), or for every command if none."""
+    named = argv[1] if len(argv) > 1 and not argv[0].startswith("-") else None
     parser = argparse.ArgumentParser(
         prog="tensorfree",
         description="Run exact freeness and tensor-freeness checks on a scenario file.",
     )
     parser.add_argument("scenario", help="path to a scenario JSON file")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    p = commands.add_parser("moments", parents=[shared],
-                            help="evaluate one star word's moment")
-    p.add_argument("word", help="star word, e.g. 'x1 x2*'")
-    commands.add_parser("test-freeness", parents=[shared],
-                        help="bounded star-freeness of the scenario's family")
-    p = commands.add_parser("check-tfc", parents=[shared],
-                            help="tensor freeness conditions for one factor")
-    p.add_argument("--k", type=int, default=1, help="candidate factor (default 1)")
-    commands.add_parser("find-dominating", parents=[shared],
-                        help="smallest factor whose conditions hold")
-    commands.add_parser("group-freeness", parents=[shared],
-                        help="group-level freeness plus the canonical trace route")
-    commands.add_parser("prop-1-6", parents=[shared],
-                        help="dominating component search for a group collection")
-    commands.add_parser("theorem-1-8", parents=[shared],
-                        help="necessary-condition instance checks")
-    p = commands.add_parser("counterexample-k", parents=[shared],
-                            help="biased-power family scan and filter analysis")
-    p.add_argument("K", type=int, help="number of tensor factors (>= 2)")
-    p = commands.add_parser("identities", parents=[shared],
-                            help="polynomial identity and inequality instances")
-    p.add_argument("name", help="identity name, e.g. shifted-product")
-    p.add_argument("--alpha", default=None, help="scalar as JSON, e.g. 2 or [1,2]")
-    p.add_argument("--t", default=None, help="vector as JSON array of rationals")
-    p.add_argument("--x", default=None, help="vector as JSON array of rationals")
-    p.add_argument("--y", default=None, help="vector as JSON array of rationals")
-    commands.add_parser("check-axioms", parents=[shared],
-                        help="functional axioms and Gram positivity per factor")
+    for name, (text, arguments) in _COMMANDS.items():
+        if named in _COMMANDS and name != named:
+            continue
+        p = commands.add_parser(name, help=text)
+        for argument, kind, default, argument_help in _SHARED + arguments:
+            p.add_argument(argument, type=kind, default=default, help=argument_help)
     return parser
 
 
@@ -477,7 +477,8 @@ def _emit(report: dict, out_path: str | None) -> None:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv).parse_args(argv)
     started = time.monotonic()
     try:
         sf = load_scenario(args.scenario)

@@ -14,7 +14,6 @@ Hermitian LDL elimination.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, partial
 from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
@@ -290,9 +289,9 @@ class SpectralModel(MomentFunctional):
 # -- derived quantities -------------------------------------------------
 
 
-def variance(moment: freeness.JointOracle, letters: LetterTuple) -> Fraction:
-    """Exact variance psi(b b*) - |psi(b)|^2 of the word b, by the moment
-    oracle psi of a letter tuple.
+def variance(moment: freeness.JointOracle, letters: LetterTuple) -> ExactComplex:
+    """Exact variance psi(b b*) - |psi(b)|^2 of the word b, a real
+    scalar, by the moment oracle psi of a letter tuple.
 
     Zero variance makes the word a scalar multiple of the unit only
     when the functional is faithful; callers that read it as
@@ -300,9 +299,9 @@ def variance(moment: freeness.JointOracle, letters: LetterTuple) -> Fraction:
     """
     mean = moment(letters)
     second = moment(letters + adjoint_letters(letters))
-    if second.im != 0:
+    if not second.is_real():
         raise ScenarioError("psi(b b*) is not real; Hermitian symmetry is broken")
-    return second.re - mean.abs2()
+    return second - mean.abs2()
 
 
 # -- axioms at a word-length level ---------------------------------------
@@ -366,11 +365,11 @@ def hermitian_ldl_signature(matrix: list[list[ExactComplex]]) -> tuple[bool, boo
     pd = True
     for r in range(d):
         pivot = a[r][r]
-        if pivot.im != 0:
+        if not pivot.is_real():
             raise ScenarioError("Gram matrix is not Hermitian")
-        if pivot.re < 0:
+        if pivot.sign() < 0:
             return (False, False)
-        if pivot.re == 0:
+        if pivot.is_zero():
             pd = False
             if any(not a[r][c].is_zero() for c in range(r + 1, d)):
                 return (False, False)

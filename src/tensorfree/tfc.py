@@ -10,7 +10,6 @@ joint index; reports always carry that bound, never an unbounded claim.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from itertools import chain
 from typing import NamedTuple
@@ -38,7 +37,7 @@ class TfcViolation(NamedTuple):
     factor: int
     tensor_value: ExactComplex
     factor_value: ExactComplex | None = None
-    variance: Fraction | None = None
+    variance: ExactComplex | None = None
 
     @property
     def word(self) -> StarWord:
